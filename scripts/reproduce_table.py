@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Run the four built-in benchmarks, save traces, and print the summary table.
 
-Each problem runs at its registry defaults, except eggholder which uses the
-reduced desk setting (20 initial pieces, 4 afterwards) so the first MILP
-stays small while still reaching the known optimum.  Traces land in
+Each problem runs at its registry settings, with the registry's desk pieces
+where it has them (eggholder: 20 initial pieces, 4 afterwards), so the first
+MILP stays small while still reaching the known optimum.  Traces land in
 ``--outdir`` as JSON.
 """
 
@@ -12,10 +12,7 @@ import pathlib
 import sys
 
 from sppa.cli import main as cli_main
-
-DESK_FLAGS = {
-    "eggholder": ["--initial-n-pieces", "20", "--n-pieces", "4"],
-}
+from sppa.problems import builtin_info, builtin_names
 
 
 def run(argv=None) -> int:
@@ -28,9 +25,11 @@ def run(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
-    for name in ("rosenbrock", "rastrigin", "ackley", "eggholder"):
+    for name in builtin_names():
         flags = ["solve", "--problem", name, "--out", str(outdir / f"{name}.json")]
-        flags += DESK_FLAGS.get(name, [])
+        desk = builtin_info(name).get("desk_pieces")
+        if desk:
+            flags += ["--initial-n-pieces", str(desk[0]), "--n-pieces", str(desk[1])]
         if args.budget:
             flags += ["--time-limit", str(args.budget)]
         print(f"=== {name} ===")

@@ -27,9 +27,7 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_INFEASIBLE = 4
 
-# flat fallbacks for problem files and builtins without registry defaults
-GENERIC_DEFAULTS = {"initial_n_pieces": 4, "n_pieces": 4,
-                    "contract_frac": 0.5, "max_iters": 60}
+_CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
 
 
 @dataclasses.dataclass
@@ -60,8 +58,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--width-tol", type=float, default=None)
     s.add_argument("--out", default=None, help="write the trace report here")
     s.add_argument("--format", choices=("json", "csv"), default="json")
-    s.add_argument("--seed", type=int, default=None,
-                   help="reserved; runs are deterministic")
     s.add_argument("--time-limit", type=float, default=None, help="seconds")
 
     t = sub.add_parser("table", help="run every builtin and print a summary table")
@@ -70,31 +66,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve(problem_arg: str):
-    """Problem spec plus its default loop parameters."""
+    """Problem spec plus its registry entry (empty for a problem file)."""
     if problem_arg in builtin_names():
-        info = builtin_info(problem_arg)
-        defaults = {k: info[k] for k in GENERIC_DEFAULTS if k in info}
-        defaults = {**GENERIC_DEFAULTS, **defaults}
-        return builtin(problem_arg), defaults
+        return builtin(problem_arg), builtin_info(problem_arg)
     if os.path.exists(problem_arg):
-        return load_problem(problem_arg), dict(GENERIC_DEFAULTS)
+        return load_problem(problem_arg), {}
     raise ValueError(
         f"unknown problem {problem_arg!r}: not a builtin ({', '.join(builtin_names())}) "
         "and no such file"
     )
 
 
-def _make_config(args, defaults) -> loop.SppaConfig:
-    return loop.SppaConfig(
-        initial_n_pieces=args.initial_n_pieces if args.initial_n_pieces is not None
-        else defaults["initial_n_pieces"],
-        n_pieces=args.n_pieces if args.n_pieces is not None else defaults["n_pieces"],
-        contract_frac=args.contract_frac if args.contract_frac is not None
-        else defaults["contract_frac"],
-        max_iters=args.max_iters if args.max_iters is not None else defaults["max_iters"],
-        width_tol=args.width_tol,
-        time_limit=args.time_limit,
-    )
+def _make_config(registry: dict, flags: dict) -> loop.SppaConfig:
+    """Registry settings overridden by every flag that was given; the
+    ``SppaConfig`` defaults fill in the rest."""
+    settings = {k: v for k, v in registry.items() if k in _CONFIG_FIELDS}
+    settings.update({k: v for k, v in flags.items() if k in _CONFIG_FIELDS and v is not None})
+    return loop.SppaConfig(**settings)
 
 
 def _max_width(record: loop.IterationRecord, nl_names: list[str]) -> float:
@@ -137,7 +125,7 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
 
 def cmd_solve(args) -> int:
     try:
-        spec, defaults = _resolve(args.problem)
+        spec, registry = _resolve(args.problem)
     except ProblemFormatError as exc:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -146,7 +134,7 @@ def cmd_solve(args) -> int:
         return EXIT_USAGE
 
     try:
-        config = _make_config(args, defaults)
+        config = _make_config(registry, vars(args))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -180,7 +168,6 @@ def cmd_solve(args) -> int:
             "max_iters": config.max_iters,
             "width_tol": config.width_tol,
             "time_limit": config.time_limit,
-            "seed": args.seed,
             "format": args.format,
         },
         rows=_report_rows(spec, result),
@@ -202,26 +189,14 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-# cmd_table runs eggholder at the reduced desk setting (20 initial pieces,
-# 4 afterwards) so the row can reach the known optimum at laptop scale
-_TABLE_OVERRIDES = {"eggholder": {"initial_n_pieces": 20, "n_pieces": 4}}
-
-
 def cmd_table(args) -> int:
     rows = []
     any_ok = False
     for name in builtin_names():
         info = builtin_info(name)
-        defaults = {**GENERIC_DEFAULTS,
-                    **{k: info[k] for k in GENERIC_DEFAULTS if k in info},
-                    **_TABLE_OVERRIDES.get(name, {})}
-        config = loop.SppaConfig(
-            initial_n_pieces=defaults["initial_n_pieces"],
-            n_pieces=defaults["n_pieces"],
-            contract_frac=defaults["contract_frac"],
-            max_iters=defaults["max_iters"],
-            time_limit=args.budget,
-        )
+        if "desk_pieces" in info:
+            info["initial_n_pieces"], info["n_pieces"] = info["desk_pieces"]
+        config = _make_config(info, {"time_limit": args.budget})
         t0 = time.perf_counter()
         try:
             result = loop.run(builtin(name), config)

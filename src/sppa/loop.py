@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,8 +35,8 @@ __all__ = [
 
 @dataclass
 class SppaConfig:
-    initial_n_pieces: int
-    n_pieces: int
+    initial_n_pieces: int = 4
+    n_pieces: int = 4
     contract_frac: float = 0.5
     max_iters: int = 60
     width_tol: Optional[float] = None  # None: 1e-8 of each variable's initial width
@@ -72,7 +72,8 @@ class SppaResult:
     best_point: Optional[np.ndarray]
     best_objective: Optional[float]
     trace: list[IterationRecord]
-    termination: str  # width | stall | max_iters | infeasible | time_limit
+    # width | stall | max_iters | infeasible | time_limit | numerical | iteration_limit
+    termination: str
     seconds: float = 0.0
 
 
@@ -124,9 +125,7 @@ def _term_breakpoints(iv: Interval, pieces: int, integer: bool) -> np.ndarray:
 @dataclass
 class IterationModel:
     lp: milp.LpProblem
-    z_ids: list[int]
     encodings: list  # (term, McEncoding | None, grid | None)
-    objective_constant: float
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
@@ -196,9 +195,8 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     objective = {z_ids[j]: c for j, c in spec.linear_objective.items()}
     for var, coef in obj_extra.items():
         objective[var] = objective.get(var, 0.0) + coef
-    constant = spec.objective_constant + const_extra
-    model.set_objective(objective, constant, spec.sense)
-    return IterationModel(model, z_ids, encodings, constant)
+    model.set_objective(objective, spec.objective_constant + const_extra, spec.sense)
+    return IterationModel(model, encodings)
 
 
 def run(
@@ -212,7 +210,9 @@ def run(
     Stops when (a) every contracted box is narrower than the width
     tolerance, (b) the exact objective moved less than ``obj_stall_tol``
     for ``obj_stall_iters`` consecutive iterations, (c) ``max_iters`` is
-    reached, (d) the MILP is infeasible, or (e) the time budget runs out.
+    reached, (d) the MILP is infeasible, (e) the time budget runs out, or
+    (f) the MILP solver fails with status ``numerical`` or
+    ``iteration_limit``; the best point found before stopping is kept.
     """
     base_solver = solver_config or milp.SolverConfig()
     t0 = time.perf_counter()
@@ -246,8 +246,7 @@ def run(
         if deadline is not None:
             remaining = max(deadline - time.perf_counter(), 0.01)
             if sc.time_limit is None or sc.time_limit > remaining:
-                sc = milp.SolverConfig(sc.feas_tol, sc.int_tol, sc.rel_gap,
-                                       sc.node_limit, remaining, sc.log_nodes)
+                sc = replace(sc, time_limit=remaining)
         res = milp.solve_milp(model.lp, sc)
 
         if res.x is None:
@@ -255,6 +254,8 @@ def run(
                 termination = "infeasible"
             elif res.status in ("no_incumbent", "time_limit", "node_limit"):
                 termination = "time_limit"
+            elif res.status in ("numerical", "iteration_limit"):
+                termination = res.status
             else:
                 raise RuntimeError(f"MILP solve failed with status {res.status!r}")
             break

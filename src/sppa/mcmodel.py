@@ -16,17 +16,14 @@ geometric interpolation of :mod:`sppa.pwl` on every feasible point.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 from sppa import pwl
-from sppa.lpformat import write_lp  # re-exported: the assembled model's text form
-from sppa.milp import EQ, GE, LE, LinearConstraint, LpProblem
+from sppa.milp import EQ, GE, LE, LpProblem
 
-__all__ = ["McEncoding", "encode_term", "encode_selection", "encode_chain",
-           "encode_term_value", "write_lp"]
+__all__ = ["McEncoding", "encode_term"]
 
 SimplexKey = tuple[tuple[int, ...], tuple[int, ...]]  # (cell, perm)
 
@@ -41,14 +38,7 @@ class McEncoding:
     selector_ids: dict[SimplexKey, int] = field(default_factory=dict)
     copy_ids: dict[tuple[SimplexKey, int], int] = field(default_factory=dict)
     values: dict[tuple[int, ...], float] = field(default_factory=dict)
-    rows: list[LinearConstraint] = field(default_factory=list)
     objective: dict[int, float] = field(default_factory=dict)
-
-    def keys(self):
-        dims = range(self.grid.dims)
-        for cell in itertools.product(*(range(L) for L in self.grid.pieces)):
-            for perm in itertools.permutations(dims):
-                yield cell, perm
 
 
 def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str = "t") -> McEncoding:
@@ -75,8 +65,9 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
             raise ValueError(f"term '{label}' is not finite at grid vertex {coords.tolist()}")
         enc.values[vidx] = val
 
-    for key in enc.keys():
-        cell, perm = key
+    for sid in pwl.enumerate_simplices(grid):
+        cell, perm = sid.cell, sid.perm
+        key = (cell, perm)
         tag = "_".join(map(str, cell)) + "p" + "".join(map(str, perm))
         enc.selector_ids[key] = model.add_var(0.0, 1.0, integer=True,
                                               name=f"{label}_s{tag}")
@@ -86,28 +77,23 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
             enc.copy_ids[key, k] = model.add_var(min(0.0, lo), max(0.0, hi),
                                                  name=f"{label}_c{tag}_{k}")
 
-    encode_selection(model, enc)
-    encode_chain(model, enc)
-    enc.objective = encode_term_value(enc)
+    _encode_selection(model, enc)
+    _encode_chain(model, enc)
+    enc.objective = _encode_term_value(enc)
     return enc
 
 
-def encode_selection(model: LpProblem, enc: McEncoding) -> list[LinearConstraint]:
+def _encode_selection(model: LpProblem, enc: McEncoding):
     """Linking rows (copies sum to the shared variable) plus the cardinality row."""
-    added = []
     for k in range(enc.grid.dims):
         coeffs = {enc.copy_ids[key, k]: 1.0 for key in enc.selector_ids}
         coeffs[enc.z_ids[k]] = -1.0
-        i = model.add_row(coeffs, EQ, 0.0, name=f"{enc.label}_link{k}")
-        added.append(model.rows[i])
-    i = model.add_row({j: 1.0 for j in enc.selector_ids.values()}, EQ, 1.0,
-                      name=f"{enc.label}_card")
-    added.append(model.rows[i])
-    enc.rows.extend(added)
-    return added
+        model.add_row(coeffs, EQ, 0.0, name=f"{enc.label}_link{k}")
+    model.add_row({j: 1.0 for j in enc.selector_ids.values()}, EQ, 1.0,
+                  name=f"{enc.label}_card")
 
 
-def encode_chain(model: LpProblem, enc: McEncoding) -> list[LinearConstraint]:
+def _encode_chain(model: LpProblem, enc: McEncoding):
     """Per-simplex ordering rows between copies.
 
     With the selector at one they pin the copies inside the simplex; with
@@ -115,7 +101,6 @@ def encode_chain(model: LpProblem, enc: McEncoding) -> list[LinearConstraint]:
     zero.
     """
     grid = enc.grid
-    added = []
     for key in enc.selector_ids:
         cell, perm = key
         mu = enc.selector_ids[key]
@@ -124,26 +109,20 @@ def encode_chain(model: LpProblem, enc: McEncoding) -> list[LinearConstraint]:
             b = grid.breakpoints[k]
             lo, hi = b[cell[k]], b[cell[k] + 1]
             ck = enc.copy_ids[key, k]
-            i = model.add_row({ck: 1.0, mu: -lo}, GE, 0.0,
-                              name=f"{enc.label}_lo_{ck}")
-            added.append(model.rows[i])
+            model.add_row({ck: 1.0, mu: -lo}, GE, 0.0, name=f"{enc.label}_lo_{ck}")
             if kappa[k] == 0:
-                i = model.add_row({ck: 1.0, mu: -hi}, LE, 0.0,
-                                  name=f"{enc.label}_hi_{ck}")
+                model.add_row({ck: 1.0, mu: -hi}, LE, 0.0, name=f"{enc.label}_hi_{ck}")
             else:
                 prev = perm[kappa[k] - 1]
                 bp = grid.breakpoints[prev]
                 plo = bp[cell[prev]]
                 ratio = (hi - lo) / (bp[cell[prev] + 1] - plo)
-                i = model.add_row(
+                model.add_row(
                     {ck: 1.0, enc.copy_ids[key, prev]: -ratio, mu: -lo + ratio * plo},
                     LE, 0.0, name=f"{enc.label}_hi_{ck}")
-            added.append(model.rows[i])
-    enc.rows.extend(added)
-    return added
 
 
-def encode_term_value(enc: McEncoding) -> dict[int, float]:
+def _encode_term_value(enc: McEncoding) -> dict[int, float]:
     """Linear expression over selectors and copies equal to the term value.
 
     For each simplex the contribution is the origin-vertex value carried by

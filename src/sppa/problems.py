@@ -12,7 +12,7 @@ the binary count, low-dimensional).
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -60,8 +60,6 @@ class ProblemSpec:
     nonlinear_terms: list[NonlinearTerm]
     sense: str = "min"
     name: str = "problem"
-    objective_ast: Optional[Node] = None
-    constraint_asts: list = field(default_factory=list)
 
     def __post_init__(self):
         names = [v[0] for v in self.variables]
@@ -266,10 +264,8 @@ def from_expressions(
 
     rows: list[LinearConstraint] = []
     terms: list[NonlinearTerm] = []
-    constraint_asts = []
     for t, (lhs_text, sn, rhs) in enumerate(constraints):
         lhs_ast = expr.parse_expr(lhs_text, var_names=names)
-        constraint_asts.append((lhs_ast, sn, float(rhs)))
         c0, lin, row_groups = _decompose(lhs_ast, var_index, groups)
         row_idx = len(rows)
         rows.append(LinearConstraint(lin, sn, float(rhs) - c0, name=f"user{t}"))
@@ -287,8 +283,6 @@ def from_expressions(
         nonlinear_terms=terms,
         sense=sense,
         name=name,
-        objective_ast=obj_ast,
-        constraint_asts=constraint_asts,
     )
 
 
@@ -338,6 +332,9 @@ _BUILTINS = {
         "argmin": (512.0, 404.2319),
         "initial_n_pieces": 35,
         "n_pieces": 3,
+        # reduced (initial, later) pieces for `sppa table`, the table script
+        # and the acceptance gate: a small first MILP that still reaches the optimum
+        "desk_pieces": (20, 4),
         "contract_frac": 0.5,
         "max_iters": 60,
     },

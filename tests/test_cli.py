@@ -57,7 +57,7 @@ def test_deterministic_reruns(tmp_path):
     a = tmp_path / "a.json"
     b = tmp_path / "b.json"
     flags = ["solve", "--problem", "rastrigin", "--initial-n-pieces", "6",
-             "--n-pieces", "3", "--contract-frac", "0.5", "--seed", "7"]
+             "--n-pieces", "3", "--contract-frac", "0.5"]
     assert run_cli(flags + ["--out", str(a)]) == 0
     assert run_cli(flags + ["--out", str(b)]) == 0
     ra, rb = json.loads(a.read_text()), json.loads(b.read_text())

@@ -126,7 +126,7 @@ def test_all_fixed_term_is_constant():
         [NonlinearTerm((0,), lambda v: float(v[0] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    assert m.objective_constant == pytest.approx(10.0)  # 1 + 3^2
+    assert m.lp.obj_constant == pytest.approx(10.0)  # 1 + 3^2
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=3))
     assert result.best_objective == pytest.approx(10.0)
 
@@ -195,6 +195,33 @@ def test_max_iters_termination():
 def test_time_limit_termination():
     result = run(builtin("rastrigin"), SppaConfig(6, 3, 0.5, time_limit=1e-9))
     assert result.termination == "time_limit"
+
+
+@pytest.mark.parametrize("status", ["numerical", "iteration_limit"])
+def test_solver_failure_keeps_best_point(monkeypatch, status):
+    # the MILP fails from the third solve on: the run ends with the solver's
+    # status and keeps the better of the two incumbents found before it
+    spec = ProblemSpec(
+        [("z", Interval(-1.0, 1.0), False)], {}, 0.0, [],
+        [NonlinearTerm((0,), lambda v: float((v[0] - 0.3) ** 2))],
+    )
+    solve_milp = milp.solve_milp
+    calls = []
+
+    def failing(lp, config=None):
+        calls.append(lp)
+        if len(calls) >= 3:
+            return milp.MilpResult(status, None, None, None, math.inf, 0, 0, 0.0)
+        return solve_milp(lp, config)
+
+    monkeypatch.setattr(loop.milp, "solve_milp", failing)
+    result = run(spec, SppaConfig(2, 2, 0.5, max_iters=10))
+    assert result.termination == status
+    assert len(result.trace) == 2
+    first, second = result.trace
+    assert second.objective < first.objective  # iteration 1 improves: 0.04 < 0.09
+    assert result.best_objective == second.objective
+    np.testing.assert_array_equal(result.best_point, second.incumbent)
 
 
 def test_config_validation():

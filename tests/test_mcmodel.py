@@ -35,8 +35,8 @@ def test_cardinalities():
 def test_selection_rows_shape():
     g = pwl.build_grid([(0.0, 1.0), (0.0, 1.0)], [2, 2])
     model, z_ids, enc = build(g, lambda v: 0.0)
-    link = [r for r in enc.rows if r.name.endswith("link0") or r.name.endswith("link1")]
-    card = [r for r in enc.rows if r.name.endswith("card")]
+    link = [r for r in model.rows if r.name.endswith("link0") or r.name.endswith("link1")]
+    card = [r for r in model.rows if r.name.endswith("card")]
     assert len(link) == 2 and len(card) == 1
     for k, row in enumerate(link):
         copies = [j for j in row.coeffs if j != z_ids[k]]
@@ -92,7 +92,7 @@ def test_chain_rows_coefficients_rectangular_cell():
     mu = enc.selector_ids[key]
     c0, c1 = enc.copy_ids[key, 0], enc.copy_ids[key, 1]
     rows = {}
-    for r in enc.rows:
+    for r in model.rows:
         if mu in r.coeffs and set(r.coeffs) <= {mu, c0, c1} and len(r.coeffs) > 1:
             rows[(r.sense, frozenset(r.coeffs))] = r
     lo1 = rows[(">=", frozenset({c1, mu}))]
