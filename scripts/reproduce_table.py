@@ -4,14 +4,16 @@
 Each problem runs at its registry settings, with the registry's desk pieces
 where it has them (eggholder: 20 initial pieces, 4 afterwards), so the first
 MILP stays small while still reaching the known optimum.  Traces land in
-``--outdir`` as JSON.
+``--outdir`` as JSON; the summary is built from them and printed by the
+same code as ``sppa table``.
 """
 
 import argparse
+import json
 import pathlib
 import sys
 
-from sppa.cli import main as cli_main
+from sppa.cli import EXIT_USAGE, main as cli_main, print_table, table_row
 from sppa.problems import builtin_info, builtin_names
 
 
@@ -25,20 +27,28 @@ def run(argv=None) -> int:
     outdir.mkdir(parents=True, exist_ok=True)
 
     worst = 0
+    rows = []
     for name in builtin_names():
-        flags = ["solve", "--problem", name, "--out", str(outdir / f"{name}.json")]
+        out = outdir / f"{name}.json"
+        flags = ["solve", "--problem", name, "--out", str(out)]
         desk = builtin_info(name).get("desk_pieces")
         if desk:
             flags += ["--initial-n-pieces", str(desk[0]), "--n-pieces", str(desk[1])]
-        if args.budget:
+        if args.budget is not None:
             flags += ["--time-limit", str(args.budget)]
         print(f"=== {name} ===")
-        worst = max(worst, cli_main(flags))
+        code = cli_main(flags)
+        if code == EXIT_USAGE:
+            return code
+        worst = max(worst, code)
         print()
+        report = json.loads(out.read_text())
+        config = report["config"]
+        rows.append(table_row(name, report["final_objective"], config["initial_n_pieces"],
+                              config["n_pieces"], report["seconds"], report["termination"]))
 
     print("=== summary ===")
-    table_flags = ["table"] + (["--budget", str(args.budget)] if args.budget else [])
-    cli_main(table_flags)
+    print_table(rows)
     return worst
 
 

@@ -7,9 +7,9 @@ geometrically about each incumbent until convergence.
 """
 
 from sppa.loop import SppaConfig, SppaResult, contract_bounds, run
-from sppa.milp import LpProblem, SolverConfig, solve_lp, solve_milp
+from sppa.milp import LpProblem, SolverConfig, solve_milp
 from sppa.problems import ProblemSpec, NonlinearTerm, builtin, load_problem
-from sppa.pwl import Grid, Interval, build_grid, eval_pwl
+from sppa.pwl import Grid, Interval
 
 __version__ = "0.1.0"
 
@@ -20,7 +20,6 @@ __all__ = [
     "run",
     "LpProblem",
     "SolverConfig",
-    "solve_lp",
     "solve_milp",
     "ProblemSpec",
     "NonlinearTerm",
@@ -28,6 +27,4 @@ __all__ = [
     "load_problem",
     "Grid",
     "Interval",
-    "build_grid",
-    "eval_pwl",
 ]

@@ -1,8 +1,8 @@
 """Command line front end: run benchmarks or problem files, emit traces.
 
 Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags or an
-unknown problem, 3 on problem-file parse errors, 4 when the very first
-piecewise model is infeasible.
+unknown problem, 3 on a problem-file error (parse or domain error, reported
+with its line), 4 when the very first piecewise model is infeasible.
 """
 
 from __future__ import annotations
@@ -16,9 +16,7 @@ import sys
 import time
 from typing import Optional
 
-import numpy as np
-
-from sppa import loop, milp
+from sppa import loop
 from sppa.problems import (ProblemFormatError, ProblemSpec, builtin,
                            builtin_info, builtin_names, load_problem)
 
@@ -145,7 +143,7 @@ def cmd_solve(args) -> int:
           f"{len(spec.linear_constraints)} linear rows)")
     print(f"config: initial_n_pieces={config.initial_n_pieces} n_pieces={config.n_pieces} "
           f"contract_frac={config.contract_frac} max_iters={config.max_iters}"
-          + (f" time_limit={config.time_limit}" if config.time_limit else ""))
+          + (f" time_limit={config.time_limit}" if config.time_limit is not None else ""))
     header = f"{'iter':>4}  {'objective':>14}  {'max_width':>10}  {'nodes':>6}  {'sec':>7}"
     print(header)
 
@@ -189,40 +187,48 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
+def table_row(name: str, best_objective: Optional[float], initial_n_pieces: int,
+              n_pieces: int, seconds: float, note: str) -> tuple[str, ...]:
+    """One summary-table row for a builtin; ``best_objective`` is None when
+    the run found no incumbent."""
+    found = "-" if best_objective is None else f"{best_objective:.6g}"
+    return (name, found, f"{builtin_info(name)['optimum']:.6g}",
+            f"{initial_n_pieces}/{n_pieces}", f"{seconds:.1f}s", note)
+
+
+def print_table(rows: list[tuple[str, ...]]):
+    header = ("problem", "found", "optimal", "pieces", "time", "termination")
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+    for r in [header] + rows:
+        print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+
+
 def cmd_table(args) -> int:
+    configs = {}
+    try:
+        for name in builtin_names():
+            info = builtin_info(name)
+            if "desk_pieces" in info:
+                info["initial_n_pieces"], info["n_pieces"] = info["desk_pieces"]
+            configs[name] = _make_config(info, {"time_limit": args.budget})
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+
     rows = []
     any_ok = False
-    for name in builtin_names():
-        info = builtin_info(name)
-        if "desk_pieces" in info:
-            info["initial_n_pieces"], info["n_pieces"] = info["desk_pieces"]
-        config = _make_config(info, {"time_limit": args.budget})
+    for name, config in configs.items():
         t0 = time.perf_counter()
         try:
             result = loop.run(builtin(name), config)
-            err = None
+            best, note = result.best_objective, result.termination
         except Exception as exc:  # record the failure in-row, keep going
-            result = None
-            err = f"{type(exc).__name__}: {exc}"
-        elapsed = time.perf_counter() - t0
-        if result is not None and result.best_objective is not None:
-            any_ok = True
-            rows.append((name, f"{result.best_objective:.6g}", f"{info['optimum']:.6g}",
-                         f"{config.initial_n_pieces}/{config.n_pieces}",
-                         f"{elapsed:.1f}s", result.termination))
-        else:
-            note = err if err else (result.termination if result else "failed")
-            rows.append((name, "-", f"{info['optimum']:.6g}",
-                         f"{config.initial_n_pieces}/{config.n_pieces}",
-                         f"{elapsed:.1f}s", note))
-
-    widths = [max(len(r[i]) for r in rows + [_TABLE_HEADER]) for i in range(6)]
-    for r in [_TABLE_HEADER] + rows:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
+            best, note = None, f"{type(exc).__name__}: {exc}"
+        any_ok = any_ok or best is not None
+        rows.append(table_row(name, best, config.initial_n_pieces, config.n_pieces,
+                              time.perf_counter() - t0, note))
+    print_table(rows)
     return EXIT_OK if any_ok else 1
-
-
-_TABLE_HEADER = ("problem", "found", "optimal", "pieces", "time", "termination")
 
 
 def main(argv=None) -> int:

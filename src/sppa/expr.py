@@ -135,7 +135,7 @@ class _Parser:
             raise ParseError("empty expression", 0)
         self.tokens = _tokenize(text)
         self.i = 0
-        self.var_names = None if var_names is None else set(var_names)
+        self.known = None if var_names is None else set(var_names)
 
     def peek(self):
         return self.tokens[self.i]
@@ -208,11 +208,11 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(val, arg)
-            if self.var_names is not None and val in self.var_names:
+            if self.known is not None and val in self.known:
                 return Var(val)
             if val in CONSTANTS:
                 return Num(CONSTANTS[val])
-            if self.var_names is None:
+            if self.known is None:
                 return Var(val)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
 
 from sppa import mcmodel, milp
 from sppa.problems import ProblemSpec
-from sppa.pwl import Grid, Interval
+from sppa.pwl import Grid, Interval, axis_breakpoints
 
 __all__ = [
     "SppaConfig",
@@ -32,6 +32,11 @@ __all__ = [
     "run",
 ]
 
+# a run stalls when the exact objective moves by at most _STALL_TOL in
+# _STALL_ITERS consecutive iterations whose incumbent moved
+_STALL_TOL = 1e-9
+_STALL_ITERS = 3
+
 
 @dataclass
 class SppaConfig:
@@ -40,8 +45,6 @@ class SppaConfig:
     contract_frac: float = 0.5
     max_iters: int = 60
     width_tol: Optional[float] = None  # None: 1e-8 of each variable's initial width
-    obj_stall_tol: float = 1e-9
-    obj_stall_iters: int = 3
     time_limit: Optional[float] = None
 
     def __post_init__(self):
@@ -53,8 +56,8 @@ class SppaConfig:
             raise ValueError("max_iters must be >= 1")
         if self.width_tol is not None and self.width_tol <= 0.0:
             raise ValueError("width_tol must be positive")
-        if self.obj_stall_tol <= 0.0 or self.obj_stall_iters < 1:
-            raise ValueError("stall parameters must be positive")
+        if self.time_limit is not None and self.time_limit <= 0.0:
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass
@@ -112,16 +115,6 @@ def _contract_integer(interval: Interval, value: float, frac: float) -> Interval
     return Interval(lo, hi)
 
 
-def _term_breakpoints(iv: Interval, pieces: int, integer: bool) -> np.ndarray:
-    pts = np.linspace(iv.lo, iv.hi, pieces + 1)
-    pts[0], pts[-1] = iv.lo, iv.hi
-    if integer:
-        snapped = np.round(pts)
-        keep = (snapped >= iv.lo) & (snapped <= iv.hi)
-        pts = np.unique(np.concatenate([[iv.lo, iv.hi], snapped[keep]]))
-    return pts
-
-
 @dataclass
 class IterationModel:
     lp: milp.LpProblem
@@ -137,10 +130,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     variables are excluded from grids and substituted as constants; a term
     whose variables are all fixed contributes a constant.
     """
-    model = milp.LpProblem(spec.name)
-    z_ids = []
-    for j, (name, _iv, is_int) in enumerate(spec.variables):
-        z_ids.append(model.add_var(bounds[j].lo, bounds[j].hi, integer=is_int, name=name))
+    model = milp.LpProblem()
+    z_ids = [model.add_var(bounds[j].lo, bounds[j].hi, integer=is_int)
+             for j, (_name, _iv, is_int) in enumerate(spec.variables)]
 
     obj_extra: dict[int, float] = {}
     row_extra: dict[int, dict[int, float]] = {}
@@ -177,7 +169,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         else:
             fn = term.fn
 
-        bps = [_term_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
+        bps = [axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
         grid = Grid(bps)
         enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], fn, label=label)
         encodings.append((term, enc, grid))
@@ -190,7 +182,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         coeffs = {z_ids[j]: c for j, c in row.coeffs.items()}
         for var, coef in row_extra.get(i, {}).items():
             coeffs[var] = coeffs.get(var, 0.0) + coef
-        model.add_row(coeffs, row.sense, row.rhs - row_shift.get(i, 0.0), name=row.name)
+        model.add_row(coeffs, row.sense, row.rhs - row_shift.get(i, 0.0))
 
     objective = {z_ids[j]: c for j, c in spec.linear_objective.items()}
     for var, coef in obj_extra.items():
@@ -202,21 +194,19 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
 def run(
     spec: ProblemSpec,
     config: SppaConfig,
-    solver_config: Optional[milp.SolverConfig] = None,
     on_iteration: Optional[Callable[[IterationRecord], None]] = None,
 ) -> SppaResult:
     """Iterate solve/contract/rebuild until a termination criterion fires.
 
     Stops when (a) every contracted box is narrower than the width
-    tolerance, (b) the exact objective moved less than ``obj_stall_tol``
-    for ``obj_stall_iters`` consecutive iterations, (c) ``max_iters`` is
+    tolerance, (b) the exact objective moved at most ``_STALL_TOL``
+    for ``_STALL_ITERS`` consecutive iterations, (c) ``max_iters`` is
     reached, (d) the MILP is infeasible, (e) the time budget runs out, or
     (f) the MILP solver fails with status ``numerical`` or
     ``iteration_limit``; the best point found before stopping is kept.
     """
-    base_solver = solver_config or milp.SolverConfig()
     t0 = time.perf_counter()
-    deadline = t0 + config.time_limit if config.time_limit else None
+    deadline = t0 + config.time_limit if config.time_limit is not None else None
 
     nl_vars = sorted({k for term in spec.nonlinear_terms for k in term.var_ids})
     current = list(spec.bounds())
@@ -242,12 +232,10 @@ def run(
         iter_start = time.perf_counter()
         model = build_iteration_model(spec, current, pieces)
 
-        sc = base_solver
+        solver = None
         if deadline is not None:
-            remaining = max(deadline - time.perf_counter(), 0.01)
-            if sc.time_limit is None or sc.time_limit > remaining:
-                sc = replace(sc, time_limit=remaining)
-        res = milp.solve_milp(model.lp, sc)
+            solver = milp.SolverConfig(time_limit=max(deadline - time.perf_counter(), 0.01))
+        res = milp.solve_milp(model.lp, solver)
 
         if res.x is None:
             if res.status == "infeasible":
@@ -289,13 +277,13 @@ def run(
         # still refining around it (the width criterion covers convergence)
         if prev_obj is not None:
             moved = bool(np.any(np.abs(z - prev_z) > 1e-9 * (1.0 + np.abs(prev_z))))
-            if moved and abs(true_obj - prev_obj) <= config.obj_stall_tol:
+            if moved and abs(true_obj - prev_obj) <= _STALL_TOL:
                 stall_run += 1
             else:
                 stall_run = 0
         prev_obj = true_obj
         prev_z = z
-        if stall_run >= config.obj_stall_iters:
+        if stall_run >= _STALL_ITERS:
             termination = "stall"
             break
 

@@ -11,7 +11,8 @@ The first-step variable spans its whole subinterval (upper bound at the
 next breakpoint); every later variable is bounded by the previous step's
 scaled offset.  The term value is the selector-weighted vertex value plus
 the per-variable slope times the copy offset, matching the direct
-geometric interpolation of :mod:`sppa.pwl` on every feasible point.
+geometric interpolation on every feasible point (``tests/properties.py``
+holds that reference and checks the two against each other).
 """
 
 from __future__ import annotations
@@ -34,7 +35,6 @@ class McEncoding:
 
     grid: pwl.Grid
     z_ids: tuple[int, ...]
-    label: str
     selector_ids: dict[SimplexKey, int] = field(default_factory=dict)
     copy_ids: dict[tuple[SimplexKey, int], int] = field(default_factory=dict)
     values: dict[tuple[int, ...], float] = field(default_factory=dict)
@@ -46,12 +46,13 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
 
     ``z_ids`` are the model ids of the shared variables the term reads, in
     grid-dimension order.  ``f`` is evaluated once per grid vertex and
-    cached; a non-finite value aborts with the offending coordinates.
+    cached; a non-finite value aborts with ``label`` and the offending
+    coordinates.
     """
     z_ids = tuple(z_ids)
     if len(z_ids) != grid.dims:
         raise ValueError("one shared variable per grid dimension required")
-    enc = McEncoding(grid, z_ids, label)
+    enc = McEncoding(grid, z_ids)
 
     for vidx in grid.vertex_indices():
         coords = grid.vertex(vidx)
@@ -68,14 +69,11 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
     for sid in pwl.enumerate_simplices(grid):
         cell, perm = sid.cell, sid.perm
         key = (cell, perm)
-        tag = "_".join(map(str, cell)) + "p" + "".join(map(str, perm))
-        enc.selector_ids[key] = model.add_var(0.0, 1.0, integer=True,
-                                              name=f"{label}_s{tag}")
+        enc.selector_ids[key] = model.add_var(0.0, 1.0, integer=True)
         for k in range(grid.dims):
             b = grid.breakpoints[k]
             lo, hi = b[cell[k]], b[cell[k] + 1]
-            enc.copy_ids[key, k] = model.add_var(min(0.0, lo), max(0.0, hi),
-                                                 name=f"{label}_c{tag}_{k}")
+            enc.copy_ids[key, k] = model.add_var(min(0.0, lo), max(0.0, hi))
 
     _encode_selection(model, enc)
     _encode_chain(model, enc)
@@ -88,9 +86,8 @@ def _encode_selection(model: LpProblem, enc: McEncoding):
     for k in range(enc.grid.dims):
         coeffs = {enc.copy_ids[key, k]: 1.0 for key in enc.selector_ids}
         coeffs[enc.z_ids[k]] = -1.0
-        model.add_row(coeffs, EQ, 0.0, name=f"{enc.label}_link{k}")
-    model.add_row({j: 1.0 for j in enc.selector_ids.values()}, EQ, 1.0,
-                  name=f"{enc.label}_card")
+        model.add_row(coeffs, EQ, 0.0)
+    model.add_row({j: 1.0 for j in enc.selector_ids.values()}, EQ, 1.0)
 
 
 def _encode_chain(model: LpProblem, enc: McEncoding):
@@ -109,9 +106,9 @@ def _encode_chain(model: LpProblem, enc: McEncoding):
             b = grid.breakpoints[k]
             lo, hi = b[cell[k]], b[cell[k] + 1]
             ck = enc.copy_ids[key, k]
-            model.add_row({ck: 1.0, mu: -lo}, GE, 0.0, name=f"{enc.label}_lo_{ck}")
+            model.add_row({ck: 1.0, mu: -lo}, GE, 0.0)
             if kappa[k] == 0:
-                model.add_row({ck: 1.0, mu: -hi}, LE, 0.0, name=f"{enc.label}_hi_{ck}")
+                model.add_row({ck: 1.0, mu: -hi}, LE, 0.0)
             else:
                 prev = perm[kappa[k] - 1]
                 bp = grid.breakpoints[prev]
@@ -119,7 +116,7 @@ def _encode_chain(model: LpProblem, enc: McEncoding):
                 ratio = (hi - lo) / (bp[cell[prev] + 1] - plo)
                 model.add_row(
                     {ck: 1.0, enc.copy_ids[key, prev]: -ratio, mu: -lo + ratio * plo},
-                    LE, 0.0, name=f"{enc.label}_hi_{ck}")
+                    LE, 0.0)
 
 
 def _encode_term_value(enc: McEncoding) -> dict[int, float]:

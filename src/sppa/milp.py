@@ -21,7 +21,7 @@ import heapq
 import math
 import time
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -36,9 +36,7 @@ __all__ = [
     "LinearConstraint",
     "LpProblem",
     "SolverConfig",
-    "LpSolution",
     "MilpResult",
-    "solve_lp",
     "solve_milp",
 ]
 
@@ -60,7 +58,6 @@ class LinearConstraint:
     coeffs: dict[int, float]
     sense: str
     rhs: float
-    name: Optional[str] = None
 
     def __post_init__(self):
         if self.sense not in (LE, EQ, GE):
@@ -86,12 +83,10 @@ class LinearConstraint:
 class LpProblem:
     """Growable MILP: variables with bounds/integrality, rows, linear objective."""
 
-    def __init__(self, name: str = "problem"):
-        self.name = name
+    def __init__(self):
         self.lb: list[float] = []
         self.ub: list[float] = []
         self.is_int: list[bool] = []
-        self.var_names: list[str] = []
         self.rows: list[LinearConstraint] = []
         self.objective: dict[int, float] = {}
         self.obj_constant = 0.0
@@ -101,8 +96,7 @@ class LpProblem:
     def n_vars(self) -> int:
         return len(self.lb)
 
-    def add_var(self, lo: float = 0.0, hi: float = math.inf, *, integer: bool = False,
-                name: Optional[str] = None) -> int:
+    def add_var(self, lo: float = 0.0, hi: float = math.inf, *, integer: bool = False) -> int:
         if math.isnan(lo) or math.isnan(hi):
             raise ValueError("variable bounds must not be NaN")
         if lo > hi:
@@ -113,18 +107,14 @@ class LpProblem:
         self.lb.append(float(lo))
         self.ub.append(float(hi))
         self.is_int.append(bool(integer))
-        self.var_names.append(name if name is not None else f"x{j}")
         return j
 
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float,
-                name: Optional[str] = None) -> int:
+    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         coeffs = {j: float(c) for j, c in coeffs.items() if c != 0.0}
         for j in coeffs:
             if not 0 <= j < self.n_vars:
                 raise ValueError(f"row references unknown variable {j}")
-        row = LinearConstraint(coeffs, sense, float(rhs),
-                               name if name is not None else f"r{len(self.rows)}")
-        self.rows.append(row)
+        self.rows.append(LinearConstraint(coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
@@ -143,19 +133,12 @@ class SolverConfig:
     rel_gap: float = 1e-6
     node_limit: Optional[int] = None
     time_limit: Optional[float] = None
-    log_nodes: bool = False
 
     def __post_init__(self):
         if min(self.feas_tol, self.int_tol, self.rel_gap) <= 0.0:
             raise ValueError("tolerances must be positive")
-
-
-@dataclass
-class LpSolution:
-    status: str
-    x: Optional[np.ndarray]
-    objective: Optional[float]
-    iterations: int = 0
+        if self.time_limit is not None and self.time_limit <= 0.0:
+            raise ValueError("time_limit must be positive")
 
 
 @dataclass
@@ -168,7 +151,6 @@ class MilpResult:
     nodes: int
     iterations: int
     seconds: float
-    node_log: list = field(default_factory=list)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +217,6 @@ class _Canon:
         for j, coef in problem.objective.items():
             c[j] = self.sign * coef
         self.c = c
-        self.int_mask = np.array(problem.is_int + [False] * m, dtype=bool)
 
     def column(self, j: int) -> np.ndarray:
         col = np.zeros(self.m)
@@ -482,7 +463,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# public entry point
 
 
 def _check_solution(problem: LpProblem, x: np.ndarray, feas_tol: float) -> bool:
@@ -491,22 +472,6 @@ def _check_solution(problem: LpProblem, x: np.ndarray, feas_tol: float) -> bool:
         if row.violation(x) > feas_tol * scale * 10.0:
             return False
     return True
-
-
-def solve_lp(problem: LpProblem, config: Optional[SolverConfig] = None) -> LpSolution:
-    """Solve the LP relaxation (integrality ignored)."""
-    config = config or SolverConfig()
-    canon = _Canon(problem, config)
-    if canon.infeasible:
-        return LpSolution("infeasible", None, None, 0)
-    deadline = time.perf_counter() + config.time_limit if config.time_limit else None
-    res = _simplex(canon, canon.l, canon.u, config, deadline=deadline)
-    if res.status != "optimal":
-        return LpSolution(res.status, None, None, res.iterations)
-    xs = res.x[: problem.n_vars].copy()
-    if not _check_solution(problem, xs, config.feas_tol):
-        return LpSolution("numerical", None, None, res.iterations)
-    return LpSolution("optimal", xs, canon.user_objective(res.objective), res.iterations)
 
 
 def _fractional(x: np.ndarray, int_idx: np.ndarray, int_tol: float) -> np.ndarray:
@@ -519,11 +484,12 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
 
     Returns an incumbent with relative gap <= ``rel_gap``, or the best
     incumbent plus the proven dual bound when a node/time limit stops the
-    search ('no_incumbent' if nothing integer-feasible was found).
+    search ('no_incumbent' if nothing integer-feasible was found).  A model
+    without integer variables is one simplex solve at the root.
     """
     config = config or SolverConfig()
     t0 = time.perf_counter()
-    deadline = t0 + config.time_limit if config.time_limit else None
+    deadline = t0 + config.time_limit if config.time_limit is not None else None
     canon = _Canon(problem, config)
     if canon.infeasible:
         return MilpResult("infeasible", None, None, None, math.inf, 0, 0,
@@ -540,7 +506,6 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
     incumbent_obj = math.inf  # internal minimization value
     total_iters = 0
     nodes = 0
-    node_log: list[tuple[float, Optional[float]]] = []
     stop_status = None
 
     def gap_of(inc: float, bnd: float) -> float:
@@ -563,7 +528,7 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
             break
-        bound, negdepth, _, l_over, u_over, basis, vstat = heapq.heappop(heap)
+        _, negdepth, _, l_over, u_over, basis, vstat = heapq.heappop(heap)
 
         nodes += 1
         l = canon.l.copy()
@@ -582,12 +547,9 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
             break
         if res.status == "unbounded":
             return MilpResult("unbounded", None, None, None, math.inf, nodes,
-                              total_iters, time.perf_counter() - t0, node_log)
+                              total_iters, time.perf_counter() - t0)
 
         node_bound = res.objective
-        if config.log_nodes:
-            node_log.append((user_val(bound), user_val(node_bound),
-                             user_val(incumbent_obj) if incumbent_x is not None else None))
         if node_bound >= incumbent_obj - config.rel_gap * max(1.0, abs(incumbent_obj)):
             continue
 
@@ -624,13 +586,13 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
                       else stop_status)
             bound_u = user_val(best_bound) if open_bounds else None
             return MilpResult(status, None, None, bound_u, math.inf, nodes,
-                              total_iters, elapsed, node_log)
+                              total_iters, elapsed)
         return MilpResult("infeasible", None, None, None, math.inf, nodes,
-                          total_iters, elapsed, node_log)
+                          total_iters, elapsed)
 
     gap = gap_of(incumbent_obj, best_bound)
     status = stop_status if (stop_status is not None and gap > config.rel_gap) else "optimal"
     if not _check_solution(problem, incumbent_x, config.feas_tol):
         status = "numerical"
     return MilpResult(status, incumbent_x, user_val(incumbent_obj), user_val(best_bound),
-                      gap, nodes, total_iters, elapsed, node_log)
+                      gap, nodes, total_iters, elapsed)

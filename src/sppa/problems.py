@@ -264,11 +264,11 @@ def from_expressions(
 
     rows: list[LinearConstraint] = []
     terms: list[NonlinearTerm] = []
-    for t, (lhs_text, sn, rhs) in enumerate(constraints):
+    for lhs_text, sn, rhs in constraints:
         lhs_ast = expr.parse_expr(lhs_text, var_names=names)
         c0, lin, row_groups = _decompose(lhs_ast, var_index, groups)
         row_idx = len(rows)
-        rows.append(LinearConstraint(lin, sn, float(rhs) - c0, name=f"user{t}"))
+        rows.append(LinearConstraint(lin, sn, float(rhs) - c0))
         for g, (ids, fn, _nodes) in enumerate(row_groups):
             terms.append(NonlinearTerm(ids, fn, 1.0, row=row_idx, label=f"r{row_idx}g{g}"))
 
@@ -460,27 +460,26 @@ def load_problem(path: str) -> ProblemSpec:
         raise ProblemFormatError("no objective", len(raw))
 
     names = [v[0] for v in variables]
+    var_index = {n: j for j, n in enumerate(names)}
     obj_text = " ".join(p[0] for p in objective_parts)
-    obj_line = objective_parts[0][1]
-    # validate each expression against its own source line first
+    # decompose each expression against its own source line first, so that
+    # a parse, domain or coefficient error names the line it comes from
     try:
-        expr.parse_expr(obj_text, var_names=names)
-    except ParseError as exc:
-        raise ProblemFormatError(f"objective: {exc}", obj_line) from exc
-    for lhs, _, _, lineno in constraints:
+        _decompose(expr.parse_expr(obj_text, var_names=names), var_index, groups)
+    except (ValueError, DomainError) as exc:  # ParseError is a ValueError
+        raise ProblemFormatError(f"objective: {exc}", objective_parts[0][1]) from exc
+    for lhs, sn, rhs, lineno in constraints:
         try:
-            expr.parse_expr(lhs, var_names=names)
-        except ParseError as exc:
+            c0, lin, _ = _decompose(expr.parse_expr(lhs, var_names=names), var_index, groups)
+            LinearConstraint(lin, sn, rhs - c0)
+        except (ValueError, DomainError) as exc:
             raise ProblemFormatError(f"constraint: {exc}", lineno) from exc
 
-    try:
-        return from_expressions(
-            variables,
-            obj_text,
-            [(lhs, sn, rhs) for lhs, sn, rhs, _ in constraints],
-            sense=sense,
-            groups=groups,
-            name=os.path.splitext(os.path.basename(path))[0],
-        )
-    except (ParseError, ValueError) as exc:
-        raise ProblemFormatError(str(exc), obj_line) from exc
+    return from_expressions(
+        variables,
+        obj_text,
+        [(lhs, sn, rhs) for lhs, sn, rhs, _ in constraints],
+        sense=sense,
+        groups=groups,
+        name=os.path.splitext(os.path.basename(path))[0],
+    )

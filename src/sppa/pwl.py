@@ -1,4 +1,4 @@
-"""Breakpoint grids and simplicial piecewise-linear interpolation.
+"""Breakpoint grids and their simplicial (Kuhn) triangulation.
 
 A bounded box is partitioned by per-variable breakpoints into cells, and
 each cell is split into ``d!`` simplices, one per ordering of the
@@ -7,7 +7,7 @@ corner.  A point belongs to the simplex whose step order sorts its
 fractional coordinates in descending order.  On each simplex the
 interpolant is the unique affine function matching ``f`` at the d+1 path
 vertices, so the global surface is continuous and exact at every grid
-vertex.
+vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -26,14 +26,9 @@ __all__ = [
     "Interval",
     "Grid",
     "SimplexId",
-    "Hyperplane",
-    "build_grid",
-    "count_simplices",
+    "axis_breakpoints",
     "enumerate_simplices",
-    "locate",
-    "simplex_vertices",
-    "hyperplane_coeffs",
-    "eval_pwl",
+    "vertex_path",
 ]
 
 
@@ -67,17 +62,6 @@ class SimplexId:
     perm: tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Hyperplane:
-    """Affine function ``z -> intercept + slopes @ z``."""
-
-    intercept: float
-    slopes: np.ndarray
-
-    def value(self, z) -> float:
-        return self.intercept + float(np.dot(self.slopes, np.asarray(z, dtype=float)))
-
-
 class Grid:
     """Per-variable breakpoint arrays partitioning a box into cells."""
 
@@ -97,16 +81,6 @@ class Grid:
         self.dims = len(bps)
         self.pieces = tuple(b.size - 1 for b in bps)
 
-    @property
-    def cell_count(self) -> int:
-        return int(np.prod(self.pieces))
-
-    def lower(self) -> np.ndarray:
-        return np.array([b[0] for b in self.breakpoints])
-
-    def upper(self) -> np.ndarray:
-        return np.array([b[-1] for b in self.breakpoints])
-
     def vertex(self, index: Sequence[int]) -> np.ndarray:
         """Coordinates of the grid vertex with the given per-axis index."""
         return np.array([self.breakpoints[k][i] for k, i in enumerate(index)])
@@ -119,33 +93,19 @@ class Grid:
         return f"Grid(dims={self.dims}, pieces={self.pieces})"
 
 
-def build_grid(bounds: Sequence[Interval], pieces: Sequence[int] | int) -> Grid:
-    """Equally spaced grid over ``bounds`` with ``pieces[k]`` segments per axis.
+def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.ndarray:
+    """``pieces`` equal segments over ``iv`` with the endpoints kept exact.
 
-    Endpoints are kept exact; ``pieces`` may be a single count applied to
-    every axis.  Degenerate intervals (``lo == hi``) are rejected here;
-    callers are expected to drop fixed variables before building.
+    For an integer variable the inner points are rounded and deduplicated,
+    so the axis may end up with fewer segments.
     """
-    bounds = [b if isinstance(b, Interval) else Interval(*b) for b in bounds]
-    if isinstance(pieces, int):
-        pieces = [pieces] * len(bounds)
-    if len(pieces) != len(bounds):
-        raise ValueError("pieces and bounds length mismatch")
-    bps = []
-    for k, (iv, L) in enumerate(zip(bounds, pieces)):
-        if L < 1:
-            raise ValueError(f"dimension {k}: piece count must be >= 1, got {L}")
-        if iv.hi <= iv.lo:
-            raise ValueError(f"dimension {k}: degenerate interval [{iv.lo}, {iv.hi}]")
-        b = np.linspace(iv.lo, iv.hi, L + 1)
-        b[0], b[-1] = iv.lo, iv.hi
-        bps.append(b)
-    return Grid(bps)
-
-
-def count_simplices(grid: Grid) -> int:
-    """Total number of simplices: d! per cell times the number of cells."""
-    return math.factorial(grid.dims) * grid.cell_count
+    pts = np.linspace(iv.lo, iv.hi, pieces + 1)
+    pts[0], pts[-1] = iv.lo, iv.hi
+    if integer:
+        snapped = np.round(pts)
+        keep = (snapped >= iv.lo) & (snapped <= iv.hi)
+        pts = np.unique(np.concatenate([[iv.lo, iv.hi], snapped[keep]]))
+    return pts
 
 
 def enumerate_simplices(grid: Grid) -> Iterator[SimplexId]:
@@ -156,36 +116,6 @@ def enumerate_simplices(grid: Grid) -> Iterator[SimplexId]:
             yield SimplexId(cell, perm)
 
 
-def _cell_and_fractions(grid: Grid, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
-    cell = []
-    frac = np.empty(grid.dims)
-    for k in range(grid.dims):
-        b = grid.breakpoints[k]
-        if z[k] < b[0] or z[k] > b[-1]:
-            raise ValueError(f"point coordinate {k} = {z[k]} outside grid range [{b[0]}, {b[-1]}]")
-        # right-bisection; a point exactly on the top breakpoint stays in the last cell
-        i = min(int(np.searchsorted(b, z[k], side="right")) - 1, b.size - 2)
-        i = max(i, 0)
-        cell.append(i)
-        frac[k] = (z[k] - b[i]) / (b[i + 1] - b[i])
-    return tuple(cell), frac
-
-
-def locate(grid: Grid, z) -> SimplexId:
-    """Simplex whose closed region contains ``z``.
-
-    The step order sorts the fractional coordinates descending, ties broken
-    by ascending variable index, which is deterministic and agrees with any
-    other containing simplex by continuity of the interpolant.
-    """
-    z = np.asarray(z, dtype=float)
-    if z.shape != (grid.dims,):
-        raise ValueError(f"expected point of dimension {grid.dims}, got shape {z.shape}")
-    cell, frac = _cell_and_fractions(grid, z)
-    perm = tuple(sorted(range(grid.dims), key=lambda k: (-frac[k], k)))
-    return SimplexId(cell, perm)
-
-
 def vertex_path(sid: SimplexId, dims: int) -> list[tuple[int, ...]]:
     """Lattice multi-indices of the d+1 path vertices, origin first."""
     idx = list(sid.cell)
@@ -194,40 +124,3 @@ def vertex_path(sid: SimplexId, dims: int) -> list[tuple[int, ...]]:
         idx[k] += 1
         path.append(tuple(idx))
     return path
-
-
-def simplex_vertices(grid: Grid, sid: SimplexId) -> np.ndarray:
-    """Coordinates of the d+1 simplex vertices, one row per vertex."""
-    return np.array([grid.vertex(v) for v in vertex_path(sid, grid.dims)])
-
-
-def hyperplane_coeffs(grid: Grid, sid: SimplexId, f: Callable[[np.ndarray], float]) -> Hyperplane:
-    """Affine interpolant of ``f`` on the simplex.
-
-    Each slope is the divided difference of ``f`` between the two
-    consecutive path vertices that differ in that coordinate; the
-    intercept anchors the plane at the origin vertex.  This plane passes
-    through all d+1 vertices (telescoping along the path).
-    """
-    path = vertex_path(sid, grid.dims)
-    vals = []
-    for v in path:
-        fv = float(f(grid.vertex(v)))
-        if not math.isfinite(fv):
-            raise ValueError(f"function value not finite at grid vertex {grid.vertex(v)}")
-        vals.append(fv)
-    slopes = np.zeros(grid.dims)
-    for step, k in enumerate(sid.perm):
-        b = grid.breakpoints[k]
-        l = sid.cell[k]
-        slopes[k] = (vals[step + 1] - vals[step]) / (b[l + 1] - b[l])
-    origin = grid.vertex(path[0])
-    intercept = vals[0] - float(np.dot(slopes, origin))
-    return Hyperplane(intercept, slopes)
-
-
-def eval_pwl(grid: Grid, f: Callable[[np.ndarray], float], z) -> float:
-    """Piecewise-linear value at ``z``: locate, interpolate, evaluate."""
-    z = np.asarray(z, dtype=float)
-    sid = locate(grid, z)
-    return hyperplane_coeffs(grid, sid, f).value(z)

@@ -2,12 +2,19 @@
 
 Each check function is deterministic (fixed RNG seed), raises AssertionError
 on failure, and returns a short human-readable summary string.
+
+The geometric reference lives here too: locating a point's simplex and
+evaluating the simplicial interpolant directly, with no MILP.  The solver
+never uses it; the MC encoding is checked against it.
 """
 
 from __future__ import annotations
 
+import copy
 import itertools
 import math
+from dataclasses import dataclass
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -17,7 +24,113 @@ from sppa.problems import NonlinearTerm, ProblemSpec
 
 
 # ---------------------------------------------------------------------------
-# geometric helpers (independent oracles)
+# geometric reference: direct simplicial interpolation
+
+
+@dataclass(frozen=True)
+class Hyperplane:
+    """Affine function ``z -> intercept + slopes @ z``."""
+
+    intercept: float
+    slopes: np.ndarray
+
+    def value(self, z) -> float:
+        return self.intercept + float(np.dot(self.slopes, np.asarray(z, dtype=float)))
+
+
+def build_grid(bounds: Sequence, pieces: Sequence[int]) -> pwl.Grid:
+    """Equally spaced grid over ``bounds`` with ``pieces[k]`` segments on axis k,
+    built by the same breakpoint routine as the solve loop."""
+    ivs = [b if isinstance(b, pwl.Interval) else pwl.Interval(*b) for b in bounds]
+    return pwl.Grid([pwl.axis_breakpoints(iv, L) for iv, L in zip(ivs, pieces)])
+
+
+def lower(grid: pwl.Grid) -> np.ndarray:
+    return np.array([b[0] for b in grid.breakpoints])
+
+
+def upper(grid: pwl.Grid) -> np.ndarray:
+    return np.array([b[-1] for b in grid.breakpoints])
+
+
+def cell_count(grid: pwl.Grid) -> int:
+    return int(np.prod(grid.pieces))
+
+
+def count_simplices(grid: pwl.Grid) -> int:
+    """Total number of simplices: d! per cell times the number of cells."""
+    return math.factorial(grid.dims) * cell_count(grid)
+
+
+def _cell_and_fractions(grid: pwl.Grid, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+    cell = []
+    frac = np.empty(grid.dims)
+    for k in range(grid.dims):
+        b = grid.breakpoints[k]
+        if z[k] < b[0] or z[k] > b[-1]:
+            raise ValueError(f"point coordinate {k} = {z[k]} outside grid range [{b[0]}, {b[-1]}]")
+        # right-bisection; a point exactly on the top breakpoint stays in the last cell
+        i = min(int(np.searchsorted(b, z[k], side="right")) - 1, b.size - 2)
+        i = max(i, 0)
+        cell.append(i)
+        frac[k] = (z[k] - b[i]) / (b[i + 1] - b[i])
+    return tuple(cell), frac
+
+
+def locate(grid: pwl.Grid, z) -> pwl.SimplexId:
+    """Simplex whose closed region contains ``z``.
+
+    The step order sorts the fractional coordinates descending, ties broken
+    by ascending variable index, which is deterministic and agrees with any
+    other containing simplex by continuity of the interpolant.
+    """
+    z = np.asarray(z, dtype=float)
+    if z.shape != (grid.dims,):
+        raise ValueError(f"expected point of dimension {grid.dims}, got shape {z.shape}")
+    cell, frac = _cell_and_fractions(grid, z)
+    perm = tuple(sorted(range(grid.dims), key=lambda k: (-frac[k], k)))
+    return pwl.SimplexId(cell, perm)
+
+
+def simplex_vertices(grid: pwl.Grid, sid: pwl.SimplexId) -> np.ndarray:
+    """Coordinates of the d+1 simplex vertices, one row per vertex."""
+    return np.array([grid.vertex(v) for v in pwl.vertex_path(sid, grid.dims)])
+
+
+def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
+                      f: Callable[[np.ndarray], float]) -> Hyperplane:
+    """Affine interpolant of ``f`` on the simplex.
+
+    Each slope is the divided difference of ``f`` between the two
+    consecutive path vertices that differ in that coordinate; the
+    intercept anchors the plane at the origin vertex.  This plane passes
+    through all d+1 vertices (telescoping along the path).
+    """
+    path = pwl.vertex_path(sid, grid.dims)
+    vals = []
+    for v in path:
+        fv = float(f(grid.vertex(v)))
+        if not math.isfinite(fv):
+            raise ValueError(f"function value not finite at grid vertex {grid.vertex(v)}")
+        vals.append(fv)
+    slopes = np.zeros(grid.dims)
+    for step, k in enumerate(sid.perm):
+        b = grid.breakpoints[k]
+        l = sid.cell[k]
+        slopes[k] = (vals[step + 1] - vals[step]) / (b[l + 1] - b[l])
+    origin = grid.vertex(path[0])
+    intercept = vals[0] - float(np.dot(slopes, origin))
+    return Hyperplane(intercept, slopes)
+
+
+def eval_pwl(grid: pwl.Grid, f: Callable[[np.ndarray], float], z) -> float:
+    """Piecewise-linear value at ``z``: locate, interpolate, evaluate."""
+    z = np.asarray(z, dtype=float)
+    return hyperplane_coeffs(grid, locate(grid, z), f).value(z)
+
+
+# ---------------------------------------------------------------------------
+# independent oracles
 
 
 def barycentric(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
@@ -32,10 +145,18 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
     """All simplices whose closed region contains z (brute-force enumeration)."""
     out = []
     for sid in pwl.enumerate_simplices(grid):
-        w = barycentric(pwl.simplex_vertices(grid, sid), z)
+        w = barycentric(simplex_vertices(grid, sid), z)
         if w.min() >= -tol:
             out.append(sid)
     return out
+
+
+def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
+    """LP relaxation: ``solve_milp`` on a copy with every variable continuous,
+    which is one simplex solve at the root."""
+    relaxed = copy.copy(problem)
+    relaxed.is_int = [False] * problem.n_vars
+    return milp.solve_milp(relaxed)
 
 
 # ---------------------------------------------------------------------------
@@ -47,9 +168,9 @@ def check_triangulation(n_points: int = 1000) -> str:
     rng = np.random.default_rng(20260810)
 
     grids = [
-        pwl.build_grid([pwl.Interval(0.0, 1.0)], [5]),
-        pwl.build_grid([pwl.Interval(-1.0, 2.0), pwl.Interval(0.0, 4.0)], [3, 2]),
-        pwl.build_grid([pwl.Interval(-2.0, 2.0)] * 3, [2, 2, 2]),
+        build_grid([pwl.Interval(0.0, 1.0)], [5]),
+        build_grid([pwl.Interval(-1.0, 2.0), pwl.Interval(0.0, 4.0)], [3, 2]),
+        build_grid([pwl.Interval(-2.0, 2.0)] * 3, [2, 2, 2]),
     ]
     funcs = [
         lambda v: float(np.sum(v**2)),
@@ -60,36 +181,36 @@ def check_triangulation(n_points: int = 1000) -> str:
     # count: enumeration yields exactly d! * prod(L) distinct ids
     for grid in grids:
         ids = list(pwl.enumerate_simplices(grid))
-        assert len(ids) == pwl.count_simplices(grid)
+        assert len(ids) == count_simplices(grid)
         assert len(set(ids)) == len(ids)
 
     # coverage: located simplex contains the point (barycentric oracle)
     per_grid = max(1, n_points // len(grids))
     for grid, f in zip(grids, funcs):
-        lo, hi = grid.lower(), grid.upper()
+        lo, hi = lower(grid), upper(grid)
         pts = lo + rng.random((per_grid, grid.dims)) * (hi - lo)
         for z in pts:
-            sid = pwl.locate(grid, z)
-            w = barycentric(pwl.simplex_vertices(grid, sid), z)
+            sid = locate(grid, z)
+            w = barycentric(simplex_vertices(grid, sid), z)
             assert w.min() >= -1e-12, f"locate returned non-containing simplex at {z}"
 
         # vertex exactness
         for vidx in grid.vertex_indices():
             v = grid.vertex(vidx)
             fv = f(v)
-            assert abs(pwl.eval_pwl(grid, f, v) - fv) <= 1e-9 * (1.0 + abs(fv))
+            assert abs(eval_pwl(grid, f, v) - fv) <= 1e-9 * (1.0 + abs(fv))
 
         # continuity across shared faces: every containing simplex agrees
         for _ in range(40):
-            sid = pwl.locate(grid, lo + rng.random(grid.dims) * (hi - lo))
-            verts = pwl.simplex_vertices(grid, sid)
+            sid = locate(grid, lo + rng.random(grid.dims) * (hi - lo))
+            verts = simplex_vertices(grid, sid)
             face = rng.choice(grid.dims + 1, size=rng.integers(1, grid.dims + 2), replace=False)
             wts = rng.random(face.size)
             wts /= wts.sum()
             z = wts @ verts[face]
             z = np.clip(z, lo, hi)
             vals = [
-                pwl.hyperplane_coeffs(grid, s, f).value(z)
+                hyperplane_coeffs(grid, s, f).value(z)
                 for s in containing_simplices(grid, z, tol=1e-9)
             ]
             assert vals, "no containing simplex found for face point"
@@ -99,14 +220,14 @@ def check_triangulation(n_points: int = 1000) -> str:
 
     # affine exactness
     for grid in grids:
-        lo, hi = grid.lower(), grid.upper()
+        lo, hi = lower(grid), upper(grid)
         for _ in range(20):
             a = rng.normal(size=grid.dims)
             b = float(rng.normal())
             f_aff = lambda v, a=a, b=b: float(a @ v + b)
             z = lo + rng.random(grid.dims) * (hi - lo)
             want = f_aff(z)
-            assert abs(pwl.eval_pwl(grid, f_aff, z) - want) <= 1e-9 * (1.0 + abs(want))
+            assert abs(eval_pwl(grid, f_aff, z) - want) <= 1e-9 * (1.0 + abs(want))
     return f"triangulation invariants ok ({n_points} coverage points, {len(grids)} grids)"
 
 
@@ -114,33 +235,31 @@ def check_mc_equivalence(n_points: int = 200) -> str:
     """MILP value of an encoded term at a pinned point == direct interpolation."""
     rng = np.random.default_rng(31337)
     cases = [
-        (pwl.build_grid([pwl.Interval(-1.0, 3.0)], [3]), lambda v: float(v[0] ** 2)),
+        (build_grid([pwl.Interval(-1.0, 3.0)], [3]), lambda v: float(v[0] ** 2)),
         (
-            pwl.build_grid([pwl.Interval(0.0, 1.0), pwl.Interval(0.0, 1.0)], [2, 2]),
+            build_grid([pwl.Interval(0.0, 1.0), pwl.Interval(0.0, 1.0)], [2, 2]),
             lambda v: float(v[0] * v[1]),
         ),
         (
-            pwl.build_grid([pwl.Interval(-2.0, 2.0), pwl.Interval(-1.0, 1.0)], [2, 2]),
+            build_grid([pwl.Interval(-2.0, 2.0), pwl.Interval(-1.0, 1.0)], [2, 2]),
             lambda v: float(np.sin(v[0]) + v[1] ** 3),
         ),
     ]
     checked = 0
     per_case = -(-n_points // len(cases))  # ceil: at least n_points total
     for grid, f in cases:
-        lo, hi = grid.lower(), grid.upper()
+        lo, hi = lower(grid), upper(grid)
         for _ in range(per_case):
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
-            z_ids = [
-                prob.add_var(lo[k], hi[k], name=f"z{k}") for k in range(grid.dims)
-            ]
+            z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
             enc = encode_term(prob, grid, z_ids, f, label="t")
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
             prob.set_objective(enc.objective)
             res = milp.solve_milp(prob)
             assert res.status == "optimal", f"MILP not optimal at {z0}: {res.status}"
-            want = pwl.eval_pwl(grid, f, z0)
+            want = eval_pwl(grid, f, z0)
             assert abs(res.objective - want) <= 1e-7 * (1.0 + abs(want)), (
                 f"MILP {res.objective} != pwl {want} at {z0}"
             )

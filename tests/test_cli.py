@@ -1,10 +1,15 @@
 import copy
 import csv
+import importlib.util
 import json
+import pathlib
 
+import numpy as np
 import pytest
 
+from sppa import loop
 from sppa.cli import main
+from sppa.problems import builtin_names
 
 
 def run_cli(args):
@@ -81,6 +86,24 @@ def test_problem_file_parse_error_exits_3(tmp_path, capsys):
     assert "line 4" in err and "position" in err
 
 
+def test_problem_file_domain_error_exits_3(tmp_path, capsys):
+    bad = tmp_path / "div.prob"
+    bad.write_text("[variables]\nx 0 1\ny 0 1\n[objective]\nmin x^2\n"
+                   "[constraints]\nx + y/0 <= 1\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    assert "line 7" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [
+    ["solve", "--problem", "rastrigin", "--time-limit", "0"],
+    ["solve", "--problem", "rastrigin", "--time-limit", "-1"],
+    ["table", "--budget", "0"],
+])
+def test_nonpositive_time_limit_exits_2(flags, capsys):
+    assert run_cli(flags) == 2
+    assert "time_limit must be positive" in capsys.readouterr().err
+
+
 def test_infeasible_problem_exits_4(tmp_path, capsys):
     prob = tmp_path / "inf.prob"
     prob.write_text(
@@ -110,3 +133,25 @@ def test_table_small_budget(capsys):
     assert lines[0].startswith("problem")
     assert len(lines) == 5
     assert any(l.startswith("rastrigin") for l in lines)
+
+
+def test_reproduce_table_solves_each_builtin_once(tmp_path, monkeypatch, capsys):
+    # the summary comes from the traces the script just wrote, not from
+    # solving every builtin a second time
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table.py"
+    module_spec = importlib.util.spec_from_file_location("reproduce_table", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    calls = []
+
+    def stub(spec, config, on_iteration=None):
+        calls.append(spec.name)
+        return loop.SppaResult(np.zeros(spec.n_vars), 1.5, [], "width", 0.5)
+
+    monkeypatch.setattr(loop, "run", stub)
+    assert script.run(["--outdir", str(tmp_path)]) == 0
+    assert calls == builtin_names()
+    summary = capsys.readouterr().out.split("=== summary ===\n", 1)[1]
+    lines = summary.strip().splitlines()
+    assert len(lines) == 5 and lines[0].startswith("problem")
+    assert lines[4].split() == ["eggholder", "1.5", "-959.641", "20/4", "0.5s", "width"]

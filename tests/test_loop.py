@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from sppa import loop, milp
 from sppa.loop import SppaConfig, build_iteration_model, contract_bounds, run
-from sppa.problems import NonlinearTerm, ProblemSpec, builtin, from_expressions
+from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
+                           from_expressions)
 from sppa.pwl import Interval
 
 from properties import check_sppa_invariants
@@ -233,6 +234,31 @@ def test_config_validation():
         SppaConfig(2, 2, 0.5, max_iters=0)
     with pytest.raises(ValueError):
         SppaConfig(2, 2, 0.5, width_tol=-1.0)
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            SppaConfig(2, 2, 0.5, time_limit=bad)
+
+
+# Pinned trajectories at the registry settings.  They check that a change
+# meant to leave the arithmetic alone really does: a deliberate change of
+# trajectory must update these numbers and record the change in CHANGES.md.
+@pytest.mark.parametrize("name, pieces, termination, iterations, best_objective, best_point, "
+                         "pivots", [
+    ("rastrigin", (6, 3), "stall", 23, 0.0, [-0.0, -0.0], 282),
+    ("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
+     [1.3322676295501878e-15, 1.3322676295501878e-15], 1265),
+])
+def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
+                           pivots):
+    info = builtin_info(name)
+    assert (info["initial_n_pieces"], info["n_pieces"]) == pieces
+    config = SppaConfig(*pieces, info["contract_frac"], info["max_iters"])
+    result = run(builtin(name), config)
+    assert result.termination == termination
+    assert len(result.trace) == iterations
+    assert result.best_objective == best_objective
+    assert result.best_point.tolist() == best_point
+    assert sum(rec.milp_stats["iterations"] for rec in result.trace) == pivots
 
 
 def test_invariant_property_suite():

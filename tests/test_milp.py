@@ -1,17 +1,15 @@
 import itertools
-import math
 
 import numpy as np
 import pytest
 
-from sppa.milp import (BIG_BOUND, LpProblem, SolverConfig, solve_lp,
-                       solve_milp)
+from sppa.milp import BIG_BOUND, LpProblem, SolverConfig, solve_milp
 
 from properties import check_milp_oracle
 
 
 def knapsack(values, weights, cap):
-    p = LpProblem("knapsack")
+    p = LpProblem()
     ids = [p.add_var(0, 1, integer=True) for _ in values]
     p.add_row({i: w for i, w in zip(ids, weights)}, "<=", cap)
     p.set_objective({i: v for i, v in zip(ids, values)}, sense="max")
@@ -24,7 +22,7 @@ def test_lp_tight_row():
     y = p.add_var(0, 1)
     p.add_row({x: 1, y: 1}, "<=", 1)
     p.set_objective({x: 1, y: 1}, sense="max")
-    res = solve_lp(p)
+    res = solve_milp(p)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(1.0)
 
@@ -34,7 +32,7 @@ def test_lp_infeasible():
     x = p.add_var(0, 10)
     p.add_row({x: 1}, ">=", 2)
     p.add_row({x: 1}, "<=", 1)
-    assert solve_lp(p).status == "infeasible"
+    assert solve_milp(p).status == "infeasible"
 
 
 def test_lp_unbounded_gets_capped_with_warning():
@@ -42,7 +40,7 @@ def test_lp_unbounded_gets_capped_with_warning():
     x = p.add_var(0)  # no upper bound
     p.set_objective({x: -1})
     with pytest.warns(UserWarning):
-        res = solve_lp(p)
+        res = solve_milp(p)
     assert res.status == "optimal"
     assert res.objective == pytest.approx(-BIG_BOUND)
 
@@ -53,7 +51,7 @@ def test_lp_equality_and_negative_bounds():
     y = p.add_var(-5, 5)
     p.add_row({x: 1, y: 2}, "=", 3)
     p.set_objective({x: 1, y: -1})
-    res = solve_lp(p)
+    res = solve_milp(p)
     assert res.status == "optimal"
     # min x - y with x + 2y = 3: x = -5, y = 4
     assert res.objective == pytest.approx(-9.0)
@@ -64,7 +62,7 @@ def test_lp_objective_constant_and_sense():
     p = LpProblem()
     x = p.add_var(0, 2)
     p.set_objective({x: 3}, constant=7.0, sense="max")
-    res = solve_lp(p)
+    res = solve_milp(p)
     assert res.objective == pytest.approx(13.0)
 
 
@@ -79,12 +77,12 @@ def test_empty_row_consistency():
     x = p.add_var(0, 1)
     p.add_row({x: 0.0}, "<=", -1.0)  # all-zero coefficients, impossible rhs
     p.set_objective({x: 1})
-    assert solve_lp(p).status == "infeasible"
+    assert solve_milp(p).status == "infeasible"
     q = LpProblem()
     x = q.add_var(0, 1)
     q.add_row({x: 0.0}, "<=", 1.0)  # trivially true, dropped
     q.set_objective({x: 1})
-    assert solve_lp(q).status == "optimal"
+    assert solve_milp(q).status == "optimal"
 
 
 def test_milp_integral_relaxation_no_branching():
@@ -142,23 +140,6 @@ def test_milp_incumbent_feasibility_and_integrality():
         assert np.all(np.abs(res.x - np.round(res.x)) <= cfg.int_tol)
 
 
-def test_milp_bound_below_incumbent_at_every_expansion():
-    # fractional-relaxation instance that needs real branching
-    p = LpProblem()
-    ids = [p.add_var(0, 1, integer=True) for _ in range(8)]
-    w = [3, 5, 7, 11, 13, 17, 19, 23]
-    p.add_row({j: float(wj) for j, wj in zip(ids, w)}, "<=", 40.0)
-    p.add_row({j: float((j * 7) % 5 + 1) for j in ids}, ">=", 6.0)
-    p.set_objective({j: float(-(j + 2)) for j in ids})
-    res = solve_milp(p, SolverConfig(log_nodes=True))
-    assert res.status == "optimal"
-    assert res.nodes >= 1
-    for stored_bound, lp_obj, incumbent in res.node_log:
-        assert stored_bound <= lp_obj + 1e-7  # parent relaxation is a valid bound
-        if incumbent is not None:
-            assert stored_bound <= incumbent + 1e-7
-
-
 def test_milp_node_limit_reports_bound():
     p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
     res = solve_milp(p, SolverConfig(node_limit=1))
@@ -176,13 +157,11 @@ def test_milp_determinism():
     np.testing.assert_array_equal(a.x, b.x)
 
 
-def test_solve_lp_ignores_integrality():
-    p = LpProblem()
-    x = p.add_var(0, 1, integer=True)
-    p.add_row({x: 2}, "<=", 1)
-    p.set_objective({x: -1})
-    res = solve_lp(p)
-    assert res.objective == pytest.approx(-0.5)
+def test_config_rejects_nonpositive_time_limit():
+    for bad in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            SolverConfig(time_limit=bad)
+    assert SolverConfig(time_limit=1e-9).time_limit == 1e-9
 
 
 def test_oracle_property_suite():

@@ -166,3 +166,19 @@ def test_load_problem_structure_errors(tmp_path):
     p.write_text("[variables]\nx 1 0\n[objective]\nmin x\n")
     with pytest.raises(ProblemFormatError):
         load_problem(str(p))  # inverted bounds
+
+
+@pytest.mark.parametrize("body, line, message", [
+    ("[objective]\nmin x^2 + 1/0\n", 5, "division by zero"),
+    ("[objective]\nmin x^2 + y^2\n[constraints]\nx + y <= 3\nx + y/0 <= 1\n", 8,
+     "division by zero"),
+    ("[objective]\nmin x^2\n[constraints]\nx*1e308*10 <= 1\n", 7, "non-finite coefficient"),
+])
+def test_load_problem_decomposition_error_line(tmp_path, body, line, message):
+    # an error found while decomposing an expression names that expression's line
+    path = tmp_path / "bad.prob"
+    path.write_text("[variables]\nx 0 1\ny 0 1\n" + body)
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert exc.value.line == line
+    assert message in str(exc.value)

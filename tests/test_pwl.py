@@ -4,99 +4,101 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppa import pwl
-from sppa.pwl import Grid, Interval, SimplexId
+from sppa.pwl import Interval, SimplexId
 
-from properties import barycentric, check_triangulation, containing_simplices
+from properties import (barycentric, build_grid, cell_count, check_triangulation,
+                        count_simplices, eval_pwl, hyperplane_coeffs, locate,
+                        simplex_vertices)
 
-UNIT_SQUARE = pwl.build_grid([Interval(0.0, 1.0), Interval(0.0, 1.0)], [1, 1])
+UNIT_SQUARE = build_grid([Interval(0.0, 1.0), Interval(0.0, 1.0)], [1, 1])
 
 
 def test_build_grid_equal_spacing():
-    g = pwl.build_grid([Interval(0.0, 2.0)], [2])
+    g = build_grid([Interval(0.0, 2.0)], [2])
     np.testing.assert_allclose(g.breakpoints[0], [0.0, 1.0, 2.0])
-    g = pwl.build_grid([Interval(-1.0, 1.0)], [4])
+    g = build_grid([Interval(-1.0, 1.0)], [4])
     np.testing.assert_allclose(g.breakpoints[0], [-1.0, -0.5, 0.0, 0.5, 1.0])
     assert g.breakpoints[0][0] == -1.0 and g.breakpoints[0][-1] == 1.0
 
 
 def test_build_grid_cell_count_3d():
-    g = pwl.build_grid([Interval(0.0, 1.0)] * 3, [3, 3, 3])
-    assert g.cell_count == 27
+    g = build_grid([Interval(0.0, 1.0)] * 3, [3, 3, 3])
+    assert cell_count(g) == 27
 
 
 def test_build_grid_errors():
     with pytest.raises(ValueError):
-        pwl.build_grid([Interval(0.0, 1.0)], [0])
+        build_grid([Interval(0.0, 1.0)], [0])
     with pytest.raises(ValueError):
         Interval(float("nan"), 1.0)
     with pytest.raises(ValueError):
         Interval(float("-inf"), 0.0)
     with pytest.raises(ValueError):
-        pwl.build_grid([(2.0, 2.0)], [1])  # degenerate axis rejected here
+        build_grid([(2.0, 2.0)], [1])  # degenerate axis rejected here
 
 
 def test_count_simplices():
-    assert pwl.count_simplices(pwl.build_grid([(0, 1), (0, 1)], [2, 2])) == 8
-    assert pwl.count_simplices(pwl.build_grid([(0, 1)], [5])) == 5
-    assert pwl.count_simplices(pwl.build_grid([(0, 1)] * 3, [3, 3, 3])) == 162
+    assert count_simplices(build_grid([(0, 1), (0, 1)], [2, 2])) == 8
+    assert count_simplices(build_grid([(0, 1)], [5])) == 5
+    assert count_simplices(build_grid([(0, 1)] * 3, [3, 3, 3])) == 162
 
 
 def test_locate_basic():
-    sid = pwl.locate(UNIT_SQUARE, [0.25, 0.75])
+    sid = locate(UNIT_SQUARE, [0.25, 0.75])
     assert sid.cell == (0, 0)
     assert sid.perm == (1, 0)  # larger fractional coordinate steps first
-    w = barycentric(pwl.simplex_vertices(UNIT_SQUARE, sid), np.array([0.25, 0.75]))
+    w = barycentric(simplex_vertices(UNIT_SQUARE, sid), np.array([0.25, 0.75]))
     assert w.min() >= -1e-12
     # the other simplex of the cell does not contain the point
     other = SimplexId((0, 0), (0, 1))
-    w2 = barycentric(pwl.simplex_vertices(UNIT_SQUARE, other), np.array([0.25, 0.75]))
+    w2 = barycentric(simplex_vertices(UNIT_SQUARE, other), np.array([0.25, 0.75]))
     assert w2.min() < -1e-6
 
 
 def test_locate_diagonal_tie_break():
-    sid = pwl.locate(UNIT_SQUARE, [0.5, 0.5])
+    sid = locate(UNIT_SQUARE, [0.5, 0.5])
     assert sid.perm == (0, 1)  # equal fractions: ascending variable index
     f = lambda v: float(v[0] * v[1])
-    v1 = pwl.hyperplane_coeffs(UNIT_SQUARE, SimplexId((0, 0), (0, 1)), f).value([0.5, 0.5])
-    v2 = pwl.hyperplane_coeffs(UNIT_SQUARE, SimplexId((0, 0), (1, 0)), f).value([0.5, 0.5])
+    v1 = hyperplane_coeffs(UNIT_SQUARE, SimplexId((0, 0), (0, 1)), f).value([0.5, 0.5])
+    v2 = hyperplane_coeffs(UNIT_SQUARE, SimplexId((0, 0), (1, 0)), f).value([0.5, 0.5])
     assert abs(v1 - v2) <= 1e-12
 
 
 def test_locate_grid_vertex_and_upper_edge():
-    g = pwl.build_grid([(0.0, 2.0)], [2])
+    g = build_grid([(0.0, 2.0)], [2])
     f = lambda v: float(v[0] ** 2)
     for x in g.breakpoints[0]:
-        assert pwl.eval_pwl(g, f, [x]) == pytest.approx(x**2, abs=1e-12)
+        assert eval_pwl(g, f, [x]) == pytest.approx(x**2, abs=1e-12)
     # exact upper breakpoint stays in the last cell
-    assert pwl.locate(g, [2.0]).cell == (1,)
+    assert locate(g, [2.0]).cell == (1,)
 
 
 def test_locate_outside_raises():
     with pytest.raises(ValueError):
-        pwl.locate(UNIT_SQUARE, [1.5, 0.5])
+        locate(UNIT_SQUARE, [1.5, 0.5])
 
 
 def test_simplex_vertices_paths():
-    v = pwl.simplex_vertices(UNIT_SQUARE, SimplexId((0, 0), (0, 1)))
+    v = simplex_vertices(UNIT_SQUARE, SimplexId((0, 0), (0, 1)))
     np.testing.assert_allclose(v, [[0, 0], [1, 0], [1, 1]])
-    v = pwl.simplex_vertices(UNIT_SQUARE, SimplexId((0, 0), (1, 0)))
+    v = simplex_vertices(UNIT_SQUARE, SimplexId((0, 0), (1, 0)))
     np.testing.assert_allclose(v, [[0, 0], [0, 1], [1, 1]])
-    cube = pwl.build_grid([(0.0, 1.0)] * 3, [1, 1, 1])
-    v = pwl.simplex_vertices(cube, SimplexId((0, 0, 0), (0, 1, 2)))
+    cube = build_grid([(0.0, 1.0)] * 3, [1, 1, 1])
+    v = simplex_vertices(cube, SimplexId((0, 0, 0), (0, 1, 2)))
     np.testing.assert_allclose(v, [[0, 0, 0], [1, 0, 0], [1, 1, 0], [1, 1, 1]])
 
 
 def test_hyperplane_affine_exact():
     f = lambda v: float(v[0] + v[1])
     for sid in pwl.enumerate_simplices(UNIT_SQUARE):
-        h = pwl.hyperplane_coeffs(UNIT_SQUARE, sid, f)
+        h = hyperplane_coeffs(UNIT_SQUARE, sid, f)
         np.testing.assert_allclose(h.slopes, [1.0, 1.0], atol=1e-12)
         assert h.intercept == pytest.approx(0.0, abs=1e-12)
 
 
 def test_hyperplane_chord_1d():
-    g = pwl.build_grid([(0.0, 1.0)], [1])
-    h = pwl.hyperplane_coeffs(g, SimplexId((0,), (0,)), lambda v: float(v[0] ** 2))
+    g = build_grid([(0.0, 1.0)], [1])
+    h = hyperplane_coeffs(g, SimplexId((0,), (0,)), lambda v: float(v[0] ** 2))
     assert h.slopes[0] == pytest.approx(1.0)
     assert h.intercept == pytest.approx(0.0)
 
@@ -104,11 +106,11 @@ def test_hyperplane_chord_1d():
 def test_hyperplane_bilinear_vs_linear_system():
     f = lambda v: float(v[0] * v[1])
     sid = SimplexId((0, 0), (0, 1))
-    h = pwl.hyperplane_coeffs(UNIT_SQUARE, sid, f)
+    h = hyperplane_coeffs(UNIT_SQUARE, sid, f)
     np.testing.assert_allclose(h.slopes, [0.0, 1.0], atol=1e-12)
     assert h.intercept == pytest.approx(0.0, abs=1e-12)
     # oracle: solve the 3x3 vertex interpolation system directly
-    V = pwl.simplex_vertices(UNIT_SQUARE, sid)
+    V = simplex_vertices(UNIT_SQUARE, sid)
     A = np.hstack([np.ones((3, 1)), V])
     coef = np.linalg.solve(A, np.array([f(v) for v in V]))
     assert h.intercept == pytest.approx(coef[0], abs=1e-12)
@@ -116,26 +118,26 @@ def test_hyperplane_bilinear_vs_linear_system():
 
 
 def test_hyperplane_interpolates_all_vertices():
-    g = pwl.build_grid([(-1.0, 2.0), (0.0, 3.0)], [2, 3])
+    g = build_grid([(-1.0, 2.0), (0.0, 3.0)], [2, 3])
     f = lambda v: float(np.exp(0.3 * v[0]) * np.cos(v[1]))
     for sid in pwl.enumerate_simplices(g):
-        h = pwl.hyperplane_coeffs(g, sid, f)
-        for v in pwl.simplex_vertices(g, sid):
+        h = hyperplane_coeffs(g, sid, f)
+        for v in simplex_vertices(g, sid):
             assert h.value(v) == pytest.approx(f(v), rel=1e-9, abs=1e-9)
 
 
 def test_eval_pwl_examples():
-    g = pwl.build_grid([(0.0, 2.0)], [2])
-    assert pwl.eval_pwl(g, lambda v: float(v[0] ** 2), [0.5]) == pytest.approx(0.5)
+    g = build_grid([(0.0, 2.0)], [2])
+    assert eval_pwl(g, lambda v: float(v[0] ** 2), [0.5]) == pytest.approx(0.5)
     f = lambda v: float(v[0] * v[1])
-    assert pwl.eval_pwl(UNIT_SQUARE, f, [0.5, 0.5]) == pytest.approx(0.5)
+    assert eval_pwl(UNIT_SQUARE, f, [0.5, 0.5]) == pytest.approx(0.5)
 
 
 def test_eval_pwl_nonfinite_vertex_value():
-    g = pwl.build_grid([(-1.0, 1.0)], [2])
+    g = build_grid([(-1.0, 1.0)], [2])
     f = lambda v: float("nan") if v[0] == 0.0 else float(1.0 / v[0])
     with pytest.raises(ValueError):
-        pwl.eval_pwl(g, f, [0.5])
+        eval_pwl(g, f, [0.5])
 
 
 @settings(max_examples=60, deadline=None)
@@ -145,11 +147,19 @@ def test_eval_pwl_nonfinite_vertex_value():
     z=st.lists(st.floats(0, 1), min_size=2, max_size=2),
 )
 def test_affine_exactness_property(a, b, z):
-    g = pwl.build_grid([(0.0, 1.0), (0.0, 1.0)], [2, 3])
+    g = build_grid([(0.0, 1.0), (0.0, 1.0)], [2, 3])
     f = lambda v: float(a[0] * v[0] + a[1] * v[1] + b)
     want = f(np.asarray(z))
-    assert abs(pwl.eval_pwl(g, f, z) - want) <= 1e-9 * (1.0 + abs(want))
+    assert abs(eval_pwl(g, f, z) - want) <= 1e-9 * (1.0 + abs(want))
 
 
 def test_property_suite():
     print(check_triangulation())
+
+
+def test_axis_breakpoints_integer_snapping():
+    np.testing.assert_array_equal(pwl.axis_breakpoints(Interval(0.0, 5.0), 2, integer=True),
+                                  [0.0, 2.0, 5.0])
+    # inner points snap to integers, fractional endpoints stay
+    np.testing.assert_array_equal(pwl.axis_breakpoints(Interval(0.5, 3.5), 4, integer=True),
+                                  [0.5, 1.0, 2.0, 3.0, 3.5])
