@@ -1,12 +1,13 @@
 """Outer solve loop: piecewise model, MILP solve, geometric bound contraction.
 
 Each iteration approximates every nonlinear term on a fresh grid over the
-current variable boxes, solves the resulting MILP, then shrinks the box of
-every variable that appears in a nonlinear term by ``contract_frac``,
-centered on the incumbent (translated to stay inside the previous box).
-Variables outside all nonlinear terms keep their bounds untouched.  The
-best point is tracked by exact objective value, which guards against
-surrogate underestimation.
+current variable boxes, solves the resulting MILP (or reads its optimum off
+the grid vertices when no row exists and no two terms share a variable),
+then shrinks the box of every variable that appears in a nonlinear term by
+``contract_frac``, centered on the incumbent (translated to stay inside the
+previous box).  Variables outside all nonlinear terms keep their bounds
+untouched.  The best point is tracked by exact objective value, which
+guards against surrogate underestimation.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from sppa import mcmodel, milp
-from sppa.problems import ProblemSpec
-from sppa.pwl import Grid, Interval, axis_breakpoints
+from sppa.problems import NonlinearTerm, ProblemSpec
+from sppa.pwl import Grid, Interval, axis_breakpoints, vertex_values
 
 __all__ = [
     "SppaConfig",
@@ -121,6 +122,29 @@ class IterationModel:
     encodings: list  # (term, McEncoding | None, grid | None)
 
 
+def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
+                  pieces: int):
+    """``(active, fn, grid)``: the term's variables of positive width, the
+    term as a function of them with every zero-width variable fixed at its
+    value, and their grid (``pieces`` segments each; None if none is active).
+    """
+    active = [k for k in term.var_ids if bounds[k].width > 0.0]
+    if len(active) == len(term.var_ids):
+        fn = term.fn
+    else:
+        positions = [term.var_ids.index(k) for k in active]
+        fixed = np.array([bounds[k].lo for k in term.var_ids])
+
+        def fn(v, base_fn=term.fn, fixed=fixed, positions=positions):
+            full = fixed.copy()
+            full[positions] = v
+            return base_fn(full)
+
+    grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                 for k in active]) if active else None
+    return active, fn, grid
+
+
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
     """Assemble the MILP for one iteration.
 
@@ -141,12 +165,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     encodings = []
 
     for t, term in enumerate(spec.nonlinear_terms):
-        label = term.label or f"t{t}"
-        active = [k for k in term.var_ids if bounds[k].width > 0.0]
-        fixed = {k: bounds[k].lo for k in term.var_ids if bounds[k].width == 0.0}
-
-        if not active:
-            value = term.coef * float(term.fn(np.array([fixed[k] for k in term.var_ids])))
+        active, fn, grid = _prepare_term(spec, term, bounds, pieces)
+        if grid is None:
+            value = term.coef * float(fn(np.empty(0)))
             if term.row is None:
                 const_extra += value
             else:
@@ -154,24 +175,8 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
             encodings.append((term, None, None))
             continue
 
-        if fixed:
-            positions = {k: i for i, k in enumerate(term.var_ids)}
-            base_fn = term.fn
-
-            def fn(v, base_fn=base_fn, term=term, fixed=fixed, positions=positions,
-                   active=active):
-                full = np.empty(len(term.var_ids))
-                for i, k in enumerate(active):
-                    full[positions[k]] = v[i]
-                for k, val in fixed.items():
-                    full[positions[k]] = val
-                return base_fn(full)
-        else:
-            fn = term.fn
-
-        bps = [axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
-        grid = Grid(bps)
-        enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], fn, label=label)
+        enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], fn,
+                                  label=term.label or f"t{t}")
         encodings.append((term, enc, grid))
 
         target = obj_extra if term.row is None else row_extra.setdefault(term.row, {})
@@ -189,6 +194,38 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         objective[var] = objective.get(var, 0.0) + coef
     model.set_objective(objective, spec.objective_constant + const_extra, spec.sense)
     return IterationModel(model, encodings)
+
+
+def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
+    """The piecewise-linear optimum of a spec without rows whose terms share
+    no variable: per term, the first grid vertex in ``vertex_indices()``
+    row-major order with the best ``coef * f(v) + linear part``; every other
+    variable at the bound its objective coefficient favours (if 0, the bound
+    nearest zero, lower on a tie, as the simplex).  B&B reports nodes >= 1,
+    so ``nodes`` 0 marks this path."""
+    t0 = time.perf_counter()
+    sign = 1.0 if spec.sense == "min" else -1.0
+    lin = spec.linear_objective
+    z = np.empty(spec.n_vars)
+    for j, iv in enumerate(bounds):
+        c = sign * lin.get(j, 0.0)
+        z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
+    term_values = []
+    for t, term in enumerate(spec.nonlinear_terms):
+        active, fn, grid = _prepare_term(spec, term, bounds, pieces)
+        if grid is None:
+            term_values.append(term.coef * float(fn(np.empty(0))))
+            continue
+        costs = [lin.get(k, 0.0) for k in active]
+        values = vertex_values(grid, fn, term.label or f"t{t}")
+        best = min(values, key=lambda v: sign * (term.coef * values[v] + sum(
+            c * x for c, x in zip(costs, grid.vertex(v)))))  # the first best wins
+        z[active] = grid.vertex(best)
+        term_values.append(term.coef * values[best])
+    # summed in the order of ProblemSpec.objective_value
+    objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
+    return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0,
+                           time.perf_counter() - t0)
 
 
 def run(
@@ -216,6 +253,8 @@ def run(
         wtol = {j: 1e-8 * max(current[j].width, 1e-30) for j in nl_vars}
 
     minimize = spec.sense == "min"
+    ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
+    vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
     trace: list[IterationRecord] = []
     best_point = None
     best_obj = math.inf if minimize else -math.inf
@@ -230,12 +269,13 @@ def run(
             break
         pieces = config.initial_n_pieces if it == 0 else config.n_pieces
         iter_start = time.perf_counter()
-        model = build_iteration_model(spec, current, pieces)
-
-        solver = None
-        if deadline is not None:
-            solver = milp.SolverConfig(time_limit=max(deadline - time.perf_counter(), 0.01))
-        res = milp.solve_milp(model.lp, solver)
+        if vertex_solvable:
+            res = _solve_at_vertices(spec, current, pieces)
+        else:
+            model = build_iteration_model(spec, current, pieces)
+            solver = None if deadline is None else milp.SolverConfig(
+                time_limit=max(deadline - time.perf_counter(), 0.01))
+            res = milp.solve_milp(model.lp, solver)
 
         if res.x is None:
             if res.status == "infeasible":

@@ -17,7 +17,6 @@ holds that reference and checks the two against each other).
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -45,26 +44,13 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
     """Create selector/copy variables and all rows for one term.
 
     ``z_ids`` are the model ids of the shared variables the term reads, in
-    grid-dimension order.  ``f`` is evaluated once per grid vertex and
-    cached; a non-finite value aborts with ``label`` and the offending
-    coordinates.
+    grid-dimension order.  ``f`` is evaluated once per grid vertex by
+    :func:`pwl.vertex_values`, which names ``label`` if a vertex fails.
     """
     z_ids = tuple(z_ids)
     if len(z_ids) != grid.dims:
         raise ValueError("one shared variable per grid dimension required")
-    enc = McEncoding(grid, z_ids)
-
-    for vidx in grid.vertex_indices():
-        coords = grid.vertex(vidx)
-        try:
-            val = float(f(coords))
-        except ArithmeticError as exc:
-            raise ValueError(
-                f"term '{label}' failed at grid vertex {coords.tolist()}: {exc}"
-            ) from exc
-        if not math.isfinite(val):
-            raise ValueError(f"term '{label}' is not finite at grid vertex {coords.tolist()}")
-        enc.values[vidx] = val
+    enc = McEncoding(grid, z_ids, values=pwl.vertex_values(grid, f, label))
 
     for sid in pwl.enumerate_simplices(grid):
         cell, perm = sid.cell, sid.perm

@@ -11,6 +11,7 @@ the binary count, low-dimensional).
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
@@ -49,6 +50,14 @@ class NonlinearTerm:
     label: str = ""
 
 
+def _integer_bounds(iv: Interval) -> Interval:
+    """``iv`` rounded inward to integers; ValueError if it holds no integer."""
+    lo, hi = float(math.ceil(iv.lo)), float(math.floor(iv.hi))
+    if lo > hi:
+        raise ValueError(f"integer variable has no integer in [{iv.lo}, {iv.hi}]")
+    return Interval(lo, hi)
+
+
 @dataclass
 class ProblemSpec:
     """Full problem description handed to the solver loop."""
@@ -65,6 +74,8 @@ class ProblemSpec:
         names = [v[0] for v in self.variables]
         if len(set(names)) != len(names):
             raise ValueError("variable names must be unique")
+        self.variables = [(name, _integer_bounds(iv) if integer else iv, integer)
+                          for name, iv, integer in self.variables]
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
         n = len(self.variables)
@@ -418,16 +429,17 @@ def load_problem(path: str) -> ProblemSpec:
             if name in seen:
                 raise ProblemFormatError(f"duplicate variable {name!r}", lineno)
             seen.add(name)
-            try:
-                lo, hi = float(parts[1]), float(parts[2])
-                iv = Interval(lo, hi)
-            except ValueError as exc:
-                raise ProblemFormatError(str(exc), lineno) from None
             integer = False
             if len(parts) == 4:
                 if parts[3].lower() not in ("integer", "int"):
                     raise ProblemFormatError(f"unexpected token {parts[3]!r}", lineno)
                 integer = True
+            try:
+                iv = Interval(float(parts[1]), float(parts[2]))
+                if integer:
+                    _integer_bounds(iv)
+            except ValueError as exc:
+                raise ProblemFormatError(str(exc), lineno) from None
             variables.append((name, iv, integer))
         elif section == "objective":
             words = line.split(None, 1)

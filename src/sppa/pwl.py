@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -29,6 +29,7 @@ __all__ = [
     "axis_breakpoints",
     "enumerate_simplices",
     "vertex_path",
+    "vertex_values",
 ]
 
 
@@ -124,3 +125,21 @@ def vertex_path(sid: SimplexId, dims: int) -> list[tuple[int, ...]]:
         idx[k] += 1
         path.append(tuple(idx))
     return path
+
+
+def vertex_values(grid: Grid, f: Callable, label: str) -> dict[tuple[int, ...], float]:
+    """``f`` at every grid vertex, keyed by multi-index in row-major order; a
+    vertex that raises ``ArithmeticError`` or gives a non-finite value aborts
+    with ``label`` and its coordinates."""
+    values = {}
+    for vidx in grid.vertex_indices():
+        coords = grid.vertex(vidx)
+        try:
+            val = float(f(coords))
+        except ArithmeticError as exc:
+            raise ValueError(f"term '{label}' failed at grid vertex {coords.tolist()}: "
+                             f"{exc}") from exc
+        if not math.isfinite(val):
+            raise ValueError(f"term '{label}' is not finite at grid vertex {coords.tolist()}")
+        values[vidx] = val
+    return values

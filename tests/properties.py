@@ -391,9 +391,97 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
                     assert iv.lo - 1e-9 <= prev.incumbent[k] <= iv.hi + 1e-9
             # the linear-only variable keeps bit-identical bounds
             assert rec.bounds["w"] == pwl.Interval(-1.0, 1.0)
+            # a row-free spec is solved at the grid vertices, where the
+            # surrogate is the exact objective
+            assert abs(rec.surrogate_objective - rec.objective) <= 1e-12 * (
+                1.0 + abs(rec.objective)), "surrogate differs from the exact objective"
             prev = rec
             checked_iters += 1
     return f"sppa contraction invariants ok ({n_problems} problems, {checked_iters} iterations)"
+
+
+def check_vertex_optimum(n_specs: int = 60) -> str:
+    """The vertex shortcut against the MILP reference on row-free specs.
+
+    Each spec has 1-3 terms on disjoint supports of 1-3 variables, one or two
+    variables outside every term, one zero-width variable, integer variables
+    (declared with fractional bounds, which the spec rounds inward) and
+    linear objective coefficients on term and non-term variables.  The
+    shortcut's first iteration must match ``solve_milp`` on the model the
+    MILP path builds, within the MILP's gap, and return a grid vertex.
+    """
+    rng = np.random.default_rng(1357)
+    shapes = (
+        lambda v, a: float(np.sum((v - a) ** 2)),
+        lambda v, a: float(np.sum(np.sin(3.0 * v + a))),
+        lambda v, a: float(np.prod(v + a)),
+    )
+    rel_gap = milp.SolverConfig().rel_gap
+    n_max = 0
+    for _ in range(n_specs):
+        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+        n = sum(sizes) + int(rng.integers(1, 3))
+        fixed = int(rng.integers(0, n))
+        variables = []
+        for j in range(n):
+            integer = bool(rng.random() < 0.3)
+            lo = float(rng.uniform(-3.0, 1.0))
+            if j == fixed:
+                lo = float(round(lo)) if integer else lo
+                iv = pwl.Interval(lo, lo)
+            else:
+                iv = pwl.Interval(lo, lo + float(rng.uniform(1.5 if integer else 0.5, 6.0)))
+            variables.append((f"v{j}", iv, integer))
+        perm = [int(k) for k in rng.permutation(n)]
+        terms, start = [], 0
+        for size in sizes:
+            shape, a = shapes[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=size)
+            terms.append(NonlinearTerm(tuple(perm[start:start + size]),
+                                       lambda v, shape=shape, a=a: shape(v, a),
+                                       coef=float(rng.choice([-2.0, 0.5, 1.0]))))
+            start += size
+        linear = {j: float(rng.uniform(-1.0, 1.0)) for j in range(n) if rng.random() < 0.6}
+        sense = "max" if rng.random() < 0.5 else "min"
+        n_max += sense == "max"
+        spec = ProblemSpec(variables, linear, float(rng.uniform(-1.0, 1.0)), [], terms,
+                           sense=sense)
+        pieces = int(rng.integers(2, 6 if max(sizes) < 3 else 4))  # keeps each MILP small
+
+        rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
+        ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces).lp)
+        assert ref.status == "optimal", ref.status
+        assert rec.milp_stats["nodes"] == 0, "row-free spec went through branch and bound"
+        sgn = 1.0 if sense == "min" else -1.0
+        got, want = rec.surrogate_objective, ref.objective
+        assert sgn * (got - want) <= 1e-9 * (1.0 + abs(want)), f"shortcut {got} worse than {want}"
+        assert sgn * (want - got) <= rel_gap * max(1.0, abs(want)), (
+            f"milp {want} outside its gap of the shortcut {got}")
+        in_terms = {k for t in terms for k in t.var_ids}
+        for j, (_, iv, integer) in enumerate(spec.variables):
+            x = rec.incumbent[j]
+            assert iv.lo <= x <= iv.hi, "incumbent outside the bounds"
+            assert not integer or x == round(x), "integer variable not integral"
+            if j in in_terms:
+                assert x in pwl.axis_breakpoints(iv, pieces, integer), "not a grid vertex"
+            else:  # at a bound, the one the simplex picks
+                assert x == ref.x[j], f"variable {j} at {x}, the milp's at {ref.x[j]}"
+
+    # terms sharing a variable still go through the MILP
+    shared = ProblemSpec(
+        [("x", pwl.Interval(-1.0, 1.0), False), ("y", pwl.Interval(-1.0, 1.0), False)],
+        {}, 0.0, [],
+        [NonlinearTerm((0,), lambda v: float(v[0] ** 2)),
+         NonlinearTerm((0, 1), lambda v: float((v[0] - v[1] - 0.5) ** 2))],
+    )
+    calls = []
+    original = milp.solve_milp
+    milp.solve_milp = lambda lp, config=None: calls.append(lp) or original(lp, config)
+    try:
+        rec = loop.run(shared, loop.SppaConfig(2, 2, 0.5, max_iters=1)).trace[0]
+    finally:
+        milp.solve_milp = original
+    assert len(calls) == 1 and rec.milp_stats["nodes"] >= 1, "overlapping terms skipped the MILP"
+    return f"vertex shortcut matches the milp ({n_specs} specs, {n_max} maximising)"
 
 
 def check_parser(n_fixtures_expected: int = 20) -> str:
@@ -437,5 +525,6 @@ ALL_CHECKS = (
     check_mc_equivalence,
     check_milp_oracle,
     check_sppa_invariants,
+    check_vertex_optimum,
     check_parser,
 )

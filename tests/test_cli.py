@@ -94,6 +94,14 @@ def test_problem_file_domain_error_exits_3(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_integer_variable_without_integer_exits_3(tmp_path, capsys):
+    bad = tmp_path / "empty.prob"
+    bad.write_text("[variables]\nn 0.2 0.8 integer\n[objective]\nmin n\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert "line 2" in err and "no integer" in err
+
+
 @pytest.mark.parametrize("flags", [
     ["solve", "--problem", "rastrigin", "--time-limit", "0"],
     ["solve", "--problem", "rastrigin", "--time-limit", "-1"],

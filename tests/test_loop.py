@@ -11,7 +11,7 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions)
 from sppa.pwl import Interval
 
-from properties import check_sppa_invariants
+from properties import check_sppa_invariants, check_vertex_optimum
 
 
 def test_contract_examples():
@@ -159,14 +159,17 @@ def test_integer_variable_in_term():
         assert iv.width >= 1.0
 
 
-def test_nonlinear_constraint_term():
+def _parabola_spec():
     # min y subject to y >= x^2 and x >= 0.5: optimum 0.25, approached from above
-    spec = from_expressions(
+    return from_expressions(
         [("x", Interval(-1.0, 1.0), False), ("y", Interval(0.0, 2.0), False)],
         "y",
         constraints=[("x^2 - y", "<=", 0.0), ("x", ">=", 0.5)],
     )
-    result = run(spec, SppaConfig(4, 4, 0.5, max_iters=30))
+
+
+def test_nonlinear_constraint_term():
+    result = run(_parabola_spec(), SppaConfig(4, 4, 0.5, max_iters=30))
     assert result.best_objective == pytest.approx(0.25, abs=1e-3)
     # convex chords overestimate, so y undercuts 0.25 by at most the solver's
     # row feasibility tolerance
@@ -201,9 +204,11 @@ def test_time_limit_termination():
 @pytest.mark.parametrize("status", ["numerical", "iteration_limit"])
 def test_solver_failure_keeps_best_point(monkeypatch, status):
     # the MILP fails from the third solve on: the run ends with the solver's
-    # status and keeps the better of the two incumbents found before it
+    # status and keeps the better of the two incumbents found before it; the
+    # row z <= 1 never binds, but it keeps the run on the MILP path
     spec = ProblemSpec(
-        [("z", Interval(-1.0, 1.0), False)], {}, 0.0, [],
+        [("z", Interval(-1.0, 1.0), False)], {}, 0.0,
+        [milp.LinearConstraint({0: 1.0}, "<=", 1.0)],
         [NonlinearTerm((0,), lambda v: float((v[0] - 0.3) ** 2))],
     )
     solve_milp = milp.solve_milp
@@ -218,6 +223,7 @@ def test_solver_failure_keeps_best_point(monkeypatch, status):
     monkeypatch.setattr(loop.milp, "solve_milp", failing)
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=10))
     assert result.termination == status
+    assert len(calls) == 3
     assert len(result.trace) == 2
     first, second = result.trace
     assert second.objective < first.objective  # iteration 1 improves: 0.04 < 0.09
@@ -239,21 +245,29 @@ def test_config_validation():
             SppaConfig(2, 2, 0.5, time_limit=bad)
 
 
-# Pinned trajectories at the registry settings.  They check that a change
-# meant to leave the arithmetic alone really does: a deliberate change of
-# trajectory must update these numbers and record the change in CHANGES.md.
+# Pinned trajectories: rastrigin and ackley at the registry settings (solved
+# at the grid vertices, so no pivots) and the parabola model of
+# test_nonlinear_constraint_term (its rows keep it on the MILP path).  They
+# check that a change meant to leave the arithmetic alone really does: a
+# deliberate change of trajectory must update these numbers and record the
+# change in CHANGES.md.
 @pytest.mark.parametrize("name, pieces, termination, iterations, best_objective, best_point, "
                          "pivots", [
-    ("rastrigin", (6, 3), "stall", 23, 0.0, [-0.0, -0.0], 282),
-    ("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
-     [1.3322676295501878e-15, 1.3322676295501878e-15], 1265),
+    pytest.param("rastrigin", (6, 3), "stall", 23, 0.0, [0.0, 0.0], 0, id="rastrigin"),
+    pytest.param("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
+                 [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
+    pytest.param("parabola", (4, 4), "width", 27, 0.24999994039535878,
+                 [0.4999999403953552, 0.24999994039535878], 365, id="parabola"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
-    info = builtin_info(name)
-    assert (info["initial_n_pieces"], info["n_pieces"]) == pieces
-    config = SppaConfig(*pieces, info["contract_frac"], info["max_iters"])
-    result = run(builtin(name), config)
+    if name == "parabola":
+        spec, config = _parabola_spec(), SppaConfig(*pieces, 0.5, 30)
+    else:
+        info = builtin_info(name)
+        assert (info["initial_n_pieces"], info["n_pieces"]) == pieces
+        spec, config = builtin(name), SppaConfig(*pieces, info["contract_frac"], info["max_iters"])
+    result = run(spec, config)
     assert result.termination == termination
     assert len(result.trace) == iterations
     assert result.best_objective == best_objective
@@ -261,5 +275,22 @@ def test_pinned_trajectory(name, pieces, termination, iterations, best_objective
     assert sum(rec.milp_stats["iterations"] for rec in result.trace) == pivots
 
 
+def test_ackley_surrogate_is_exact():
+    # every ackley iteration at 3/3 is solved at the grid vertices, so the
+    # surrogate equals the exact objective at the incumbent; through the
+    # MILP, iteration 24 reported -1.6e-12 where the objective is 1.59e-6
+    info = builtin_info("ackley")
+    result = run(builtin("ackley"), SppaConfig(3, 3, info["contract_frac"], info["max_iters"]))
+    assert len(result.trace) == 27
+    for rec in result.trace:
+        assert abs(rec.surrogate_objective - rec.objective) <= 1e-12 * (
+            1.0 + abs(rec.objective)), (rec.iteration, rec.surrogate_objective, rec.objective)
+    assert all(rec.milp_stats["nodes"] == 0 for rec in result.trace)
+
+
 def test_invariant_property_suite():
     print(check_sppa_invariants())
+
+
+def test_vertex_optimum_property_suite():
+    print(check_vertex_optimum())

@@ -168,6 +168,19 @@ def test_load_problem_structure_errors(tmp_path):
         load_problem(str(p))  # inverted bounds
 
 
+def test_integer_bounds_round_inward(tmp_path):
+    spec = ProblemSpec([("n", Interval(-2.5, 3.7), True), ("m", Interval(0.0, 4.0), True),
+                        ("x", Interval(-2.5, 3.7), False)], {}, 0.0, [], [])
+    assert spec.bounds() == [Interval(-2.0, 3.0), Interval(0.0, 4.0), Interval(-2.5, 3.7)]
+    with pytest.raises(ValueError, match="no integer"):
+        ProblemSpec([("n", Interval(0.2, 0.8), True)], {}, 0.0, [], [])
+    path = tmp_path / "empty.prob"
+    path.write_text("[variables]\nx 0 1\nn 0.2 0.8 integer\n[objective]\nmin x + n\n")
+    with pytest.raises(ProblemFormatError, match="no integer") as exc:
+        load_problem(str(path))
+    assert exc.value.line == 3
+
+
 @pytest.mark.parametrize("body, line, message", [
     ("[objective]\nmin x^2 + 1/0\n", 5, "division by zero"),
     ("[objective]\nmin x^2 + y^2\n[constraints]\nx + y <= 3\nx + y/0 <= 1\n", 8,
