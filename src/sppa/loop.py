@@ -76,7 +76,8 @@ class SppaResult:
     best_point: Optional[np.ndarray]
     best_objective: Optional[float]
     trace: list[IterationRecord]
-    # width | stall | max_iters | infeasible | time_limit | numerical | iteration_limit
+    # width | stall | max_iters, or the solver stop that left no incumbent:
+    # infeasible | time_limit | numerical | iteration_limit
     termination: str
     seconds: float = 0.0
 
@@ -278,14 +279,9 @@ def run(
             res = milp.solve_milp(model.lp, solver)
 
         if res.x is None:
-            if res.status == "infeasible":
-                termination = "infeasible"
-            elif res.status in ("no_incumbent", "time_limit", "node_limit"):
-                termination = "time_limit"
-            elif res.status in ("numerical", "iteration_limit"):
-                termination = res.status
-            else:
-                raise RuntimeError(f"MILP solve failed with status {res.status!r}")
+            # infeasible | numerical | iteration_limit end the run under their
+            # own name; a search cut off by the time limit has no incumbent
+            termination = "time_limit" if res.status == "no_incumbent" else res.status
             break
 
         z = res.x[: spec.n_vars].copy()

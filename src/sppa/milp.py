@@ -1,12 +1,16 @@
 """Self-contained mixed-integer linear solver.
 
-LP relaxations are solved with a bounded-variable primal simplex (revised
-form, sparse LU factorization of the basis refreshed every 64 pivots with
-product-form updates in between).  Infeasible starting bases are repaired
-by a composite phase 1 that minimizes the total bound violation, which
-also lets branch-and-bound children warm-start from the parent basis.
-Integer variables are handled by best-bound branch and bound, branching
-on the most fractional variable.
+Every column is boxed: variable bounds must be finite, and each row's
+slack is bounded by the row's activity range over the variable box.  LP
+relaxations are solved by one bounded dual simplex (revised form, sparse
+LU factorization of the basis refreshed every 64 pivots with product-form
+updates in between; largest-violation pricing and the bound-flipping
+ratio test).  With every column boxed, a basis is dual feasible once each
+nonbasic column sits at the bound its reduced cost favours, so the slack
+basis starts the root with no phase 1, and each branch-and-bound child
+starts from its parent's optimal basis, which one changed bound leaves
+primal infeasible in a few rows at most.  Integer variables are handled by
+best-bound branch and bound, branching on the most fractional variable.
 
 Deliberately no cutting planes and no presolve beyond treating fixed
 variables as permanently nonbasic and validating coefficient-free rows,
@@ -20,7 +24,6 @@ from __future__ import annotations
 import heapq
 import math
 import time
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
@@ -32,7 +35,6 @@ __all__ = [
     "LE",
     "EQ",
     "GE",
-    "BIG_BOUND",
     "LinearConstraint",
     "LpProblem",
     "SolverConfig",
@@ -41,7 +43,6 @@ __all__ = [
 ]
 
 LE, EQ, GE = "<=", "=", ">="
-BIG_BOUND = 1e9
 
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
@@ -97,12 +98,10 @@ class LpProblem:
         return len(self.lb)
 
     def add_var(self, lo: float = 0.0, hi: float = math.inf, *, integer: bool = False) -> int:
-        if math.isnan(lo) or math.isnan(hi):
-            raise ValueError("variable bounds must not be NaN")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"variable lower bound {lo} exceeds upper bound {hi}")
-        if integer and not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError("integer variables need finite bounds")
         j = len(self.lb)
         self.lb.append(float(lo))
         self.ub.append(float(hi))
@@ -131,7 +130,6 @@ class SolverConfig:
     feas_tol: float = 1e-7
     int_tol: float = 1e-6
     rel_gap: float = 1e-6
-    node_limit: Optional[int] = None
     time_limit: Optional[float] = None
 
     def __post_init__(self):
@@ -158,21 +156,19 @@ class MilpResult:
 
 
 class _Canon:
-    """Equality form: structurals then one slack per row, A x = b, l <= x <= u."""
+    """Equality form: structurals then one slack per row, A x = b, l <= x <= u.
+
+    Every column is boxed.  Structural bounds are finite by construction,
+    and the slack of row i, ``b_i - a_i x``, is bounded by ``b_i`` minus the
+    row's activity range over the box; a branch-and-bound child's box lies
+    inside the root's, so these slack bounds hold at every node.
+    """
 
     def __init__(self, problem: LpProblem, config: SolverConfig):
         self.problem = problem
         n = problem.n_vars
         lb = np.array(problem.lb, dtype=float)
         ub = np.array(problem.ub, dtype=float)
-        capped = (~np.isfinite(lb)) | (~np.isfinite(ub))
-        if capped.any():
-            warnings.warn(
-                f"{int(capped.sum())} variable bound(s) are infinite; capped at +/-{BIG_BOUND:g}",
-                stacklevel=3,
-            )
-            lb = np.maximum(lb, -BIG_BOUND)
-            ub = np.minimum(ub, BIG_BOUND)
 
         self.infeasible = False
         rows = []
@@ -186,12 +182,9 @@ class _Canon:
         m = len(rows)
         self.nstruct = n
         self.m = m
-        slack_lb = np.empty(m)
-        slack_ub = np.empty(m)
-        b = np.empty(m)
+        b = np.array([row.rhs for row in rows], dtype=float)
         coo_r, coo_c, coo_v = [], [], []
         for i, row in enumerate(rows):
-            b[i] = row.rhs
             for j, c in row.coeffs.items():
                 coo_r.append(i)
                 coo_c.append(j)
@@ -199,17 +192,19 @@ class _Canon:
             coo_r.append(i)
             coo_c.append(n + i)
             coo_v.append(1.0)
-            if row.sense == LE:
-                slack_lb[i], slack_ub[i] = 0.0, math.inf
-            elif row.sense == GE:
-                slack_lb[i], slack_ub[i] = -math.inf, 0.0
-            else:
-                slack_lb[i], slack_ub[i] = 0.0, 0.0
 
         ncols = n + m
         self.A = sp.coo_matrix((coo_v, (coo_r, coo_c)), shape=(m, ncols)).tocsc()
         self.AT = self.A.T.tocsr()
         self.b = b
+        S = self.A[:, :n]
+        pos, neg = S.maximum(0.0), S.minimum(0.0)
+        slack_lb = b - (pos @ ub + neg @ lb)
+        slack_ub = b - (pos @ lb + neg @ ub)
+        ge = np.array([row.sense == GE for row in rows], dtype=bool)
+        le = np.array([row.sense == LE for row in rows], dtype=bool)
+        slack_lb = np.where(ge, slack_lb, np.maximum(slack_lb, 0.0))  # <= and = rows
+        slack_ub = np.where(le, slack_ub, np.minimum(slack_ub, 0.0))  # >= and = rows
         self.l = np.concatenate([lb, slack_lb])
         self.u = np.concatenate([ub, slack_ub])
         self.sign = 1.0 if problem.sense == "min" else -1.0
@@ -273,186 +268,163 @@ class _SxResult:
 
 def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
              basis: Optional[np.ndarray] = None, vstat: Optional[np.ndarray] = None,
-             deadline: Optional[float] = None) -> _SxResult:
-    """Bounded-variable primal simplex on the canonical equality form."""
-    m, n, ncols = canon.m, canon.nstruct, canon.nstruct + canon.m
+             deadline: Optional[float] = None, cutoff: float = math.inf) -> _SxResult:
+    """Bounded dual simplex on the canonical equality form.
+
+    Starts from ``basis``/``vstat`` (the slack basis when None), which is
+    dual feasible once every nonbasic column sits at the bound its reduced
+    cost favours; a column whose reduced cost is within tolerance of zero
+    keeps its bound.  Each pivot removes the basic variable with the
+    largest bound violation.  The ratio test passes every breakpoint the
+    dual objective still rises through, flipping those columns to their
+    other bound, and enters the column at the next one (largest |alpha|
+    on ties, then the lowest index).  The objective of
+    every basis visited is a lower bound on the optimum, so the solve stops
+    with status 'cutoff' once it reaches ``cutoff``.  ``iterations`` counts
+    basis changes.
+    """
+    m, n = canon.m, canon.nstruct
     feas_tol = config.feas_tol
 
     if np.any(l > u + feas_tol):
         return _SxResult("infeasible", None, None, None, None, 0)
 
-    c = canon.c
+    A, AT, c = canon.A, canon.AT, canon.c
     dtol = 1e-9 * (1.0 + (float(np.max(np.abs(c))) if c.size else 0.0))
-
-    if m == 0:
-        x = np.where(c > 0.0, l, np.where(c < 0.0, u, np.where(np.abs(l) <= np.abs(u), l, u)))
-        if not np.all(np.isfinite(x)):
-            return _SxResult("unbounded", None, None, None, None, 0)
-        return _SxResult("optimal", x, float(c @ x), np.empty(0, dtype=int),
-                         np.full(ncols, _NB_LOWER, dtype=np.int8), 0)
+    movable = u > l
+    range_ = u - l
 
     if basis is None:
         basis = np.arange(n, n + m)
-        vstat = np.full(ncols, _NB_LOWER, dtype=np.int8)
+        # nonbasic columns start on the bound nearest zero
+        vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
         vstat[basis] = _BASIC
-        # nonbasic structurals sit on the finite bound nearest zero
-        for j in range(n):
-            if not math.isfinite(l[j]):
-                vstat[j] = _NB_UPPER
-            elif math.isfinite(u[j]) and abs(u[j]) < abs(l[j]):
-                vstat[j] = _NB_UPPER
     else:
         basis = basis.copy()
         vstat = vstat.copy()
 
-    def nonbasic_values() -> np.ndarray:
+    def refresh():
+        """Refactorize, recompute the reduced costs, move each nonbasic
+        column whose reduced cost has the wrong sign to its other bound,
+        and recompute the primal values."""
+        fac = _Basis(canon, basis)
+        d = c - AT @ fac.btran(c[basis])
+        d[basis] = 0.0
+        vstat[(vstat == _NB_LOWER) & movable & (d < -dtol)] = _NB_UPPER
+        vstat[(vstat == _NB_UPPER) & movable & (d > dtol)] = _NB_LOWER
         x = np.where(vstat == _NB_UPPER, u, l)
         x[basis] = 0.0
-        return x
-
-    def recompute_basics(x: np.ndarray, fac: _Basis):
-        x[basis] = 0.0
-        x[basis] = fac.ftran(canon.b - canon.A @ x)
-
-    try:
-        factors = _Basis(canon, basis)
-    except RuntimeError:
-        return _SxResult("numerical", None, None, None, None, 0)
-    x = nonbasic_values()
-    recompute_basics(x, factors)
+        x[basis] = fac.ftran(canon.b - A @ x)
+        return fac, d, x
 
     iter_limit = 20_000 + 50 * m
     iters = 0
     bland = False
     stall = 0
-    last_obj = math.inf
+    last_obj = -math.inf
+    need_refresh = True
     concluding_refresh = False
 
     while True:
+        if need_refresh:
+            try:
+                factors, d, x = refresh()
+            except RuntimeError:
+                return _SxResult("numerical", None, None, None, None, iters)
+            need_refresh = False
         if iters >= iter_limit:
             return _SxResult("iteration_limit", None, None, None, None, iters)
         if deadline is not None and iters % 16 == 0 and time.perf_counter() > deadline:
             return _SxResult("time_limit", None, None, None, None, iters)
 
         xb = x[basis]
-        lB, uB = l[basis], u[basis]
-        below = lB - xb > feas_tol
-        above = xb - uB > feas_tol
-        phase1 = bool(below.any() or above.any())
-
-        if phase1:
-            cB = np.where(below, -1.0, 0.0) + np.where(above, 1.0, 0.0)
-            obj = float(np.sum((lB - xb)[below]) + np.sum((xb - uB)[above]))
-            cvec = None
-        else:
-            cB = c[basis]
-            obj = float(c @ x)
-            cvec = c
-
-        # pricing
-        y = factors.btran(cB)
-        d = (cvec if cvec is not None else 0.0) - canon.AT @ y
-        open_bounds = u - l > 0.0
-        cand_lo = (vstat == _NB_LOWER) & open_bounds & (d < -dtol)
-        cand_up = (vstat == _NB_UPPER) & open_bounds & (d > dtol)
-        cand = cand_lo | cand_up
-
-        if not cand.any():
-            # before concluding, refresh the factorization once to kill drift
-            if not concluding_refresh:
-                try:
-                    factors = _Basis(canon, basis)
-                except RuntimeError:
-                    return _SxResult("numerical", None, None, None, None, iters)
-                recompute_basics(x, factors)
-                concluding_refresh = True
+        viol = np.maximum(l[basis] - xb, xb - u[basis])
+        infeasible_rows = np.flatnonzero(viol > feas_tol)
+        if not infeasible_rows.size:
+            # before concluding, refresh a used factorization once to kill drift
+            if not concluding_refresh and factors.age:
+                need_refresh = concluding_refresh = True
                 continue
-            if phase1:
-                return _SxResult("infeasible", None, None, None, None, iters)
             return _SxResult("optimal", x, float(c @ x), basis, vstat, iters)
-        concluding_refresh = False
 
+        # pricing: the basic variable with the largest bound violation
+        # (Bland: the one with the lowest column index)
         if bland:
-            q = int(np.flatnonzero(cand)[0])
+            r = int(infeasible_rows[np.argmin(basis[infeasible_rows])])
         else:
-            scores = np.where(cand, np.abs(d), -1.0)
-            q = int(np.argmax(scores))
-        sigma = 1.0 if cand_lo[q] else -1.0
+            r = int(np.argmax(viol))
+        p = int(basis[r])
+        s = 1.0 if xb[r] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
+        e = np.zeros(m)
+        e[r] = 1.0
+        alpha = AT @ factors.btran(e)  # row r of B^-1 A
+
+        # bound-flipping ratio test over the columns whose reduced cost moves
+        # towards zero as the dual step t grows
+        sa = s * alpha
+        at_lower = vstat == _NB_LOWER
+        cand = np.flatnonzero(movable & ((at_lower & (sa > _PIVOT_TOL))
+                                         | ((vstat == _NB_UPPER) & (sa < -_PIVOT_TOL))))
+        a = np.abs(alpha[cand])
+        dual_slack = np.where(at_lower[cand], d[cand], -d[cand])
+        ratio = np.maximum(dual_slack, 0.0) / a
+        slope = float(viol[r])  # the dual objective's rate of increase in t
+        open_ = np.ones(cand.size, dtype=bool)
+        flipped = []
+        k = -1
+        while open_.any():
+            group = np.flatnonzero(open_ & (ratio <= ratio[open_].min()))
+            slope -= float(a[group] @ range_[cand[group]])
+            if slope <= feas_tol:  # x_p reaches its bound inside this group
+                k = int(group[np.argmin(cand[group])] if bland else group[np.argmax(a[group])])
+                break
+            flipped.append(group)
+            open_[group] = False
+
+        if k < 0:  # the dual rises without bound: the primal is infeasible
+            if not concluding_refresh and factors.age:
+                need_refresh = concluding_refresh = True
+                continue
+            return _SxResult("infeasible", None, None, None, None, iters)
+        concluding_refresh = False
+        q = int(cand[k])
 
         w = factors.ftran(canon.column(q))
-        rate = -sigma * w
-
-        # ratio test (two passes; infeasible basics block when they reach the
-        # violated bound, feasible basics at the bound they move towards)
-        usable = np.abs(w) > _PIVOT_TOL
-        theta = np.full(m, math.inf)
-        relaxed = np.full(m, math.inf)
-        pos = usable & (rate > 0.0)
-        neg = usable & (rate < 0.0)
-
-        tgt_pos = np.where(below, lB, uB)       # rising: violated-lower vars stop at l
-        tgt_neg = np.where(above, uB, lB)       # falling: violated-upper vars stop at u
-        blk_pos = pos & ~above                  # rising basics above u never block tighter
-        blk_neg = neg & ~below
-        with np.errstate(invalid="ignore", divide="ignore"):
-            theta[blk_pos] = (tgt_pos[blk_pos] - xb[blk_pos]) / rate[blk_pos]
-            relaxed[blk_pos] = (tgt_pos[blk_pos] - xb[blk_pos] + feas_tol) / rate[blk_pos]
-            theta[blk_neg] = (xb[blk_neg] - tgt_neg[blk_neg]) / (-rate[blk_neg])
-            relaxed[blk_neg] = (xb[blk_neg] - tgt_neg[blk_neg] + feas_tol) / (-rate[blk_neg])
-        theta = np.maximum(theta, 0.0)
-        relaxed = np.maximum(relaxed, 0.0)
-
-        theta_own = u[q] - l[q]  # entering variable may flip to its other bound
-        theta_max = float(np.min(relaxed))
-
-        if not math.isfinite(theta_max) and not math.isfinite(theta_own):
-            if phase1:
-                return _SxResult("numerical", None, None, None, None, iters)
-            return _SxResult("unbounded", None, None, None, None, iters)
-
-        if theta_own <= theta_max:
-            # bound flip, no basis change
-            x[basis] = xb + rate * theta_own
-            x[q] = u[q] if vstat[q] == _NB_LOWER else l[q]
-            vstat[q] = _NB_UPPER if vstat[q] == _NB_LOWER else _NB_LOWER
-            iters += 1
+        if abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(w[r])) and factors.age:
+            need_refresh = True  # row and column disagree on the pivot: drift
             continue
 
-        ties = np.flatnonzero(theta <= theta_max)
-        if ties.size == 0:
-            # numerical corner: relaxed pass found a blocker but exact pass did not
-            ties = np.array([int(np.argmin(relaxed))])
-        if bland:
-            r = int(ties[np.argmin(basis[ties])])
-        else:
-            r = int(ties[np.argmax(np.abs(w[ties]))])
-        step = float(theta[r])
+        if flipped:
+            fl = cand[np.concatenate(flipped)]
+            delta = np.zeros(x.size)
+            delta[fl] = np.where(at_lower[fl], range_[fl], -range_[fl])
+            x += delta
+            vstat[fl] = np.where(at_lower[fl], _NB_UPPER, _NB_LOWER)
+            x[basis] -= factors.ftran(A @ delta)
 
-        leaving = int(basis[r])
-        x[basis] = xb + rate * step
-        x[q] = (l[q] if vstat[q] == _NB_LOWER else u[q]) + sigma * step
-        # snap the leaving variable onto the bound that blocked
-        if rate[r] > 0.0:
-            to_upper = not below[r]
-            x[leaving] = tgt_pos[r]
-        else:
-            to_upper = bool(above[r])
-            x[leaving] = tgt_neg[r]
-        vstat[leaving] = _NB_UPPER if to_upper else _NB_LOWER
+        target = u[p] if s > 0.0 else l[p]
+        step = (x[p] - target) / w[r]
+        x[basis] -= step * w
+        x[q] += step
+        x[p] = target
+        theta = s * ratio[k]
+        d -= theta * alpha
+        d[p] = -theta
+        vstat[p] = _NB_UPPER if s > 0.0 else _NB_LOWER
         vstat[q] = _BASIC
         basis[r] = q
+        d[basis] = 0.0
         factors.push(r, w)
         iters += 1
-
         if factors.age >= _REFACTOR_EVERY:
-            try:
-                factors = _Basis(canon, basis)
-            except RuntimeError:
-                return _SxResult("numerical", None, None, None, None, iters)
-            recompute_basics(x, factors)
+            need_refresh = True
 
-        # cycling watch: engage Bland's rule after a run of non-improving pivots
-        if obj < last_obj - 1e-12 * (1.0 + abs(last_obj)):
+        # cycling watch: engage Bland's rule after a run of pivots that do not
+        # raise the dual objective
+        obj = float(c @ x)
+        if obj >= cutoff:
+            return _SxResult("cutoff", None, None, None, None, iters)
+        if obj - last_obj > 1e-12 * (1.0 + abs(obj)):
             stall = 0
             bland = False
         else:
@@ -483,7 +455,7 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
     """Best-bound branch and bound over the integer variables.
 
     Returns an incumbent with relative gap <= ``rel_gap``, or the best
-    incumbent plus the proven dual bound when a node/time limit stops the
+    incumbent plus the proven dual bound when the time limit stops the
     search ('no_incumbent' if nothing integer-feasible was found).  A model
     without integer variables is one simplex solve at the root.
     """
@@ -522,9 +494,6 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         peek_bound = heap[0][0]
         if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= config.rel_gap:
             break
-        if config.node_limit is not None and nodes >= config.node_limit:
-            stop_status = "node_limit"
-            break
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
             break
@@ -538,19 +507,20 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         for j, v in u_over.items():
             u[j] = min(u[j], v)
 
-        res = _simplex(canon, l, u, config, basis=basis, vstat=vstat, deadline=deadline)
+        # a node whose bound cannot improve the incumbent by the gap is pruned
+        cutoff = (math.inf if incumbent_x is None
+                  else incumbent_obj - config.rel_gap * max(1.0, abs(incumbent_obj)))
+        res = _simplex(canon, l, u, config, basis=basis, vstat=vstat, deadline=deadline,
+                       cutoff=cutoff)
         total_iters += res.iterations
-        if res.status == "infeasible":
+        if res.status in ("infeasible", "cutoff"):
             continue
         if res.status in ("time_limit", "iteration_limit", "numerical"):
-            stop_status = "time_limit" if res.status == "time_limit" else res.status
+            stop_status = res.status
             break
-        if res.status == "unbounded":
-            return MilpResult("unbounded", None, None, None, math.inf, nodes,
-                              total_iters, time.perf_counter() - t0)
 
         node_bound = res.objective
-        if node_bound >= incumbent_obj - config.rel_gap * max(1.0, abs(incumbent_obj)):
+        if node_bound >= cutoff:
             continue
 
         frac = _fractional(res.x, int_idx, config.int_tol)
@@ -580,10 +550,9 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
 
     if incumbent_x is None:
         if stop_status is not None:
-            # searches cut off by a limit report 'no_incumbent' with the dual
+            # searches cut off by the time limit report 'no_incumbent' with the dual
             # bound; genuine solver failures keep their own status
-            status = ("no_incumbent" if stop_status in ("time_limit", "node_limit")
-                      else stop_status)
+            status = "no_incumbent" if stop_status == "time_limit" else stop_status
             bound_u = user_val(best_bound) if open_bounds else None
             return MilpResult(status, None, None, bound_u, math.inf, nodes,
                               total_iters, elapsed)

@@ -277,22 +277,49 @@ def check_mc_equivalence(n_points: int = 200) -> str:
     return f"mc/geometric equivalence ok ({checked} pinned points)"
 
 
-def check_milp_oracle(n_instances: int = 100) -> str:
-    """Branch and bound matches exhaustive binary enumeration."""
+def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer point of an all-integer problem's box, and a mask of
+    those that satisfy every row."""
+    points = np.array(list(itertools.product(
+        *[np.arange(lo, hi + 1.0) for lo, hi in zip(prob.lb, prob.ub)])), dtype=float)
+    ok = np.ones(len(points), dtype=bool)
+    for row in prob.rows:
+        a = np.zeros(prob.n_vars)
+        for j, coef in row.coeffs.items():
+            a[j] = coef
+        lhs = points @ a
+        if row.sense == "<=":
+            ok &= lhs <= row.rhs + 1e-9
+        elif row.sense == ">=":
+            ok &= lhs >= row.rhs - 1e-9
+        else:
+            ok &= np.abs(lhs - row.rhs) <= 1e-9
+    return points, ok
+
+
+def check_milp_oracle(n_instances: int = 100, n_general: int = 60) -> str:
+    """Branch and bound matches exhaustive enumeration: ``n_instances``
+    all-binary problems, then ``n_general`` with general integers over
+    small ranges such as [-2, 3]."""
     rng = np.random.default_rng(777)
     senses = np.array(["<=", "<=", ">=", ">=", "="])  # equalities kept rare
-    n_done = 0
-    n_infeasible = 0
-    for _ in range(n_instances):
-        n = int(rng.integers(1, 13))
-        m = int(rng.integers(0, 9))
+    n_infeasible = [0, 0]  # binary, general
+    for inst in range(n_instances + n_general):
+        if inst < n_instances:
+            n = int(rng.integers(1, 13))
+            bounds = [(0.0, 1.0)] * n
+        else:
+            n = int(rng.integers(1, 6))
+            lo = rng.integers(-3, 1, size=n)
+            bounds = [(float(a), float(a + w)) for a, w in zip(lo, rng.integers(1, 6, size=n))]
+        m = int(rng.integers(0, 9 if inst < n_instances else 5))
         c = rng.integers(-9, 10, size=n).astype(float)
         A = rng.integers(-9, 10, size=(m, n)).astype(float)
         sn = senses[rng.integers(0, 5, size=m)]
         rhs = rng.integers(-12, 13, size=m).astype(float)
 
         prob = milp.LpProblem()
-        ids = [prob.add_var(0.0, 1.0, integer=True) for _ in range(n)]
+        ids = [prob.add_var(lo, hi, integer=True) for lo, hi in bounds]
         for i in range(m):
             coeffs = {ids[j]: A[i, j] for j in range(n) if A[i, j] != 0.0}
             if not coeffs:
@@ -300,32 +327,86 @@ def check_milp_oracle(n_instances: int = 100) -> str:
             prob.add_row(coeffs, str(sn[i]), float(rhs[i]))
         prob.set_objective({ids[j]: c[j] for j in range(n)})
 
-        # oracle: enumerate all 2^n assignments
-        bits = np.array(list(itertools.product([0.0, 1.0], repeat=n)))
-        ok = np.ones(len(bits), dtype=bool)
-        for row in prob.rows:
-            a = np.zeros(n)
-            for j, coef in row.coeffs.items():
-                a[j] = coef
-            lhs = bits @ a
-            if row.sense == "<=":
-                ok &= lhs <= row.rhs + 1e-9
-            elif row.sense == ">=":
-                ok &= lhs >= row.rhs - 1e-9
-            else:
-                ok &= np.abs(lhs - row.rhs) <= 1e-9
+        points, ok = _enumerate_milp(prob)
         res = milp.solve_milp(prob)
         if not ok.any():
             assert res.status == "infeasible", f"expected infeasible, got {res.status}"
-            n_infeasible += 1
+            n_infeasible[inst >= n_instances] += 1
         else:
-            best = float(np.min(bits[ok] @ c))
+            best = float(np.min(points[ok] @ c))
             assert res.status == "optimal", f"expected optimal, got {res.status}"
             assert abs(res.objective - best) <= 1e-6, (
                 f"bnb {res.objective} != brute force {best}"
             )
-        n_done += 1
-    return f"milp brute-force oracle ok ({n_done} instances, {n_infeasible} infeasible)"
+    return (f"milp brute-force oracle ok ({n_instances} binary instances, {n_infeasible[0]} "
+            f"infeasible; {n_general} with general integers, {n_infeasible[1]} infeasible)")
+
+
+def check_warm_child(n_lps: int = 150) -> str:
+    """A child LP re-solved warm from its parent's optimal basis matches the
+    same LP solved cold from the slack basis, and a cutoff above the
+    child's optimum does not stop the warm solve.
+
+    Each seeded random LP has 2-9 boxed variables and 1-7 rows of every
+    sense, made feasible by a random point of the box.  After the parent
+    solve, one bound of a basic structural is tightened past its value, as
+    branch and bound does; some tightenings leave the child infeasible.
+    """
+    rng = np.random.default_rng(4242)
+    cfg = milp.SolverConfig()
+    senses = ("<=", ">=", "=")
+    n_children = n_infeasible = n_warm_pivots = n_cold_pivots = 0
+    for _ in range(n_lps):
+        n = int(rng.integers(2, 10))
+        prob = milp.LpProblem()
+        lo = rng.uniform(-5.0, 2.0, size=n)
+        hi = lo + rng.uniform(0.5, 6.0, size=n)
+        for j in range(n):
+            prob.add_var(float(lo[j]), float(hi[j]))
+        point = rng.uniform(lo, hi)
+        for _ in range(int(rng.integers(1, 8))):
+            coeffs = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7}
+            if not coeffs:
+                continue
+            sense = senses[int(rng.integers(0, 3))]
+            slack = 0.0 if sense == "=" else abs(float(rng.normal()))
+            activity = sum(c * point[j] for j, c in coeffs.items())
+            prob.add_row(coeffs, sense, activity + slack if sense == "<=" else activity - slack)
+        prob.set_objective({j: float(rng.normal()) for j in range(n)},
+                           sense="max" if rng.random() < 0.5 else "min")
+        canon = milp._Canon(prob, cfg)
+        parent = milp._simplex(canon, canon.l, canon.u, cfg)
+        assert parent.status == "optimal", parent.status
+        basic = [int(j) for j in parent.basis if j < n and parent.x[j] > canon.l[j] + 1e-6
+                 and parent.x[j] < canon.u[j] - 1e-6]
+        if not basic:
+            continue
+        j = basic[int(rng.integers(0, len(basic)))]
+        l, u = canon.l.copy(), canon.u.copy()
+        if rng.random() < 0.5:
+            u[j] = l[j] + float(rng.uniform(0.0, 1.0)) * (parent.x[j] - l[j])
+        else:
+            l[j] = u[j] - float(rng.uniform(0.0, 1.0)) * (u[j] - parent.x[j])
+        cold = milp._simplex(canon, l, u, cfg)
+        # every basis the warm solve visits bounds the optimum from below, so
+        # a cutoff just above the optimum never stops it
+        optimal = cold.status == "optimal"
+        tol = 1e-9 * (1.0 + abs(cold.objective)) if optimal else 0.0
+        warm = milp._simplex(canon, l, u, cfg, parent.basis, parent.vstat,
+                             cutoff=cold.objective + tol if optimal else math.inf)
+        assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
+        if optimal:
+            assert abs(warm.objective - cold.objective) <= tol, (
+                f"warm {warm.objective} != cold {cold.objective}")
+        else:
+            assert cold.status == "infeasible", cold.status
+            n_infeasible += 1
+        n_children += 1
+        n_warm_pivots += warm.iterations
+        n_cold_pivots += cold.iterations
+    assert n_infeasible > 0 and n_children - n_infeasible > 0, (n_children, n_infeasible)
+    return (f"warm children match cold solves ({n_children} children, {n_infeasible} "
+            f"infeasible; {n_warm_pivots} warm vs {n_cold_pivots} cold pivots)")
 
 
 def check_sppa_invariants(n_problems: int = 50) -> str:
@@ -524,6 +605,7 @@ ALL_CHECKS = (
     check_triangulation,
     check_mc_equivalence,
     check_milp_oracle,
+    check_warm_child,
     check_sppa_invariants,
     check_vertex_optimum,
     check_parser,

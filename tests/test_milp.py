@@ -1,11 +1,13 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
 
-from sppa.milp import BIG_BOUND, LpProblem, SolverConfig, solve_milp
+from sppa import milp
+from sppa.milp import LpProblem, SolverConfig, solve_milp
 
-from properties import check_milp_oracle
+from properties import check_milp_oracle, check_warm_child
 
 
 def knapsack(values, weights, cap):
@@ -35,14 +37,29 @@ def test_lp_infeasible():
     assert solve_milp(p).status == "infeasible"
 
 
-def test_lp_unbounded_gets_capped_with_warning():
+def test_infinite_bounds_rejected():
+    # every column must be boxed: the simplex bounds each slack by its row's
+    # activity range over the variable box
     p = LpProblem()
-    x = p.add_var(0)  # no upper bound
-    p.set_objective({x: -1})
-    with pytest.warns(UserWarning):
-        res = solve_milp(p)
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+        with pytest.raises(ValueError):
+            p.add_var(lo, hi)
+    with pytest.raises(ValueError):
+        p.add_var(0)
+    assert p.n_vars == 0
+
+
+def test_row_free_lp():
+    # no rows: each variable sits at the bound its cost favours, and a
+    # zero-cost variable at the bound nearest zero (lower on a tie)
+    p = LpProblem()
+    ids = [p.add_var(-2, 3), p.add_var(-2, 3), p.add_var(-3, 1), p.add_var(-1, 1)]
+    p.set_objective({ids[0]: 1.0, ids[1]: -2.0}, constant=0.5)
+    res = solve_milp(p)
     assert res.status == "optimal"
-    assert res.objective == pytest.approx(-BIG_BOUND)
+    assert res.x.tolist() == [-2.0, 3.0, 1.0, -1.0]
+    assert res.objective == -2.0 - 6.0 + 0.5
+    assert res.iterations == 0
 
 
 def test_lp_equality_and_negative_bounds():
@@ -140,11 +157,27 @@ def test_milp_incumbent_feasibility_and_integrality():
         assert np.all(np.abs(res.x - np.round(res.x)) <= cfg.int_tol)
 
 
-def test_milp_node_limit_reports_bound():
+def test_milp_time_limit_reports_bound(monkeypatch):
+    # the clock passes the deadline as soon as the root node is solved: the
+    # search stops with the root's children open and reports their bound,
+    # which bounds the optimum from above (a maximisation)
     p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
-    res = solve_milp(p, SolverConfig(node_limit=1))
-    assert res.status in ("node_limit", "no_incumbent", "optimal")
-    assert res.bound is not None
+    full = solve_milp(p)
+    assert full.nodes > 1
+    solved = []
+    simplex = milp._simplex
+
+    def counting(*args, **kwargs):
+        res = simplex(*args, **kwargs)
+        solved.append(res)
+        return res
+
+    monkeypatch.setattr(milp, "_simplex", counting)
+    monkeypatch.setattr(milp.time, "perf_counter", lambda: 100.0 if solved else 0.0)
+    res = solve_milp(p, SolverConfig(time_limit=10.0))
+    assert res.status == "no_incumbent"
+    assert res.nodes == 1
+    assert res.bound is not None and res.bound >= full.objective - 1e-9
 
 
 def test_milp_determinism():
@@ -166,3 +199,7 @@ def test_config_rejects_nonpositive_time_limit():
 
 def test_oracle_property_suite():
     print(check_milp_oracle())
+
+
+def test_warm_child_property_suite():
+    print(check_warm_child())
