@@ -32,7 +32,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
 class RunReport:
     problem: str
     config: dict
-    rows: list[dict]       # iter, objective, incumbent, max_width, nodes, seconds
+    rows: list[dict]  # iter objective incumbent max_width nodes pivots factorizations seconds
     final_objective: Optional[float]
     best_point: Optional[list[float]]
     termination: str
@@ -100,6 +100,8 @@ def _report_rows(spec: ProblemSpec, result: loop.SppaResult) -> list[dict]:
             "incumbent": [float(v) for v in rec.incumbent],
             "max_width": float(_max_width(rec, nl_names)),
             "nodes": int(rec.milp_stats["nodes"]),
+            "pivots": int(rec.milp_stats["pivots"]),
+            "factorizations": int(rec.milp_stats["factorizations"]),
             "seconds": float(rec.milp_stats["seconds"]),
         })
     return rows
@@ -114,11 +116,12 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective"] + [f"x{k + 1}" for k in range(n_vars)]
-                        + ["max_width", "nodes", "seconds"])
+                        + ["max_width", "nodes", "pivots", "factorizations", "seconds"])
         for row in report.rows:
             writer.writerow([row["iter"], repr(row["objective"])]
                             + [repr(v) for v in row["incumbent"]]
-                            + [repr(row["max_width"]), row["nodes"], repr(row["seconds"])])
+                            + [repr(row["max_width"]), row["nodes"], row["pivots"],
+                               row["factorizations"], repr(row["seconds"])])
 
 
 def cmd_solve(args) -> int:

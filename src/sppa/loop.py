@@ -295,7 +295,8 @@ def run(
             milp_stats={
                 "status": res.status,
                 "nodes": res.nodes,
-                "iterations": res.iterations,
+                "pivots": res.iterations,
+                "factorizations": res.factorizations,
                 "gap": res.gap,
                 "seconds": time.perf_counter() - iter_start,
             },

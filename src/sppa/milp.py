@@ -3,24 +3,28 @@
 Every column is boxed: variable bounds must be finite, and each row's
 slack is bounded by the row's activity range over the variable box.  LP
 relaxations are solved by one bounded dual simplex (revised form, sparse
-LU factorization of the basis refreshed every 64 pivots with product-form
-updates in between; largest-violation pricing and the bound-flipping
-ratio test).  With every column boxed, a basis is dual feasible once each
-nonbasic column sits at the bound its reduced cost favours, so the slack
-basis starts the root with no phase 1, and each branch-and-bound child
-starts from its parent's optimal basis, which one changed bound leaves
-primal infeasible in a few rows at most.  Integer variables are handled by
-best-bound branch and bound, branching on the most fractional variable.
+LU factorization of the basis refreshed every 64 pivots, with the
+product-form etas in between stacked and solved in one pass; largest-
+violation pricing and the bound-flipping ratio test).  With every column
+boxed, a basis is dual feasible once each nonbasic column sits at the
+bound its reduced cost favours, so the slack basis starts the root with no
+phase 1, and each branch-and-bound child starts from its parent's optimal
+basis, factorization, reduced costs and primal values, which one changed
+bound leaves primal infeasible in a few rows at most.  Integer variables
+are handled by best-bound branch and bound, branching on the most
+fractional variable.
 
-Deliberately no cutting planes and no presolve beyond treating fixed
-variables as permanently nonbasic and validating coefficient-free rows,
-so behaviour stays easy to reason about and to test against brute force.
+Deliberately no cutting planes and no presolve beyond rounding integer
+bounds inward, treating fixed variables as permanently nonbasic and
+validating coefficient-free rows, so behaviour stays easy to reason about
+and to test against brute force.
 All tie-breaks are index-based; results are deterministic for identical
 inputs (only ``time_limit`` consults the clock).
 """
 
 from __future__ import annotations
 
+import copy
 import heapq
 import math
 import time
@@ -149,6 +153,7 @@ class MilpResult:
     nodes: int
     iterations: int
     seconds: float
+    factorizations: int = 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,6 +174,9 @@ class _Canon:
         n = problem.n_vars
         lb = np.array(problem.lb, dtype=float)
         ub = np.array(problem.ub, dtype=float)
+        # integer bounds rounded inward, so a nonbasic column is never fractional
+        is_int = np.array(problem.is_int, dtype=bool)
+        lb[is_int], ub[is_int] = np.ceil(lb[is_int]), np.floor(ub[is_int])
 
         self.infeasible = False
         rows = []
@@ -228,32 +236,54 @@ class _Canon:
 
 
 class _Basis:
+    """Sparse LU of the basis and the etas pushed since, stacked: eta i puts
+    ``d_i`` in column ``R[i]``, row i of ``D`` is ``d_i - e_R[i]``, and ``Linv``
+    inverts the triangle with ``L[i, i] = d_i[R[i]]``, ``L[i, j] = D[j, R[i]]``
+    (j < i), so ftran and btran apply every eta in one pass."""
+
     def __init__(self, canon: _Canon, basis: np.ndarray):
-        B = canon.A[:, basis].tocsc()
-        self.lu = splu(B)
-        self.etas: list[tuple[int, np.ndarray, float]] = []
+        self.lu = splu(canon.A[:, basis].tocsc())
+        self.age = 0
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
         y = self.lu.solve(v)
-        for r, d, dr in self.etas:
-            t = y[r] / dr
-            if t != 0.0:
-                y = y - d * t
-            y[r] = t
+        k = self.age
+        if k:
+            y -= (self.Linv[:k, :k] @ y[self.R[:k]]) @ self.D[:k]
         return y
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        w = v.copy()
-        for r, d, dr in reversed(self.etas):
-            w[r] = (w[r] * (1.0 + dr) - w @ d) / dr
-        return self.lu.solve(w, trans="T")
+        k = self.age
+        if k:
+            v = v.copy()
+            np.subtract.at(v, self.R[:k], (self.D[:k] @ v) @ self.Linv[:k, :k])
+        return self.lu.solve(v, trans="T")
 
     def push(self, r: int, d: np.ndarray):
-        self.etas.append((r, d.copy(), d[r]))
+        k = self.age
+        if not k:  # so a start state's basis holds only its LU, and copies of it share no etas
+            self.D = np.empty((_REFACTOR_EVERY, d.size))
+            self.R = np.empty(_REFACTOR_EVERY, dtype=np.intp)
+            self.Linv = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
+        self.D[k] = d
+        self.D[k, r] -= 1.0
+        self.R[k] = r
+        self.Linv[k, :k] = (self.D[:k, r] @ self.Linv[:k, :k]) / -d[r]
+        self.Linv[k, k] = 1.0 / d[r]
+        self.age = k + 1
 
-    @property
-    def age(self) -> int:
-        return len(self.etas)
+
+@dataclass
+class _Start:
+    """A basis and its nonbasic bound statuses; from an optimal parent, also
+    its fresh factorization (no etas), reduced costs and primal values, which
+    a child that changes one bound of a basic column shares."""
+
+    basis: np.ndarray
+    vstat: np.ndarray
+    factors: Optional[_Basis] = None
+    d: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -261,47 +291,55 @@ class _SxResult:
     status: str
     x: Optional[np.ndarray]
     objective: Optional[float]  # internal (minimization) value, no constant
-    basis: Optional[np.ndarray]
-    vstat: Optional[np.ndarray]
+    start: Optional[_Start]  # the optimal state, for the children
     iterations: int
+    factorizations: int
 
 
 def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
-             basis: Optional[np.ndarray] = None, vstat: Optional[np.ndarray] = None,
-             deadline: Optional[float] = None, cutoff: float = math.inf) -> _SxResult:
+             start: Optional[_Start] = None, deadline: Optional[float] = None,
+             cutoff: float = math.inf) -> _SxResult:
     """Bounded dual simplex on the canonical equality form.
 
-    Starts from ``basis``/``vstat`` (the slack basis when None), which is
-    dual feasible once every nonbasic column sits at the bound its reduced
-    cost favours; a column whose reduced cost is within tolerance of zero
-    keeps its bound.  Each pivot removes the basic variable with the
-    largest bound violation.  The ratio test passes every breakpoint the
-    dual objective still rises through, flipping those columns to their
-    other bound, and enters the column at the next one (largest |alpha|
-    on ties, then the lowest index).  The objective of
-    every basis visited is a lower bound on the optimum, so the solve stops
-    with status 'cutoff' once it reaches ``cutoff``.  ``iterations`` counts
-    basis changes.
+    Starts from ``start`` (the slack basis when None), which is dual
+    feasible once every nonbasic column sits at the bound its reduced cost
+    favours; a column whose reduced cost is within tolerance of zero keeps
+    its bound.  Each pivot removes the basic variable with the largest bound
+    violation.  The ratio test passes every breakpoint the dual objective
+    still rises through, flipping those columns to their other bound, and
+    enters the column at the next one (largest |alpha| on ties, then the
+    lowest index).  The objective of every basis visited is a lower bound
+    on the optimum, so the solve stops with status 'cutoff' once it reaches
+    ``cutoff``.  ``iterations`` counts basis changes.  An optimal solve ends
+    on a fresh factorization, returned in ``start`` with the reduced costs
+    and primal values.
     """
     m, n = canon.m, canon.nstruct
     feas_tol = config.feas_tol
+    iters = n_factor = 0
+
+    def stop(status: str) -> _SxResult:
+        return _SxResult(status, None, None, None, iters, n_factor)
 
     if np.any(l > u + feas_tol):
-        return _SxResult("infeasible", None, None, None, None, 0)
+        return stop("infeasible")
 
     A, AT, c = canon.A, canon.AT, canon.c
     dtol = 1e-9 * (1.0 + (float(np.max(np.abs(c))) if c.size else 0.0))
     movable = u > l
     range_ = u - l
 
-    if basis is None:
+    if start is None:
         basis = np.arange(n, n + m)
         # nonbasic columns start on the bound nearest zero
         vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
         vstat[basis] = _BASIC
     else:
-        basis = basis.copy()
-        vstat = vstat.copy()
+        basis = start.basis.copy()
+        vstat = start.vstat.copy()
+    need_refresh = start is None or start.factors is None
+    if not need_refresh:  # the parent's state, with an eta file of its own
+        factors, d, x = copy.copy(start.factors), start.d.copy(), start.x.copy()
 
     def refresh():
         """Refactorize, recompute the reduced costs, move each nonbasic
@@ -318,24 +356,23 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
         return fac, d, x
 
     iter_limit = 20_000 + 50 * m
-    iters = 0
     bland = False
     stall = 0
     last_obj = -math.inf
-    need_refresh = True
     concluding_refresh = False
 
     while True:
         if need_refresh:
+            n_factor += 1
             try:
                 factors, d, x = refresh()
             except RuntimeError:
-                return _SxResult("numerical", None, None, None, None, iters)
+                return stop("numerical")
             need_refresh = False
         if iters >= iter_limit:
-            return _SxResult("iteration_limit", None, None, None, None, iters)
+            return stop("iteration_limit")
         if deadline is not None and iters % 16 == 0 and time.perf_counter() > deadline:
-            return _SxResult("time_limit", None, None, None, None, iters)
+            return stop("time_limit")
 
         xb = x[basis]
         viol = np.maximum(l[basis] - xb, xb - u[basis])
@@ -345,7 +382,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
             if not concluding_refresh and factors.age:
                 need_refresh = concluding_refresh = True
                 continue
-            return _SxResult("optimal", x, float(c @ x), basis, vstat, iters)
+            return _SxResult("optimal", x, float(c @ x), _Start(basis, vstat, factors, d, x),
+                             iters, n_factor)
 
         # pricing: the basic variable with the largest bound violation
         # (Bland: the one with the lowest column index)
@@ -385,7 +423,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
             if not concluding_refresh and factors.age:
                 need_refresh = concluding_refresh = True
                 continue
-            return _SxResult("infeasible", None, None, None, None, iters)
+            return stop("infeasible")
         concluding_refresh = False
         q = int(cand[k])
 
@@ -423,7 +461,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
         # raise the dual objective
         obj = float(c @ x)
         if obj >= cutoff:
-            return _SxResult("cutoff", None, None, None, None, iters)
+            return stop("cutoff")
         if obj - last_obj > 1e-12 * (1.0 + abs(obj)):
             stall = 0
             bland = False
@@ -476,7 +514,7 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
 
     incumbent_x = None
     incumbent_obj = math.inf  # internal minimization value
-    total_iters = 0
+    total_iters = total_factor = 0
     nodes = 0
     stop_status = None
 
@@ -485,11 +523,11 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
             return math.inf
         return max(0.0, inc - bnd) / max(1.0, abs(inc))
 
-    # heap entries: (bound, -depth, seq, l_over, u_over, basis, vstat);
-    # best bound first, deeper node on ties, insertion order last (seq is
-    # unique, so dicts/arrays never get compared)
+    # heap entries: (bound, -depth, seq, l_over, u_over, start), both children
+    # sharing their parent's start; best bound first, deeper node on ties,
+    # insertion order last (seq is unique, so dicts/arrays never get compared)
     seq = 0
-    heap: list = [(-math.inf, 0, seq, {}, {}, None, None)]
+    heap: list = [(-math.inf, 0, seq, {}, {}, None)]
     while heap:
         peek_bound = heap[0][0]
         if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= config.rel_gap:
@@ -497,7 +535,7 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
             break
-        _, negdepth, _, l_over, u_over, basis, vstat = heapq.heappop(heap)
+        _, negdepth, _, l_over, u_over, start = node = heapq.heappop(heap)
 
         nodes += 1
         l = canon.l.copy()
@@ -510,13 +548,14 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         # a node whose bound cannot improve the incumbent by the gap is pruned
         cutoff = (math.inf if incumbent_x is None
                   else incumbent_obj - config.rel_gap * max(1.0, abs(incumbent_obj)))
-        res = _simplex(canon, l, u, config, basis=basis, vstat=vstat, deadline=deadline,
-                       cutoff=cutoff)
+        res = _simplex(canon, l, u, config, start, deadline=deadline, cutoff=cutoff)
         total_iters += res.iterations
+        total_factor += res.factorizations
         if res.status in ("infeasible", "cutoff"):
             continue
         if res.status in ("time_limit", "iteration_limit", "numerical"):
             stop_status = res.status
+            heapq.heappush(heap, node)  # unsolved, so its bound still counts
             break
 
         node_bound = res.objective
@@ -540,28 +579,25 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
             ({**l_over, j: math.ceil(xj)}, dict(u_over)),
         ):
             seq += 1
-            heapq.heappush(heap, (node_bound, negdepth - 1, seq,
-                                  child_l, child_u, res.basis, res.vstat))
+            heapq.heappush(heap, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
 
     elapsed = time.perf_counter() - t0
-    open_bounds = [entry[0] for entry in heap]
-    best_bound = min(open_bounds) if open_bounds else incumbent_obj
-    best_bound = min(best_bound, incumbent_obj)
+    best_bound = min([incumbent_obj] + [entry[0] for entry in heap])
 
     if incumbent_x is None:
         if stop_status is not None:
             # searches cut off by the time limit report 'no_incumbent' with the dual
             # bound; genuine solver failures keep their own status
             status = "no_incumbent" if stop_status == "time_limit" else stop_status
-            bound_u = user_val(best_bound) if open_bounds else None
+            bound_u = user_val(best_bound) if math.isfinite(best_bound) else None
             return MilpResult(status, None, None, bound_u, math.inf, nodes,
-                              total_iters, elapsed)
+                              total_iters, elapsed, total_factor)
         return MilpResult("infeasible", None, None, None, math.inf, nodes,
-                          total_iters, elapsed)
+                          total_iters, elapsed, total_factor)
 
     gap = gap_of(incumbent_obj, best_bound)
     status = stop_status if (stop_status is not None and gap > config.rel_gap) else "optimal"
     if not _check_solution(problem, incumbent_x, config.feas_tol):
         status = "numerical"
     return MilpResult(status, incumbent_x, user_val(incumbent_obj), user_val(best_bound),
-                      gap, nodes, total_iters, elapsed)
+                      gap, nodes, total_iters, elapsed, total_factor)

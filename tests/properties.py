@@ -13,10 +13,12 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import types
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
+import scipy.sparse as sp
 
 from sppa import expr, loop, milp, pwl
 from sppa.mcmodel import encode_term
@@ -345,7 +347,10 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60) -> str:
 def check_warm_child(n_lps: int = 150) -> str:
     """A child LP re-solved warm from its parent's optimal basis matches the
     same LP solved cold from the slack basis, and a cutoff above the
-    child's optimum does not stop the warm solve.
+    child's optimum does not stop the warm solve.  Started from the parent's
+    factorization, reduced costs and primal values, the child takes exactly
+    the pivots it takes from the parent's basis with a fresh refactorization,
+    ends bit-identical, and factorizes once less.
 
     Each seeded random LP has 2-9 boxed variables and 1-7 rows of every
     sense, made feasible by a random point of the box.  After the parent
@@ -377,7 +382,7 @@ def check_warm_child(n_lps: int = 150) -> str:
         canon = milp._Canon(prob, cfg)
         parent = milp._simplex(canon, canon.l, canon.u, cfg)
         assert parent.status == "optimal", parent.status
-        basic = [int(j) for j in parent.basis if j < n and parent.x[j] > canon.l[j] + 1e-6
+        basic = [int(j) for j in parent.start.basis if j < n and parent.x[j] > canon.l[j] + 1e-6
                  and parent.x[j] < canon.u[j] - 1e-6]
         if not basic:
             continue
@@ -392,8 +397,13 @@ def check_warm_child(n_lps: int = 150) -> str:
         # a cutoff just above the optimum never stops it
         optimal = cold.status == "optimal"
         tol = 1e-9 * (1.0 + abs(cold.objective)) if optimal else 0.0
-        warm = milp._simplex(canon, l, u, cfg, parent.basis, parent.vstat,
-                             cutoff=cold.objective + tol if optimal else math.inf)
+        cutoff = cold.objective + tol if optimal else math.inf
+        warm = milp._simplex(canon, l, u, cfg, parent.start, cutoff=cutoff)
+        fresh = milp._simplex(canon, l, u, cfg,
+                              milp._Start(parent.start.basis, parent.start.vstat), cutoff=cutoff)
+        assert (warm.status, warm.iterations, warm.factorizations + 1) == (
+            fresh.status, fresh.iterations, fresh.factorizations), (warm, fresh)
+        assert warm.x is fresh.x is None or np.array_equal(warm.x, fresh.x), (warm.x, fresh.x)
         assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
         if optimal:
             assert abs(warm.objective - cold.objective) <= tol, (
@@ -407,6 +417,82 @@ def check_warm_child(n_lps: int = 150) -> str:
     assert n_infeasible > 0 and n_children - n_infeasible > 0, (n_children, n_infeasible)
     return (f"warm children match cold solves ({n_children} children, {n_infeasible} "
             f"infeasible; {n_warm_pivots} warm vs {n_cold_pivots} cold pivots)")
+
+
+class _EtaLoop:
+    """The product-form eta file applied one eta at a time: the reference
+    for ``milp._Basis``'s stacked solves."""
+
+    def __init__(self, lu):
+        self.lu = lu
+        self.etas: list[tuple[int, np.ndarray, float]] = []
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        y = self.lu.solve(v)
+        for r, d, dr in self.etas:
+            t = y[r] / dr
+            if t != 0.0:
+                y = y - d * t
+            y[r] = t
+        return y
+
+    def btran(self, v: np.ndarray) -> np.ndarray:
+        w = v.copy()
+        for r, d, dr in reversed(self.etas):
+            w[r] = (w[r] * (1.0 + dr) - w @ d) / dr
+        return self.lu.solve(w, trans="T")
+
+    def push(self, r: int, d: np.ndarray):
+        self.etas.append((r, d.copy(), d[r]))
+
+
+def check_eta_file(n_bases: int = 40) -> str:
+    """``milp._Basis``'s stacked eta file solves as the sequential loop does.
+
+    Each seeded case factorizes a random sparse basis of 2-40 rows, then
+    pushes up to 64 etas as the simplex would: the ftran'd entering column
+    and its pivot row, reusing an earlier pivot row one time in three.
+    After every push, ftran and btran of a random vector agree with the
+    loop to ``1e-9 * (1 + max|y|)``.
+    """
+    rng = np.random.default_rng(6060)
+    n_pushes = n_repeats = 0
+    worst = 0.0
+    for _ in range(n_bases):
+        m = int(rng.integers(2, 41))
+        n = m + int(rng.integers(1, 2 * m))
+        A = sp.random(m, n, density=min(1.0, 3.0 / m), random_state=rng, format="csc")
+        # a heavy diagonal in the first m columns makes them a well-conditioned basis
+        A = (A + sp.diags(rng.uniform(1.0, 3.0, size=m), 0, shape=(m, n))).tocsc()
+        dense = A.toarray()
+        basis = rng.permutation(m)
+        fac = milp._Basis(types.SimpleNamespace(A=A), basis)
+        ref = _EtaLoop(fac.lu)
+        rows: list[int] = []
+        for _ in range(int(rng.integers(1, milp._REFACTOR_EVERY + 1))):
+            repeat = rows and rng.random() < 1.0 / 3.0
+            r = int(rng.choice(rows)) if repeat else int(rng.integers(0, m))
+            cols = np.setdiff1d(np.arange(n), basis)
+            cols = rng.choice(cols, size=min(8, cols.size), replace=False)
+            w = [fac.ftran(dense[:, q]) for q in cols]
+            size = np.array([abs(wq[r]) for wq in w])
+            if size.max() < 1e-3:
+                continue
+            k = int(rng.choice(np.flatnonzero(size >= 0.1 * size.max())))
+            fac.push(r, w[k])
+            ref.push(r, w[k])
+            basis[r] = cols[k]
+            n_repeats += bool(repeat)
+            n_pushes += 1
+            rows.append(r)
+            v = rng.normal(size=m)
+            for got, want in ((fac.ftran(v), ref.ftran(v)), (fac.btran(v), ref.btran(v))):
+                err = float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
+                worst = max(worst, err)
+                assert err <= 1e-9, f"stacked eta file off by {err:.3g} after {fac.age} etas"
+    assert n_repeats > 0
+    return (f"stacked eta file matches the sequential loop ({n_bases} bases, {n_pushes} "
+            f"etas, {n_repeats} on a repeated row; worst relative error {worst:.2g})")
 
 
 def check_sppa_invariants(n_problems: int = 50) -> str:
@@ -606,6 +692,7 @@ ALL_CHECKS = (
     check_mc_equivalence,
     check_milp_oracle,
     check_warm_child,
+    check_eta_file,
     check_sppa_invariants,
     check_vertex_optimum,
     check_parser,

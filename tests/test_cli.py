@@ -40,7 +40,8 @@ def test_json_and_csv_numeric_content_match(tmp_path):
     report = json.loads(j.read_text())
     with open(c) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "nodes", "seconds"]
+    assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "nodes", "pivots",
+                       "factorizations", "seconds"]
     assert len(rows) - 1 == len(report["rows"])
     for csv_row, jrow in zip(rows[1:], report["rows"]):
         assert int(csv_row[0]) == jrow["iter"]
@@ -48,6 +49,8 @@ def test_json_and_csv_numeric_content_match(tmp_path):
         assert [float(csv_row[2]), float(csv_row[3])] == jrow["incumbent"]
         assert float(csv_row[4]) == jrow["max_width"]
         assert int(csv_row[5]) == jrow["nodes"]
+        assert int(csv_row[6]) == jrow["pivots"]
+        assert int(csv_row[7]) == jrow["factorizations"]
 
 
 def _strip_timing(report: dict) -> dict:
@@ -59,14 +62,29 @@ def _strip_timing(report: dict) -> dict:
 
 
 def test_deterministic_reruns(tmp_path):
-    a = tmp_path / "a.json"
-    b = tmp_path / "b.json"
-    flags = ["solve", "--problem", "rastrigin", "--initial-n-pieces", "6",
-             "--n-pieces", "3", "--contract-frac", "0.5"]
-    assert run_cli(flags + ["--out", str(a)]) == 0
-    assert run_cli(flags + ["--out", str(b)]) == 0
-    ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
-    assert _strip_timing(ra) == _strip_timing(rb)
+    # rastrigin is solved at the grid vertices; the parabola model's rows
+    # send it through branch and bound, so its reruns also compare the
+    # simplex counters
+    parabola = tmp_path / "parabola.prob"
+    parabola.write_text("[variables]\nx -1 1\ny 0 2\n[objective]\nmin y\n"
+                        "[constraints]\nx^2 - y <= 0\nx >= 0.5\n")
+    cases = (
+        (["rastrigin", "--initial-n-pieces", "6", "--n-pieces", "3"], False),
+        ([str(parabola), "--max-iters", "30"], True),
+    )
+    for problem, through_milp in cases:
+        a = tmp_path / "a.json"
+        b = tmp_path / "b.json"
+        flags = ["solve", "--problem"] + problem + ["--contract-frac", "0.5"]
+        assert run_cli(flags + ["--out", str(a)]) == 0
+        assert run_cli(flags + ["--out", str(b)]) == 0
+        ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
+        assert _strip_timing(ra) == _strip_timing(rb)
+        for row in ra["rows"]:
+            if through_milp:
+                assert row["nodes"] >= 1 and row["pivots"] > 0 and row["factorizations"] >= 1
+            else:
+                assert row["nodes"] == row["pivots"] == row["factorizations"] == 0
 
 
 def test_unknown_problem_exits_2(capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -7,7 +8,7 @@ import pytest
 from sppa import milp
 from sppa.milp import LpProblem, SolverConfig, solve_milp
 
-from properties import check_milp_oracle, check_warm_child
+from properties import check_eta_file, check_milp_oracle, check_warm_child
 
 
 def knapsack(values, weights, cap):
@@ -102,6 +103,25 @@ def test_empty_row_consistency():
     assert solve_milp(q).status == "optimal"
 
 
+def test_integer_bounds_rounded_inward():
+    # x in [0.5, 3.5] is x in [1, 3]: no column sits nonbasic at a
+    # fractional bound, where a child's inherited primal values would miss
+    # the branched bound
+    p = LpProblem()
+    x = p.add_var(0.5, 3.5, integer=True)
+    y = p.add_var(0.0, 0.25)
+    p.add_row({x: 1, y: 1}, "<=", 10)
+    p.set_objective({x: 1, y: 1}, sense="max")
+    res = solve_milp(p)
+    assert res.status == "optimal"
+    assert res.x.tolist() == [3.0, 0.25]
+    q = LpProblem()
+    z = q.add_var(0.2, 0.8, integer=True)
+    q.add_row({z: 1}, "<=", 1)
+    q.set_objective({z: 1})
+    assert solve_milp(q).status == "infeasible"
+
+
 def test_milp_integral_relaxation_no_branching():
     p = LpProblem()
     x = p.add_var(0, 3, integer=True)
@@ -180,6 +200,29 @@ def test_milp_time_limit_reports_bound(monkeypatch):
     assert res.bound is not None and res.bound >= full.objective - 1e-9
 
 
+def test_milp_stop_inside_a_node_keeps_its_bound(monkeypatch):
+    # the third simplex solve stops on the time limit: the node it was
+    # solving stays open, so the reported bound still bounds the optimum
+    # from above (a maximisation); dropping it reported 68.375
+    p = knapsack([19, 1, 13, 6, 4, 13, 13, 15], [2, 8, 4, 1, 1, 1, 1, 6], 13)
+    assert solve_milp(p).objective == pytest.approx(70.0)
+    calls = []
+    simplex = milp._simplex
+
+    def stopping(*args, **kwargs):
+        res = simplex(*args, **kwargs)
+        calls.append(res)
+        if len(calls) == 3:
+            return dataclasses.replace(res, status="time_limit", x=None, objective=None)
+        return res
+
+    monkeypatch.setattr(milp, "_simplex", stopping)
+    res = solve_milp(p)
+    assert len(calls) == 3
+    assert res.status == "no_incumbent"
+    assert res.bound >= 70.0 - 1e-9
+
+
 def test_milp_determinism():
     p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
     a = solve_milp(p)
@@ -203,3 +246,7 @@ def test_oracle_property_suite():
 
 def test_warm_child_property_suite():
     print(check_warm_child())
+
+
+def test_eta_file_property_suite():
+    print(check_eta_file())
