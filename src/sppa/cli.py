@@ -2,7 +2,8 @@
 
 Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags or an
 unknown problem, 3 on a problem-file error (parse or domain error, reported
-with its line), 4 when the very first piecewise model is infeasible.
+with its line), 4 when the run ends with no incumbent (the printed
+``termination`` names the cause).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from sppa.problems import (ProblemFormatError, ProblemSpec, builtin,
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_PARSE = 3
-EXIT_INFEASIBLE = 4
+EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
 
@@ -32,7 +33,7 @@ _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
 class RunReport:
     problem: str
     config: dict
-    rows: list[dict]  # iter objective incumbent max_width nodes pivots factorizations seconds
+    rows: list[dict]  # per iteration: the CSV columns, with the incumbent as a list
     final_objective: Optional[float]
     best_point: Optional[list[float]]
     termination: str
@@ -101,6 +102,7 @@ def _report_rows(spec: ProblemSpec, result: loop.SppaResult) -> list[dict]:
             "max_width": float(_max_width(rec, nl_names)),
             "nodes": int(rec.milp_stats["nodes"]),
             "pivots": int(rec.milp_stats["pivots"]),
+            "root_pivots": int(rec.milp_stats["root_pivots"]),
             "factorizations": int(rec.milp_stats["factorizations"]),
             "seconds": float(rec.milp_stats["seconds"]),
         })
@@ -116,12 +118,13 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective"] + [f"x{k + 1}" for k in range(n_vars)]
-                        + ["max_width", "nodes", "pivots", "factorizations", "seconds"])
+                        + ["max_width", "nodes", "pivots", "root_pivots", "factorizations",
+                           "seconds"])
         for row in report.rows:
             writer.writerow([row["iter"], repr(row["objective"])]
                             + [repr(v) for v in row["incumbent"]]
                             + [repr(row["max_width"]), row["nodes"], row["pivots"],
-                               row["factorizations"], repr(row["seconds"])])
+                               row["root_pivots"], row["factorizations"], repr(row["seconds"])])
 
 
 def cmd_solve(args) -> int:
@@ -183,7 +186,7 @@ def cmd_solve(args) -> int:
     print(f"termination: {result.termination}")
     if result.best_point is None:
         print("no incumbent found")
-        return EXIT_INFEASIBLE
+        return EXIT_NO_INCUMBENT
     point = ", ".join(f"{name}={v + 0.0:.6g}" for name, v in zip(names, result.best_point))
     print(f"best objective: {result.best_objective:.6e} at ({point})")
     print(f"total: {result.seconds:.2f} s, {len(result.trace)} iterations")

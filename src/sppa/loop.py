@@ -8,6 +8,10 @@ then shrinks the box of every variable that appears in a nonlinear term by
 previous box).  Variables outside all nonlinear terms keep their bounds
 untouched.  The best point is tracked by exact objective value, which
 guards against surrogate underestimation.
+
+At a fixed piece count every model has the same columns and rows in the
+same order, so each MILP root starts from the previous iteration's optimal
+root basis (``MilpResult.start``), kept only inside one ``run`` call.
 """
 
 from __future__ import annotations
@@ -262,6 +266,7 @@ def run(
     stall_run = 0
     prev_obj = None
     prev_z = None
+    start = None  # the previous MILP's optimal root basis
     termination = "max_iters"
 
     for it in range(config.max_iters):
@@ -276,7 +281,8 @@ def run(
             model = build_iteration_model(spec, current, pieces)
             solver = None if deadline is None else milp.SolverConfig(
                 time_limit=max(deadline - time.perf_counter(), 0.01))
-            res = milp.solve_milp(model.lp, solver)
+            res = milp.solve_milp(model.lp, solver, start)
+            start = res.start
 
         if res.x is None:
             # infeasible | numerical | iteration_limit end the run under their
@@ -296,6 +302,7 @@ def run(
                 "status": res.status,
                 "nodes": res.nodes,
                 "pivots": res.iterations,
+                "root_pivots": res.root_pivots,
                 "factorizations": res.factorizations,
                 "gap": res.gap,
                 "seconds": time.perf_counter() - iter_start,

@@ -7,12 +7,12 @@ LU factorization of the basis refreshed every 64 pivots, with the
 product-form etas in between stacked and solved in one pass; largest-
 violation pricing and the bound-flipping ratio test).  With every column
 boxed, a basis is dual feasible once each nonbasic column sits at the
-bound its reduced cost favours, so the slack basis starts the root with no
-phase 1, and each branch-and-bound child starts from its parent's optimal
-basis, factorization, reduced costs and primal values, which one changed
-bound leaves primal infeasible in a few rows at most.  Integer variables
-are handled by best-bound branch and bound, branching on the most
-fractional variable.
+bound its reduced cost favours, so with no phase 1 the root starts from a
+given basis (the previous outer iteration's) or the slack basis, and each
+branch-and-bound child from its parent's optimal basis, factorization,
+reduced costs and primal values, which one changed bound leaves primal
+infeasible in a few rows at most.  Integer variables are handled by
+best-bound branch and bound, branching on the most fractional variable.
 
 Deliberately no cutting planes and no presolve beyond rounding integer
 bounds inward, treating fixed variables as permanently nonbasic and
@@ -154,6 +154,8 @@ class MilpResult:
     iterations: int
     seconds: float
     factorizations: int = 0
+    root_pivots: int = 0
+    start: Optional[_Start] = None  # the root's optimal basis, for a same-shaped model
 
 
 # ---------------------------------------------------------------------------
@@ -304,11 +306,12 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
     Starts from ``start`` (the slack basis when None), which is dual
     feasible once every nonbasic column sits at the bound its reduced cost
     favours; a column whose reduced cost is within tolerance of zero keeps
-    its bound.  Each pivot removes the basic variable with the largest bound
-    violation.  The ratio test passes every breakpoint the dual objective
-    still rises through, flipping those columns to their other bound, and
-    enters the column at the next one (largest |alpha| on ties, then the
-    lowest index).  The objective of every basis visited is a lower bound
+    its bound; a start without factors whose basis is singular falls back
+    to the slack basis.  Each pivot removes the basic variable with the
+    largest bound violation.  The ratio test passes every breakpoint the
+    dual objective still rises through, flipping those columns to their
+    other bound, and enters the column at the next one (largest |alpha| on
+    ties, then the lowest index).  The objective of every basis visited is a lower bound
     on the optimum, so the solve stops with status 'cutoff' once it reaches
     ``cutoff``.  ``iterations`` counts basis changes.  An optimal solve ends
     on a fresh factorization, returned in ``start`` with the reduced costs
@@ -329,14 +332,14 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
     movable = u > l
     range_ = u - l
 
-    if start is None:
+    def slack_start():
         basis = np.arange(n, n + m)
         # nonbasic columns start on the bound nearest zero
         vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
         vstat[basis] = _BASIC
-    else:
-        basis = start.basis.copy()
-        vstat = start.vstat.copy()
+        return basis, vstat
+
+    basis, vstat = slack_start() if start is None else (start.basis.copy(), start.vstat.copy())
     need_refresh = start is None or start.factors is None
     if not need_refresh:  # the parent's state, with an eta file of its own
         factors, d, x = copy.copy(start.factors), start.d.copy(), start.x.copy()
@@ -367,7 +370,10 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
             try:
                 factors, d, x = refresh()
             except RuntimeError:
-                return stop("numerical")
+                if n_factor > 1 or start is None or start.factors is not None:
+                    return stop("numerical")
+                basis, vstat = slack_start()  # the start's basis is singular here
+                continue
             need_refresh = False
         if iters >= iter_limit:
             return stop("iteration_limit")
@@ -489,9 +495,12 @@ def _fractional(x: np.ndarray, int_idx: np.ndarray, int_tol: float) -> np.ndarra
     return int_idx[np.abs(vals - np.round(vals)) > int_tol]
 
 
-def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> MilpResult:
+def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
+               start: Optional[_Start] = None) -> MilpResult:
     """Best-bound branch and bound over the integer variables.
 
+    The root starts from ``start`` (a ``MilpResult.start``) when its shape
+    matches this model's canonical form, else from the slack basis.
     Returns an incumbent with relative gap <= ``rel_gap``, or the best
     incumbent plus the proven dual bound when the time limit stops the
     search ('no_incumbent' if nothing integer-feasible was found).  A model
@@ -512,9 +521,13 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
     def user_val(internal: Optional[float]) -> Optional[float]:
         return None if internal is None else canon.user_objective(internal)
 
+    if start is not None and (start.basis.size != canon.m
+                              or start.vstat.size != canon.nstruct + canon.m):
+        start = None
     incumbent_x = None
     incumbent_obj = math.inf  # internal minimization value
-    total_iters = total_factor = 0
+    total_iters = total_factor = root_iters = 0
+    root_start = None
     nodes = 0
     stop_status = None
 
@@ -527,7 +540,7 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
     # sharing their parent's start; best bound first, deeper node on ties,
     # insertion order last (seq is unique, so dicts/arrays never get compared)
     seq = 0
-    heap: list = [(-math.inf, 0, seq, {}, {}, None)]
+    heap: list = [(-math.inf, 0, seq, {}, {}, start)]
     while heap:
         peek_bound = heap[0][0]
         if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= config.rel_gap:
@@ -551,6 +564,10 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
         res = _simplex(canon, l, u, config, start, deadline=deadline, cutoff=cutoff)
         total_iters += res.iterations
         total_factor += res.factorizations
+        if nodes == 1:
+            root_iters = res.iterations
+            if res.status == "optimal":  # the next model's matrix differs: no factors
+                root_start = _Start(res.start.basis, res.start.vstat)
         if res.status in ("infeasible", "cutoff"):
             continue
         if res.status in ("time_limit", "iteration_limit", "numerical"):
@@ -591,13 +608,13 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None) -> Mil
             status = "no_incumbent" if stop_status == "time_limit" else stop_status
             bound_u = user_val(best_bound) if math.isfinite(best_bound) else None
             return MilpResult(status, None, None, bound_u, math.inf, nodes,
-                              total_iters, elapsed, total_factor)
+                              total_iters, elapsed, total_factor, root_iters)
         return MilpResult("infeasible", None, None, None, math.inf, nodes,
-                          total_iters, elapsed, total_factor)
+                          total_iters, elapsed, total_factor, root_iters)
 
     gap = gap_of(incumbent_obj, best_bound)
     status = stop_status if (stop_status is not None and gap > config.rel_gap) else "optimal"
     if not _check_solution(problem, incumbent_x, config.feas_tol):
         status = "numerical"
     return MilpResult(status, incumbent_x, user_val(incumbent_obj), user_val(best_bound),
-                      gap, nodes, total_iters, elapsed, total_factor)
+                      gap, nodes, total_iters, elapsed, total_factor, root_iters, root_start)

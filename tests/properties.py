@@ -419,6 +419,121 @@ def check_warm_child(n_lps: int = 150) -> str:
             f"infeasible; {n_warm_pivots} warm vs {n_cold_pivots} cold pivots)")
 
 
+def check_warm_root(n_pairs: int = 80) -> str:
+    """A root started from a same-shaped predecessor's optimal root basis
+    (``MilpResult.start``) reaches the cold solve's status and objective.
+
+    Each seeded pair is two boxed problems of 2-9 variables and 2-7 rows of
+    every sense, the second the first with perturbed coefficients, bounds,
+    objective and right-hand sides, as consecutive outer iterations build
+    them; a third of the pairs have integer variables.  Both are feasible at
+    a random point of their box, except every eighth second problem, which
+    gets two contradictory rows.  Edge cases: a warm basis made singular by
+    zeroing a basic column's coefficients restarts from the slack basis
+    (the cold solve exactly, with one more factorization), and a start
+    whose shape differs from the canonical form (a row more, a variable
+    more, or a row the canonical form drops) is ignored.
+    """
+    rng = np.random.default_rng(8080)
+    cfg = milp.SolverConfig()
+    senses = np.array(["<=", "<=", ">=", ">=", "="])
+
+    def build(lo, hi, is_int, A, sn, c, sense):
+        """The problem with rows ``A sn rhs``, feasible at a random point of the box."""
+        point = rng.uniform(lo, hi)
+        point[is_int] = np.round(point[is_int])
+        act = A @ point
+        slack = np.abs(rng.normal(size=act.size))
+        rhs = np.where(sn == "<=", act + slack, np.where(sn == ">=", act - slack, act))
+        prob = milp.LpProblem()
+        for j in range(lo.size):
+            prob.add_var(float(lo[j]), float(hi[j]), integer=bool(is_int[j]))
+        for i in range(act.size):
+            prob.add_row({j: float(a) for j, a in enumerate(A[i])}, str(sn[i]), float(rhs[i]))
+        prob.set_objective({j: float(v) for j, v in enumerate(c)}, sense=sense)
+        return prob
+
+    def same(a, b, refactorizations=0):
+        return (a.status, a.iterations, a.factorizations, a.nodes) == (
+            b.status, b.iterations, b.factorizations + refactorizations, b.nodes) and (
+            a.x is b.x is None or np.array_equal(a.x, b.x))
+
+    n_int = n_infeasible = n_singular = n_shape = warm_root = cold_root = 0
+    for k in range(n_pairs):
+        n, m = int(rng.integers(2, 10)), int(rng.integers(2, 8))
+        is_int = rng.random(n) < (0.4 if k % 3 == 0 else 0.0)
+        lo = np.where(is_int, rng.integers(-3, 1, size=n), rng.uniform(-5.0, 2.0, size=n))
+        hi = lo + np.where(is_int, rng.integers(1, 5, size=n), rng.uniform(0.5, 6.0, size=n))
+        mask = rng.random((m, n)) < 0.7
+        mask[np.arange(m), rng.integers(0, n, size=m)] = True  # no coefficient-free row
+        A = np.where(mask, rng.normal(size=(m, n)), 0.0)
+        sn = senses[rng.integers(0, 5, size=m)]
+        c = rng.normal(size=n)
+        sense = "max" if rng.random() < 0.5 else "min"
+        first = milp.solve_milp(build(lo, hi, is_int, A, sn, c, sense))
+        assert first.status == "optimal", first.status
+        assert first.start is not None and first.start.factors is None
+
+        # the next iteration's problem: same shape, everything moved a little
+        shift = 0.2 * (hi - lo) * rng.uniform(-1.0, 1.0, size=n)
+        lo2 = np.where(is_int, lo, lo + shift)
+        hi2 = np.where(is_int, hi, np.maximum(hi + shift * rng.uniform(0.0, 2.0, size=n),
+                                              lo2 + 0.1))
+        A2 = A * (1.0 + 0.2 * rng.normal(size=(m, n)))
+        c2 = c + 0.2 * rng.normal(size=n)
+        second = build(lo2, hi2, is_int, A2, sn, c2, sense)
+        if k % 8 == 7:  # rows 0 and 1 cannot both hold
+            r0 = second.rows[0].activity(rng.uniform(lo2, hi2))
+            second.rows[0] = milp.LinearConstraint(dict(second.rows[0].coeffs), ">=", r0)
+            second.rows[1] = milp.LinearConstraint(dict(second.rows[0].coeffs), "<=", r0 - 0.5)
+        cold = milp.solve_milp(second)
+        warm = milp.solve_milp(second, None, first.start)
+        assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (
+                f"warm {warm.objective} != cold {cold.objective}")
+        else:
+            assert cold.status == "infeasible" and k % 8 == 7, cold.status
+            n_infeasible += 1
+        n_int += bool(is_int.any())
+        warm_root += warm.root_pivots
+        cold_root += cold.root_pivots
+
+        # a basic structural column zeroed wherever another coefficient
+        # keeps its row: the start's basis is singular for this problem
+        basic = [int(j) for j in first.start.basis if j < n
+                 and all(np.count_nonzero(mask[i]) > 1 for i in np.flatnonzero(mask[:, j]))]
+        if basic and not is_int.any():
+            A3 = A2.copy()
+            A3[:, basic[0]] = 0.0
+            third = build(lo2, hi2, is_int, A3, sn, c2, sense)
+            try:
+                milp._Basis(milp._Canon(third, cfg), first.start.basis)
+            except RuntimeError:
+                cold = milp.solve_milp(third)
+                warm = milp.solve_milp(third, None, first.start)
+                assert same(warm, cold, refactorizations=1), (warm, cold)
+                n_singular += 1
+
+        # a start of another shape is ignored: the solve is the cold one
+        wider = copy.deepcopy(second)
+        wider.add_var(0.0, 1.0)
+        taller = copy.deepcopy(second)
+        taller.add_row({0: 1.0}, "<=", second.ub[0])
+        # as many rows as the start's basis, one of which the canonical form drops
+        shorter = build(lo2, hi2, is_int, A2[1:], sn[1:], c2, sense)
+        shorter.add_row({}, "<=", 1.0)
+        for other in (wider, taller, shorter):
+            assert same(milp.solve_milp(other, None, first.start), milp.solve_milp(other))
+            n_shape += 1
+
+    assert n_infeasible > 0 and n_singular > 0 and n_int > 0, (n_infeasible, n_singular, n_int)
+    assert warm_root < cold_root, (warm_root, cold_root)
+    return (f"warm roots match cold solves ({n_pairs} pairs, {n_int} with integers, "
+            f"{n_infeasible} infeasible; root pivots {warm_root} warm vs {cold_root} cold; "
+            f"{n_singular} singular starts restarted, {n_shape} other shapes ignored)")
+
+
 class _EtaLoop:
     """The product-form eta file applied one eta at a time: the reference
     for ``milp._Basis``'s stacked solves."""
@@ -642,7 +757,8 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     )
     calls = []
     original = milp.solve_milp
-    milp.solve_milp = lambda lp, config=None: calls.append(lp) or original(lp, config)
+    milp.solve_milp = lambda lp, config=None, start=None: (calls.append(lp)
+                                                           or original(lp, config, start))
     try:
         rec = loop.run(shared, loop.SppaConfig(2, 2, 0.5, max_iters=1)).trace[0]
     finally:
@@ -692,6 +808,7 @@ ALL_CHECKS = (
     check_mc_equivalence,
     check_milp_oracle,
     check_warm_child,
+    check_warm_root,
     check_eta_file,
     check_sppa_invariants,
     check_vertex_optimum,

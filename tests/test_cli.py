@@ -41,7 +41,7 @@ def test_json_and_csv_numeric_content_match(tmp_path):
     with open(c) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "nodes", "pivots",
-                       "factorizations", "seconds"]
+                       "root_pivots", "factorizations", "seconds"]
     assert len(rows) - 1 == len(report["rows"])
     for csv_row, jrow in zip(rows[1:], report["rows"]):
         assert int(csv_row[0]) == jrow["iter"]
@@ -50,7 +50,8 @@ def test_json_and_csv_numeric_content_match(tmp_path):
         assert float(csv_row[4]) == jrow["max_width"]
         assert int(csv_row[5]) == jrow["nodes"]
         assert int(csv_row[6]) == jrow["pivots"]
-        assert int(csv_row[7]) == jrow["factorizations"]
+        assert int(csv_row[7]) == jrow["root_pivots"]
+        assert int(csv_row[8]) == jrow["factorizations"]
 
 
 def _strip_timing(report: dict) -> dict:
@@ -64,7 +65,8 @@ def _strip_timing(report: dict) -> dict:
 def test_deterministic_reruns(tmp_path):
     # rastrigin is solved at the grid vertices; the parabola model's rows
     # send it through branch and bound, so its reruns also compare the
-    # simplex counters
+    # simplex counters (a root warm-started from the previous iteration's
+    # optimal basis may take no pivot)
     parabola = tmp_path / "parabola.prob"
     parabola.write_text("[variables]\nx -1 1\ny 0 2\n[objective]\nmin y\n"
                         "[constraints]\nx^2 - y <= 0\nx >= 0.5\n")
@@ -82,9 +84,13 @@ def test_deterministic_reruns(tmp_path):
         assert _strip_timing(ra) == _strip_timing(rb)
         for row in ra["rows"]:
             if through_milp:
-                assert row["nodes"] >= 1 and row["pivots"] > 0 and row["factorizations"] >= 1
+                assert row["nodes"] >= 1 and row["factorizations"] >= 1
+                assert 0 <= row["root_pivots"] <= row["pivots"]
             else:
-                assert row["nodes"] == row["pivots"] == row["factorizations"] == 0
+                assert row["nodes"] == row["pivots"] == row["root_pivots"] == 0
+                assert row["factorizations"] == 0
+        if through_milp:
+            assert ra["rows"][0]["root_pivots"] > 0  # iteration 0 starts from the slack basis
 
 
 def test_unknown_problem_exits_2(capsys):
@@ -136,6 +142,15 @@ def test_infeasible_problem_exits_4(tmp_path, capsys):
         "[variables]\nx 0 1\n[objective]\nmin x^2\n[constraints]\nx >= 2\n")
     assert run_cli(["solve", "--problem", str(prob)]) == 4
     assert "no incumbent" in capsys.readouterr().out
+
+
+def test_no_incumbent_exits_4(monkeypatch, capsys):
+    # exit 4 means no incumbent, whatever ended the run
+    monkeypatch.setattr(loop, "run", lambda spec, config, on_iteration=None: loop.SppaResult(
+        None, None, [], "time_limit", 0.5))
+    assert run_cli(["solve", "--problem", "rastrigin"]) == 4
+    out = capsys.readouterr().out
+    assert "termination: time_limit" in out and "no incumbent" in out
 
 
 def test_problem_file_end_to_end(tmp_path, capsys):

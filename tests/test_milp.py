@@ -8,7 +8,7 @@ import pytest
 from sppa import milp
 from sppa.milp import LpProblem, SolverConfig, solve_milp
 
-from properties import check_eta_file, check_milp_oracle, check_warm_child
+from properties import check_eta_file, check_milp_oracle, check_warm_child, check_warm_root
 
 
 def knapsack(values, weights, cap):
@@ -246,6 +246,10 @@ def test_oracle_property_suite():
 
 def test_warm_child_property_suite():
     print(check_warm_child())
+
+
+def test_warm_root_property_suite():
+    print(check_warm_root())
 
 
 def test_eta_file_property_suite():
