@@ -7,7 +7,7 @@ geometrically about each incumbent until convergence.
 """
 
 from sppa.loop import SppaConfig, SppaResult, contract_bounds, run
-from sppa.milp import LpProblem, SolverConfig, solve_milp
+from sppa.milp import LpProblem, solve_milp
 from sppa.problems import ProblemSpec, NonlinearTerm, builtin, load_problem
 from sppa.pwl import Grid, Interval
 
@@ -19,7 +19,6 @@ __all__ = [
     "contract_bounds",
     "run",
     "LpProblem",
-    "SolverConfig",
     "solve_milp",
     "ProblemSpec",
     "NonlinearTerm",

@@ -27,6 +27,8 @@ EXIT_PARSE = 3
 EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
+# the solver counters of each trace row, in JSON key and CSV column order
+_COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations")
 
 
 @dataclasses.dataclass
@@ -100,10 +102,7 @@ def _report_rows(spec: ProblemSpec, result: loop.SppaResult) -> list[dict]:
             "objective": float(rec.objective),
             "incumbent": [float(v) for v in rec.incumbent],
             "max_width": float(_max_width(rec, nl_names)),
-            "nodes": int(rec.milp_stats["nodes"]),
-            "pivots": int(rec.milp_stats["pivots"]),
-            "root_pivots": int(rec.milp_stats["root_pivots"]),
-            "factorizations": int(rec.milp_stats["factorizations"]),
+            **{name: int(rec.milp_stats[name]) for name in _COUNTERS},
             "seconds": float(rec.milp_stats["seconds"]),
         })
     return rows
@@ -118,13 +117,12 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective"] + [f"x{k + 1}" for k in range(n_vars)]
-                        + ["max_width", "nodes", "pivots", "root_pivots", "factorizations",
-                           "seconds"])
+                        + ["max_width", *_COUNTERS, "seconds"])
         for row in report.rows:
             writer.writerow([row["iter"], repr(row["objective"])]
                             + [repr(v) for v in row["incumbent"]]
-                            + [repr(row["max_width"]), row["nodes"], row["pivots"],
-                               row["root_pivots"], row["factorizations"], repr(row["seconds"])])
+                            + [repr(row["max_width"]), *(row[name] for name in _COUNTERS),
+                               repr(row["seconds"])])
 
 
 def cmd_solve(args) -> int:
@@ -164,16 +162,7 @@ def cmd_solve(args) -> int:
 
     report = RunReport(
         problem=spec.name,
-        config={
-            "problem": args.problem,
-            "initial_n_pieces": config.initial_n_pieces,
-            "n_pieces": config.n_pieces,
-            "contract_frac": config.contract_frac,
-            "max_iters": config.max_iters,
-            "width_tol": config.width_tol,
-            "time_limit": config.time_limit,
-            "format": args.format,
-        },
+        config={"problem": args.problem, **dataclasses.asdict(config), "format": args.format},
         rows=_report_rows(spec, result),
         final_objective=None if result.best_objective is None else float(result.best_objective),
         best_point=None if result.best_point is None else [float(v) for v in result.best_point],

@@ -80,8 +80,8 @@ class SppaResult:
     best_point: Optional[np.ndarray]
     best_objective: Optional[float]
     trace: list[IterationRecord]
-    # width | stall | max_iters, or the solver stop that left no incumbent:
-    # infeasible | time_limit | numerical | iteration_limit
+    # width | stall | max_iters | time_limit, or the status of a MILP that
+    # returned no incumbent: infeasible | time_limit | numerical | iteration_limit
     termination: str
     seconds: float = 0.0
 
@@ -208,7 +208,6 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
     variable at the bound its objective coefficient favours (if 0, the bound
     nearest zero, lower on a tie, as the simplex).  B&B reports nodes >= 1,
     so ``nodes`` 0 marks this path."""
-    t0 = time.perf_counter()
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     z = np.empty(spec.n_vars)
@@ -229,8 +228,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         term_values.append(term.coef * values[best])
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
-    return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0,
-                           time.perf_counter() - t0)
+    return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0)
 
 
 def run(
@@ -246,6 +244,8 @@ def run(
     reached, (d) the MILP is infeasible, (e) the time budget runs out, or
     (f) the MILP solver fails with status ``numerical`` or
     ``iteration_limit``; the best point found before stopping is kept.
+    Each MILP gets the run's deadline: a solve it stops keeps the iteration
+    if it found an incumbent, and otherwise ends the run with ``time_limit``.
     """
     t0 = time.perf_counter()
     deadline = t0 + config.time_limit if config.time_limit is not None else None
@@ -279,15 +279,11 @@ def run(
             res = _solve_at_vertices(spec, current, pieces)
         else:
             model = build_iteration_model(spec, current, pieces)
-            solver = None if deadline is None else milp.SolverConfig(
-                time_limit=max(deadline - time.perf_counter(), 0.01))
-            res = milp.solve_milp(model.lp, solver, start)
+            res = milp.solve_milp(model.lp, deadline, start)
             start = res.start
 
-        if res.x is None:
-            # infeasible | numerical | iteration_limit end the run under their
-            # own name; a search cut off by the time limit has no incumbent
-            termination = "time_limit" if res.status == "no_incumbent" else res.status
+        if res.x is None:  # the run ends under the solver's status
+            termination = res.status
             break
 
         z = res.x[: spec.n_vars].copy()

@@ -19,7 +19,7 @@ bounds inward, treating fixed variables as permanently nonbasic and
 validating coefficient-free rows, so behaviour stays easy to reason about
 and to test against brute force.
 All tie-breaks are index-based; results are deterministic for identical
-inputs (only ``time_limit`` consults the clock).
+inputs (only the ``deadline`` of ``solve_milp`` consults the clock).
 """
 
 from __future__ import annotations
@@ -41,13 +41,15 @@ __all__ = [
     "GE",
     "LinearConstraint",
     "LpProblem",
-    "SolverConfig",
     "MilpResult",
     "solve_milp",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
 
+_FEAS_TOL = 1e-7  # primal feasibility
+_INT_TOL = 1e-6  # integrality
+_REL_GAP = 1e-6  # relative optimality gap that ends the search
 _REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 200  # consecutive non-improving pivots before Bland's rule kicks in
@@ -130,20 +132,6 @@ class LpProblem:
 
 
 @dataclass
-class SolverConfig:
-    feas_tol: float = 1e-7
-    int_tol: float = 1e-6
-    rel_gap: float = 1e-6
-    time_limit: Optional[float] = None
-
-    def __post_init__(self):
-        if min(self.feas_tol, self.int_tol, self.rel_gap) <= 0.0:
-            raise ValueError("tolerances must be positive")
-        if self.time_limit is not None and self.time_limit <= 0.0:
-            raise ValueError("time_limit must be positive")
-
-
-@dataclass
 class MilpResult:
     status: str
     x: Optional[np.ndarray]
@@ -152,7 +140,6 @@ class MilpResult:
     gap: float
     nodes: int
     iterations: int
-    seconds: float
     factorizations: int = 0
     root_pivots: int = 0
     start: Optional[_Start] = None  # the root's optimal basis, for a same-shaped model
@@ -171,7 +158,7 @@ class _Canon:
     inside the root's, so these slack bounds hold at every node.
     """
 
-    def __init__(self, problem: LpProblem, config: SolverConfig):
+    def __init__(self, problem: LpProblem):
         self.problem = problem
         n = problem.n_vars
         lb = np.array(problem.lb, dtype=float)
@@ -184,7 +171,7 @@ class _Canon:
         rows = []
         for row in problem.rows:
             if not row.coeffs:  # coefficient-free row: validate and drop
-                if row.violation(np.zeros(n)) > config.feas_tol:
+                if row.violation(np.zeros(n)) > _FEAS_TOL:
                     self.infeasible = True
                 continue
             rows.append(row)
@@ -298,9 +285,8 @@ class _SxResult:
     factorizations: int
 
 
-def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
-             start: Optional[_Start] = None, deadline: Optional[float] = None,
-             cutoff: float = math.inf) -> _SxResult:
+def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start] = None,
+             deadline: Optional[float] = None, cutoff: float = math.inf) -> _SxResult:
     """Bounded dual simplex on the canonical equality form.
 
     Starts from ``start`` (the slack basis when None), which is dual
@@ -318,13 +304,12 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
     and primal values.
     """
     m, n = canon.m, canon.nstruct
-    feas_tol = config.feas_tol
     iters = n_factor = 0
 
     def stop(status: str) -> _SxResult:
         return _SxResult(status, None, None, None, iters, n_factor)
 
-    if np.any(l > u + feas_tol):
+    if np.any(l > u + _FEAS_TOL):
         return stop("infeasible")
 
     A, AT, c = canon.A, canon.AT, canon.c
@@ -382,7 +367,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
 
         xb = x[basis]
         viol = np.maximum(l[basis] - xb, xb - u[basis])
-        infeasible_rows = np.flatnonzero(viol > feas_tol)
+        infeasible_rows = np.flatnonzero(viol > _FEAS_TOL)
         if not infeasible_rows.size:
             # before concluding, refresh a used factorization once to kill drift
             if not concluding_refresh and factors.age:
@@ -419,7 +404,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
         while open_.any():
             group = np.flatnonzero(open_ & (ratio <= ratio[open_].min()))
             slope -= float(a[group] @ range_[cand[group]])
-            if slope <= feas_tol:  # x_p reaches its bound inside this group
+            if slope <= _FEAS_TOL:  # x_p reaches its bound inside this group
                 k = int(group[np.argmin(cand[group])] if bland else group[np.argmax(a[group])])
                 break
             flipped.append(group)
@@ -482,44 +467,35 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, config: SolverConfig,
 # public entry point
 
 
-def _check_solution(problem: LpProblem, x: np.ndarray, feas_tol: float) -> bool:
+def _check_solution(problem: LpProblem, x: np.ndarray) -> bool:
     for row in problem.rows:
         scale = 1.0 + abs(row.rhs)
-        if row.violation(x) > feas_tol * scale * 10.0:
+        if row.violation(x) > _FEAS_TOL * scale * 10.0:
             return False
     return True
 
 
-def _fractional(x: np.ndarray, int_idx: np.ndarray, int_tol: float) -> np.ndarray:
+def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
     vals = x[int_idx]
-    return int_idx[np.abs(vals - np.round(vals)) > int_tol]
+    return int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
 
 
-def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
+def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                start: Optional[_Start] = None) -> MilpResult:
     """Best-bound branch and bound over the integer variables.
 
     The root starts from ``start`` (a ``MilpResult.start``) when its shape
     matches this model's canonical form, else from the slack basis.
-    Returns an incumbent with relative gap <= ``rel_gap``, or the best
-    incumbent plus the proven dual bound when the time limit stops the
-    search ('no_incumbent' if nothing integer-feasible was found).  A model
-    without integer variables is one simplex solve at the root.
+    Returns an incumbent, with its integer components rounded, whose
+    relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
+    ``deadline`` passes, the search stops with status 'time_limit' and the
+    proven dual bound, plus the best incumbent if it has one (``x`` is None
+    otherwise).  A model without integer variables is one simplex solve at
+    the root.
     """
-    config = config or SolverConfig()
-    t0 = time.perf_counter()
-    deadline = t0 + config.time_limit if config.time_limit is not None else None
-    canon = _Canon(problem, config)
-    if canon.infeasible:
-        return MilpResult("infeasible", None, None, None, math.inf, 0, 0,
-                          time.perf_counter() - t0)
-
+    canon = _Canon(problem)
     n = problem.n_vars
     int_idx = np.flatnonzero(np.array(problem.is_int, dtype=bool))
-    sign = canon.sign
-
-    def user_val(internal: Optional[float]) -> Optional[float]:
-        return None if internal is None else canon.user_objective(internal)
 
     if start is not None and (start.basis.size != canon.m
                               or start.vstat.size != canon.nstruct + canon.m):
@@ -540,10 +516,10 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
     # sharing their parent's start; best bound first, deeper node on ties,
     # insertion order last (seq is unique, so dicts/arrays never get compared)
     seq = 0
-    heap: list = [(-math.inf, 0, seq, {}, {}, start)]
+    heap: list = [] if canon.infeasible else [(-math.inf, 0, seq, {}, {}, start)]
     while heap:
         peek_bound = heap[0][0]
-        if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= config.rel_gap:
+        if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= _REL_GAP:
             break
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
@@ -560,8 +536,8 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
 
         # a node whose bound cannot improve the incumbent by the gap is pruned
         cutoff = (math.inf if incumbent_x is None
-                  else incumbent_obj - config.rel_gap * max(1.0, abs(incumbent_obj)))
-        res = _simplex(canon, l, u, config, start, deadline=deadline, cutoff=cutoff)
+                  else incumbent_obj - _REL_GAP * max(1.0, abs(incumbent_obj)))
+        res = _simplex(canon, l, u, start, deadline=deadline, cutoff=cutoff)
         total_iters += res.iterations
         total_factor += res.factorizations
         if nodes == 1:
@@ -579,11 +555,14 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
         if node_bound >= cutoff:
             continue
 
-        frac = _fractional(res.x, int_idx, config.int_tol)
+        frac = _fractional(res.x, int_idx)
         if frac.size == 0:
-            if node_bound < incumbent_obj:
-                incumbent_obj = node_bound
-                incumbent_x = res.x[:n].copy()
+            x = res.x.copy()  # integral within _INT_TOL: report the integers
+            x[int_idx] = np.round(x[int_idx])
+            obj = float(canon.c @ x)
+            if obj < incumbent_obj:
+                incumbent_obj = obj
+                incumbent_x = x[:n]
             continue
 
         # branch on the most fractional variable, ties by lowest id
@@ -598,23 +577,16 @@ def solve_milp(problem: LpProblem, config: Optional[SolverConfig] = None,
             seq += 1
             heapq.heappush(heap, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
 
-    elapsed = time.perf_counter() - t0
+    # the incumbent's or the best open node's; infinite (no bound) after an exhausted tree
     best_bound = min([incumbent_obj] + [entry[0] for entry in heap])
-
-    if incumbent_x is None:
-        if stop_status is not None:
-            # searches cut off by the time limit report 'no_incumbent' with the dual
-            # bound; genuine solver failures keep their own status
-            status = "no_incumbent" if stop_status == "time_limit" else stop_status
-            bound_u = user_val(best_bound) if math.isfinite(best_bound) else None
-            return MilpResult(status, None, None, bound_u, math.inf, nodes,
-                              total_iters, elapsed, total_factor, root_iters)
-        return MilpResult("infeasible", None, None, None, math.inf, nodes,
-                          total_iters, elapsed, total_factor, root_iters)
-
     gap = gap_of(incumbent_obj, best_bound)
-    status = stop_status if (stop_status is not None and gap > config.rel_gap) else "optimal"
-    if not _check_solution(problem, incumbent_x, config.feas_tol):
+    if stop_status is not None and gap > _REL_GAP:
+        status = stop_status
+    else:
+        status = "infeasible" if incumbent_x is None else "optimal"
+    if incumbent_x is not None and not _check_solution(problem, incumbent_x):
         status = "numerical"
-    return MilpResult(status, incumbent_x, user_val(incumbent_obj), user_val(best_bound),
-                      gap, nodes, total_iters, elapsed, total_factor, root_iters, root_start)
+    return MilpResult(status, incumbent_x,
+                      None if incumbent_x is None else canon.user_objective(incumbent_obj),
+                      canon.user_objective(best_bound) if math.isfinite(best_bound) else None,
+                      gap, nodes, total_iters, total_factor, root_iters, root_start)

@@ -358,7 +358,6 @@ def check_warm_child(n_lps: int = 150) -> str:
     branch and bound does; some tightenings leave the child infeasible.
     """
     rng = np.random.default_rng(4242)
-    cfg = milp.SolverConfig()
     senses = ("<=", ">=", "=")
     n_children = n_infeasible = n_warm_pivots = n_cold_pivots = 0
     for _ in range(n_lps):
@@ -379,8 +378,8 @@ def check_warm_child(n_lps: int = 150) -> str:
             prob.add_row(coeffs, sense, activity + slack if sense == "<=" else activity - slack)
         prob.set_objective({j: float(rng.normal()) for j in range(n)},
                            sense="max" if rng.random() < 0.5 else "min")
-        canon = milp._Canon(prob, cfg)
-        parent = milp._simplex(canon, canon.l, canon.u, cfg)
+        canon = milp._Canon(prob)
+        parent = milp._simplex(canon, canon.l, canon.u)
         assert parent.status == "optimal", parent.status
         basic = [int(j) for j in parent.start.basis if j < n and parent.x[j] > canon.l[j] + 1e-6
                  and parent.x[j] < canon.u[j] - 1e-6]
@@ -392,14 +391,14 @@ def check_warm_child(n_lps: int = 150) -> str:
             u[j] = l[j] + float(rng.uniform(0.0, 1.0)) * (parent.x[j] - l[j])
         else:
             l[j] = u[j] - float(rng.uniform(0.0, 1.0)) * (u[j] - parent.x[j])
-        cold = milp._simplex(canon, l, u, cfg)
+        cold = milp._simplex(canon, l, u)
         # every basis the warm solve visits bounds the optimum from below, so
         # a cutoff just above the optimum never stops it
         optimal = cold.status == "optimal"
         tol = 1e-9 * (1.0 + abs(cold.objective)) if optimal else 0.0
         cutoff = cold.objective + tol if optimal else math.inf
-        warm = milp._simplex(canon, l, u, cfg, parent.start, cutoff=cutoff)
-        fresh = milp._simplex(canon, l, u, cfg,
+        warm = milp._simplex(canon, l, u, parent.start, cutoff=cutoff)
+        fresh = milp._simplex(canon, l, u,
                               milp._Start(parent.start.basis, parent.start.vstat), cutoff=cutoff)
         assert (warm.status, warm.iterations, warm.factorizations + 1) == (
             fresh.status, fresh.iterations, fresh.factorizations), (warm, fresh)
@@ -435,7 +434,6 @@ def check_warm_root(n_pairs: int = 80) -> str:
     more, or a row the canonical form drops) is ignored.
     """
     rng = np.random.default_rng(8080)
-    cfg = milp.SolverConfig()
     senses = np.array(["<=", "<=", ">=", ">=", "="])
 
     def build(lo, hi, is_int, A, sn, c, sense):
@@ -487,7 +485,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
             second.rows[0] = milp.LinearConstraint(dict(second.rows[0].coeffs), ">=", r0)
             second.rows[1] = milp.LinearConstraint(dict(second.rows[0].coeffs), "<=", r0 - 0.5)
         cold = milp.solve_milp(second)
-        warm = milp.solve_milp(second, None, first.start)
+        warm = milp.solve_milp(second, start=first.start)
         assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
         if cold.status == "optimal":
             assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (
@@ -508,10 +506,10 @@ def check_warm_root(n_pairs: int = 80) -> str:
             A3[:, basic[0]] = 0.0
             third = build(lo2, hi2, is_int, A3, sn, c2, sense)
             try:
-                milp._Basis(milp._Canon(third, cfg), first.start.basis)
+                milp._Basis(milp._Canon(third), first.start.basis)
             except RuntimeError:
                 cold = milp.solve_milp(third)
-                warm = milp.solve_milp(third, None, first.start)
+                warm = milp.solve_milp(third, start=first.start)
                 assert same(warm, cold, refactorizations=1), (warm, cold)
                 n_singular += 1
 
@@ -524,7 +522,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
         shorter = build(lo2, hi2, is_int, A2[1:], sn[1:], c2, sense)
         shorter.add_row({}, "<=", 1.0)
         for other in (wider, taller, shorter):
-            assert same(milp.solve_milp(other, None, first.start), milp.solve_milp(other))
+            assert same(milp.solve_milp(other, start=first.start), milp.solve_milp(other))
             n_shape += 1
 
     assert n_infeasible > 0 and n_singular > 0 and n_int > 0, (n_infeasible, n_singular, n_int)
@@ -698,7 +696,7 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
         lambda v, a: float(np.sum(np.sin(3.0 * v + a))),
         lambda v, a: float(np.prod(v + a)),
     )
-    rel_gap = milp.SolverConfig().rel_gap
+    rel_gap = milp._REL_GAP
     n_max = 0
     for _ in range(n_specs):
         sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
@@ -757,8 +755,8 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     )
     calls = []
     original = milp.solve_milp
-    milp.solve_milp = lambda lp, config=None, start=None: (calls.append(lp)
-                                                           or original(lp, config, start))
+    milp.solve_milp = lambda lp, deadline=None, start=None: (calls.append(lp)
+                                                             or original(lp, deadline, start))
     try:
         rec = loop.run(shared, loop.SppaConfig(2, 2, 0.5, max_iters=1)).trace[0]
     finally:

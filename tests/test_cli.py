@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sppa import loop
+from sppa import cli, loop
 from sppa.cli import main
 from sppa.problems import builtin_names
 
@@ -91,6 +91,13 @@ def test_deterministic_reruns(tmp_path):
                 assert row["factorizations"] == 0
         if through_milp:
             assert ra["rows"][0]["root_pivots"] > 0  # iteration 0 starts from the slack basis
+
+
+def test_every_config_field_has_a_solve_flag():
+    # _make_config reads SppaConfig fields from the parsed flags by name, so
+    # a field without a flag would silently keep its registry or default value
+    args = cli.build_parser().parse_args(["solve", "--problem", "rastrigin"])
+    assert cli._CONFIG_FIELDS <= set(vars(args)), cli._CONFIG_FIELDS - set(vars(args))
 
 
 def test_unknown_problem_exits_2(capsys):

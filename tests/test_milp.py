@@ -1,12 +1,13 @@
 import dataclasses
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
 from sppa import milp
-from sppa.milp import LpProblem, SolverConfig, solve_milp
+from sppa.milp import LpProblem, solve_milp
 
 from properties import check_eta_file, check_milp_oracle, check_warm_child, check_warm_root
 
@@ -160,7 +161,6 @@ def test_milp_infeasible():
 
 def test_milp_incumbent_feasibility_and_integrality():
     rng = np.random.default_rng(3)
-    cfg = SolverConfig()
     for _ in range(20):
         n = int(rng.integers(2, 9))
         p = LpProblem()
@@ -169,12 +169,26 @@ def test_milp_incumbent_feasibility_and_integrality():
             coeffs = {j: float(rng.integers(-5, 6)) for j in ids}
             p.add_row(coeffs, "<=", float(rng.integers(0, 10)))
         p.set_objective({j: float(rng.integers(-5, 6)) for j in ids})
-        res = solve_milp(p, cfg)
+        res = solve_milp(p)
         if res.status != "optimal":
             continue
         for row in p.rows:
-            assert row.violation(res.x) <= cfg.feas_tol * (1 + abs(row.rhs)) * 10
-        assert np.all(np.abs(res.x - np.round(res.x)) <= cfg.int_tol)
+            assert row.violation(res.x) <= milp._FEAS_TOL * (1 + abs(row.rhs)) * 10
+        np.testing.assert_array_equal(res.x, np.round(res.x))
+
+
+def test_milp_incumbent_integers_are_rounded():
+    # n = 1 + x is integral within the integrality tolerance, so the LP
+    # optimum is accepted; the incumbent reports n rounded, and the
+    # objective at the rounded point, not 1.0000005 above the integer optimum
+    p = LpProblem()
+    n = p.add_var(0, 4, integer=True)
+    x = p.add_var(0, 5e-7)
+    p.add_row({n: 1.0, x: -1.0}, "<=", 1.0)
+    p.set_objective({n: 1.0}, sense="max")
+    res = solve_milp(p)
+    assert res.status == "optimal"
+    assert res.x[n] == 1.0 and res.objective == 1.0
 
 
 def test_milp_time_limit_reports_bound(monkeypatch):
@@ -194,8 +208,8 @@ def test_milp_time_limit_reports_bound(monkeypatch):
 
     monkeypatch.setattr(milp, "_simplex", counting)
     monkeypatch.setattr(milp.time, "perf_counter", lambda: 100.0 if solved else 0.0)
-    res = solve_milp(p, SolverConfig(time_limit=10.0))
-    assert res.status == "no_incumbent"
+    res = solve_milp(p, deadline=10.0)
+    assert res.status == "time_limit" and res.x is None
     assert res.nodes == 1
     assert res.bound is not None and res.bound >= full.objective - 1e-9
 
@@ -219,7 +233,7 @@ def test_milp_stop_inside_a_node_keeps_its_bound(monkeypatch):
     monkeypatch.setattr(milp, "_simplex", stopping)
     res = solve_milp(p)
     assert len(calls) == 3
-    assert res.status == "no_incumbent"
+    assert res.status == "time_limit" and res.x is None
     assert res.bound >= 70.0 - 1e-9
 
 
@@ -233,11 +247,11 @@ def test_milp_determinism():
     np.testing.assert_array_equal(a.x, b.x)
 
 
-def test_config_rejects_nonpositive_time_limit():
-    for bad in (0.0, -1.0):
-        with pytest.raises(ValueError):
-            SolverConfig(time_limit=bad)
-    assert SolverConfig(time_limit=1e-9).time_limit == 1e-9
+def test_passed_deadline_stops_before_the_root():
+    p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
+    res = solve_milp(p, deadline=time.perf_counter() - 1.0)
+    assert res.status == "time_limit" and res.x is None
+    assert res.nodes == 0 and res.bound is None
 
 
 def test_oracle_property_suite():
