@@ -1,9 +1,10 @@
 """Command line front end: run benchmarks or problem files, emit traces.
 
 Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags or an
-unknown problem, 3 on a problem-file error (parse or domain error, reported
-with its line), 4 when the run ends with no incumbent (the printed
-``termination`` names the cause).
+unknown problem, 3 on a problem-file error (a parse or domain error, reported
+with its line, or a term that fails at a grid vertex, reported with the
+vertex), 4 when the run ends with no incumbent (the printed ``termination``
+names the cause).
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ import time
 from typing import Optional
 
 from sppa import loop
-from sppa.problems import (ProblemFormatError, ProblemSpec, builtin,
-                           builtin_info, builtin_names, load_problem)
+from sppa.problems import (ProblemFormatError, builtin, builtin_info, builtin_names,
+                           load_problem)
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -56,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--n-pieces", type=int, default=None)
     s.add_argument("--contract-frac", type=float, default=None)
     s.add_argument("--max-iters", type=int, default=None)
-    s.add_argument("--width-tol", type=float, default=None)
     s.add_argument("--out", default=None, help="write the trace report here")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.add_argument("--time-limit", type=float, default=None, help="seconds")
@@ -87,14 +87,10 @@ def _make_config(registry: dict, flags: dict) -> loop.SppaConfig:
 
 
 def _max_width(record: loop.IterationRecord, nl_names: list[str]) -> float:
-    if not nl_names:
-        return 0.0
-    return max(record.bounds[name].width for name in nl_names)
+    return max((record.bounds[name].width for name in nl_names), default=0.0)
 
 
-def _report_rows(spec: ProblemSpec, result: loop.SppaResult) -> list[dict]:
-    nl_names = [spec.variables[j][0]
-                for j in sorted({k for t in spec.nonlinear_terms for k in t.var_ids})]
+def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
     rows = []
     for rec in result.trace:
         rows.append({
@@ -158,12 +154,18 @@ def cmd_solve(args) -> int:
               f"{_max_width(rec, nl_names):>10.3e}  {rec.milp_stats['nodes']:>6}  "
               f"{rec.milp_stats['seconds']:>7.2f}")
 
-    result = loop.run(spec, config, on_iteration=live)
+    try:
+        result = loop.run(spec, config, on_iteration=live)
+    except ValueError as exc:
+        if not hasattr(exc, "vertex"):  # only a term failing at a grid vertex
+            raise                       # is the problem file's fault
+        print(f"error: {args.problem}: {exc}", file=sys.stderr)
+        return EXIT_PARSE
 
     report = RunReport(
         problem=spec.name,
         config={"problem": args.problem, **dataclasses.asdict(config), "format": args.format},
-        rows=_report_rows(spec, result),
+        rows=_report_rows(result, nl_names),
         final_objective=None if result.best_objective is None else float(result.best_objective),
         best_point=None if result.best_point is None else [float(v) for v in result.best_point],
         termination=result.termination,

@@ -5,9 +5,10 @@ current variable boxes, solves the resulting MILP (or reads its optimum off
 the grid vertices when no row exists and no two terms share a variable),
 then shrinks the box of every variable that appears in a nonlinear term by
 ``contract_frac``, centered on the incumbent (translated to stay inside the
-previous box).  Variables outside all nonlinear terms keep their bounds
-untouched.  The best point is tracked by exact objective value, which
-guards against surrogate underestimation.
+previous box), until the box reaches its floor (see ``run``).  Variables
+outside all nonlinear terms keep their bounds untouched.  The best point is
+tracked by exact objective value, which guards against surrogate
+underestimation.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, so each MILP root starts from the previous iteration's optimal
@@ -41,6 +42,9 @@ __all__ = [
 # _STALL_ITERS consecutive iterations whose incumbent moved
 _STALL_TOL = 1e-9
 _STALL_ITERS = 3
+# the floor of a continuous window (see run)
+_FLOOR_REL = 1e-8
+_FLOOR_SPACINGS = 8
 
 
 @dataclass
@@ -49,7 +53,6 @@ class SppaConfig:
     n_pieces: int = 4
     contract_frac: float = 0.5
     max_iters: int = 60
-    width_tol: Optional[float] = None  # None: 1e-8 of each variable's initial width
     time_limit: Optional[float] = None
 
     def __post_init__(self):
@@ -59,8 +62,6 @@ class SppaConfig:
             raise ValueError("contract_frac must lie strictly between 0 and 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.width_tol is not None and self.width_tol <= 0.0:
-            raise ValueError("width_tol must be positive")
         if self.time_limit is not None and self.time_limit <= 0.0:
             raise ValueError("time_limit must be positive")
 
@@ -107,18 +108,10 @@ def contract_bounds(interval: Interval, value: float, frac: float) -> Interval:
 
 
 def _contract_integer(interval: Interval, value: float, frac: float) -> Interval:
-    # round the contracted window outward; keep at least unit width so the
-    # MILP can still decide the variable, but never leave the old interval
+    # round the contracted window outward; ProblemSpec's integral bounds keep
+    # it inside the old window and, at positive width, at least one unit wide
     inner = contract_bounds(interval, value, frac)
-    lo, hi = math.floor(inner.lo), math.ceil(inner.hi)
-    if hi - lo < 1:
-        lo = math.floor(min(max(value, interval.lo), interval.hi))
-        hi = lo + 1
-    lo = max(lo, interval.lo)
-    hi = min(hi, interval.hi)
-    if lo > hi:
-        return interval
-    return Interval(lo, hi)
+    return Interval(math.floor(inner.lo), math.ceil(inner.hi))
 
 
 @dataclass
@@ -238,24 +231,25 @@ def run(
 ) -> SppaResult:
     """Iterate solve/contract/rebuild until a termination criterion fires.
 
-    Stops when (a) every contracted box is narrower than the width
-    tolerance, (b) the exact objective moved at most ``_STALL_TOL``
-    for ``_STALL_ITERS`` consecutive iterations, (c) ``max_iters`` is
-    reached, (d) the MILP is infeasible, (e) the time budget runs out, or
-    (f) the MILP solver fails with status ``numerical`` or
-    ``iteration_limit``; the best point found before stopping is kept.
-    Each MILP gets the run's deadline: a solve it stops keeps the iteration
-    if it found an incumbent, and otherwise ends the run with ``time_limit``.
+    Stops when (a) every window is at its floor, (b) the exact objective
+    moved at most ``_STALL_TOL`` for ``_STALL_ITERS`` consecutive
+    iterations, (c) ``max_iters`` is reached, (d) the MILP is infeasible,
+    (e) the time budget runs out, or (f) the MILP solver fails with status
+    ``numerical`` or ``iteration_limit``; the best point found before
+    stopping is kept.  Each MILP gets the run's deadline: a solve it stops
+    keeps the iteration if it found an incumbent, and otherwise ends the run
+    with ``time_limit``.  A window at its floor keeps its bounds: an integer
+    window that contracting would give back unchanged, or a continuous one
+    that it would leave no wider than ``_FLOOR_REL`` of its initial width or
+    ``_FLOOR_SPACINGS * n_pieces`` float spacings at its largest endpoint
+    (narrower, the next grid's breakpoints could collide).
     """
     t0 = time.perf_counter()
     deadline = t0 + config.time_limit if config.time_limit is not None else None
 
     nl_vars = sorted({k for term in spec.nonlinear_terms for k in term.var_ids})
     current = list(spec.bounds())
-    if config.width_tol is not None:
-        wtol = {j: config.width_tol for j in nl_vars}
-    else:
-        wtol = {j: 1e-8 * max(current[j].width, 1e-30) for j in nl_vars}
+    rel_floor = {j: _FLOOR_REL * current[j].width for j in nl_vars}
 
     minimize = spec.sense == "min"
     ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
@@ -327,15 +321,19 @@ def run(
             termination = "stall"
             break
 
+        at_floor = True
         for j in nl_vars:
-            if current[j].width == 0.0:
-                continue
+            iv = current[j]
             if spec.variables[j][2]:
-                current[j] = _contract_integer(current[j], float(z[j]), config.contract_frac)
+                new = _contract_integer(iv, float(z[j]), config.contract_frac)
             else:
-                current[j] = contract_bounds(current[j], float(z[j]), config.contract_frac)
-
-        if all(current[j].width <= wtol[j] for j in nl_vars):
+                new = contract_bounds(iv, float(z[j]), config.contract_frac)
+                spacing = np.spacing(max(abs(new.lo), abs(new.hi)))
+                if new.width <= max(rel_floor[j], _FLOOR_SPACINGS * config.n_pieces * spacing):
+                    new = iv
+            if new != iv:
+                current[j], at_floor = new, False
+        if at_floor:
             termination = "width"
             break
 

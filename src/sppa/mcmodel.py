@@ -118,7 +118,7 @@ def _encode_term_value(enc: McEncoding) -> dict[int, float]:
     expr: dict[int, float] = {}
     for key in enc.selector_ids:
         cell, perm = key
-        path = pwl.vertex_path(pwl.SimplexId(cell, perm), grid.dims)
+        path = pwl.vertex_path(pwl.SimplexId(cell, perm))
         vals = [enc.values[v] for v in path]
         mu_coef = vals[0]
         for step, k in enumerate(perm):

@@ -308,7 +308,6 @@ _BUILTINS = {
         "text": "(1 - x)^2 + 100*(y - x^2)^2",
         "box": (-2.048, 2.048),
         "optimum": 0.0,
-        "argmin": (1.0, 1.0),
         "initial_n_pieces": 4,
         "n_pieces": 4,
         "contract_frac": 0.92,  # slow shrink: the window must track the curved valley
@@ -318,7 +317,6 @@ _BUILTINS = {
         "text": "20 + x^2 + y^2 - 10*cos(2*pi*x) - 10*cos(2*pi*y)",
         "box": (-5.12, 5.12),
         "optimum": 0.0,
-        "argmin": (0.0, 0.0),
         "initial_n_pieces": 6,
         "n_pieces": 3,
         "contract_frac": 0.5,
@@ -330,7 +328,6 @@ _BUILTINS = {
                 " + 20 + exp(1)",
         "box": (-5.0, 5.0),
         "optimum": 0.0,
-        "argmin": (0.0, 0.0),
         "initial_n_pieces": 3,
         "n_pieces": 3,
         "contract_frac": 0.5,
@@ -340,7 +337,6 @@ _BUILTINS = {
         "text": "-(y + 47)*sin(sqrt(abs(x/2 + y + 47))) - x*sin(sqrt(abs(x - y - 47)))",
         "box": (-512.0, 512.0),
         "optimum": -959.6407,
-        "argmin": (512.0, 404.2319),
         "initial_n_pieces": 35,
         "n_pieces": 3,
         # reduced (initial, later) pieces for `sppa table`, the table script

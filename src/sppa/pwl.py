@@ -117,7 +117,7 @@ def enumerate_simplices(grid: Grid) -> Iterator[SimplexId]:
             yield SimplexId(cell, perm)
 
 
-def vertex_path(sid: SimplexId, dims: int) -> list[tuple[int, ...]]:
+def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
     """Lattice multi-indices of the d+1 path vertices, origin first."""
     idx = list(sid.cell)
     path = [tuple(idx)]
@@ -130,16 +130,18 @@ def vertex_path(sid: SimplexId, dims: int) -> list[tuple[int, ...]]:
 def vertex_values(grid: Grid, f: Callable, label: str) -> dict[tuple[int, ...], float]:
     """``f`` at every grid vertex, keyed by multi-index in row-major order; a
     vertex that raises ``ArithmeticError`` or gives a non-finite value aborts
-    with ``label`` and its coordinates."""
+    with a ``ValueError`` that names ``label`` and the vertex and carries the
+    vertex as its ``vertex`` attribute."""
     values = {}
     for vidx in grid.vertex_indices():
         coords = grid.vertex(vidx)
         try:
             val = float(f(coords))
+            if not math.isfinite(val):
+                raise ArithmeticError(f"value {val} is not finite")
         except ArithmeticError as exc:
-            raise ValueError(f"term '{label}' failed at grid vertex {coords.tolist()}: "
-                             f"{exc}") from exc
-        if not math.isfinite(val):
-            raise ValueError(f"term '{label}' is not finite at grid vertex {coords.tolist()}")
+            error = ValueError(f"term '{label}' failed at grid vertex {coords.tolist()}: {exc}")
+            error.vertex = coords.tolist()
+            raise error from exc
         values[vidx] = val
     return values

@@ -96,7 +96,7 @@ def locate(grid: pwl.Grid, z) -> pwl.SimplexId:
 
 def simplex_vertices(grid: pwl.Grid, sid: pwl.SimplexId) -> np.ndarray:
     """Coordinates of the d+1 simplex vertices, one row per vertex."""
-    return np.array([grid.vertex(v) for v in pwl.vertex_path(sid, grid.dims)])
+    return np.array([grid.vertex(v) for v in pwl.vertex_path(sid)])
 
 
 def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
@@ -108,7 +108,7 @@ def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
     intercept anchors the plane at the origin vertex.  This plane passes
     through all d+1 vertices (telescoping along the path).
     """
-    path = pwl.vertex_path(sid, grid.dims)
+    path = pwl.vertex_path(sid)
     vals = []
     for v in path:
         fv = float(f(grid.vertex(v)))
@@ -643,7 +643,6 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
             n_pieces=2,
             contract_frac=float(rng.uniform(0.3, 0.8)),
             max_iters=4,
-            width_tol=1e-12,
         )
         result = loop.run(spec, cfg)
         assert result.trace, "empty trace"

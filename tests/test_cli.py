@@ -125,6 +125,23 @@ def test_problem_file_domain_error_exits_3(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+def test_term_failing_at_a_grid_vertex_exits_3(tmp_path, capsys):
+    bad = tmp_path / "sqrt.prob"
+    bad.write_text("[variables]\nx -1 1\n[objective]\nmin sqrt(x) + x^2\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: term 'g0' failed at grid vertex [-1.0]: ")
+    assert err.count("\n") == 1
+
+
+def test_integer_variable_in_term_ends_by_width(tmp_path, capsys):
+    prob = tmp_path / "int.prob"
+    prob.write_text("[variables]\nn 0 10 integer\nx -1 1\n[objective]\n"
+                    "min (n-2.3)^2 + x^2 + n*x\n")
+    assert run_cli(["solve", "--problem", str(prob)]) == 0
+    assert "termination: width" in capsys.readouterr().out
+
+
 def test_integer_variable_without_integer_exits_3(tmp_path, capsys):
     bad = tmp_path / "empty.prob"
     bad.write_text("[variables]\nn 0.2 0.8 integer\n[objective]\nmin n\n")

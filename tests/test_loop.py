@@ -159,6 +159,47 @@ def test_integer_variable_in_term():
         assert iv.lo == math.floor(iv.lo) and iv.hi == math.ceil(iv.hi)
         assert iv.width >= 1.0
 
+    # n inside a nonlinear term with a continuous partner: n's window stops
+    # contracting at [2, 4] around n = 3, so the run ends by width once x's
+    # window is at its floor too, on the vertex path and (with a row that
+    # never binds) on the MILP path; without a floor for x, the default cap
+    # lets its window halve until its breakpoints collide
+    for rows in ([], [("x + n", ">=", -5.0)]):
+        spec = from_expressions(
+            [("n", Interval(0.0, 10.0), True), ("x", Interval(-1.0, 1.0), False)],
+            "(n - 2.3)^2 + x^2 + n*x", constraints=rows)
+        result = run(spec, SppaConfig())
+        assert result.termination == "width", rows
+        assert result.best_point.tolist() == [3.0, -1.0]
+        assert result.best_objective == pytest.approx(-1.51, abs=1e-9)
+        last = result.trace[-1].bounds
+        assert last["n"] == Interval(2.0, 4.0)
+        assert last["x"].width > 1e-8 * 2.0
+
+
+@pytest.mark.parametrize("pieces", [(4, 4), (35, 3)])
+@pytest.mark.parametrize("with_y", [False, True])
+def test_far_from_zero_window_ends_by_width(pieces, with_y):
+    # float spacing at 1e9 is 1.2e-7, above 1e-8 of x's unit width: x's
+    # window stops at a floor of float spacings, where its grid breakpoints
+    # stay strictly increasing; y then contracts alone down to its own floor
+    variables = [("x", Interval(1e9, 1e9 + 1.0), False)]
+    text = "(x - 1000000000.3)^2"
+    if with_y:
+        variables.append(("y", Interval(0.0, 1.0), False))
+        text += " + y^2"
+    result = run(from_expressions(variables, text), SppaConfig(*pieces))
+    assert result.termination == "width"
+    assert abs(result.best_point[0] - (1e9 + 0.3)) <= 1e-5
+    x_floor = loop._FLOOR_SPACINGS * pieces[1] * np.spacing(1e9 + 1.0)
+    widths = [rec.bounds["x"].width for rec in result.trace]
+    assert min(widths) > x_floor
+    if with_y:
+        # x reached its floor first and kept its window while y contracted
+        assert widths[-1] == widths[-2]
+        assert result.trace[-1].bounds["y"].width <= 1e-8 / 0.5
+        assert result.best_point[1] == pytest.approx(0.0, abs=1e-7)
+
 
 def _parabola_spec(x_min: float = 0.5):
     # min y subject to y >= x^2 and x >= 0.5: optimum 0.25, approached from above
@@ -240,8 +281,6 @@ def test_config_validation():
         SppaConfig(2, 2, 1.5)
     with pytest.raises(ValueError):
         SppaConfig(2, 2, 0.5, max_iters=0)
-    with pytest.raises(ValueError):
-        SppaConfig(2, 2, 0.5, width_tol=-1.0)
     for bad in (0.0, -1.0):
         with pytest.raises(ValueError):
             SppaConfig(2, 2, 0.5, time_limit=bad)
