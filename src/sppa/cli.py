@@ -18,7 +18,7 @@ import sys
 import time
 from typing import Optional
 
-from sppa import loop
+from sppa import loop, milp
 from sppa.problems import (ProblemFormatError, builtin, builtin_info, builtin_names,
                            load_problem)
 
@@ -29,7 +29,8 @@ EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
 # the solver counters of each trace row, in JSON key and CSV column order
-_COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations")
+_COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations",
+             *(f"nodes_{outcome}" for outcome in milp.NODE_OUTCOMES))
 
 
 @dataclasses.dataclass

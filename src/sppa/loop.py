@@ -224,6 +224,13 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
     return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0)
 
 
+def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:
+    """The width at or below which a continuous window counts as at its
+    floor: ``rel_floor``, or ``_FLOOR_SPACINGS`` float spacings per piece at
+    its largest endpoint, whichever is larger."""
+    return max(rel_floor, _FLOOR_SPACINGS * pieces * np.spacing(max(abs(iv.lo), abs(iv.hi))))
+
+
 def run(
     spec: ProblemSpec,
     config: SppaConfig,
@@ -242,13 +249,21 @@ def run(
     window that contracting would give back unchanged, or a continuous one
     that it would leave no wider than ``_FLOOR_REL`` of its initial width or
     ``_FLOOR_SPACINGS * n_pieces`` float spacings at its largest endpoint
-    (narrower, the next grid's breakpoints could collide).
+    (narrower, the next grid's breakpoints could collide).  A declared
+    continuous window already that narrow for the larger piece count is
+    held fixed at its midpoint from the start.
     """
     t0 = time.perf_counter()
     deadline = t0 + config.time_limit if config.time_limit is not None else None
 
     nl_vars = sorted({k for term in spec.nonlinear_terms for k in term.var_ids})
     current = list(spec.bounds())
+    pieces_max = max(config.initial_n_pieces, config.n_pieces)
+    for j in nl_vars:
+        iv = current[j]
+        if not spec.variables[j][2] and 0.0 < iv.width <= _floor(iv, 0.0, pieces_max):
+            mid = iv.lo + 0.5 * iv.width
+            current[j] = Interval(mid, mid)  # too narrow for any grid of the run
     rel_floor = {j: _FLOOR_REL * current[j].width for j in nl_vars}
 
     minimize = spec.sense == "min"
@@ -294,6 +309,7 @@ def run(
                 "pivots": res.iterations,
                 "root_pivots": res.root_pivots,
                 "factorizations": res.factorizations,
+                **{f"nodes_{k}": v for k, v in res.outcomes.items()},
                 "gap": res.gap,
                 "seconds": time.perf_counter() - iter_start,
             },
@@ -328,8 +344,7 @@ def run(
                 new = _contract_integer(iv, float(z[j]), config.contract_frac)
             else:
                 new = contract_bounds(iv, float(z[j]), config.contract_frac)
-                spacing = np.spacing(max(abs(new.lo), abs(new.hi)))
-                if new.width <= max(rel_floor[j], _FLOOR_SPACINGS * config.n_pieces * spacing):
+                if new.width <= _floor(new, rel_floor[j], config.n_pieces):
                     new = iv
             if new != iv:
                 current[j], at_floor = new, False

@@ -1,7 +1,10 @@
 """Multiple-choice MILP encoding of a piecewise-linear term.
 
 One binary selector per simplex and one disaggregated copy of every term
-variable per simplex.  Chain rows tie each copy to the copy of the
+variable per simplex.  The selection row (the selectors sum to 1) is
+declared on the model as a choice set, each selector with its grid cell,
+so that :func:`sppa.milp.solve_milp` branches on the term's choice of
+simplex as a whole.  Chain rows tie each copy to the copy of the
 variable stepping just before it on the simplex vertex path, which (a)
 forces the copies of an unselected simplex to zero and (b) restricts the
 selected simplex's copies to points whose fractional coordinates decrease
@@ -68,12 +71,14 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str
 
 
 def _encode_selection(model: LpProblem, enc: McEncoding):
-    """Linking rows (copies sum to the shared variable) plus the cardinality row."""
+    """Linking rows (copies sum to the shared variable) plus the selection
+    row, declared as a choice set so that branch and bound splits the
+    term's simplices along the grid."""
     for k in range(enc.grid.dims):
         coeffs = {enc.copy_ids[key, k]: 1.0 for key in enc.selector_ids}
         coeffs[enc.z_ids[k]] = -1.0
         model.add_row(coeffs, EQ, 0.0)
-    model.add_row({j: 1.0 for j in enc.selector_ids.values()}, EQ, 1.0)
+    model.add_choice_set(list(enc.selector_ids.values()), [cell for cell, _ in enc.selector_ids])
 
 
 def _encode_chain(model: LpProblem, enc: McEncoding):

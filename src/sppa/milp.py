@@ -11,8 +11,18 @@ bound its reduced cost favours, so with no phase 1 the root starts from a
 given basis (the previous outer iteration's) or the slack basis, and each
 branch-and-bound child from its parent's optimal basis, factorization,
 reduced costs and primal values, which one changed bound leaves primal
-infeasible in a few rows at most.  Integer variables are handled by
-best-bound branch and bound, branching on the most fractional variable.
+infeasible in a few rows at most.
+
+Integer variables are handled by best-bound branch and bound.  A problem
+may declare choice sets: binaries that sum to 1, each with a grid cell,
+such as the selectors of one piecewise-linear term.  A node whose LP
+solution leaves a set fractional branches on the whole set as a special
+ordered set: it splits the set's LP weight in half along a grid axis (or,
+when one cell holds all of it, in declaration order inside that cell), and
+each child sets the upper bounds of one side to 0.  No selector of a
+fractional set sits at 1, so every such bound lies on a basic column or on
+a column already at 0, and the parent's state stays an exact warm start.
+Integers outside every set are branched on singly, most fractional first.
 
 Deliberately no cutting planes and no presolve beyond rounding integer
 bounds inward, treating fixed variables as permanently nonbasic and
@@ -28,7 +38,7 @@ import copy
 import heapq
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
@@ -42,6 +52,7 @@ __all__ = [
     "LinearConstraint",
     "LpProblem",
     "MilpResult",
+    "NODE_OUTCOMES",
     "solve_milp",
 ]
 
@@ -98,6 +109,7 @@ class LpProblem:
         self.objective: dict[int, float] = {}
         self.obj_constant = 0.0
         self.sense = "min"
+        self.choice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, cells)
 
     @property
     def n_vars(self) -> int:
@@ -122,6 +134,22 @@ class LpProblem:
         self.rows.append(LinearConstraint(coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
+    def add_choice_set(self, ids, cells) -> int:
+        """Add the row ``sum(x_j for j in ids) = 1`` over binary variables and
+        declare them a choice set for branching; ``cells[i]`` is the grid
+        cell (one index per axis) of ``ids[i]``.  Returns the row index."""
+        ids = np.asarray(ids, dtype=np.intp)
+        cells = np.asarray(cells, dtype=np.intp)
+        if (ids.ndim != 1 or not ids.size or np.unique(ids).size != ids.size
+                or cells.ndim != 2 or len(cells) != ids.size or np.any(cells < 0)):
+            raise ValueError("a choice set needs distinct ids, each with a row of cell indices")
+        if not all(0 <= j < self.n_vars and self.is_int[j] and self.lb[j] >= 0.0
+                   and self.ub[j] <= 1.0 for j in ids.tolist()):
+            raise ValueError("every choice set member must be a binary variable")
+        row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), EQ, 1.0)
+        self.choice_sets.append((ids, cells))
+        return row
+
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
                       sense: str = "min"):
         if sense not in ("min", "max"):
@@ -129,6 +157,11 @@ class LpProblem:
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
         self.obj_constant = float(constant)
         self.sense = sense
+
+
+# how a solved node ends: split on a choice set, branched on one integer,
+# integral, infeasible, or cut off by the incumbent
+NODE_OUTCOMES = ("set_branched", "var_branched", "integral", "infeasible", "cutoff")
 
 
 @dataclass
@@ -143,6 +176,8 @@ class MilpResult:
     factorizations: int = 0
     root_pivots: int = 0
     start: Optional[_Start] = None  # the root's optimal basis, for a same-shaped model
+    # nodes per NODE_OUTCOMES entry; a node the deadline stops counts in none
+    outcomes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(NODE_OUTCOMES, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -266,7 +301,8 @@ class _Basis:
 class _Start:
     """A basis and its nonbasic bound statuses; from an optimal parent, also
     its fresh factorization (no etas), reduced costs and primal values, which
-    a child that changes one bound of a basic column shares."""
+    a child shares when every bound it changes lies on a basic column or
+    is an upper bound lowered to 0 on a column already at 0."""
 
     basis: np.ndarray
     vstat: np.ndarray
@@ -292,8 +328,9 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     Starts from ``start`` (the slack basis when None), which is dual
     feasible once every nonbasic column sits at the bound its reduced cost
     favours; a column whose reduced cost is within tolerance of zero keeps
-    its bound; a start without factors whose basis is singular falls back
-    to the slack basis.  Each pivot removes the basic variable with the
+    its bound.  A basis found singular on refactorization, the start's or
+    one reached by pivoting, sends the solve back to the slack basis once;
+    a second one ends it with status 'numerical'.  Each pivot removes the basic variable with the
     largest bound violation.  The ratio test passes every breakpoint the
     dual objective still rises through, flipping those columns to their
     other bound, and enters the column at the next one (largest |alpha| on
@@ -348,16 +385,18 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     stall = 0
     last_obj = -math.inf
     concluding_refresh = False
+    from_slack = start is None
 
     while True:
         if need_refresh:
             n_factor += 1
             try:
                 factors, d, x = refresh()
-            except RuntimeError:
-                if n_factor > 1 or start is None or start.factors is not None:
+            except RuntimeError:  # a singular basis: start again from the slack basis, once
+                if from_slack:
                     return stop("numerical")
-                basis, vstat = slack_start()  # the start's basis is singular here
+                basis, vstat = slack_start()
+                from_slack, last_obj = True, -math.inf
                 continue
             need_refresh = False
         if iters >= iter_limit:
@@ -480,12 +519,57 @@ def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
     return int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
 
 
+def _balanced_cut(weights: np.ndarray) -> tuple[float, int]:
+    """``(|left - right|, t)`` for the cut of ``weights`` into ``[:t]`` and
+    ``[t:]`` that balances them best with both sides positive, the lowest
+    ``t`` on ties; ``(inf, 0)`` if no cut leaves weight on both sides."""
+    left = np.cumsum(weights)[:-1]
+    right = np.cumsum(weights[::-1])[::-1][1:]
+    imbalance = np.where((left > 0.0) & (right > 0.0), np.abs(left - right), math.inf)
+    if not imbalance.size or imbalance.min() == math.inf:
+        return math.inf, 0
+    t = int(np.argmin(imbalance))
+    return float(imbalance[t]), t + 1
+
+
+def _set_branch(choice_sets: list, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The ids each child sets to 0 when branching on a choice set, or None
+    when no set has two selectors above ``_INT_TOL``.
+
+    The set is the one whose largest selector is smallest, the lowest index
+    on ties.  The split balances the weight of its selectors above
+    ``_INT_TOL`` best along one grid axis, at a cell boundary (lowest axis,
+    then boundary, on ties); when one cell holds all of it, in declaration
+    order inside that cell.  Either way both children drop weight, and a
+    selector already set to 0 (at most ``_FEAS_TOL`` off it) carries none.
+    """
+    chosen, top = None, math.inf
+    for ids, cells in choice_sets:
+        v = x[ids]
+        if np.count_nonzero(v > _INT_TOL) >= 2 and v.max() < top:
+            chosen, top = (ids, cells, np.where(v > _INT_TOL, v, 0.0)), float(v.max())
+    if chosen is None:
+        return None
+    ids, cells, w = chosen
+    best, low = math.inf, None
+    for k in range(cells.shape[1]):
+        imbalance, t = _balanced_cut(np.bincount(cells[:, k], weights=w))
+        if imbalance < best:
+            best, low = imbalance, cells[:, k] < t
+    if low is None:
+        low = np.arange(ids.size) < _balanced_cut(w)[1]
+    return ids[~low], ids[low]
+
+
 def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                start: Optional[_Start] = None) -> MilpResult:
     """Best-bound branch and bound over the integer variables.
 
-    The root starts from ``start`` (a ``MilpResult.start``) when its shape
-    matches this model's canonical form, else from the slack basis.
+    A node splits a fractional choice set when it has one (see
+    ``_set_branch``), and otherwise branches on the most fractional integer
+    outside every set, the lowest id on ties.  The root starts from
+    ``start`` (a ``MilpResult.start``) when its shape matches this model's
+    canonical form, else from the slack basis.
     Returns an incumbent, with its integer components rounded, whose
     relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
     ``deadline`` passes, the search stops with status 'time_limit' and the
@@ -496,6 +580,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     canon = _Canon(problem)
     n = problem.n_vars
     int_idx = np.flatnonzero(np.array(problem.is_int, dtype=bool))
+    outcomes = dict.fromkeys(NODE_OUTCOMES, 0)
 
     if start is not None and (start.basis.size != canon.m
                               or start.vstat.size != canon.nstruct + canon.m):
@@ -544,19 +629,21 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             root_iters = res.iterations
             if res.status == "optimal":  # the next model's matrix differs: no factors
                 root_start = _Start(res.start.basis, res.start.vstat)
-        if res.status in ("infeasible", "cutoff"):
-            continue
         if res.status in ("time_limit", "iteration_limit", "numerical"):
             stop_status = res.status
             heapq.heappush(heap, node)  # unsolved, so its bound still counts
             break
-
+        if res.status == "infeasible":
+            outcomes["infeasible"] += 1
+            continue
         node_bound = res.objective
-        if node_bound >= cutoff:
+        if res.status == "cutoff" or node_bound >= cutoff:
+            outcomes["cutoff"] += 1
             continue
 
         frac = _fractional(res.x, int_idx)
-        if frac.size == 0:
+        if not frac.size:
+            outcomes["integral"] += 1
             x = res.x.copy()  # integral within _INT_TOL: report the integers
             x[int_idx] = np.round(x[int_idx])
             obj = float(canon.c @ x)
@@ -564,16 +651,23 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                 incumbent_obj = obj
                 incumbent_x = x[:n]
             continue
-
-        # branch on the most fractional variable, ties by lowest id
-        fr = res.x[frac] - np.floor(res.x[frac])
-        scores = np.abs(fr - 0.5)
-        j = int(frac[np.argmin(scores)])
-        xj = float(res.x[j])
-        for child_l, child_u in (
-            (dict(l_over), {**u_over, j: math.floor(xj)}),
-            ({**l_over, j: math.ceil(xj)}, dict(u_over)),
-        ):
+        split = _set_branch(problem.choice_sets, res.x)
+        if split is not None:
+            outcomes["set_branched"] += 1
+            children = [(l_over, {**u_over, **dict.fromkeys(side.tolist(), 0.0)})
+                        for side in split]
+        else:
+            # the most fractional integer, ties by lowest id: one outside every
+            # set, as a fractional set member leaves two selectors above
+            # _INT_TOL, except at tolerance level (the rest of its set's
+            # weight spread below _INT_TOL)
+            outcomes["var_branched"] += 1
+            fr = res.x[frac] - np.floor(res.x[frac])
+            j = int(frac[np.argmin(np.abs(fr - 0.5))])
+            xj = float(res.x[j])
+            children = [(l_over, {**u_over, j: math.floor(xj)}),
+                        ({**l_over, j: math.ceil(xj)}, u_over)]
+        for child_l, child_u in children:
             seq += 1
             heapq.heappush(heap, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
 
@@ -589,4 +683,4 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     return MilpResult(status, incumbent_x,
                       None if incumbent_x is None else canon.user_objective(incumbent_obj),
                       canon.user_objective(best_bound) if math.isfinite(best_bound) else None,
-                      gap, nodes, total_iters, total_factor, root_iters, root_start)
+                      gap, nodes, total_iters, total_factor, root_iters, root_start, outcomes)

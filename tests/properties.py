@@ -299,22 +299,35 @@ def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
     return points, ok
 
 
-def check_milp_oracle(n_instances: int = 100, n_general: int = 60) -> str:
+def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int = 60) -> str:
     """Branch and bound matches exhaustive enumeration: ``n_instances``
     all-binary problems, then ``n_general`` with general integers over
-    small ranges such as [-2, 3]."""
+    small ranges such as [-2, 3], then ``n_sets`` that declare choice sets:
+    1-3 groups of 1-4 binaries, each group's ``= 1`` row added by
+    ``add_choice_set`` with random 1-D or 2-D cells, plus one general
+    integer outside every set."""
     rng = np.random.default_rng(777)
     senses = np.array(["<=", "<=", ">=", ">=", "="])  # equalities kept rare
-    n_infeasible = [0, 0]  # binary, general
-    for inst in range(n_instances + n_general):
-        if inst < n_instances:
+    n_infeasible = [0, 0, 0]  # binary, general, with choice sets
+    set_branched = 0
+    for inst in range(n_instances + n_general + n_sets):
+        kind = 0 if inst < n_instances else 1 if inst < n_instances + n_general else 2
+        groups = []
+        if kind == 0:
             n = int(rng.integers(1, 13))
             bounds = [(0.0, 1.0)] * n
-        else:
+        elif kind == 1:
             n = int(rng.integers(1, 6))
             lo = rng.integers(-3, 1, size=n)
             bounds = [(float(a), float(a + w)) for a, w in zip(lo, rng.integers(1, 6, size=n))]
-        m = int(rng.integers(0, 9 if inst < n_instances else 5))
+        else:
+            sizes = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+            first = np.concatenate([[0], np.cumsum(sizes)])
+            groups = [range(a, b) for a, b in zip(first[:-1], first[1:])]
+            n = int(first[-1]) + 1  # the general integer last
+            lo = float(rng.integers(-2, 1))
+            bounds = [(0.0, 1.0)] * (n - 1) + [(lo, lo + float(rng.integers(1, 5)))]
+        m = int(rng.integers(0, 9 if kind == 0 else 5))
         c = rng.integers(-9, 10, size=n).astype(float)
         A = rng.integers(-9, 10, size=(m, n)).astype(float)
         sn = senses[rng.integers(0, 5, size=m)]
@@ -322,6 +335,10 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60) -> str:
 
         prob = milp.LpProblem()
         ids = [prob.add_var(lo, hi, integer=True) for lo, hi in bounds]
+        for group in groups:
+            dims = int(rng.integers(1, 3))
+            prob.add_choice_set([ids[j] for j in group],
+                                rng.integers(0, 3, size=(len(group), dims)))
         for i in range(m):
             coeffs = {ids[j]: A[i, j] for j in range(n) if A[i, j] != 0.0}
             if not coeffs:
@@ -333,15 +350,22 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60) -> str:
         res = milp.solve_milp(prob)
         if not ok.any():
             assert res.status == "infeasible", f"expected infeasible, got {res.status}"
-            n_infeasible[inst >= n_instances] += 1
+            n_infeasible[kind] += 1
         else:
             best = float(np.min(points[ok] @ c))
             assert res.status == "optimal", f"expected optimal, got {res.status}"
             assert abs(res.objective - best) <= 1e-6, (
                 f"bnb {res.objective} != brute force {best}"
             )
+        assert sum(res.outcomes.values()) == res.nodes, (res.outcomes, res.nodes)
+        if kind < 2:
+            assert res.outcomes["set_branched"] == 0, res.outcomes
+        set_branched += res.outcomes["set_branched"]
+    assert n_infeasible[2] > 0 and set_branched > 0, (n_infeasible, set_branched)
     return (f"milp brute-force oracle ok ({n_instances} binary instances, {n_infeasible[0]} "
-            f"infeasible; {n_general} with general integers, {n_infeasible[1]} infeasible)")
+            f"infeasible; {n_general} with general integers, {n_infeasible[1]} infeasible; "
+            f"{n_sets} with choice sets, {n_infeasible[2]} infeasible, "
+            f"{set_branched} set-branched nodes)")
 
 
 def check_warm_child(n_lps: int = 150) -> str:
@@ -416,6 +440,73 @@ def check_warm_child(n_lps: int = 150) -> str:
     assert n_infeasible > 0 and n_children - n_infeasible > 0, (n_children, n_infeasible)
     return (f"warm children match cold solves ({n_children} children, {n_infeasible} "
             f"infeasible; {n_warm_pivots} warm vs {n_cold_pivots} cold pivots)")
+
+
+def check_set_branch_warm(n_models: int = 30) -> str:
+    """A child of a choice-set split re-solved warm from its parent's state
+    (``_Start`` with factorization, reduced costs and primal values)
+    matches the same LP solved cold from the slack basis: same status, and
+    the same objective within 1e-9 (1 + |objective|).  Every column the
+    split sets to 0 was basic or at 0 in the parent.
+
+    Each seeded model is one MC-encoded term of 1 or 2 variables on a grid
+    of 3-5 pieces per axis, of a random indefinite quadratic whose LP
+    relaxation spreads the selection over several simplices, plus a random
+    linear equality on the term variables through a point of the box.  From the root, the walk descends
+    through up to four splits, into the first child that stays fractional.
+    """
+    rng = np.random.default_rng(1357)
+    n_children = n_infeasible = most_zeroed = 0
+    for _ in range(n_models):
+        dims = int(rng.integers(1, 3))
+        lo = rng.uniform(-2.0, 0.0, size=dims)
+        hi = lo + rng.uniform(1.0, 3.0, size=dims)
+        grid = pwl.Grid([np.linspace(lo[k], hi[k], int(rng.integers(3, 6)) + 1)
+                         for k in range(dims)])
+        Q = rng.normal(size=(dims, dims))
+        Q = -(Q @ Q.T) - 0.5 * np.eye(dims)  # concave: the relaxation mixes simplices
+        b = rng.normal(size=dims)
+        prob = milp.LpProblem()
+        z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
+        enc = encode_term(prob, grid, z, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v))
+        a = rng.normal(size=dims)
+        point = rng.uniform(lo, hi)
+        prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
+        prob.set_objective(enc.objective)
+        canon = milp._Canon(prob)
+        l, u = canon.l, canon.u.copy()
+        parent = milp._simplex(canon, l, u)
+        assert parent.status == "optimal", parent.status
+        for _depth in range(4):
+            split = milp._set_branch(prob.choice_sets, parent.x)
+            if split is None:
+                break
+            descend = None
+            for side in split:
+                basic = parent.start.vstat[side] == milp._BASIC
+                assert np.all(basic | (parent.x[side] == 0.0)), "zeroed a column away from 0"
+                child_u = u.copy()
+                child_u[side] = 0.0
+                warm = milp._simplex(canon, l, child_u, parent.start)
+                cold = milp._simplex(canon, l, child_u)
+                assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
+                if cold.status == "optimal":
+                    tol = 1e-9 * (1.0 + abs(cold.objective))
+                    assert abs(warm.objective - cold.objective) <= tol, (
+                        f"warm {warm.objective} != cold {cold.objective}")
+                    if descend is None:
+                        descend = (child_u, warm)
+                else:
+                    assert cold.status == "infeasible", cold.status
+                    n_infeasible += 1
+                n_children += 1
+                most_zeroed = max(most_zeroed, int(side.size))
+            if descend is None:
+                break
+            u, parent = descend
+    assert n_children >= 2 * n_models and most_zeroed >= 10, (n_children, most_zeroed)
+    return (f"set-branch children warm match cold ({n_children} children, {n_infeasible} "
+            f"infeasible, up to {most_zeroed} selectors zeroed at once)")
 
 
 def check_warm_root(n_pairs: int = 80) -> str:
@@ -805,6 +896,7 @@ ALL_CHECKS = (
     check_mc_equivalence,
     check_milp_oracle,
     check_warm_child,
+    check_set_branch_warm,
     check_warm_root,
     check_eta_file,
     check_sppa_invariants,

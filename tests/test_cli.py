@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from sppa import cli, loop
+from sppa import cli, loop, milp
 from sppa.cli import main
 from sppa.problems import builtin_names
 
@@ -41,7 +41,9 @@ def test_json_and_csv_numeric_content_match(tmp_path):
     with open(c) as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "nodes", "pivots",
-                       "root_pivots", "factorizations", "seconds"]
+                       "root_pivots", "factorizations", "nodes_set_branched",
+                       "nodes_var_branched", "nodes_integral", "nodes_infeasible",
+                       "nodes_cutoff", "seconds"]
     assert len(rows) - 1 == len(report["rows"])
     for csv_row, jrow in zip(rows[1:], report["rows"]):
         assert int(csv_row[0]) == jrow["iter"]
@@ -52,6 +54,8 @@ def test_json_and_csv_numeric_content_match(tmp_path):
         assert int(csv_row[6]) == jrow["pivots"]
         assert int(csv_row[7]) == jrow["root_pivots"]
         assert int(csv_row[8]) == jrow["factorizations"]
+        for k, name in enumerate(rows[0][9:14], start=9):
+            assert int(csv_row[k]) == jrow[name]
 
 
 def _strip_timing(report: dict) -> dict:
@@ -65,8 +69,8 @@ def _strip_timing(report: dict) -> dict:
 def test_deterministic_reruns(tmp_path):
     # rastrigin is solved at the grid vertices; the parabola model's rows
     # send it through branch and bound, so its reruns also compare the
-    # simplex counters (a root warm-started from the previous iteration's
-    # optimal basis may take no pivot)
+    # simplex counters and the nodes by outcome (a root warm-started from
+    # the previous iteration's optimal basis may take no pivot)
     parabola = tmp_path / "parabola.prob"
     parabola.write_text("[variables]\nx -1 1\ny 0 2\n[objective]\nmin y\n"
                         "[constraints]\nx^2 - y <= 0\nx >= 0.5\n")
@@ -83,9 +87,12 @@ def test_deterministic_reruns(tmp_path):
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         assert _strip_timing(ra) == _strip_timing(rb)
         for row in ra["rows"]:
+            by_outcome = [row[f"nodes_{outcome}"] for outcome in milp.NODE_OUTCOMES]
+            assert sum(by_outcome) == row["nodes"]  # no deadline: every node solved
             if through_milp:
                 assert row["nodes"] >= 1 and row["factorizations"] >= 1
                 assert 0 <= row["root_pivots"] <= row["pivots"]
+                assert row["nodes_integral"] >= 1
             else:
                 assert row["nodes"] == row["pivots"] == row["root_pivots"] == 0
                 assert row["factorizations"] == 0
@@ -140,6 +147,23 @@ def test_integer_variable_in_term_ends_by_width(tmp_path, capsys):
                     "min (n-2.3)^2 + x^2 + n*x\n")
     assert run_cli(["solve", "--problem", str(prob)]) == 0
     assert "termination: width" in capsys.readouterr().out
+
+
+def test_window_narrower_than_its_first_grid_is_held_fixed(tmp_path):
+    # x's window is one float spacing at 1e9 (1.2e-7), too narrow for the
+    # 4 pieces of the first grid: it is held fixed at its midpoint from the
+    # start, so the run ends by width after one iteration instead of
+    # raising from pwl.Grid on colliding breakpoints
+    prob = tmp_path / "narrow.prob"
+    prob.write_text("[variables]\nx 1000000000 1000000000.0000001\n"
+                    "[objective]\nmin (x-1000000000)^2\n")
+    out = tmp_path / "narrow.json"
+    assert run_cli(["solve", "--problem", str(prob), "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["termination"] == "width" and len(report["rows"]) == 1
+    (x,) = report["best_point"]
+    assert 1e9 <= x <= 1000000000.0000001
+    assert report["final_objective"] == (x - 1e9) ** 2
 
 
 def test_integer_variable_without_integer_exits_3(tmp_path, capsys):

@@ -6,10 +6,13 @@ import time
 import numpy as np
 import pytest
 
-from sppa import milp
+from sppa import loop, milp
 from sppa.milp import LpProblem, solve_milp
+from sppa.problems import from_expressions
+from sppa.pwl import Interval
 
-from properties import check_eta_file, check_milp_oracle, check_warm_child, check_warm_root
+from properties import (check_eta_file, check_milp_oracle, check_set_branch_warm,
+                        check_warm_child, check_warm_root)
 
 
 def knapsack(values, weights, cap):
@@ -254,12 +257,87 @@ def test_passed_deadline_stops_before_the_root():
     assert res.nodes == 0 and res.bound is None
 
 
+@pytest.mark.parametrize("failing_calls, status", [({2}, "optimal"), ({2, 3}, "numerical")])
+def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, failing_calls,
+                                                                status):
+    # a warm-started LP solve factorizes its start, pivots, and refactorizes
+    # before concluding; when that basis is singular (in the 4/4 run of
+    # constrained (b), iteration 21's root reached one, cond 5.8e17) the
+    # solve starts again from the slack basis and ends where a cold solve
+    # ends; a second singular basis ends it as 'numerical'
+    def lp(c):
+        p = LpProblem()
+        ids = [p.add_var(0, 1) for _ in range(4)]
+        p.add_row(dict(zip(ids, [4.0, 3.0, 2.0, 5.0])), "<=", 7.0)
+        p.add_row(dict(zip(ids, [1.0, 1.0, 1.0, 1.0])), "<=", 2.5)
+        p.set_objective(dict(zip(ids, c)), sense="max")
+        return p
+
+    start = solve_milp(lp([5.0, 4.0, 3.0, 6.0])).start
+    problem = lp([1.0, 4.0, 6.0, 2.0])
+    cold = solve_milp(problem)
+    calls = []
+    basis_init = milp._Basis.__init__
+
+    def failing(self, canon, basis):
+        calls.append(len(calls) + 1)
+        if calls[-1] in failing_calls:
+            raise RuntimeError("Factor is exactly singular")
+        basis_init(self, canon, basis)
+
+    monkeypatch.setattr(milp._Basis, "__init__", failing)
+    warm = solve_milp(problem, start=start)
+    assert len(calls) >= 3 and warm.status == status
+    if status == "optimal":
+        assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
+        np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+
+
 def test_oracle_property_suite():
     print(check_milp_oracle())
 
 
 def test_warm_child_property_suite():
     print(check_warm_child())
+
+
+def test_set_branch_warm_property_suite():
+    print(check_set_branch_warm())
+
+
+def test_choice_set_declaration_adds_its_row():
+    p = LpProblem()
+    ids = [p.add_var(0, 1, integer=True) for _ in range(3)]
+    assert p.add_choice_set(ids, [(0, 0), (0, 1), (1, 0)]) == 0
+    assert p.rows[0].coeffs == dict.fromkeys(ids, 1.0) and p.rows[0].sense == "="
+    assert p.rows[0].rhs == 1.0 and len(p.choice_sets) == 1
+    x = p.add_var(0, 1)
+    n = p.add_var(0, 2, integer=True)
+    for bad_ids, bad_cells in (([], []), ([ids[0], ids[0]], [(0,), (1,)]),
+                               ([ids[0], x], [(0,), (1,)]), ([ids[0], n], [(0,), (1,)]),
+                               (ids, [(0,), (1,)]), (ids, [0, 1, 2]), (ids, [(0,), (-1,), (1,)])):
+        with pytest.raises(ValueError):
+            p.add_choice_set(bad_ids, bad_cells)
+    assert len(p.rows) == 1 and len(p.choice_sets) == 1
+
+
+def test_set_branching_keeps_constrained_b_trees_small():
+    # the constrained (b) benchmark model at 3/3, built inline: one 3-D term
+    # of 162 simplices plus a nonlinear and a linear row.  Branching on one
+    # selector at a time took 111 and 84 nodes in the first two iterations;
+    # splitting the term's choice set along the grid takes under 20 each
+    box = Interval(0.0, 2.0)
+    spec = from_expressions(
+        [("x", box, False), ("y", box, False), ("z", box, False)],
+        "(x - 1.2)^2 + (y - 0.8)^2 + (z - 1)^2 - x*y*z",
+        constraints=[("x^2 + y^2 + z^2", "<=", 3.5), ("x + 2*y - z", ">=", 1.0)])
+    result = loop.run(spec, loop.SppaConfig(3, 3, max_iters=2))
+    assert len(result.trace) == 2
+    for rec in result.trace:
+        stats = rec.milp_stats
+        assert stats["status"] == "optimal"
+        assert stats["nodes"] <= 40, stats
+        assert stats["nodes_set_branched"] >= 1 and stats["nodes_var_branched"] == 0, stats
 
 
 def test_warm_root_property_suite():
