@@ -1,11 +1,8 @@
 #!/usr/bin/env python3
 """Run the four built-in benchmarks, save traces, and print the summary table.
 
-Each problem runs at its registry settings, with the registry's desk pieces
-where it has them (eggholder: 20 initial pieces, 4 afterwards), so the first
-MILP stays small while still reaching the known optimum.  Traces land in
-``--outdir`` as JSON; the summary is built from them and printed by the
-same code as ``sppa table``.
+Each problem runs once through ``sppa solve`` at its registry settings.
+Traces land in ``--outdir`` as JSON, and the summary is built from them.
 """
 
 import argparse
@@ -13,8 +10,24 @@ import json
 import pathlib
 import sys
 
-from sppa.cli import EXIT_USAGE, main as cli_main, print_table, table_row
+from sppa.cli import EXIT_USAGE, main as cli_main
 from sppa.problems import builtin_info, builtin_names
+
+
+def _table_row(name: str, report: dict) -> tuple[str, ...]:
+    """One summary-table row from a builtin's JSON trace report."""
+    best, config = report["final_objective"], report["config"]
+    return (name, "-" if best is None else f"{best:.6g}",
+            f"{builtin_info(name)['optimum']:.6g}",
+            f"{config['initial_n_pieces']}/{config['n_pieces']}",
+            f"{report['seconds']:.1f}s", report["termination"])
+
+
+def _print_table(rows: list[tuple[str, ...]]):
+    header = ("problem", "found", "optimal", "pieces", "time", "termination")
+    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
+    for r in [header] + rows:
+        print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
 
 
 def run(argv=None) -> int:
@@ -31,9 +44,6 @@ def run(argv=None) -> int:
     for name in builtin_names():
         out = outdir / f"{name}.json"
         flags = ["solve", "--problem", name, "--out", str(out)]
-        desk = builtin_info(name).get("desk_pieces")
-        if desk:
-            flags += ["--initial-n-pieces", str(desk[0]), "--n-pieces", str(desk[1])]
         if args.budget is not None:
             flags += ["--time-limit", str(args.budget)]
         print(f"=== {name} ===")
@@ -42,13 +52,10 @@ def run(argv=None) -> int:
             return code
         worst = max(worst, code)
         print()
-        report = json.loads(out.read_text())
-        config = report["config"]
-        rows.append(table_row(name, report["final_objective"], config["initial_n_pieces"],
-                              config["n_pieces"], report["seconds"], report["termination"]))
+        rows.append(_table_row(name, json.loads(out.read_text())))
 
     print("=== summary ===")
-    print_table(rows)
+    _print_table(rows)
     return worst
 
 

@@ -1,4 +1,4 @@
-"""Command line front end: run benchmarks or problem files, emit traces.
+"""Command line front end: solve a builtin or a problem file, emit its trace.
 
 Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags or an
 unknown problem, 3 on a problem-file error (a parse or domain error, reported
@@ -15,7 +15,6 @@ import dataclasses
 import json
 import os
 import sys
-import time
 from typing import Optional
 
 from sppa import loop, milp
@@ -61,9 +60,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", default=None, help="write the trace report here")
     s.add_argument("--format", choices=("json", "csv"), default="json")
     s.add_argument("--time-limit", type=float, default=None, help="seconds")
-
-    t = sub.add_parser("table", help="run every builtin and print a summary table")
-    t.add_argument("--budget", type=float, default=None, help="seconds per problem")
     return parser
 
 
@@ -99,6 +95,7 @@ def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
             "objective": float(rec.objective),
             "incumbent": [float(v) for v in rec.incumbent],
             "max_width": float(_max_width(rec, nl_names)),
+            "row_violation": float(rec.row_violation),
             **{name: int(rec.milp_stats[name]) for name in _COUNTERS},
             "seconds": float(rec.milp_stats["seconds"]),
         })
@@ -114,11 +111,12 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["iter", "objective"] + [f"x{k + 1}" for k in range(n_vars)]
-                        + ["max_width", *_COUNTERS, "seconds"])
+                        + ["max_width", "row_violation", *_COUNTERS, "seconds"])
         for row in report.rows:
             writer.writerow([row["iter"], repr(row["objective"])]
                             + [repr(v) for v in row["incumbent"]]
-                            + [repr(row["max_width"]), *(row[name] for name in _COUNTERS),
+                            + [repr(row["max_width"]), repr(row["row_violation"]),
+                               *(row[name] for name in _COUNTERS),
                                repr(row["seconds"])])
 
 
@@ -142,9 +140,8 @@ def cmd_solve(args) -> int:
     print(f"problem: {spec.name}  ({spec.n_vars} variables, "
           f"{len(spec.nonlinear_terms)} nonlinear terms, "
           f"{len(spec.linear_constraints)} linear rows)")
-    print(f"config: initial_n_pieces={config.initial_n_pieces} n_pieces={config.n_pieces} "
-          f"contract_frac={config.contract_frac} max_iters={config.max_iters}"
-          + (f" time_limit={config.time_limit}" if config.time_limit is not None else ""))
+    print("config: " + " ".join(f"{k}={v}" for k, v in dataclasses.asdict(config).items()
+                                if v is not None))
     header = f"{'iter':>4}  {'objective':>14}  {'max_width':>10}  {'nodes':>6}  {'sec':>7}"
     print(header)
 
@@ -185,56 +182,9 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def table_row(name: str, best_objective: Optional[float], initial_n_pieces: int,
-              n_pieces: int, seconds: float, note: str) -> tuple[str, ...]:
-    """One summary-table row for a builtin; ``best_objective`` is None when
-    the run found no incumbent."""
-    found = "-" if best_objective is None else f"{best_objective:.6g}"
-    return (name, found, f"{builtin_info(name)['optimum']:.6g}",
-            f"{initial_n_pieces}/{n_pieces}", f"{seconds:.1f}s", note)
-
-
-def print_table(rows: list[tuple[str, ...]]):
-    header = ("problem", "found", "optimal", "pieces", "time", "termination")
-    widths = [max(len(r[i]) for r in rows + [header]) for i in range(len(header))]
-    for r in [header] + rows:
-        print("  ".join(val.ljust(w) for val, w in zip(r, widths)).rstrip())
-
-
-def cmd_table(args) -> int:
-    configs = {}
-    try:
-        for name in builtin_names():
-            info = builtin_info(name)
-            if "desk_pieces" in info:
-                info["initial_n_pieces"], info["n_pieces"] = info["desk_pieces"]
-            configs[name] = _make_config(info, {"time_limit": args.budget})
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-
-    rows = []
-    any_ok = False
-    for name, config in configs.items():
-        t0 = time.perf_counter()
-        try:
-            result = loop.run(builtin(name), config)
-            best, note = result.best_objective, result.termination
-        except Exception as exc:  # record the failure in-row, keep going
-            best, note = None, f"{type(exc).__name__}: {exc}"
-        any_ok = any_ok or best is not None
-        rows.append(table_row(name, best, config.initial_n_pieces, config.n_pieces,
-                              time.perf_counter() - t0, note))
-    print_table(rows)
-    return EXIT_OK if any_ok else 1
-
-
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "solve":
-        return cmd_solve(args)
-    return cmd_table(args)
+    return cmd_solve(parser.parse_args(argv))
 
 
 if __name__ == "__main__":

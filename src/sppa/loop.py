@@ -4,11 +4,11 @@ Each iteration approximates every nonlinear term on a fresh grid over the
 current variable boxes, solves the resulting MILP (or reads its optimum off
 the grid vertices when no row exists and no two terms share a variable),
 then shrinks the box of every variable that appears in a nonlinear term by
-``contract_frac``, centered on the incumbent (translated to stay inside the
-previous box), until the box reaches its floor (see ``run``).  Variables
-outside all nonlinear terms keep their bounds untouched.  The best point is
-tracked by exact objective value, which guards against surrogate
-underestimation.
+``contract_frac`` (translated to stay inside the previous box), until the
+box reaches its floor (see ``run``).  Variables outside all nonlinear terms
+keep their bounds untouched.  Iterates are ranked by their exact objective
+and rows, never by the surrogate; the boxes are centred on the best-ranked
+point while the latest iterate is feasible (see ``run``).
 
 At a fixed piece count every model has the same columns and rows in the
 same order, so each MILP root starts from the previous iteration's optimal
@@ -72,6 +72,7 @@ class IterationRecord:
     incumbent: np.ndarray
     objective: float            # exact objective at the incumbent
     surrogate_objective: float  # piecewise model optimum reported by the MILP
+    row_violation: float        # ProblemSpec.row_violation at the incumbent
     bounds: dict[str, Interval]  # boxes in effect for this iteration's model
     milp_stats: dict
 
@@ -238,6 +239,14 @@ def run(
 ) -> SppaResult:
     """Iterate solve/contract/rebuild until a termination criterion fires.
 
+    Each iterate is ranked by ``ProblemSpec.row_violation``: a point within
+    ``milp.ROW_TOL`` is feasible.  Feasible points rank first, by exact
+    objective, the others after them by violation; the later point wins a
+    tie.  The best-ranked point is reported.  While the latest iterate is
+    feasible the next windows are centred on the best-ranked point, and
+    otherwise on the latest iterate, as the paper contracts them about each
+    iteration's solution.
+
     Stops when (a) every window is at its floor, (b) the exact objective
     moved at most ``_STALL_TOL`` for ``_STALL_ITERS`` consecutive
     iterations, (c) ``max_iters`` is reached, (d) the MILP is infeasible,
@@ -266,12 +275,11 @@ def run(
             current[j] = Interval(mid, mid)  # too narrow for any grid of the run
     rel_floor = {j: _FLOOR_REL * current[j].width for j in nl_vars}
 
-    minimize = spec.sense == "min"
+    sign = 1.0 if spec.sense == "min" else -1.0
     ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
     vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
     trace: list[IterationRecord] = []
-    best_point = None
-    best_obj = math.inf if minimize else -math.inf
+    best_point = best_obj = best_rank = None
     stall_run = 0
     prev_obj = None
     prev_z = None
@@ -297,11 +305,13 @@ def run(
 
         z = res.x[: spec.n_vars].copy()
         true_obj = spec.objective_value(z)
+        violation = spec.row_violation(z)
         record = IterationRecord(
             iteration=it,
             incumbent=z,
             objective=true_obj,
             surrogate_objective=res.objective,
+            row_violation=violation,
             bounds={name: current[j] for j, (name, _, _) in enumerate(spec.variables)},
             milp_stats={
                 "status": res.status,
@@ -318,9 +328,11 @@ def run(
         if on_iteration is not None:
             on_iteration(record)
 
-        if (true_obj < best_obj) if minimize else (true_obj > best_obj):
-            best_obj = true_obj
-            best_point = z.copy()
+        feasible = violation <= milp.ROW_TOL
+        rank = (0, sign * true_obj) if feasible else (1, violation)
+        if best_rank is None or rank <= best_rank:
+            best_rank, best_obj, best_point = rank, true_obj, z.copy()
+        centre = best_point if feasible else z
 
         # stall evidence needs a tiny objective delta from an incumbent that
         # actually moved; a re-found identical vertex just means the grid is
@@ -341,9 +353,9 @@ def run(
         for j in nl_vars:
             iv = current[j]
             if spec.variables[j][2]:
-                new = _contract_integer(iv, float(z[j]), config.contract_frac)
+                new = _contract_integer(iv, float(centre[j]), config.contract_frac)
             else:
-                new = contract_bounds(iv, float(z[j]), config.contract_frac)
+                new = contract_bounds(iv, float(centre[j]), config.contract_frac)
                 if new.width <= _floor(new, rel_floor[j], config.n_pieces):
                     new = iv
             if new != iv:
@@ -354,7 +366,7 @@ def run(
 
     return SppaResult(
         best_point=best_point,
-        best_objective=None if best_point is None else best_obj,
+        best_objective=best_obj,
         trace=trace,
         termination=termination,
         seconds=time.perf_counter() - t0,

@@ -53,12 +53,15 @@ __all__ = [
     "LpProblem",
     "MilpResult",
     "NODE_OUTCOMES",
+    "ROW_TOL",
     "solve_milp",
 ]
 
 LE, EQ, GE = "<=", "=", ">="
 
 _FEAS_TOL = 1e-7  # primal feasibility
+# the largest row violation an accepted point may have, relative to 1 + |rhs|
+ROW_TOL = 10.0 * _FEAS_TOL
 _INT_TOL = 1e-6  # integrality
 _REL_GAP = 1e-6  # relative optimality gap that ends the search
 _REFACTOR_EVERY = 64
@@ -89,8 +92,9 @@ class LinearConstraint:
     def activity(self, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in self.coeffs.items()))
 
-    def violation(self, x: np.ndarray) -> float:
-        a = self.activity(x)
+    def violation(self, x: np.ndarray, shift: float = 0.0) -> float:
+        """How far the row is from holding at ``x``, ``shift`` added to its activity."""
+        a = self.activity(x) + shift
         if self.sense == LE:
             return max(0.0, a - self.rhs)
         if self.sense == GE:
@@ -507,11 +511,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 
 
 def _check_solution(problem: LpProblem, x: np.ndarray) -> bool:
-    for row in problem.rows:
-        scale = 1.0 + abs(row.rhs)
-        if row.violation(x) > _FEAS_TOL * scale * 10.0:
-            return False
-    return True
+    return all(row.violation(x) <= ROW_TOL * (1.0 + abs(row.rhs)) for row in problem.rows)
 
 
 def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:

@@ -109,6 +109,17 @@ class ProblemSpec:
                 val += term.coef * float(term.fn(x[list(term.var_ids)]))
         return val
 
+    def row_violation(self, x) -> float:
+        """The largest row violation at a point, each relative to ``1 + |rhs|``
+        (nonlinear terms evaluated, not surrogate); 0.0 without rows."""
+        x = np.asarray(x, dtype=float)
+        shift = [0.0] * len(self.linear_constraints)
+        for term in self.nonlinear_terms:
+            if term.row is not None:
+                shift[term.row] += term.coef * float(term.fn(x[list(term.var_ids)]))
+        return max((row.violation(x, s) / (1.0 + abs(row.rhs))
+                    for row, s in zip(self.linear_constraints, shift)), default=0.0)
+
 
 # ---------------------------------------------------------------------------
 # decomposition of expression trees
@@ -339,9 +350,6 @@ _BUILTINS = {
         "optimum": -959.6407,
         "initial_n_pieces": 35,
         "n_pieces": 3,
-        # reduced (initial, later) pieces for `sppa table`, the table script
-        # and the acceptance gate: a small first MILP that still reaches the optimum
-        "desk_pieces": (20, 4),
         "contract_frac": 0.5,
         "max_iters": 60,
     },

@@ -738,7 +738,7 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
         result = loop.run(spec, cfg)
         assert result.trace, "empty trace"
 
-        prev = None
+        prev = best = None
         for rec in result.trace:
             for k in range(d):
                 iv = rec.bounds[f"x{k}"]
@@ -750,15 +750,15 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
                     # width law: equality without clipping, never wider than the factor
                     assert iv.width <= cfg.contract_frac * piv.width + 1e-12
                     interior = (
-                        prev.incumbent[k] - iv.width / 2.0 >= piv.lo - 1e-12
-                        and prev.incumbent[k] + iv.width / 2.0 <= piv.hi + 1e-12
+                        best.incumbent[k] - iv.width / 2.0 >= piv.lo - 1e-12
+                        and best.incumbent[k] + iv.width / 2.0 <= piv.hi + 1e-12
                     )
                     if interior:
                         assert abs(iv.width - cfg.contract_frac * piv.width) <= 1e-12 * (
                             1.0 + piv.width
                         )
-                    # incumbent feeds the next window
-                    assert iv.lo - 1e-9 <= prev.incumbent[k] <= iv.hi + 1e-9
+                    # the best point so far feeds the next window
+                    assert iv.lo - 1e-9 <= best.incumbent[k] <= iv.hi + 1e-9
             # the linear-only variable keeps bit-identical bounds
             assert rec.bounds["w"] == pwl.Interval(-1.0, 1.0)
             # a row-free spec is solved at the grid vertices, where the
@@ -766,57 +766,68 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
             assert abs(rec.surrogate_objective - rec.objective) <= 1e-12 * (
                 1.0 + abs(rec.objective)), "surrogate differs from the exact objective"
             prev = rec
+            if best is None or rec.objective <= best.objective:  # every point is feasible
+                best = rec
             checked_iters += 1
     return f"sppa contraction invariants ok ({n_problems} problems, {checked_iters} iterations)"
+
+
+_SHAPES = (
+    lambda v, a: float(np.sum((v - a) ** 2)),
+    lambda v, a: float(np.sum(np.sin(3.0 * v + a))),
+    lambda v, a: float(np.prod(v + a)),
+)
+
+
+def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
+    """A random spec without rows and a piece count small enough for its MILP.
+
+    It has 1-3 terms on disjoint supports of 1-3 variables, one or two
+    variables outside every term, one zero-width variable, integer variables
+    (declared with fractional bounds, which the spec rounds inward) and
+    linear objective coefficients on term and non-term variables.
+    """
+    sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
+    n = sum(sizes) + int(rng.integers(1, 3))
+    fixed = int(rng.integers(0, n))
+    variables = []
+    for j in range(n):
+        integer = bool(rng.random() < 0.3)
+        lo = float(rng.uniform(-3.0, 1.0))
+        if j == fixed:
+            lo = float(round(lo)) if integer else lo
+            iv = pwl.Interval(lo, lo)
+        else:
+            iv = pwl.Interval(lo, lo + float(rng.uniform(1.5 if integer else 0.5, 6.0)))
+        variables.append((f"v{j}", iv, integer))
+    perm = [int(k) for k in rng.permutation(n)]
+    terms, start = [], 0
+    for size in sizes:
+        shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=size)
+        terms.append(NonlinearTerm(tuple(perm[start:start + size]),
+                                   lambda v, shape=shape, a=a: shape(v, a),
+                                   coef=float(rng.choice([-2.0, 0.5, 1.0]))))
+        start += size
+    linear = {j: float(rng.uniform(-1.0, 1.0)) for j in range(n) if rng.random() < 0.6}
+    sense = "max" if rng.random() < 0.5 else "min"
+    spec = ProblemSpec(variables, linear, float(rng.uniform(-1.0, 1.0)), [], terms, sense=sense)
+    return spec, int(rng.integers(2, 6 if max(sizes) < 3 else 4))  # keeps each MILP small
 
 
 def check_vertex_optimum(n_specs: int = 60) -> str:
     """The vertex shortcut against the MILP reference on row-free specs.
 
-    Each spec has 1-3 terms on disjoint supports of 1-3 variables, one or two
-    variables outside every term, one zero-width variable, integer variables
-    (declared with fractional bounds, which the spec rounds inward) and
-    linear objective coefficients on term and non-term variables.  The
-    shortcut's first iteration must match ``solve_milp`` on the model the
-    MILP path builds, within the MILP's gap, and return a grid vertex.
+    On each spec of ``_row_free_spec``, the shortcut's first iteration must
+    match ``solve_milp`` on the model the MILP path builds, within the
+    MILP's gap, and return a grid vertex.
     """
     rng = np.random.default_rng(1357)
-    shapes = (
-        lambda v, a: float(np.sum((v - a) ** 2)),
-        lambda v, a: float(np.sum(np.sin(3.0 * v + a))),
-        lambda v, a: float(np.prod(v + a)),
-    )
     rel_gap = milp._REL_GAP
     n_max = 0
     for _ in range(n_specs):
-        sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
-        n = sum(sizes) + int(rng.integers(1, 3))
-        fixed = int(rng.integers(0, n))
-        variables = []
-        for j in range(n):
-            integer = bool(rng.random() < 0.3)
-            lo = float(rng.uniform(-3.0, 1.0))
-            if j == fixed:
-                lo = float(round(lo)) if integer else lo
-                iv = pwl.Interval(lo, lo)
-            else:
-                iv = pwl.Interval(lo, lo + float(rng.uniform(1.5 if integer else 0.5, 6.0)))
-            variables.append((f"v{j}", iv, integer))
-        perm = [int(k) for k in rng.permutation(n)]
-        terms, start = [], 0
-        for size in sizes:
-            shape, a = shapes[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=size)
-            terms.append(NonlinearTerm(tuple(perm[start:start + size]),
-                                       lambda v, shape=shape, a=a: shape(v, a),
-                                       coef=float(rng.choice([-2.0, 0.5, 1.0]))))
-            start += size
-        linear = {j: float(rng.uniform(-1.0, 1.0)) for j in range(n) if rng.random() < 0.6}
-        sense = "max" if rng.random() < 0.5 else "min"
+        spec, pieces = _row_free_spec(rng)
+        terms, sense = spec.nonlinear_terms, spec.sense
         n_max += sense == "max"
-        spec = ProblemSpec(variables, linear, float(rng.uniform(-1.0, 1.0)), [], terms,
-                           sense=sense)
-        pieces = int(rng.integers(2, 6 if max(sizes) < 3 else 4))  # keeps each MILP small
-
         rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
         ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces).lp)
         assert ref.status == "optimal", ref.status
@@ -853,6 +864,91 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
         milp.solve_milp = original
     assert len(calls) == 1 and rec.milp_stats["nodes"] >= 1, "overlapping terms skipped the MILP"
     return f"vertex shortcut matches the milp ({n_specs} specs, {n_max} maximising)"
+
+
+def _top_ranked(spec: ProblemSpec, trace) -> int:
+    """The index of the record ``run`` reports, ranked here from scratch:
+    points whose exact rows hold within ``milp.ROW_TOL * (1 + |rhs|)`` first,
+    by objective, then the others by their largest scaled row violation;
+    the later point wins a tie."""
+    sgn = 1.0 if spec.sense == "min" else -1.0
+    ranks = []
+    for rec in trace:
+        x = rec.incumbent
+        worst = 0.0
+        for i, row in enumerate(spec.linear_constraints):
+            a = sum(c * x[j] for j, c in row.coeffs.items()) + sum(
+                t.coef * t.fn(x[list(t.var_ids)]) for t in spec.nonlinear_terms if t.row == i)
+            gap = {"<=": a - row.rhs, ">=": row.rhs - a}.get(row.sense, abs(a - row.rhs))
+            worst = max(worst, gap / (1.0 + abs(row.rhs)))
+        assert abs(rec.row_violation - worst) <= 1e-12, (rec.row_violation, worst)
+        ranks.append((0, sgn * rec.objective) if worst <= milp.ROW_TOL else (1, worst))
+    return max(range(len(ranks)), key=lambda k: (tuple(-v for v in ranks[k]), k))
+
+
+def check_best_point(n_row_free: int = 40, n_with_rows: int = 20) -> str:
+    """Windows follow the best point; the reported point is the top-ranked one.
+
+    On row-free specs (``_row_free_spec``) every point is feasible: each
+    window from iteration 1 on contains the best point of the iterations
+    before it, and ``best_objective`` is the best objective of the trace.
+    On specs with a nonlinear row, which the surrogate can satisfy where
+    the exact row does not hold, the reported point is ``_top_ranked``.
+    """
+    rng = np.random.default_rng(8642)
+    for _ in range(n_row_free):
+        spec, pieces = _row_free_spec(rng)
+        result = loop.run(spec, loop.SppaConfig(pieces, 3, 0.5, max_iters=8))
+        sgn = 1.0 if spec.sense == "min" else -1.0
+        best = None
+        for rec in result.trace:
+            assert rec.row_violation == 0.0
+            if best is not None:
+                for j, (name, _, _) in enumerate(spec.variables):
+                    iv = rec.bounds[name]
+                    assert iv.lo <= best.incumbent[j] <= iv.hi, "best point outside the window"
+            if best is None or sgn * rec.objective <= sgn * best.objective:
+                best = rec
+        assert result.best_objective == best.objective
+        assert result.best_objective == sgn * min(sgn * rec.objective for rec in result.trace)
+        np.testing.assert_array_equal(result.best_point, best.incumbent)
+
+    # on a flat minimum, iterates of equal objective move: the later one wins
+    flat = ProblemSpec([("x", pwl.Interval(-1.0, 3.0), False)], {}, 0.0, [],
+                       [NonlinearTerm((0,), lambda v: max(0.0, abs(float(v[0])) - 0.5) ** 2)])
+    result = loop.run(flat, loop.SppaConfig(3, 3, 0.5, max_iters=8))
+    zeros = [rec.incumbent for rec in result.trace if rec.objective == 0.0]
+    assert len({float(x[0]) for x in zeros}) > 1, "no tie between distinct points"
+    np.testing.assert_array_equal(result.best_point, zeros[-1])
+
+    infeasible = not_best_objective = 0
+    for _ in range(n_with_rows):
+        d = int(rng.integers(1, 3))
+        lo = rng.uniform(-2.0, -0.5, size=d)
+        hi = rng.uniform(0.5, 2.0, size=d)
+        a, b = rng.uniform(-0.3, 0.3, size=d), rng.uniform(-0.5, 0.5, size=d)
+        sense = ">=" if rng.random() < 0.7 else "<="
+        radius = float(rng.uniform(0.3, 1.0))
+        rows = [milp.LinearConstraint({0: float(rng.uniform(-0.2, 0.2))}, sense, radius)]
+        terms = [NonlinearTerm(tuple(range(d)), lambda v, b=b: float(np.sum((v - b) ** 2))),
+                 NonlinearTerm(tuple(range(d)), lambda v, a=a: float(np.sum((v - a) ** 2)),
+                               row=0)]
+        spec = ProblemSpec([(f"x{k}", pwl.Interval(float(lo[k]), float(hi[k])), False)
+                            for k in range(d)], {}, 0.0, rows, terms,
+                           sense="min" if rng.random() < 0.8 else "max")
+        result = loop.run(spec, loop.SppaConfig(int(rng.integers(2, 4)), 2, 0.5, max_iters=8))
+        if not result.trace:
+            continue
+        top = result.trace[_top_ranked(spec, result.trace)]
+        np.testing.assert_array_equal(result.best_point, top.incumbent)
+        assert result.best_objective == top.objective
+        infeasible += any(rec.row_violation > milp.ROW_TOL for rec in result.trace)
+        not_best_objective += any(rec.objective != top.objective and (
+            (rec.objective < top.objective) == (spec.sense == "min")) for rec in result.trace)
+    assert infeasible and not_best_objective, "no run put feasibility before the objective"
+    return (f"best-point windows and ranking ok ({n_row_free} row-free specs, "
+            f"{n_with_rows} with rows: {infeasible} with an infeasible point, "
+            f"{not_best_objective} reporting a point of worse objective)")
 
 
 def check_parser(n_fixtures_expected: int = 20) -> str:
@@ -901,5 +997,6 @@ ALL_CHECKS = (
     check_eta_file,
     check_sppa_invariants,
     check_vertex_optimum,
+    check_best_point,
     check_parser,
 )

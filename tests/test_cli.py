@@ -40,8 +40,8 @@ def test_json_and_csv_numeric_content_match(tmp_path):
     report = json.loads(j.read_text())
     with open(c) as fh:
         rows = list(csv.reader(fh))
-    assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "nodes", "pivots",
-                       "root_pivots", "factorizations", "nodes_set_branched",
+    assert rows[0] == ["iter", "objective", "x1", "x2", "max_width", "row_violation", "nodes",
+                       "pivots", "root_pivots", "factorizations", "nodes_set_branched",
                        "nodes_var_branched", "nodes_integral", "nodes_infeasible",
                        "nodes_cutoff", "seconds"]
     assert len(rows) - 1 == len(report["rows"])
@@ -50,11 +50,12 @@ def test_json_and_csv_numeric_content_match(tmp_path):
         assert float(csv_row[1]) == jrow["objective"]
         assert [float(csv_row[2]), float(csv_row[3])] == jrow["incumbent"]
         assert float(csv_row[4]) == jrow["max_width"]
-        assert int(csv_row[5]) == jrow["nodes"]
-        assert int(csv_row[6]) == jrow["pivots"]
-        assert int(csv_row[7]) == jrow["root_pivots"]
-        assert int(csv_row[8]) == jrow["factorizations"]
-        for k, name in enumerate(rows[0][9:14], start=9):
+        assert float(csv_row[5]) == jrow["row_violation"] == 0.0  # ackley has no rows
+        assert int(csv_row[6]) == jrow["nodes"]
+        assert int(csv_row[7]) == jrow["pivots"]
+        assert int(csv_row[8]) == jrow["root_pivots"]
+        assert int(csv_row[9]) == jrow["factorizations"]
+        for k, name in enumerate(rows[0][10:15], start=10):
             assert int(csv_row[k]) == jrow[name]
 
 
@@ -69,8 +70,9 @@ def _strip_timing(report: dict) -> dict:
 def test_deterministic_reruns(tmp_path):
     # rastrigin is solved at the grid vertices; the parabola model's rows
     # send it through branch and bound, so its reruns also compare the
-    # simplex counters and the nodes by outcome (a root warm-started from
-    # the previous iteration's optimal basis may take no pivot)
+    # simplex counters, the nodes by outcome (a root warm-started from the
+    # previous iteration's optimal basis may take no pivot) and the exact
+    # row violation of each incumbent
     parabola = tmp_path / "parabola.prob"
     parabola.write_text("[variables]\nx -1 1\ny 0 2\n[objective]\nmin y\n"
                         "[constraints]\nx^2 - y <= 0\nx >= 0.5\n")
@@ -89,13 +91,14 @@ def test_deterministic_reruns(tmp_path):
         for row in ra["rows"]:
             by_outcome = [row[f"nodes_{outcome}"] for outcome in milp.NODE_OUTCOMES]
             assert sum(by_outcome) == row["nodes"]  # no deadline: every node solved
+            assert row["row_violation"] >= 0.0
             if through_milp:
                 assert row["nodes"] >= 1 and row["factorizations"] >= 1
                 assert 0 <= row["root_pivots"] <= row["pivots"]
                 assert row["nodes_integral"] >= 1
             else:
                 assert row["nodes"] == row["pivots"] == row["root_pivots"] == 0
-                assert row["factorizations"] == 0
+                assert row["factorizations"] == 0 and row["row_violation"] == 0.0
         if through_milp:
             assert ra["rows"][0]["root_pivots"] > 0  # iteration 0 starts from the slack basis
 
@@ -177,11 +180,19 @@ def test_integer_variable_without_integer_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["solve", "--problem", "rastrigin", "--time-limit", "0"],
     ["solve", "--problem", "rastrigin", "--time-limit", "-1"],
-    ["table", "--budget", "0"],
 ])
 def test_nonpositive_time_limit_exits_2(flags, capsys):
     assert run_cli(flags) == 2
     assert "time_limit must be positive" in capsys.readouterr().err
+
+
+def test_config_echo_lists_the_set_fields(capsys):
+    assert run_cli(["solve", "--problem", "rastrigin"]) == 0
+    assert ("config: initial_n_pieces=6 n_pieces=3 contract_frac=0.5 max_iters=60\n"
+            in capsys.readouterr().out)
+    assert run_cli(["solve", "--problem", "rastrigin", "--time-limit", "30"]) == 0
+    assert ("config: initial_n_pieces=6 n_pieces=3 contract_frac=0.5 max_iters=60 "
+            "time_limit=30.0\n" in capsys.readouterr().out)
 
 
 def test_infeasible_problem_exits_4(tmp_path, capsys):
@@ -213,24 +224,36 @@ def test_problem_file_end_to_end(tmp_path, capsys):
     assert report["best_point"][0] == pytest.approx(0.25, abs=1e-5)
 
 
-def test_table_small_budget(capsys):
-    # rows for every builtin; failures are recorded in-row, exit stays 0
-    code = run_cli(["table", "--budget", "60"])
-    text = capsys.readouterr().out
+def _table_script():
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table.py"
+    module_spec = importlib.util.spec_from_file_location("reproduce_table", path)
+    script = importlib.util.module_from_spec(module_spec)
+    module_spec.loader.exec_module(script)
+    return script
+
+
+def test_table_small_budget(tmp_path, capsys):
+    # a row for every builtin under a per-problem budget, exit 0
+    code = _table_script().run(["--outdir", str(tmp_path), "--budget", "60"])
+    summary = capsys.readouterr().out.split("=== summary ===\n", 1)[1]
     assert code == 0
-    lines = [l for l in text.strip().splitlines() if l]
+    lines = summary.strip().splitlines()
     assert lines[0].startswith("problem")
-    assert len(lines) == 5
-    assert any(l.startswith("rastrigin") for l in lines)
+    assert [l.split()[0] for l in lines[1:]] == builtin_names()
+    assert lines[2].split()[1:4] == ["0", "0", "6/3"]  # rastrigin
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+        f"{name}.json" for name in builtin_names())
+
+
+def test_table_nonpositive_budget_exits_2(tmp_path, capsys):
+    assert _table_script().run(["--outdir", str(tmp_path), "--budget", "0"]) == 2
+    assert "time_limit must be positive" in capsys.readouterr().err
 
 
 def test_reproduce_table_solves_each_builtin_once(tmp_path, monkeypatch, capsys):
     # the summary comes from the traces the script just wrote, not from
     # solving every builtin a second time
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table.py"
-    module_spec = importlib.util.spec_from_file_location("reproduce_table", path)
-    script = importlib.util.module_from_spec(module_spec)
-    module_spec.loader.exec_module(script)
+    script = _table_script()
     calls = []
 
     def stub(spec, config, on_iteration=None):
@@ -243,4 +266,4 @@ def test_reproduce_table_solves_each_builtin_once(tmp_path, monkeypatch, capsys)
     summary = capsys.readouterr().out.split("=== summary ===\n", 1)[1]
     lines = summary.strip().splitlines()
     assert len(lines) == 5 and lines[0].startswith("problem")
-    assert lines[4].split() == ["eggholder", "1.5", "-959.641", "20/4", "0.5s", "width"]
+    assert lines[4].split() == ["eggholder", "1.5", "-959.641", "35/3", "0.5s", "width"]
