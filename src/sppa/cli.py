@@ -1,10 +1,11 @@
 """Command line front end: solve a builtin or a problem file, emit its trace.
 
-Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags or an
-unknown problem, 3 on a problem-file error (a parse or domain error, reported
-with its line, or a term that fails at a grid vertex, reported with the
-vertex), 4 when the run ends with no incumbent (the printed ``termination``
-names the cause).
+Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags, an
+unknown problem, or an ``--out`` path that is a directory or lies in a
+missing one (all found before solving), 3 on a problem-file error (a parse
+or domain error, reported with its line, or a term that fails at a grid
+vertex or at an iterate, reported with the point), 4 when the run ends
+with no incumbent (the printed ``termination`` names the cause).
 """
 
 from __future__ import annotations
@@ -67,7 +68,7 @@ def _resolve(problem_arg: str):
     """Problem spec plus its registry entry (empty for a problem file)."""
     if problem_arg in builtin_names():
         return builtin(problem_arg), builtin_info(problem_arg)
-    if os.path.exists(problem_arg):
+    if os.path.isfile(problem_arg):
         return load_problem(problem_arg), {}
     raise ValueError(
         f"unknown problem {problem_arg!r}: not a builtin ({', '.join(builtin_names())}) "
@@ -135,6 +136,10 @@ def cmd_solve(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    if args.out and (os.path.isdir(args.out)
+                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
+        print(f"error: --out {args.out}: not a file in an existing directory", file=sys.stderr)
+        return EXIT_USAGE
 
     names = spec.var_names()
     print(f"problem: {spec.name}  ({spec.n_vars} variables, "
@@ -155,8 +160,8 @@ def cmd_solve(args) -> int:
     try:
         result = loop.run(spec, config, on_iteration=live)
     except ValueError as exc:
-        if not hasattr(exc, "vertex"):  # only a term failing at a grid vertex
-            raise                       # is the problem file's fault
+        if not hasattr(exc, "point"):  # only a term failing at a point
+            raise                      # is the problem file's fault
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

@@ -85,7 +85,7 @@ def _encode_chain(model: LpProblem, enc: McEncoding):
     """Per-simplex ordering rows between copies.
 
     With the selector at one they pin the copies inside the simplex; with
-    the selector at zero both sides collapse and every copy is forced to
+    the selector at zero both sides collapse and every copy is held at
     zero.
     """
     grid = enc.grid

@@ -206,14 +206,9 @@ class _Canon:
         is_int = np.array(problem.is_int, dtype=bool)
         lb[is_int], ub[is_int] = np.ceil(lb[is_int]), np.floor(ub[is_int])
 
-        self.infeasible = False
-        rows = []
-        for row in problem.rows:
-            if not row.coeffs:  # coefficient-free row: validate and drop
-                if row.violation(np.zeros(n)) > _FEAS_TOL:
-                    self.infeasible = True
-                continue
-            rows.append(row)
+        # coefficient-free rows are dropped, judged as an incumbent's rows are
+        rows = [row for row in problem.rows if row.coeffs]
+        self.infeasible = not _rows_hold([r for r in problem.rows if not r.coeffs], np.zeros(n))
 
         m = len(rows)
         self.nstruct = n
@@ -510,8 +505,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 # public entry point
 
 
-def _check_solution(problem: LpProblem, x: np.ndarray) -> bool:
-    return all(row.violation(x) <= ROW_TOL * (1.0 + abs(row.rhs)) for row in problem.rows)
+def _rows_hold(rows: list[LinearConstraint], x: np.ndarray) -> bool:
+    return all(row.violation(x) <= ROW_TOL * (1.0 + abs(row.rhs)) for row in rows)
 
 
 def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
@@ -678,7 +673,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         status = stop_status
     else:
         status = "infeasible" if incumbent_x is None else "optimal"
-    if incumbent_x is not None and not _check_solution(problem, incumbent_x):
+    if incumbent_x is not None and not _rows_hold(problem.rows, incumbent_x):
         status = "numerical"
     return MilpResult(status, incumbent_x,
                       None if incumbent_x is None else canon.user_objective(incumbent_obj),

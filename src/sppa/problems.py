@@ -4,9 +4,12 @@ A problem is a box-bounded set of variables, a linear objective part,
 linear constraint rows, and nonlinear terms (each an evaluable function of
 a variable subset, contributing to the objective or to one row).  Top
 level sums in user expressions are split: affine summands go to the
-linear parts exactly, nonlinear summands are grouped by overlapping
-variable support (splitting wherever possible keeps the grids, and hence
-the binary count, low-dimensional).
+linear parts exactly, and nonlinear summands that share a variable,
+directly or through other summands, become one term.  Nothing else groups
+summands: on the simplicial grid a sum of functions of disjoint variable
+sets interpolates to the sum of their interpolants, so splitting them keeps
+the surrogate and keeps the grids, and hence the binary count,
+low-dimensional.
 """
 
 from __future__ import annotations
@@ -19,9 +22,9 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from sppa import expr
-from sppa.expr import DomainError, Node, ParseError
+from sppa.expr import DomainError, Node
 from sppa.milp import LinearConstraint
-from sppa.pwl import Interval
+from sppa.pwl import Interval, term_value
 
 __all__ = [
     "NonlinearTerm",
@@ -48,6 +51,12 @@ class NonlinearTerm:
     coef: float = 1.0
     row: Optional[int] = None
     label: str = ""
+
+
+def _term_value(t: int, term: NonlinearTerm, x: np.ndarray) -> float:
+    """``coef * fn`` of term ``t`` at the point ``x``; a failure raises the
+    ``ValueError`` of a failing grid vertex, naming the point."""
+    return term.coef * term_value(term.fn, x[list(term.var_ids)], term.label or f"t{t}", "point")
 
 
 def _integer_bounds(iv: Interval) -> Interval:
@@ -104,9 +113,9 @@ class ProblemSpec:
         """Exact objective at a point (nonlinear terms evaluated, not surrogate)."""
         x = np.asarray(x, dtype=float)
         val = self.objective_constant + sum(c * x[j] for j, c in self.linear_objective.items())
-        for term in self.nonlinear_terms:
+        for t, term in enumerate(self.nonlinear_terms):
             if term.row is None:
-                val += term.coef * float(term.fn(x[list(term.var_ids)]))
+                val += _term_value(t, term, x)
         return val
 
     def row_violation(self, x) -> float:
@@ -114,9 +123,9 @@ class ProblemSpec:
         (nonlinear terms evaluated, not surrogate); 0.0 without rows."""
         x = np.asarray(x, dtype=float)
         shift = [0.0] * len(self.linear_constraints)
-        for term in self.nonlinear_terms:
+        for t, term in enumerate(self.nonlinear_terms):
             if term.row is not None:
-                shift[term.row] += term.coef * float(term.fn(x[list(term.var_ids)]))
+                shift[term.row] += _term_value(t, term, x)
         return max((row.violation(x, s) / (1.0 + abs(row.rhs))
                     for row, s in zip(self.linear_constraints, shift)), default=0.0)
 
@@ -209,19 +218,18 @@ def _term_fn(nodes: list[Node], names: tuple[str, ...]) -> Callable[[np.ndarray]
     return fn
 
 
-def _decompose(ast: Node, var_index: dict[str, int],
-               forced_groups: Sequence[Sequence[str]] = ()):
-    """Split a sum into (constant, linear coefficients, nonlinear groups)."""
+def _decompose(text: str, var_index: dict[str, int]):
+    """Parse a sum and split it into (constant, linear coefficients,
+    nonlinear groups).  A group is (variable ids, function of them): the
+    nonlinear summands of one connected component of shared variables, in
+    their order of appearance."""
     summands: list[tuple[float, Node]] = []
-    _flatten_sum(ast, 1.0, summands)
+    _flatten_sum(expr.parse_expr(text, var_names=list(var_index)), 1.0, summands)
 
     constant = 0.0
     linear: dict[int, float] = {}
     nonlinear: list[tuple[frozenset[int], Node]] = []
     for sign, node in summands:
-        for name in expr.free_vars(node):
-            if name not in var_index:
-                raise ValueError(f"unknown identifier {name!r}")
         a = _affine(node)
         if a is not None:
             constant += sign * a[0]
@@ -233,10 +241,6 @@ def _decompose(ast: Node, var_index: dict[str, int],
         nonlinear.append((support, node if sign > 0 else expr.Neg(node)))
 
     uf = _UnionFind()
-    for group in forced_groups:
-        ids = [var_index[name] for name in group]
-        for j in ids[1:]:
-            uf.union(ids[0], j)
     for support, _ in nonlinear:
         ids = sorted(support)
         for j in ids[1:]:
@@ -244,26 +248,38 @@ def _decompose(ast: Node, var_index: dict[str, int],
 
     buckets: dict[int, tuple[set[int], list[Node]]] = {}
     for support, node in nonlinear:
-        root = uf.find(min(support))
-        ids, nodes = buckets.setdefault(root, (set(), []))
+        ids, nodes = buckets.setdefault(uf.find(min(support)), (set(), []))
         ids.update(support)
         nodes.append(node)
-    # a forced group widens its component's term to all group members
-    for group in forced_groups:
-        gids = [var_index[name] for name in group]
-        root = uf.find(gids[0])
-        if root in buckets:
-            buckets[root][0].update(gids)
 
     id_to_name = {j: n for n, j in var_index.items()}
     groups = []
     for root in sorted(buckets):
         ids, nodes = buckets[root]
         ordered = tuple(sorted(ids))
-        names = tuple(id_to_name[k] for k in ordered)
-        groups.append((ordered, _term_fn(nodes, names), nodes))
+        groups.append((ordered, _term_fn(nodes, tuple(id_to_name[k] for k in ordered))))
     linear = {j: c for j, c in linear.items() if c != 0.0}
     return constant, linear, groups
+
+
+def _row(decomposed, sense: str, rhs: float):
+    """A decomposed constraint lhs as (linear row, its nonlinear groups)."""
+    c0, linear, groups = decomposed
+    return LinearConstraint(linear, sense, float(rhs) - c0), groups
+
+
+def _assemble(variables, objective, rows, sense: str, name: str) -> ProblemSpec:
+    """The ProblemSpec of a decomposed objective and ``_row`` rows; each
+    group becomes one term, labelled ``g<k>`` in the objective and
+    ``r<i>g<k>`` in row i."""
+    constant, linear, obj_groups = objective
+    terms = [NonlinearTerm(ids, fn, 1.0, row=i, label=f"r{i}g{g}")
+             for i, (_, groups) in enumerate(rows)
+             for g, (ids, fn) in enumerate(groups)]
+    terms += [NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}")
+              for g, (ids, fn) in enumerate(obj_groups)]
+    return ProblemSpec(list(variables), linear, constant, [row for row, _ in rows], terms,
+                       sense, name)
 
 
 def from_expressions(
@@ -271,7 +287,6 @@ def from_expressions(
     objective_text: str,
     constraints: Sequence[tuple[str, str, float]] = (),
     sense: str = "min",
-    groups: Sequence[Sequence[str]] = (),
     name: str = "problem",
 ) -> ProblemSpec:
     """Build a ProblemSpec from expression text.
@@ -279,33 +294,10 @@ def from_expressions(
     ``constraints`` entries are (lhs expression, sense, rhs).  Nonlinear
     constraint content becomes terms targeted at the corresponding row.
     """
-    names = [v[0] for v in variables]
-    var_index = {n: j for j, n in enumerate(names)}
-    obj_ast = expr.parse_expr(objective_text, var_names=names)
-    constant, linear, obj_groups = _decompose(obj_ast, var_index, groups)
-
-    rows: list[LinearConstraint] = []
-    terms: list[NonlinearTerm] = []
-    for lhs_text, sn, rhs in constraints:
-        lhs_ast = expr.parse_expr(lhs_text, var_names=names)
-        c0, lin, row_groups = _decompose(lhs_ast, var_index, groups)
-        row_idx = len(rows)
-        rows.append(LinearConstraint(lin, sn, float(rhs) - c0))
-        for g, (ids, fn, _nodes) in enumerate(row_groups):
-            terms.append(NonlinearTerm(ids, fn, 1.0, row=row_idx, label=f"r{row_idx}g{g}"))
-
-    for g, (ids, fn, _nodes) in enumerate(obj_groups):
-        terms.append(NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}"))
-
-    return ProblemSpec(
-        variables=list(variables),
-        linear_objective=linear,
-        objective_constant=constant,
-        linear_constraints=rows,
-        nonlinear_terms=terms,
-        sense=sense,
-        name=name,
-    )
+    var_index = {v[0]: j for j, v in enumerate(variables)}
+    objective = _decompose(objective_text, var_index)
+    rows = [_row(_decompose(lhs, var_index), sn, rhs) for lhs, sn, rhs in constraints]
+    return _assemble(variables, objective, rows, sense, name)
 
 
 # ---------------------------------------------------------------------------
@@ -398,10 +390,10 @@ def load_problem(path: str) -> ProblemSpec:
     """Read a problem file.
 
     Sections: ``[variables]`` (name lo hi [integer]), ``[objective]``
-    (optional min/max prefix, then an expression), ``[constraints]`` (one
-    ``expr <= rhs`` per line, rhs a constant expression), and optional
-    ``[groups]`` (variable names forced into one term).  ``#`` starts a
-    comment.
+    (optional min/max prefix, then an expression) and ``[constraints]`` (one
+    ``expr <= rhs`` per line, rhs a constant expression); any other section
+    is an error.  ``#`` starts a comment.  Each expression is parsed once,
+    and the terms are grouped as in ``from_expressions``.
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -411,8 +403,7 @@ def load_problem(path: str) -> ProblemSpec:
     seen: set[str] = set()
     objective_parts: list[tuple[str, int]] = []
     sense = "min"
-    constraints: list[tuple[str, str, float, int]] = []
-    groups: list[list[str]] = []
+    constraints: list[tuple[str, int]] = []
 
     for lineno, rawline in enumerate(raw, start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -420,7 +411,7 @@ def load_problem(path: str) -> ProblemSpec:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip().lower()
-            if section not in ("variables", "objective", "constraints", "groups"):
+            if section not in ("variables", "objective", "constraints"):
                 raise ProblemFormatError(f"unknown section [{section}]", lineno)
             continue
         if section is None:
@@ -454,48 +445,27 @@ def load_problem(path: str) -> ProblemSpec:
                     continue
             objective_parts.append((line, lineno))
         elif section == "constraints":
-            try:
-                lhs, sn, rhs_text = _split_sense(line)
-            except ValueError as exc:
-                raise ProblemFormatError(str(exc), lineno) from None
-            try:
-                rhs = expr.eval_expr(expr.parse_expr(rhs_text, var_names=[]), {})
-            except (ParseError, DomainError) as exc:
-                raise ProblemFormatError(f"bad constraint rhs: {exc}", lineno) from None
-            constraints.append((lhs, sn, rhs, lineno))
-        elif section == "groups":
-            names = line.replace(",", " ").split()
-            for n in names:
-                if n not in seen:
-                    raise ProblemFormatError(f"group names unknown variable {n!r}", lineno)
-            groups.append(names)
+            constraints.append((line, lineno))
 
     if not variables:
         raise ProblemFormatError("no variables declared", len(raw))
     if not objective_parts:
         raise ProblemFormatError("no objective", len(raw))
 
-    names = [v[0] for v in variables]
-    var_index = {n: j for j, n in enumerate(names)}
-    obj_text = " ".join(p[0] for p in objective_parts)
-    # decompose each expression against its own source line first, so that
-    # a parse, domain or coefficient error names the line it comes from
+    # decompose each expression inside its own line's try, so that a parse,
+    # domain or coefficient error names the line it comes from
+    var_index = {v[0]: j for j, v in enumerate(variables)}
     try:
-        _decompose(expr.parse_expr(obj_text, var_names=names), var_index, groups)
+        objective = _decompose(" ".join(p[0] for p in objective_parts), var_index)
     except (ValueError, DomainError) as exc:  # ParseError is a ValueError
         raise ProblemFormatError(f"objective: {exc}", objective_parts[0][1]) from exc
-    for lhs, sn, rhs, lineno in constraints:
+    rows = []
+    for line, lineno in constraints:
         try:
-            c0, lin, _ = _decompose(expr.parse_expr(lhs, var_names=names), var_index, groups)
-            LinearConstraint(lin, sn, rhs - c0)
+            lhs, sn, rhs_text = _split_sense(line)
+            rhs = expr.eval_expr(expr.parse_expr(rhs_text, var_names=[]), {})
+            rows.append(_row(_decompose(lhs, var_index), sn, rhs))
         except (ValueError, DomainError) as exc:
             raise ProblemFormatError(f"constraint: {exc}", lineno) from exc
-
-    return from_expressions(
-        variables,
-        obj_text,
-        [(lhs, sn, rhs) for lhs, sn, rhs, _ in constraints],
-        sense=sense,
-        groups=groups,
-        name=os.path.splitext(os.path.basename(path))[0],
-    )
+    return _assemble(variables, objective, rows, sense,
+                     os.path.splitext(os.path.basename(path))[0])

@@ -28,6 +28,7 @@ __all__ = [
     "SimplexId",
     "axis_breakpoints",
     "enumerate_simplices",
+    "term_value",
     "vertex_path",
     "vertex_values",
 ]
@@ -127,21 +128,22 @@ def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
     return path
 
 
+def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid vertex") -> float:
+    """``f`` at ``point`` as a float; an ``ArithmeticError`` or a non-finite
+    value raises a ``ValueError`` that names ``label``, ``where`` and the
+    point and carries the point as its ``point`` attribute."""
+    try:
+        val = float(f(point))
+        if not math.isfinite(val):
+            raise ArithmeticError(f"value {val} is not finite")
+    except ArithmeticError as exc:
+        error = ValueError(f"term '{label}' failed at {where} {point.tolist()}: {exc}")
+        error.point = point.tolist()
+        raise error from exc
+    return val
+
+
 def vertex_values(grid: Grid, f: Callable, label: str) -> dict[tuple[int, ...], float]:
     """``f`` at every grid vertex, keyed by multi-index in row-major order; a
-    vertex that raises ``ArithmeticError`` or gives a non-finite value aborts
-    with a ``ValueError`` that names ``label`` and the vertex and carries the
-    vertex as its ``vertex`` attribute."""
-    values = {}
-    for vidx in grid.vertex_indices():
-        coords = grid.vertex(vidx)
-        try:
-            val = float(f(coords))
-            if not math.isfinite(val):
-                raise ArithmeticError(f"value {val} is not finite")
-        except ArithmeticError as exc:
-            error = ValueError(f"term '{label}' failed at grid vertex {coords.tolist()}: {exc}")
-            error.vertex = coords.tolist()
-            raise error from exc
-        values[vidx] = val
-    return values
+    failing vertex raises the ``ValueError`` of ``term_value``."""
+    return {vidx: term_value(f, grid.vertex(vidx), label) for vidx in grid.vertex_indices()}

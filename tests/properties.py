@@ -951,6 +951,38 @@ def check_best_point(n_row_free: int = 40, n_with_rows: int = 20) -> str:
             f"{not_best_objective} reporting a point of worse objective)")
 
 
+def check_separable_interpolant(n_sums: int = 40, n_points: int = 25) -> str:
+    """On the simplicial grid, a sum of summands with disjoint supports
+    interpolates to the sum of the summands' own interpolants: ``eval_pwl``
+    of the sum on the joint grid equals the sum of each summand's
+    ``eval_pwl`` on its own axes."""
+    rng = np.random.default_rng(20261018)
+    for _ in range(n_sums):
+        d = int(rng.integers(2, 5))
+        order = [int(k) for k in rng.permutation(d)]
+        cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=rng.integers(1, d),
+                                                  replace=False))
+        supports = [sorted(int(k) for k in block) for block in np.split(order, cuts)]
+        bounds = [(lo, lo + w) for lo, w in zip(rng.uniform(-3, 1, d), rng.uniform(0.5, 4, d))]
+        grid = build_grid(bounds, [int(L) for L in rng.integers(1, 5, size=d)])
+        summands = []
+        for axes in supports:
+            a, b = rng.normal(size=len(axes)), rng.normal(size=len(axes))
+            summands.append((axes, lambda v, a=a, b=b: float(
+                np.sin(a @ v) * np.exp(0.3 * (b @ v)) + np.prod(v) ** 2)))
+        sub_grids = [pwl.Grid([grid.breakpoints[k] for k in axes]) for axes, _ in summands]
+
+        def total(v):
+            return sum(f(v[axes]) for axes, f in summands)
+
+        lo, hi = lower(grid), upper(grid)
+        for z in lo + rng.random((n_points, d)) * (hi - lo):
+            want = sum(eval_pwl(g, f, z[axes]) for g, (axes, f) in zip(sub_grids, summands))
+            got = eval_pwl(grid, total, z)
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (supports, z, got, want)
+    return f"separable interpolant ok ({n_sums} sums, {n_points} points each)"
+
+
 def check_parser(n_fixtures_expected: int = 20) -> str:
     """Round-trip stability plus the hand-checked evaluation fixture table."""
     fixtures = [
@@ -998,5 +1030,6 @@ ALL_CHECKS = (
     check_sppa_invariants,
     check_vertex_optimum,
     check_best_point,
+    check_separable_interpolant,
     check_parser,
 )

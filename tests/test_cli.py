@@ -115,6 +115,20 @@ def test_unknown_problem_exits_2(capsys):
     assert "unknown problem" in capsys.readouterr().err
 
 
+def test_directory_as_problem_exits_2(tmp_path, capsys):
+    assert run_cli(["solve", "--problem", str(tmp_path)]) == 2
+    assert "unknown problem" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("out", ["nosuch/r.json", "."])
+def test_unusable_out_path_exits_2_before_solving(tmp_path, monkeypatch, capsys, out):
+    monkeypatch.setattr(loop, "run", lambda *args, **kwargs: pytest.fail("solved"))
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["solve", "--problem", "rastrigin", "--out", out]) == 2
+    assert "not a file in an existing directory" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_bad_flag_value_exits_2(capsys):
     assert run_cli(["solve", "--problem", "rastrigin", "--contract-frac", "1.5"]) == 2
 
@@ -141,6 +155,17 @@ def test_term_failing_at_a_grid_vertex_exits_3(tmp_path, capsys):
     assert run_cli(["solve", "--problem", str(bad)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: {bad}: term 'g0' failed at grid vertex [-1.0]: ")
+    assert err.count("\n") == 1
+
+
+def test_term_failing_at_an_iterate_exits_3(tmp_path, capsys):
+    # every grid vertex is fine, but the row puts the iterate on the pole
+    bad = tmp_path / "pole.prob"
+    bad.write_text("[variables]\nx 0 1\n[objective]\nmin 1/(x - 0.3)\n"
+                   "[constraints]\nx = 0.3\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: term 'g0' failed at point [0.3]: division by zero")
     assert err.count("\n") == 1
 
 

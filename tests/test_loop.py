@@ -133,6 +133,19 @@ def test_all_fixed_term_is_constant():
     assert result.best_objective == pytest.approx(10.0)
 
 
+def test_fixed_row_term_is_judged_by_the_row_tolerance():
+    # x is fixed just above 2, so the row x^2 <= 4 keeps no coefficient and
+    # misses by 4e-7: within milp.ROW_TOL * (1 + |rhs|), as row_violation says
+    spec = from_expressions(
+        [("x", Interval(2.0000001, 2.0000001), False), ("y", Interval(0.0, 1.0), False)],
+        "(y - 0.5)^2 + y*x", constraints=[("x^2", "<=", 4.0)])
+    assert spec.row_violation([2.0000001, 0.0]) <= milp.ROW_TOL
+    result = run(spec, SppaConfig())
+    assert result.termination == "width"
+    assert result.best_objective == pytest.approx(0.25)
+    assert list(result.best_point) == pytest.approx([2.0000001, 0.0])
+
+
 def test_infeasible_first_iteration():
     spec = from_expressions(
         [("x", Interval(0.0, 1.0), False)],

@@ -103,8 +103,11 @@ def test_empty_row_consistency():
     q = LpProblem()
     x = q.add_var(0, 1)
     q.add_row({x: 0.0}, "<=", 1.0)  # trivially true, dropped
+    q.add_row({}, "<=", -0.9e-6)  # off by less than ROW_TOL * (1 + |rhs|): holds
     q.set_objective({x: 1})
     assert solve_milp(q).status == "optimal"
+    q.add_row({}, "<=", -1.1e-6)  # off by more
+    assert solve_milp(q).status == "infeasible"
 
 
 def test_integer_bounds_rounded_inward():

@@ -4,6 +4,8 @@ import textwrap
 import numpy as np
 import pytest
 
+from properties import check_separable_interpolant
+from sppa import expr
 from sppa.problems import (ProblemFormatError, ProblemSpec, NonlinearTerm,
                            builtin, builtin_info, builtin_names,
                            from_expressions, load_problem)
@@ -92,12 +94,21 @@ def test_constraint_terms_target_rows():
     assert not any(t.row == 1 for t in spec.nonlinear_terms)
 
 
-def test_forced_groups_merge_terms():
-    variables = [("x", Interval(-1, 1), False), ("y", Interval(-1, 1), False)]
-    auto = from_expressions(variables, "sin(x) + cos(y)")
-    assert sorted(t.var_ids for t in auto.nonlinear_terms) == [(0,), (1,)]
-    forced = from_expressions(variables, "sin(x) + cos(y)", groups=[["x", "y"]])
-    assert [t.var_ids for t in forced.nonlinear_terms] == [(0, 1)]
+def test_summands_sharing_a_variable_merge_transitively():
+    # x*y and y*z share y, so x, y and z form one term; sin(w) stays apart
+    variables = [(n, Interval(-1, 1), False) for n in ("x", "y", "z", "w")]
+    spec = from_expressions(variables, "x*y + y*z + sin(w)")
+    assert [(t.var_ids, t.label) for t in spec.nonlinear_terms] == [((0, 1, 2), "g0"),
+                                                                    ((3,), "g1")]
+    rng = np.random.default_rng(7)
+    for _ in range(20):
+        x, y, z, w = v = rng.uniform(-1, 1, size=4)
+        total = sum(t.fn(v[list(t.var_ids)]) for t in spec.nonlinear_terms)
+        assert total == pytest.approx(x * y + y * z + math.sin(w), rel=1e-12, abs=1e-12)
+
+
+def test_separable_interpolant_property_suite():
+    print(check_separable_interpolant())
 
 
 def test_duplicate_variable_names_rejected():
@@ -124,9 +135,6 @@ def test_load_problem(tmp_path):
         [constraints]
         x + n <= 4            # linear row
         x^2 - n <= 2*2 - 3.5  # rhs is a constant expression
-
-        [groups]
-        x
     """)
     path = tmp_path / "toy.prob"
     path.write_text(text)
@@ -138,6 +146,20 @@ def test_load_problem(tmp_path):
     assert spec.linear_constraints[1].rhs == pytest.approx(0.5)
     assert spec.sense == "min"
     assert spec.objective_value([0.5, 0.0]) == pytest.approx(0.0)
+
+
+def test_load_problem_parses_each_expression_once(tmp_path, monkeypatch):
+    path = tmp_path / "toy.prob"
+    path.write_text("[variables]\nx -1 2\ny 0 1\n[objective]\nmin sin(x) + x*y\n"
+                    "[constraints]\nx^2 + y <= 2*2\nx - y >= -1\n")
+    parsed = []
+    plain = expr.parse_expr
+    monkeypatch.setattr(expr, "parse_expr",
+                        lambda text, var_names=None: parsed.append(text) or plain(text, var_names))
+    load_problem(str(path))
+    # the objective and each row's lhs and rhs, once each
+    assert sorted(text.strip() for text in parsed) == sorted(
+        ["sin(x) + x*y", "x^2 + y", "2*2", "x - y", "-1"])
 
 
 def test_load_problem_syntax_error_line(tmp_path):
@@ -160,6 +182,10 @@ def test_load_problem_structure_errors(tmp_path):
     p.write_text("[nope]\n")
     with pytest.raises(ProblemFormatError):
         load_problem(str(p))  # unknown section
+    p.write_text("[variables]\nx 0 1\ny 0 1\n[objective]\nmin sin(x) + cos(y)\n"
+                 "[groups]\nx y\n")
+    with pytest.raises(ProblemFormatError, match=r"^line 6: unknown section \[groups\]$"):
+        load_problem(str(p))  # terms are grouped by shared variables only
     p.write_text("[variables]\nx 0 1\n[objective]\nmin x\n[constraints]\nx < 1\n")
     with pytest.raises(ProblemFormatError):
         load_problem(str(p))  # bad sense token
