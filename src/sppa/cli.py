@@ -4,8 +4,9 @@ Exit codes: 0 on any terminated run with an incumbent, 2 on bad flags, an
 unknown problem, or an ``--out`` path that is a directory or lies in a
 missing one (all found before solving), 3 on a problem-file error (a parse
 or domain error, reported with its line, or a term that fails at a grid
-vertex or at an iterate, reported with the point), 4 when the run ends
-with no incumbent (the printed ``termination`` names the cause).
+vertex, at an iterate or at its value when every variable of the term is
+fixed, reported with the point), 4 when the run ends with no incumbent (the
+printed ``termination`` names the cause).
 """
 
 from __future__ import annotations

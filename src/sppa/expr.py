@@ -130,12 +130,12 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, var_names: Iterable[str] | None):
+    def __init__(self, text: str, var_names: Iterable[str]):
         if not text.strip():
             raise ParseError("empty expression", 0)
         self.tokens = _tokenize(text)
         self.i = 0
-        self.known = None if var_names is None else set(var_names)
+        self.known = set(var_names)
 
     def peek(self):
         return self.tokens[self.i]
@@ -208,12 +208,10 @@ class _Parser:
                 arg = self.expr()
                 self.expect_op(")")
                 return Call(val, arg)
-            if self.known is not None and val in self.known:
+            if val in self.known:
                 return Var(val)
             if val in CONSTANTS:
                 return Num(CONSTANTS[val])
-            if self.known is None:
-                return Var(val)
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
             node = self.expr()
@@ -222,12 +220,11 @@ class _Parser:
         raise ParseError(f"expected a value, got {val!r}" if val else "unexpected end of input", pos)
 
 
-def parse_expr(text: str, var_names: Iterable[str] | None = None) -> Node:
+def parse_expr(text: str, var_names: Iterable[str]) -> Node:
     """Parse ``text`` into an AST.
 
-    When ``var_names`` is given, identifiers outside it (and outside the
-    function/constant tables) raise a position-annotated ParseError;
-    otherwise every bare identifier becomes a variable.
+    Identifiers outside ``var_names`` (and outside the function/constant
+    tables) raise a position-annotated ParseError.
     """
     return _Parser(text, var_names).parse()
 

@@ -10,6 +10,10 @@ keep their bounds untouched.  Iterates are ranked by their exact objective
 and rows, never by the surrogate; the boxes are centred on the best-ranked
 point while the latest iterate is feasible (see ``run``).
 
+Each iteration evaluates every term once, in ``_prepare_term``: its values
+at the grid vertices (or its one value when all its variables are fixed)
+feed the MILP encoding or the vertex solve.
+
 At a fixed piece count every model has the same columns and rows in the
 same order, so each MILP root starts from the previous iteration's optimal
 root basis (``MilpResult.start``), kept only inside one ``run`` call.
@@ -26,7 +30,7 @@ import numpy as np
 
 from sppa import mcmodel, milp
 from sppa.problems import NonlinearTerm, ProblemSpec
-from sppa.pwl import Grid, Interval, axis_breakpoints, vertex_values
+from sppa.pwl import Grid, Interval, axis_breakpoints, term_value, vertex_values
 
 __all__ = [
     "SppaConfig",
@@ -123,25 +127,31 @@ class IterationModel:
 
 def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
                   pieces: int):
-    """``(active, fn, grid)``: the term's variables of positive width, the
-    term as a function of them with every zero-width variable fixed at its
-    value, and their grid (``pieces`` segments each; None if none is active).
+    """Evaluate ``term`` for one iteration.
+
+    Returns ``(active, grid, values)``: the term's variables of positive
+    width, their grid (``pieces`` segments each) and the term's
+    ``vertex_values`` on it, every zero-width variable held at its value.
+    With no active variable the grid is None and ``values`` is the term's
+    value at its fixed point.  A failing evaluation raises the
+    ``ValueError`` of ``pwl.term_value``, naming the term and the point.
     """
     active = [k for k in term.var_ids if bounds[k].width > 0.0]
+    fixed = np.array([bounds[k].lo for k in term.var_ids])
+    if not active:
+        return active, None, term_value(term.fn, fixed, term.label, "point")
     if len(active) == len(term.var_ids):
         fn = term.fn
     else:
         positions = [term.var_ids.index(k) for k in active]
-        fixed = np.array([bounds[k].lo for k in term.var_ids])
 
-        def fn(v, base_fn=term.fn, fixed=fixed, positions=positions):
+        def fn(v):
             full = fixed.copy()
             full[positions] = v
-            return base_fn(full)
+            return term.fn(full)
 
-    grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                 for k in active]) if active else None
-    return active, fn, grid
+    grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
+    return active, grid, vertex_values(grid, fn, term.label)
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
@@ -163,10 +173,10 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     const_extra = 0.0
     encodings = []
 
-    for t, term in enumerate(spec.nonlinear_terms):
-        active, fn, grid = _prepare_term(spec, term, bounds, pieces)
+    for term in spec.nonlinear_terms:
+        active, grid, values = _prepare_term(spec, term, bounds, pieces)
         if grid is None:
-            value = term.coef * float(fn(np.empty(0)))
+            value = term.coef * values
             if term.row is None:
                 const_extra += value
             else:
@@ -174,8 +184,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
             encodings.append((term, None, None))
             continue
 
-        enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], fn,
-                                  label=term.label or f"t{t}")
+        enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], values)
         encodings.append((term, enc, grid))
 
         target = obj_extra if term.row is None else row_extra.setdefault(term.row, {})
@@ -209,13 +218,12 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         c = sign * lin.get(j, 0.0)
         z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
     term_values = []
-    for t, term in enumerate(spec.nonlinear_terms):
-        active, fn, grid = _prepare_term(spec, term, bounds, pieces)
+    for term in spec.nonlinear_terms:
+        active, grid, values = _prepare_term(spec, term, bounds, pieces)
         if grid is None:
-            term_values.append(term.coef * float(fn(np.empty(0))))
+            term_values.append(term.coef * values)
             continue
         costs = [lin.get(k, 0.0) for k in active]
-        values = vertex_values(grid, fn, term.label or f"t{t}")
         best = min(values, key=lambda v: sign * (term.coef * values[v] + sum(
             c * x for c, x in zip(costs, grid.vertex(v)))))  # the first best wins
         z[active] = grid.vertex(best)

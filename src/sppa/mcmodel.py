@@ -15,13 +15,14 @@ next breakpoint); every later variable is bounded by the previous step's
 scaled offset.  The term value is the selector-weighted vertex value plus
 the per-variable slope times the copy offset, matching the direct
 geometric interpolation on every feasible point (``tests/properties.py``
-holds that reference and checks the two against each other).
+holds that reference and checks the two against each other).  The term's
+values at the grid vertices come from the caller; nothing here evaluates
+a function.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable
 
 from sppa import pwl
 from sppa.milp import EQ, GE, LE, LpProblem
@@ -33,65 +34,49 @@ SimplexKey = tuple[tuple[int, ...], tuple[int, ...]]  # (cell, perm)
 
 @dataclass
 class McEncoding:
-    """Variable ids and cached vertex values for one encoded term."""
+    """Variable ids of one encoded term and its value as a linear
+    expression over them."""
 
-    grid: pwl.Grid
-    z_ids: tuple[int, ...]
     selector_ids: dict[SimplexKey, int] = field(default_factory=dict)
     copy_ids: dict[tuple[SimplexKey, int], int] = field(default_factory=dict)
-    values: dict[tuple[int, ...], float] = field(default_factory=dict)
     objective: dict[int, float] = field(default_factory=dict)
 
 
-def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, f: Callable, label: str = "t") -> McEncoding:
+def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, values) -> McEncoding:
     """Create selector/copy variables and all rows for one term.
 
     ``z_ids`` are the model ids of the shared variables the term reads, in
-    grid-dimension order.  ``f`` is evaluated once per grid vertex by
-    :func:`pwl.vertex_values`, which names ``label`` if a vertex fails.
+    grid-dimension order; ``values`` maps every grid multi-index to the
+    term's value there (:func:`pwl.vertex_values`).  Columns come first,
+    then the linking rows, the selection row and, simplex by simplex, the
+    chain rows; ``objective`` is the term value.
     """
     z_ids = tuple(z_ids)
     if len(z_ids) != grid.dims:
         raise ValueError("one shared variable per grid dimension required")
-    enc = McEncoding(grid, z_ids, values=pwl.vertex_values(grid, f, label))
-
-    for sid in pwl.enumerate_simplices(grid):
-        cell, perm = sid.cell, sid.perm
-        key = (cell, perm)
+    enc = McEncoding()
+    simplices = list(pwl.enumerate_simplices(grid))
+    for sid in simplices:
+        key = (sid.cell, sid.perm)
         enc.selector_ids[key] = model.add_var(0.0, 1.0, integer=True)
         for k in range(grid.dims):
             b = grid.breakpoints[k]
-            lo, hi = b[cell[k]], b[cell[k] + 1]
-            enc.copy_ids[key, k] = model.add_var(min(0.0, lo), max(0.0, hi))
+            enc.copy_ids[key, k] = model.add_var(min(0.0, b[sid.cell[k]]),
+                                                 max(0.0, b[sid.cell[k] + 1]))
 
-    _encode_selection(model, enc)
-    _encode_chain(model, enc)
-    enc.objective = _encode_term_value(enc)
-    return enc
-
-
-def _encode_selection(model: LpProblem, enc: McEncoding):
-    """Linking rows (copies sum to the shared variable) plus the selection
-    row, declared as a choice set so that branch and bound splits the
-    term's simplices along the grid."""
-    for k in range(enc.grid.dims):
+    # linking rows: the copies of each variable sum to the shared variable
+    for k in range(grid.dims):
         coeffs = {enc.copy_ids[key, k]: 1.0 for key in enc.selector_ids}
-        coeffs[enc.z_ids[k]] = -1.0
+        coeffs[z_ids[k]] = -1.0
         model.add_row(coeffs, EQ, 0.0)
-    model.add_choice_set(list(enc.selector_ids.values()), [cell for cell, _ in enc.selector_ids])
+    model.add_choice_set(list(enc.selector_ids.values()), [sid.cell for sid in simplices])
 
-
-def _encode_chain(model: LpProblem, enc: McEncoding):
-    """Per-simplex ordering rows between copies.
-
-    With the selector at one they pin the copies inside the simplex; with
-    the selector at zero both sides collapse and every copy is held at
-    zero.
-    """
-    grid = enc.grid
-    for key in enc.selector_ids:
-        cell, perm = key
+    for sid in simplices:
+        cell, perm = sid.cell, sid.perm
+        key = (cell, perm)
         mu = enc.selector_ids[key]
+        # chain rows: with the selector at one they pin the copies inside the
+        # simplex; with it at zero every copy is held at zero
         kappa = {k: s for s, k in enumerate(perm)}
         for k in range(grid.dims):
             b = grid.breakpoints[k]
@@ -108,29 +93,16 @@ def _encode_chain(model: LpProblem, enc: McEncoding):
                 model.add_row(
                     {ck: 1.0, enc.copy_ids[key, prev]: -ratio, mu: -lo + ratio * plo},
                     LE, 0.0)
-
-
-def _encode_term_value(enc: McEncoding) -> dict[int, float]:
-    """Linear expression over selectors and copies equal to the term value.
-
-    For each simplex the contribution is the origin-vertex value carried by
-    the selector plus, per variable, the path slope times the copy offset
-    from the cell's lower corner.  On any feasible assignment with one
-    selector active this equals the geometric interpolation at the
-    recovered point.
-    """
-    grid = enc.grid
-    expr: dict[int, float] = {}
-    for key in enc.selector_ids:
-        cell, perm = key
-        path = pwl.vertex_path(pwl.SimplexId(cell, perm))
-        vals = [enc.values[v] for v in path]
+        # term value: the origin vertex's value carried by the selector plus,
+        # per step, the path slope times the copy's offset from the cell's
+        # lower corner
+        vals = [values[v] for v in pwl.vertex_path(sid)]
         mu_coef = vals[0]
         for step, k in enumerate(perm):
             b = grid.breakpoints[k]
             lo = b[cell[k]]
             slope = (vals[step + 1] - vals[step]) / (b[cell[k] + 1] - lo)
-            expr[enc.copy_ids[key, k]] = expr.get(enc.copy_ids[key, k], 0.0) + slope
+            enc.objective[enc.copy_ids[key, k]] = slope
             mu_coef -= slope * lo
-        expr[enc.selector_ids[key]] = expr.get(enc.selector_ids[key], 0.0) + mu_coef
-    return expr
+        enc.objective[mu] = mu_coef
+    return enc

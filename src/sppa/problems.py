@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -43,7 +43,8 @@ class NonlinearTerm:
     """Evaluable function of a variable subset.
 
     ``row is None`` places ``coef * fn`` in the objective, otherwise in the
-    linear constraint with that index.
+    linear constraint with that index.  ``ProblemSpec`` labels a term
+    left unlabelled ``t<k>``, after its position.
     """
 
     var_ids: tuple[int, ...]
@@ -53,10 +54,10 @@ class NonlinearTerm:
     label: str = ""
 
 
-def _term_value(t: int, term: NonlinearTerm, x: np.ndarray) -> float:
-    """``coef * fn`` of term ``t`` at the point ``x``; a failure raises the
+def _term_value(term: NonlinearTerm, x: np.ndarray) -> float:
+    """``coef * fn`` of ``term`` at the point ``x``; a failure raises the
     ``ValueError`` of a failing grid vertex, naming the point."""
-    return term.coef * term_value(term.fn, x[list(term.var_ids)], term.label or f"t{t}", "point")
+    return term.coef * term_value(term.fn, x[list(term.var_ids)], term.label, "point")
 
 
 def _integer_bounds(iv: Interval) -> Interval:
@@ -94,6 +95,9 @@ class ProblemSpec:
                     raise ValueError(f"term references unknown variable {j}")
             if term.row is not None and not 0 <= term.row < len(self.linear_constraints):
                 raise ValueError(f"term references unknown row {term.row}")
+        # an unlabelled term is named by its position, as errors report it
+        self.nonlinear_terms = [term if term.label else replace(term, label=f"t{k}")
+                                for k, term in enumerate(self.nonlinear_terms)]
         for row in self.linear_constraints:
             for j in row.coeffs:
                 if not 0 <= j < n:
@@ -113,9 +117,9 @@ class ProblemSpec:
         """Exact objective at a point (nonlinear terms evaluated, not surrogate)."""
         x = np.asarray(x, dtype=float)
         val = self.objective_constant + sum(c * x[j] for j, c in self.linear_objective.items())
-        for t, term in enumerate(self.nonlinear_terms):
+        for term in self.nonlinear_terms:
             if term.row is None:
-                val += _term_value(t, term, x)
+                val += _term_value(term, x)
         return val
 
     def row_violation(self, x) -> float:
@@ -123,9 +127,9 @@ class ProblemSpec:
         (nonlinear terms evaluated, not surrogate); 0.0 without rows."""
         x = np.asarray(x, dtype=float)
         shift = [0.0] * len(self.linear_constraints)
-        for t, term in enumerate(self.nonlinear_terms):
+        for term in self.nonlinear_terms:
             if term.row is not None:
-                shift[term.row] += _term_value(t, term, x)
+                shift[term.row] += _term_value(term, x)
         return max((row.violation(x, s) / (1.0 + abs(row.rhs))
                     for row, s in zip(self.linear_constraints, shift)), default=0.0)
 

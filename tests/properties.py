@@ -255,7 +255,7 @@ def check_mc_equivalence(n_points: int = 200) -> str:
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-            enc = encode_term(prob, grid, z_ids, f, label="t")
+            enc = encode_term(prob, grid, z_ids, pwl.vertex_values(grid, f, "t"))
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
             prob.set_objective(enc.objective)
@@ -468,7 +468,8 @@ def check_set_branch_warm(n_models: int = 30) -> str:
         b = rng.normal(size=dims)
         prob = milp.LpProblem()
         z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
-        enc = encode_term(prob, grid, z, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v))
+        enc = encode_term(prob, grid, z, pwl.vertex_values(
+            grid, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
         a = rng.normal(size=dims)
         point = rng.uniform(lo, hi)
         prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))

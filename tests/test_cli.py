@@ -169,6 +169,23 @@ def test_term_failing_at_an_iterate_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, message", [
+    # solved at the grid vertices
+    ("[objective]\nmin 1/x + y^2\n", "term 'g0' failed at point [0.0]: division by zero"),
+    # through the MILP
+    ("[objective]\nmin y^2\n[constraints]\nsqrt(x - 1) + y <= 3\n",
+     "term 'r0g0' failed at point [0.0]: square root of a negative number"),
+], ids=["vertex", "milp"])
+def test_term_failing_with_every_variable_fixed_exits_3(tmp_path, capsys, text, message):
+    # x is fixed, so the term has no grid: it fails at its one point
+    bad = tmp_path / "fixed.prob"
+    bad.write_text("[variables]\nx 0 0\ny -1 1\n" + text)
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {bad}: {message}")
+    assert err.count("\n") == 1
+
+
 def test_integer_variable_in_term_ends_by_width(tmp_path, capsys):
     prob = tmp_path / "int.prob"
     prob.write_text("[variables]\nn 0 10 integer\nx -1 1\n[objective]\n"

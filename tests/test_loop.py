@@ -122,6 +122,20 @@ def test_degenerate_variable_becomes_constant():
     assert result.best_objective == pytest.approx(0.0, abs=1e-10)
 
 
+def test_evaluator_failure_reports_vertex():
+    # both paths read their term values from one evaluation, which names the
+    # term (unlabelled ones after their position) and the failing vertex
+    spec = ProblemSpec([("x", Interval(-1.0, 1.0), False), ("y", Interval(0.0, 1.0), False)],
+                       {}, 0.0, [],
+                       [NonlinearTerm((1,), lambda v: float(v[0] ** 2), label="fine"),
+                        NonlinearTerm((0,), lambda v: float("nan"))])
+    assert [t.label for t in spec.nonlinear_terms] == ["fine", "t1"]
+    for solve in (build_iteration_model, loop._solve_at_vertices):
+        with pytest.raises(ValueError) as exc:
+            solve(spec, spec.bounds(), 2)
+        assert str(exc.value).startswith("term 't1' failed at grid vertex [-1.0]: ")
+
+
 def test_all_fixed_term_is_constant():
     spec = ProblemSpec(
         [("x", Interval(3.0, 3.0), False)], {}, 1.0, [],
@@ -316,8 +330,10 @@ def test_config_validation():
 
 
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
-# at the grid vertices, so no pivots) and the parabola model of
-# test_nonlinear_constraint_term (its rows keep it on the MILP path).  They
+# at the grid vertices, so no pivots), the parabola model of
+# test_nonlinear_constraint_term (its rows keep it on the MILP path) and
+# bench/problems/constrained_b.prob at 2/2 (a 3-D term whose choice sets
+# branch, under a nonlinear and a linear row).  They
 # check that a change meant to leave the arithmetic alone really does: a
 # deliberate change of trajectory must update these numbers and record the
 # change in CHANGES.md.
@@ -328,11 +344,20 @@ def test_config_validation():
                  [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
     pytest.param("parabola", (4, 4), "width", 27, 0.24999999999999994,
                  [0.5, 0.24999999999999994], 9, id="parabola"),
+    pytest.param("constrained_b", (2, 2), "stall", 19, -1.2007940880065593,
+                 [1.1777158901279965, 0.9780273936560578, 1.0753825828038395], 3574,
+                 id="constrained_b"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
     if name == "parabola":
         spec, config = _parabola_spec(), SppaConfig(*pieces, 0.5, 30)
+    elif name == "constrained_b":
+        spec = from_expressions(
+            [(v, Interval(0.0, 2.0), False) for v in "xyz"],
+            "(x - 1.2)^2 + (y - 0.8)^2 + (z - 1)^2 - x*y*z",
+            constraints=[("x^2 + y^2 + z^2", "<=", 3.5), ("x + 2*y - z", ">=", 1.0)])
+        config = SppaConfig(*pieces)
     else:
         info = builtin_info(name)
         assert (info["initial_n_pieces"], info["n_pieces"]) == pieces

@@ -3,6 +3,7 @@ import pytest
 
 from sppa.mcmodel import encode_term
 from sppa.milp import LpProblem, solve_milp
+from sppa.pwl import vertex_values
 
 from properties import (build_grid, check_mc_equivalence, eval_pwl, lower,
                         solve_relaxation, upper)
@@ -12,7 +13,7 @@ def build(grid, f):
     model = LpProblem()
     lo, hi = lower(grid), upper(grid)
     z_ids = [model.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-    enc = encode_term(model, grid, z_ids, f)
+    enc = encode_term(model, grid, z_ids, vertex_values(grid, f, "t"))
     return model, z_ids, enc
 
 
@@ -166,15 +167,6 @@ def test_relaxation_soundness():
         lp = solve_relaxation(model)
         ip = solve_milp(model)
         assert lp.objective <= ip.objective + 1e-9
-
-
-def test_evaluator_failure_reports_vertex():
-    g = build_grid([(-1.0, 1.0)], [2])
-    model = LpProblem()
-    zid = model.add_var(-1.0, 1.0)
-    with pytest.raises(ValueError) as exc:
-        encode_term(model, g, [zid], lambda v: float("nan"), label="bad")
-    assert "bad" in str(exc.value) and "vertex" in str(exc.value)
 
 
 def test_equivalence_property_suite():

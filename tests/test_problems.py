@@ -155,7 +155,7 @@ def test_load_problem_parses_each_expression_once(tmp_path, monkeypatch):
     parsed = []
     plain = expr.parse_expr
     monkeypatch.setattr(expr, "parse_expr",
-                        lambda text, var_names=None: parsed.append(text) or plain(text, var_names))
+                        lambda text, var_names: parsed.append(text) or plain(text, var_names))
     load_problem(str(path))
     # the objective and each row's lhs and rhs, once each
     assert sorted(text.strip() for text in parsed) == sorted(
