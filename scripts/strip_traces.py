@@ -1,0 +1,64 @@
+#!/usr/bin/env python3
+"""Write ``sppa solve --out`` traces with every ``seconds`` field stripped.
+
+Eight runs, one ``OUTDIR/<case>.json`` each: the four builtins at their
+registry settings, eggholder at 20/4, and the problem files of
+``bench/problems`` (``constrained_a`` at 3/3, ``constrained_b`` at 2/2 and
+``numerical`` at 3/3).  Run it in two checkouts and compare the two
+directories with ``diff -r``: identical output means the same runs, timings
+aside.
+
+Usage, from the root of a checkout:
+    PYTHONPATH=src python3 scripts/strip_traces.py OUTDIR
+"""
+
+import argparse
+import json
+import os
+import pathlib
+import sys
+
+from sppa.cli import main as cli_main
+
+_PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
+
+
+def _cases() -> dict[str, list[str]]:
+    cases = {name: ["--problem", name]
+             for name in ("rosenbrock", "rastrigin", "ackley", "eggholder")}
+    cases["eggholder_20_4"] = ["--problem", "eggholder",
+                               "--initial-n-pieces", "20", "--n-pieces", "4"]
+    for name, pieces in (("constrained_a", "3"), ("constrained_b", "2"), ("numerical", "3")):
+        # relative, so that checkouts in different places write the same
+        cases[name] = ["--problem", os.path.relpath(_PROBLEMS / f"{name}.prob"),
+                       "--initial-n-pieces", pieces, "--n-pieces", pieces]
+    return cases
+
+
+def strip(doc):
+    """``doc`` without any ``seconds`` key, at any depth."""
+    if isinstance(doc, dict):
+        return {k: strip(v) for k, v in doc.items() if k != "seconds"}
+    return [strip(v) for v in doc] if isinstance(doc, list) else doc
+
+
+def run(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__,
+                                 formatter_class=argparse.RawDescriptionHelpFormatter)
+    ap.add_argument("outdir", help="directory for the stripped traces")
+    args = ap.parse_args(argv)
+
+    out = pathlib.Path(args.outdir)
+    out.mkdir(parents=True, exist_ok=True)
+    worst = 0
+    for name, flags in _cases().items():
+        path = out / f"{name}.json"
+        path.unlink(missing_ok=True)  # a failed run leaves no stale trace
+        worst = max(worst, cli_main(["solve", *flags, "--out", str(path)]))
+        if path.exists():
+            path.write_text(json.dumps(strip(json.loads(path.read_text())), indent=1) + "\n")
+    return worst
+
+
+if __name__ == "__main__":
+    sys.exit(run())

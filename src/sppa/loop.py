@@ -10,9 +10,9 @@ keep their bounds untouched.  Iterates are ranked by their exact objective
 and rows, never by the surrogate; the boxes are centred on the best-ranked
 point while the latest iterate is feasible (see ``run``).
 
-Each iteration evaluates every term once, in ``_prepare_term``: its values
-at the grid vertices (or its one value when all its variables are fixed)
-feed the MILP encoding or the vertex solve.
+Each iteration evaluates every term once, in ``_prepare_term``, on one array
+of its full points, one per grid vertex; the values (or its one value when
+all its variables are fixed) feed the MILP encoding or the vertex solve.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, so each MILP root starts from the previous iteration's optimal
@@ -122,7 +122,6 @@ def _contract_integer(interval: Interval, value: float, frac: float) -> Interval
 @dataclass
 class IterationModel:
     lp: milp.LpProblem
-    encodings: list  # (term, McEncoding | None, grid | None)
 
 
 def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
@@ -131,27 +130,19 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
 
     Returns ``(active, grid, values)``: the term's variables of positive
     width, their grid (``pieces`` segments each) and the term's
-    ``vertex_values`` on it, every zero-width variable held at its value.
-    With no active variable the grid is None and ``values`` is the term's
-    value at its fixed point.  A failing evaluation raises the
-    ``ValueError`` of ``pwl.term_value``, naming the term and the point.
+    ``vertex_values`` at each grid vertex's full point, every zero-width
+    variable at its value.  With no active variable the grid is None and
+    ``values`` is the term's value at its fixed point.  A failing
+    evaluation raises the ``ValueError`` of ``pwl.term_value``.
     """
     active = [k for k in term.var_ids if bounds[k].width > 0.0]
     fixed = np.array([bounds[k].lo for k in term.var_ids])
     if not active:
         return active, None, term_value(term.fn, fixed, term.label, "point")
-    if len(active) == len(term.var_ids):
-        fn = term.fn
-    else:
-        positions = [term.var_ids.index(k) for k in active]
-
-        def fn(v):
-            full = fixed.copy()
-            full[positions] = v
-            return term.fn(full)
-
     grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
-    return active, grid, vertex_values(grid, fn, term.label)
+    points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
+    points[..., [term.var_ids.index(k) for k in active]] = grid.points()
+    return active, grid, vertex_values(points, term.fn, term.label)
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
@@ -171,7 +162,6 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     row_extra: dict[int, dict[int, float]] = {}
     row_shift: dict[int, float] = {}
     const_extra = 0.0
-    encodings = []
 
     for term in spec.nonlinear_terms:
         active, grid, values = _prepare_term(spec, term, bounds, pieces)
@@ -181,11 +171,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
                 const_extra += value
             else:
                 row_shift[term.row] = row_shift.get(term.row, 0.0) + value
-            encodings.append((term, None, None))
             continue
 
         enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], values)
-        encodings.append((term, enc, grid))
 
         target = obj_extra if term.row is None else row_extra.setdefault(term.row, {})
         for var, coef in enc.objective.items():
@@ -201,16 +189,16 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     for var, coef in obj_extra.items():
         objective[var] = objective.get(var, 0.0) + coef
     model.set_objective(objective, spec.objective_constant + const_extra, spec.sense)
-    return IterationModel(model, encodings)
+    return IterationModel(model)
 
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
     """The piecewise-linear optimum of a spec without rows whose terms share
-    no variable: per term, the first grid vertex in ``vertex_indices()``
-    row-major order with the best ``coef * f(v) + linear part``; every other
-    variable at the bound its objective coefficient favours (if 0, the bound
-    nearest zero, lower on a tie, as the simplex).  B&B reports nodes >= 1,
-    so ``nodes`` 0 marks this path."""
+    no variable: per term, the first grid vertex in row-major order with the
+    best ``coef * f(v) + linear part``; every other variable at the bound its
+    objective coefficient favours (if 0, the bound nearest zero, lower on a
+    tie, as the simplex).  B&B reports nodes >= 1, so ``nodes`` 0 marks this
+    path."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     z = np.empty(spec.n_vars)
@@ -223,11 +211,12 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         if grid is None:
             term_values.append(term.coef * values)
             continue
-        costs = [lin.get(k, 0.0) for k in active]
-        best = min(values, key=lambda v: sign * (term.coef * values[v] + sum(
-            c * x for c, x in zip(costs, grid.vertex(v)))))  # the first best wins
-        z[active] = grid.vertex(best)
-        term_values.append(term.coef * values[best])
+        points = grid.points()
+        # the linear part summed left to right from 0, as Python's sum
+        linear = sum(lin.get(k, 0.0) * points[..., a] for a, k in enumerate(active))
+        best = np.unravel_index(np.argmin(sign * (term.coef * values + linear)), values.shape)
+        z[active] = points[best]  # argmin takes the first best
+        term_values.append(term.coef * float(values[best]))
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
     return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0)

@@ -16,8 +16,8 @@ scaled offset.  The term value is the selector-weighted vertex value plus
 the per-variable slope times the copy offset, matching the direct
 geometric interpolation on every feasible point (``tests/properties.py``
 holds that reference and checks the two against each other).  The term's
-values at the grid vertices come from the caller; nothing here evaluates
-a function.
+vertex values come from the caller, in one array shaped like the vertex
+lattice; nothing here evaluates a function.
 """
 
 from __future__ import annotations
@@ -46,10 +46,10 @@ def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, values) -> McEncoding:
     """Create selector/copy variables and all rows for one term.
 
     ``z_ids`` are the model ids of the shared variables the term reads, in
-    grid-dimension order; ``values`` maps every grid multi-index to the
-    term's value there (:func:`pwl.vertex_values`).  Columns come first,
-    then the linking rows, the selection row and, simplex by simplex, the
-    chain rows; ``objective`` is the term value.
+    grid-dimension order; ``values[i]`` is the term's value at the grid
+    vertex of multi-index ``i`` (:func:`pwl.vertex_values`).  Columns come
+    first, then the linking rows, the selection row and, simplex by simplex,
+    the chain rows; ``objective`` is the term value.
     """
     z_ids = tuple(z_ids)
     if len(z_ids) != grid.dims:

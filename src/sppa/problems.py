@@ -394,10 +394,12 @@ def load_problem(path: str) -> ProblemSpec:
     """Read a problem file.
 
     Sections: ``[variables]`` (name lo hi [integer]), ``[objective]``
-    (optional min/max prefix, then an expression) and ``[constraints]`` (one
-    ``expr <= rhs`` per line, rhs a constant expression); any other section
-    is an error.  ``#`` starts a comment.  Each expression is parsed once,
-    and the terms are grouped as in ``from_expressions``.
+    (optional min/max prefix, then an expression, which may span lines) and
+    ``[constraints]`` (one ``expr <= rhs`` per line, rhs a constant
+    expression); any other section is an error.  ``#`` starts a comment.
+    Each expression is parsed once, and the terms are grouped as in
+    ``from_expressions``.  An error names its line (an objective error with
+    no position, such as a domain error, the objective's first line).
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -459,10 +461,16 @@ def load_problem(path: str) -> ProblemSpec:
     # decompose each expression inside its own line's try, so that a parse,
     # domain or coefficient error names the line it comes from
     var_index = {v[0]: j for j, v in enumerate(variables)}
+    text = "\n".join(p[0] for p in objective_parts)
     try:
-        objective = _decompose(" ".join(p[0] for p in objective_parts), var_index)
+        objective = _decompose(text, var_index)
     except (ValueError, DomainError) as exc:  # ParseError is a ValueError
-        raise ProblemFormatError(f"objective: {exc}", objective_parts[0][1]) from exc
+        message, part = str(exc), 0
+        if isinstance(exc, expr.ParseError):  # the line and column of the position
+            part = text.count("\n", 0, exc.position)
+            column = exc.position - text.rfind("\n", 0, exc.position) - 1
+            message = message.removesuffix(str(exc.position)) + str(column)
+        raise ProblemFormatError(f"objective: {message}", objective_parts[part][1]) from exc
     rows = []
     for line, lineno in constraints:
         try:

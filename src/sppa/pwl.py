@@ -8,6 +8,8 @@ fractional coordinates in descending order.  On each simplex the
 interpolant is the unique affine function matching ``f`` at the d+1 path
 vertices, so the global surface is continuous and exact at every grid
 vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP.
+``Grid.points`` holds every vertex's coordinates in one row-major array,
+and ``vertex_values`` evaluates a term on such an array of points.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -83,16 +85,13 @@ class Grid:
         self.dims = len(bps)
         self.pieces = tuple(b.size - 1 for b in bps)
 
-    def vertex(self, index: Sequence[int]) -> np.ndarray:
-        """Coordinates of the grid vertex with the given per-axis index."""
-        return np.array([self.breakpoints[k][i] for k, i in enumerate(index)])
-
-    def vertex_indices(self) -> Iterator[tuple[int, ...]]:
-        """All lattice-vertex multi-indices, row-major."""
-        return itertools.product(*(range(L + 1) for L in self.pieces))
-
-    def __repr__(self):
-        return f"Grid(dims={self.dims}, pieces={self.pieces})"
+    def points(self) -> np.ndarray:
+        """Every vertex's coordinates, shape ``(L1+1, ..., Ld+1, d)``: the
+        vertex with multi-index ``i`` is ``points()[i]``."""
+        pts = np.empty(tuple(L + 1 for L in self.pieces) + (self.dims,))
+        for k, b in enumerate(self.breakpoints):
+            pts[..., k] = b.reshape((-1,) + (1,) * (self.dims - 1 - k))
+        return pts
 
 
 def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.ndarray:
@@ -143,7 +142,9 @@ def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid ve
     return val
 
 
-def vertex_values(grid: Grid, f: Callable, label: str) -> dict[tuple[int, ...], float]:
-    """``f`` at every grid vertex, keyed by multi-index in row-major order; a
-    failing vertex raises the ``ValueError`` of ``term_value``."""
-    return {vidx: term_value(f, grid.vertex(vidx), label) for vidx in grid.vertex_indices()}
+def vertex_values(points: np.ndarray, f: Callable, label: str) -> np.ndarray:
+    """``f`` at every point of a ``(..., n)`` array, called row-major, shaped
+    ``points.shape[:-1]``; a failing point raises the ``ValueError`` of
+    ``term_value``."""
+    rows = points.reshape(-1, points.shape[-1])
+    return np.array([term_value(f, p, label) for p in rows]).reshape(points.shape[:-1])

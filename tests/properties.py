@@ -96,7 +96,8 @@ def locate(grid: pwl.Grid, z) -> pwl.SimplexId:
 
 def simplex_vertices(grid: pwl.Grid, sid: pwl.SimplexId) -> np.ndarray:
     """Coordinates of the d+1 simplex vertices, one row per vertex."""
-    return np.array([grid.vertex(v) for v in pwl.vertex_path(sid)])
+    points = grid.points()
+    return np.array([points[v] for v in pwl.vertex_path(sid)])
 
 
 def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
@@ -109,18 +110,19 @@ def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
     through all d+1 vertices (telescoping along the path).
     """
     path = pwl.vertex_path(sid)
+    points = grid.points()
     vals = []
     for v in path:
-        fv = float(f(grid.vertex(v)))
+        fv = float(f(points[v]))
         if not math.isfinite(fv):
-            raise ValueError(f"function value not finite at grid vertex {grid.vertex(v)}")
+            raise ValueError(f"function value not finite at grid vertex {points[v]}")
         vals.append(fv)
     slopes = np.zeros(grid.dims)
     for step, k in enumerate(sid.perm):
         b = grid.breakpoints[k]
         l = sid.cell[k]
         slopes[k] = (vals[step + 1] - vals[step]) / (b[l + 1] - b[l])
-    origin = grid.vertex(path[0])
+    origin = points[path[0]]
     intercept = vals[0] - float(np.dot(slopes, origin))
     return Hyperplane(intercept, slopes)
 
@@ -197,8 +199,7 @@ def check_triangulation(n_points: int = 1000) -> str:
             assert w.min() >= -1e-12, f"locate returned non-containing simplex at {z}"
 
         # vertex exactness
-        for vidx in grid.vertex_indices():
-            v = grid.vertex(vidx)
+        for v in grid.points().reshape(-1, grid.dims):
             fv = f(v)
             assert abs(eval_pwl(grid, f, v) - fv) <= 1e-9 * (1.0 + abs(fv))
 
@@ -255,7 +256,7 @@ def check_mc_equivalence(n_points: int = 200) -> str:
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-            enc = encode_term(prob, grid, z_ids, pwl.vertex_values(grid, f, "t"))
+            enc = encode_term(prob, grid, z_ids, pwl.vertex_values(grid.points(), f, "t"))
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
             prob.set_objective(enc.objective)
@@ -469,7 +470,7 @@ def check_set_branch_warm(n_models: int = 30) -> str:
         prob = milp.LpProblem()
         z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
         enc = encode_term(prob, grid, z, pwl.vertex_values(
-            grid, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
+            grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
         a = rng.normal(size=dims)
         point = rng.uniform(lo, hi)
         prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
@@ -815,24 +816,70 @@ def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
     return spec, int(rng.integers(2, 6 if max(sizes) < 3 else 4))  # keeps each MILP small
 
 
+def _scalar_vertex_optimum(spec: ProblemSpec, pieces: int) -> tuple[list[float], float]:
+    """The vertex shortcut's point and surrogate on the declared bounds, by
+    the scalar rule: per term, walk the grid vertices row-major, call the
+    term on each full point and keep the first vertex of least key
+    ``sign * (coef * v + sum(c * x))`` over its active variables; every
+    other variable at the bound its cost favours (the nearest zero if 0)."""
+    sign = 1.0 if spec.sense == "min" else -1.0
+    lin, bounds = spec.linear_objective, spec.bounds()
+    z = []
+    for j, iv in enumerate(bounds):
+        c = sign * lin.get(j, 0.0)
+        z.append(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi)
+    term_values = []
+    for term in spec.nonlinear_terms:
+        active = [k for k in term.var_ids if bounds[k].width > 0.0]
+        axes = [pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
+        candidates = []
+        for coords in itertools.product(*axes):
+            full = np.array([bounds[k].lo for k in term.var_ids])
+            full[[term.var_ids.index(k) for k in active]] = coords
+            candidates.append((coords, float(term.fn(full))))
+        costs = [lin.get(k, 0.0) for k in active]
+        coords, v = min(candidates, key=lambda cv: sign * (term.coef * cv[1] + sum(
+            c * x for c, x in zip(costs, cv[0]))))
+        for k, x in zip(active, coords):
+            z[k] = float(x)
+        term_values.append(term.coef * v)
+    return z, sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
+
+
 def check_vertex_optimum(n_specs: int = 60) -> str:
-    """The vertex shortcut against the MILP reference on row-free specs.
+    """The vertex shortcut against two references on row-free specs.
 
     On each spec of ``_row_free_spec``, the shortcut's first iteration must
-    match ``solve_milp`` on the model the MILP path builds, within the
-    MILP's gap, and return a grid vertex.
+    give the same point and a bit-identical surrogate as
+    ``_scalar_vertex_optimum``, match ``solve_milp`` on the model the MILP
+    path builds within the MILP's gap, and return a grid vertex.
     """
     rng = np.random.default_rng(1357)
     rel_gap = milp._REL_GAP
     n_max = 0
-    for _ in range(n_specs):
-        spec, pieces = _row_free_spec(rng)
+    # and exact ties, where the first best vertex row-major wins: x = -1
+    # (not 1) for -x^2, and (y, w) = (-1, 1) (not (1, -1)) for y*w
+    ties = ProblemSpec([(v, pwl.Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
+                       [NonlinearTerm((0,), lambda v: float(v[0] ** 2), coef=-1.0),
+                        NonlinearTerm((1, 2), lambda v: float(v[0] * v[1]))])
+    assert _scalar_vertex_optimum(ties, 2)[0] == [-1.0, -1.0, 1.0]
+    # and a near-tie that the order of the linear sum decides: at (1, 1, 1)
+    # it is 0.1 + 0.2 + 0.3 = 0.6000000000000001 summed left to right, above
+    # the origin's 0.6, but 0.6 summed right to left, a tie the origin wins
+    near = ProblemSpec([(v, pwl.Interval(0.0, 1.0), False) for v in "xyw"],
+                       {0: 0.1, 1: 0.2, 2: 0.3}, 0.0, [],
+                       [NonlinearTerm((0, 1, 2), lambda v: 0.0 if v.any() else 0.6)], sense="max")
+    assert _scalar_vertex_optimum(near, 1)[0] == [1.0, 1.0, 1.0]
+    for spec, pieces in [_row_free_spec(rng) for _ in range(n_specs)] + [(ties, 2), (near, 1)]:
         terms, sense = spec.nonlinear_terms, spec.sense
         n_max += sense == "max"
         rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
         ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces).lp)
         assert ref.status == "optimal", ref.status
         assert rec.milp_stats["nodes"] == 0, "row-free spec went through branch and bound"
+        point, surrogate = _scalar_vertex_optimum(spec, pieces)
+        assert rec.incumbent.tolist() == point, (rec.incumbent.tolist(), point)
+        assert rec.surrogate_objective == surrogate, (rec.surrogate_objective, surrogate)
         sgn = 1.0 if sense == "min" else -1.0
         got, want = rec.surrogate_objective, ref.objective
         assert sgn * (got - want) <= 1e-9 * (1.0 + abs(want)), f"shortcut {got} worse than {want}"

@@ -9,7 +9,7 @@ import pytest
 
 from sppa import cli, loop, milp
 from sppa.cli import main
-from sppa.problems import builtin_names
+from sppa.problems import builtin_info, builtin_names
 
 
 def run_cli(args):
@@ -266,9 +266,9 @@ def test_problem_file_end_to_end(tmp_path, capsys):
     assert report["best_point"][0] == pytest.approx(0.25, abs=1e-5)
 
 
-def _table_script():
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "reproduce_table.py"
-    module_spec = importlib.util.spec_from_file_location("reproduce_table", path)
+def _script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    module_spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(script)
     return script
@@ -276,7 +276,7 @@ def _table_script():
 
 def test_table_small_budget(tmp_path, capsys):
     # a row for every builtin under a per-problem budget, exit 0
-    code = _table_script().run(["--outdir", str(tmp_path), "--budget", "60"])
+    code = _script("reproduce_table").run(["--outdir", str(tmp_path), "--budget", "60"])
     summary = capsys.readouterr().out.split("=== summary ===\n", 1)[1]
     assert code == 0
     lines = summary.strip().splitlines()
@@ -288,14 +288,14 @@ def test_table_small_budget(tmp_path, capsys):
 
 
 def test_table_nonpositive_budget_exits_2(tmp_path, capsys):
-    assert _table_script().run(["--outdir", str(tmp_path), "--budget", "0"]) == 2
+    assert _script("reproduce_table").run(["--outdir", str(tmp_path), "--budget", "0"]) == 2
     assert "time_limit must be positive" in capsys.readouterr().err
 
 
 def test_reproduce_table_solves_each_builtin_once(tmp_path, monkeypatch, capsys):
     # the summary comes from the traces the script just wrote, not from
     # solving every builtin a second time
-    script = _table_script()
+    script = _script("reproduce_table")
     calls = []
 
     def stub(spec, config, on_iteration=None):
@@ -309,3 +309,34 @@ def test_reproduce_table_solves_each_builtin_once(tmp_path, monkeypatch, capsys)
     lines = summary.strip().splitlines()
     assert len(lines) == 5 and lines[0].startswith("problem")
     assert lines[4].split() == ["eggholder", "1.5", "-959.641", "35/3", "0.5s", "width"]
+
+
+def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
+    calls = []
+
+    def stub(spec, config, on_iteration=None):
+        calls.append((spec.name, config.initial_n_pieces, config.n_pieces))
+        record = loop.IterationRecord(
+            0, np.zeros(spec.n_vars), 1.5, 1.5, 0.0, dict(zip(spec.var_names(), spec.bounds())),
+            {"status": "optimal", **dict.fromkeys(cli._COUNTERS, 0), "gap": 0.0,
+             "seconds": 0.25})
+        return loop.SppaResult(np.zeros(spec.n_vars), 1.5, [record], "width", 0.5)
+
+    def keys(doc):
+        if isinstance(doc, dict):
+            return set(doc).union(*map(keys, doc.values()))
+        return set().union(*map(keys, doc)) if isinstance(doc, list) else set()
+
+    monkeypatch.setattr(loop, "run", stub)
+    assert _script("strip_traces").run([str(tmp_path)]) == 0
+    assert calls == [(name, builtin_info(name)["initial_n_pieces"],
+                      builtin_info(name)["n_pieces"]) for name in builtin_names()] + [
+        ("eggholder", 20, 4), ("constrained_a", 3, 3), ("constrained_b", 2, 2),
+        ("numerical", 3, 3)]
+    files = sorted(p.name for p in tmp_path.iterdir())
+    assert files == sorted([f"{name}.json" for name in builtin_names()] + [
+        "eggholder_20_4.json", "constrained_a.json", "constrained_b.json", "numerical.json"])
+    for name in files:
+        doc = json.loads((tmp_path / name).read_text())
+        assert len(doc["rows"]) == 1 and "iter" in keys(doc)
+        assert "seconds" not in keys(doc), name

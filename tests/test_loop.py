@@ -82,17 +82,18 @@ def test_model_counts_rosenbrock():
     m = build_iteration_model(spec, spec.bounds(), 4)
     n_bin = sum(m.lp.is_int)
     assert n_bin == 32  # one 2-D term: 2 * 4 * 4 simplices
-    term, enc, grid = m.encodings[0]
-    assert grid.pieces == (4, 4)
-    assert len(enc.copy_ids) == 64
+    [(ids, cells)] = m.lp.choice_sets
+    assert len(ids) == 32 and cells.shape[1] == 2
+    assert (cells.max(axis=0) + 1).tolist() == [4, 4]  # the grid's pieces
+    # beside x and y, one copy per selector and dimension
+    assert m.lp.n_vars == 2 + len(ids) + len(ids) * cells.shape[1] == 2 + 32 + 64
 
 
 def test_model_counts_rastrigin():
     spec = builtin("rastrigin")
     m = build_iteration_model(spec, spec.bounds(), 6)
     assert sum(m.lp.is_int) == 12  # two 1-D terms of 6 simplices each
-    for _, enc, _ in m.encodings:
-        assert len(enc.selector_ids) == 6
+    assert [len(ids) for ids, _ in m.lp.choice_sets] == [6, 6]
 
 
 def test_no_nonlinear_terms_single_solve():
@@ -116,8 +117,8 @@ def test_degenerate_variable_becomes_constant():
         [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    _, enc, grid = m.encodings[0]
-    assert grid.dims == 1  # x dropped from the grid
+    [(ids, cells)] = m.lp.choice_sets
+    assert cells.shape[1] == 1  # x dropped from the grid
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=25))
     assert result.best_objective == pytest.approx(0.0, abs=1e-10)
 
@@ -130,10 +131,16 @@ def test_evaluator_failure_reports_vertex():
                        [NonlinearTerm((1,), lambda v: float(v[0] ** 2), label="fine"),
                         NonlinearTerm((0,), lambda v: float("nan"))])
     assert [t.label for t in spec.nonlinear_terms] == ["fine", "t1"]
+    # a term with a fixed variable names its full point, y at its value
+    partial = from_expressions([("x", Interval(-1.0, 1.0), False),
+                                ("y", Interval(0.5, 0.5), False)], "sqrt(x)*y + x*y")
     for solve in (build_iteration_model, loop._solve_at_vertices):
         with pytest.raises(ValueError) as exc:
             solve(spec, spec.bounds(), 2)
         assert str(exc.value).startswith("term 't1' failed at grid vertex [-1.0]: ")
+        with pytest.raises(ValueError) as exc:
+            solve(partial, partial.bounds(), 2)
+        assert str(exc.value).startswith("term 'g0' failed at grid vertex [-1.0, 0.5]: ")
 
 
 def test_all_fixed_term_is_constant():
@@ -333,10 +340,17 @@ def test_config_validation():
 # at the grid vertices, so no pivots), the parabola model of
 # test_nonlinear_constraint_term (its rows keep it on the MILP path) and
 # bench/problems/constrained_b.prob at 2/2 (a 3-D term whose choice sets
-# branch, under a nonlinear and a linear row).  They
-# check that a change meant to leave the arithmetic alone really does: a
-# deliberate change of trajectory must update these numbers and record the
-# change in CHANGES.md.
+# branch, under a nonlinear and a linear row), and a 3-D term with y fixed
+# on each path (_PARTIAL_FIXED: the term is called on points that hold y
+# at its value).  They check that a change meant to leave the arithmetic
+# alone really does: a deliberate change of trajectory must update these
+# numbers and record the change in CHANGES.md.
+_PARTIAL_FIXED = {
+    "partial_fixed_vertex": ("(x - y)^2 + x*y*z + 3*x - z", []),
+    "partial_fixed_milp": ("(x - y)^2 + x*y*z - z", [("x^2 + z^2", "<=", 2.0)]),
+}
+
+
 @pytest.mark.parametrize("name, pieces, termination, iterations, best_objective, best_point, "
                          "pivots", [
     pytest.param("rastrigin", (6, 3), "stall", 24, 0.0, [0.0, 0.0], 0, id="rastrigin"),
@@ -347,6 +361,10 @@ def test_config_validation():
     pytest.param("constrained_b", (2, 2), "stall", 19, -1.2007940880065593,
                  [1.1777158901279965, 0.9780273936560578, 1.0753825828038395], 3574,
                  id="constrained_b"),
+    pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
+                 id="partial_fixed_vertex"),
+    pytest.param("partial_fixed_milp", (4, 4), "stall", 17, -0.8124999999854481,
+                 [0.2500038146972657, 0.5, 1.0], 545, id="partial_fixed_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
@@ -357,6 +375,12 @@ def test_pinned_trajectory(name, pieces, termination, iterations, best_objective
             [(v, Interval(0.0, 2.0), False) for v in "xyz"],
             "(x - 1.2)^2 + (y - 0.8)^2 + (z - 1)^2 - x*y*z",
             constraints=[("x^2 + y^2 + z^2", "<=", 3.5), ("x + 2*y - z", ">=", 1.0)])
+        config = SppaConfig(*pieces)
+    elif name in _PARTIAL_FIXED:
+        text, rows = _PARTIAL_FIXED[name]
+        variables = [("x", Interval(-1.0, 2.0), False), ("y", Interval(0.5, 0.5), False),
+                     ("z", Interval(-1.0, 1.0), False)]
+        spec = from_expressions(variables, text, constraints=rows)
         config = SppaConfig(*pieces)
     else:
         info = builtin_info(name)

@@ -13,7 +13,7 @@ def build(grid, f):
     model = LpProblem()
     lo, hi = lower(grid), upper(grid)
     z_ids = [model.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-    enc = encode_term(model, grid, z_ids, vertex_values(grid, f, "t"))
+    enc = encode_term(model, grid, z_ids, vertex_values(grid.points(), f, "t"))
     return model, z_ids, enc
 
 

@@ -171,6 +171,30 @@ def test_load_problem_syntax_error_line(tmp_path):
     assert "position" in str(exc.value)
 
 
+def test_objective_error_names_its_continuation_line(tmp_path):
+    # the objective spans lines 5 and 6; the stray ")" is at position 8 of
+    # line 6's expression (position 12 of the joined text)
+    path = tmp_path / "bad.prob"
+    path.write_text("[variables]\nx -1 1\ny 0 1\n[objective]\nmin x^2\n  + y^2 + )\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 6: objective: expected a value, got ')' at position 8"
+    # an error on the first line keeps its position there
+    path.write_text("[variables]\nx -1 1\ny 0 1\n[objective]\nmin x^2 + )\n  + y^2\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 5: objective: expected a value, got ')' at position 6"
+    # the end of the input lies on the last line
+    path.write_text("[variables]\nx -1 1\n[objective]\nmin x^2 +\n  x *\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 5: objective: unexpected end of input at position 3"
+    # an error without a position names the objective's first line
+    path.write_text("[variables]\nx -1 1\n[objective]\nmin x^2\n  + sqrt(-1)\n")
+    with pytest.raises(ProblemFormatError, match=r"^line 4: objective: "):
+        load_problem(str(path))
+
+
 def test_load_problem_structure_errors(tmp_path):
     p = tmp_path / "a.prob"
     p.write_text("[objective]\nmin x\n")
