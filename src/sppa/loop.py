@@ -128,21 +128,22 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
                   pieces: int):
     """Evaluate ``term`` for one iteration.
 
-    Returns ``(active, grid, values)``: the term's variables of positive
-    width, their grid (``pieces`` segments each) and the term's
-    ``vertex_values`` at each grid vertex's full point, every zero-width
-    variable at its value.  With no active variable the grid is None and
-    ``values`` is the term's value at its fixed point.  A failing
-    evaluation raises the ``ValueError`` of ``pwl.term_value``.
+    Returns ``(active, grid, points, values)``: the term's variables of
+    positive width, their grid (``pieces`` segments each), each grid
+    vertex's full point in ``term.var_ids`` order, zero-width variables at
+    their values, and the term's ``vertex_values`` there.  With no active
+    variable the grid is None, ``points`` the fixed point and ``values`` its
+    value.  A failing evaluation raises the ``ValueError`` of ``term_value``.
     """
     active = [k for k in term.var_ids if bounds[k].width > 0.0]
-    fixed = np.array([bounds[k].lo for k in term.var_ids])
+    # float: an int bound must not make the array integer and truncate the grid
+    fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
     if not active:
-        return active, None, term_value(term.fn, fixed, term.label, "point")
+        return active, None, fixed, term_value(term.fn, fixed, term.label, "point")
     grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
     points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
-    return active, grid, vertex_values(points, term.fn, term.label)
+    return active, grid, points, vertex_values(points, term.fn, term.label)
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
@@ -164,7 +165,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     const_extra = 0.0
 
     for term in spec.nonlinear_terms:
-        active, grid, values = _prepare_term(spec, term, bounds, pieces)
+        active, grid, _points, values = _prepare_term(spec, term, bounds, pieces)
         if grid is None:
             value = term.coef * values
             if term.row is None:
@@ -207,15 +208,14 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
     term_values = []
     for term in spec.nonlinear_terms:
-        active, grid, values = _prepare_term(spec, term, bounds, pieces)
+        active, grid, points, values = _prepare_term(spec, term, bounds, pieces)
         if grid is None:
             term_values.append(term.coef * values)
             continue
-        points = grid.points()
         # the linear part summed left to right from 0, as Python's sum
-        linear = sum(lin.get(k, 0.0) * points[..., a] for a, k in enumerate(active))
+        linear = sum(lin.get(k, 0.0) * points[..., term.var_ids.index(k)] for k in active)
         best = np.unravel_index(np.argmin(sign * (term.coef * values + linear)), values.shape)
-        z[active] = points[best]  # argmin takes the first best
+        z[list(term.var_ids)] = points[best]  # argmin takes the first best
         term_values.append(term.coef * float(values[best]))
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))

@@ -469,7 +469,7 @@ def load_problem(path: str) -> ProblemSpec:
         if isinstance(exc, expr.ParseError):  # the line and column of the position
             part = text.count("\n", 0, exc.position)
             column = exc.position - text.rfind("\n", 0, exc.position) - 1
-            message = message.removesuffix(str(exc.position)) + str(column)
+            message = str(expr.ParseError(exc.message, column))
         raise ProblemFormatError(f"objective: {message}", objective_parts[part][1]) from exc
     rows = []
     for line, lineno in constraints:

@@ -834,7 +834,7 @@ def _scalar_vertex_optimum(spec: ProblemSpec, pieces: int) -> tuple[list[float],
         axes = [pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
         candidates = []
         for coords in itertools.product(*axes):
-            full = np.array([bounds[k].lo for k in term.var_ids])
+            full = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
             full[[term.var_ids.index(k) for k in active]] = coords
             candidates.append((coords, float(term.fn(full))))
         costs = [lin.get(k, 0.0) for k in active]

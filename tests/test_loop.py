@@ -143,6 +143,23 @@ def test_evaluator_failure_reports_vertex():
         assert str(exc.value).startswith("term 'g0' failed at grid vertex [-1.0, 0.5]: ")
 
 
+@pytest.mark.parametrize("constraints", [(), [("x^2 + y^2", "<=", 1.5)]],
+                         ids=["vertex", "milp"])
+def test_integer_valued_bounds_solve_as_float_bounds(constraints):
+    # continuous bounds given as Python ints (Interval(-1, 1)) must not make
+    # a term's point array integer and truncate the grid's coordinates
+    def spec(lo, hi):
+        return from_expressions([(v, Interval(lo, hi), False) for v in "xy"],
+                                "x^2*y + sin(x*y) - x", constraints)
+    ints, floats = spec(-1, 1), spec(-1.0, 1.0)
+    a, b = (build_iteration_model(s, s.bounds(), 4).lp for s in (ints, floats))
+    assert a.objective == b.objective and a.rows == b.rows
+    config = SppaConfig(4, 4, 0.5, max_iters=8)
+    runs = [[(r.incumbent.tolist(), r.objective, r.surrogate_objective)
+             for r in run(s, config).trace] for s in (ints, floats)]
+    assert runs[0] == runs[1]
+
+
 def test_all_fixed_term_is_constant():
     spec = ProblemSpec(
         [("x", Interval(3.0, 3.0), False)], {}, 1.0, [],
