@@ -150,8 +150,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     """Assemble the MILP for one iteration.
 
     Linear parts are copied verbatim; every nonlinear term gets its own
-    multiple-choice encoding on a fresh grid over the current boxes
-    (``pieces`` segments per involved variable).  Degenerate (fixed)
+    lambda encoding (one weight per grid vertex, ``mcmodel.encode_term``)
+    on a fresh grid over the current boxes (``pieces`` segments per
+    involved variable).  Degenerate (fixed)
     variables are excluded from grids and substituted as constants; a term
     whose variables are all fixed contributes a constant.
     """
@@ -174,10 +175,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
                 row_shift[term.row] = row_shift.get(term.row, 0.0) + value
             continue
 
-        enc = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], values)
-
+        surrogate = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], values)
         target = obj_extra if term.row is None else row_extra.setdefault(term.row, {})
-        for var, coef in enc.objective.items():
+        for var, coef in surrogate.items():
             target[var] = target.get(var, 0.0) + term.coef * coef
 
     for i, row in enumerate(spec.linear_constraints):

@@ -14,15 +14,18 @@ reduced costs and primal values, which one changed bound leaves primal
 infeasible in a few rows at most.
 
 Integer variables are handled by best-bound branch and bound.  A problem
-may declare choice sets: binaries that sum to 1, each with a grid cell,
-such as the selectors of one piecewise-linear term.  A node whose LP
-solution leaves a set fractional branches on the whole set as a special
-ordered set: it splits the set's LP weight in half along a grid axis (or,
-when one cell holds all of it, in declaration order inside that cell), and
-each child sets the upper bounds of one side to 0.  No selector of a
-fractional set sits at 1, so every such bound lies on a basic column or on
-a column already at 0, and the parent's state stays an exact warm start.
-Integers outside every set are branched on singly, most fractional first.
+may also declare lattice sets: weights in [0, 1] that sum to 1, each with
+the multi-index of a grid vertex, such as the weights of one
+piecewise-linear term.  A set's weights above ``_INT_TOL`` must lie on one
+Kuhn simplex of the grid; a node whose LP solution leaves them spread wider
+branches on one integer key of the vertex index, an axis index or the
+difference of two, and each child sets the upper bounds of the weights on
+one side of the split to 0 (see ``_balanced_cut``).  A weight a child drops
+is either basic or nonbasic at 0: nonbasic at 1 it would be the set's only
+weight above ``_INT_TOL``, and a one-vertex set is never split.  So every
+such bound lies on a basic column or on a column already at 0, and the
+parent's state stays an exact warm start.  Integers are branched on singly,
+most fractional first, once every set is valid.
 
 Deliberately no cutting planes and no presolve beyond rounding integer
 bounds inward, treating fixed variables as permanently nonbasic and
@@ -113,7 +116,7 @@ class LpProblem:
         self.objective: dict[int, float] = {}
         self.obj_constant = 0.0
         self.sense = "min"
-        self.choice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, cells)
+        self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, index)
 
     @property
     def n_vars(self) -> int:
@@ -138,20 +141,21 @@ class LpProblem:
         self.rows.append(LinearConstraint(coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
-    def add_choice_set(self, ids, cells) -> int:
-        """Add the row ``sum(x_j for j in ids) = 1`` over binary variables and
-        declare them a choice set for branching; ``cells[i]`` is the grid
-        cell (one index per axis) of ``ids[i]``.  Returns the row index."""
+    def add_lattice_set(self, ids, index) -> int:
+        """Add the row ``sum(x_j for j in ids) = 1`` over variables bounded
+        in [0, 1] and declare them a lattice set for branching; ``index[i]``
+        is the grid vertex multi-index of ``ids[i]``.  Returns the row index."""
         ids = np.asarray(ids, dtype=np.intp)
-        cells = np.asarray(cells, dtype=np.intp)
+        index = np.asarray(index, dtype=np.intp)
         if (ids.ndim != 1 or not ids.size or np.unique(ids).size != ids.size
-                or cells.ndim != 2 or len(cells) != ids.size or np.any(cells < 0)):
-            raise ValueError("a choice set needs distinct ids, each with a row of cell indices")
-        if not all(0 <= j < self.n_vars and self.is_int[j] and self.lb[j] >= 0.0
-                   and self.ub[j] <= 1.0 for j in ids.tolist()):
-            raise ValueError("every choice set member must be a binary variable")
+                or index.ndim != 2 or len(index) != ids.size or np.any(index < 0)
+                or len(np.unique(index, axis=0)) != ids.size):
+            raise ValueError("a lattice set needs distinct ids, each with a distinct vertex index")
+        if not all(0 <= j < self.n_vars and self.lb[j] >= 0.0 and self.ub[j] <= 1.0
+                   for j in ids.tolist()):
+            raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
         row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), EQ, 1.0)
-        self.choice_sets.append((ids, cells))
+        self.lattice_sets.append((ids, index))
         return row
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
@@ -163,7 +167,7 @@ class LpProblem:
         self.sense = sense
 
 
-# how a solved node ends: split on a choice set, branched on one integer,
+# how a solved node ends: split on a lattice set, branched on one integer,
 # integral, infeasible, or cut off by the incumbent
 NODE_OUTCOMES = ("set_branched", "var_branched", "integral", "infeasible", "cutoff")
 
@@ -514,63 +518,66 @@ def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
     return int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
 
 
-def _balanced_cut(weights: np.ndarray) -> tuple[float, int]:
-    """``(|left - right|, t)`` for the cut of ``weights`` into ``[:t]`` and
-    ``[t:]`` that balances them best with both sides positive, the lowest
-    ``t`` on ties; ``(inf, 0)`` if no cut leaves weight on both sides."""
-    left = np.cumsum(weights)[:-1]
-    right = np.cumsum(weights[::-1])[::-1][1:]
-    imbalance = np.where((left > 0.0) & (right > 0.0), np.abs(left - right), math.inf)
-    if not imbalance.size or imbalance.min() == math.inf:
-        return math.inf, 0
-    t = int(np.argmin(imbalance))
-    return float(imbalance[t]), t + 1
+def _balanced_cut(lattice_sets: list, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+    """The ids each child sets to 0 when branching on a lattice set, or None
+    when every set's support lies in one Kuhn simplex.
 
-
-def _set_branch(choice_sets: list, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
-    """The ids each child sets to 0 when branching on a choice set, or None
-    when no set has two selectors above ``_INT_TOL``.
-
-    The set is the one whose largest selector is smallest, the lowest index
-    on ties.  The split balances the weight of its selectors above
-    ``_INT_TOL`` best along one grid axis, at a cell boundary (lowest axis,
-    then boundary, on ties); when one cell holds all of it, in declaration
-    order inside that cell.  Either way both children drop weight, and a
-    selector already set to 0 (at most ``_FEAS_TOL`` off it) carries none.
+    A set's support is its weights above ``_INT_TOL``; it lies in one
+    simplex exactly when each integer key of the vertex index, every axis
+    index ``idx_k`` and every diagonal ``idx_i - idx_j`` (i < j), spans at
+    most 1 over it.  The set is the invalid one whose largest weight is
+    smallest, the lowest index on ties.  Its key is the axis, or failing
+    that the diagonal, whose support spans widest, and among those the one
+    that balances best, the lowest key on ties.  The split ``s`` lies
+    strictly inside the key's span, where the support weight with key below
+    ``s`` and the one with key above it are closest, the lowest ``s`` on
+    ties.  One child drops every weight with key above ``s``, the other
+    every weight with key below it; a simplex spans at most 1 in the key,
+    so each one survives in a child, and each child drops support weight.
     """
     chosen, top = None, math.inf
-    for ids, cells in choice_sets:
+    for ids, index in lattice_sets:
         v = x[ids]
-        if np.count_nonzero(v > _INT_TOL) >= 2 and v.max() < top:
-            chosen, top = (ids, cells, np.where(v > _INT_TOL, v, 0.0)), float(v.max())
+        on = v > _INT_TOL
+        pairs = [(i, j) for i in range(index.shape[1]) for j in range(i + 1, index.shape[1])]
+        diagonals = index[:, [i for i, _ in pairs]] - index[:, [j for _, j in pairs]]
+        for keys in (index, diagonals):
+            span = keys[on].max(axis=0) - keys[on].min(axis=0)
+            if span.max(initial=0) >= 2:
+                if v.max() < top:
+                    chosen, top = (ids, keys[:, span == span.max()], v, on), float(v.max())
+                break
     if chosen is None:
         return None
-    ids, cells, w = chosen
-    best, low = math.inf, None
-    for k in range(cells.shape[1]):
-        imbalance, t = _balanced_cut(np.bincount(cells[:, k], weights=w))
-        if imbalance < best:
-            best, low = imbalance, cells[:, k] < t
-    if low is None:
-        low = np.arange(ids.size) < _balanced_cut(w)[1]
-    return ids[~low], ids[low]
+    ids, keys, v, on = chosen
+    best = None
+    for key in keys.T:
+        lo = int(key[on].min())
+        total = np.cumsum(np.bincount(key[on] - lo, weights=v[on]))
+        # the support weight with key below and above s, for s = lo+1 .. max-1
+        imbalance = np.abs(total[:-2] - (total[-1] - total[1:-1]))
+        t = int(np.argmin(imbalance))
+        if best is None or imbalance[t] < best[0]:
+            best = (imbalance[t], key, lo + 1 + t)
+    _, key, s = best
+    return ids[key > s], ids[key < s]
 
 
 def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                start: Optional[_Start] = None) -> MilpResult:
     """Best-bound branch and bound over the integer variables.
 
-    A node splits a fractional choice set when it has one (see
-    ``_set_branch``), and otherwise branches on the most fractional integer
-    outside every set, the lowest id on ties.  The root starts from
+    A node splits a lattice set whose support spans more than one simplex
+    when it has one (see ``_balanced_cut``), and otherwise branches on the
+    most fractional integer, the lowest id on ties.  The root starts from
     ``start`` (a ``MilpResult.start``) when its shape matches this model's
     canonical form, else from the slack basis.
     Returns an incumbent, with its integer components rounded, whose
     relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
     ``deadline`` passes, the search stops with status 'time_limit' and the
     proven dual bound, plus the best incumbent if it has one (``x`` is None
-    otherwise).  A model without integer variables is one simplex solve at
-    the root.
+    otherwise).  A model without integer variables or lattice sets is one
+    simplex solve at the root.
     """
     canon = _Canon(problem)
     n = problem.n_vars
@@ -636,8 +643,9 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             outcomes["cutoff"] += 1
             continue
 
+        split = _balanced_cut(problem.lattice_sets, res.x)
         frac = _fractional(res.x, int_idx)
-        if not frac.size:
+        if split is None and not frac.size:
             outcomes["integral"] += 1
             x = res.x.copy()  # integral within _INT_TOL: report the integers
             x[int_idx] = np.round(x[int_idx])
@@ -646,16 +654,11 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                 incumbent_obj = obj
                 incumbent_x = x[:n]
             continue
-        split = _set_branch(problem.choice_sets, res.x)
         if split is not None:
             outcomes["set_branched"] += 1
             children = [(l_over, {**u_over, **dict.fromkeys(side.tolist(), 0.0)})
                         for side in split]
-        else:
-            # the most fractional integer, ties by lowest id: one outside every
-            # set, as a fractional set member leaves two selectors above
-            # _INT_TOL, except at tolerance level (the rest of its set's
-            # weight spread below _INT_TOL)
+        else:  # the most fractional integer, ties by lowest id
             outcomes["var_branched"] += 1
             fr = res.x[frac] - np.floor(res.x[frac])
             j = int(frac[np.argmin(np.abs(fr - 0.5))])

@@ -475,7 +475,10 @@ def load_problem(path: str) -> ProblemSpec:
     for line, lineno in constraints:
         try:
             lhs, sn, rhs_text = _split_sense(line)
-            rhs = expr.eval_expr(expr.parse_expr(rhs_text, var_names=[]), {})
+            try:
+                rhs = expr.eval_expr(expr.parse_expr(rhs_text, var_names=[]), {})
+            except expr.ParseError as exc:  # the position within the line
+                raise expr.ParseError(exc.message, len(lhs) + len(sn) + exc.position) from exc
             rows.append(_row(_decompose(lhs, var_index), sn, rhs))
         except (ValueError, DomainError) as exc:
             raise ProblemFormatError(f"constraint: {exc}", lineno) from exc

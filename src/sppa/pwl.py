@@ -1,4 +1,4 @@
-"""Breakpoint grids and their simplicial (Kuhn) triangulation.
+"""Breakpoint grids of the simplicial (Kuhn) triangulation.
 
 A bounded box is partitioned by per-variable breakpoints into cells, and
 each cell is split into ``d!`` simplices, one per ordering of the
@@ -7,7 +7,9 @@ corner.  A point belongs to the simplex whose step order sorts its
 fractional coordinates in descending order.  On each simplex the
 interpolant is the unique affine function matching ``f`` at the d+1 path
 vertices, so the global surface is continuous and exact at every grid
-vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP.
+vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
+grid vertices, and ``tests/properties.py`` holds the simplices themselves
+as the geometric reference.
 ``Grid.points`` holds every vertex's coordinates in one row-major array,
 and ``vertex_values`` evaluates a term on such an array of points.
 
@@ -17,21 +19,17 @@ threads.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 __all__ = [
     "Interval",
     "Grid",
-    "SimplexId",
     "axis_breakpoints",
-    "enumerate_simplices",
     "term_value",
-    "vertex_path",
     "vertex_values",
 ]
 
@@ -52,18 +50,6 @@ class Interval:
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-@dataclass(frozen=True)
-class SimplexId:
-    """One simplex: the cell's multi-index plus the coordinate step order.
-
-    ``perm[s]`` is the (0-based) variable taking the s-th step on the
-    vertex path from the cell's lower corner to its upper corner.
-    """
-
-    cell: tuple[int, ...]
-    perm: tuple[int, ...]
 
 
 class Grid:
@@ -107,24 +93,6 @@ def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.nda
         keep = (snapped >= iv.lo) & (snapped <= iv.hi)
         pts = np.unique(np.concatenate([[iv.lo, iv.hi], snapped[keep]]))
     return pts
-
-
-def enumerate_simplices(grid: Grid) -> Iterator[SimplexId]:
-    """All simplex ids, cells row-major and step orders lexicographic."""
-    dims = range(grid.dims)
-    for cell in itertools.product(*(range(L) for L in grid.pieces)):
-        for perm in itertools.permutations(dims):
-            yield SimplexId(cell, perm)
-
-
-def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
-    """Lattice multi-indices of the d+1 path vertices, origin first."""
-    idx = list(sid.cell)
-    path = [tuple(idx)]
-    for k in sid.perm:
-        idx[k] += 1
-        path.append(tuple(idx))
-    return path
 
 
 def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid vertex") -> float:

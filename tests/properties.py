@@ -3,9 +3,10 @@
 Each check function is deterministic (fixed RNG seed), raises AssertionError
 on failure, and returns a short human-readable summary string.
 
-The geometric reference lives here too: locating a point's simplex and
-evaluating the simplicial interpolant directly, with no MILP.  The solver
-never uses it; the MC encoding is checked against it.
+The geometric reference lives here too: the simplices of the Kuhn
+triangulation, locating a point's simplex and evaluating the simplicial
+interpolant directly, with no MILP.  The solver never uses it; the lambda
+encoding and its lattice branching are checked against it.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import itertools
 import math
 import types
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 import scipy.sparse as sp
@@ -38,6 +39,36 @@ class Hyperplane:
 
     def value(self, z) -> float:
         return self.intercept + float(np.dot(self.slopes, np.asarray(z, dtype=float)))
+
+
+@dataclass(frozen=True)
+class SimplexId:
+    """One simplex: the cell's multi-index plus the coordinate step order.
+
+    ``perm[s]`` is the (0-based) variable taking the s-th step on the
+    vertex path from the cell's lower corner to its upper corner.
+    """
+
+    cell: tuple[int, ...]
+    perm: tuple[int, ...]
+
+
+def enumerate_simplices(grid: pwl.Grid) -> Iterator[SimplexId]:
+    """All simplex ids, cells row-major and step orders lexicographic."""
+    dims = range(grid.dims)
+    for cell in itertools.product(*(range(L) for L in grid.pieces)):
+        for perm in itertools.permutations(dims):
+            yield SimplexId(cell, perm)
+
+
+def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
+    """Lattice multi-indices of the d+1 path vertices, origin first."""
+    idx = list(sid.cell)
+    path = [tuple(idx)]
+    for k in sid.perm:
+        idx[k] += 1
+        path.append(tuple(idx))
+    return path
 
 
 def build_grid(bounds: Sequence, pieces: Sequence[int]) -> pwl.Grid:
@@ -79,7 +110,7 @@ def _cell_and_fractions(grid: pwl.Grid, z: np.ndarray) -> tuple[tuple[int, ...],
     return tuple(cell), frac
 
 
-def locate(grid: pwl.Grid, z) -> pwl.SimplexId:
+def locate(grid: pwl.Grid, z) -> SimplexId:
     """Simplex whose closed region contains ``z``.
 
     The step order sorts the fractional coordinates descending, ties broken
@@ -91,16 +122,16 @@ def locate(grid: pwl.Grid, z) -> pwl.SimplexId:
         raise ValueError(f"expected point of dimension {grid.dims}, got shape {z.shape}")
     cell, frac = _cell_and_fractions(grid, z)
     perm = tuple(sorted(range(grid.dims), key=lambda k: (-frac[k], k)))
-    return pwl.SimplexId(cell, perm)
+    return SimplexId(cell, perm)
 
 
-def simplex_vertices(grid: pwl.Grid, sid: pwl.SimplexId) -> np.ndarray:
+def simplex_vertices(grid: pwl.Grid, sid: SimplexId) -> np.ndarray:
     """Coordinates of the d+1 simplex vertices, one row per vertex."""
     points = grid.points()
-    return np.array([points[v] for v in pwl.vertex_path(sid)])
+    return np.array([points[v] for v in vertex_path(sid)])
 
 
-def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
+def hyperplane_coeffs(grid: pwl.Grid, sid: SimplexId,
                       f: Callable[[np.ndarray], float]) -> Hyperplane:
     """Affine interpolant of ``f`` on the simplex.
 
@@ -109,7 +140,7 @@ def hyperplane_coeffs(grid: pwl.Grid, sid: pwl.SimplexId,
     intercept anchors the plane at the origin vertex.  This plane passes
     through all d+1 vertices (telescoping along the path).
     """
-    path = pwl.vertex_path(sid)
+    path = vertex_path(sid)
     points = grid.points()
     vals = []
     for v in path:
@@ -148,7 +179,7 @@ def barycentric(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
 def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
     """All simplices whose closed region contains z (brute-force enumeration)."""
     out = []
-    for sid in pwl.enumerate_simplices(grid):
+    for sid in enumerate_simplices(grid):
         w = barycentric(simplex_vertices(grid, sid), z)
         if w.min() >= -tol:
             out.append(sid)
@@ -156,10 +187,11 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
 
 
 def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
-    """LP relaxation: ``solve_milp`` on a copy with every variable continuous,
-    which is one simplex solve at the root."""
+    """LP relaxation: ``solve_milp`` on a copy with every variable continuous
+    and no lattice set, which is one simplex solve at the root."""
     relaxed = copy.copy(problem)
     relaxed.is_int = [False] * problem.n_vars
+    relaxed.lattice_sets = []
     return milp.solve_milp(relaxed)
 
 
@@ -184,7 +216,7 @@ def check_triangulation(n_points: int = 1000) -> str:
 
     # count: enumeration yields exactly d! * prod(L) distinct ids
     for grid in grids:
-        ids = list(pwl.enumerate_simplices(grid))
+        ids = list(enumerate_simplices(grid))
         assert len(ids) == count_simplices(grid)
         assert len(set(ids)) == len(ids)
 
@@ -234,8 +266,10 @@ def check_triangulation(n_points: int = 1000) -> str:
     return f"triangulation invariants ok ({n_points} coverage points, {len(grids)} grids)"
 
 
-def check_mc_equivalence(n_points: int = 200) -> str:
-    """MILP value of an encoded term at a pinned point == direct interpolation."""
+def check_lambda_equivalence(n_points: int = 200) -> str:
+    """MILP value of an encoded term at a pinned point == direct
+    interpolation, with the weights above ``_INT_TOL`` on the vertices of
+    one simplex that contains the point."""
     rng = np.random.default_rng(31337)
     cases = [
         (build_grid([pwl.Interval(-1.0, 3.0)], [3]), lambda v: float(v[0] ** 2)),
@@ -256,28 +290,142 @@ def check_mc_equivalence(n_points: int = 200) -> str:
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-            enc = encode_term(prob, grid, z_ids, pwl.vertex_values(grid.points(), f, "t"))
+            value = encode_term(prob, grid, z_ids, pwl.vertex_values(grid.points(), f, "t"))
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
-            prob.set_objective(enc.objective)
+            prob.set_objective(value)
             res = milp.solve_milp(prob)
             assert res.status == "optimal", f"MILP not optimal at {z0}: {res.status}"
             want = eval_pwl(grid, f, z0)
             assert abs(res.objective - want) <= 1e-7 * (1.0 + abs(want)), (
                 f"MILP {res.objective} != pwl {want} at {z0}"
             )
-            # exactly one selector active, all other copies at zero
-            mu_vals = np.array([res.x[i] for i in enc.selector_ids.values()])
-            assert np.sum(np.abs(mu_vals - 1.0) <= 1e-6) == 1
-            assert np.sum(mu_vals >= 1e-6) == 1
-            chosen = {
-                key for key, i in enc.selector_ids.items() if res.x[i] > 0.5
-            }
-            for (key, k), i in enc.copy_ids.items():
-                if key not in chosen:
-                    assert abs(res.x[i]) <= 1e-6
+            [(ids, index)] = prob.lattice_sets
+            support = {tuple(v) for v in index[res.x[ids] > milp._INT_TOL].tolist()}
+            assert any(support <= set(vertex_path(sid))
+                       for sid in containing_simplices(grid, z0, tol=1e-9)), (z0, support)
             checked += 1
-    return f"mc/geometric equivalence ok ({checked} pinned points)"
+    return f"lambda/geometric equivalence ok ({checked} pinned points)"
+
+
+def _simplex_members(index: np.ndarray) -> list[np.ndarray]:
+    """For a lattice set's vertex indices (all vertices of a grid, in any
+    order), the positions of each simplex's vertices, simplices in
+    ``enumerate_simplices`` order."""
+    shape = tuple(int(n) for n in index.max(axis=0) + 1)
+    pos = np.empty(shape, dtype=np.intp)
+    pos[tuple(index.T)] = np.arange(len(index))
+    grid = pwl.Grid([np.arange(n, dtype=float) for n in shape])
+    return [np.array([pos[v] for v in vertex_path(sid)]) for sid in enumerate_simplices(grid)]
+
+
+def check_lattice_branch(n_cases: int = 400) -> str:
+    """``milp._balanced_cut`` against the geometric reference on random
+    weights over the vertices of 1-3-D grids of 1-4 pieces per axis: it
+    returns None exactly when the weights above ``_INT_TOL`` lie on one
+    simplex; otherwise each child drops positive support weight, and every
+    simplex of the grid keeps all its vertices in at least one child, so no
+    branch cuts off a valid support.
+
+    A case spreads weight over 1-6 random vertices, or over a random face
+    of one simplex, and puts weight below ``_INT_TOL`` on a few other
+    vertices; a second set, whose support is one vertex, is declared first
+    at another id offset and never branched on.
+    """
+    rng = np.random.default_rng(97531)
+    n_valid = n_split = 0
+    for _ in range(n_cases):
+        pieces = rng.integers(1, 5, size=int(rng.integers(1, 4)))
+        index = np.array(list(np.ndindex(*(pieces + 1))), dtype=np.intp)
+        members = _simplex_members(index)
+        n = len(index)
+        w = np.zeros(n)
+        if rng.random() < 0.3:
+            face = members[int(rng.integers(0, len(members)))]
+            w[rng.choice(face, size=int(rng.integers(1, face.size + 1)), replace=False)] = 1.0
+        else:
+            w[rng.choice(n, size=int(rng.integers(1, min(n, 6) + 1)), replace=False)] = 1.0
+        w *= rng.uniform(0.05, 1.0, size=n)
+        w /= w.sum()
+        w[(w == 0.0) & (rng.random(n) < 0.2)] = 0.5 * milp._INT_TOL
+        x = np.concatenate([[1.0, 0.0, 0.0], w])
+        sets = [(np.arange(3), np.array([[0], [1], [2]])), (3 + np.arange(n), index)]
+        split = milp._balanced_cut(sets, x)
+        on = w > milp._INT_TOL
+        valid = any(set(np.flatnonzero(on)) <= set(m.tolist()) for m in members)
+        assert (split is None) == valid, (index.tolist(), w.tolist(), split)
+        if valid:
+            n_valid += 1
+            continue
+        n_split += 1
+        drops = [side - 3 for side in split]
+        for side in drops:
+            assert np.all(side >= 0) and on[side].any(), (w.tolist(), drops)
+        for m in members:
+            assert any(not np.isin(m, side).any() for side in drops), (
+                f"simplex {m.tolist()} cut off by both children {drops}")
+    assert n_valid and n_split, (n_valid, n_split)
+    return f"lattice branch keeps every simplex ({n_split} splits, {n_valid} valid supports)"
+
+
+def check_lattice_oracle(n_specs: int = 30) -> str:
+    """``solve_milp`` on ``loop.build_iteration_model``'s model matches brute
+    force over the simplices: each choice of one simplex per lattice set,
+    the weights off it bounded to 0, solved on its own (its sets are then
+    valid, so it branches on integers only), the best of them.
+
+    Each seeded spec has a 1- or 2-D objective term, a 1-D term in a ``<=``
+    row and a linear ``>=`` row, both through a random point of the box;
+    a term variable is integer in about half of them, its axis snapped by
+    ``axis_breakpoints``.  Piece counts 2-3; either sense.
+    """
+    rng = np.random.default_rng(24680)
+    n_int = n_branched = 0
+    for _ in range(n_specs):
+        d = int(rng.integers(1, 3))
+        integer = [bool(rng.random() < 0.5)] + [False] * (d - 1)
+        variables = []
+        for k in range(d):
+            lo = float(rng.integers(-3, 0)) if integer[k] else float(rng.uniform(-2.0, 0.0))
+            hi = lo + (float(rng.integers(2, 6)) if integer[k] else float(rng.uniform(1.0, 3.0)))
+            variables.append((f"x{k}", pwl.Interval(lo, hi), integer[k]))
+        point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
+        shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=d)
+        r = int(rng.integers(0, d))
+        c = rng.uniform(-1.0, 1.0, size=d)
+        rows = [milp.LinearConstraint({}, "<=", float((point[r] - 0.3) ** 2) + 0.5),
+                milp.LinearConstraint({k: float(c[k]) for k in range(d)}, ">=",
+                                      float(c @ point) - 0.5)]
+        terms = [NonlinearTerm(tuple(range(d)), lambda v, shape=shape, a=a: shape(v, a)),
+                 NonlinearTerm((r,), lambda v: float((v[0] - 0.3) ** 2), row=0)]
+        sense = "max" if rng.random() < 0.5 else "min"
+        spec = ProblemSpec(variables, {}, 0.0, rows, terms, sense=sense)
+        lp = loop.build_iteration_model(spec, spec.bounds(), int(rng.integers(2, 4))).lp
+        res = milp.solve_milp(lp)
+        sgn = 1.0 if sense == "min" else -1.0
+        best = math.inf
+        sets = [(ids, _simplex_members(index)) for ids, index in lp.lattice_sets]
+        for combo in itertools.product(*(members for _, members in sets)):
+            sub = copy.copy(lp)
+            sub.ub = list(lp.ub)
+            for (ids, _), keep in zip(sets, combo):
+                for j in np.delete(ids, keep).tolist():
+                    sub.ub[j] = 0.0
+            got = milp.solve_milp(sub)
+            assert got.outcomes["set_branched"] == 0, got.outcomes
+            if got.status == "optimal":
+                best = min(best, sgn * got.objective)
+        if best == math.inf:
+            assert res.status == "infeasible", res.status
+        else:
+            assert res.status == "optimal", res.status
+            assert abs(sgn * res.objective - best) <= 2.0 * milp._REL_GAP * max(1.0, abs(best)), (
+                f"bnb {res.objective} != brute force {sgn * best}")
+        n_int += any(integer)
+        n_branched += res.outcomes["set_branched"] > 0
+    assert n_int and n_branched, (n_int, n_branched)
+    return (f"lattice model matches brute force over simplices ({n_specs} specs, {n_int} with "
+            f"an integer axis, {n_branched} set-branched)")
 
 
 def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -303,13 +451,15 @@ def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
 def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int = 60) -> str:
     """Branch and bound matches exhaustive enumeration: ``n_instances``
     all-binary problems, then ``n_general`` with general integers over
-    small ranges such as [-2, 3], then ``n_sets`` that declare choice sets:
+    small ranges such as [-2, 3], then ``n_sets`` that declare lattice sets:
     1-3 groups of 1-4 binaries, each group's ``= 1`` row added by
-    ``add_choice_set`` with random 1-D or 2-D cells, plus one general
-    integer outside every set."""
+    ``add_lattice_set`` with distinct random 1-D or 2-D vertex indices in
+    0..3, plus one general integer outside every set.  A binary set's
+    integral points each put all weight on one vertex, a valid support, so
+    the lattice branching must cut none of them off."""
     rng = np.random.default_rng(777)
     senses = np.array(["<=", "<=", ">=", ">=", "="])  # equalities kept rare
-    n_infeasible = [0, 0, 0]  # binary, general, with choice sets
+    n_infeasible = [0, 0, 0]  # binary, general, with lattice sets
     set_branched = 0
     for inst in range(n_instances + n_general + n_sets):
         kind = 0 if inst < n_instances else 1 if inst < n_instances + n_general else 2
@@ -337,9 +487,10 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
         prob = milp.LpProblem()
         ids = [prob.add_var(lo, hi, integer=True) for lo, hi in bounds]
         for group in groups:
-            dims = int(rng.integers(1, 3))
-            prob.add_choice_set([ids[j] for j in group],
-                                rng.integers(0, 3, size=(len(group), dims)))
+            shape = (4,) * int(rng.integers(1, 3))
+            picks = rng.choice(4 ** len(shape), size=len(group), replace=False)
+            prob.add_lattice_set([ids[j] for j in group],
+                                 np.stack(np.unravel_index(picks, shape), axis=1))
         for i in range(m):
             coeffs = {ids[j]: A[i, j] for j in range(n) if A[i, j] != 0.0}
             if not coeffs:
@@ -365,7 +516,7 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
     assert n_infeasible[2] > 0 and set_branched > 0, (n_infeasible, set_branched)
     return (f"milp brute-force oracle ok ({n_instances} binary instances, {n_infeasible[0]} "
             f"infeasible; {n_general} with general integers, {n_infeasible[1]} infeasible; "
-            f"{n_sets} with choice sets, {n_infeasible[2]} infeasible, "
+            f"{n_sets} with lattice sets, {n_infeasible[2]} infeasible, "
             f"{set_branched} set-branched nodes)")
 
 
@@ -444,17 +595,17 @@ def check_warm_child(n_lps: int = 150) -> str:
 
 
 def check_set_branch_warm(n_models: int = 30) -> str:
-    """A child of a choice-set split re-solved warm from its parent's state
+    """A child of a lattice-set split re-solved warm from its parent's state
     (``_Start`` with factorization, reduced costs and primal values)
     matches the same LP solved cold from the slack basis: same status, and
     the same objective within 1e-9 (1 + |objective|).  Every column the
     split sets to 0 was basic or at 0 in the parent.
 
-    Each seeded model is one MC-encoded term of 1 or 2 variables on a grid
-    of 3-5 pieces per axis, of a random indefinite quadratic whose LP
-    relaxation spreads the selection over several simplices, plus a random
+    Each seeded model is one lambda-encoded term of 1 or 2 variables on a
+    grid of 3-5 pieces per axis, of a random indefinite quadratic whose LP
+    relaxation spreads the weights over several simplices, plus a random
     linear equality on the term variables through a point of the box.  From the root, the walk descends
-    through up to four splits, into the first child that stays fractional.
+    through up to four splits, into the first child that stays feasible.
     """
     rng = np.random.default_rng(1357)
     n_children = n_infeasible = most_zeroed = 0
@@ -469,18 +620,18 @@ def check_set_branch_warm(n_models: int = 30) -> str:
         b = rng.normal(size=dims)
         prob = milp.LpProblem()
         z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
-        enc = encode_term(prob, grid, z, pwl.vertex_values(
+        value = encode_term(prob, grid, z, pwl.vertex_values(
             grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
         a = rng.normal(size=dims)
         point = rng.uniform(lo, hi)
         prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
-        prob.set_objective(enc.objective)
+        prob.set_objective(value)
         canon = milp._Canon(prob)
         l, u = canon.l, canon.u.copy()
         parent = milp._simplex(canon, l, u)
         assert parent.status == "optimal", parent.status
         for _depth in range(4):
-            split = milp._set_branch(prob.choice_sets, parent.x)
+            split = milp._balanced_cut(prob.lattice_sets, parent.x)
             if split is None:
                 break
             descend = None
@@ -508,7 +659,7 @@ def check_set_branch_warm(n_models: int = 30) -> str:
             u, parent = descend
     assert n_children >= 2 * n_models and most_zeroed >= 10, (n_children, most_zeroed)
     return (f"set-branch children warm match cold ({n_children} children, {n_infeasible} "
-            f"infeasible, up to {most_zeroed} selectors zeroed at once)")
+            f"infeasible, up to {most_zeroed} weights zeroed at once)")
 
 
 def check_warm_root(n_pairs: int = 80) -> str:
@@ -1069,7 +1220,9 @@ def check_parser(n_fixtures_expected: int = 20) -> str:
 
 ALL_CHECKS = (
     check_triangulation,
-    check_mc_equivalence,
+    check_lambda_equivalence,
+    check_lattice_branch,
+    check_lattice_oracle,
     check_milp_oracle,
     check_warm_child,
     check_set_branch_warm,

@@ -80,20 +80,19 @@ def test_run_quadratic_geometric_widths():
 def test_model_counts_rosenbrock():
     spec = builtin("rosenbrock")
     m = build_iteration_model(spec, spec.bounds(), 4)
-    n_bin = sum(m.lp.is_int)
-    assert n_bin == 32  # one 2-D term: 2 * 4 * 4 simplices
-    [(ids, cells)] = m.lp.choice_sets
-    assert len(ids) == 32 and cells.shape[1] == 2
-    assert (cells.max(axis=0) + 1).tolist() == [4, 4]  # the grid's pieces
-    # beside x and y, one copy per selector and dimension
-    assert m.lp.n_vars == 2 + len(ids) + len(ids) * cells.shape[1] == 2 + 32 + 64
+    assert sum(m.lp.is_int) == 0  # the weights are continuous
+    [(ids, index)] = m.lp.lattice_sets
+    assert len(ids) == 25 and index.shape[1] == 2  # one 2-D term: 5 * 5 vertices
+    assert (index.max(axis=0)).tolist() == [4, 4]  # the grid's pieces
+    # beside x and y, one weight per vertex; two linking rows and the set's row
+    assert m.lp.n_vars == 2 + 25 and len(m.lp.rows) == 3
 
 
 def test_model_counts_rastrigin():
     spec = builtin("rastrigin")
     m = build_iteration_model(spec, spec.bounds(), 6)
-    assert sum(m.lp.is_int) == 12  # two 1-D terms of 6 simplices each
-    assert [len(ids) for ids, _ in m.lp.choice_sets] == [6, 6]
+    assert sum(m.lp.is_int) == 0
+    assert [len(ids) for ids, _ in m.lp.lattice_sets] == [7, 7]  # two 1-D terms, 7 vertices each
 
 
 def test_no_nonlinear_terms_single_solve():
@@ -117,8 +116,8 @@ def test_degenerate_variable_becomes_constant():
         [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    [(ids, cells)] = m.lp.choice_sets
-    assert cells.shape[1] == 1  # x dropped from the grid
+    [(ids, index)] = m.lp.lattice_sets
+    assert index.shape[1] == 1  # x dropped from the grid
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=25))
     assert result.best_objective == pytest.approx(0.0, abs=1e-10)
 
@@ -356,8 +355,8 @@ def test_config_validation():
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
 # at the grid vertices, so no pivots), the parabola model of
 # test_nonlinear_constraint_term (its rows keep it on the MILP path) and
-# bench/problems/constrained_b.prob at 2/2 (a 3-D term whose choice sets
-# branch, under a nonlinear and a linear row), and a 3-D term with y fixed
+# bench/problems/constrained_b.prob at 2/2 (a 3-D term whose lattice set
+# branches, under a nonlinear and a linear row), and a 3-D term with y fixed
 # on each path (_PARTIAL_FIXED: the term is called on points that hold y
 # at its value).  They check that a change meant to leave the arithmetic
 # alone really does: a deliberate change of trajectory must update these
@@ -373,15 +372,14 @@ _PARTIAL_FIXED = {
     pytest.param("rastrigin", (6, 3), "stall", 24, 0.0, [0.0, 0.0], 0, id="rastrigin"),
     pytest.param("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
                  [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
-    pytest.param("parabola", (4, 4), "width", 27, 0.24999999999999994,
-                 [0.5, 0.24999999999999994], 9, id="parabola"),
-    pytest.param("constrained_b", (2, 2), "stall", 19, -1.2007940880065593,
-                 [1.1777158901279965, 0.9780273936560578, 1.0753825828038395], 3574,
+    pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 6, id="parabola"),
+    pytest.param("constrained_b", (2, 2), "stall", 27, -1.2007940880100245,
+                 [1.177714111979994, 0.9780290904422265, 1.075382986982742], 172,
                  id="constrained_b"),
     pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
                  id="partial_fixed_vertex"),
-    pytest.param("partial_fixed_milp", (4, 4), "stall", 17, -0.8124999999854481,
-                 [0.2500038146972657, 0.5, 1.0], 545, id="partial_fixed_milp"),
+    pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999850988388,
+                 [0.2498779296875, 0.5, 1.0], 95, id="partial_fixed_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):

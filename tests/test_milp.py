@@ -11,8 +11,8 @@ from sppa.milp import LpProblem, solve_milp
 from sppa.problems import from_expressions
 from sppa.pwl import Interval
 
-from properties import (check_eta_file, check_milp_oracle, check_set_branch_warm,
-                        check_warm_child, check_warm_root)
+from properties import (check_eta_file, check_lattice_branch, check_milp_oracle,
+                        check_set_branch_warm, check_warm_child, check_warm_root)
 
 
 def knapsack(values, weights, cap):
@@ -308,27 +308,36 @@ def test_set_branch_warm_property_suite():
     print(check_set_branch_warm())
 
 
-def test_choice_set_declaration_adds_its_row():
+def test_lattice_set_declaration_adds_its_row():
     p = LpProblem()
-    ids = [p.add_var(0, 1, integer=True) for _ in range(3)]
-    assert p.add_choice_set(ids, [(0, 0), (0, 1), (1, 0)]) == 0
+    ids = [p.add_var(0, 1) for _ in range(3)]
+    assert p.add_lattice_set(ids, [(0, 0), (0, 1), (1, 0)]) == 0
     assert p.rows[0].coeffs == dict.fromkeys(ids, 1.0) and p.rows[0].sense == "="
-    assert p.rows[0].rhs == 1.0 and len(p.choice_sets) == 1
-    x = p.add_var(0, 1)
-    n = p.add_var(0, 2, integer=True)
-    for bad_ids, bad_cells in (([], []), ([ids[0], ids[0]], [(0,), (1,)]),
-                               ([ids[0], x], [(0,), (1,)]), ([ids[0], n], [(0,), (1,)]),
-                               (ids, [(0,), (1,)]), (ids, [0, 1, 2]), (ids, [(0,), (-1,), (1,)])):
+    assert p.rows[0].rhs == 1.0 and len(p.lattice_sets) == 1
+    np.testing.assert_array_equal(p.lattice_sets[0][1], [(0, 0), (0, 1), (1, 0)])
+    wide = p.add_var(0, 2)
+    below = p.add_var(-1, 1)
+    binary = p.add_var(0, 1, integer=True)
+    assert p.add_lattice_set([ids[0], binary], [(0,), (1,)]) == 1  # a binary weight is fine
+    for bad_ids, bad_index in (([], []), ([ids[0], ids[0]], [(0,), (1,)]),
+                               ([ids[0], wide], [(0,), (1,)]), ([ids[0], below], [(0,), (1,)]),
+                               ([ids[0], 99], [(0,), (1,)]), (ids, [(0,), (1,)]),
+                               (ids, [0, 1, 2]), (ids, [(0,), (-1,), (1,)]),
+                               (ids, [(0, 1), (1, 0), (0, 1)])):
         with pytest.raises(ValueError):
-            p.add_choice_set(bad_ids, bad_cells)
-    assert len(p.rows) == 1 and len(p.choice_sets) == 1
+            p.add_lattice_set(bad_ids, bad_index)
+    assert len(p.rows) == 2 and len(p.lattice_sets) == 2
+
+
+def test_lattice_branch_property_suite():
+    print(check_lattice_branch())
 
 
 def test_set_branching_keeps_constrained_b_trees_small():
     # the constrained (b) benchmark model at 3/3, built inline: one 3-D term
-    # of 162 simplices plus a nonlinear and a linear row.  Branching on one
-    # selector at a time took 111 and 84 nodes in the first two iterations;
-    # splitting the term's choice set along the grid takes under 20 each
+    # of 64 vertex weights plus a nonlinear and a linear row.  Branching on
+    # one simplex selector at a time took 111 and 84 nodes in the first two
+    # iterations; splitting the term's lattice set along the grid stays small
     box = Interval(0.0, 2.0)
     spec = from_expressions(
         [("x", box, False), ("y", box, False), ("z", box, False)],

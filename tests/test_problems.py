@@ -195,6 +195,21 @@ def test_objective_error_names_its_continuation_line(tmp_path):
         load_problem(str(path))
 
 
+def test_constraint_rhs_error_names_its_line_position(tmp_path):
+    # the stray ")" is at position 15 of the line, 5 of the text after "<="
+    path = tmp_path / "bad.prob"
+    path.write_text("[variables]\nx -1 1\n[objective]\nmin x\n[constraints]\n"
+                    "x + x^2 <= 1 + )\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 6: constraint: expected a value, got ')' at position 15"
+    # an error in the left-hand side keeps its position there
+    path.write_text("[variables]\nx -1 1\n[objective]\nmin x\n[constraints]\nx + ) >= 1\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 6: constraint: expected a value, got ')' at position 4"
+
+
 def test_load_problem_structure_errors(tmp_path):
     p = tmp_path / "a.prob"
     p.write_text("[objective]\nmin x\n")

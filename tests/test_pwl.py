@@ -4,11 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppa import pwl
-from sppa.pwl import Interval, SimplexId
+from sppa.pwl import Interval
 
-from properties import (barycentric, build_grid, cell_count, check_triangulation,
-                        count_simplices, eval_pwl, hyperplane_coeffs, locate,
-                        simplex_vertices)
+from properties import (SimplexId, barycentric, build_grid, cell_count, check_triangulation,
+                        count_simplices, enumerate_simplices, eval_pwl, hyperplane_coeffs,
+                        locate, simplex_vertices)
 
 UNIT_SQUARE = build_grid([Interval(0.0, 1.0), Interval(0.0, 1.0)], [1, 1])
 
@@ -90,7 +90,7 @@ def test_simplex_vertices_paths():
 
 def test_hyperplane_affine_exact():
     f = lambda v: float(v[0] + v[1])
-    for sid in pwl.enumerate_simplices(UNIT_SQUARE):
+    for sid in enumerate_simplices(UNIT_SQUARE):
         h = hyperplane_coeffs(UNIT_SQUARE, sid, f)
         np.testing.assert_allclose(h.slopes, [1.0, 1.0], atol=1e-12)
         assert h.intercept == pytest.approx(0.0, abs=1e-12)
@@ -120,7 +120,7 @@ def test_hyperplane_bilinear_vs_linear_system():
 def test_hyperplane_interpolates_all_vertices():
     g = build_grid([(-1.0, 2.0), (0.0, 3.0)], [2, 3])
     f = lambda v: float(np.exp(0.3 * v[0]) * np.cos(v[1]))
-    for sid in pwl.enumerate_simplices(g):
+    for sid in enumerate_simplices(g):
         h = hyperplane_coeffs(g, sid, f)
         for v in simplex_vertices(g, sid):
             assert h.value(v) == pytest.approx(f(v), rel=1e-9, abs=1e-9)
