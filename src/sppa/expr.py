@@ -4,6 +4,8 @@ Grammar (highest binding first): ``^`` (right associative), unary minus,
 ``*`` ``/``, then ``+`` ``-``.  ``name(arg)`` calls one of sin, cos, exp,
 sqrt, abs.  The identifiers ``pi`` and ``e`` are folded to constants
 unless shadowed by a declared variable.
+``compile_sum`` evaluates a sum of trees on many points at once, bit for
+bit as ``eval_expr`` on each.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from typing import Iterable, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "Node",
@@ -28,6 +32,7 @@ __all__ = [
     "DomainError",
     "parse_expr",
     "eval_expr",
+    "compile_sum",
     "to_text",
     "free_vars",
 ]
@@ -280,6 +285,66 @@ def _eval(ast: Node, env: dict[str, float]) -> float:
         except (ValueError, OverflowError):
             raise DomainError(f"{ast.fn} outside real domain", ast) from None
     raise TypeError(f"not an expression node: {ast!r}")
+
+
+# the array evaluator's operations: + - * /, unary minus, abs and sqrt are
+# correctly rounded numpy ufuncs, the bits of Python floats on every host;
+# ^, exp, sin and cos call the scalar path's libm functions element by
+# element, because numpy's own kernels may differ from them in the last bit
+_ARRAY_OPS = {name: getattr(np, name) for name in (
+    "asarray", "zeros", "isfinite", "negative", "add", "subtract", "multiply", "divide",
+    "absolute", "sqrt")}
+_ARRAY_OPS.update(pow_=np.frompyfunc(math.pow, 2, 1), exp_=np.frompyfunc(math.exp, 1, 1),
+                  sin_=np.frompyfunc(math.sin, 1, 1), cos_=np.frompyfunc(math.cos, 1, 1))
+_UFUNCS = {Add: "add", Sub: "subtract", Mul: "multiply", Div: "divide"}
+
+
+def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callable]:
+    """A generated function of an ``(m, len(names))`` array, column k the
+    values of ``names[k]``.  It returns each row's sum of ``nodes``, added
+    left to right from 0.0 with the bits of ``eval_expr``, and a mask of the
+    rows where ``eval_expr`` would raise: a zero divisor, a negative square
+    root argument or a non-finite sum; a ``math`` error raises as itself.
+    Constant subtrees are folded; None if one fails."""
+    lines = [f"    {', '.join(f'c{k}' for k in range(len(names)))}, = asarray(p, dtype=float).T"]
+    consts: dict[str, float] = {}
+    checks = ["~isfinite(s)"]  # a non-finite summand leaves the sum non-finite
+
+    def value(node: Node) -> str:
+        """The name of the local or constant holding ``node``'s values."""
+        if isinstance(node, Var):
+            return f"c{names.index(node.name)}"
+        if not free_vars(node):
+            consts[f"k{len(consts)}"] = _eval(node, {})
+            return f"k{len(consts) - 1}"
+        if isinstance(node, Neg):
+            call = f"negative({value(node.arg)})"
+        elif isinstance(node, Pow):
+            call = f"pow_({value(node.base)}, {value(node.exponent)}).astype(float)"
+        elif isinstance(node, Call):
+            arg = value(node.arg)
+            if node.fn == "sqrt":
+                checks.append(f"({arg} < 0.0)")
+            call = {"sqrt": f"sqrt({arg})", "abs": f"absolute({arg})"}.get(
+                node.fn, f"{node.fn}_({arg}).astype(float)")
+        else:
+            left, right = value(node.left), value(node.right)
+            if isinstance(node, Div):
+                checks.append(f"({right} == 0.0)")
+            call = f"{_UFUNCS[type(node)]}({left}, {right})"
+        lines.append(f"    t{len(lines)} = {call}")
+        return f"t{len(lines) - 1}"
+
+    lines.append("    s = zeros(len(p))")
+    try:
+        for node in nodes:
+            lines.append(f"    s = add(s, {value(node)})")
+    except DomainError:
+        return None
+    source = "def rows(p):\n" + "\n".join(lines) + f"\n    return s, {' | '.join(checks)}\n"
+    namespace = dict(_ARRAY_OPS, **consts)
+    exec(compile(source, "<compile_sum>", "exec"), namespace)
+    return namespace["rows"]
 
 
 _LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5

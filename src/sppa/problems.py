@@ -10,6 +10,10 @@ summands: on the simplicial grid a sum of functions of disjoint variable
 sets interpolates to the sum of their interpolants, so splitting them keeps
 the surrogate and keeps the grids, and hence the binary count,
 low-dimensional.
+
+A term built from expressions evaluates one point with ``expr.eval_expr``,
+and carries as ``fn.array_fn`` its ``expr.compile_sum`` function, which
+``pwl.vertex_values`` calls on all of a grid's points at once.
 """
 
 from __future__ import annotations
@@ -43,7 +47,9 @@ class NonlinearTerm:
     """Evaluable function of a variable subset.
 
     ``row is None`` places ``coef * fn`` in the objective, otherwise in the
-    linear constraint with that index.  ``ProblemSpec`` labels a term
+    linear constraint with that index.  An ``fn`` with an ``array_fn``
+    attribute is evaluated on a whole grid through it
+    (``pwl.vertex_values``).  ``ProblemSpec`` labels a term
     left unlabelled ``t<k>``, after its position.
     """
 
@@ -219,6 +225,7 @@ def _term_fn(nodes: list[Node], names: tuple[str, ...]) -> Callable[[np.ndarray]
         env = dict(zip(names, np.asarray(v, dtype=float)))
         return float(sum(expr.eval_expr(node, env) for node in nodes))
 
+    fn.array_fn = expr.compile_sum(nodes, names)
     return fn
 
 

@@ -11,7 +11,8 @@ vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
 ``Grid.points`` holds every vertex's coordinates in one row-major array,
-and ``vertex_values`` evaluates a term on such an array of points.
+and ``vertex_values`` evaluates a term on such an array of points, in one
+array pass when the term carries one.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -111,8 +112,20 @@ def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid ve
 
 
 def vertex_values(points: np.ndarray, f: Callable, label: str) -> np.ndarray:
-    """``f`` at every point of a ``(..., n)`` array, called row-major, shaped
-    ``points.shape[:-1]``; a failing point raises the ``ValueError`` of
-    ``term_value``."""
+    """``f`` at every point of a ``(..., n)`` array, shaped ``points.shape[:-1]``:
+    in one call to ``f.array_fn`` (``expr.compile_sum``) if ``f`` has one,
+    else, or if that pass flags a point or raises, by calling ``f`` on each
+    point in row-major order, so the first failing point raises the
+    ``ValueError`` of ``term_value``."""
     rows = points.reshape(-1, points.shape[-1])
+    array_fn = getattr(f, "array_fn", None)
+    if array_fn is not None:
+        # the mask replaces numpy's warnings, which the tests turn into errors
+        with np.errstate(all="ignore"):
+            try:
+                values, flagged = array_fn(rows)
+            except (ValueError, ArithmeticError):  # a libm domain or range error
+                flagged = None
+        if flagged is not None and not flagged.any():
+            return values.reshape(points.shape[:-1])
     return np.array([term_value(f, p, label) for p in rows]).reshape(points.shape[:-1])

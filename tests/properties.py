@@ -23,7 +23,7 @@ import scipy.sparse as sp
 
 from sppa import expr, loop, milp, pwl
 from sppa.mcmodel import encode_term
-from sppa.problems import NonlinearTerm, ProblemSpec
+from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn
 
 
 # ---------------------------------------------------------------------------
@@ -1182,6 +1182,115 @@ def check_separable_interpolant(n_sums: int = 40, n_points: int = 25) -> str:
     return f"separable interpolant ok ({n_sums} sums, {n_points} points each)"
 
 
+_TREE_NUMS = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e3)
+_TREE_EXPONENTS = (0.0, 0.5, 1.5, 2.0, 3.0, -1.0)
+_TREE_KINDS = ("neg", "add", "sub", "mul", "div", "pow", "sin", "cos", "exp", "sqrt", "abs")
+
+
+def _random_tree(rng: np.random.Generator, names: Sequence[str], depth: int) -> expr.Node:
+    """A random expression over ``names`` of at most ``depth`` levels, with
+    every node kind."""
+    if depth == 0 or rng.random() < 0.2:
+        if rng.random() < 0.7:
+            return expr.Var(str(rng.choice(names)))
+        return expr.Num(float(rng.choice(_TREE_NUMS)))
+    kind = str(rng.choice(_TREE_KINDS))
+    sub = _random_tree(rng, names, depth - 1)
+    if kind == "neg":
+        return expr.Neg(sub)
+    if kind in ("sin", "cos", "exp", "sqrt", "abs"):
+        return expr.Call(kind, sub)
+    if kind == "pow":
+        exponent = (expr.Num(float(rng.choice(_TREE_EXPONENTS))) if rng.random() < 0.7
+                    else _random_tree(rng, names, depth - 1))
+        return expr.Pow(sub, exponent)
+    cls = {"add": expr.Add, "sub": expr.Sub, "mul": expr.Mul, "div": expr.Div}[kind]
+    return cls(sub, _random_tree(rng, names, depth - 1))
+
+
+def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...],
+                        points: np.ndarray) -> str:
+    """Check the array pass of ``nodes`` against their scalar evaluation on
+    every row of ``points``, and return how it ended: ``clean``,
+    ``flagged`` (some rows masked) or ``raised`` (a libm error, or a
+    constant part that fails, so no array form)."""
+    fn = _term_fn(nodes, names)
+    scalar = [None] * len(points)  # each row's value, or its error message
+    for i, row in enumerate(points):
+        try:
+            scalar[i] = pwl.term_value(fn, row, "t")
+        except ValueError as exc:
+            scalar[i] = str(exc)
+    # the pipeline: the array pass, and the point-by-point call of a plain function
+    outcomes = []
+    for f in (fn, lambda v: fn(v)):
+        try:
+            outcomes.append(pwl.vertex_values(points, f, "t"))
+        except ValueError as exc:
+            outcomes.append(str(exc))
+    fast, slow = outcomes
+    text = " + ".join(expr.to_text(node) for node in nodes)
+    if isinstance(slow, str):
+        assert fast == slow, (text, fast, slow)
+    else:
+        assert isinstance(fast, np.ndarray) and np.array_equal(fast, slow) and np.array_equal(
+            np.signbit(fast), np.signbit(slow)), (text, fast, slow)
+
+    compiled = fn.array_fn
+    if compiled is None:  # a constant part fails at every point
+        assert all(isinstance(v, str) for v in scalar), text
+        return "raised"
+    with np.errstate(all="ignore"):
+        try:
+            values, flagged = compiled(points)
+        except (ValueError, ArithmeticError):
+            assert any(isinstance(v, str) for v in scalar), text
+            return "raised"
+    # a row is flagged exactly where the scalar evaluation raises
+    for i, want in enumerate(scalar):
+        assert flagged[i] == isinstance(want, str), (text, points[i].tolist(), want, values[i])
+        if not flagged[i]:
+            got = float(values[i])
+            assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
+                text, points[i].tolist(), got, want)
+    return "flagged" if flagged.any() else "clean"
+
+
+def check_array_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
+    """The array pass of an expression term (``expr.compile_sum``) against
+    its scalar evaluation (``expr.eval_expr`` per summand, summed from 0).
+
+    Random sums of random trees with every node kind, on points from a
+    half-integer lattice (exact zero divisors and square roots of exact
+    zeros) and from a wide normal (overflow), plus fixed cases for a zero
+    divisor, a negative square root argument, a negative base with a
+    fractional exponent and an overflowing ``exp`` and ``^``.  Unflagged
+    rows must equal the scalar values bit for bit, sign of zero included;
+    a row is flagged exactly where the scalar evaluation raises, and
+    ``pwl.vertex_values`` gives the same values or the same message with
+    and without the array pass."""
+    rng = np.random.default_rng(20261019)
+    ends = {"clean": 0, "flagged": 0, "raised": 0}
+    for _ in range(n_sums):
+        names = ("x", "y", "z")[:int(rng.integers(1, 4))]
+        nodes = [_random_tree(rng, names, int(rng.integers(1, 5)))
+                 for _ in range(int(rng.integers(1, 4)))]
+        lattice = rng.integers(-4, 5, size=(n_points, len(names))) / 2.0
+        wide = rng.normal(0.0, 300.0, size=(n_points, len(names)))
+        for points in (lattice, wide):
+            ends[_compare_array_pass(nodes, names, points)] += 1
+
+    points = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [800.0, 3.0]])
+    for text, end in (("1/(x - y)", "flagged"), ("1/(x/0)", "flagged"),
+                      ("sqrt(x - y)^0", "flagged"), ("(x - y)^0.5", "raised"),
+                      ("0*exp(x)", "raised"), ("x^(100*y)", "raised"), ("x*y - y/4", "clean")):
+        got = _compare_array_pass([expr.parse_expr(text, ["x", "y"])], ("x", "y"), points)
+        assert got == end, (text, got, end)
+    assert all(ends.values()), ends
+    return (f"array evaluator ok ({n_sums} sums, 2 x {n_points} points: "
+            f"{ends['clean']} clean, {ends['flagged']} flagged, {ends['raised']} raised)")
+
+
 def check_parser(n_fixtures_expected: int = 20) -> str:
     """Round-trip stability plus the hand-checked evaluation fixture table."""
     fixtures = [
@@ -1232,5 +1341,6 @@ ALL_CHECKS = (
     check_vertex_optimum,
     check_best_point,
     check_separable_interpolant,
+    check_array_evaluator,
     check_parser,
 )

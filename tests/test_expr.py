@@ -8,7 +8,7 @@ from sppa import expr
 from sppa.expr import (Add, Call, DomainError, Mul, Neg, Num, ParseError, Pow,
                        Sub, Var, eval_expr, free_vars, parse_expr, to_text)
 
-from properties import check_parser
+from properties import check_array_evaluator, check_parser
 
 
 def test_parse_basic_shape():
@@ -119,3 +119,7 @@ def test_roundtrip_random_trees(ast):
 
 def test_fixture_table_and_roundtrip():
     print(check_parser())
+
+
+def test_array_evaluator_property_suite():
+    print(check_array_evaluator())

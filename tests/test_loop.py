@@ -1,5 +1,6 @@
 import math
 import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -140,6 +141,27 @@ def test_evaluator_failure_reports_vertex():
         with pytest.raises(ValueError) as exc:
             solve(partial, partial.bounds(), 2)
         assert str(exc.value).startswith("term 'g0' failed at grid vertex [-1.0, 0.5]: ")
+
+
+@pytest.mark.parametrize("text, message", [
+    # no grid coordinate is 0, so x/0 is +-inf, and 1/inf a finite 0
+    ("1/(x/0) + x*y", "[-1.5, -1.5]: division by zero in 'x/0.0'"),
+    # sqrt(-1.5) is nan, and nan^0 is 1
+    ("sqrt(x)^0 + x*y", "[-1.5, -1.5]: square root of a negative number in 'sqrt(x)'"),
+    ("sqrt(x - y)^0*y", "[-1.5, -0.5]: square root of a negative number in 'sqrt(x - y)'"),
+    # exp overflows first at x + y = 1, and 0*inf is nan
+    ("0*exp(1000*(x + y)) + x*y", "[-0.5, 1.5]: exp outside real domain in 'exp(1000.0*(x + y))'"),
+])
+def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
+    # each failure is hidden from the sum by the arithmetic after it, so the
+    # array pass must flag it and leave the message to the point-by-point call
+    spec = from_expressions([(v, Interval(-1.5, 1.5), False) for v in "xy"], text)
+    for solve in (build_iteration_model, loop._solve_at_vertices):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as exc:
+                solve(spec, spec.bounds(), 3)
+        assert str(exc.value) == f"term 'g0' failed at grid vertex {message}"
 
 
 @pytest.mark.parametrize("constraints", [(), [("x^2 + y^2", "<=", 1.5)]],
@@ -426,16 +448,22 @@ def test_runs_share_no_solver_state():
     assert trace(_parabola_spec(), config) == first
 
 
-def test_ackley_surrogate_is_exact():
-    # every ackley iteration at 3/3 is solved at the grid vertices, so the
-    # surrogate equals the exact objective at the incumbent; through the
-    # MILP, iteration 24 reported -1.6e-12 where the objective is 1.59e-6
-    info = builtin_info("ackley")
-    result = run(builtin("ackley"), SppaConfig(3, 3, info["contract_frac"], info["max_iters"]))
-    assert len(result.trace) == 27
+@pytest.mark.parametrize("name", ["rosenbrock", "rastrigin", "ackley", "eggholder"])
+def test_builtin_surrogate_is_exact(name):
+    # every builtin iteration is solved at the grid vertices, so the
+    # surrogate is the exact objective at the incumbent, bit for bit: the
+    # grid pass and the single-point evaluation give the same bits.  Through
+    # the MILP, ackley's iteration 24 reported -1.6e-12 where the objective
+    # is 1.59e-6
+    info = builtin_info(name)
+    config = SppaConfig(info["initial_n_pieces"], info["n_pieces"], info["contract_frac"],
+                        info["max_iters"])
+    result = run(builtin(name), config)
+    if name == "ackley":
+        assert len(result.trace) == 27
     for rec in result.trace:
-        assert abs(rec.surrogate_objective - rec.objective) <= 1e-12 * (
-            1.0 + abs(rec.objective)), (rec.iteration, rec.surrogate_objective, rec.objective)
+        assert rec.surrogate_objective == rec.objective, (
+            rec.iteration, rec.surrogate_objective, rec.objective)
     assert all(rec.milp_stats["nodes"] == 0 for rec in result.trace)
 
 
