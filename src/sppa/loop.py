@@ -143,7 +143,7 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
     grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
     points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
-    return active, grid, points, vertex_values(points, term.fn, term.label)
+    return active, grid, points, vertex_values(points, term.fn, term.label, term.array_fn)
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
@@ -157,12 +157,13 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     whose variables are all fixed contributes a constant.
     """
     model = milp.LpProblem()
-    z_ids = [model.add_var(bounds[j].lo, bounds[j].hi, integer=is_int)
-             for j, (_name, _iv, is_int) in enumerate(spec.variables)]
+    for iv, (_name, _iv, is_int) in zip(bounds, spec.variables):  # columns 0..n-1
+        model.add_var(iv.lo, iv.hi, integer=is_int)
 
-    obj_extra: dict[int, float] = {}
-    row_extra: dict[int, dict[int, float]] = {}
-    row_shift: dict[int, float] = {}
+    # each term's weights are fresh columns: its surrogate adds to, never merges
+    objective = dict(spec.linear_objective)
+    rows = [dict(row.coeffs) for row in spec.linear_constraints]
+    row_shift = [0.0] * len(rows)
     const_extra = 0.0
 
     for term in spec.nonlinear_terms:
@@ -172,23 +173,15 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
             if term.row is None:
                 const_extra += value
             else:
-                row_shift[term.row] = row_shift.get(term.row, 0.0) + value
+                row_shift[term.row] += value
             continue
 
-        surrogate = mcmodel.encode_term(model, grid, [z_ids[k] for k in active], values)
-        target = obj_extra if term.row is None else row_extra.setdefault(term.row, {})
-        for var, coef in surrogate.items():
-            target[var] = target.get(var, 0.0) + term.coef * coef
+        surrogate = mcmodel.encode_term(model, grid, active, values)
+        target = objective if term.row is None else rows[term.row]
+        target.update((var, term.coef * coef) for var, coef in surrogate.items())
 
-    for i, row in enumerate(spec.linear_constraints):
-        coeffs = {z_ids[j]: c for j, c in row.coeffs.items()}
-        for var, coef in row_extra.get(i, {}).items():
-            coeffs[var] = coeffs.get(var, 0.0) + coef
-        model.add_row(coeffs, row.sense, row.rhs - row_shift.get(i, 0.0))
-
-    objective = {z_ids[j]: c for j, c in spec.linear_objective.items()}
-    for var, coef in obj_extra.items():
-        objective[var] = objective.get(var, 0.0) + coef
+    for row, coeffs, shift in zip(spec.linear_constraints, rows, row_shift):
+        model.add_row(coeffs, row.sense, row.rhs - shift)
     model.set_objective(objective, spec.objective_constant + const_extra, spec.sense)
     return IterationModel(model)
 

@@ -14,8 +14,8 @@ reduced costs and primal values, which one changed bound leaves primal
 infeasible in a few rows at most.
 
 Integer variables are handled by best-bound branch and bound.  A problem
-may also declare lattice sets: weights in [0, 1] that sum to 1, each with
-the multi-index of a grid vertex, such as the weights of one
+may also declare lattice sets: weights in [0, 1] that sum to 1, one per
+vertex of a whole grid in row-major order, such as the weights of one
 piecewise-linear term.  A set's weights above ``_INT_TOL`` must lie on one
 Kuhn simplex of the grid; a node whose LP solution leaves them spread wider
 branches on one integer key of the vertex index, an axis index or the
@@ -116,13 +116,13 @@ class LpProblem:
         self.objective: dict[int, float] = {}
         self.obj_constant = 0.0
         self.sense = "min"
-        self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, index)
+        self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
 
     @property
     def n_vars(self) -> int:
         return len(self.lb)
 
-    def add_var(self, lo: float = 0.0, hi: float = math.inf, *, integer: bool = False) -> int:
+    def add_var(self, lo: float, hi: float, *, integer: bool = False) -> int:
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
@@ -141,21 +141,19 @@ class LpProblem:
         self.rows.append(LinearConstraint(coeffs, sense, float(rhs)))
         return len(self.rows) - 1
 
-    def add_lattice_set(self, ids, index) -> int:
+    def add_lattice_set(self, ids, shape) -> int:
         """Add the row ``sum(x_j for j in ids) = 1`` over variables bounded
-        in [0, 1] and declare them a lattice set for branching; ``index[i]``
-        is the grid vertex multi-index of ``ids[i]``.  Returns the row index."""
+        in [0, 1], the vertices of a grid of ``shape`` in row-major order,
+        and declare them a lattice set for branching.  Returns the row index."""
         ids = np.asarray(ids, dtype=np.intp)
-        index = np.asarray(index, dtype=np.intp)
-        if (ids.ndim != 1 or not ids.size or np.unique(ids).size != ids.size
-                or index.ndim != 2 or len(index) != ids.size or np.any(index < 0)
-                or len(np.unique(index, axis=0)) != ids.size):
-            raise ValueError("a lattice set needs distinct ids, each with a distinct vertex index")
+        if (ids.ndim != 1 or np.unique(ids).size != ids.size or not shape
+                or min(shape) < 1 or ids.size != math.prod(shape)):
+            raise ValueError("a lattice set needs one distinct id per vertex of its grid")
         if not all(0 <= j < self.n_vars and self.lb[j] >= 0.0 and self.ub[j] <= 1.0
                    for j in ids.tolist()):
             raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
         row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), EQ, 1.0)
-        self.lattice_sets.append((ids, index))
+        self.lattice_sets.append((ids, np.indices(shape).reshape(len(shape), -1).T))
         return row
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,

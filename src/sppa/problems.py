@@ -8,12 +8,12 @@ linear parts exactly, and nonlinear summands that share a variable,
 directly or through other summands, become one term.  Nothing else groups
 summands: on the simplicial grid a sum of functions of disjoint variable
 sets interpolates to the sum of their interpolants, so splitting them keeps
-the surrogate and keeps the grids, and hence the binary count,
+the surrogate and keeps the grids, and hence each term's vertex count,
 low-dimensional.
 
 A term built from expressions evaluates one point with ``expr.eval_expr``,
-and carries as ``fn.array_fn`` its ``expr.compile_sum`` function, which
-``pwl.vertex_values`` calls on all of a grid's points at once.
+and carries its ``expr.compile_sum`` function as ``NonlinearTerm.array_fn``,
+which ``pwl.vertex_values`` calls on all of a grid's points at once.
 """
 
 from __future__ import annotations
@@ -47,9 +47,9 @@ class NonlinearTerm:
     """Evaluable function of a variable subset.
 
     ``row is None`` places ``coef * fn`` in the objective, otherwise in the
-    linear constraint with that index.  An ``fn`` with an ``array_fn``
-    attribute is evaluated on a whole grid through it
-    (``pwl.vertex_values``).  ``ProblemSpec`` labels a term
+    linear constraint with that index.  A term with an ``array_fn``, the
+    array form of ``fn`` (``expr.compile_sum``), is evaluated on a whole
+    grid through it (``pwl.vertex_values``).  ``ProblemSpec`` labels a term
     left unlabelled ``t<k>``, after its position.
     """
 
@@ -58,6 +58,7 @@ class NonlinearTerm:
     coef: float = 1.0
     row: Optional[int] = None
     label: str = ""
+    array_fn: Optional[Callable] = None
 
 
 def _term_value(term: NonlinearTerm, x: np.ndarray) -> float:
@@ -203,37 +204,21 @@ def _affine(node: Node) -> Optional[tuple[float, dict[str, float]]]:
     return None
 
 
-class _UnionFind:
-    def __init__(self):
-        self.parent: dict[int, int] = {}
-
-    def find(self, a: int) -> int:
-        self.parent.setdefault(a, a)
-        while self.parent[a] != a:
-            self.parent[a] = self.parent[self.parent[a]]
-            a = self.parent[a]
-        return a
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
-def _term_fn(nodes: list[Node], names: tuple[str, ...]) -> Callable[[np.ndarray], float]:
+def _term_fn(nodes: list[Node], names: tuple[str, ...]):
+    """The sum of ``nodes`` as a function of one point, and its array form."""
     def fn(v: np.ndarray) -> float:
         env = dict(zip(names, np.asarray(v, dtype=float)))
         return float(sum(expr.eval_expr(node, env) for node in nodes))
 
-    fn.array_fn = expr.compile_sum(nodes, names)
-    return fn
+    return fn, expr.compile_sum(nodes, names)
 
 
 def _decompose(text: str, var_index: dict[str, int]):
     """Parse a sum and split it into (constant, linear coefficients,
-    nonlinear groups).  A group is (variable ids, function of them): the
-    nonlinear summands of one connected component of shared variables, in
-    their order of appearance."""
+    nonlinear groups).  A group is (variable ids, function of them, its
+    array form): the nonlinear summands of one connected component of
+    shared variables, in their order of appearance; groups are ordered by
+    their smallest variable id."""
     summands: list[tuple[float, Node]] = []
     _flatten_sum(expr.parse_expr(text, var_names=list(var_index)), 1.0, summands)
 
@@ -251,24 +236,21 @@ def _decompose(text: str, var_index: dict[str, int]):
         support = frozenset(var_index[name] for name in expr.free_vars(node))
         nonlinear.append((support, node if sign > 0 else expr.Neg(node)))
 
-    uf = _UnionFind()
-    for support, _ in nonlinear:
-        ids = sorted(support)
-        for j in ids[1:]:
-            uf.union(ids[0], j)
-
-    buckets: dict[int, tuple[set[int], list[Node]]] = {}
-    for support, node in nonlinear:
-        ids, nodes = buckets.setdefault(uf.find(min(support)), (set(), []))
-        ids.update(support)
-        nodes.append(node)
+    # connected components as (variable ids, summand positions): a summand
+    # merges every component it shares a variable with
+    components: list[tuple[frozenset[int], list[int]]] = []
+    for p, (support, _) in enumerate(nonlinear):
+        joined = [c for c in components if not support.isdisjoint(c[0])]
+        components = [c for c in components if support.isdisjoint(c[0])]
+        components.append((support.union(*(ids for ids, _ in joined)),
+                           sorted(sum((positions for _, positions in joined), [p]))))
 
     id_to_name = {j: n for n, j in var_index.items()}
     groups = []
-    for root in sorted(buckets):
-        ids, nodes = buckets[root]
+    for ids, positions in sorted(components, key=lambda c: min(c[0])):
         ordered = tuple(sorted(ids))
-        groups.append((ordered, _term_fn(nodes, tuple(id_to_name[k] for k in ordered))))
+        groups.append((ordered, *_term_fn([nonlinear[p][1] for p in positions],
+                                          tuple(id_to_name[k] for k in ordered))))
     linear = {j: c for j, c in linear.items() if c != 0.0}
     return constant, linear, groups
 
@@ -284,11 +266,11 @@ def _assemble(variables, objective, rows, sense: str, name: str) -> ProblemSpec:
     group becomes one term, labelled ``g<k>`` in the objective and
     ``r<i>g<k>`` in row i."""
     constant, linear, obj_groups = objective
-    terms = [NonlinearTerm(ids, fn, 1.0, row=i, label=f"r{i}g{g}")
+    terms = [NonlinearTerm(ids, fn, 1.0, row=i, label=f"r{i}g{g}", array_fn=array_fn)
              for i, (_, groups) in enumerate(rows)
-             for g, (ids, fn) in enumerate(groups)]
-    terms += [NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}")
-              for g, (ids, fn) in enumerate(obj_groups)]
+             for g, (ids, fn, array_fn) in enumerate(groups)]
+    terms += [NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}", array_fn=array_fn)
+              for g, (ids, fn, array_fn) in enumerate(obj_groups)]
     return ProblemSpec(list(variables), linear, constant, [row for row, _ in rows], terms,
                        sense, name)
 

@@ -12,7 +12,7 @@ grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
 ``Grid.points`` holds every vertex's coordinates in one row-major array,
 and ``vertex_values`` evaluates a term on such an array of points, in one
-array pass when the term carries one.
+array pass when the term has an array form.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable, Optional, Sequence
 
 import numpy as np
 
@@ -111,14 +111,14 @@ def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid ve
     return val
 
 
-def vertex_values(points: np.ndarray, f: Callable, label: str) -> np.ndarray:
+def vertex_values(points: np.ndarray, f: Callable, label: str,
+                  array_fn: Optional[Callable] = None) -> np.ndarray:
     """``f`` at every point of a ``(..., n)`` array, shaped ``points.shape[:-1]``:
-    in one call to ``f.array_fn`` (``expr.compile_sum``) if ``f`` has one,
-    else, or if that pass flags a point or raises, by calling ``f`` on each
-    point in row-major order, so the first failing point raises the
-    ``ValueError`` of ``term_value``."""
+    in one call to ``array_fn`` (``expr.compile_sum``) if given, else, or if
+    that pass flags a point or raises, by calling ``f`` on each point in
+    row-major order, so the first failing point raises the ``ValueError`` of
+    ``term_value``."""
     rows = points.reshape(-1, points.shape[-1])
-    array_fn = getattr(f, "array_fn", None)
     if array_fn is not None:
         # the mask replaces numpy's warnings, which the tests turn into errors
         with np.errstate(all="ignore"):

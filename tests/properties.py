@@ -453,8 +453,8 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
     all-binary problems, then ``n_general`` with general integers over
     small ranges such as [-2, 3], then ``n_sets`` that declare lattice sets:
     1-3 groups of 1-4 binaries, each group's ``= 1`` row added by
-    ``add_lattice_set`` with distinct random 1-D or 2-D vertex indices in
-    0..3, plus one general integer outside every set.  A binary set's
+    ``add_lattice_set`` as a whole grid, k binaries of shape (k,) or, for
+    k = 4, (4,) or (2, 2), plus one general integer outside every set.  A binary set's
     integral points each put all weight on one vertex, a valid support, so
     the lattice branching must cut none of them off."""
     rng = np.random.default_rng(777)
@@ -487,10 +487,8 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
         prob = milp.LpProblem()
         ids = [prob.add_var(lo, hi, integer=True) for lo, hi in bounds]
         for group in groups:
-            shape = (4,) * int(rng.integers(1, 3))
-            picks = rng.choice(4 ** len(shape), size=len(group), replace=False)
-            prob.add_lattice_set([ids[j] for j in group],
-                                 np.stack(np.unravel_index(picks, shape), axis=1))
+            square = len(group) == 4 and rng.random() < 0.5
+            prob.add_lattice_set([ids[j] for j in group], (2, 2) if square else (len(group),))
         for i in range(m):
             coeffs = {ids[j]: A[i, j] for j in range(n) if A[i, j] != 0.0}
             if not coeffs:
@@ -1214,18 +1212,18 @@ def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...],
     every row of ``points``, and return how it ended: ``clean``,
     ``flagged`` (some rows masked) or ``raised`` (a libm error, or a
     constant part that fails, so no array form)."""
-    fn = _term_fn(nodes, names)
+    fn, compiled = _term_fn(nodes, names)
     scalar = [None] * len(points)  # each row's value, or its error message
     for i, row in enumerate(points):
         try:
             scalar[i] = pwl.term_value(fn, row, "t")
         except ValueError as exc:
             scalar[i] = str(exc)
-    # the pipeline: the array pass, and the point-by-point call of a plain function
+    # the pipeline: the array pass, and the point-by-point call without an array form
     outcomes = []
-    for f in (fn, lambda v: fn(v)):
+    for array_fn in (compiled, None):
         try:
-            outcomes.append(pwl.vertex_values(points, f, "t"))
+            outcomes.append(pwl.vertex_values(points, fn, "t", array_fn))
         except ValueError as exc:
             outcomes.append(str(exc))
     fast, slow = outcomes
@@ -1236,7 +1234,6 @@ def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...],
         assert isinstance(fast, np.ndarray) and np.array_equal(fast, slow) and np.array_equal(
             np.signbit(fast), np.signbit(slow)), (text, fast, slow)
 
-    compiled = fn.array_fn
     if compiled is None:  # a constant part fails at every point
         assert all(isinstance(v, str) for v in scalar), text
         return "raised"

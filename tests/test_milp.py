@@ -49,8 +49,6 @@ def test_infinite_bounds_rejected():
     for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
         with pytest.raises(ValueError):
             p.add_var(lo, hi)
-    with pytest.raises(ValueError):
-        p.add_var(0)
     assert p.n_vars == 0
 
 
@@ -91,7 +89,7 @@ def test_lp_objective_constant_and_sense():
 def test_integer_variable_needs_finite_bounds():
     p = LpProblem()
     with pytest.raises(ValueError):
-        p.add_var(0, integer=True)
+        p.add_var(0, math.inf, integer=True)
 
 
 def test_empty_row_consistency():
@@ -309,23 +307,25 @@ def test_set_branch_warm_property_suite():
 
 
 def test_lattice_set_declaration_adds_its_row():
+    # a set is a whole grid, its ids the vertices in row-major order
     p = LpProblem()
-    ids = [p.add_var(0, 1) for _ in range(3)]
-    assert p.add_lattice_set(ids, [(0, 0), (0, 1), (1, 0)]) == 0
+    ids = [p.add_var(0, 1) for _ in range(4)]
+    assert p.add_lattice_set(ids, (2, 2)) == 0
     assert p.rows[0].coeffs == dict.fromkeys(ids, 1.0) and p.rows[0].sense == "="
     assert p.rows[0].rhs == 1.0 and len(p.lattice_sets) == 1
-    np.testing.assert_array_equal(p.lattice_sets[0][1], [(0, 0), (0, 1), (1, 0)])
+    np.testing.assert_array_equal(p.lattice_sets[0][0], ids)
+    np.testing.assert_array_equal(p.lattice_sets[0][1], list(np.ndindex(2, 2)))
     wide = p.add_var(0, 2)
     below = p.add_var(-1, 1)
     binary = p.add_var(0, 1, integer=True)
-    assert p.add_lattice_set([ids[0], binary], [(0,), (1,)]) == 1  # a binary weight is fine
-    for bad_ids, bad_index in (([], []), ([ids[0], ids[0]], [(0,), (1,)]),
-                               ([ids[0], wide], [(0,), (1,)]), ([ids[0], below], [(0,), (1,)]),
-                               ([ids[0], 99], [(0,), (1,)]), (ids, [(0,), (1,)]),
-                               (ids, [0, 1, 2]), (ids, [(0,), (-1,), (1,)]),
-                               (ids, [(0, 1), (1, 0), (0, 1)])):
+    assert p.add_lattice_set([ids[0], binary], (2,)) == 1  # a binary weight is fine
+    for bad_ids, bad_shape in (([ids[0], ids[0]], (2,)),  # duplicate ids
+                               (ids, (3,)), (ids[:3], (2, 2)), ([], (0,)),  # count != prod
+                               ([], (2, 0)), (ids[:2], (2, 1, 0)),  # an extent of 0
+                               ([ids[0], wide], (2,)), ([ids[0], below], (2,)),
+                               ([ids[0], 99], (2,))):  # a member outside [0, 1]
         with pytest.raises(ValueError):
-            p.add_lattice_set(bad_ids, bad_index)
+            p.add_lattice_set(bad_ids, bad_shape)
     assert len(p.rows) == 2 and len(p.lattice_sets) == 2
 
 

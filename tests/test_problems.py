@@ -95,16 +95,27 @@ def test_constraint_terms_target_rows():
 
 
 def test_summands_sharing_a_variable_merge_transitively():
-    # x*y and y*z share y, so x, y and z form one term; sin(w) stays apart
+    # x*y and y*z share y, so x, y and z form one term; sin(w) stays apart.
+    # In the second case y*z joins two earlier components, in the third the
+    # component holding x appears after sin(w)'s: terms are ordered by their
+    # smallest variable id, and each adds its summands left to right from 0.0
     variables = [(n, Interval(-1, 1), False) for n in ("x", "y", "z", "w")]
-    spec = from_expressions(variables, "x*y + y*z + sin(w)")
-    assert [(t.var_ids, t.label) for t in spec.nonlinear_terms] == [((0, 1, 2), "g0"),
-                                                                    ((3,), "g1")]
+    cases = [("x*y + y*z + sin(w)", (0, 1, 2),
+              lambda x, y, z, w: [0.0 + x * y + y * z, 0.0 + math.sin(w)]),
+             ("x*y + z^3 + sin(w) + y*z", (0, 1, 2),
+              lambda x, y, z, w: [0.0 + x * y + math.pow(z, 3.0) + y * z, 0.0 + math.sin(w)]),
+             ("sin(w) + x*y + cos(w)*w + y^2", (0, 1),
+              lambda x, y, z, w: [0.0 + x * y + math.pow(y, 2.0),
+                                  0.0 + math.sin(w) + math.cos(w) * w])]
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        x, y, z, w = v = rng.uniform(-1, 1, size=4)
-        total = sum(t.fn(v[list(t.var_ids)]) for t in spec.nonlinear_terms)
-        assert total == pytest.approx(x * y + y * z + math.sin(w), rel=1e-12, abs=1e-12)
+    for text, first, sums in cases:
+        spec = from_expressions(variables, text)
+        assert [(t.var_ids, t.label) for t in spec.nonlinear_terms] == [(first, "g0"),
+                                                                        ((3,), "g1")], text
+        for _ in range(20):
+            v = rng.uniform(-1, 1, size=4)
+            assert [t.fn(v[list(t.var_ids)]) for t in spec.nonlinear_terms] == sums(
+                *v.tolist()), text
 
 
 def test_separable_interpolant_property_suite():
