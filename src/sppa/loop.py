@@ -66,7 +66,7 @@ class SppaConfig:
             raise ValueError("contract_frac must lie strictly between 0 and 1")
         if self.max_iters < 1:
             raise ValueError("max_iters must be >= 1")
-        if self.time_limit is not None and self.time_limit <= 0.0:
+        if self.time_limit is not None and not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
 
 

@@ -2,16 +2,14 @@
 
 Every column is boxed: variable bounds must be finite, and each row's
 slack is bounded by the row's activity range over the variable box.  LP
-relaxations are solved by one bounded dual simplex (revised form, sparse
-LU factorization of the basis refreshed every 64 pivots, with the
-product-form etas in between stacked and solved in one pass; largest-
-violation pricing and the bound-flipping ratio test).  With every column
-boxed, a basis is dual feasible once each nonbasic column sits at the
-bound its reduced cost favours, so with no phase 1 the root starts from a
-given basis (the previous outer iteration's) or the slack basis, and each
-branch-and-bound child from its parent's optimal basis, factorization,
-reduced costs and primal values, which one changed bound leaves primal
-infeasible in a few rows at most.
+relaxations are solved by one bounded dual simplex (revised form over the
+dense basis matrix, solved by LU with partial pivoting and refreshed after
+every pivot; largest-violation pricing and the bound-flipping ratio test).
+With every column boxed, a basis is dual feasible once each nonbasic column
+sits at the bound its reduced cost favours, so with no phase 1 the root
+starts from a given basis (the previous outer iteration's) or the slack
+basis, and each branch-and-bound child from its parent's optimal basis and
+bound statuses.
 
 Integer variables are handled by best-bound branch and bound.  A problem
 may also declare lattice sets: weights in [0, 1] that sum to 1, one per
@@ -20,12 +18,8 @@ piecewise-linear term.  A set's weights above ``_INT_TOL`` must lie on one
 Kuhn simplex of the grid; a node whose LP solution leaves them spread wider
 branches on one integer key of the vertex index, an axis index or the
 difference of two, and each child sets the upper bounds of the weights on
-one side of the split to 0 (see ``_balanced_cut``).  A weight a child drops
-is either basic or nonbasic at 0: nonbasic at 1 it would be the set's only
-weight above ``_INT_TOL``, and a one-vertex set is never split.  So every
-such bound lies on a basic column or on a column already at 0, and the
-parent's state stays an exact warm start.  Integers are branched on singly,
-most fractional first, once every set is valid.
+one side of the split to 0 (see ``_balanced_cut``).  Integers are branched
+on singly, most fractional first, once every set is valid.
 
 Deliberately no cutting planes and no presolve beyond rounding integer
 bounds inward, treating fixed variables as permanently nonbasic and
@@ -37,7 +31,6 @@ inputs (only the ``deadline`` of ``solve_milp`` consults the clock).
 
 from __future__ import annotations
 
-import copy
 import heapq
 import math
 import time
@@ -45,8 +38,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 __all__ = [
     "LE",
@@ -67,7 +58,6 @@ _FEAS_TOL = 1e-7  # primal feasibility
 ROW_TOL = 10.0 * _FEAS_TOL
 _INT_TOL = 1e-6  # integrality
 _REL_GAP = 1e-6  # relative optimality gap that ends the search
-_REFACTOR_EVERY = 64
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 200  # consecutive non-improving pivots before Bland's rule kicks in
 
@@ -160,6 +150,13 @@ class LpProblem:
                       sense: str = "min"):
         if sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
+        if not math.isfinite(constant):
+            raise ValueError("objective constant must be finite")
+        for j, c in coeffs.items():
+            if not 0 <= j < self.n_vars:
+                raise ValueError(f"objective references unknown variable {j}")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite objective coefficient on variable {j}")
         self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
         self.obj_constant = float(constant)
         self.sense = sense
@@ -216,22 +213,14 @@ class _Canon:
         self.nstruct = n
         self.m = m
         b = np.array([row.rhs for row in rows], dtype=float)
-        coo_r, coo_c, coo_v = [], [], []
+        A = np.zeros((m, n + m))
         for i, row in enumerate(rows):
-            for j, c in row.coeffs.items():
-                coo_r.append(i)
-                coo_c.append(j)
-                coo_v.append(c)
-            coo_r.append(i)
-            coo_c.append(n + i)
-            coo_v.append(1.0)
-
-        ncols = n + m
-        self.A = sp.coo_matrix((coo_v, (coo_r, coo_c)), shape=(m, ncols)).tocsc()
-        self.AT = self.A.T.tocsr()
+            A[i, list(row.coeffs)] = list(row.coeffs.values())
+        A[:, n:] = np.eye(m)
+        self.A = A
         self.b = b
-        S = self.A[:, :n]
-        pos, neg = S.maximum(0.0), S.minimum(0.0)
+        S = A[:, :n]
+        pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
         slack_lb = b - (pos @ ub + neg @ lb)
         slack_ub = b - (pos @ lb + neg @ ub)
         ge = np.array([row.sense == GE for row in rows], dtype=bool)
@@ -241,75 +230,40 @@ class _Canon:
         self.l = np.concatenate([lb, slack_lb])
         self.u = np.concatenate([ub, slack_ub])
         self.sign = 1.0 if problem.sense == "min" else -1.0
-        c = np.zeros(ncols)
+        c = np.zeros(n + m)
         for j, coef in problem.objective.items():
             c[j] = self.sign * coef
         self.c = c
-
-    def column(self, j: int) -> np.ndarray:
-        col = np.zeros(self.m)
-        s, e = self.A.indptr[j], self.A.indptr[j + 1]
-        col[self.A.indices[s:e]] = self.A.data[s:e]
-        return col
 
     def user_objective(self, internal_value: float) -> float:
         return self.sign * internal_value + self.problem.obj_constant
 
 
 # ---------------------------------------------------------------------------
-# basis factorization with product-form updates
+# the basis
 
 
 class _Basis:
-    """Sparse LU of the basis and the etas pushed since, stacked: eta i puts
-    ``d_i`` in column ``R[i]``, row i of ``D`` is ``d_i - e_R[i]``, and ``Linv``
-    inverts the triangle with ``L[i, i] = d_i[R[i]]``, ``L[i, j] = D[j, R[i]]``
-    (j < i), so ftran and btran apply every eta in one pass."""
+    """The basis matrix; each solve factorizes it by LU with partial
+    pivoting (``np.linalg.solve``, never an explicit inverse) and raises
+    ``np.linalg.LinAlgError`` when it is singular."""
 
     def __init__(self, canon: _Canon, basis: np.ndarray):
-        self.lu = splu(canon.A[:, basis].tocsc())
-        self.age = 0
+        self.B = canon.A[:, basis]
 
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(v)
-        k = self.age
-        if k:
-            y -= (self.Linv[:k, :k] @ y[self.R[:k]]) @ self.D[:k]
-        return y
+        return np.linalg.solve(self.B, v)
 
     def btran(self, v: np.ndarray) -> np.ndarray:
-        k = self.age
-        if k:
-            v = v.copy()
-            np.subtract.at(v, self.R[:k], (self.D[:k] @ v) @ self.Linv[:k, :k])
-        return self.lu.solve(v, trans="T")
-
-    def push(self, r: int, d: np.ndarray):
-        k = self.age
-        if not k:  # so a start state's basis holds only its LU, and copies of it share no etas
-            self.D = np.empty((_REFACTOR_EVERY, d.size))
-            self.R = np.empty(_REFACTOR_EVERY, dtype=np.intp)
-            self.Linv = np.zeros((_REFACTOR_EVERY, _REFACTOR_EVERY))
-        self.D[k] = d
-        self.D[k, r] -= 1.0
-        self.R[k] = r
-        self.Linv[k, :k] = (self.D[:k, r] @ self.Linv[:k, :k]) / -d[r]
-        self.Linv[k, k] = 1.0 / d[r]
-        self.age = k + 1
+        return np.linalg.solve(self.B.T, v)
 
 
 @dataclass
 class _Start:
-    """A basis and its nonbasic bound statuses; from an optimal parent, also
-    its fresh factorization (no etas), reduced costs and primal values, which
-    a child shares when every bound it changes lies on a basic column or
-    is an upper bound lowered to 0 on a column already at 0."""
+    """A basis and its nonbasic bound statuses."""
 
     basis: np.ndarray
     vstat: np.ndarray
-    factors: Optional[_Basis] = None
-    d: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -329,17 +283,18 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     Starts from ``start`` (the slack basis when None), which is dual
     feasible once every nonbasic column sits at the bound its reduced cost
     favours; a column whose reduced cost is within tolerance of zero keeps
-    its bound.  A basis found singular on refactorization, the start's or
-    one reached by pivoting, sends the solve back to the slack basis once;
-    a second one ends it with status 'numerical'.  Each pivot removes the basic variable with the
-    largest bound violation.  The ratio test passes every breakpoint the
-    dual objective still rises through, flipping those columns to their
-    other bound, and enters the column at the next one (largest |alpha| on
-    ties, then the lowest index).  The objective of every basis visited is a lower bound
-    on the optimum, so the solve stops with status 'cutoff' once it reaches
-    ``cutoff``.  ``iterations`` counts basis changes.  An optimal solve ends
-    on a fresh factorization, returned in ``start`` with the reduced costs
-    and primal values.
+    its bound.  Every basis, the start's and each one a pivot reaches, is
+    factorized afresh, and its reduced costs and primal values are
+    recomputed from the bound statuses.  A singular basis sends the solve
+    back to the slack basis once; a second one ends it with status
+    'numerical'.  Each pivot removes the basic variable with the largest
+    bound violation.  The ratio test passes every breakpoint the dual
+    objective still rises through, flipping those columns to their other
+    bound, and enters the column at the next one (largest |alpha| on ties,
+    then the lowest index).  The objective of every basis visited is a
+    lower bound on the optimum, so the solve stops with status 'cutoff'
+    once it reaches ``cutoff``.  ``iterations`` counts basis changes and
+    ``factorizations`` the bases factorized.
     """
     m, n = canon.m, canon.nstruct
     iters = n_factor = 0
@@ -350,7 +305,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     if np.any(l > u + _FEAS_TOL):
         return stop("infeasible")
 
-    A, AT, c = canon.A, canon.AT, canon.c
+    A, c = canon.A, canon.c
     dtol = 1e-9 * (1.0 + (float(np.max(np.abs(c))) if c.size else 0.0))
     movable = u > l
     range_ = u - l
@@ -363,43 +318,46 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         return basis, vstat
 
     basis, vstat = slack_start() if start is None else (start.basis.copy(), start.vstat.copy())
-    need_refresh = start is None or start.factors is None
-    if not need_refresh:  # the parent's state, with an eta file of its own
-        factors, d, x = copy.copy(start.factors), start.d.copy(), start.x.copy()
-
-    def refresh():
-        """Refactorize, recompute the reduced costs, move each nonbasic
-        column whose reduced cost has the wrong sign to its other bound,
-        and recompute the primal values."""
-        fac = _Basis(canon, basis)
-        d = c - AT @ fac.btran(c[basis])
-        d[basis] = 0.0
-        vstat[(vstat == _NB_LOWER) & movable & (d < -dtol)] = _NB_UPPER
-        vstat[(vstat == _NB_UPPER) & movable & (d > dtol)] = _NB_LOWER
-        x = np.where(vstat == _NB_UPPER, u, l)
-        x[basis] = 0.0
-        x[basis] = fac.ftran(canon.b - A @ x)
-        return fac, d, x
-
     iter_limit = 20_000 + 50 * m
     bland = False
     stall = 0
     last_obj = -math.inf
-    concluding_refresh = False
     from_slack = start is None
 
     while True:
-        if need_refresh:
-            n_factor += 1
-            try:
-                factors, d, x = refresh()
-            except RuntimeError:  # a singular basis: start again from the slack basis, once
-                if from_slack:
-                    return stop("numerical")
-                basis, vstat = slack_start()
-                from_slack, last_obj = True, -math.inf
-                continue
-            need_refresh = False
+        # factorize, recompute the reduced costs, move each nonbasic column
+        # whose reduced cost has the wrong sign to its other bound, and
+        # recompute the primal values
+        n_factor += 1
+        try:
+            factors = _Basis(canon, basis)
+            d = c - factors.btran(c[basis]) @ A
+            d[basis] = 0.0
+            vstat[(vstat == _NB_LOWER) & movable & (d < -dtol)] = _NB_UPPER
+            vstat[(vstat == _NB_UPPER) & movable & (d > dtol)] = _NB_LOWER
+            x = np.where(vstat == _NB_UPPER, u, l)
+            x[basis] = 0.0
+            x[basis] = factors.ftran(canon.b - A @ x)
+        except np.linalg.LinAlgError:  # a singular basis: start again from the slack basis, once
+            if from_slack:
+                return stop("numerical")
+            basis, vstat = slack_start()
+            from_slack, last_obj = True, -math.inf
+            continue
+
+        obj = float(c @ x)  # the basis is dual feasible: a lower bound on the optimum
+        if obj >= cutoff:
+            return stop("cutoff")
+        # cycling watch: engage Bland's rule after a run of pivots that do not
+        # raise the dual objective
+        if obj - last_obj > 1e-12 * (1.0 + abs(obj)):
+            stall = 0
+            bland = False
+        else:
+            stall += 1
+            if stall > _STALL_LIMIT:
+                bland = True
+        last_obj = obj
         if iters >= iter_limit:
             return stop("iteration_limit")
         if deadline is not None and iters % 16 == 0 and time.perf_counter() > deadline:
@@ -409,12 +367,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         viol = np.maximum(l[basis] - xb, xb - u[basis])
         infeasible_rows = np.flatnonzero(viol > _FEAS_TOL)
         if not infeasible_rows.size:
-            # before concluding, refresh a used factorization once to kill drift
-            if not concluding_refresh and factors.age:
-                need_refresh = concluding_refresh = True
-                continue
-            return _SxResult("optimal", x, float(c @ x), _Start(basis, vstat, factors, d, x),
-                             iters, n_factor)
+            return _SxResult("optimal", x, obj, _Start(basis, vstat), iters, n_factor)
 
         # pricing: the basic variable with the largest bound violation
         # (Bland: the one with the lowest column index)
@@ -426,7 +379,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         s = 1.0 if xb[r] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
         e = np.zeros(m)
         e[r] = 1.0
-        alpha = AT @ factors.btran(e)  # row r of B^-1 A
+        alpha = factors.btran(e) @ A  # row r of B^-1 A
 
         # bound-flipping ratio test over the columns whose reduced cost moves
         # towards zero as the dual step t grows
@@ -451,56 +404,15 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             open_[group] = False
 
         if k < 0:  # the dual rises without bound: the primal is infeasible
-            if not concluding_refresh and factors.age:
-                need_refresh = concluding_refresh = True
-                continue
             return stop("infeasible")
-        concluding_refresh = False
-        q = int(cand[k])
-
-        w = factors.ftran(canon.column(q))
-        if abs(w[r] - alpha[q]) > 1e-7 * (1.0 + abs(w[r])) and factors.age:
-            need_refresh = True  # row and column disagree on the pivot: drift
-            continue
-
         if flipped:
             fl = cand[np.concatenate(flipped)]
-            delta = np.zeros(x.size)
-            delta[fl] = np.where(at_lower[fl], range_[fl], -range_[fl])
-            x += delta
             vstat[fl] = np.where(at_lower[fl], _NB_UPPER, _NB_LOWER)
-            x[basis] -= factors.ftran(A @ delta)
-
-        target = u[p] if s > 0.0 else l[p]
-        step = (x[p] - target) / w[r]
-        x[basis] -= step * w
-        x[q] += step
-        x[p] = target
-        theta = s * ratio[k]
-        d -= theta * alpha
-        d[p] = -theta
         vstat[p] = _NB_UPPER if s > 0.0 else _NB_LOWER
+        q = int(cand[k])
         vstat[q] = _BASIC
         basis[r] = q
-        d[basis] = 0.0
-        factors.push(r, w)
         iters += 1
-        if factors.age >= _REFACTOR_EVERY:
-            need_refresh = True
-
-        # cycling watch: engage Bland's rule after a run of pivots that do not
-        # raise the dual objective
-        obj = float(c @ x)
-        if obj >= cutoff:
-            return stop("cutoff")
-        if obj - last_obj > 1e-12 * (1.0 + abs(obj)):
-            stall = 0
-            bland = False
-        else:
-            stall += 1
-            if stall > _STALL_LIMIT:
-                bland = True
-        last_obj = obj
 
 
 # ---------------------------------------------------------------------------
@@ -626,9 +538,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         total_iters += res.iterations
         total_factor += res.factorizations
         if nodes == 1:
-            root_iters = res.iterations
-            if res.status == "optimal":  # the next model's matrix differs: no factors
-                root_start = _Start(res.start.basis, res.start.vstat)
+            root_iters, root_start = res.iterations, res.start
         if res.status in ("time_limit", "iteration_limit", "numerical"):
             stop_status = res.status
             heapq.heappush(heap, node)  # unsolved, so its bound still counts

@@ -14,12 +14,10 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-import types
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
-import scipy.sparse as sp
 
 from sppa import expr, loop, milp, pwl
 from sppa.mcmodel import encode_term
@@ -521,10 +519,7 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
 def check_warm_child(n_lps: int = 150) -> str:
     """A child LP re-solved warm from its parent's optimal basis matches the
     same LP solved cold from the slack basis, and a cutoff above the
-    child's optimum does not stop the warm solve.  Started from the parent's
-    factorization, reduced costs and primal values, the child takes exactly
-    the pivots it takes from the parent's basis with a fresh refactorization,
-    ends bit-identical, and factorizes once less.
+    child's optimum does not stop the warm solve.
 
     Each seeded random LP has 2-9 boxed variables and 1-7 rows of every
     sense, made feasible by a random point of the box.  After the parent
@@ -572,11 +567,6 @@ def check_warm_child(n_lps: int = 150) -> str:
         tol = 1e-9 * (1.0 + abs(cold.objective)) if optimal else 0.0
         cutoff = cold.objective + tol if optimal else math.inf
         warm = milp._simplex(canon, l, u, parent.start, cutoff=cutoff)
-        fresh = milp._simplex(canon, l, u,
-                              milp._Start(parent.start.basis, parent.start.vstat), cutoff=cutoff)
-        assert (warm.status, warm.iterations, warm.factorizations + 1) == (
-            fresh.status, fresh.iterations, fresh.factorizations), (warm, fresh)
-        assert warm.x is fresh.x is None or np.array_equal(warm.x, fresh.x), (warm.x, fresh.x)
         assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
         if optimal:
             assert abs(warm.objective - cold.objective) <= tol, (
@@ -593,11 +583,11 @@ def check_warm_child(n_lps: int = 150) -> str:
 
 
 def check_set_branch_warm(n_models: int = 30) -> str:
-    """A child of a lattice-set split re-solved warm from its parent's state
-    (``_Start`` with factorization, reduced costs and primal values)
-    matches the same LP solved cold from the slack basis: same status, and
-    the same objective within 1e-9 (1 + |objective|).  Every column the
-    split sets to 0 was basic or at 0 in the parent.
+    """A child of a lattice-set split re-solved warm from its parent's
+    optimal basis and bound statuses (``_Start``) matches the same LP
+    solved cold from the slack basis: same status, and the same objective
+    within 1e-9 (1 + |objective|).  Every column the split sets to 0 was
+    basic or at 0 in the parent.
 
     Each seeded model is one lambda-encoded term of 1 or 2 variables on a
     grid of 3-5 pieces per axis, of a random indefinite quadratic whose LP
@@ -712,7 +702,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
         sense = "max" if rng.random() < 0.5 else "min"
         first = milp.solve_milp(build(lo, hi, is_int, A, sn, c, sense))
         assert first.status == "optimal", first.status
-        assert first.start is not None and first.start.factors is None
+        assert first.start is not None
 
         # the next iteration's problem: same shape, everything moved a little
         shift = 0.2 * (hi - lo) * rng.uniform(-1.0, 1.0, size=n)
@@ -748,8 +738,8 @@ def check_warm_root(n_pairs: int = 80) -> str:
             A3[:, basic[0]] = 0.0
             third = build(lo2, hi2, is_int, A3, sn, c2, sense)
             try:
-                milp._Basis(milp._Canon(third), first.start.basis)
-            except RuntimeError:
+                milp._Basis(milp._Canon(third), first.start.basis).ftran(np.zeros(m))
+            except np.linalg.LinAlgError:
                 cold = milp.solve_milp(third)
                 warm = milp.solve_milp(third, start=first.start)
                 assert same(warm, cold, refactorizations=1), (warm, cold)
@@ -772,82 +762,6 @@ def check_warm_root(n_pairs: int = 80) -> str:
     return (f"warm roots match cold solves ({n_pairs} pairs, {n_int} with integers, "
             f"{n_infeasible} infeasible; root pivots {warm_root} warm vs {cold_root} cold; "
             f"{n_singular} singular starts restarted, {n_shape} other shapes ignored)")
-
-
-class _EtaLoop:
-    """The product-form eta file applied one eta at a time: the reference
-    for ``milp._Basis``'s stacked solves."""
-
-    def __init__(self, lu):
-        self.lu = lu
-        self.etas: list[tuple[int, np.ndarray, float]] = []
-
-    def ftran(self, v: np.ndarray) -> np.ndarray:
-        y = self.lu.solve(v)
-        for r, d, dr in self.etas:
-            t = y[r] / dr
-            if t != 0.0:
-                y = y - d * t
-            y[r] = t
-        return y
-
-    def btran(self, v: np.ndarray) -> np.ndarray:
-        w = v.copy()
-        for r, d, dr in reversed(self.etas):
-            w[r] = (w[r] * (1.0 + dr) - w @ d) / dr
-        return self.lu.solve(w, trans="T")
-
-    def push(self, r: int, d: np.ndarray):
-        self.etas.append((r, d.copy(), d[r]))
-
-
-def check_eta_file(n_bases: int = 40) -> str:
-    """``milp._Basis``'s stacked eta file solves as the sequential loop does.
-
-    Each seeded case factorizes a random sparse basis of 2-40 rows, then
-    pushes up to 64 etas as the simplex would: the ftran'd entering column
-    and its pivot row, reusing an earlier pivot row one time in three.
-    After every push, ftran and btran of a random vector agree with the
-    loop to ``1e-9 * (1 + max|y|)``.
-    """
-    rng = np.random.default_rng(6060)
-    n_pushes = n_repeats = 0
-    worst = 0.0
-    for _ in range(n_bases):
-        m = int(rng.integers(2, 41))
-        n = m + int(rng.integers(1, 2 * m))
-        A = sp.random(m, n, density=min(1.0, 3.0 / m), random_state=rng, format="csc")
-        # a heavy diagonal in the first m columns makes them a well-conditioned basis
-        A = (A + sp.diags(rng.uniform(1.0, 3.0, size=m), 0, shape=(m, n))).tocsc()
-        dense = A.toarray()
-        basis = rng.permutation(m)
-        fac = milp._Basis(types.SimpleNamespace(A=A), basis)
-        ref = _EtaLoop(fac.lu)
-        rows: list[int] = []
-        for _ in range(int(rng.integers(1, milp._REFACTOR_EVERY + 1))):
-            repeat = rows and rng.random() < 1.0 / 3.0
-            r = int(rng.choice(rows)) if repeat else int(rng.integers(0, m))
-            cols = np.setdiff1d(np.arange(n), basis)
-            cols = rng.choice(cols, size=min(8, cols.size), replace=False)
-            w = [fac.ftran(dense[:, q]) for q in cols]
-            size = np.array([abs(wq[r]) for wq in w])
-            if size.max() < 1e-3:
-                continue
-            k = int(rng.choice(np.flatnonzero(size >= 0.1 * size.max())))
-            fac.push(r, w[k])
-            ref.push(r, w[k])
-            basis[r] = cols[k]
-            n_repeats += bool(repeat)
-            n_pushes += 1
-            rows.append(r)
-            v = rng.normal(size=m)
-            for got, want in ((fac.ftran(v), ref.ftran(v)), (fac.btran(v), ref.btran(v))):
-                err = float(np.max(np.abs(got - want))) / (1.0 + float(np.max(np.abs(want))))
-                worst = max(worst, err)
-                assert err <= 1e-9, f"stacked eta file off by {err:.3g} after {fac.age} etas"
-    assert n_repeats > 0
-    return (f"stacked eta file matches the sequential loop ({n_bases} bases, {n_pushes} "
-            f"etas, {n_repeats} on a repeated row; worst relative error {worst:.2g})")
 
 
 def check_sppa_invariants(n_problems: int = 50) -> str:
@@ -1333,7 +1247,6 @@ ALL_CHECKS = (
     check_warm_child,
     check_set_branch_warm,
     check_warm_root,
-    check_eta_file,
     check_sppa_invariants,
     check_vertex_optimum,
     check_best_point,

@@ -222,6 +222,7 @@ def test_integer_variable_without_integer_exits_3(tmp_path, capsys):
 @pytest.mark.parametrize("flags", [
     ["solve", "--problem", "rastrigin", "--time-limit", "0"],
     ["solve", "--problem", "rastrigin", "--time-limit", "-1"],
+    ["solve", "--problem", "ackley", "--time-limit", "nan"],
 ])
 def test_nonpositive_time_limit_exits_2(flags, capsys):
     assert run_cli(flags) == 2

@@ -369,7 +369,7 @@ def test_config_validation():
         SppaConfig(2, 2, 1.5)
     with pytest.raises(ValueError):
         SppaConfig(2, 2, 0.5, max_iters=0)
-    for bad in (0.0, -1.0):
+    for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             SppaConfig(2, 2, 0.5, time_limit=bad)
 
@@ -395,13 +395,13 @@ _PARTIAL_FIXED = {
     pytest.param("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
                  [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
     pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 6, id="parabola"),
-    pytest.param("constrained_b", (2, 2), "stall", 27, -1.2007940880100245,
-                 [1.177714111979994, 0.9780290904422265, 1.075382986982742], 172,
+    pytest.param("constrained_b", (2, 2), "stall", 21, -1.2007940880172072,
+                 [1.1777141169071161, 0.9780276971627405, 1.0753842487314866], 134,
                  id="constrained_b"),
     pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
                  id="partial_fixed_vertex"),
     pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999850988388,
-                 [0.2498779296875, 0.5, 1.0], 95, id="partial_fixed_milp"),
+                 [0.2498779296875, 0.5, 1.0], 87, id="partial_fixed_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
@@ -446,6 +446,18 @@ def test_runs_share_no_solver_state():
     trace(load_problem(str(problem)), SppaConfig(3, 3))
     trace(_parabola_spec(x_min=0.3), config)
     assert trace(_parabola_spec(), config) == first
+
+
+def test_constrained_b_runs_to_its_end_at_the_default_settings():
+    # the largest MILP shipped: a 3-D term of 125 vertex weights at 4/4
+    # under a nonlinear and a linear row.  With every basis solved through
+    # an explicit inverse instead of LU, this run ended 'iteration_limit'
+    problem = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems" / "constrained_b.prob"
+    spec = load_problem(str(problem))
+    result = run(spec, SppaConfig())
+    assert result.termination in ("stall", "width")
+    assert result.best_objective <= -1.2007940
+    assert spec.row_violation(result.best_point) <= milp.ROW_TOL
 
 
 @pytest.mark.parametrize("name", ["rosenbrock", "rastrigin", "ackley", "eggholder"])

@@ -11,8 +11,8 @@ from sppa.milp import LpProblem, solve_milp
 from sppa.problems import from_expressions
 from sppa.pwl import Interval
 
-from properties import (check_eta_file, check_lattice_branch, check_milp_oracle,
-                        check_set_branch_warm, check_warm_child, check_warm_root)
+from properties import (check_lattice_branch, check_milp_oracle, check_set_branch_warm,
+                        check_warm_child, check_warm_root)
 
 
 def knapsack(values, weights, cap):
@@ -50,6 +50,22 @@ def test_infinite_bounds_rejected():
         with pytest.raises(ValueError):
             p.add_var(lo, hi)
     assert p.n_vars == 0
+
+
+def test_objective_rejects_unknown_ids_and_non_finite_coefficients():
+    # id 2 is no variable here; in the canonical form it would be row 0's slack
+    p = LpProblem()
+    x, y = p.add_var(0, 1), p.add_var(0, 1)
+    p.add_row({x: 1.0, y: 2.0}, "<=", 2.0)
+    for bad in ({x: -1.0, 2: 5.0}, {7: 1.0}, {-1: 1.0}, {x: math.nan}, {y: math.inf}):
+        with pytest.raises(ValueError):
+            p.set_objective(bad)
+    with pytest.raises(ValueError):
+        p.set_objective({x: 1.0}, constant=math.nan)
+    assert p.objective == {}
+    p.set_objective({x: -1.0})
+    res = solve_milp(p)
+    assert res.status == "optimal" and res.x.tolist() == [1.0, 0.0]
 
 
 def test_row_free_lp():
@@ -109,9 +125,8 @@ def test_empty_row_consistency():
 
 
 def test_integer_bounds_rounded_inward():
-    # x in [0.5, 3.5] is x in [1, 3]: no column sits nonbasic at a
-    # fractional bound, where a child's inherited primal values would miss
-    # the branched bound
+    # x in [0.5, 3.5] is x in [1, 3]: no integer column sits nonbasic at a
+    # fractional bound
     p = LpProblem()
     x = p.add_var(0.5, 3.5, integer=True)
     y = p.add_var(0.0, 0.25)
@@ -261,11 +276,11 @@ def test_passed_deadline_stops_before_the_root():
 @pytest.mark.parametrize("failing_calls, status", [({2}, "optimal"), ({2, 3}, "numerical")])
 def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, failing_calls,
                                                                 status):
-    # a warm-started LP solve factorizes its start, pivots, and refactorizes
-    # before concluding; when that basis is singular (in the 4/4 run of
-    # constrained (b), iteration 21's root reached one, cond 5.8e17) the
-    # solve starts again from the slack basis and ends where a cold solve
-    # ends; a second singular basis ends it as 'numerical'
+    # a warm-started LP solve factorizes its start and then every basis it
+    # pivots to; when one is singular (in the 4/4 run of constrained (b),
+    # iteration 21's root once reached one, cond 5.8e17) the solve starts
+    # again from the slack basis and ends where a cold solve ends; a second
+    # singular basis ends it as 'numerical'
     def lp(c):
         p = LpProblem()
         ids = [p.add_var(0, 1) for _ in range(4)]
@@ -283,7 +298,7 @@ def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, fai
     def failing(self, canon, basis):
         calls.append(len(calls) + 1)
         if calls[-1] in failing_calls:
-            raise RuntimeError("Factor is exactly singular")
+            raise np.linalg.LinAlgError("Singular matrix")
         basis_init(self, canon, basis)
 
     monkeypatch.setattr(milp._Basis, "__init__", failing)
@@ -355,6 +370,3 @@ def test_set_branching_keeps_constrained_b_trees_small():
 def test_warm_root_property_suite():
     print(check_warm_root())
 
-
-def test_eta_file_property_suite():
-    print(check_eta_file())
