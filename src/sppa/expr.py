@@ -11,6 +11,7 @@ bit as ``eval_expr`` on each.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
@@ -22,11 +23,7 @@ __all__ = [
     "Num",
     "Var",
     "Neg",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "Pow",
+    "BinOp",
     "Call",
     "ParseError",
     "DomainError",
@@ -57,33 +54,10 @@ class Neg:
 
 
 @dataclass(frozen=True)
-class Add:
+class BinOp:
+    op: str  # one of + - * / ^
     left: "Node"
     right: "Node"
-
-
-@dataclass(frozen=True)
-class Sub:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Mul:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Div:
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class Pow:
-    base: "Node"
-    exponent: "Node"
 
 
 @dataclass(frozen=True)
@@ -92,7 +66,7 @@ class Call:
     arg: "Node"
 
 
-Node = Union[Num, Var, Neg, Add, Sub, Mul, Div, Pow, Call]
+Node = Union[Num, Var, Neg, BinOp, Call]
 
 
 class ParseError(ValueError):
@@ -170,8 +144,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "+-":
                 self.take()
-                rhs = self.term()
-                node = Add(node, rhs) if val == "+" else Sub(node, rhs)
+                node = BinOp(val, node, self.term())
             else:
                 return node
 
@@ -181,8 +154,7 @@ class _Parser:
             kind, val, _ = self.peek()
             if kind == "op" and val in "*/":
                 self.take()
-                rhs = self.unary()
-                node = Mul(node, rhs) if val == "*" else Div(node, rhs)
+                node = BinOp(val, node, self.unary())
             else:
                 return node
 
@@ -198,7 +170,7 @@ class _Parser:
         kind, val, _ = self.peek()
         if kind == "op" and val == "^":
             self.take()
-            return Pow(base, self.unary())  # right associative, allows 2^-3
+            return BinOp("^", base, self.unary())  # right associative, allows 2^-3
         return base
 
     def atom(self) -> Node:
@@ -243,6 +215,9 @@ def eval_expr(ast: Node, env: dict[str, float]) -> float:
     return val
 
 
+_ARITHMETIC = {"+": operator.add, "-": operator.sub, "*": operator.mul, "^": math.pow}
+
+
 def _eval(ast: Node, env: dict[str, float]) -> float:
     if isinstance(ast, Num):
         return ast.value
@@ -253,25 +228,17 @@ def _eval(ast: Node, env: dict[str, float]) -> float:
             raise DomainError(f"unassigned variable {ast.name!r}", ast) from None
     if isinstance(ast, Neg):
         return -_eval(ast.arg, env)
-    if isinstance(ast, Add):
-        return _eval(ast.left, env) + _eval(ast.right, env)
-    if isinstance(ast, Sub):
-        return _eval(ast.left, env) - _eval(ast.right, env)
-    if isinstance(ast, Mul):
-        return _eval(ast.left, env) * _eval(ast.right, env)
-    if isinstance(ast, Div):
-        denom = _eval(ast.right, env)
-        if denom == 0.0:
-            raise DomainError("division by zero", ast)
-        return _eval(ast.left, env) / denom
-    if isinstance(ast, Pow):
-        base = _eval(ast.base, env)
-        exponent = _eval(ast.exponent, env)
+    if isinstance(ast, BinOp):
+        if ast.op == "/":  # the divisor first, so that its own failure is reported
+            denom = _eval(ast.right, env)
+            if denom == 0.0:
+                raise DomainError("division by zero", ast)
+            return _eval(ast.left, env) / denom
+        left, right = _eval(ast.left, env), _eval(ast.right, env)
         try:
-            out = math.pow(base, exponent)
-        except (ValueError, OverflowError):
+            return _ARITHMETIC[ast.op](left, right)
+        except (ValueError, OverflowError):  # only math.pow raises
             raise DomainError("power outside real domain", ast) from None
-        return out
     if isinstance(ast, Call):
         arg = _eval(ast.arg, env)
         if ast.fn == "sqrt":
@@ -296,7 +263,7 @@ _ARRAY_OPS = {name: getattr(np, name) for name in (
     "absolute", "sqrt")}
 _ARRAY_OPS.update(pow_=np.frompyfunc(math.pow, 2, 1), exp_=np.frompyfunc(math.exp, 1, 1),
                   sin_=np.frompyfunc(math.sin, 1, 1), cos_=np.frompyfunc(math.cos, 1, 1))
-_UFUNCS = {Add: "add", Sub: "subtract", Mul: "multiply", Div: "divide"}
+_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "pow_"}
 
 
 def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callable]:
@@ -319,8 +286,6 @@ def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callabl
             return f"k{len(consts) - 1}"
         if isinstance(node, Neg):
             call = f"negative({value(node.arg)})"
-        elif isinstance(node, Pow):
-            call = f"pow_({value(node.base)}, {value(node.exponent)}).astype(float)"
         elif isinstance(node, Call):
             arg = value(node.arg)
             if node.fn == "sqrt":
@@ -329,9 +294,11 @@ def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callabl
                 node.fn, f"{node.fn}_({arg}).astype(float)")
         else:
             left, right = value(node.left), value(node.right)
-            if isinstance(node, Div):
+            if node.op == "/":
                 checks.append(f"({right} == 0.0)")
-            call = f"{_UFUNCS[type(node)]}({left}, {right})"
+            call = f"{_UFUNCS[node.op]}({left}, {right})"
+            if node.op == "^":  # frompyfunc returns objects
+                call += ".astype(float)"
         lines.append(f"    t{len(lines)} = {call}")
         return f"t{len(lines) - 1}"
 
@@ -347,19 +314,18 @@ def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callabl
     return namespace["rows"]
 
 
-_LEVEL_ADD, _LEVEL_MUL, _LEVEL_NEG, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+# binding levels: 1 for + -, 2 for * /, 3 for unary minus, 4 for ^, 5 for an
+# atom; each operator's level, the lowest levels its left and right operands
+# print at without parentheses, and its printed form
+_BINARY = {"+": (1, 1, 2, " + "), "-": (1, 1, 2, " - "), "*": (2, 2, 3, "*"), "/": (2, 2, 3, "/"),
+           "^": (4, 5, 3, "^")}
+_LEVEL_NEG, _LEVEL_ATOM = 3, 5
 
 
 def _level(ast: Node) -> int:
-    if isinstance(ast, (Add, Sub)):
-        return _LEVEL_ADD
-    if isinstance(ast, (Mul, Div)):
-        return _LEVEL_MUL
-    if isinstance(ast, Neg):
-        return _LEVEL_NEG
-    if isinstance(ast, Pow):
-        return _LEVEL_POW
-    return _LEVEL_ATOM
+    if isinstance(ast, BinOp):
+        return _BINARY[ast.op][0]
+    return _LEVEL_NEG if isinstance(ast, Neg) else _LEVEL_ATOM
 
 
 def to_text(ast: Node) -> str:
@@ -375,16 +341,9 @@ def to_text(ast: Node) -> str:
         return ast.name
     if isinstance(ast, Neg):
         return "-" + wrap(ast.arg, _LEVEL_NEG)
-    if isinstance(ast, Add):
-        return f"{wrap(ast.left, _LEVEL_ADD)} + {wrap(ast.right, _LEVEL_ADD + 1)}"
-    if isinstance(ast, Sub):
-        return f"{wrap(ast.left, _LEVEL_ADD)} - {wrap(ast.right, _LEVEL_ADD + 1)}"
-    if isinstance(ast, Mul):
-        return f"{wrap(ast.left, _LEVEL_MUL)}*{wrap(ast.right, _LEVEL_MUL + 1)}"
-    if isinstance(ast, Div):
-        return f"{wrap(ast.left, _LEVEL_MUL)}/{wrap(ast.right, _LEVEL_MUL + 1)}"
-    if isinstance(ast, Pow):
-        return f"{wrap(ast.base, _LEVEL_ATOM)}^{wrap(ast.exponent, _LEVEL_NEG)}"
+    if isinstance(ast, BinOp):
+        _, left, right, text = _BINARY[ast.op]
+        return f"{wrap(ast.left, left)}{text}{wrap(ast.right, right)}"
     if isinstance(ast, Call):
         return f"{ast.fn}({to_text(ast.arg)})"
     raise TypeError(f"not an expression node: {ast!r}")
@@ -395,10 +354,6 @@ def free_vars(ast: Node) -> set[str]:
         return {ast.name}
     if isinstance(ast, Num):
         return set()
-    if isinstance(ast, Neg):
+    if isinstance(ast, (Neg, Call)):
         return free_vars(ast.arg)
-    if isinstance(ast, Call):
-        return free_vars(ast.arg)
-    if isinstance(ast, Pow):
-        return free_vars(ast.base) | free_vars(ast.exponent)
     return free_vars(ast.left) | free_vars(ast.right)

@@ -25,7 +25,7 @@ __all__ = ["encode_term"]
 
 
 def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, values) -> dict[int, float]:
-    """Add one term's weights and rows to ``model`` and return the term
+    """Put one term's weights and rows into ``model`` and return the term
     value as ``{weight id: vertex value}``.
 
     ``z_ids`` are the model ids of the shared variables the term reads, in

@@ -132,7 +132,7 @@ class LpProblem:
         return len(self.rows) - 1
 
     def add_lattice_set(self, ids, shape) -> int:
-        """Add the row ``sum(x_j for j in ids) = 1`` over variables bounded
+        """Append the row ``sum(x_j for j in ids) = 1`` over variables bounded
         in [0, 1], the vertices of a grid of ``shape`` in row-major order,
         and declare them a lattice set for branching.  Returns the row index."""
         ids = np.asarray(ids, dtype=np.intp)

@@ -95,6 +95,8 @@ class ProblemSpec:
                           for name, iv, integer in self.variables]
         if self.sense not in ("min", "max"):
             raise ValueError("sense must be 'min' or 'max'")
+        if not all(map(math.isfinite, [self.objective_constant, *self.linear_objective.values()])):
+            raise ValueError("objective constant and coefficients must be finite")
         n = len(self.variables)
         for term in self.nonlinear_terms:
             for j in term.var_ids:
@@ -109,6 +111,9 @@ class ProblemSpec:
             for j in row.coeffs:
                 if not 0 <= j < n:
                     raise ValueError(f"row references unknown variable {j}")
+        for j in self.linear_objective:
+            if not 0 <= j < n:
+                raise ValueError(f"objective references unknown variable {j}")
 
     @property
     def n_vars(self) -> int:
@@ -146,12 +151,9 @@ class ProblemSpec:
 
 
 def _flatten_sum(node: Node, sign: float, out: list):
-    if isinstance(node, expr.Add):
+    if isinstance(node, expr.BinOp) and node.op in ("+", "-"):
         _flatten_sum(node.left, sign, out)
-        _flatten_sum(node.right, sign, out)
-    elif isinstance(node, expr.Sub):
-        _flatten_sum(node.left, sign, out)
-        _flatten_sum(node.right, -sign, out)
+        _flatten_sum(node.right, -sign if node.op == "-" else sign, out)
     elif isinstance(node, expr.Neg):
         _flatten_sum(node.arg, -sign, out)
     else:
@@ -169,16 +171,18 @@ def _affine(node: Node) -> Optional[tuple[float, dict[str, float]]]:
         if a is None:
             return None
         return -a[0], {k: -v for k, v in a[1].items()}
-    if isinstance(node, (expr.Add, expr.Sub)):
+    if not isinstance(node, expr.BinOp):
+        return None
+    if node.op in ("+", "-"):
         la, ra = _affine(node.left), _affine(node.right)
         if la is None or ra is None:
             return None
-        s = -1.0 if isinstance(node, expr.Sub) else 1.0
+        s = -1.0 if node.op == "-" else 1.0
         coeffs = dict(la[1])
         for k, v in ra[1].items():
             coeffs[k] = coeffs.get(k, 0.0) + s * v
         return la[0] + s * ra[0], coeffs
-    if isinstance(node, expr.Mul):
+    if node.op == "*":
         for const_side, other in ((node.left, node.right), (node.right, node.left)):
             if not expr.free_vars(const_side):
                 c = expr.eval_expr(const_side, {})
@@ -187,21 +191,17 @@ def _affine(node: Node) -> Optional[tuple[float, dict[str, float]]]:
                     return None
                 return c * a[0], {k: c * v for k, v in a[1].items()}
         return None
-    if isinstance(node, expr.Div):
-        if expr.free_vars(node.right):
-            return None
-        c = expr.eval_expr(node.right, {})
-        if c == 0.0:
-            raise DomainError("division by zero", node)
-        a = _affine(node.left)
-        if a is None:
-            return None
-        return a[0] / c, {k: v / c for k, v in a[1].items()}
-    if isinstance(node, expr.Pow):
-        if not expr.free_vars(node.exponent) and expr.eval_expr(node.exponent, {}) == 1.0:
-            return _affine(node.base)
+    if expr.free_vars(node.right):  # a divisor or an exponent with a variable
         return None
-    return None
+    c = expr.eval_expr(node.right, {})
+    if node.op == "^":
+        return _affine(node.left) if c == 1.0 else None
+    if c == 0.0:
+        raise DomainError("division by zero", node)
+    a = _affine(node.left)
+    if a is None:
+        return None
+    return a[0] / c, {k: v / c for k, v in a[1].items()}
 
 
 def _term_fn(nodes: list[Node], names: tuple[str, ...]):
@@ -235,6 +235,11 @@ def _decompose(text: str, var_index: dict[str, int]):
             continue
         support = frozenset(var_index[name] for name in expr.free_vars(node))
         nonlinear.append((support, node if sign > 0 else expr.Neg(node)))
+    if not math.isfinite(constant):
+        raise ValueError("non-finite constant")
+    for name, j in var_index.items():
+        if not math.isfinite(linear.get(j, 0.0)):
+            raise ValueError(f"non-finite coefficient on {name!r}")
 
     # connected components as (variable ids, summand positions): a summand
     # merges every component it shares a variable with

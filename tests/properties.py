@@ -1115,9 +1115,9 @@ def _random_tree(rng: np.random.Generator, names: Sequence[str], depth: int) -> 
     if kind == "pow":
         exponent = (expr.Num(float(rng.choice(_TREE_EXPONENTS))) if rng.random() < 0.7
                     else _random_tree(rng, names, depth - 1))
-        return expr.Pow(sub, exponent)
-    cls = {"add": expr.Add, "sub": expr.Sub, "mul": expr.Mul, "div": expr.Div}[kind]
-    return cls(sub, _random_tree(rng, names, depth - 1))
+        return expr.BinOp("^", sub, exponent)
+    op = {"add": "+", "sub": "-", "mul": "*", "div": "/"}[kind]
+    return expr.BinOp(op, sub, _random_tree(rng, names, depth - 1))
 
 
 def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...],

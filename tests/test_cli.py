@@ -149,6 +149,18 @@ def test_problem_file_domain_error_exits_3(tmp_path, capsys):
     assert "line 7" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("objective, rows, message", [
+    ("1e308*x*10 + y^2 + x*y", "[constraints]\nx + y <= 1\n", "non-finite coefficient on 'x'"),
+    ("1e308*x*10 + y^2 + x*y", "", "non-finite coefficient on 'x'"),
+    ("1e308 + 1e308 + x^2 + y^2", "", "non-finite constant"),
+])
+def test_non_finite_affine_objective_exits_3(tmp_path, capsys, objective, rows, message):
+    bad = tmp_path / "big.prob"
+    bad.write_text(f"[variables]\nx 0 1\ny 0 1\n[objective]\nmin {objective}\n{rows}")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    assert capsys.readouterr().err == f"error: {bad}: line 5: objective: {message}\n"
+
+
 def test_term_failing_at_a_grid_vertex_exits_3(tmp_path, capsys):
     bad = tmp_path / "sqrt.prob"
     bad.write_text("[variables]\nx -1 1\n[objective]\nmin sqrt(x) + x^2\n")

@@ -5,8 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sppa import expr
-from sppa.expr import (Add, Call, DomainError, Mul, Neg, Num, ParseError, Pow,
-                       Sub, Var, eval_expr, free_vars, parse_expr, to_text)
+from sppa.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Var, eval_expr,
+                       free_vars, parse_expr, to_text)
 
 from properties import check_array_evaluator, check_parser
 
@@ -14,8 +14,8 @@ from properties import check_array_evaluator, check_parser
 def test_parse_basic_shape():
     ast = parse_expr("x^2 + 100*(y - x^2)^2", var_names=["x", "y"])
     assert free_vars(ast) == {"x", "y"}
-    assert isinstance(ast, Add)
-    assert isinstance(ast.right, Mul)
+    assert isinstance(ast, BinOp) and ast.op == "+"
+    assert isinstance(ast.right, BinOp) and ast.right.op == "*"
 
 
 def test_unbalanced_paren_position():
@@ -26,15 +26,15 @@ def test_unbalanced_paren_position():
 
 def test_unary_minus_binds_looser_than_power():
     ast = parse_expr("-x^2", var_names=["x"])
-    assert ast == Neg(Pow(Var("x"), Num(2.0)))
+    assert ast == Neg(BinOp("^", Var("x"), Num(2.0)))
     # but tighter than multiplication
     ast = parse_expr("-x*y", var_names=["x", "y"])
-    assert ast == Mul(Neg(Var("x")), Var("y"))
+    assert ast == BinOp("*", Neg(Var("x")), Var("y"))
 
 
 def test_power_right_associative():
     ast = parse_expr("2^3^2", var_names=[])
-    assert ast == Pow(Num(2.0), Pow(Num(3.0), Num(2.0)))
+    assert ast == BinOp("^", Num(2.0), BinOp("^", Num(3.0), Num(2.0)))
     assert eval_expr(ast, {}) == 512.0
 
 
@@ -93,6 +93,23 @@ def test_domain_error_names_subexpression():
     assert "sqrt" in str(exc.value)
 
 
+def test_non_finite_result_names_subexpression():
+    ast = parse_expr("1 + x*y", var_names=["x", "y"])
+    with pytest.raises(DomainError) as exc:
+        eval_expr(ast, {"x": 1e200, "y": 1e200})
+    assert str(exc.value) == f"non-finite result in '{to_text(ast)}'" == (
+        "non-finite result in '1.0 + x*y'")
+
+
+def test_unassigned_variable_names_subexpression():
+    ast = parse_expr("x + sin(y)", var_names=["x", "y"])
+    with pytest.raises(DomainError) as exc:
+        eval_expr(ast, {"x": 1.0})
+    assert exc.value.subexpr == Var("y")
+    assert str(exc.value) == f"unassigned variable 'y' in '{to_text(Var('y'))}'" == (
+        "unassigned variable 'y' in 'y'")
+
+
 _leaf = st.one_of(
     st.floats(0.0, 9.0).map(lambda v: Num(round(v, 3))),
     st.sampled_from([Var("x"), Var("y")]),
@@ -101,11 +118,11 @@ _leaf = st.one_of(
 
 def _tree(children):
     return st.one_of(
-        st.tuples(children, children).map(lambda t: Add(*t)),
-        st.tuples(children, children).map(lambda t: Sub(*t)),
-        st.tuples(children, children).map(lambda t: Mul(*t)),
+        st.tuples(children, children).map(lambda t: BinOp("+", *t)),
+        st.tuples(children, children).map(lambda t: BinOp("-", *t)),
+        st.tuples(children, children).map(lambda t: BinOp("*", *t)),
         children.map(Neg),
-        st.tuples(children, st.sampled_from([Num(2.0), Num(3.0)])).map(lambda t: Pow(*t)),
+        st.tuples(children, st.sampled_from([Num(2.0), Num(3.0)])).map(lambda t: BinOp("^", *t)),
         st.tuples(st.sampled_from(expr.FUNCTIONS[:3]), children).map(lambda t: Call(*t)),
     )
 

@@ -370,3 +370,23 @@ def test_set_branching_keeps_constrained_b_trees_small():
 def test_warm_root_property_suite():
     print(check_warm_root())
 
+
+def test_blands_rule_keeps_the_oracle(monkeypatch):
+    # at a stall limit of 0, Bland's rule engages after the first pivot that
+    # does not raise the dual objective; every instance must still match
+    # enumeration, and a changed pivot count shows that the rule ran
+    pivots = []
+    plain = milp.solve_milp
+
+    def counting(*args, **kwargs):
+        res = plain(*args, **kwargs)
+        pivots.append(res.iterations)
+        return res
+
+    monkeypatch.setattr(milp, "solve_milp", counting)
+    check_milp_oracle()
+    default, pivots[:] = list(pivots), []
+    monkeypatch.setattr(milp, "_STALL_LIMIT", 0)
+    print(check_milp_oracle())
+    assert len(pivots) == len(default)
+    assert pivots != default  # the rule ran: some pivot sequence changed

@@ -81,6 +81,42 @@ def test_affine_parts_go_linear():
     assert [t.var_ids for t in spec.nonlinear_terms] == [(0,)]
 
 
+@pytest.mark.parametrize("text, constant, linear, at_3", [
+    ("2*(x - 3*y)", 0.0, {0: 2.0, 1: -6.0}, []),      # * over a constant, then -
+    ("-(x + 1)/4", -0.25, {0: -0.25}, []),             # affine /, of a negation
+    ("(y + 1)^1", 1.0, {1: 1.0}, []),                  # ^1 keeps its base affine
+    ("-(x - 2*y) + 3", 3.0, {0: -1.0, 1: 2.0}, []),    # a negated sum is flattened
+    ("x^2/2", 0.0, {}, [4.5]),                         # / of a nonlinear numerator
+    ("-x^2", 0.0, {}, [-9.0]),                         # a negated nonlinear summand
+])
+def test_decomposition_constants_and_coefficients(text, constant, linear, at_3):
+    spec = from_expressions([("x", Interval(-4, 4), False), ("y", Interval(-4, 4), False)], text)
+    assert spec.objective_constant == constant
+    assert spec.linear_objective == linear
+    assert [t.var_ids for t in spec.nonlinear_terms] == [(0,)] * len(at_3)
+    assert [t.fn(np.array([3.0])) for t in spec.nonlinear_terms] == at_3
+
+
+def test_non_finite_affine_parts_rejected(tmp_path):
+    variables = [("x", Interval(0, 1), False), ("y", Interval(0, 1), False)]
+    for text, message in (("1e308*x*10 + y^2 + x*y", "non-finite coefficient on 'x'"),
+                          ("1e308*x - 1e308*x*10 + y^2", "non-finite coefficient on 'x'"),
+                          ("1e308 + 1e308 + x^2 + y^2", "non-finite constant")):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            from_expressions(variables, text)
+        path = tmp_path / "big.prob"
+        path.write_text(f"[variables]\nx 0 1\ny 0 1\n[objective]\nmin {text}\n"
+                        "[constraints]\nx + y <= 1\n")
+        with pytest.raises(ProblemFormatError) as exc:
+            load_problem(str(path))
+        assert str(exc.value) == f"line 5: objective: {message}"
+    for objective, constant in (({0: math.inf}, 0.0), ({0: 1.0}, math.nan)):
+        with pytest.raises(ValueError, match="must be finite"):
+            ProblemSpec(variables, objective, constant, [], [])
+    with pytest.raises(ValueError, match="objective references unknown variable 2"):
+        ProblemSpec(variables, {2: 1.0}, 0.0, [], [])  # before, run() raised IndexError
+
+
 def test_constraint_terms_target_rows():
     spec = from_expressions(
         [("x", Interval(-1, 1), False), ("y", Interval(-1, 1), False)],
@@ -242,6 +278,30 @@ def test_load_problem_structure_errors(tmp_path):
     p.write_text("[variables]\nx 1 0\n[objective]\nmin x\n")
     with pytest.raises(ProblemFormatError):
         load_problem(str(p))  # inverted bounds
+
+
+@pytest.mark.parametrize("text, line, message", [
+    ("# a model\n\nx 0 1\n[variables]\n", 3, "content before the first section header"),
+    ("[variables]\nx 0\n", 2, "expected: name lo hi [integer]"),
+    ("[variables]\nx 0 1\ny 0 1 integer 2\n", 3, "expected: name lo hi [integer]"),
+    ("[variables]\nx 0 1 real\n", 2, "unexpected token 'real'"),
+    ("[variables]\nx 0 1\n[objective]\nmin\n[constraints]\nx <= 1\n", 6, "no objective"),
+])
+def test_load_problem_format_error_lines(tmp_path, text, line, message):
+    path = tmp_path / "bad.prob"
+    path.write_text(text)
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == f"line {line}: {message}"
+
+
+def test_bare_sense_line_takes_the_next_line(tmp_path):
+    path = tmp_path / "toy.prob"
+    path.write_text("[variables]\nx -1 2\ny 0 1\n[objective]\nmax\n  x^2 - y\n")
+    spec = load_problem(str(path))
+    assert spec.sense == "max"
+    assert spec.linear_objective == {1: -1.0}
+    assert spec.objective_value([2.0, 1.0]) == 3.0
 
 
 def test_integer_bounds_round_inward(tmp_path):
