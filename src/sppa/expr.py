@@ -1,8 +1,9 @@
 """Infix expression parser and evaluator for objectives and constraints.
 
-Grammar (highest binding first): ``^`` (right associative), unary minus,
-``*`` ``/``, then ``+`` ``-``.  ``name(arg)`` calls one of sin, cos, exp,
-sqrt, abs.  The identifiers ``pi`` and ``e`` are folded to constants
+Grammar: one precedence table, ``_BINARY``, read by the parser and by
+``to_text``; highest binding first, ``^`` (right associative), unary minus,
+``*`` ``/``, then ``+`` ``-`` (left associative).  ``name(arg)`` calls one
+of sin, cos, exp, sqrt, abs.  The identifiers ``pi`` and ``e`` are folded to constants
 unless shadowed by a declared variable.
 ``compile_sum`` evaluates a sum of trees on many points at once, bit for
 bit as ``eval_expr`` on each.
@@ -87,26 +88,31 @@ class DomainError(ArithmeticError):
 
 
 _TOKEN_RE = re.compile(
-    r"(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
+    r"\s*(?:(?P<num>\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?)"
     r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[()+\-*/^]))"
+    r"|(?P<op>[()+\-*/^])"
+    r"|(?P<bad>\S))"
 )
 
 
 def _tokenize(text: str) -> list[tuple[str, str, int]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        if text[pos].isspace():
-            pos += 1
-            continue
-        m = _TOKEN_RE.match(text, pos)
-        if m is None or m.lastgroup is None:
-            raise ParseError(f"unexpected character {text[pos]!r}", pos)
-        tokens.append((m.lastgroup, m.group(m.lastgroup), m.start(m.lastgroup)))
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
+        kind = m.lastgroup
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group(kind)!r}", m.start(kind))
+        tokens.append((kind, m.group(kind), m.start(kind)))
     tokens.append(("end", "", len(text)))
     return tokens
+
+
+# binding levels: 1 for + -, 2 for * /, 3 for unary minus, 4 for ^, 5 for an
+# atom; each operator's level, the lowest levels its left and right operands
+# take without parentheses, and its printed form.  The parser and to_text
+# both read this table.
+_BINARY = {"+": (1, 1, 2, " + "), "-": (1, 1, 2, " - "), "*": (2, 2, 3, "*"), "/": (2, 2, 3, "/"),
+           "^": (4, 5, 3, "^")}
+_LEVEL_NEG, _LEVEL_ATOM = 3, 5
 
 
 class _Parser:
@@ -132,46 +138,25 @@ class _Parser:
         self.take()
 
     def parse(self) -> Node:
-        node = self.expr()
+        node = self.expr(1)
         kind, val, pos = self.peek()
         if kind != "end":
             raise ParseError(f"unexpected token {val!r}", pos)
         return node
 
-    def expr(self) -> Node:
-        node = self.term()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = BinOp(val, node, self.term())
-            else:
-                return node
-
-    def term(self) -> Node:
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self) -> Node:
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
+    def expr(self, min_level: int) -> Node:
+        """Precedence climbing: the left operand, then every ``_BINARY``
+        operator of level ``min_level`` or above, each with its right
+        operand parsed at the operator's right level."""
+        if self.peek()[1] == "-":  # only an operator token holds a symbol
             self.take()
-            return Neg(self.unary())
-        return self.power()
-
-    def power(self) -> Node:
-        base = self.atom()
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "^":
-            self.take()
-            return BinOp("^", base, self.unary())  # right associative, allows 2^-3
-        return base
+            node = Neg(self.expr(_LEVEL_NEG))
+        else:
+            node = self.atom()
+        while self.peek()[1] in _BINARY and _BINARY[self.peek()[1]][0] >= min_level:
+            op = self.take()[1]
+            node = BinOp(op, node, self.expr(_BINARY[op][2]))
+        return node
 
     def atom(self) -> Node:
         kind, val, pos = self.take()
@@ -183,7 +168,7 @@ class _Parser:
                 if val not in FUNCTIONS:
                     raise ParseError(f"unknown function {val!r}", pos)
                 self.take()
-                arg = self.expr()
+                arg = self.expr(1)
                 self.expect_op(")")
                 return Call(val, arg)
             if val in self.known:
@@ -192,7 +177,7 @@ class _Parser:
                 return Num(CONSTANTS[val])
             raise ParseError(f"unknown identifier {val!r}", pos)
         if kind == "op" and val == "(":
-            node = self.expr()
+            node = self.expr(1)
             self.expect_op(")")
             return node
         raise ParseError(f"expected a value, got {val!r}" if val else "unexpected end of input", pos)
@@ -312,14 +297,6 @@ def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callabl
     namespace = dict(_ARRAY_OPS, **consts)
     exec(compile(source, "<compile_sum>", "exec"), namespace)
     return namespace["rows"]
-
-
-# binding levels: 1 for + -, 2 for * /, 3 for unary minus, 4 for ^, 5 for an
-# atom; each operator's level, the lowest levels its left and right operands
-# print at without parentheses, and its printed form
-_BINARY = {"+": (1, 1, 2, " + "), "-": (1, 1, 2, " - "), "*": (2, 2, 3, "*"), "/": (2, 2, 3, "/"),
-           "^": (4, 5, 3, "^")}
-_LEVEL_NEG, _LEVEL_ATOM = 3, 5
 
 
 def _level(ast: Node) -> int:

@@ -388,12 +388,13 @@ def load_problem(path: str) -> ProblemSpec:
     """Read a problem file.
 
     Sections: ``[variables]`` (name lo hi [integer]), ``[objective]``
-    (optional min/max prefix, then an expression, which may span lines) and
-    ``[constraints]`` (one ``expr <= rhs`` per line, rhs a constant
+    (one optional min/max word before the expression, which may span lines)
+    and ``[constraints]`` (one ``expr <= rhs`` per line, rhs a constant
     expression); any other section is an error.  ``#`` starts a comment.
     Each expression is parsed once, and the terms are grouped as in
     ``from_expressions``.  An error names its line (an objective error with
-    no position, such as a domain error, the objective's first line).
+    no position, such as a domain error, the objective's first line; an
+    empty section its header).
     """
     with open(path) as fh:
         raw = fh.readlines()
@@ -402,8 +403,9 @@ def load_problem(path: str) -> ProblemSpec:
     variables: list[tuple[str, Interval, bool]] = []
     seen: set[str] = set()
     objective_parts: list[tuple[str, int]] = []
-    sense = "min"
+    sense: Optional[str] = None
     constraints: list[tuple[str, int]] = []
+    headers: dict[str, int] = {}  # each section's first header line
 
     for lineno, rawline in enumerate(raw, start=1):
         line = rawline.split("#", 1)[0].strip()
@@ -413,6 +415,7 @@ def load_problem(path: str) -> ProblemSpec:
             section = line[1:-1].strip().lower()
             if section not in ("variables", "objective", "constraints"):
                 raise ProblemFormatError(f"unknown section [{section}]", lineno)
+            headers.setdefault(section, lineno)
             continue
         if section is None:
             raise ProblemFormatError("content before the first section header", lineno)
@@ -437,8 +440,9 @@ def load_problem(path: str) -> ProblemSpec:
                 raise ProblemFormatError(str(exc), lineno) from None
             variables.append((name, iv, integer))
         elif section == "objective":
-            words = line.split(None, 1)
-            if words and words[0].lower() in ("min", "max", "minimize", "maximize"):
+            words = line.split(None, 1)  # a sense word only before the expression
+            if sense is None and not objective_parts and words[0].lower() in (
+                    "min", "max", "minimize", "maximize"):
                 sense = "min" if words[0].lower().startswith("min") else "max"
                 line = words[1] if len(words) > 1 else ""
                 if not line:
@@ -447,10 +451,11 @@ def load_problem(path: str) -> ProblemSpec:
         elif section == "constraints":
             constraints.append((line, lineno))
 
+    last = max(len(raw), 1)  # an empty section names its header, a missing one this
     if not variables:
-        raise ProblemFormatError("no variables declared", len(raw))
+        raise ProblemFormatError("no variables declared", headers.get("variables", last))
     if not objective_parts:
-        raise ProblemFormatError("no objective", len(raw))
+        raise ProblemFormatError("no objective", headers.get("objective", last))
 
     # decompose each expression inside its own line's try, so that a parse,
     # domain or coefficient error names the line it comes from
@@ -476,5 +481,5 @@ def load_problem(path: str) -> ProblemSpec:
             rows.append(_row(_decompose(lhs, var_index), sn, rhs))
         except (ValueError, DomainError) as exc:
             raise ProblemFormatError(f"constraint: {exc}", lineno) from exc
-    return _assemble(variables, objective, rows, sense,
+    return _assemble(variables, objective, rows, sense or "min",
                      os.path.splitext(os.path.basename(path))[0])

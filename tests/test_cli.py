@@ -141,6 +141,15 @@ def test_problem_file_parse_error_exits_3(tmp_path, capsys):
     assert "line 4" in err and "position" in err
 
 
+def test_later_sense_word_is_expression_text_and_exits_3(tmp_path, capsys):
+    # a second sense word must not flip the first: "min" here is no variable
+    bad = tmp_path / "sense.prob"
+    bad.write_text("[variables]\nx -1 1\ny -1 1\n[objective]\nmax x^2 +\nmin y^2\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    assert capsys.readouterr().err == (
+        f"error: {bad}: line 6: objective: unknown identifier 'min' at position 0\n")
+
+
 def test_problem_file_domain_error_exits_3(tmp_path, capsys):
     bad = tmp_path / "div.prob"
     bad.write_text("[variables]\nx 0 1\ny 0 1\n[objective]\nmin x^2\n"

@@ -68,6 +68,7 @@ def test_constants_fold():
     assert eval_expr(parse_expr("e", var_names=[]), {}) == pytest.approx(math.e)
     # a declared variable shadows the constant
     assert parse_expr("e", var_names=["e"]) == Var("e")
+    assert parse_expr("pi*e", var_names=["pi"]) == BinOp("*", Var("pi"), Num(math.e))
 
 
 def test_eval_examples():
@@ -110,6 +111,55 @@ def test_unassigned_variable_names_subexpression():
         "unassigned variable 'y' in 'y'")
 
 
+a, b, c = map(Var, "abc")
+
+# each string with its exact tree, or its ParseError (message, position)
+_GOLDEN = [
+    ("a-b-c", BinOp("-", BinOp("-", a, b), c)),
+    ("a/b/c", BinOp("/", BinOp("/", a, b), c)),
+    ("a-b*c", BinOp("-", a, BinOp("*", b, c))),
+    ("a*b^c", BinOp("*", a, BinOp("^", b, c))),
+    ("a^b^c", BinOp("^", a, BinOp("^", b, c))),
+    ("a^-b^c", BinOp("^", a, Neg(BinOp("^", b, c)))),
+    ("a^b*c", BinOp("*", BinOp("^", a, b), c)),
+    ("-a^b", Neg(BinOp("^", a, b))),
+    ("-a*b", BinOp("*", Neg(a), b)),
+    ("a*-b", BinOp("*", a, Neg(b))),
+    ("--a", Neg(Neg(a))),
+    ("(a+b)*c", BinOp("*", BinOp("+", a, b), c)),
+    ("sin(-a)^2", BinOp("^", Call("sin", Neg(a)), Num(2.0))),
+    ("2^-3", BinOp("^", Num(2.0), Neg(Num(3.0)))),
+    ("1.5e3 + .5", BinOp("+", Num(1500.0), Num(0.5))),
+    ("a\t+\n b\n", BinOp("+", a, b)),
+    ("pi*e", BinOp("*", Num(math.pi), Num(math.e))),
+    ("", ("empty expression", 0)),
+    ("   ", ("empty expression", 0)),
+    ("\t\n", ("empty expression", 0)),
+    ("a + ?", ("unexpected character '?'", 4)),
+    ("a + b   ?", ("unexpected character '?'", 8)),
+    ("a..b", ("unexpected character '.'", 1)),
+    ("a + d", ("unknown identifier 'd'", 4)),
+    ("tan(a)", ("unknown function 'tan'", 0)),
+    ("sin a", ("unknown identifier 'sin'", 0)),
+    ("(a + b", ("expected ')'", 6)),
+    ("sin(a", ("expected ')'", 5)),
+    ("a + *", ("expected a value, got '*'", 4)),
+    ("a +", ("unexpected end of input", 3)),
+    ("a b", ("unexpected token 'b'", 2)),
+    ("a )", ("unexpected token ')'", 2)),
+]
+
+
+@pytest.mark.parametrize("text, want", _GOLDEN)
+def test_parser_golden_table(text, want):
+    if isinstance(want, tuple):
+        with pytest.raises(ParseError) as exc:
+            parse_expr(text, var_names=["a", "b", "c"])
+        assert (exc.value.message, exc.value.position) == want
+    else:
+        assert parse_expr(text, var_names=["a", "b", "c"]) == want
+
+
 _leaf = st.one_of(
     st.floats(0.0, 9.0).map(lambda v: Num(round(v, 3))),
     st.sampled_from([Var("x"), Var("y")]),
@@ -118,12 +168,9 @@ _leaf = st.one_of(
 
 def _tree(children):
     return st.one_of(
-        st.tuples(children, children).map(lambda t: BinOp("+", *t)),
-        st.tuples(children, children).map(lambda t: BinOp("-", *t)),
-        st.tuples(children, children).map(lambda t: BinOp("*", *t)),
+        st.tuples(st.sampled_from("+-*/^"), children, children).map(lambda t: BinOp(*t)),
         children.map(Neg),
-        st.tuples(children, st.sampled_from([Num(2.0), Num(3.0)])).map(lambda t: BinOp("^", *t)),
-        st.tuples(st.sampled_from(expr.FUNCTIONS[:3]), children).map(lambda t: Call(*t)),
+        st.tuples(st.sampled_from(expr.FUNCTIONS), children).map(lambda t: Call(*t)),
     )
 
 

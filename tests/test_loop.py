@@ -11,7 +11,7 @@ from sppa import loop, milp
 from sppa.loop import SppaConfig, build_iteration_model, contract_bounds, run
 from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, load_problem)
-from sppa.pwl import Interval
+from sppa.pwl import Interval, axis_breakpoints
 
 from properties import check_best_point, check_sppa_invariants, check_vertex_optimum
 
@@ -271,6 +271,54 @@ def test_far_from_zero_window_ends_by_width(pieces, with_y):
         assert widths[-1] == widths[-2]
         assert result.trace[-1].bounds["y"].width <= 1e-8 / 0.5
         assert result.best_point[1] == pytest.approx(0.0, abs=1e-7)
+
+
+_NARROW_SHAPES = [
+    lambda v, a: float(np.sum(np.sin(a * v))),
+    lambda v, a: float(np.prod(np.cos(a * v))),
+    lambda v, a: float(np.sum(a * v) ** 2),
+    lambda v, a: float(np.sum(np.sin(1e3 * a * v) * v)),
+]
+
+
+def _narrow_window_spec(rng):
+    """1-3 variables on windows 1e-6 to 1e-2 wide, centred up to +-1e6, a
+    term of all of them in the objective and a 1-D term in a ``<=`` row
+    whose right side lies between its smallest and largest vertex value."""
+    d, pieces = int(rng.integers(1, 4)), int(rng.integers(2, 5))
+    centre = rng.uniform(-1e6, 1e6, size=d)
+    half = 0.5 * 10.0 ** rng.uniform(-6.0, -2.0, size=d)
+    variables = [(f"x{k}", Interval(centre[k] - half[k], centre[k] + half[k]), False)
+                 for k in range(d)]
+    f, g = (_NARROW_SHAPES[i] for i in rng.integers(0, len(_NARROW_SHAPES), size=2))
+    a, r = rng.uniform(0.5, 2.0, size=d), int(rng.integers(0, d))
+    row_values = [g(np.array([b]), a[r]) for b in axis_breakpoints(variables[r][1], pieces)]
+    rows = [milp.LinearConstraint({}, "<=", 0.5 * (min(row_values) + max(row_values)))]
+    terms = [NonlinearTerm(tuple(range(d)), lambda v: f(v, a)),
+             NonlinearTerm((r,), lambda v: g(v, a[r]), row=0)]
+    sense = "max" if rng.random() < 0.5 else "min"
+    return ProblemSpec(variables, {}, 0.0, rows, terms, sense=sense), pieces
+
+
+def test_surrogate_stays_within_vertex_values_on_narrow_windows():
+    # far from zero a window's coordinates carry few significant digits, and
+    # the linking rows window-sized coefficients; still every lattice set of
+    # the solved model is a convex combination of its term's vertex values
+    rng = np.random.default_rng(97531)
+    for _ in range(150):
+        spec, pieces = _narrow_window_spec(rng)
+        bounds = spec.bounds()
+        lp = build_iteration_model(spec, bounds, pieces).lp
+        res = milp.solve_milp(lp)
+        assert res.status == "optimal", res.status
+        assert len(lp.lattice_sets) == len(spec.nonlinear_terms)
+        for term, (ids, index) in zip(spec.nonlinear_terms, lp.lattice_sets):
+            values = loop._prepare_term(spec, term, bounds, pieces)[3][tuple(index.T)]
+            w = res.x[ids]
+            tol = milp.ROW_TOL * (1.0 + np.max(np.abs(values)))
+            assert abs(w.sum() - 1.0) <= 2.0 * milp.ROW_TOL, w.sum()
+            assert values.min() - tol <= w @ values <= values.max() + tol, (
+                w @ values, values.min(), values.max())
 
 
 def _parabola_spec(x_min: float = 0.5):

@@ -390,3 +390,31 @@ def test_blands_rule_keeps_the_oracle(monkeypatch):
     print(check_milp_oracle())
     assert len(pivots) == len(default)
     assert pivots != default  # the rule ran: some pivot sequence changed
+
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "absolute tolerances: the row and objective coefficients are 2.54e12 and "
+    "differ by 76, the linking rows' 8.7e5 and differ by 1.3e-5, so every "
+    "basis leaves a bound violation above _FEAS_TOL = 1e-7 and the dual "
+    "simplex pivots to its iteration limit (20 250 pivots)"))
+def test_narrow_window_lp_with_large_row_values_solves():
+    # one variable on a window 2.6e-8 wide at 8.7e5, two lambda terms of
+    # (1.8233*x)^2 on 2 pieces, one maximized, one in a <= row through its
+    # middle vertex.  It solves in 5 pivots with 2543811173259.6714 taken off
+    # every vertex value and the rhs, and in 8 with the linking rows written
+    # relative to the window's lower end (z = lo + t)
+    lo, mid, hi = 874732.6734556529, 874732.6734687921, 874732.6734819313
+    f = [2543811173183.2515, 2543811173259.6714, 2543811173336.0923]
+    p = LpProblem()
+    x = p.add_var(lo, hi)
+    sets = []
+    for _ in range(2):
+        ids = [p.add_var(0.0, 1.0) for _ in range(3)]
+        p.add_row({**dict(zip(ids, [lo, mid, hi])), x: -1.0}, milp.EQ, 0.0)
+        p.add_lattice_set(ids, (3,))
+        sets.append(ids)
+    p.add_row(dict(zip(sets[1], f)), "<=", 2543811173259.672)
+    p.set_objective(dict(zip(sets[0], f)), sense="max")
+    res = solve_milp(p)
+    assert res.status == "optimal", (res.status, res.iterations)

@@ -1,4 +1,5 @@
 import math
+import pathlib
 import textwrap
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 
 from properties import check_separable_interpolant
 from sppa import expr
+from sppa.loop import SppaConfig, run
 from sppa.problems import (ProblemFormatError, ProblemSpec, NonlinearTerm,
                            builtin, builtin_info, builtin_names,
                            from_expressions, load_problem)
@@ -285,7 +287,18 @@ def test_load_problem_structure_errors(tmp_path):
     ("[variables]\nx 0\n", 2, "expected: name lo hi [integer]"),
     ("[variables]\nx 0 1\ny 0 1 integer 2\n", 3, "expected: name lo hi [integer]"),
     ("[variables]\nx 0 1 real\n", 2, "unexpected token 'real'"),
-    ("[variables]\nx 0 1\n[objective]\nmin\n[constraints]\nx <= 1\n", 6, "no objective"),
+    # an empty section names its header, a missing one the file's last line
+    ("[variables]\nx 0 1\n[objective]\nmin\n[constraints]\nx <= 1\n", 3, "no objective"),
+    ("[variables]\n[objective]\nmin x\n", 1, "no variables declared"),
+    ("[variables]\nx 0 1\n\n", 3, "no objective"),
+    ("[objective]\nmin x\n", 2, "no variables declared"),
+    ("", 1, "no variables declared"),
+    ("# nothing\n", 1, "no variables declared"),
+    # a sense word is read once, before the expression; a later one is text
+    ("[variables]\nx -1 1\ny -1 1\n[objective]\nmax x^2 +\nmin y^2\n", 6,
+     "objective: unknown identifier 'min' at position 0"),
+    ("[variables]\nx 0 1\n[objective]\nmax\nmin x\n", 5,
+     "objective: unknown identifier 'min' at position 0"),
 ])
 def test_load_problem_format_error_lines(tmp_path, text, line, message):
     path = tmp_path / "bad.prob"
@@ -302,6 +315,17 @@ def test_bare_sense_line_takes_the_next_line(tmp_path):
     assert spec.sense == "max"
     assert spec.linear_objective == {1: -1.0}
     assert spec.objective_value([2.0, 1.0]) == 3.0
+
+
+def test_readme_problem_file_example_solves(tmp_path):
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    path = tmp_path / "readme.prob"
+    path.write_text(readme.split("## Problem files", 1)[1].split("```")[1])
+    spec = load_problem(str(path))
+    assert [name for name, _, _ in spec.variables] == ["x", "n"]
+    result = run(spec, SppaConfig())
+    assert result.termination == "stall"
+    assert result.best_objective == 0.0 and result.best_point.tolist() == [0.5, 0.0]
 
 
 def test_integer_bounds_round_inward(tmp_path):
