@@ -5,11 +5,14 @@ Eight runs, one ``OUTDIR/<case>.json`` each: the four builtins at their
 registry settings, eggholder at 20/4, and the problem files of
 ``bench/problems`` (``constrained_a`` at 3/3, ``constrained_b`` at 2/2 and
 ``numerical`` at 3/3).  Run it in two checkouts and compare the two
-directories with ``diff -r``: identical output means the same runs, timings
-aside.
+directories: identical output means the same runs, timings aside.
+``--against DIR`` makes the comparison: each trace written is compared
+byte for byte with ``DIR/<case>.json``, the cases that differ (or that
+either side lacks) are printed, and the exit status is 1 on any
+difference.
 
 Usage, from the root of a checkout:
-    PYTHONPATH=src python3 scripts/strip_traces.py OUTDIR
+    PYTHONPATH=src python3 scripts/strip_traces.py OUTDIR [--against DIR]
 """
 
 import argparse
@@ -46,17 +49,30 @@ def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", help="directory for the stripped traces")
+    ap.add_argument("--against", metavar="DIR",
+                    help="compare each trace with DIR/<case>.json; exit 1 on any difference")
     args = ap.parse_args(argv)
 
     out = pathlib.Path(args.outdir)
     out.mkdir(parents=True, exist_ok=True)
     worst = 0
+    differ = []
     for name, flags in _cases().items():
         path = out / f"{name}.json"
         path.unlink(missing_ok=True)  # a failed run leaves no stale trace
         worst = max(worst, cli_main(["solve", *flags, "--out", str(path)]))
         if path.exists():
             path.write_text(json.dumps(strip(json.loads(path.read_text())), indent=1) + "\n")
+        if args.against is not None:
+            other = pathlib.Path(args.against) / path.name
+            if not (path.exists() and other.exists()
+                    and path.read_bytes() == other.read_bytes()):
+                differ.append(name)
+    if args.against is not None:
+        print(f"differ from {args.against}: {', '.join(differ)}" if differ
+              else f"all {len(_cases())} traces identical to {args.against}")
+        if differ:
+            return max(worst, 1)
     return worst
 
 

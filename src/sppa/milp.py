@@ -31,6 +31,7 @@ inputs (only the ``deadline`` of ``solve_milp`` consults the clock).
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 import time
@@ -61,8 +62,10 @@ _REL_GAP = 1e-6  # relative optimality gap that ends the search
 _PIVOT_TOL = 1e-9
 _STALL_LIMIT = 200  # consecutive non-improving pivots before Bland's rule kicks in
 
-# variable status codes
+# variable status codes, and by status the sign of a column's move away
+# from its bound (0: a basic column is no ratio-test candidate)
 _NB_LOWER, _NB_UPPER, _BASIC = 0, 1, 2
+_SIGN = np.array([1.0, -1.0, 0.0])
 
 
 @dataclass
@@ -260,10 +263,13 @@ class _Basis:
 
 @dataclass
 class _Start:
-    """A basis and its nonbasic bound statuses."""
+    """A basis and its nonbasic bound statuses; a solve's optimal start also
+    carries the basis's reduced costs ``d`` and primal values ``x``."""
 
     basis: np.ndarray
     vstat: np.ndarray
+    d: Optional[np.ndarray] = None
+    x: Optional[np.ndarray] = None
 
 
 @dataclass
@@ -285,16 +291,19 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     favours; a column whose reduced cost is within tolerance of zero keeps
     its bound.  Every basis, the start's and each one a pivot reaches, is
     factorized afresh, and its reduced costs and primal values are
-    recomputed from the bound statuses.  A singular basis sends the solve
-    back to the slack basis once; a second one ends it with status
-    'numerical'.  Each pivot removes the basic variable with the largest
-    bound violation.  The ratio test passes every breakpoint the dual
-    objective still rises through, flipping those columns to their other
-    bound, and enters the column at the next one (largest |alpha| on ties,
-    then the lowest index).  The objective of every basis visited is a
-    lower bound on the optimum, so the solve stops with status 'cutoff'
-    once it reaches ``cutoff``.  ``iterations`` counts basis changes and
-    ``factorizations`` the bases factorized.
+    recomputed from the bound statuses; a start that carries its vectors (a
+    parent's optimal start on this canonical form) keeps its reduced costs,
+    and its basic values when no nonbasic value changes a bit.  A singular
+    basis sends the solve back to the slack basis once; a second one ends it
+    with status 'numerical'.  Each pivot removes the basic variable with the
+    largest bound violation.  The ratio test passes every breakpoint the
+    dual objective still rises through, flipping those columns to their
+    other bound, and enters the column at the next one (largest |alpha| on
+    ties, then the lowest index).  The objective of every basis visited is a
+    lower bound on the optimum, so the solve stops with status 'cutoff' once
+    it reaches ``cutoff``.  ``iterations`` counts basis changes and
+    ``factorizations`` the bases the solve visits, the start's included even
+    when it reuses its vectors and makes no LU solve.
     """
     m, n = canon.m, canon.nstruct
     iters = n_factor = 0
@@ -317,7 +326,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         vstat[basis] = _BASIC
         return basis, vstat
 
-    basis, vstat = slack_start() if start is None else (start.basis.copy(), start.vstat.copy())
+    basis, vstat = slack_start() if start is None else (start.basis.copy(), start.vstat)
+    parent = start if start is not None and start.d is not None else None
     iter_limit = 20_000 + 50 * m
     bland = False
     stall = 0
@@ -327,17 +337,21 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     while True:
         # factorize, recompute the reduced costs, move each nonbasic column
         # whose reduced cost has the wrong sign to its other bound, and
-        # recompute the primal values
+        # recompute the primal values (see above for a parent's start)
         n_factor += 1
+        inherited, parent = parent, None
         try:
             factors = _Basis(canon, basis)
-            d = c - factors.btran(c[basis]) @ A
-            d[basis] = 0.0
-            vstat[(vstat == _NB_LOWER) & movable & (d < -dtol)] = _NB_UPPER
-            vstat[(vstat == _NB_UPPER) & movable & (d > dtol)] = _NB_LOWER
+            d = c - factors.btran(c[basis]) @ A if inherited is None else inherited.d
+            d[basis] = 0.0  # already 0 in an inherited d
+            # a basic column has d = 0, so only nonbasic columns move
+            vstat = np.where(movable & (np.abs(d) > dtol), d < 0.0, vstat)
             x = np.where(vstat == _NB_UPPER, u, l)
-            x[basis] = 0.0
-            x[basis] = factors.ftran(canon.b - A @ x)
+            if inherited is not None:
+                x[basis] = inherited.x[basis]
+            if inherited is None or x.tobytes() != inherited.x.tobytes():
+                x[basis] = 0.0
+                x[basis] = factors.ftran(canon.b - A @ x)
         except np.linalg.LinAlgError:  # a singular basis: start again from the slack basis, once
             if from_slack:
                 return stop("numerical")
@@ -365,16 +379,17 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 
         xb = x[basis]
         viol = np.maximum(l[basis] - xb, xb - u[basis])
-        infeasible_rows = np.flatnonzero(viol > _FEAS_TOL)
-        if not infeasible_rows.size:
-            return _SxResult("optimal", x, obj, _Start(basis, vstat), iters, n_factor)
+        infeasible = viol > _FEAS_TOL
+        if not infeasible.any():
+            return _SxResult("optimal", x, obj, _Start(basis, vstat, d, x), iters, n_factor)
 
         # pricing: the basic variable with the largest bound violation
         # (Bland: the one with the lowest column index)
         if bland:
-            r = int(infeasible_rows[np.argmin(basis[infeasible_rows])])
+            rows = np.flatnonzero(infeasible)
+            r = int(rows[basis[rows].argmin()])
         else:
-            r = int(np.argmax(viol))
+            r = int(viol.argmax())
         p = int(basis[r])
         s = 1.0 if xb[r] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
         e = np.zeros(m)
@@ -383,33 +398,31 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 
         # bound-flipping ratio test over the columns whose reduced cost moves
         # towards zero as the dual step t grows
-        sa = s * alpha
-        at_lower = vstat == _NB_LOWER
-        cand = np.flatnonzero(movable & ((at_lower & (sa > _PIVOT_TOL))
-                                         | ((vstat == _NB_UPPER) & (sa < -_PIVOT_TOL))))
+        sign = np.where(movable, _SIGN[vstat], 0.0)
+        cand = (sign * (s * alpha) > _PIVOT_TOL).nonzero()[0]
         a = np.abs(alpha[cand])
-        dual_slack = np.where(at_lower[cand], d[cand], -d[cand])
-        ratio = np.maximum(dual_slack, 0.0) / a
+        ratio = np.maximum(sign[cand] * d[cand], 0.0) / a
+        # pass the breakpoints one group of equal ratios at a time, in
+        # increasing order, ties in index order
+        order = ratio.argsort(kind="stable")
+        ratios = ratio[order].tolist()
         slope = float(viol[r])  # the dual objective's rate of increase in t
-        open_ = np.ones(cand.size, dtype=bool)
-        flipped = []
-        k = -1
-        while open_.any():
-            group = np.flatnonzero(open_ & (ratio <= ratio[open_].min()))
-            slope -= float(a[group] @ range_[cand[group]])
+        passed, q = 0, -1
+        while passed < len(ratios):
+            end = bisect.bisect_right(ratios, ratios[passed])
+            group = order[passed:end]
+            a_group = a[group]
+            slope -= float(a_group @ range_[cand[group]])
             if slope <= _FEAS_TOL:  # x_p reaches its bound inside this group
-                k = int(group[np.argmin(cand[group])] if bland else group[np.argmax(a[group])])
+                q = int(cand[group[0] if bland else group[a_group.argmax()]])
                 break
-            flipped.append(group)
-            open_[group] = False
+            passed = end
 
-        if k < 0:  # the dual rises without bound: the primal is infeasible
+        if q < 0:  # the dual rises without bound: the primal is infeasible
             return stop("infeasible")
-        if flipped:
-            fl = cand[np.concatenate(flipped)]
-            vstat[fl] = np.where(at_lower[fl], _NB_UPPER, _NB_LOWER)
+        if passed:  # the columns passed flip between their bounds
+            vstat[cand[order[:passed]]] ^= 1
         vstat[p] = _NB_UPPER if s > 0.0 else _NB_LOWER
-        q = int(cand[k])
         vstat[q] = _BASIC
         basis[r] = q
         iters += 1
@@ -423,12 +436,27 @@ def _rows_hold(rows: list[LinearConstraint], x: np.ndarray) -> bool:
     return all(row.violation(x) <= ROW_TOL * (1.0 + abs(row.rhs)) for row in rows)
 
 
-def _fractional(x: np.ndarray, int_idx: np.ndarray) -> np.ndarray:
-    vals = x[int_idx]
-    return int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
+class _Lattice:
+    """The lattice sets' members and integer keys, built once per solve: row
+    p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
+    from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j), each
+    block zero-padded for a set of fewer dimensions.  Set k holds the rows
+    ``edges[k]`` to ``edges[k + 1]``."""
+
+    def __init__(self, lattice_sets: list):
+        self.ids = np.concatenate([ids for ids, _ in lattice_sets])
+        self.edges = np.cumsum([0] + [len(ids) for ids, _ in lattice_sets]).tolist()
+        self.starts = np.array(self.edges[:-1])
+        dims = self.n_axes = max(index.shape[1] for _, index in lattice_sets)
+        self.keys = np.zeros((self.ids.size, dims * (dims + 1) // 2), dtype=np.intp)
+        for (_, index), start in zip(lattice_sets, self.edges):
+            i, j = np.triu_indices(index.shape[1], 1)
+            rows = self.keys[start:start + len(index)]
+            rows[:, :index.shape[1]] = index
+            rows[:, dims:dims + i.size] = index[:, i] - index[:, j]
 
 
-def _balanced_cut(lattice_sets: list, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
+def _balanced_cut(lattice: _Lattice, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
     """The ids each child sets to 0 when branching on a lattice set, or None
     when every set's support lies in one Kuhn simplex.
 
@@ -445,32 +473,40 @@ def _balanced_cut(lattice_sets: list, x: np.ndarray) -> Optional[tuple[np.ndarra
     every weight with key below it; a simplex spans at most 1 in the key,
     so each one survives in a child, and each child drops support weight.
     """
-    chosen, top = None, math.inf
-    for ids, index in lattice_sets:
-        v = x[ids]
-        on = v > _INT_TOL
-        pairs = [(i, j) for i in range(index.shape[1]) for j in range(i + 1, index.shape[1])]
-        diagonals = index[:, [i for i, _ in pairs]] - index[:, [j for _, j in pairs]]
-        for keys in (index, diagonals):
-            span = keys[on].max(axis=0) - keys[on].min(axis=0)
-            if span.max(initial=0) >= 2:
-                if v.max() < top:
-                    chosen, top = (ids, keys[:, span == span.max()], v, on), float(v.max())
-                break
-    if chosen is None:
+    v = x[lattice.ids]
+    on = v > _INT_TOL
+    keys, n = lattice.keys, lattice.n_axes
+    # every set's span in every key over its support, in one pass
+    far = np.iinfo(np.intp).max // 4  # an empty support spans below 0
+    lo = np.minimum.reduceat(np.where(on[:, None], keys, far), lattice.starts)
+    span = np.maximum.reduceat(np.where(on[:, None], keys, -far), lattice.starts) - lo
+    axial = span[:, :n].max(axis=1) >= 2
+    invalid = np.flatnonzero(axial | (span[:, n:].max(axis=1, initial=0) >= 2))
+    if not invalid.size:
         return None
-    ids, keys, v, on = chosen
+    k = int(invalid[np.argmin(np.maximum.reduceat(v, lattice.starts)[invalid])])
+    cols = slice(0, n) if axial[k] else slice(n, None)
+    family = span[k, cols]
+    seg = slice(lattice.edges[k], lattice.edges[k + 1])
+    ids, v, on = lattice.ids[seg], v[seg], on[seg]
     best = None
-    for key in keys.T:
-        lo = int(key[on].min())
-        total = np.cumsum(np.bincount(key[on] - lo, weights=v[on]))
+    for col in (cols.start + np.flatnonzero(family == family.max())).tolist():
+        key = keys[seg, col]
+        total = np.cumsum(np.bincount(key[on] - lo[k, col], weights=v[on]))
         # the support weight with key below and above s, for s = lo+1 .. max-1
         imbalance = np.abs(total[:-2] - (total[-1] - total[1:-1]))
         t = int(np.argmin(imbalance))
         if best is None or imbalance[t] < best[0]:
-            best = (imbalance[t], key, lo + 1 + t)
+            best = (imbalance[t], key, int(lo[k, col]) + 1 + t)
     _, key, s = best
     return ids[key > s], ids[key < s]
+
+
+def _tightened(bounds: np.ndarray, idx, value: float) -> np.ndarray:
+    """A copy of ``bounds`` with ``bounds[idx] = value``: a child's bounds."""
+    bounds = bounds.copy()
+    bounds[idx] = value
+    return bounds
 
 
 def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
@@ -509,28 +545,21 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             return math.inf
         return max(0.0, inc - bnd) / max(1.0, abs(inc))
 
-    # heap entries: (bound, -depth, seq, l_over, u_over, start), both children
-    # sharing their parent's start; best bound first, deeper node on ties,
-    # insertion order last (seq is unique, so dicts/arrays never get compared)
+    # heap entries: (bound, -depth, seq, l, u, start), both children sharing
+    # their parent's start; best bound first, deeper node on ties, insertion
+    # order last (seq is unique, so arrays never get compared)
+    lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
     seq = 0
-    heap: list = [] if canon.infeasible else [(-math.inf, 0, seq, {}, {}, start)]
+    heap: list = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, start)]
     while heap:
-        peek_bound = heap[0][0]
-        if incumbent_x is not None and gap_of(incumbent_obj, peek_bound) <= _REL_GAP:
+        if incumbent_x is not None and gap_of(incumbent_obj, heap[0][0]) <= _REL_GAP:
             break
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
             break
-        _, negdepth, _, l_over, u_over, start = node = heapq.heappop(heap)
+        _, negdepth, _, l, u, start = node = heapq.heappop(heap)
 
         nodes += 1
-        l = canon.l.copy()
-        u = canon.u.copy()
-        for j, v in l_over.items():
-            l[j] = max(l[j], v)
-        for j, v in u_over.items():
-            u[j] = min(u[j], v)
-
         # a node whose bound cannot improve the incumbent by the gap is pruned
         cutoff = (math.inf if incumbent_x is None
                   else incumbent_obj - _REL_GAP * max(1.0, abs(incumbent_obj)))
@@ -551,8 +580,9 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             outcomes["cutoff"] += 1
             continue
 
-        split = _balanced_cut(problem.lattice_sets, res.x)
-        frac = _fractional(res.x, int_idx)
+        split = None if lattice is None else _balanced_cut(lattice, res.x)
+        vals = res.x[int_idx]
+        frac = int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
         if split is None and not frac.size:
             outcomes["integral"] += 1
             x = res.x.copy()  # integral within _INT_TOL: report the integers
@@ -564,15 +594,13 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             continue
         if split is not None:
             outcomes["set_branched"] += 1
-            children = [(l_over, {**u_over, **dict.fromkeys(side.tolist(), 0.0)})
-                        for side in split]
+            children = [(l, _tightened(u, side, 0.0)) for side in split]
         else:  # the most fractional integer, ties by lowest id
             outcomes["var_branched"] += 1
             fr = res.x[frac] - np.floor(res.x[frac])
             j = int(frac[np.argmin(np.abs(fr - 0.5))])
             xj = float(res.x[j])
-            children = [(l_over, {**u_over, j: math.floor(xj)}),
-                        ({**l_over, j: math.ceil(xj)}, u_over)]
+            children = [(l, _tightened(u, j, math.floor(xj))), (_tightened(l, j, math.ceil(xj)), u)]
         for child_l, child_u in children:
             seq += 1
             heapq.heappush(heap, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
@@ -586,6 +614,8 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         status = "infeasible" if incumbent_x is None else "optimal"
     if incumbent_x is not None and not _rows_hold(problem.rows, incumbent_x):
         status = "numerical"
+    if root_start is not None:  # for another model: the basis and statuses, not the vectors
+        root_start = _Start(root_start.basis, root_start.vstat)
     return MilpResult(status, incumbent_x,
                       None if incumbent_x is None else canon.user_objective(incumbent_obj),
                       canon.user_objective(best_bound) if math.isfinite(best_bound) else None,

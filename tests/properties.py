@@ -317,7 +317,37 @@ def _simplex_members(index: np.ndarray) -> list[np.ndarray]:
     return [np.array([pos[v] for v in vertex_path(sid)]) for sid in enumerate_simplices(grid)]
 
 
-def check_lattice_branch(n_cases: int = 400) -> str:
+def _per_set_cut(lattice_sets: list, x: np.ndarray):
+    """The lattice split as ``milp._balanced_cut`` made it set by set, its
+    keys rebuilt at every call: the reference for the one-pass cut."""
+    chosen, top = None, math.inf
+    for ids, index in lattice_sets:
+        v = x[ids]
+        on = v > milp._INT_TOL
+        pairs = [(i, j) for i in range(index.shape[1]) for j in range(i + 1, index.shape[1])]
+        diagonals = index[:, [i for i, _ in pairs]] - index[:, [j for _, j in pairs]]
+        for keys in (index, diagonals):
+            span = keys[on].max(axis=0) - keys[on].min(axis=0)
+            if span.max(initial=0) >= 2:
+                if v.max() < top:
+                    chosen, top = (ids, keys[:, span == span.max()], v, on), float(v.max())
+                break
+    if chosen is None:
+        return None
+    ids, keys, v, on = chosen
+    best = None
+    for key in keys.T:
+        lo = int(key[on].min())
+        total = np.cumsum(np.bincount(key[on] - lo, weights=v[on]))
+        imbalance = np.abs(total[:-2] - (total[-1] - total[1:-1]))
+        t = int(np.argmin(imbalance))
+        if best is None or imbalance[t] < best[0]:
+            best = (imbalance[t], key, lo + 1 + t)
+    _, key, s = best
+    return ids[key > s], ids[key < s]
+
+
+def check_lattice_branch(n_cases: int = 400, n_multi: int = 300) -> str:
     """``milp._balanced_cut`` against the geometric reference on random
     weights over the vertices of 1-3-D grids of 1-4 pieces per axis: it
     returns None exactly when the weights above ``_INT_TOL`` lie on one
@@ -348,7 +378,7 @@ def check_lattice_branch(n_cases: int = 400) -> str:
         w[(w == 0.0) & (rng.random(n) < 0.2)] = 0.5 * milp._INT_TOL
         x = np.concatenate([[1.0, 0.0, 0.0], w])
         sets = [(np.arange(3), np.array([[0], [1], [2]])), (3 + np.arange(n), index)]
-        split = milp._balanced_cut(sets, x)
+        split = milp._balanced_cut(milp._Lattice(sets), x)
         on = w > milp._INT_TOL
         valid = any(set(np.flatnonzero(on)) <= set(m.tolist()) for m in members)
         assert (split is None) == valid, (index.tolist(), w.tolist(), split)
@@ -363,7 +393,38 @@ def check_lattice_branch(n_cases: int = 400) -> str:
             assert any(not np.isin(m, side).any() for side in drops), (
                 f"simplex {m.tolist()} cut off by both children {drops}")
     assert n_valid and n_split, (n_valid, n_split)
-    return f"lattice branch keeps every simplex ({n_split} splits, {n_valid} valid supports)"
+
+    n_several = n_tied = 0
+    for _ in range(n_multi):
+        shapes = [rng.integers(1, 5, size=int(rng.integers(1, 4))) + 1
+                  for _ in range(int(rng.integers(2, 6)))]
+        indices = [np.array(list(np.ndindex(*shape)), dtype=np.intp) for shape in shapes]
+        ids = rng.permutation(sum(len(index) for index in indices))
+        x = np.zeros(ids.size)
+        sets, tops = [], []
+        for index in indices:
+            set_ids, ids = ids[:len(index)], ids[len(index):]
+            members = _simplex_members(index)
+            if rng.random() < 0.4:
+                on = members[int(rng.integers(0, len(members)))]
+            else:
+                on = rng.choice(len(index), size=int(rng.integers(2, min(len(index), 6) + 1)),
+                                replace=False)
+            x[set_ids[on]] = rng.choice([0.1, 0.2, 0.25, 0.4, 0.5], size=on.size)
+            sets.append((set_ids, index))
+            if not any(set(on.tolist()) <= set(m.tolist()) for m in members):
+                tops.append(float(x[set_ids].max()))
+        want = _per_set_cut(sets, x)
+        got = milp._balanced_cut(milp._Lattice(sets), x)
+        assert (got is None) == (want is None) == (not tops), (tops, got, want)
+        if want is not None:
+            assert all(np.array_equal(g, w) for g, w in zip(got, want)), (got, want)
+        n_several += len(tops) >= 2
+        n_tied += len(tops) >= 2 and tops.count(min(tops)) >= 2
+    assert n_several and n_tied, (n_several, n_tied)
+    return (f"lattice branch keeps every simplex ({n_split} splits, {n_valid} valid supports); "
+            f"one-pass cut matches the per-set cut ({n_multi} calls, {n_several} with several "
+            f"invalid sets, {n_tied} tied)")
 
 
 def check_lattice_oracle(n_specs: int = 30) -> str:
@@ -516,6 +577,29 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
             f"{set_branched} set-branched nodes)")
 
 
+def _random_boxed_lp(rng: np.random.Generator) -> milp.LpProblem:
+    """2-9 boxed variables and 1-7 rows of every sense, made feasible by a
+    random point of the box; either sense of a random objective."""
+    n = int(rng.integers(2, 10))
+    prob = milp.LpProblem()
+    lo = rng.uniform(-5.0, 2.0, size=n)
+    hi = lo + rng.uniform(0.5, 6.0, size=n)
+    for j in range(n):
+        prob.add_var(float(lo[j]), float(hi[j]))
+    point = rng.uniform(lo, hi)
+    for _ in range(int(rng.integers(1, 8))):
+        coeffs = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7}
+        if not coeffs:
+            continue
+        sense = ("<=", ">=", "=")[int(rng.integers(0, 3))]
+        slack = 0.0 if sense == "=" else abs(float(rng.normal()))
+        activity = sum(c * point[j] for j, c in coeffs.items())
+        prob.add_row(coeffs, sense, activity + slack if sense == "<=" else activity - slack)
+    prob.set_objective({j: float(rng.normal()) for j in range(n)},
+                       sense="max" if rng.random() < 0.5 else "min")
+    return prob
+
+
 def check_warm_child(n_lps: int = 150) -> str:
     """A child LP re-solved warm from its parent's optimal basis matches the
     same LP solved cold from the slack basis, and a cutoff above the
@@ -527,26 +611,10 @@ def check_warm_child(n_lps: int = 150) -> str:
     branch and bound does; some tightenings leave the child infeasible.
     """
     rng = np.random.default_rng(4242)
-    senses = ("<=", ">=", "=")
     n_children = n_infeasible = n_warm_pivots = n_cold_pivots = 0
     for _ in range(n_lps):
-        n = int(rng.integers(2, 10))
-        prob = milp.LpProblem()
-        lo = rng.uniform(-5.0, 2.0, size=n)
-        hi = lo + rng.uniform(0.5, 6.0, size=n)
-        for j in range(n):
-            prob.add_var(float(lo[j]), float(hi[j]))
-        point = rng.uniform(lo, hi)
-        for _ in range(int(rng.integers(1, 8))):
-            coeffs = {j: float(rng.normal()) for j in range(n) if rng.random() < 0.7}
-            if not coeffs:
-                continue
-            sense = senses[int(rng.integers(0, 3))]
-            slack = 0.0 if sense == "=" else abs(float(rng.normal()))
-            activity = sum(c * point[j] for j, c in coeffs.items())
-            prob.add_row(coeffs, sense, activity + slack if sense == "<=" else activity - slack)
-        prob.set_objective({j: float(rng.normal()) for j in range(n)},
-                           sense="max" if rng.random() < 0.5 else "min")
+        prob = _random_boxed_lp(rng)
+        n = prob.n_vars
         canon = milp._Canon(prob)
         parent = milp._simplex(canon, canon.l, canon.u)
         assert parent.status == "optimal", parent.status
@@ -582,6 +650,30 @@ def check_warm_child(n_lps: int = 150) -> str:
             f"infeasible; {n_warm_pivots} warm vs {n_cold_pivots} cold pivots)")
 
 
+def _concave_term_model(rng: np.random.Generator) -> milp.LpProblem:
+    """One lambda-encoded term of 1 or 2 variables on a grid of 3-5 pieces
+    per axis, of a random concave quadratic whose LP relaxation spreads the
+    weights over several simplices, plus a random linear equality on the
+    term variables through a point of the box; the term is minimised."""
+    dims = int(rng.integers(1, 3))
+    lo = rng.uniform(-2.0, 0.0, size=dims)
+    hi = lo + rng.uniform(1.0, 3.0, size=dims)
+    grid = pwl.Grid([np.linspace(lo[k], hi[k], int(rng.integers(3, 6)) + 1)
+                     for k in range(dims)])
+    Q = rng.normal(size=(dims, dims))
+    Q = -(Q @ Q.T) - 0.5 * np.eye(dims)  # concave: the relaxation mixes simplices
+    b = rng.normal(size=dims)
+    prob = milp.LpProblem()
+    z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
+    value = encode_term(prob, grid, z, pwl.vertex_values(
+        grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
+    a = rng.normal(size=dims)
+    point = rng.uniform(lo, hi)
+    prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
+    prob.set_objective(value)
+    return prob
+
+
 def check_set_branch_warm(n_models: int = 30) -> str:
     """A child of a lattice-set split re-solved warm from its parent's
     optimal basis and bound statuses (``_Start``) matches the same LP
@@ -589,37 +681,21 @@ def check_set_branch_warm(n_models: int = 30) -> str:
     within 1e-9 (1 + |objective|).  Every column the split sets to 0 was
     basic or at 0 in the parent.
 
-    Each seeded model is one lambda-encoded term of 1 or 2 variables on a
-    grid of 3-5 pieces per axis, of a random indefinite quadratic whose LP
-    relaxation spreads the weights over several simplices, plus a random
-    linear equality on the term variables through a point of the box.  From the root, the walk descends
-    through up to four splits, into the first child that stays feasible.
+    Each seeded model is a ``_concave_term_model``.  From the root, the
+    walk descends through up to four splits, into the first child that
+    stays feasible.
     """
     rng = np.random.default_rng(1357)
     n_children = n_infeasible = most_zeroed = 0
     for _ in range(n_models):
-        dims = int(rng.integers(1, 3))
-        lo = rng.uniform(-2.0, 0.0, size=dims)
-        hi = lo + rng.uniform(1.0, 3.0, size=dims)
-        grid = pwl.Grid([np.linspace(lo[k], hi[k], int(rng.integers(3, 6)) + 1)
-                         for k in range(dims)])
-        Q = rng.normal(size=(dims, dims))
-        Q = -(Q @ Q.T) - 0.5 * np.eye(dims)  # concave: the relaxation mixes simplices
-        b = rng.normal(size=dims)
-        prob = milp.LpProblem()
-        z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
-        value = encode_term(prob, grid, z, pwl.vertex_values(
-            grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
-        a = rng.normal(size=dims)
-        point = rng.uniform(lo, hi)
-        prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
-        prob.set_objective(value)
+        prob = _concave_term_model(rng)
         canon = milp._Canon(prob)
         l, u = canon.l, canon.u.copy()
         parent = milp._simplex(canon, l, u)
         assert parent.status == "optimal", parent.status
+        lattice = milp._Lattice(prob.lattice_sets)
         for _depth in range(4):
-            split = milp._balanced_cut(prob.lattice_sets, parent.x)
+            split = milp._balanced_cut(lattice, parent.x)
             if split is None:
                 break
             descend = None
@@ -648,6 +724,110 @@ def check_set_branch_warm(n_models: int = 30) -> str:
     assert n_children >= 2 * n_models and most_zeroed >= 10, (n_children, most_zeroed)
     return (f"set-branch children warm match cold ({n_children} children, {n_infeasible} "
             f"infeasible, up to {most_zeroed} weights zeroed at once)")
+
+
+def _counting_solves(run: Callable[[], milp._SxResult]) -> tuple[milp._SxResult, int, int]:
+    """``run()``, and the ftran and the btran calls it made."""
+    counts = [0, 0]
+    ftran, btran = milp._Basis.ftran, milp._Basis.btran
+
+    def counted(k, fn):
+        def solve(self, v):
+            counts[k] += 1
+            return fn(self, v)
+        return solve
+
+    milp._Basis.ftran, milp._Basis.btran = counted(0, ftran), counted(1, btran)
+    try:
+        return run(), counts[0], counts[1]
+    finally:
+        milp._Basis.ftran, milp._Basis.btran = ftran, btran
+
+
+def _same_child(canon: milp._Canon, l: np.ndarray, u: np.ndarray,
+                start: milp._Start) -> tuple[milp._SxResult, bool]:
+    """The child solved from ``start``, and whether it reused the start's
+    primal values; asserts that it ends bit for bit as the child solved
+    from ``start``'s basis and bound statuses alone."""
+    full, full_ftran, full_btran = _counting_solves(lambda: milp._simplex(canon, l, u, start))
+    bare, bare_ftran, bare_btran = _counting_solves(
+        lambda: milp._simplex(canon, l, u, milp._Start(start.basis, start.vstat)))
+    assert (full.status, full.iterations, full.factorizations, full.objective) == (
+        bare.status, bare.iterations, bare.factorizations, bare.objective), (full, bare)
+    assert (full.x is None and bare.x is None) or full.x.tobytes() == bare.x.tobytes(), (
+        full.x, bare.x)
+    assert bare_btran - full_btran == 1, (full_btran, bare_btran)  # the reduced costs
+    assert bare_ftran - full_ftran in (0, 1), (full_ftran, bare_ftran)  # the primal values
+    return full, bare_ftran > full_ftran
+
+
+def check_child_reuse(n_lps: int = 150, n_models: int = 30) -> str:
+    """A child solved from its parent's full optimal start, which carries
+    the basis's reduced costs and primal values, ends exactly as the same
+    child solved from the basis and bound statuses alone: same status,
+    pivots, bases and objective, and ``x`` equal bit for bit.  The full
+    start saves the btran of the reduced costs on every child, and the
+    ftran of the primal values exactly when no nonbasic value moved.
+
+    The parents are ``check_warm_child``'s random LPs and
+    ``check_set_branch_warm``'s lattice models.  An LP parent has one child
+    that tightens a basic structural's bound past its value, which moves no
+    nonbasic value, and one that tightens the bound a nonbasic structural
+    sits at, which moves it.  A lattice model descends through up to three
+    splits, both children of each solved from the full start.  Both the
+    reuse and the recomputation of the primal values must occur.
+    """
+    rng = np.random.default_rng(8642)
+    n_children = n_reused = n_moved = 0
+    for _ in range(n_lps):
+        prob = _random_boxed_lp(rng)
+        canon = milp._Canon(prob)
+        parent = milp._simplex(canon, canon.l, canon.u)
+        assert parent.status == "optimal", parent.status
+        n = prob.n_vars
+        vstat = parent.start.vstat[:n]
+        for status in (milp._BASIC, milp._NB_UPPER, milp._NB_LOWER):
+            movable = np.flatnonzero((vstat == status) & (canon.u[:n] > canon.l[:n]))
+            if not movable.size:
+                continue
+            j = int(movable[int(rng.integers(0, movable.size))])
+            l, u = canon.l.copy(), canon.u.copy()
+            t = float(rng.uniform(0.1, 0.9))
+            if status == milp._NB_UPPER or (status == milp._BASIC and rng.random() < 0.5):
+                u[j] = l[j] + t * (parent.x[j] - l[j])
+            else:
+                l[j] = u[j] - t * (u[j] - parent.x[j])
+            _, reused = _same_child(canon, l, u, parent.start)
+            assert reused == (status == milp._BASIC), (status, reused)
+            n_children += 1
+            n_reused += reused
+            n_moved += not reused
+    for _ in range(n_models):
+        prob = _concave_term_model(rng)
+        canon = milp._Canon(prob)
+        lattice = milp._Lattice(prob.lattice_sets)
+        u = canon.u
+        parent = milp._simplex(canon, canon.l, u)
+        for _depth in range(3):
+            split = milp._balanced_cut(lattice, parent.x)
+            if split is None:
+                break
+            descend = None
+            for side in split:
+                child_u = u.copy()
+                child_u[side] = 0.0
+                child, reused = _same_child(canon, canon.l, child_u, parent.start)
+                n_children += 1
+                n_reused += reused
+                n_moved += not reused
+                if descend is None and child.status == "optimal":
+                    descend = (child_u, child)
+            if descend is None:
+                break
+            u, parent = descend
+    assert n_reused and n_moved, (n_reused, n_moved)
+    return (f"children reuse their parent's solved state ({n_children} children, "
+            f"{n_reused} reused the primal values, {n_moved} recomputed them)")
 
 
 def check_warm_root(n_pairs: int = 80) -> str:
@@ -1246,6 +1426,7 @@ ALL_CHECKS = (
     check_milp_oracle,
     check_warm_child,
     check_set_branch_warm,
+    check_child_reuse,
     check_warm_root,
     check_sppa_invariants,
     check_vertex_optimum,

@@ -424,9 +424,11 @@ def test_config_validation():
 
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
 # at the grid vertices, so no pivots), the parabola model of
-# test_nonlinear_constraint_term (its rows keep it on the MILP path) and
+# test_nonlinear_constraint_term (its rows keep it on the MILP path),
 # bench/problems/constrained_b.prob at 2/2 (a 3-D term whose lattice set
-# branches, under a nonlinear and a linear row), and a 3-D term with y fixed
+# branches, under a nonlinear and a linear row), bench/problems/
+# constrained_a.prob at 3/3 (an integer variable and 2-D terms: the MILP
+# case with the most branch-and-bound nodes), and a 3-D term with y fixed
 # on each path (_PARTIAL_FIXED: the term is called on points that hold y
 # at its value).  They check that a change meant to leave the arithmetic
 # alone really does: a deliberate change of trajectory must update these
@@ -446,6 +448,8 @@ _PARTIAL_FIXED = {
     pytest.param("constrained_b", (2, 2), "stall", 21, -1.2007940880172072,
                  [1.1777141169071161, 0.9780276971627405, 1.0753842487314866], 134,
                  id="constrained_b"),
+    pytest.param("constrained_a", (3, 3), "stall", 19, -0.17805012210678173,
+                 [1.5089855194091804, -0.5089855194091802, 1.0], 660, id="constrained_a"),
     pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
                  id="partial_fixed_vertex"),
     pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999850988388,
@@ -461,6 +465,9 @@ def test_pinned_trajectory(name, pieces, termination, iterations, best_objective
             "(x - 1.2)^2 + (y - 0.8)^2 + (z - 1)^2 - x*y*z",
             constraints=[("x^2 + y^2 + z^2", "<=", 3.5), ("x + 2*y - z", ">=", 1.0)])
         config = SppaConfig(*pieces)
+    elif name == "constrained_a":
+        problems = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
+        spec, config = load_problem(str(problems / "constrained_a.prob")), SppaConfig(*pieces)
     elif name in _PARTIAL_FIXED:
         text, rows = _PARTIAL_FIXED[name]
         variables = [("x", Interval(-1.0, 2.0), False), ("y", Interval(0.5, 0.5), False),

@@ -11,8 +11,8 @@ from sppa.milp import LpProblem, solve_milp
 from sppa.problems import from_expressions
 from sppa.pwl import Interval
 
-from properties import (check_lattice_branch, check_milp_oracle, check_set_branch_warm,
-                        check_warm_child, check_warm_root)
+from properties import (check_child_reuse, check_lattice_branch, check_milp_oracle,
+                        check_set_branch_warm, check_warm_child, check_warm_root)
 
 
 def knapsack(values, weights, cap):
@@ -319,6 +319,10 @@ def test_warm_child_property_suite():
 
 def test_set_branch_warm_property_suite():
     print(check_set_branch_warm())
+
+
+def test_child_reuse_property_suite():
+    print(check_child_reuse())
 
 
 def test_lattice_set_declaration_adds_its_row():
