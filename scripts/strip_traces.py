@@ -7,8 +7,9 @@ registry settings, eggholder at 20/4, and the problem files of
 ``numerical`` at 3/3).  Run it in two checkouts and compare the two
 directories: identical output means the same runs, timings aside.
 ``--against DIR`` makes the comparison: each trace written is compared
-byte for byte with ``DIR/<case>.json``, the cases that differ (or that
-either side lacks) are printed, and the exit status is 1 on any
+byte for byte with ``DIR/<case>.json``, the cases that differ are printed,
+each with where the two runs split (the first iteration and key that
+differ, or the side that has no trace), and the exit status is 1 on any
 difference.
 
 Usage, from the root of a checkout:
@@ -45,6 +46,30 @@ def strip(doc):
     return [strip(v) for v in doc] if isinstance(doc, list) else doc
 
 
+def split(ours: pathlib.Path, theirs: pathlib.Path) -> str:
+    """Where the stripped trace ``ours`` first differs from ``theirs``: the
+    first iteration and key in row order, then the first other key, or the
+    side that has no trace."""
+    if not ours.exists() or not theirs.exists():
+        return f"no trace in {(theirs if ours.exists() else ours).parent}"
+    a, b = json.loads(ours.read_text()), json.loads(theirs.read_text())
+
+    def first_key(x: dict, y: dict, skip=()):
+        return next((key for key in dict.fromkeys([*x, *y]) if key not in skip
+                     and json.dumps(x.get(key)) != json.dumps(y.get(key))), None)
+
+    rows_a, rows_b = a.get("rows", []), b.get("rows", [])
+    for i, (row_a, row_b) in enumerate(zip(rows_a, rows_b)):
+        key = first_key(row_a, row_b)
+        if key is not None:
+            return f"iteration {row_a.get('iter', i)}, key {key}"
+    if len(rows_a) != len(rows_b):
+        return (f"iteration {min(len(rows_a), len(rows_b))}: only in "
+                f"{(ours if len(rows_a) > len(rows_b) else theirs).parent}")
+    key = first_key(a, b, skip=("rows",))
+    return "the same values, other bytes" if key is None else f"key {key}"
+
+
 def run(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__,
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
@@ -67,10 +92,12 @@ def run(argv=None) -> int:
             other = pathlib.Path(args.against) / path.name
             if not (path.exists() and other.exists()
                     and path.read_bytes() == other.read_bytes()):
-                differ.append(name)
+                differ.append((name, split(path, other)))
     if args.against is not None:
-        print(f"differ from {args.against}: {', '.join(differ)}" if differ
+        print(f"differ from {args.against}: {', '.join(name for name, _ in differ)}" if differ
               else f"all {len(_cases())} traces identical to {args.against}")
+        for name, where in differ:
+            print(f"  {name}: {where}")
         if differ:
             return max(worst, 1)
     return worst

@@ -15,8 +15,9 @@ of its full points, one per grid vertex; the values (or its one value when
 all its variables are fixed) feed the MILP encoding or the vertex solve.
 
 At a fixed piece count every model has the same columns and rows in the
-same order, so each MILP root starts from the previous iteration's optimal
-root basis (``MilpResult.start``), kept only inside one ``run`` call.
+same order, one shape, built once per ``run`` call with its canonical form
+and refilled in place (``build_iteration_model``); each MILP root starts
+from the previous iteration's optimal root basis (``MilpResult.start``).
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from sppa.pwl import Grid, Interval, axis_breakpoints, term_value, vertex_values
 __all__ = [
     "SppaConfig",
     "IterationRecord",
-    "IterationModel",
     "SppaResult",
     "contract_bounds",
     "build_iteration_model",
@@ -119,11 +119,6 @@ def _contract_integer(interval: Interval, value: float, frac: float) -> Interval
     return Interval(math.floor(inner.lo), math.ceil(inner.hi))
 
 
-@dataclass
-class IterationModel:
-    lp: milp.LpProblem
-
-
 def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
                   pieces: int):
     """Evaluate ``term`` for one iteration.
@@ -146,28 +141,39 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
     return active, grid, points, vertex_values(points, term.fn, term.label, term.array_fn)
 
 
-def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> IterationModel:
-    """Assemble the MILP for one iteration.
+def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
+                          models: Optional[dict] = None) -> milp.LpProblem:
+    """The MILP for one iteration.
 
     Linear parts are copied verbatim; every nonlinear term gets its own
     lambda encoding (one weight per grid vertex, ``mcmodel.encode_term``)
     on a fresh grid over the current boxes (``pieces`` segments per
-    involved variable).  Degenerate (fixed)
-    variables are excluded from grids and substituted as constants; a term
-    whose variables are all fixed contributes a constant.
+    involved variable).  Degenerate (fixed) variables are excluded from
+    grids and substituted as constants; a term whose variables are all
+    fixed contributes a constant.  ``models`` maps each shape (each term's
+    active variables and vertex counts) built so far to its model and term
+    blocks; every call fills the model of its shape in place.
     """
-    model = milp.LpProblem()
-    for iv, (_name, _iv, is_int) in zip(bounds, spec.variables):  # columns 0..n-1
-        model.add_var(iv.lo, iv.hi, integer=is_int)
-
-    # each term's weights are fresh columns: its surrogate adds to, never merges
-    objective = dict(spec.linear_objective)
-    rows = [dict(row.coeffs) for row in spec.linear_constraints]
-    row_shift = [0.0] * len(rows)
+    prepared = [_prepare_term(spec, term, bounds, pieces) for term in spec.nonlinear_terms]
+    shape = tuple((tuple(active), np.shape(values)) for active, _, _, values in prepared)
+    models = {} if models is None else models
+    if shape not in models:
+        model = milp.LpProblem()
+        for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
+            model.add_var(0.0, 0.0, integer=is_int)
+        blocks = [None if grid is None else mcmodel.add_term(model, active, values.shape)
+                  for active, grid, _, values in prepared]
+        for row in spec.linear_constraints:  # after every term's rows
+            model.add_row(row.coeffs, row.sense, 0.0)
+        model.set_objective(spec.linear_objective, sense=spec.sense)
+        models[shape] = model, blocks
+    model, blocks = models[shape]
+    model.lb[:spec.n_vars] = [iv.lo for iv in bounds]
+    model.ub[:spec.n_vars] = [iv.hi for iv in bounds]
+    first_row = len(model.senses) - len(spec.linear_constraints)
+    row_shift = [0.0] * len(spec.linear_constraints)
     const_extra = 0.0
-
-    for term in spec.nonlinear_terms:
-        active, grid, _points, values = _prepare_term(spec, term, bounds, pieces)
+    for term, (_, grid, _, values), block in zip(spec.nonlinear_terms, prepared, blocks):
         if grid is None:
             value = term.coef * values
             if term.row is None:
@@ -175,15 +181,11 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
             else:
                 row_shift[term.row] += value
             continue
-
-        surrogate = mcmodel.encode_term(model, grid, active, values)
-        target = objective if term.row is None else rows[term.row]
-        target.update((var, term.coef * coef) for var, coef in surrogate.items())
-
-    for row, coeffs, shift in zip(spec.linear_constraints, rows, row_shift):
-        model.add_row(coeffs, row.sense, row.rhs - shift)
-    model.set_objective(objective, spec.objective_constant + const_extra, spec.sense)
-    return IterationModel(model)
+        mcmodel.encode_term(model, block, grid, term.coef * values,
+                            None if term.row is None else first_row + term.row)
+    model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, row_shift)]
+    model.obj_constant = spec.objective_constant + const_extra
+    return model
 
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
@@ -274,6 +276,7 @@ def run(
     prev_obj = None
     prev_z = None
     start = None  # the previous MILP's optimal root basis
+    models: dict = {}  # each model shape met so far, refilled in place
     termination = "max_iters"
 
     for it in range(config.max_iters):
@@ -285,8 +288,8 @@ def run(
         if vertex_solvable:
             res = _solve_at_vertices(spec, current, pieces)
         else:
-            model = build_iteration_model(spec, current, pieces)
-            res = milp.solve_milp(model.lp, deadline, start)
+            model = build_iteration_model(spec, current, pieces, models)
+            res = milp.solve_milp(model, deadline, start)
             start = res.start
 
         if res.x is None:  # the run ends under the solver's status

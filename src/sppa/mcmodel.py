@@ -9,37 +9,44 @@ restricts the weights above tolerance to one Kuhn simplex by branching
 weights are the point's barycentric coordinates, so the term value
 ``sum(w_v * f(v))`` is the simplicial interpolant; ``tests/properties.py``
 holds the geometric reference and checks the two against each other.  The
-LP relaxation is the convex hull of the graph points.  The term's vertex
-values come from the caller, in one array shaped like the vertex lattice;
-nothing here evaluates a function.
+LP relaxation is the convex hull of the graph points.  ``add_term`` gives a
+term its columns and rows, and ``encode_term`` writes a grid and the term's
+vertex values into them, as often as the grid moves; nothing here
+evaluates a function.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 from sppa import pwl
 from sppa.milp import EQ, LpProblem
 
-__all__ = ["encode_term"]
+__all__ = ["add_term", "encode_term"]
 
 
-def encode_term(model: LpProblem, grid: pwl.Grid, z_ids, values) -> dict[int, float]:
-    """Put one term's weights and rows into ``model`` and return the term
-    value as ``{weight id: vertex value}``.
-
-    ``z_ids`` are the model ids of the shared variables the term reads, in
-    grid-dimension order; ``values`` holds the term's value at every grid
-    vertex, shaped like ``grid.points()`` without its last axis
-    (:func:`pwl.vertex_values`).  Columns come first, one per vertex in
-    row-major order, then the linking rows and the lattice set's row.
-    """
-    z_ids = tuple(z_ids)
-    if len(z_ids) != grid.dims:
+def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
+    """Append one term's weights, one per vertex of a grid of ``shape`` in
+    row-major order, its linking rows over the shared variables ``z_ids``
+    (weight coefficients 0 until ``encode_term``) and its lattice set's row;
+    returns its block, ``(weight columns, linking rows)``."""
+    if len(z_ids) != len(shape):
         raise ValueError("one shared variable per grid dimension required")
-    ids = [model.add_var(0.0, 1.0) for _ in range(values.size)]
-    coords = grid.points().reshape(-1, grid.dims)  # row-major, as the weights
-    for k, z in enumerate(z_ids):
-        model.add_row({**dict(zip(ids, coords[:, k].tolist())), z: -1.0}, EQ, 0.0)
-    model.add_lattice_set(ids, values.shape)
-    return dict(zip(ids, np.ravel(values).tolist()))
+    j = model.add_var(0.0, 1.0, count=math.prod(shape))
+    rows = [model.add_row({z: -1.0}, EQ, 0.0) for z in z_ids]
+    model.add_lattice_set(range(j, model.n_vars), shape)
+    return slice(j, model.n_vars), slice(rows[0], rows[-1] + 1)
+
+
+def encode_term(model: LpProblem, block: tuple[slice, slice], grid: pwl.Grid, values,
+                row=None):
+    """Write ``grid``'s coordinates into a term's linking rows and ``values``,
+    its contribution at each vertex shaped like the vertex lattice, onto its
+    weights, in the objective or in ``row``."""
+    cols, rows = block
+    if not np.isfinite(values).all():
+        raise ValueError("non-finite term value")
+    model.A[rows, cols] = grid.points().reshape(-1, grid.dims).T  # row-major, as the weights
+    (model.c if row is None else model.A[row])[cols] = np.ravel(values)

@@ -66,6 +66,7 @@ _STALL_LIMIT = 200  # consecutive non-improving pivots before Bland's rule kicks
 # from its bound (0: a basic column is no ratio-test candidate)
 _NB_LOWER, _NB_UPPER, _BASIC = 0, 1, 2
 _SIGN = np.array([1.0, -1.0, 0.0])
+_FAR = np.iinfo(np.intp).max // 4  # a lattice key no set reaches: an empty support spans below 0
 
 
 @dataclass
@@ -99,51 +100,63 @@ class LinearConstraint:
 
 
 class LpProblem:
-    """Growable MILP: variables with bounds/integrality, rows, linear objective."""
+    """A MILP as arrays, ``lb <= x <= ub``, ``A x (senses) rhs``, objective ``c x +
+    obj_constant``.  ``add_*`` give it its shape (columns, integers, rows,
+    senses, lattice sets); bounds, coefficients, right-hand sides and the
+    objective may be rewritten in place between solves (see ``solve_milp``)."""
 
     def __init__(self):
-        self.lb: list[float] = []
-        self.ub: list[float] = []
-        self.is_int: list[bool] = []
-        self.rows: list[LinearConstraint] = []
-        self.objective: dict[int, float] = {}
+        self.lb, self.ub, self.c, self.rhs = np.empty(0), np.empty(0), np.empty(0), np.empty(0)
+        self.is_int = np.empty(0, dtype=bool)
+        self.A = np.empty((0, 0))
+        self.senses: list[str] = []
         self.obj_constant = 0.0
         self.sense = "min"
         self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
+        self._canon: Optional[_Canon] = None  # built by solve_milp for this shape
 
     @property
     def n_vars(self) -> int:
-        return len(self.lb)
+        return self.lb.size
 
-    def add_var(self, lo: float, hi: float, *, integer: bool = False) -> int:
+    def add_var(self, lo: float, hi: float, *, integer: bool = False, count: int = 1) -> int:
+        """Append ``count`` columns bounded in [lo, hi]; returns the first one's id."""
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
             raise ValueError(f"variable lower bound {lo} exceeds upper bound {hi}")
-        j = len(self.lb)
-        self.lb.append(float(lo))
-        self.ub.append(float(hi))
-        self.is_int.append(bool(integer))
+        j = self.n_vars
+        self.lb = np.concatenate((self.lb, np.full(count, float(lo))))
+        self.ub = np.concatenate((self.ub, np.full(count, float(hi))))
+        self.is_int = np.concatenate((self.is_int, np.full(count, bool(integer))))
+        self.c = np.concatenate((self.c, np.zeros(count)))
+        self.A = np.concatenate((self.A, np.zeros((len(self.senses), count))), axis=1)
+        self._canon = None
         return j
 
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
-        coeffs = {j: float(c) for j, c in coeffs.items() if c != 0.0}
-        for j in coeffs:
-            if not 0 <= j < self.n_vars:
+        row = LinearConstraint({j: float(c) for j, c in coeffs.items()}, sense, float(rhs))
+        a = np.zeros(n := self.n_vars)
+        for j, c in row.coeffs.items():
+            if not 0 <= j < n:
                 raise ValueError(f"row references unknown variable {j}")
-        self.rows.append(LinearConstraint(coeffs, sense, float(rhs)))
-        return len(self.rows) - 1
+            a[j] = c
+        self.A = np.concatenate((self.A, a[None]))
+        self.senses.append(sense)
+        self.rhs = np.concatenate((self.rhs, (row.rhs,)))
+        self._canon = None
+        return len(self.senses) - 1
 
     def add_lattice_set(self, ids, shape) -> int:
         """Append the row ``sum(x_j for j in ids) = 1`` over variables bounded
         in [0, 1], the vertices of a grid of ``shape`` in row-major order,
         and declare them a lattice set for branching.  Returns the row index."""
         ids = np.asarray(ids, dtype=np.intp)
-        if (ids.ndim != 1 or np.unique(ids).size != ids.size or not shape
+        if (ids.ndim != 1 or len(set(ids.tolist())) != ids.size or not shape
                 or min(shape) < 1 or ids.size != math.prod(shape)):
             raise ValueError("a lattice set needs one distinct id per vertex of its grid")
-        if not all(0 <= j < self.n_vars and self.lb[j] >= 0.0 and self.ub[j] <= 1.0
-                   for j in ids.tolist()):
+        if not (0 <= ids.min() and ids.max() < self.n_vars
+                and (self.lb[ids] >= 0.0).all() and (self.ub[ids] <= 1.0).all()):
             raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
         row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), EQ, 1.0)
         self.lattice_sets.append((ids, np.indices(shape).reshape(len(shape), -1).T))
@@ -160,7 +173,8 @@ class LpProblem:
                 raise ValueError(f"objective references unknown variable {j}")
             if not math.isfinite(c):
                 raise ValueError(f"non-finite objective coefficient on variable {j}")
-        self.objective = {j: float(c) for j, c in coeffs.items() if c != 0.0}
+        self.c[:] = 0.0
+        self.c[list(coeffs)] = list(coeffs.values())
         self.obj_constant = float(constant)
         self.sense = sense
 
@@ -196,47 +210,53 @@ class _Canon:
     Every column is boxed.  Structural bounds are finite by construction,
     and the slack of row i, ``b_i - a_i x``, is bounded by ``b_i`` minus the
     row's activity range over the box; a branch-and-bound child's box lies
-    inside the root's, so these slack bounds hold at every node.
+    inside the root's, so these slack bounds hold at every node.  Built once
+    per shape of its problem, which includes the rows that have a
+    coefficient, and refilled in place from the problem's arrays (``fill``).
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
-        n = problem.n_vars
-        lb = np.array(problem.lb, dtype=float)
-        ub = np.array(problem.ub, dtype=float)
-        # integer bounds rounded inward, so a nonbasic column is never fractional
-        is_int = np.array(problem.is_int, dtype=bool)
-        lb[is_int], ub[is_int] = np.ceil(lb[is_int]), np.floor(ub[is_int])
+        n = self.nstruct = problem.n_vars
+        # coefficient-free rows are dropped, judged at 0 as an incumbent's rows are
+        self.kept = problem.A.any(axis=1)
+        m = self.m = int(self.kept.sum())
+        senses = np.array(problem.senses, dtype=str)
+        self.ge, self.le = senses == GE, senses == LE
+        self.int_idx = np.flatnonzero(problem.is_int)
+        self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
+        self.A = np.hstack([np.zeros((m, n)), np.eye(m)])
+        self.l, self.u, self.c = np.empty(n + m), np.empty(n + m), np.zeros(n + m)
+        self.fill()
 
-        # coefficient-free rows are dropped, judged as an incumbent's rows are
-        rows = [row for row in problem.rows if row.coeffs]
-        self.infeasible = not _rows_hold([r for r in problem.rows if not r.coeffs], np.zeros(n))
-
-        m = len(rows)
-        self.nstruct = n
-        self.m = m
-        b = np.array([row.rhs for row in rows], dtype=float)
-        A = np.zeros((m, n + m))
-        for i, row in enumerate(rows):
-            A[i, list(row.coeffs)] = list(row.coeffs.values())
-        A[:, n:] = np.eye(m)
-        self.A = A
-        self.b = b
-        S = A[:, :n]
+    def fill(self):
+        """Copy the problem's values, integer bounds rounded inward (a nonbasic
+        column is never fractional) and each zero coefficient +0.0 as in a
+        fresh array, then recompute the slack bounds and ``dtol``."""
+        p, n, kept = self.problem, self.nstruct, self.kept
+        self.infeasible = not self.rows_hold(0.0, ~kept)
+        S = self.A[:, :n]
+        np.add(p.A[kept], 0.0, out=S)
+        b = self.b = p.rhs[kept]
+        lb, ub = self.l[:n], self.u[:n]
+        lb[:], ub[:] = p.lb, p.ub
+        idx = self.int_idx
+        lb[idx], ub[idx] = np.ceil(lb[idx]), np.floor(ub[idx])
         pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
         slack_lb = b - (pos @ ub + neg @ lb)
         slack_ub = b - (pos @ lb + neg @ ub)
-        ge = np.array([row.sense == GE for row in rows], dtype=bool)
-        le = np.array([row.sense == LE for row in rows], dtype=bool)
-        slack_lb = np.where(ge, slack_lb, np.maximum(slack_lb, 0.0))  # <= and = rows
-        slack_ub = np.where(le, slack_ub, np.minimum(slack_ub, 0.0))  # >= and = rows
-        self.l = np.concatenate([lb, slack_lb])
-        self.u = np.concatenate([ub, slack_ub])
-        self.sign = 1.0 if problem.sense == "min" else -1.0
-        c = np.zeros(n + m)
-        for j, coef in problem.objective.items():
-            c[j] = self.sign * coef
-        self.c = c
+        self.l[n:] = np.where(self.ge[kept], slack_lb, np.maximum(slack_lb, 0.0))  # <= and = rows
+        self.u[n:] = np.where(self.le[kept], slack_ub, np.minimum(slack_ub, 0.0))  # >= and = rows
+        self.sign = 1.0 if p.sense == "min" else -1.0
+        self.c[:n] = self.sign * p.c + 0.0
+        self.dtol = 1e-9 * (1.0 + (float(np.abs(self.c).max()) if self.c.size else 0.0))
+
+    def rows_hold(self, activity, rows: np.ndarray) -> bool:
+        """Whether the ``rows`` (a mask) hold at ``activity`` within ``ROW_TOL * (1 + |rhs|)``."""
+        rhs = self.problem.rhs[rows]
+        r = activity - rhs
+        viol = np.maximum(np.where(self.ge[rows], 0.0, r), np.where(self.le[rows], 0.0, -r))
+        return bool((viol <= ROW_TOL * (1.0 + np.abs(rhs))).all())
 
     def user_objective(self, internal_value: float) -> float:
         return self.sign * internal_value + self.problem.obj_constant
@@ -311,11 +331,10 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     def stop(status: str) -> _SxResult:
         return _SxResult(status, None, None, None, iters, n_factor)
 
-    if np.any(l > u + _FEAS_TOL):
+    if (l > u + _FEAS_TOL).any():
         return stop("infeasible")
 
-    A, c = canon.A, canon.c
-    dtol = 1e-9 * (1.0 + (float(np.max(np.abs(c))) if c.size else 0.0))
+    A, c, dtol = canon.A, canon.c, canon.dtol
     movable = u > l
     range_ = u - l
 
@@ -386,7 +405,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         # pricing: the basic variable with the largest bound violation
         # (Bland: the one with the lowest column index)
         if bland:
-            rows = np.flatnonzero(infeasible)
+            rows = infeasible.nonzero()[0]
             r = int(rows[basis[rows].argmin()])
         else:
             r = int(viol.argmax())
@@ -432,12 +451,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 # public entry point
 
 
-def _rows_hold(rows: list[LinearConstraint], x: np.ndarray) -> bool:
-    return all(row.violation(x) <= ROW_TOL * (1.0 + abs(row.rhs)) for row in rows)
-
-
 class _Lattice:
-    """The lattice sets' members and integer keys, built once per solve: row
+    """The lattice sets' members and integer keys, built once per shape: row
     p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
     from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j), each
     block zero-padded for a set of fewer dimensions.  Set k holds the rows
@@ -450,7 +465,7 @@ class _Lattice:
         dims = self.n_axes = max(index.shape[1] for _, index in lattice_sets)
         self.keys = np.zeros((self.ids.size, dims * (dims + 1) // 2), dtype=np.intp)
         for (_, index), start in zip(lattice_sets, self.edges):
-            i, j = np.triu_indices(index.shape[1], 1)
+            i, j = np.nonzero(~np.tri(index.shape[1], dtype=bool))  # i < j, as np.triu_indices
             rows = self.keys[start:start + len(index)]
             rows[:, :index.shape[1]] = index
             rows[:, dims:dims + i.size] = index[:, i] - index[:, j]
@@ -477,25 +492,24 @@ def _balanced_cut(lattice: _Lattice, x: np.ndarray) -> Optional[tuple[np.ndarray
     on = v > _INT_TOL
     keys, n = lattice.keys, lattice.n_axes
     # every set's span in every key over its support, in one pass
-    far = np.iinfo(np.intp).max // 4  # an empty support spans below 0
-    lo = np.minimum.reduceat(np.where(on[:, None], keys, far), lattice.starts)
-    span = np.maximum.reduceat(np.where(on[:, None], keys, -far), lattice.starts) - lo
+    lo = np.minimum.reduceat(np.where(on[:, None], keys, _FAR), lattice.starts)
+    span = np.maximum.reduceat(np.where(on[:, None], keys, -_FAR), lattice.starts) - lo
     axial = span[:, :n].max(axis=1) >= 2
-    invalid = np.flatnonzero(axial | (span[:, n:].max(axis=1, initial=0) >= 2))
+    invalid = (axial | (span[:, n:].max(axis=1, initial=0) >= 2)).nonzero()[0]
     if not invalid.size:
         return None
-    k = int(invalid[np.argmin(np.maximum.reduceat(v, lattice.starts)[invalid])])
+    k = int(invalid[np.maximum.reduceat(v, lattice.starts)[invalid].argmin()])
     cols = slice(0, n) if axial[k] else slice(n, None)
     family = span[k, cols]
     seg = slice(lattice.edges[k], lattice.edges[k + 1])
     ids, v, on = lattice.ids[seg], v[seg], on[seg]
     best = None
-    for col in (cols.start + np.flatnonzero(family == family.max())).tolist():
+    for col in (cols.start + (family == family.max()).nonzero()[0]).tolist():
         key = keys[seg, col]
-        total = np.cumsum(np.bincount(key[on] - lo[k, col], weights=v[on]))
+        total = np.bincount(key[on] - lo[k, col], weights=v[on]).cumsum()
         # the support weight with key below and above s, for s = lo+1 .. max-1
         imbalance = np.abs(total[:-2] - (total[-1] - total[1:-1]))
-        t = int(np.argmin(imbalance))
+        t = int(imbalance.argmin())
         if best is None or imbalance[t] < best[0]:
             best = (imbalance[t], key, int(lo[k, col]) + 1 + t)
     _, key, s = best
@@ -523,11 +537,17 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     ``deadline`` passes, the search stops with status 'time_limit' and the
     proven dual bound, plus the best incumbent if it has one (``x`` is None
     otherwise).  A model without integer variables or lattice sets is one
-    simplex solve at the root.
+    simplex solve at the root.  The canonical form and its lattice keys are
+    built once per shape of ``problem`` and refilled at each later solve.
     """
-    canon = _Canon(problem)
+    canon = problem._canon
+    if (canon is None or canon.problem is not problem
+            or not np.array_equal(canon.kept, problem.A.any(axis=1))):
+        canon = problem._canon = _Canon(problem)
+    else:
+        canon.fill()
     n = problem.n_vars
-    int_idx = np.flatnonzero(np.array(problem.is_int, dtype=bool))
+    int_idx, lattice = canon.int_idx, canon.lattice
     outcomes = dict.fromkeys(NODE_OUTCOMES, 0)
 
     if start is not None and (start.basis.size != canon.m
@@ -548,7 +568,6 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     # heap entries: (bound, -depth, seq, l, u, start), both children sharing
     # their parent's start; best bound first, deeper node on ties, insertion
     # order last (seq is unique, so arrays never get compared)
-    lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
     seq = 0
     heap: list = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, start)]
     while heap:
@@ -582,11 +601,11 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
 
         split = None if lattice is None else _balanced_cut(lattice, res.x)
         vals = res.x[int_idx]
-        frac = int_idx[np.abs(vals - np.round(vals)) > _INT_TOL]
+        frac = int_idx[np.abs(vals - vals.round()) > _INT_TOL]
         if split is None and not frac.size:
             outcomes["integral"] += 1
             x = res.x.copy()  # integral within _INT_TOL: report the integers
-            x[int_idx] = np.round(x[int_idx])
+            x[int_idx] = x[int_idx].round()
             obj = float(canon.c @ x)
             if obj < incumbent_obj:
                 incumbent_obj = obj
@@ -598,7 +617,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         else:  # the most fractional integer, ties by lowest id
             outcomes["var_branched"] += 1
             fr = res.x[frac] - np.floor(res.x[frac])
-            j = int(frac[np.argmin(np.abs(fr - 0.5))])
+            j = int(frac[np.abs(fr - 0.5).argmin()])
             xj = float(res.x[j])
             children = [(l, _tightened(u, j, math.floor(xj))), (_tightened(l, j, math.ceil(xj)), u)]
         for child_l, child_u in children:
@@ -612,7 +631,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         status = stop_status
     else:
         status = "infeasible" if incumbent_x is None else "optimal"
-    if incumbent_x is not None and not _rows_hold(problem.rows, incumbent_x):
+    if incumbent_x is not None and not canon.rows_hold(canon.A[:, :n] @ incumbent_x, canon.kept):
         status = "numerical"
     if root_start is not None:  # for another model: the basis and statuses, not the vectors
         root_start = _Start(root_start.basis, root_start.vstat)

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from sppa import expr, loop, milp, pwl
-from sppa.mcmodel import encode_term
+from sppa.mcmodel import add_term, encode_term
 from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn
 
 
@@ -184,11 +184,22 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
     return out
 
 
+def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
+                          values: np.ndarray) -> dict[int, float]:
+    """One term of vertex ``values`` on ``grid`` over the variables ``z_ids``
+    put into ``prob`` (``add_term``, then ``encode_term`` into the
+    objective); returns the term value as ``{weight id: vertex value}``."""
+    block = add_term(prob, z_ids, values.shape)
+    encode_term(prob, block, grid, values)
+    cols = block[0]
+    return dict(zip(range(cols.start, cols.stop), prob.c[cols].tolist()))
+
+
 def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
     """LP relaxation: ``solve_milp`` on a copy with every variable continuous
     and no lattice set, which is one simplex solve at the root."""
     relaxed = copy.copy(problem)
-    relaxed.is_int = [False] * problem.n_vars
+    relaxed.is_int = np.zeros(problem.n_vars, dtype=bool)
     relaxed.lattice_sets = []
     return milp.solve_milp(relaxed)
 
@@ -288,7 +299,8 @@ def check_lambda_equivalence(n_points: int = 200) -> str:
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-            value = encode_term(prob, grid, z_ids, pwl.vertex_values(grid.points(), f, "t"))
+            value = encode_objective_term(prob, grid, z_ids,
+                                          pwl.vertex_values(grid.points(), f, "t"))
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
             prob.set_objective(value)
@@ -459,14 +471,14 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
                  NonlinearTerm((r,), lambda v: float((v[0] - 0.3) ** 2), row=0)]
         sense = "max" if rng.random() < 0.5 else "min"
         spec = ProblemSpec(variables, {}, 0.0, rows, terms, sense=sense)
-        lp = loop.build_iteration_model(spec, spec.bounds(), int(rng.integers(2, 4))).lp
+        lp = loop.build_iteration_model(spec, spec.bounds(), int(rng.integers(2, 4)))
         res = milp.solve_milp(lp)
         sgn = 1.0 if sense == "min" else -1.0
         best = math.inf
         sets = [(ids, _simplex_members(index)) for ids, index in lp.lattice_sets]
         for combo in itertools.product(*(members for _, members in sets)):
             sub = copy.copy(lp)
-            sub.ub = list(lp.ub)
+            sub.ub = lp.ub.copy()
             for (ids, _), keep in zip(sets, combo):
                 for j in np.delete(ids, keep).tolist():
                     sub.ub[j] = 0.0
@@ -487,23 +499,107 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
             f"an integer axis, {n_branched} set-branched)")
 
 
+def _refill_spec(rng: np.random.Generator) -> ProblemSpec:
+    """Variables: an integer n, continuous x and y, and w fixed at a random
+    value.  Terms: a 2-D objective term over n and x that also reads w, a
+    1-D objective and a 1-D row term whose vertex values are mostly 0 under
+    a negative coefficient, and a term of w alone in the row.  Rows: that
+    row (``<=``) and a linear ``>=`` row, both through a random point."""
+    lo = float(rng.integers(-4, 0))
+    variables = [("n", pwl.Interval(lo, lo + float(rng.integers(3, 9))), True),
+                 ("x", pwl.Interval(-1.0, float(rng.uniform(0.5, 2.0))), False),
+                 ("y", pwl.Interval(float(rng.uniform(-2.0, 0.0)), 1.0), False),
+                 ("w", pwl.Interval(*[float(rng.uniform(-1.0, 1.0))] * 2), False)]
+    point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
+    shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=3)
+    # 0 wherever the coordinate is at most its cut, and a negative coef times 0.0 is -0.0
+    ramp = [lambda v, t=float(t): float(max(0.0, v[0] - t) ** 2)
+            for t in rng.uniform(-0.5, 0.5, size=2)]
+    terms = [NonlinearTerm((0, 1, 3), lambda v: shape(v, a)),
+             NonlinearTerm((2,), ramp[0], coef=-float(rng.uniform(0.5, 2.0))),
+             NonlinearTerm((1,), ramp[1], coef=-float(rng.uniform(0.5, 2.0)), row=0),
+             NonlinearTerm((3,), lambda v: float(v[0] ** 2), row=0)]
+    row_at = (-terms[2].coef * ramp[1](point[1:2]) + point[3] ** 2 + 0.5 * point[2])
+    c = rng.uniform(-1.0, 1.0, size=3)
+    rows = [milp.LinearConstraint({2: 0.5}, "<=", float(row_at) + 0.3),
+            milp.LinearConstraint({k: float(c[k]) for k in range(3)}, ">=",
+                                  float(c @ point[:3]) - 0.3)]
+    sense = "max" if rng.random() < 0.5 else "min"
+    return ProblemSpec(variables, {2: float(rng.uniform(-1.0, 1.0))}, 0.5, rows, terms,
+                       sense=sense)
+
+
+def _canon_bytes(canon: milp._Canon) -> list[bytes]:
+    lattice = canon.lattice
+    return [a.tobytes() for a in (canon.A, canon.b, canon.l, canon.u, canon.c, lattice.ids,
+                                  lattice.keys)] + [repr((canon.dtol, canon.infeasible))]
+
+
+def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
+    """A model refilled in place (``build_iteration_model`` with the run's
+    ``models``) equals one built fresh for the same windows: the canonical
+    arrays ``A``, ``b``, ``l``, ``u`` and ``c`` and the lattice keys byte for
+    byte, no ``-0.0`` among the canonical coefficients (an absent one is
+    +0.0), and ``solve_milp``'s results bit for bit.
+
+    Each seeded ``_refill_spec`` goes through ``n_windows`` windows at one
+    piece count (2 or 3), each contracted about the last incumbent (a random
+    point when there is none) by 0.5-0.7, integer windows rounded outward as
+    in ``run``.  The model of a shape already met is refilled; an integer
+    axis that loses breakpoints makes a new shape, built once.
+    """
+    rng = np.random.default_rng(97)
+    n_refilled = n_rebuilt = n_negzero = n_optimal = 0
+    for _ in range(n_specs):
+        spec = _refill_spec(rng)
+        pieces, frac = int(rng.integers(2, 4)), float(rng.uniform(0.5, 0.7))
+        bounds, models, canons = spec.bounds(), {}, {}
+        for _ in range(n_windows):
+            refilled = loop.build_iteration_model(spec, bounds, pieces, models)
+            fresh = loop.build_iteration_model(spec, bounds, pieces)
+            n_negzero += int(np.signbit(refilled.c[refilled.c == 0.0]).sum()
+                             + np.signbit(refilled.A[refilled.A == 0.0]).sum())
+            got, want = milp.solve_milp(refilled), milp.solve_milp(fresh)
+            canon = refilled._canon
+            n_refilled += id(refilled) in canons
+            assert canons.setdefault(id(refilled), canon) is canon, (
+                "the canonical form of a known shape was rebuilt")
+            assert _canon_bytes(canon) == _canon_bytes(fresh._canon), "refill != fresh build"
+            for a in (canon.A, canon.c):
+                assert not np.signbit(a[a == 0.0]).any(), "a canonical coefficient is -0.0"
+            assert (got.status, got.objective, got.bound, got.gap, got.nodes, got.iterations,
+                    got.factorizations, got.outcomes) == (
+                want.status, want.objective, want.bound, want.gap, want.nodes, want.iterations,
+                want.factorizations, want.outcomes), (got, want)
+            assert (got.x is want.x is None) or got.x.tobytes() == want.x.tobytes()
+            n_optimal += got.status == "optimal"
+            centre = got.x if got.x is not None else [rng.uniform(iv.lo, iv.hi) for iv in bounds]
+            bounds = [iv if iv.width == 0.0
+                      else (loop._contract_integer if spec.variables[j][2]
+                            else loop.contract_bounds)(iv, float(centre[j]), frac)
+                      for j, iv in enumerate(bounds)]
+        n_rebuilt += len(models)
+    assert n_refilled and n_rebuilt > n_specs and n_negzero and n_optimal, (
+        n_refilled, n_rebuilt, n_negzero, n_optimal)
+    return (f"refilled models match fresh builds ({n_specs} specs, {n_specs * n_windows} "
+            f"windows: {n_rebuilt} shapes built, {n_refilled} refills reusing their canonical "
+            f"form, {n_optimal} optimal, {n_negzero} -0.0 coefficients written)")
+
+
 def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
     """Every integer point of an all-integer problem's box, and a mask of
     those that satisfy every row."""
     points = np.array(list(itertools.product(
         *[np.arange(lo, hi + 1.0) for lo, hi in zip(prob.lb, prob.ub)])), dtype=float)
     ok = np.ones(len(points), dtype=bool)
-    for row in prob.rows:
-        a = np.zeros(prob.n_vars)
-        for j, coef in row.coeffs.items():
-            a[j] = coef
+    for a, sense, rhs in zip(prob.A, prob.senses, prob.rhs):
         lhs = points @ a
-        if row.sense == "<=":
-            ok &= lhs <= row.rhs + 1e-9
-        elif row.sense == ">=":
-            ok &= lhs >= row.rhs - 1e-9
+        if sense == "<=":
+            ok &= lhs <= rhs + 1e-9
+        elif sense == ">=":
+            ok &= lhs >= rhs - 1e-9
         else:
-            ok &= np.abs(lhs - row.rhs) <= 1e-9
+            ok &= np.abs(lhs - rhs) <= 1e-9
     return points, ok
 
 
@@ -665,7 +761,7 @@ def _concave_term_model(rng: np.random.Generator) -> milp.LpProblem:
     b = rng.normal(size=dims)
     prob = milp.LpProblem()
     z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
-    value = encode_term(prob, grid, z, pwl.vertex_values(
+    value = encode_objective_term(prob, grid, z, pwl.vertex_values(
         grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
     a = rng.normal(size=dims)
     point = rng.uniform(lo, hi)
@@ -893,9 +989,10 @@ def check_warm_root(n_pairs: int = 80) -> str:
         c2 = c + 0.2 * rng.normal(size=n)
         second = build(lo2, hi2, is_int, A2, sn, c2, sense)
         if k % 8 == 7:  # rows 0 and 1 cannot both hold
-            r0 = second.rows[0].activity(rng.uniform(lo2, hi2))
-            second.rows[0] = milp.LinearConstraint(dict(second.rows[0].coeffs), ">=", r0)
-            second.rows[1] = milp.LinearConstraint(dict(second.rows[0].coeffs), "<=", r0 - 0.5)
+            r0 = float(second.A[0] @ rng.uniform(lo2, hi2))
+            second.A[1] = second.A[0]
+            second.senses[:2] = [">=", "<="]
+            second.rhs[:2] = [r0, r0 - 0.5]
         cold = milp.solve_milp(second)
         warm = milp.solve_milp(second, start=first.start)
         assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
@@ -1117,7 +1214,7 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
         terms, sense = spec.nonlinear_terms, spec.sense
         n_max += sense == "max"
         rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
-        ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces).lp)
+        ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces))
         assert ref.status == "optimal", ref.status
         assert rec.milp_stats["nodes"] == 0, "row-free spec went through branch and bound"
         point, surrogate = _scalar_vertex_optimum(spec, pieces)
@@ -1423,6 +1520,7 @@ ALL_CHECKS = (
     check_lambda_equivalence,
     check_lattice_branch,
     check_lattice_oracle,
+    check_model_refill,
     check_milp_oracle,
     check_warm_child,
     check_set_branch_warm,

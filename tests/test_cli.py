@@ -362,3 +362,31 @@ def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
         doc = json.loads((tmp_path / name).read_text())
         assert len(doc["rows"]) == 1 and "iter" in keys(doc)
         assert "seconds" not in keys(doc), name
+
+
+def test_strip_traces_against_names_where_each_case_splits(tmp_path, monkeypatch, capsys):
+    # two stubbed runs that differ in one counter of one case, and a case
+    # missing from the other directory: each gets its line
+    def stub_with(nodes):
+        def stub(spec, config, on_iteration=None):
+            record = loop.IterationRecord(
+                0, np.zeros(spec.n_vars), 1.5, 1.5, 0.0,
+                dict(zip(spec.var_names(), spec.bounds())),
+                {"status": "optimal", **dict.fromkeys(cli._COUNTERS, 0),
+                 "nodes": nodes if spec.name == "ackley" else 0, "gap": 0.0, "seconds": 0.25})
+            return loop.SppaResult(np.zeros(spec.n_vars), 1.5, [record], "width", 0.5)
+        return stub
+
+    before, after = tmp_path / "before", tmp_path / "after"
+    script = _script("strip_traces")
+    monkeypatch.setattr(loop, "run", stub_with(0))
+    assert script.run([str(before)]) == 0
+    (before / "rastrigin.json").unlink()
+    assert script.run([str(after), "--against", str(before)]) == 1
+    monkeypatch.setattr(loop, "run", stub_with(3))
+    capsys.readouterr()
+    assert script.run([str(after), "--against", str(before)]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3] == f"differ from {before}: rastrigin, ackley"
+    assert lines[-2:] == [f"  rastrigin: no trace in {before}",
+                          "  ackley: iteration 0, key nodes"]

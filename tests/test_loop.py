@@ -13,7 +13,8 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, load_problem)
 from sppa.pwl import Interval, axis_breakpoints
 
-from properties import check_best_point, check_sppa_invariants, check_vertex_optimum
+from properties import (check_best_point, check_model_refill, check_sppa_invariants,
+                        check_vertex_optimum)
 
 
 def test_contract_examples():
@@ -81,19 +82,19 @@ def test_run_quadratic_geometric_widths():
 def test_model_counts_rosenbrock():
     spec = builtin("rosenbrock")
     m = build_iteration_model(spec, spec.bounds(), 4)
-    assert sum(m.lp.is_int) == 0  # the weights are continuous
-    [(ids, index)] = m.lp.lattice_sets
+    assert sum(m.is_int) == 0  # the weights are continuous
+    [(ids, index)] = m.lattice_sets
     assert len(ids) == 25 and index.shape[1] == 2  # one 2-D term: 5 * 5 vertices
     assert (index.max(axis=0)).tolist() == [4, 4]  # the grid's pieces
     # beside x and y, one weight per vertex; two linking rows and the set's row
-    assert m.lp.n_vars == 2 + 25 and len(m.lp.rows) == 3
+    assert m.n_vars == 2 + 25 and len(m.senses) == 3
 
 
 def test_model_counts_rastrigin():
     spec = builtin("rastrigin")
     m = build_iteration_model(spec, spec.bounds(), 6)
-    assert sum(m.lp.is_int) == 0
-    assert [len(ids) for ids, _ in m.lp.lattice_sets] == [7, 7]  # two 1-D terms, 7 vertices each
+    assert sum(m.is_int) == 0
+    assert [len(ids) for ids, _ in m.lattice_sets] == [7, 7]  # two 1-D terms, 7 vertices each
 
 
 def test_no_nonlinear_terms_single_solve():
@@ -104,7 +105,7 @@ def test_no_nonlinear_terms_single_solve():
         [],
     )
     m = build_iteration_model(spec, spec.bounds(), 4)
-    assert m.lp.n_vars == 2 and len(m.lp.rows) == 1  # untouched linear model
+    assert m.n_vars == 2 and len(m.senses) == 1  # untouched linear model
     result = run(spec, SppaConfig(4, 4, 0.5, max_iters=10))
     assert len(result.trace) == 1
     assert result.best_objective == pytest.approx(3.0)
@@ -117,7 +118,7 @@ def test_degenerate_variable_becomes_constant():
         [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    [(ids, index)] = m.lp.lattice_sets
+    [(ids, index)] = m.lattice_sets
     assert index.shape[1] == 1  # x dropped from the grid
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=25))
     assert result.best_objective == pytest.approx(0.0, abs=1e-10)
@@ -173,8 +174,8 @@ def test_integer_valued_bounds_solve_as_float_bounds(constraints):
         return from_expressions([(v, Interval(lo, hi), False) for v in "xy"],
                                 "x^2*y + sin(x*y) - x", constraints)
     ints, floats = spec(-1, 1), spec(-1.0, 1.0)
-    a, b = (build_iteration_model(s, s.bounds(), 4).lp for s in (ints, floats))
-    assert a.objective == b.objective and a.rows == b.rows
+    a, b = (build_iteration_model(s, s.bounds(), 4) for s in (ints, floats))
+    assert a.c.tobytes() == b.c.tobytes() and a.A.tobytes() == b.A.tobytes()
     config = SppaConfig(4, 4, 0.5, max_iters=8)
     runs = [[(r.incumbent.tolist(), r.objective, r.surrogate_objective)
              for r in run(s, config).trace] for s in (ints, floats)]
@@ -187,7 +188,7 @@ def test_all_fixed_term_is_constant():
         [NonlinearTerm((0,), lambda v: float(v[0] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    assert m.lp.obj_constant == pytest.approx(10.0)  # 1 + 3^2
+    assert m.obj_constant == pytest.approx(10.0)  # 1 + 3^2
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=3))
     assert result.best_objective == pytest.approx(10.0)
 
@@ -308,7 +309,7 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
     for _ in range(150):
         spec, pieces = _narrow_window_spec(rng)
         bounds = spec.bounds()
-        lp = build_iteration_model(spec, bounds, pieces).lp
+        lp = build_iteration_model(spec, bounds, pieces)
         res = milp.solve_milp(lp)
         assert res.status == "optimal", res.status
         assert len(lp.lattice_sets) == len(spec.nonlinear_terms)
@@ -430,7 +431,9 @@ def test_config_validation():
 # constrained_a.prob at 3/3 (an integer variable and 2-D terms: the MILP
 # case with the most branch-and-bound nodes), and a 3-D term with y fixed
 # on each path (_PARTIAL_FIXED: the term is called on points that hold y
-# at its value).  They check that a change meant to leave the arithmetic
+# at its value), and the MILP case of test_integer_variable_in_term (its
+# model changes shape once, when the integer axis of n loses breakpoints
+# and the model is built anew).  They check that a change meant to leave the arithmetic
 # alone really does: a deliberate change of trajectory must update these
 # numbers and record the change in CHANGES.md.
 _PARTIAL_FIXED = {
@@ -454,6 +457,8 @@ _PARTIAL_FIXED = {
                  id="partial_fixed_vertex"),
     pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999850988388,
                  [0.2498779296875, 0.5, 1.0], 87, id="partial_fixed_milp"),
+    pytest.param("integer_axis_milp", (4, 4), "width", 27, -1.5099999999999998, [3.0, -1.0],
+                 12, id="integer_axis_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
@@ -468,6 +473,11 @@ def test_pinned_trajectory(name, pieces, termination, iterations, best_objective
     elif name == "constrained_a":
         problems = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
         spec, config = load_problem(str(problems / "constrained_a.prob")), SppaConfig(*pieces)
+    elif name == "integer_axis_milp":
+        spec = from_expressions(
+            [("n", Interval(0.0, 10.0), True), ("x", Interval(-1.0, 1.0), False)],
+            "(n - 2.3)^2 + x^2 + n*x", constraints=[("x + n", ">=", -5.0)])
+        config = SppaConfig(*pieces)
     elif name in _PARTIAL_FIXED:
         text, rows = _PARTIAL_FIXED[name]
         variables = [("x", Interval(-1.0, 2.0), False), ("y", Interval(0.5, 0.5), False),
@@ -544,3 +554,7 @@ def test_vertex_optimum_property_suite():
 
 def test_best_point_property_suite():
     print(check_best_point())
+
+
+def test_model_refill_property_suite():
+    print(check_model_refill())

@@ -1,19 +1,20 @@
 import numpy as np
 import pytest
 
-from sppa.mcmodel import encode_term
+from sppa.mcmodel import add_term
 from sppa.milp import LpProblem, solve_milp
 from sppa.pwl import vertex_values
 
-from properties import (build_grid, check_lambda_equivalence, check_lattice_oracle, eval_pwl,
-                        hyperplane_coeffs, locate, lower, solve_relaxation, upper, vertex_path)
+from properties import (build_grid, check_lambda_equivalence, check_lattice_oracle,
+                        encode_objective_term, eval_pwl, hyperplane_coeffs, locate, lower,
+                        solve_relaxation, upper, vertex_path)
 
 
 def build(grid, f):
     model = LpProblem()
     lo, hi = lower(grid), upper(grid)
     z_ids = [model.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-    value = encode_term(model, grid, z_ids, vertex_values(grid.points(), f, "t"))
+    value = encode_objective_term(model, grid, z_ids, vertex_values(grid.points(), f, "t"))
     return model, z_ids, value
 
 
@@ -34,15 +35,21 @@ def test_selection_rows_shape():
     g = build_grid([(1.0, 2.0), (-1.0, 3.0)], [2, 2])
     model, z_ids, value = build(g, lambda v: 0.0)
     [(ids, index)] = model.lattice_sets
-    assert len(model.rows) == 3
-    for k, row in enumerate(model.rows[:2]):
-        assert row.sense == "=" and row.rhs == 0.0 and row.coeffs[z_ids[k]] == -1.0
-        # a weight on a vertex at coordinate 0 carries no coefficient
-        want = {j: g.breakpoints[k][i[k]] for j, i in zip(ids.tolist(), index.tolist())}
-        assert row.coeffs == {**{j: c for j, c in want.items() if c != 0.0}, z_ids[k]: -1.0}
-    card = model.rows[2]
-    assert card.coeffs == dict.fromkeys(ids.tolist(), 1.0) and card.sense == "="
-    assert card.rhs == 1.0
+    assert model.senses == ["="] * 3 and model.rhs.tolist() == [0.0, 0.0, 1.0]
+    for k in range(2):
+        want = np.zeros(model.n_vars)
+        want[z_ids[k]] = -1.0
+        want[ids] = [g.breakpoints[k][i[k]] for i in index.tolist()]
+        assert model.A[k].tolist() == want.tolist()
+    assert model.A[2, ids].tolist() == [1.0] * len(ids) and not model.A[2, z_ids].any()
+
+
+def test_add_term_checks_its_variables():
+    model = LpProblem()
+    z = model.add_var(0.0, 1.0)
+    with pytest.raises(ValueError):
+        add_term(model, [z], (2, 2))  # one shared variable per grid dimension
+    assert model.n_vars == 1 and not model.senses
 
 
 def test_value_exact_at_every_vertex():
