@@ -1,22 +1,24 @@
 #!/usr/bin/env python3
 """Write ``sppa solve --out`` traces with every ``seconds`` field stripped.
 
-Eight runs, one ``OUTDIR/<case>.json`` each: the four builtins at their
-registry settings, eggholder at 20/4, and the problem files of
-``bench/problems`` (``constrained_a`` at 3/3, ``constrained_b`` at 2/2 and
-``numerical`` at 3/3).  Run it in two checkouts and compare the two
-directories: identical output means the same runs, timings aside.
-``--against DIR`` makes the comparison: each trace written is compared
-byte for byte with ``DIR/<case>.json``, the cases that differ are printed,
-each with where the two runs split (the first iteration and key that
-differ, or the side that has no trace), and the exit status is 1 on any
-difference.
+Eight cases, each run twice, to ``OUTDIR/<case>.json`` and, with
+``--format csv``, to ``OUTDIR/<case>.csv`` without its ``seconds`` column:
+the four builtins at their registry settings, eggholder at 20/4, and the
+problem files of ``bench/problems`` (``constrained_a`` at 3/3,
+``constrained_b`` at 2/2 and ``numerical`` at 3/3).  Run it in two
+checkouts and compare the two directories: identical output means the same
+runs, timings aside.  ``--against DIR`` makes the comparison: each trace
+written is compared byte for byte with the file of the same name in
+``DIR``, the traces that differ are printed, each with where the two runs
+split (the first iteration and key or column that differ, or the side that
+has no trace), and the exit status is 1 on any difference.
 
 Usage, from the root of a checkout:
     PYTHONPATH=src python3 scripts/strip_traces.py OUTDIR [--against DIR]
 """
 
 import argparse
+import csv
 import json
 import os
 import pathlib
@@ -46,13 +48,30 @@ def strip(doc):
     return [strip(v) for v in doc] if isinstance(doc, list) else doc
 
 
+def strip_csv(path: pathlib.Path):
+    """Rewrite the CSV trace at ``path`` without its ``seconds`` column."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    keep = [k for k, name in enumerate(rows[0] if rows else []) if name != "seconds"]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([row[k] for k in keep] for row in rows)
+
+
+def _load(path: pathlib.Path) -> dict:
+    """A trace as a document with its per-iteration ``rows``."""
+    if path.suffix == ".csv":
+        with open(path, newline="") as fh:
+            return {"rows": list(csv.DictReader(fh))}
+    return json.loads(path.read_text())
+
+
 def split(ours: pathlib.Path, theirs: pathlib.Path) -> str:
     """Where the stripped trace ``ours`` first differs from ``theirs``: the
-    first iteration and key in row order, then the first other key, or the
-    side that has no trace."""
+    first iteration and key (or CSV column) in row order, then the first
+    other key, or the side that has no trace."""
     if not ours.exists() or not theirs.exists():
         return f"no trace in {(theirs if ours.exists() else ours).parent}"
-    a, b = json.loads(ours.read_text()), json.loads(theirs.read_text())
+    a, b = _load(ours), _load(theirs)
 
     def first_key(x: dict, y: dict, skip=()):
         return next((key for key in dict.fromkeys([*x, *y]) if key not in skip
@@ -75,7 +94,8 @@ def run(argv=None) -> int:
                                  formatter_class=argparse.RawDescriptionHelpFormatter)
     ap.add_argument("outdir", help="directory for the stripped traces")
     ap.add_argument("--against", metavar="DIR",
-                    help="compare each trace with DIR/<case>.json; exit 1 on any difference")
+                    help="compare each trace with the one of the same name in DIR; "
+                         "exit 1 on any difference")
     args = ap.parse_args(argv)
 
     out = pathlib.Path(args.outdir)
@@ -83,19 +103,22 @@ def run(argv=None) -> int:
     worst = 0
     differ = []
     for name, flags in _cases().items():
-        path = out / f"{name}.json"
-        path.unlink(missing_ok=True)  # a failed run leaves no stale trace
-        worst = max(worst, cli_main(["solve", *flags, "--out", str(path)]))
-        if path.exists():
-            path.write_text(json.dumps(strip(json.loads(path.read_text())), indent=1) + "\n")
-        if args.against is not None:
-            other = pathlib.Path(args.against) / path.name
-            if not (path.exists() and other.exists()
-                    and path.read_bytes() == other.read_bytes()):
-                differ.append((name, split(path, other)))
+        for fmt in ("json", "csv"):
+            path = out / f"{name}.{fmt}"
+            path.unlink(missing_ok=True)  # a failed run leaves no stale trace
+            worst = max(worst, cli_main(["solve", *flags, "--out", str(path), "--format", fmt]))
+            if path.exists() and fmt == "json":
+                path.write_text(json.dumps(strip(json.loads(path.read_text())), indent=1) + "\n")
+            elif path.exists():
+                strip_csv(path)
+            if args.against is not None:
+                other = pathlib.Path(args.against) / path.name
+                if not (path.exists() and other.exists()
+                        and path.read_bytes() == other.read_bytes()):
+                    differ.append((path.name, split(path, other)))
     if args.against is not None:
         print(f"differ from {args.against}: {', '.join(name for name, _ in differ)}" if differ
-              else f"all {len(_cases())} traces identical to {args.against}")
+              else f"all {len(_cases())} traces identical to {args.against}, in JSON and CSV")
         for name, where in differ:
             print(f"  {name}: {where}")
         if differ:

@@ -29,16 +29,13 @@ EXIT_PARSE = 3
 EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
-# the solver counters of each trace row, in JSON key and CSV column order
-_COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations",
-             *(f"nodes_{outcome}" for outcome in milp.NODE_OUTCOMES))
 
 
 @dataclasses.dataclass
 class RunReport:
     problem: str
     config: dict
-    rows: list[dict]  # per iteration: the CSV columns, with the incumbent as a list
+    rows: list[dict]  # per iteration, in CSV column order, with the incumbent as a list
     final_objective: Optional[float]
     best_point: Optional[list[float]]
     termination: str
@@ -90,36 +87,38 @@ def _max_width(record: loop.IterationRecord, nl_names: list[str]) -> float:
 
 
 def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
-    rows = []
-    for rec in result.trace:
-        rows.append({
-            "iter": rec.iteration,
-            "objective": float(rec.objective),
-            "incumbent": [float(v) for v in rec.incumbent],
-            "max_width": float(_max_width(rec, nl_names)),
-            "row_violation": float(rec.row_violation),
-            **{name: int(rec.milp_stats[name]) for name in _COUNTERS},
-            "seconds": float(rec.milp_stats["seconds"]),
-        })
-    return rows
+    return [{
+        "iter": rec.iteration,
+        "objective": float(rec.objective),
+        "incumbent": [float(v) for v in rec.incumbent],
+        "max_width": float(_max_width(rec, nl_names)),
+        "row_violation": float(rec.row_violation),
+        **{name: int(rec.milp_stats[name]) for name in milp.COUNTERS},
+        "seconds": float(rec.milp_stats["seconds"]),
+    } for rec in result.trace]
 
 
-def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
+def _csv_cells(row: dict) -> dict[str, str]:
+    """A trace row as CSV cells by column: the ``repr`` of each value, with
+    the incumbent spread over x1..xn."""
+    cells = {}
+    for key, value in row.items():
+        if key == "incumbent":
+            cells.update((f"x{k + 1}", repr(v)) for k, v in enumerate(value))
+        else:
+            cells[key] = repr(value)
+    return cells
+
+
+def _write_report(report: RunReport, path: str, fmt: str):
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump(dataclasses.asdict(report), fh, indent=2)
             fh.write("\n")
         return
+    rows = [_csv_cells(row) for row in report.rows]  # the header too comes from a row
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["iter", "objective"] + [f"x{k + 1}" for k in range(n_vars)]
-                        + ["max_width", "row_violation", *_COUNTERS, "seconds"])
-        for row in report.rows:
-            writer.writerow([row["iter"], repr(row["objective"])]
-                            + [repr(v) for v in row["incumbent"]]
-                            + [repr(row["max_width"]), repr(row["row_violation"]),
-                               *(row[name] for name in _COUNTERS),
-                               repr(row["seconds"])])
+        csv.writer(fh).writerows([list(rows[0])] + [list(r.values()) for r in rows] if rows else [])
 
 
 def cmd_solve(args) -> int:
@@ -176,7 +175,7 @@ def cmd_solve(args) -> int:
         seconds=result.seconds,
     )
     if args.out:
-        _write_report(report, args.out, args.format, spec.n_vars)
+        _write_report(report, args.out, args.format)
 
     print(f"termination: {result.termination}")
     if result.best_point is None:

@@ -193,8 +193,8 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
     no variable: per term, the first grid vertex in row-major order with the
     best ``coef * f(v) + linear part``; every other variable at the bound its
     objective coefficient favours (if 0, the bound nearest zero, lower on a
-    tie, as the simplex).  B&B reports nodes >= 1, so ``nodes`` 0 marks this
-    path."""
+    tie, as the simplex).  Every counter is 0; B&B reports nodes >= 1, so
+    ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     z = np.empty(spec.n_vars)
@@ -214,7 +214,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         term_values.append(term.coef * float(values[best]))
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
-    return milp.MilpResult("optimal", z, objective, objective, 0.0, 0, 0)
+    return milp.MilpResult("optimal", z, objective, objective, 0.0)
 
 
 def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:
@@ -306,16 +306,8 @@ def run(
             surrogate_objective=res.objective,
             row_violation=violation,
             bounds={name: current[j] for j, (name, _, _) in enumerate(spec.variables)},
-            milp_stats={
-                "status": res.status,
-                "nodes": res.nodes,
-                "pivots": res.iterations,
-                "root_pivots": res.root_pivots,
-                "factorizations": res.factorizations,
-                **{f"nodes_{k}": v for k, v in res.outcomes.items()},
-                "gap": res.gap,
-                "seconds": time.perf_counter() - iter_start,
-            },
+            milp_stats={"status": res.status, **res.counters, "gap": res.gap,
+                        "seconds": time.perf_counter() - iter_start},
         )
         trace.append(record)
         if on_iteration is not None:

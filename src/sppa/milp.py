@@ -44,11 +44,12 @@ __all__ = [
     "LE",
     "EQ",
     "GE",
+    "COUNTERS",
     "LinearConstraint",
     "LpProblem",
     "MilpResult",
-    "NODE_OUTCOMES",
     "ROW_TOL",
+    "row_violation",
     "solve_milp",
 ]
 
@@ -89,14 +90,17 @@ class LinearConstraint:
     def activity(self, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in self.coeffs.items()))
 
-    def violation(self, x: np.ndarray, shift: float = 0.0) -> float:
-        """How far the row is from holding at ``x``, ``shift`` added to its activity."""
-        a = self.activity(x) + shift
-        if self.sense == LE:
-            return max(0.0, a - self.rhs)
-        if self.sense == GE:
-            return max(0.0, self.rhs - a)
-        return abs(a - self.rhs)
+
+def row_violation(activity, senses, rhs) -> float:
+    """The largest ``max(0, excess) / (1 + |rhs|)`` over rows of these ``senses``
+    and ``rhs`` at ``activity``, ``excess`` being how far it lies on the wrong
+    side of the rhs; 0.0 with no rows.  Rows hold when it is at most ``ROW_TOL``."""
+    worst = 0.0
+    for a, sense, b in zip(activity, senses, rhs):
+        r = a - b
+        excess = r if sense == LE else -r if sense == GE else abs(r)
+        worst = max(worst, excess / (1.0 + abs(b)))
+    return float(worst)
 
 
 class LpProblem:
@@ -179,9 +183,10 @@ class LpProblem:
         self.sense = sense
 
 
-# how a solved node ends: split on a lattice set, branched on one integer,
-# integral, infeasible, or cut off by the incumbent
-NODE_OUTCOMES = ("set_branched", "var_branched", "integral", "infeasible", "cutoff")
+# the solver's counters, in trace order; nodes_<outcome> counts the nodes that end
+# that way, and a node the deadline stops counts in none of them
+COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations", "nodes_set_branched",
+            "nodes_var_branched", "nodes_integral", "nodes_infeasible", "nodes_cutoff")
 
 
 @dataclass
@@ -191,13 +196,12 @@ class MilpResult:
     objective: Optional[float]
     bound: Optional[float]
     gap: float
-    nodes: int
-    iterations: int
-    factorizations: int = 0
-    root_pivots: int = 0
+    counters: dict[str, int] = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
     start: Optional[_Start] = None  # the root's optimal basis, for a same-shaped model
-    # nodes per NODE_OUTCOMES entry; a node the deadline stops counts in none
-    outcomes: dict[str, int] = field(default_factory=lambda: dict.fromkeys(NODE_OUTCOMES, 0))
+
+    @property
+    def nodes(self) -> int:
+        return self.counters["nodes"]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +225,8 @@ class _Canon:
         # coefficient-free rows are dropped, judged at 0 as an incumbent's rows are
         self.kept = problem.A.any(axis=1)
         m = self.m = int(self.kept.sum())
-        senses = np.array(problem.senses, dtype=str)
-        self.ge, self.le = senses == GE, senses == LE
+        self.senses = np.array(problem.senses, dtype=str)
+        self.ge, self.le = self.senses == GE, self.senses == LE
         self.int_idx = np.flatnonzero(problem.is_int)
         self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
         self.A = np.hstack([np.zeros((m, n)), np.eye(m)])
@@ -234,7 +238,8 @@ class _Canon:
         column is never fractional) and each zero coefficient +0.0 as in a
         fresh array, then recompute the slack bounds and ``dtol``."""
         p, n, kept = self.problem, self.nstruct, self.kept
-        self.infeasible = not self.rows_hold(0.0, ~kept)
+        self.infeasible = row_violation(
+            np.zeros(len(p.senses) - self.m), self.senses[~kept], p.rhs[~kept]) > ROW_TOL
         S = self.A[:, :n]
         np.add(p.A[kept], 0.0, out=S)
         b = self.b = p.rhs[kept]
@@ -250,13 +255,6 @@ class _Canon:
         self.sign = 1.0 if p.sense == "min" else -1.0
         self.c[:n] = self.sign * p.c + 0.0
         self.dtol = 1e-9 * (1.0 + (float(np.abs(self.c).max()) if self.c.size else 0.0))
-
-    def rows_hold(self, activity, rows: np.ndarray) -> bool:
-        """Whether the ``rows`` (a mask) hold at ``activity`` within ``ROW_TOL * (1 + |rhs|)``."""
-        rhs = self.problem.rhs[rows]
-        r = activity - rhs
-        viol = np.maximum(np.where(self.ge[rows], 0.0, r), np.where(self.le[rows], 0.0, -r))
-        return bool((viol <= ROW_TOL * (1.0 + np.abs(rhs))).all())
 
     def user_objective(self, internal_value: float) -> float:
         return self.sign * internal_value + self.problem.obj_constant
@@ -548,17 +546,14 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         canon.fill()
     n = problem.n_vars
     int_idx, lattice = canon.int_idx, canon.lattice
-    outcomes = dict.fromkeys(NODE_OUTCOMES, 0)
+    counters = dict.fromkeys(COUNTERS, 0)
 
     if start is not None and (start.basis.size != canon.m
                               or start.vstat.size != canon.nstruct + canon.m):
         start = None
     incumbent_x = None
     incumbent_obj = math.inf  # internal minimization value
-    total_iters = total_factor = root_iters = 0
-    root_start = None
-    nodes = 0
-    stop_status = None
+    root_start = stop_status = None
 
     def gap_of(inc: float, bnd: float) -> float:
         if not math.isfinite(inc):
@@ -578,32 +573,32 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             break
         _, negdepth, _, l, u, start = node = heapq.heappop(heap)
 
-        nodes += 1
+        counters["nodes"] += 1
         # a node whose bound cannot improve the incumbent by the gap is pruned
         cutoff = (math.inf if incumbent_x is None
                   else incumbent_obj - _REL_GAP * max(1.0, abs(incumbent_obj)))
         res = _simplex(canon, l, u, start, deadline=deadline, cutoff=cutoff)
-        total_iters += res.iterations
-        total_factor += res.factorizations
-        if nodes == 1:
-            root_iters, root_start = res.iterations, res.start
+        counters["pivots"] += res.iterations
+        counters["factorizations"] += res.factorizations
+        if counters["nodes"] == 1:
+            counters["root_pivots"], root_start = res.iterations, res.start
         if res.status in ("time_limit", "iteration_limit", "numerical"):
             stop_status = res.status
             heapq.heappush(heap, node)  # unsolved, so its bound still counts
             break
         if res.status == "infeasible":
-            outcomes["infeasible"] += 1
+            counters["nodes_infeasible"] += 1
             continue
         node_bound = res.objective
         if res.status == "cutoff" or node_bound >= cutoff:
-            outcomes["cutoff"] += 1
+            counters["nodes_cutoff"] += 1
             continue
 
         split = None if lattice is None else _balanced_cut(lattice, res.x)
         vals = res.x[int_idx]
         frac = int_idx[np.abs(vals - vals.round()) > _INT_TOL]
         if split is None and not frac.size:
-            outcomes["integral"] += 1
+            counters["nodes_integral"] += 1
             x = res.x.copy()  # integral within _INT_TOL: report the integers
             x[int_idx] = x[int_idx].round()
             obj = float(canon.c @ x)
@@ -612,10 +607,10 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
                 incumbent_x = x[:n]
             continue
         if split is not None:
-            outcomes["set_branched"] += 1
+            counters["nodes_set_branched"] += 1
             children = [(l, _tightened(u, side, 0.0)) for side in split]
         else:  # the most fractional integer, ties by lowest id
-            outcomes["var_branched"] += 1
+            counters["nodes_var_branched"] += 1
             fr = res.x[frac] - np.floor(res.x[frac])
             j = int(frac[np.abs(fr - 0.5).argmin()])
             xj = float(res.x[j])
@@ -631,11 +626,12 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
         status = stop_status
     else:
         status = "infeasible" if incumbent_x is None else "optimal"
-    if incumbent_x is not None and not canon.rows_hold(canon.A[:, :n] @ incumbent_x, canon.kept):
+    if incumbent_x is not None and row_violation(
+            canon.A[:, :n] @ incumbent_x, canon.senses[canon.kept], canon.b) > ROW_TOL:
         status = "numerical"
     if root_start is not None:  # for another model: the basis and statuses, not the vectors
         root_start = _Start(root_start.basis, root_start.vstat)
     return MilpResult(status, incumbent_x,
                       None if incumbent_x is None else canon.user_objective(incumbent_obj),
                       canon.user_objective(best_bound) if math.isfinite(best_bound) else None,
-                      gap, nodes, total_iters, total_factor, root_iters, root_start, outcomes)
+                      gap, counters, root_start)

@@ -27,7 +27,7 @@ import numpy as np
 
 from sppa import expr
 from sppa.expr import DomainError, Node
-from sppa.milp import LinearConstraint
+from sppa.milp import LinearConstraint, row_violation
 from sppa.pwl import Interval, term_value
 
 __all__ = [
@@ -142,8 +142,9 @@ class ProblemSpec:
         for term in self.nonlinear_terms:
             if term.row is not None:
                 shift[term.row] += _term_value(term, x)
-        return max((row.violation(x, s) / (1.0 + abs(row.rhs))
-                    for row, s in zip(self.linear_constraints, shift)), default=0.0)
+        rows = self.linear_constraints
+        return row_violation([row.activity(x) + s for row, s in zip(rows, shift)],
+                             [row.sense for row in rows], [row.rhs for row in rows])
 
 
 # ---------------------------------------------------------------------------

@@ -483,7 +483,7 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
                 for j in np.delete(ids, keep).tolist():
                     sub.ub[j] = 0.0
             got = milp.solve_milp(sub)
-            assert got.outcomes["set_branched"] == 0, got.outcomes
+            assert got.counters["nodes_set_branched"] == 0, got.counters
             if got.status == "optimal":
                 best = min(best, sgn * got.objective)
         if best == math.inf:
@@ -493,7 +493,7 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
             assert abs(sgn * res.objective - best) <= 2.0 * milp._REL_GAP * max(1.0, abs(best)), (
                 f"bnb {res.objective} != brute force {sgn * best}")
         n_int += any(integer)
-        n_branched += res.outcomes["set_branched"] > 0
+        n_branched += res.counters["nodes_set_branched"] > 0
     assert n_int and n_branched, (n_int, n_branched)
     return (f"lattice model matches brute force over simplices ({n_specs} specs, {n_int} with "
             f"an integer axis, {n_branched} set-branched)")
@@ -567,10 +567,8 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
             assert _canon_bytes(canon) == _canon_bytes(fresh._canon), "refill != fresh build"
             for a in (canon.A, canon.c):
                 assert not np.signbit(a[a == 0.0]).any(), "a canonical coefficient is -0.0"
-            assert (got.status, got.objective, got.bound, got.gap, got.nodes, got.iterations,
-                    got.factorizations, got.outcomes) == (
-                want.status, want.objective, want.bound, want.gap, want.nodes, want.iterations,
-                want.factorizations, want.outcomes), (got, want)
+            assert (got.status, got.objective, got.bound, got.gap, got.counters) == (
+                want.status, want.objective, want.bound, want.gap, want.counters), (got, want)
             assert (got.x is want.x is None) or got.x.tobytes() == want.x.tobytes()
             n_optimal += got.status == "optimal"
             centre = got.x if got.x is not None else [rng.uniform(iv.lo, iv.hi) for iv in bounds]
@@ -662,10 +660,11 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
             assert abs(res.objective - best) <= 1e-6, (
                 f"bnb {res.objective} != brute force {best}"
             )
-        assert sum(res.outcomes.values()) == res.nodes, (res.outcomes, res.nodes)
+        outcomes = {k: v for k, v in res.counters.items() if k.startswith("nodes_")}
+        assert sum(outcomes.values()) == res.nodes, (outcomes, res.nodes)
         if kind < 2:
-            assert res.outcomes["set_branched"] == 0, res.outcomes
-        set_branched += res.outcomes["set_branched"]
+            assert outcomes["nodes_set_branched"] == 0, outcomes
+        set_branched += outcomes["nodes_set_branched"]
     assert n_infeasible[2] > 0 and set_branched > 0, (n_infeasible, set_branched)
     return (f"milp brute-force oracle ok ({n_instances} binary instances, {n_infeasible[0]} "
             f"infeasible; {n_general} with general integers, {n_infeasible[1]} infeasible; "
@@ -960,8 +959,9 @@ def check_warm_root(n_pairs: int = 80) -> str:
         return prob
 
     def same(a, b, refactorizations=0):
-        return (a.status, a.iterations, a.factorizations, a.nodes) == (
-            b.status, b.iterations, b.factorizations + refactorizations, b.nodes) and (
+        ca, cb = a.counters, b.counters
+        return (a.status, ca["pivots"], ca["factorizations"], a.nodes) == (
+            b.status, cb["pivots"], cb["factorizations"] + refactorizations, b.nodes) and (
             a.x is b.x is None or np.array_equal(a.x, b.x))
 
     n_int = n_infeasible = n_singular = n_shape = warm_root = cold_root = 0
@@ -1003,8 +1003,8 @@ def check_warm_root(n_pairs: int = 80) -> str:
             assert cold.status == "infeasible" and k % 8 == 7, cold.status
             n_infeasible += 1
         n_int += bool(is_int.any())
-        warm_root += warm.root_pivots
-        cold_root += cold.root_pivots
+        warm_root += warm.counters["root_pivots"]
+        cold_root += cold.counters["root_pivots"]
 
         # a basic structural column zeroed wherever another coefficient
         # keeps its row: the start's basis is singular for this problem

@@ -59,6 +59,32 @@ def test_json_and_csv_numeric_content_match(tmp_path):
             assert int(csv_row[k]) == jrow[name]
 
 
+def test_csv_columns_and_cells_are_the_json_rows(tmp_path):
+    # one run both ways, through branch and bound so that every counter
+    # moves: the CSV columns are the JSON row keys in order, the incumbent
+    # spread over x1..xn, and each cell but seconds is the text of its value
+    model = tmp_path / "parabola.prob"
+    model.write_text("[variables]\nx -1 1\ny 0 2\nz 0 3 int\n[objective]\nmin y - z\n"
+                     "[constraints]\nx^2 - y <= 0\nx + z >= 0.5\n")
+    flags = ["solve", "--problem", str(model), "--max-iters", "6"]
+    j, c = tmp_path / "a.json", tmp_path / "a.csv"
+    assert run_cli(flags + ["--out", str(j)]) == 0
+    assert run_cli(flags + ["--out", str(c), "--format", "csv"]) == 0
+    rows = json.loads(j.read_text())["rows"]
+    with open(c, newline="") as fh:
+        header, *cells = list(csv.reader(fh))
+    assert rows and len(cells) == len(rows)
+    assert header == [col for key in rows[0] for col in (
+        [f"x{k + 1}" for k in range(3)] if key == "incumbent" else [key])]
+    assert sum(row["nodes"] for row in rows) > 0
+    for row, line in zip(rows, cells):
+        values = [v for key, value in row.items()
+                  for v in (value if key == "incumbent" else [value])]
+        for col, value, text in zip(header, values, line):
+            if col != "seconds":
+                assert text == (str(value) if isinstance(value, int) else repr(value)), col
+
+
 def _strip_timing(report: dict) -> dict:
     out = copy.deepcopy(report)
     out["seconds"] = None
@@ -89,7 +115,7 @@ def test_deterministic_reruns(tmp_path):
         ra, rb = json.loads(a.read_text()), json.loads(b.read_text())
         assert _strip_timing(ra) == _strip_timing(rb)
         for row in ra["rows"]:
-            by_outcome = [row[f"nodes_{outcome}"] for outcome in milp.NODE_OUTCOMES]
+            by_outcome = [row[name] for name in milp.COUNTERS if name.startswith("nodes_")]
             assert sum(by_outcome) == row["nodes"]  # no deadline: every node solved
             assert row["row_violation"] >= 0.0
             if through_milp:
@@ -340,7 +366,7 @@ def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
         calls.append((spec.name, config.initial_n_pieces, config.n_pieces))
         record = loop.IterationRecord(
             0, np.zeros(spec.n_vars), 1.5, 1.5, 0.0, dict(zip(spec.var_names(), spec.bounds())),
-            {"status": "optimal", **dict.fromkeys(cli._COUNTERS, 0), "gap": 0.0,
+            {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0,
              "seconds": 0.25})
         return loop.SppaResult(np.zeros(spec.n_vars), 1.5, [record], "width", 0.5)
 
@@ -351,28 +377,33 @@ def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
 
     monkeypatch.setattr(loop, "run", stub)
     assert _script("strip_traces").run([str(tmp_path)]) == 0
-    assert calls == [(name, builtin_info(name)["initial_n_pieces"],
-                      builtin_info(name)["n_pieces"]) for name in builtin_names()] + [
+    cases = [(name, builtin_info(name)["initial_n_pieces"], builtin_info(name)["n_pieces"])
+             for name in builtin_names()] + [
         ("eggholder", 20, 4), ("constrained_a", 3, 3), ("constrained_b", 2, 2),
         ("numerical", 3, 3)]
+    assert calls == [case for case in cases for _fmt in ("json", "csv")]
+    stems = builtin_names() + ["eggholder_20_4", "constrained_a", "constrained_b", "numerical"]
     files = sorted(p.name for p in tmp_path.iterdir())
-    assert files == sorted([f"{name}.json" for name in builtin_names()] + [
-        "eggholder_20_4.json", "constrained_a.json", "constrained_b.json", "numerical.json"])
-    for name in files:
-        doc = json.loads((tmp_path / name).read_text())
+    assert files == sorted(f"{stem}.{fmt}" for stem in stems for fmt in ("json", "csv"))
+    for stem in stems:
+        doc = json.loads((tmp_path / f"{stem}.json").read_text())
         assert len(doc["rows"]) == 1 and "iter" in keys(doc)
-        assert "seconds" not in keys(doc), name
+        assert "seconds" not in keys(doc), stem
+        with open(tmp_path / f"{stem}.csv", newline="") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) == 1 and header[0] == "iter" and header[-1] == "nodes_cutoff", stem
+        assert "seconds" not in header and len(rows[0]) == len(header), stem
 
 
 def test_strip_traces_against_names_where_each_case_splits(tmp_path, monkeypatch, capsys):
     # two stubbed runs that differ in one counter of one case, and a case
-    # missing from the other directory: each gets its line
+    # missing from the other directory: each trace, JSON and CSV, gets its line
     def stub_with(nodes):
         def stub(spec, config, on_iteration=None):
             record = loop.IterationRecord(
                 0, np.zeros(spec.n_vars), 1.5, 1.5, 0.0,
                 dict(zip(spec.var_names(), spec.bounds())),
-                {"status": "optimal", **dict.fromkeys(cli._COUNTERS, 0),
+                {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0),
                  "nodes": nodes if spec.name == "ackley" else 0, "gap": 0.0, "seconds": 0.25})
             return loop.SppaResult(np.zeros(spec.n_vars), 1.5, [record], "width", 0.5)
         return stub
@@ -381,12 +412,20 @@ def test_strip_traces_against_names_where_each_case_splits(tmp_path, monkeypatch
     script = _script("strip_traces")
     monkeypatch.setattr(loop, "run", stub_with(0))
     assert script.run([str(before)]) == 0
+    capsys.readouterr()
+    assert script.run([str(after), "--against", str(before)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == (
+        f"all 8 traces identical to {before}, in JSON and CSV")
     (before / "rastrigin.json").unlink()
+    (before / "rastrigin.csv").unlink()
     assert script.run([str(after), "--against", str(before)]) == 1
     monkeypatch.setattr(loop, "run", stub_with(3))
     capsys.readouterr()
     assert script.run([str(after), "--against", str(before)]) == 1
     lines = capsys.readouterr().out.splitlines()
-    assert lines[-3] == f"differ from {before}: rastrigin, ackley"
-    assert lines[-2:] == [f"  rastrigin: no trace in {before}",
-                          "  ackley: iteration 0, key nodes"]
+    assert lines[-5] == (f"differ from {before}: rastrigin.json, rastrigin.csv, "
+                         "ackley.json, ackley.csv")
+    assert lines[-4:] == [f"  rastrigin.json: no trace in {before}",
+                          f"  rastrigin.csv: no trace in {before}",
+                          "  ackley.json: iteration 0, key nodes",
+                          "  ackley.csv: iteration 0, key nodes"]

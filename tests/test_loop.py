@@ -397,7 +397,7 @@ def test_solver_failure_keeps_best_point(monkeypatch, status):
     def failing(lp, deadline=None, start=None):
         calls.append(lp)
         if len(calls) >= 3:
-            return milp.MilpResult(status, None, None, None, math.inf, 0, 0)
+            return milp.MilpResult(status, None, None, None, math.inf)
         return solve_milp(lp, deadline, start)
 
     monkeypatch.setattr(loop.milp, "solve_milp", failing)

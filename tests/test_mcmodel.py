@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from sppa.mcmodel import add_term
+from sppa.mcmodel import add_term, encode_term
 from sppa.milp import LpProblem, solve_milp
 from sppa.pwl import vertex_values
 
@@ -50,6 +50,16 @@ def test_add_term_checks_its_variables():
     with pytest.raises(ValueError):
         add_term(model, [z], (2, 2))  # one shared variable per grid dimension
     assert model.n_vars == 1 and not model.senses
+
+
+def test_encode_term_rejects_non_finite_values():
+    g = build_grid([(0.0, 1.0)], [2])
+    model = LpProblem()
+    block = add_term(model, [model.add_var(0.0, 1.0)], (3,))
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-finite term value"):
+            encode_term(model, block, g, np.array([0.0, bad, 1.0]))
+    assert not model.c.any()
 
 
 def test_value_exact_at_every_vertex():

@@ -46,10 +46,36 @@ def test_infinite_bounds_rejected():
     # every column must be boxed: the simplex bounds each slack by its row's
     # activity range over the variable box
     p = LpProblem()
-    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0)):
+    for lo, hi in ((0.0, math.inf), (-math.inf, 0.0), (math.nan, 1.0), (2.0, 1.0)):
         with pytest.raises(ValueError):
             p.add_var(lo, hi)
     assert p.n_vars == 0
+
+
+def test_rows_reject_unknown_senses_ids_and_non_finite_values():
+    for coeffs, sense, rhs in (({0: 1.0}, "<", 1.0), ({0: 1.0}, "<=", math.inf),
+                               ({0: math.nan}, "=", 1.0)):
+        with pytest.raises(ValueError):
+            milp.LinearConstraint(coeffs, sense, rhs)
+    p = LpProblem()
+    x = p.add_var(0, 1)
+    for coeffs, sense, rhs in (({x: 1.0}, "==", 1.0), ({x: 1.0}, ">=", math.nan),
+                               ({x: math.inf}, "<=", 1.0), ({x: 1.0, 1: 1.0}, "<=", 1.0)):
+        with pytest.raises(ValueError):
+            p.add_row(coeffs, sense, rhs)
+    assert not p.senses and p.A.shape == (0, 1)
+
+
+def test_row_violation_of_each_sense():
+    # max(0, excess) / (1 + |rhs|): an = row misses on either side
+    assert milp.row_violation([0.5], ["="], [-1.5]) == 0.8
+    assert milp.row_violation([-3.5], ["="], [-1.5]) == 0.8
+    assert milp.row_violation([3.0, 1.0, 0.5], ["<=", ">=", "="], [2.0, 2.0, -1.5]) == 0.8
+    assert milp.row_violation([3.0, 1.0], ["<=", ">="], [2.0, 2.0]) == 1.0 / 3.0
+    held = milp.row_violation([1.0, 3.0, -1.5], ["<=", ">=", "="], [2.0, 2.0, -1.5])
+    assert held == 0.0 and math.copysign(1.0, held) == 1.0
+    assert milp.row_violation([], [], []) == 0.0
+    assert milp.row_violation([0.0, 0.0], ["<=", "="], [-1e-7, 2e-6]) == 2e-6 / (1.0 + 2e-6)
 
 
 def test_objective_rejects_unknown_ids_and_non_finite_coefficients():
@@ -62,6 +88,8 @@ def test_objective_rejects_unknown_ids_and_non_finite_coefficients():
             p.set_objective(bad)
     with pytest.raises(ValueError):
         p.set_objective({x: 1.0}, constant=math.nan)
+    with pytest.raises(ValueError):
+        p.set_objective({x: 1.0}, sense="maximize")
     assert not p.c.any()  # a rejected objective leaves the old one
     p.set_objective({x: -1.0})
     res = solve_milp(p)
@@ -78,7 +106,7 @@ def test_row_free_lp():
     assert res.status == "optimal"
     assert res.x.tolist() == [-2.0, 3.0, 1.0, -1.0]
     assert res.objective == -2.0 - 6.0 + 0.5
-    assert res.iterations == 0
+    assert res.counters["pivots"] == 0
 
 
 def test_lp_equality_and_negative_bounds():
@@ -261,7 +289,7 @@ def test_milp_determinism():
     b = solve_milp(p)
     assert a.objective == b.objective
     assert a.nodes == b.nodes
-    assert a.iterations == b.iterations
+    assert a.counters == b.counters
     np.testing.assert_array_equal(a.x, b.x)
 
 
@@ -383,7 +411,7 @@ def test_blands_rule_keeps_the_oracle(monkeypatch):
 
     def counting(*args, **kwargs):
         res = plain(*args, **kwargs)
-        pivots.append(res.iterations)
+        pivots.append(res.counters["pivots"])
         return res
 
     monkeypatch.setattr(milp, "solve_milp", counting)
@@ -420,4 +448,4 @@ def test_narrow_window_lp_with_large_row_values_solves():
     p.add_row(dict(zip(sets[1], f)), "<=", 2543811173259.672)
     p.set_objective(dict(zip(sets[0], f)), sense="max")
     res = solve_milp(p)
-    assert res.status == "optimal", (res.status, res.iterations)
+    assert res.status == "optimal", (res.status, res.counters)

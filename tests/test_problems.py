@@ -11,6 +11,7 @@ from sppa.loop import SppaConfig, run
 from sppa.problems import (ProblemFormatError, ProblemSpec, NonlinearTerm,
                            builtin, builtin_info, builtin_names,
                            from_expressions, load_problem)
+from sppa.milp import LinearConstraint
 from sppa.pwl import Interval
 
 
@@ -90,6 +91,7 @@ def test_affine_parts_go_linear():
     ("-(x - 2*y) + 3", 3.0, {0: -1.0, 1: 2.0}, []),    # a negated sum is flattened
     ("x^2/2", 0.0, {}, [4.5]),                         # / of a nonlinear numerator
     ("-x^2", 0.0, {}, [-9.0]),                         # a negated nonlinear summand
+    ("2*(-(x^2))", 0.0, {}, [-18.0]),                  # a negation of a nonlinear part
 ])
 def test_decomposition_constants_and_coefficients(text, constant, linear, at_3):
     spec = from_expressions([("x", Interval(-4, 4), False), ("y", Interval(-4, 4), False)], text)
@@ -117,6 +119,28 @@ def test_non_finite_affine_parts_rejected(tmp_path):
             ProblemSpec(variables, objective, constant, [], [])
     with pytest.raises(ValueError, match="objective references unknown variable 2"):
         ProblemSpec(variables, {2: 1.0}, 0.0, [], [])  # before, run() raised IndexError
+
+
+def test_problem_spec_rejects_a_bad_sense_and_unknown_references():
+    variables = [("x", Interval(0, 1), False), ("y", Interval(0, 1), False)]
+    row = LinearConstraint({0: 1.0}, "<=", 1.0)
+    for args, kwargs, message in (
+            (([], []), {"sense": "maximize"}, "sense must be"),
+            (([], [NonlinearTerm((0, 2), math.sin)]), {}, "term references unknown variable 2"),
+            (([row], [NonlinearTerm((0,), math.sin, row=1)]), {}, "term references unknown row 1"),
+            (([LinearConstraint({3: 1.0}, ">=", 0.0)], []), {},
+             "row references unknown variable 3")):
+        with pytest.raises(ValueError, match=message):
+            ProblemSpec(variables, {}, 0.0, *args, **kwargs)
+
+
+def test_nonlinear_parts_nested_in_a_product_make_one_term():
+    # a sum holding a nonlinear summand, under a constant factor, is one term
+    spec = from_expressions([("x", Interval(-4, 4), False), ("y", Interval(-4, 4), False)],
+                            "(x + y^2)*2")
+    assert (spec.objective_constant, spec.linear_objective) == (0.0, {})
+    [term] = spec.nonlinear_terms
+    assert term.var_ids == (0, 1) and term.fn(np.array([3.0, 2.0])) == 14.0
 
 
 def test_constraint_terms_target_rows():

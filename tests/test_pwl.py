@@ -35,6 +35,10 @@ def test_build_grid_errors():
         Interval(float("-inf"), 0.0)
     with pytest.raises(ValueError):
         build_grid([(2.0, 2.0)], [1])  # degenerate axis rejected here
+    with pytest.raises(ValueError):
+        pwl.Grid([])
+    with pytest.raises(ValueError):
+        pwl.Grid([[0.0, 1.0], [0.0, np.inf]])
 
 
 def test_count_simplices():
