@@ -141,29 +141,62 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
     return active, grid, points, vertex_values(points, term.fn, term.label, term.array_fn)
 
 
+def _groups(terms: list[NonlinearTerm]) -> list[int]:
+    """Each term's lambda block, named by its leading term, whose variables
+    are the block's: terms are taken largest variable set first, in source
+    order on ties, and each joins the first block whose variables contain
+    its own, or leads a new one."""
+    lead: dict[int, int] = {}
+    for i in sorted(range(len(terms)), key=lambda i: -len(terms[i].var_ids)):
+        lead[i] = next((g for g in lead.values()
+                        if set(terms[i].var_ids) <= set(terms[g].var_ids)), i)
+    return [lead[i] for i in range(len(terms))]
+
+
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
                           models: Optional[dict] = None) -> milp.LpProblem:
     """The MILP for one iteration.
 
-    Linear parts are copied verbatim; every nonlinear term gets its own
-    lambda encoding (one weight per grid vertex, ``mcmodel.encode_term``)
-    on a fresh grid over the current boxes (``pieces`` segments per
-    involved variable).  Degenerate (fixed) variables are excluded from
-    grids and substituted as constants; a term whose variables are all
-    fixed contributes a constant.  ``models`` maps each shape (each term's
-    active variables and vertex counts) built so far to its model and term
-    blocks; every call fills the model of its shape in place.
+    Linear parts are copied verbatim; the nonlinear terms get one lambda
+    block (one weight per grid vertex, ``mcmodel.encode_term``) per group
+    of ``_groups``, on a fresh grid over the current boxes of its leading
+    term's active variables (``pieces`` segments each).  Each term's vertex
+    values are broadcast onto its block's grid and summed in source order
+    per target, the objective or a row.  Fixed variables are substituted
+    as constants; a term whose variables are all fixed is a constant.
+    ``models`` maps each shape (each block's active variables, vertex
+    counts and targets) built so far to its model and blocks; every call
+    fills the model of its shape in place.
     """
-    prepared = [_prepare_term(spec, term, bounds, pieces) for term in spec.nonlinear_terms]
-    shape = tuple((tuple(active), np.shape(values)) for active, _, _, values in prepared)
+    terms = spec.nonlinear_terms
+    prepared = [_prepare_term(spec, term, bounds, pieces) for term in terms]
+    blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
+    row_shift = [0.0] * len(spec.linear_constraints)
+    const_extra = 0.0
+    for term, (axes, _, _, values), g in zip(terms, prepared, _groups(terms)):
+        value = term.coef * values
+        if not axes:
+            if term.row is None:
+                const_extra += value
+            else:
+                row_shift[term.row] += value
+            continue
+        active, lattice = prepared[g][0], prepared[g][3].shape
+        order = sorted(range(len(axes)), key=lambda a: active.index(axes[a]))
+        value = np.broadcast_to(np.transpose(value, order).reshape(
+            [n if k in axes else 1 for k, n in zip(active, lattice)]), lattice)
+        targets = blocks_at.setdefault(g, {})
+        targets[term.row] = targets[term.row] + value if term.row in targets else value
+    shape = tuple((tuple(prepared[g][0]), prepared[g][3].shape, tuple(targets))
+                  for g, targets in blocks_at.items())
     models = {} if models is None else models
     if shape not in models:
         model = milp.LpProblem()
         for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
             model.add_var(0.0, 0.0, integer=is_int)
-        blocks = [None if grid is None else mcmodel.add_term(model, active, values.shape)
-                  for active, grid, _, values in prepared]
-        for row in spec.linear_constraints:  # after every term's rows
+        blocks = [mcmodel.add_term(model, prepared[g][0], prepared[g][3].shape)
+                  for g in blocks_at]
+        for row in spec.linear_constraints:  # after every block's rows
             model.add_row(row.coeffs, row.sense, 0.0)
         model.set_objective(spec.linear_objective, sense=spec.sense)
         models[shape] = model, blocks
@@ -171,18 +204,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     model.lb[:spec.n_vars] = [iv.lo for iv in bounds]
     model.ub[:spec.n_vars] = [iv.hi for iv in bounds]
     first_row = len(model.senses) - len(spec.linear_constraints)
-    row_shift = [0.0] * len(spec.linear_constraints)
-    const_extra = 0.0
-    for term, (_, grid, _, values), block in zip(spec.nonlinear_terms, prepared, blocks):
-        if grid is None:
-            value = term.coef * values
-            if term.row is None:
-                const_extra += value
-            else:
-                row_shift[term.row] += value
-            continue
-        mcmodel.encode_term(model, block, grid, term.coef * values,
-                            None if term.row is None else first_row + term.row)
+    for (g, targets), block in zip(blocks_at.items(), blocks):
+        mcmodel.encode_term(model, block, prepared[g][1], {
+            None if row is None else first_row + row: v for row, v in targets.items()})
     model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, row_shift)]
     model.obj_constant = spec.objective_constant + const_extra
     return model

@@ -1,18 +1,21 @@
 """Convex-combination ("lambda") MILP encoding of a piecewise-linear term.
 
 One weight in [0, 1] per grid vertex, in row-major order, and one linking
-row per term variable, ``sum(w_v * b_k[v_k]) - z_k = 0``.  The row that
-makes the weights sum to 1 is declared on the model as a lattice set over
-the whole vertex grid, by its shape, so that :func:`sppa.milp.solve_milp`
-restricts the weights above tolerance to one Kuhn simplex by branching
-(Lee & Wilson 2001; Vielma, Ahmed & Nemhauser 2010).  On one simplex the
-weights are the point's barycentric coordinates, so the term value
-``sum(w_v * f(v))`` is the simplicial interpolant; ``tests/properties.py``
-holds the geometric reference and checks the two against each other.  The
-LP relaxation is the convex hull of the graph points.  ``add_term`` gives a
-term its columns and rows, and ``encode_term`` writes a grid and the term's
-vertex values into them, as often as the grid moves; nothing here
-evaluates a function.
+row per grid variable, ``sum(w_v * (b_k[v_k] - lo_k)) - z_k = -lo_k``, its
+coefficients window-sized as taken from the grid's lower corner ``lo``.
+The row that makes the weights sum to 1 is declared on the model as a
+lattice set over the whole vertex grid, by its shape, so that
+:func:`sppa.milp.solve_milp` restricts the weights above tolerance to one
+Kuhn simplex by branching (Lee & Wilson 2001; Vielma, Ahmed & Nemhauser
+2010).  On one simplex the weights are the point's barycentric
+coordinates, so the term value ``sum(w_v * f(v))`` is the simplicial
+interpolant; ``tests/properties.py`` holds the geometric reference and
+checks the two against each other.  The LP relaxation is the convex hull
+of the graph points.  On the Kuhn grid a function of some of the grid's
+variables interpolates as on its own axes, so one block carries every
+term of those variables: ``add_term`` gives a block its columns and rows,
+and ``encode_term`` writes a grid and the terms' vertex values into them,
+as often as the grid moves; nothing here evaluates a function.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ __all__ = ["add_term", "encode_term"]
 
 
 def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
-    """Append one term's weights, one per vertex of a grid of ``shape`` in
+    """Append a block's weights, one per vertex of a grid of ``shape`` in
     row-major order, its linking rows over the shared variables ``z_ids``
     (weight coefficients 0 until ``encode_term``) and its lattice set's row;
     returns its block, ``(weight columns, linking rows)``."""
@@ -40,13 +43,16 @@ def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
     return slice(j, model.n_vars), slice(rows[0], rows[-1] + 1)
 
 
-def encode_term(model: LpProblem, block: tuple[slice, slice], grid: pwl.Grid, values,
-                row=None):
-    """Write ``grid``'s coordinates into a term's linking rows and ``values``,
-    its contribution at each vertex shaped like the vertex lattice, onto its
-    weights, in the objective or in ``row``."""
+def encode_term(model: LpProblem, block: tuple[slice, slice], grid: pwl.Grid, targets: dict):
+    """Write ``grid``'s coordinates less its lower corner into a block's
+    linking rows, minus that corner into their right-hand sides, and each
+    ``targets`` value array, shaped like the vertex lattice, onto the
+    block's weights: in the objective for the key None, else in that row."""
     cols, rows = block
-    if not np.isfinite(values).all():
+    if not all(np.isfinite(values).all() for values in targets.values()):
         raise ValueError("non-finite term value")
-    model.A[rows, cols] = grid.points().reshape(-1, grid.dims).T  # row-major, as the weights
-    (model.c if row is None else model.A[row])[cols] = np.ravel(values)
+    lo = np.array([b[0] for b in grid.breakpoints])
+    model.A[rows, cols] = (grid.points().reshape(-1, grid.dims) - lo).T  # row-major, as the weights
+    model.rhs[rows] = 0.0 - lo  # +0.0 at a corner of 0, as a fresh row
+    for row, values in targets.items():
+        (model.c if row is None else model.A[row])[cols] = np.ravel(values)

@@ -190,7 +190,7 @@ def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
     put into ``prob`` (``add_term``, then ``encode_term`` into the
     objective); returns the term value as ``{weight id: vertex value}``."""
     block = add_term(prob, z_ids, values.shape)
-    encode_term(prob, block, grid, values)
+    encode_term(prob, block, grid, {None: values})
     cols = block[0]
     return dict(zip(range(cols.start, cols.stop), prob.c[cols].tolist()))
 
@@ -202,6 +202,36 @@ def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
     relaxed.is_int = np.zeros(problem.n_vars, dtype=bool)
     relaxed.lattice_sets = []
     return milp.solve_milp(relaxed)
+
+
+def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) -> milp.LpProblem:
+    """The iteration model with one lambda block per term, ``add_term`` and
+    ``encode_term`` on each term's own active variables, built fresh on
+    every call (``models`` is ignored): the reference that
+    ``loop.build_iteration_model``'s shared blocks are checked against.
+    The columns and rows are laid out as there, and a term whose variables
+    are all fixed is a constant in the objective or the row's right side."""
+    model = milp.LpProblem()
+    for _name, _iv, is_int in spec.variables:
+        model.add_var(0.0, 0.0, integer=is_int)
+    model.lb[:], model.ub[:] = [iv.lo for iv in bounds], [iv.hi for iv in bounds]
+    prepared = [loop._prepare_term(spec, term, bounds, pieces) for term in spec.nonlinear_terms]
+    blocks = [add_term(model, active, np.shape(values)) if active else None
+              for active, _, _, values in prepared]
+    first_row = len(model.senses)
+    for row in spec.linear_constraints:
+        model.add_row(row.coeffs, row.sense, row.rhs)
+    model.set_objective(spec.linear_objective, spec.objective_constant, spec.sense)
+    for term, (_, grid, _, values), block in zip(spec.nonlinear_terms, prepared, blocks):
+        value = term.coef * values
+        if block is not None:
+            encode_term(model, block, grid,
+                        {None if term.row is None else first_row + term.row: value})
+        elif term.row is None:
+            model.obj_constant += value
+        else:
+            model.rhs[first_row + term.row] -= value
+    return model
 
 
 # ---------------------------------------------------------------------------
@@ -582,6 +612,79 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
     return (f"refilled models match fresh builds ({n_specs} specs, {n_specs * n_windows} "
             f"windows: {n_rebuilt} shapes built, {n_refilled} refills reusing their canonical "
             f"form, {n_optimal} optimal, {n_negzero} -0.0 coefficients written)")
+
+
+def _nested_spec(rng: np.random.Generator) -> ProblemSpec:
+    """Two or three variables, the first integer in about a third of the
+    specs and a later one fixed in about a quarter; an objective term of all
+    of them or of all but the last, objective and ``<=``-row terms on random
+    smaller subsets (so most nest in another term, some overlap one, and
+    some share a row), in about half the specs a row term on the last two
+    variables, and a linear ``>=`` row.  Each term lists its variables in a
+    random order.  Both rows pass through a random point of the box."""
+    d = int(rng.integers(2, 4))
+    variables = []
+    for k in range(d):
+        integer = k == 0 and rng.random() < 1.0 / 3.0
+        lo = float(rng.integers(-3, 0)) if integer else float(rng.uniform(-2.0, 0.0))
+        hi = lo + (float(rng.integers(2, 5)) if integer else float(rng.uniform(1.0, 3.0)))
+        if k and rng.random() < 0.25:
+            hi = lo
+        variables.append((f"x{k}", pwl.Interval(lo, hi), integer))
+    point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
+    terms = []
+    for targets in ([None], [None, 0, 0, 0][:int(rng.integers(2, 5))]):
+        for row in targets:
+            size = d - int(rng.random() < 0.5) if not terms else int(rng.integers(1, d))
+            axes = tuple(int(k) for k in rng.choice(size if not terms else d, size, False))
+            shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=len(axes))
+            terms.append(NonlinearTerm(axes, lambda v, shape=shape, a=a: shape(v, a),
+                                       coef=float(rng.choice([-1.5, 0.5, 1.0])), row=row))
+    if rng.random() < 0.5:
+        terms.append(NonlinearTerm((d - 1, d - 2), lambda v: float(np.sin(v[0] - v[1])), row=0))
+    row_at = sum(t.coef * t.fn(point[list(t.var_ids)]) for t in terms if t.row == 0)
+    c = rng.uniform(-1.0, 1.0, size=d)
+    rows = [milp.LinearConstraint({}, "<=", float(row_at) + 0.3),
+            milp.LinearConstraint({k: float(c[k]) for k in range(d)}, ">=",
+                                  float(c @ point) - 0.3)]
+    sense = "max" if rng.random() < 0.5 else "min"
+    return ProblemSpec(variables, {0: float(rng.uniform(-1.0, 1.0))}, 0.5, rows, terms,
+                       sense=sense)
+
+
+def check_grouped_model(n_specs: int = 120) -> str:
+    """``loop.build_iteration_model``, whose terms share one lambda block
+    per variable group, against ``per_term_model``, one block per term: on
+    each ``_nested_spec`` at 2 or 3 pieces, the same status and, when
+    optimal, objectives within twice the MILP's relative gap (both solve
+    the same interpolant).  The grouped model has a block per group that
+    has an active variable, and no more sets than the reference."""
+    rng = np.random.default_rng(4242)
+    n_shared = n_optimal = n_fixed = n_blocks = 0
+    for _ in range(n_specs):
+        spec = _nested_spec(rng)
+        bounds, pieces = spec.bounds(), int(rng.integers(2, 4))
+        grouped = loop.build_iteration_model(spec, bounds, pieces)
+        reference = per_term_model(spec, bounds, pieces)
+        leads = loop._groups(spec.nonlinear_terms)
+        active_leads = {g for g in leads if any(bounds[k].width > 0.0
+                                                 for k in spec.nonlinear_terms[g].var_ids)}
+        assert len(grouped.lattice_sets) == len(active_leads), (leads, active_leads)
+        assert len(grouped.lattice_sets) <= len(reference.lattice_sets)
+        got, want = milp.solve_milp(grouped), milp.solve_milp(reference)
+        assert got.status == want.status, (got.status, want.status)
+        if want.status == "optimal":
+            assert abs(got.objective - want.objective) <= 2.0 * milp._REL_GAP * max(
+                1.0, abs(want.objective)), (got.objective, want.objective)
+            n_optimal += 1
+        n_shared += len(grouped.lattice_sets) < len(reference.lattice_sets)
+        n_fixed += any(iv.width == 0.0 for iv in bounds)
+        n_blocks += len(grouped.lattice_sets) > 1
+    assert n_shared and n_optimal and n_fixed and n_blocks, (n_shared, n_optimal, n_fixed,
+                                                               n_blocks)
+    return (f"grouped model matches one block per term ({n_specs} specs: {n_shared} sharing a "
+            f"block, {n_blocks} with more than one block, {n_fixed} with a fixed variable, "
+            f"{n_optimal} optimal)")
 
 
 def _enumerate_milp(prob: milp.LpProblem) -> tuple[np.ndarray, np.ndarray]:
@@ -1339,18 +1442,28 @@ def check_best_point(n_row_free: int = 40, n_with_rows: int = 20) -> str:
             f"{not_best_objective} reporting a point of worse objective)")
 
 
-def check_separable_interpolant(n_sums: int = 40, n_points: int = 25) -> str:
-    """On the simplicial grid, a sum of summands with disjoint supports
-    interpolates to the sum of the summands' own interpolants: ``eval_pwl``
-    of the sum on the joint grid equals the sum of each summand's
-    ``eval_pwl`` on its own axes."""
+def check_separable_interpolant(n_sums: int = 60, n_points: int = 25) -> str:
+    """On the simplicial grid, a sum of summands interpolates to the sum of
+    the summands' own interpolants: ``eval_pwl`` of the sum on the joint
+    grid equals the sum of each summand's ``eval_pwl`` on its own axes.  So
+    terms on nested variable sets can share one lambda block.  The sums
+    cycle through disjoint supports that partition the variables, nested
+    ones (each a subset of the one before) and overlapping ones (each
+    support two neighbours in a random order, as in a chained sum)."""
     rng = np.random.default_rng(20261018)
-    for _ in range(n_sums):
-        d = int(rng.integers(2, 5))
+    for i in range(n_sums):
+        kind = ("disjoint", "nested", "overlapping")[i % 3]
+        d = int(rng.integers(3 if kind == "overlapping" else 2, 5))
         order = [int(k) for k in rng.permutation(d)]
-        cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=rng.integers(1, d),
-                                                  replace=False))
-        supports = [sorted(int(k) for k in block) for block in np.split(order, cuts)]
+        if kind == "disjoint":
+            cuts = sorted(int(c) for c in rng.choice(np.arange(1, d), size=rng.integers(1, d),
+                                                      replace=False))
+            blocks = np.split(order, cuts)
+        elif kind == "nested":
+            blocks = [order[:int(n)] for n in sorted(rng.integers(1, d + 1, size=3))[::-1]]
+        else:
+            blocks = [order[k:k + 2] for k in range(d - 1)]
+        supports = [sorted(int(k) for k in block) for block in blocks]
         bounds = [(lo, lo + w) for lo, w in zip(rng.uniform(-3, 1, d), rng.uniform(0.5, 4, d))]
         grid = build_grid(bounds, [int(L) for L in rng.integers(1, 5, size=d)])
         summands = []
@@ -1367,8 +1480,9 @@ def check_separable_interpolant(n_sums: int = 40, n_points: int = 25) -> str:
         for z in lo + rng.random((n_points, d)) * (hi - lo):
             want = sum(eval_pwl(g, f, z[axes]) for g, (axes, f) in zip(sub_grids, summands))
             got = eval_pwl(grid, total, z)
-            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (supports, z, got, want)
-    return f"separable interpolant ok ({n_sums} sums, {n_points} points each)"
+            assert abs(got - want) <= 1e-9 * (1.0 + abs(want)), (kind, supports, z, got, want)
+    return (f"separable interpolant ok ({n_sums} sums on disjoint, nested and overlapping "
+            f"supports, {n_points} points each)")
 
 
 _TREE_NUMS = (0.0, -0.0, 0.5, 1.0, 2.0, 3.0, 1e3)
@@ -1521,6 +1635,7 @@ ALL_CHECKS = (
     check_lattice_branch,
     check_lattice_oracle,
     check_model_refill,
+    check_grouped_model,
     check_milp_oracle,
     check_warm_child,
     check_set_branch_warm,

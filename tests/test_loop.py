@@ -13,8 +13,8 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, load_problem)
 from sppa.pwl import Interval, axis_breakpoints
 
-from properties import (check_best_point, check_model_refill, check_sppa_invariants,
-                        check_vertex_optimum)
+from properties import (check_best_point, check_grouped_model, check_model_refill,
+                        check_sppa_invariants, check_vertex_optimum)
 
 
 def test_contract_examples():
@@ -95,6 +95,48 @@ def test_model_counts_rastrigin():
     m = build_iteration_model(spec, spec.bounds(), 6)
     assert sum(m.is_int) == 0
     assert [len(ids) for ids, _ in m.lattice_sets] == [7, 7]  # two 1-D terms, 7 vertices each
+
+
+@pytest.mark.parametrize("name, pieces, n_vars, n_rows", [("constrained_a", 3, 19, 6),
+                                                        ("constrained_b", 2, 30, 6)])
+def test_shipped_row_terms_share_the_objective_block(name, pieces, n_vars, n_rows):
+    # every row term's variables lie inside the objective term's, so each
+    # model has one lattice set: its vertex weights, one linking row per
+    # objective variable, the set's row and the file's three rows
+    problems = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
+    spec = load_problem(str(problems / f"{name}.prob"))
+    m = build_iteration_model(spec, spec.bounds(), pieces)
+    [(ids, index)] = m.lattice_sets
+    assert m.n_vars == n_vars and len(m.senses) == n_rows
+    assert len(ids) == n_vars - spec.n_vars == (pieces + 1) ** index.shape[1]
+
+
+def test_groups_follow_the_largest_variable_set_first():
+    # largest set first, source order on ties; each term joins the first
+    # group whose variables contain its own
+    def term(*var_ids):
+        return NonlinearTerm(var_ids, lambda v: 0.0)
+
+    terms = [term(0), term(1, 2), term(0, 1), term(2), term(0, 1, 3), term(1, 2, 4), term(5)]
+    assert loop._groups(terms) == [4, 5, 4, 5, 4, 5, 6]
+    assert loop._groups([term(0, 1), term(1, 0), term(1)]) == [0, 0, 0]
+    assert loop._groups([]) == []
+
+
+def test_fixed_term_stays_a_constant_inside_a_group():
+    # y is fixed: the row term y^2 stays in the rhs although its variables
+    # lie inside the objective term's, which keeps its block over x
+    spec = ProblemSpec(
+        [("x", Interval(0.0, 1.0), False), ("y", Interval(0.5, 0.5), False)], {}, 0.0,
+        [milp.LinearConstraint({0: 1.0}, "<=", 2.0)],
+        [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1])),
+         NonlinearTerm((1,), lambda v: float(v[0] ** 2), row=0),
+         NonlinearTerm((0,), lambda v: float(v[0] ** 3), row=0)])
+    m = build_iteration_model(spec, spec.bounds(), 2)
+    [(ids, index)] = m.lattice_sets
+    assert index.shape[1] == 1 and m.rhs[-1] == 2.0 - 0.25
+    assert m.A[-1, ids].tolist() == [0.0, 0.125, 1.0]  # x^3 on the block's weights
+    assert m.c[ids].tolist() == [0.0, 0.25, 0.5]
 
 
 def test_no_nonlinear_terms_single_solve():
@@ -302,9 +344,10 @@ def _narrow_window_spec(rng):
 
 
 def test_surrogate_stays_within_vertex_values_on_narrow_windows():
-    # far from zero a window's coordinates carry few significant digits, and
-    # the linking rows window-sized coefficients; still every lattice set of
-    # the solved model is a convex combination of its term's vertex values
+    # far from zero a window's coordinates carry few significant digits;
+    # still the weights of every lattice set of the solved model sum to 1,
+    # and each term the set carries (the row term shares the objective
+    # term's set) takes a convex combination of its own vertex values
     rng = np.random.default_rng(97531)
     for _ in range(150):
         spec, pieces = _narrow_window_spec(rng)
@@ -312,14 +355,21 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
         lp = build_iteration_model(spec, bounds, pieces)
         res = milp.solve_milp(lp)
         assert res.status == "optimal", res.status
-        assert len(lp.lattice_sets) == len(spec.nonlinear_terms)
-        for term, (ids, index) in zip(spec.nonlinear_terms, lp.lattice_sets):
-            values = loop._prepare_term(spec, term, bounds, pieces)[3][tuple(index.T)]
+        prepared = [loop._prepare_term(spec, term, bounds, pieces)
+                    for term in spec.nonlinear_terms]
+        leads = loop._groups(spec.nonlinear_terms)
+        assert len(lp.lattice_sets) == len(set(leads)) == 1
+        for lead, (ids, index) in zip(dict.fromkeys(leads), lp.lattice_sets):
             w = res.x[ids]
-            tol = milp.ROW_TOL * (1.0 + np.max(np.abs(values)))
             assert abs(w.sum() - 1.0) <= 2.0 * milp.ROW_TOL, w.sum()
-            assert values.min() - tol <= w @ values <= values.max() + tol, (
-                w @ values, values.min(), values.max())
+            active = prepared[lead][0]
+            for (axes, _, _, term_values), g in zip(prepared, leads):
+                if g != lead:
+                    continue
+                values = term_values[tuple(index[:, [active.index(k) for k in axes]].T)]
+                tol = milp.ROW_TOL * (1.0 + np.max(np.abs(values)))
+                assert values.min() - tol <= w @ values <= values.max() + tol, (
+                    w @ values, values.min(), values.max())
 
 
 def _parabola_spec(x_min: float = 0.5):
@@ -426,10 +476,11 @@ def test_config_validation():
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
 # at the grid vertices, so no pivots), the parabola model of
 # test_nonlinear_constraint_term (its rows keep it on the MILP path),
-# bench/problems/constrained_b.prob at 2/2 (a 3-D term whose lattice set
-# branches, under a nonlinear and a linear row), bench/problems/
-# constrained_a.prob at 3/3 (an integer variable and 2-D terms: the MILP
-# case with the most branch-and-bound nodes), and a 3-D term with y fixed
+# bench/problems/constrained_b.prob at 2/2 (a 3-D term under a nonlinear
+# and a linear row, whose 1-D row terms share its lattice set),
+# bench/problems/constrained_a.prob at 3/3 (an integer variable and 2-D
+# terms, all in one lattice set: the MILP case with the most
+# branch-and-bound nodes), and a 3-D term with y fixed
 # on each path (_PARTIAL_FIXED: the term is called on points that hold y
 # at its value), and the MILP case of test_integer_variable_in_term (its
 # model changes shape once, when the integer axis of n loses breakpoints
@@ -447,18 +498,18 @@ _PARTIAL_FIXED = {
     pytest.param("rastrigin", (6, 3), "stall", 24, 0.0, [0.0, 0.0], 0, id="rastrigin"),
     pytest.param("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
                  [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
-    pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 6, id="parabola"),
-    pytest.param("constrained_b", (2, 2), "stall", 21, -1.2007940880172072,
-                 [1.1777141169071161, 0.9780276971627405, 1.0753842487314866], 134,
+    pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 5, id="parabola"),
+    pytest.param("constrained_b", (2, 2), "width", 27, -1.2007940871114322,
+                 [1.1776977636729173, 0.9780395543617975, 1.0753913741255259], 30,
                  id="constrained_b"),
-    pytest.param("constrained_a", (3, 3), "stall", 19, -0.17805012210678173,
-                 [1.5089855194091804, -0.5089855194091802, 1.0], 660, id="constrained_a"),
+    pytest.param("constrained_a", (3, 3), "stall", 19, -0.17805012210678184,
+                 [1.5089855194091797, -0.5089855194091797, 1.0], 70, id="constrained_a"),
     pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
                  id="partial_fixed_vertex"),
-    pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999850988388,
-                 [0.2498779296875, 0.5, 1.0], 87, id="partial_fixed_milp"),
+    pytest.param("partial_fixed_milp", (4, 4), "stall", 19, -0.8124999997671694,
+                 [0.2500152587890625, 0.5, 1.0], 55, id="partial_fixed_milp"),
     pytest.param("integer_axis_milp", (4, 4), "width", 27, -1.5099999999999998, [3.0, -1.0],
-                 12, id="integer_axis_milp"),
+                 9, id="integer_axis_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
@@ -558,3 +609,7 @@ def test_best_point_property_suite():
 
 def test_model_refill_property_suite():
     print(check_model_refill())
+
+
+def test_grouped_model_property_suite():
+    print(check_grouped_model())

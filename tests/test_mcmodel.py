@@ -31,17 +31,46 @@ def test_cardinalities():
 
 
 def test_selection_rows_shape():
-    # d linking rows, sum(w_v * b_k[v_k]) - z_k = 0, then the set's = 1 row
+    # d linking rows relative to the grid's lower corner lo,
+    # sum(w_v * (b_k[v_k] - lo_k)) - z_k = -lo_k, then the set's = 1 row
     g = build_grid([(1.0, 2.0), (-1.0, 3.0)], [2, 2])
     model, z_ids, value = build(g, lambda v: 0.0)
     [(ids, index)] = model.lattice_sets
-    assert model.senses == ["="] * 3 and model.rhs.tolist() == [0.0, 0.0, 1.0]
+    assert model.senses == ["="] * 3 and model.rhs.tolist() == [-1.0, 1.0, 1.0]
     for k in range(2):
         want = np.zeros(model.n_vars)
         want[z_ids[k]] = -1.0
-        want[ids] = [g.breakpoints[k][i[k]] for i in index.tolist()]
+        want[ids] = [g.breakpoints[k][i[k]] - g.breakpoints[k][0] for i in index.tolist()]
         assert model.A[k].tolist() == want.tolist()
     assert model.A[2, ids].tolist() == [1.0] * len(ids) and not model.A[2, z_ids].any()
+    # a corner at 0 leaves the right-hand side +0.0, as a fresh row's
+    model, _, _ = build(build_grid([(0.0, 1.0)], [2]), lambda v: 0.0)
+    assert not np.signbit(model.rhs).any()
+
+
+def test_one_block_carries_the_objective_and_two_rows():
+    # encode_term writes each target's values onto the same weights: the
+    # objective (key None) and two rows; the linking rows' rhs is -lo
+    g = build_grid([(2.0, 3.0), (-4.0, -1.0)], [1, 2])
+    model = LpProblem()
+    z_ids = [model.add_var(2.0, 3.0), model.add_var(-4.0, -1.0)]
+    cols, rows = block = add_term(model, z_ids, (2, 3))
+    r1, r2 = (model.add_row({z_ids[0]: 1.0}, "<=", 5.0) for _ in range(2))
+    targets = {None: np.arange(6.0).reshape(2, 3), r1: np.full((2, 3), 2.0),
+               r2: -np.arange(6.0).reshape(2, 3)}
+    encode_term(model, block, g, targets)
+    assert model.c[cols].tolist() == list(range(6))
+    assert model.A[r1, cols].tolist() == [2.0] * 6
+    assert model.A[r2, cols].tolist() == [-float(k) for k in range(6)]
+    assert model.rhs[rows].tolist() == [-2.0, 4.0]
+    assert model.rhs[[r1, r2]].tolist() == [5.0, 5.0]  # encode_term leaves other rows' rhs
+    assert model.A[rows, cols].tolist() == [[0.0, 0.0, 0.0, 1.0, 1.0, 1.0],
+                                            [0.0, 1.5, 3.0, 0.0, 1.5, 3.0]]
+    for bad_target in (None, r1, r2):  # a non-finite value in any target raises
+        bad = {t: v.copy() for t, v in targets.items()}
+        bad[bad_target][1, 2] = np.nan
+        with pytest.raises(ValueError, match="non-finite term value"):
+            encode_term(model, block, g, bad)
 
 
 def test_add_term_checks_its_variables():
@@ -58,7 +87,7 @@ def test_encode_term_rejects_non_finite_values():
     block = add_term(model, [model.add_var(0.0, 1.0)], (3,))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite term value"):
-            encode_term(model, block, g, np.array([0.0, bad, 1.0]))
+            encode_term(model, block, g, {None: np.array([0.0, bad, 1.0])})
     assert not model.c.any()
 
 

@@ -12,7 +12,8 @@ from sppa.problems import from_expressions
 from sppa.pwl import Interval
 
 from properties import (check_child_reuse, check_lattice_branch, check_milp_oracle,
-                        check_set_branch_warm, check_warm_child, check_warm_root)
+                        check_set_branch_warm, check_warm_child, check_warm_root,
+                        per_term_model)
 
 
 def knapsack(values, weights, cap):
@@ -379,16 +380,20 @@ def test_lattice_branch_property_suite():
     print(check_lattice_branch())
 
 
-def test_set_branching_keeps_constrained_b_trees_small():
-    # the constrained (b) benchmark model at 3/3, built inline: one 3-D term
-    # of 64 vertex weights plus a nonlinear and a linear row.  Branching on
-    # one simplex selector at a time took 111 and 84 nodes in the first two
-    # iterations; splitting the term's lattice set along the grid stays small
+def test_set_branching_keeps_constrained_b_trees_small(monkeypatch):
+    # the constrained (b) benchmark model at 3/3 with one lattice set per
+    # term (per_term_model): a 3-D term of 64 vertex weights, and the 1-D
+    # terms of a nonlinear row in sets of their own, plus a linear row.  (The
+    # run's own model puts every term in the 3-D set and solves at the
+    # root.)  Branching on one simplex selector at a time took 111 and 84
+    # nodes in the first two iterations; splitting the 3-D set along the
+    # grid stays small
     box = Interval(0.0, 2.0)
     spec = from_expressions(
         [("x", box, False), ("y", box, False), ("z", box, False)],
         "(x - 1.2)^2 + (y - 0.8)^2 + (z - 1)^2 - x*y*z",
         constraints=[("x^2 + y^2 + z^2", "<=", 3.5), ("x + 2*y - z", ">=", 1.0)])
+    monkeypatch.setattr(loop, "build_iteration_model", per_term_model)
     result = loop.run(spec, loop.SppaConfig(3, 3, max_iters=2))
     assert len(result.trace) == 2
     for rec in result.trace:
