@@ -30,7 +30,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from sppa import mcmodel, milp
-from sppa.problems import NonlinearTerm, ProblemSpec
+from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
 from sppa.pwl import Grid, Interval, axis_breakpoints, term_value, vertex_values
 
 __all__ = [
@@ -141,39 +141,29 @@ def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval]
     return active, grid, points, vertex_values(points, term.fn, term.label, term.array_fn)
 
 
-def _groups(terms: list[NonlinearTerm]) -> list[int]:
-    """Each term's lambda block, named by its leading term, whose variables
-    are the block's: terms are taken largest variable set first, in source
-    order on ties, and each joins the first block whose variables contain
-    its own, or leads a new one."""
-    lead: dict[int, int] = {}
-    for i in sorted(range(len(terms)), key=lambda i: -len(terms[i].var_ids)):
-        lead[i] = next((g for g in lead.values()
-                        if set(terms[i].var_ids) <= set(terms[g].var_ids)), i)
-    return [lead[i] for i in range(len(terms))]
-
-
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
                           models: Optional[dict] = None) -> milp.LpProblem:
     """The MILP for one iteration.
 
     Linear parts are copied verbatim; the nonlinear terms get one lambda
     block (one weight per grid vertex, ``mcmodel.encode_term``) per group
-    of ``_groups``, on a fresh grid over the current boxes of its leading
-    term's active variables (``pieces`` segments each).  Each term's vertex
-    values are broadcast onto its block's grid and summed in source order
-    per target, the objective or a row.  Fixed variables are substituted
-    as constants; a term whose variables are all fixed is a constant.
-    ``models`` maps each shape (each block's active variables, vertex
-    counts and targets) built so far to its model and blocks; every call
-    fills the model of its shape in place.
+    of ``group_leads``, the rule ``problems`` groups summands by, on a fresh
+    grid over the current boxes of its leading term's active variables
+    (``pieces`` segments each).  Each term's vertex values are broadcast
+    onto its block's grid and summed in source order per target, the
+    objective or a row.  Fixed variables are substituted as constants; a
+    term whose variables are all fixed is a constant.  ``models`` maps each
+    shape (each block's active variables, vertex counts and targets) built
+    so far to its model and blocks; every call fills the model of its shape
+    in place.
     """
     terms = spec.nonlinear_terms
     prepared = [_prepare_term(spec, term, bounds, pieces) for term in terms]
+    leads = group_leads([term.var_ids for term in terms])
     blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
     row_shift = [0.0] * len(spec.linear_constraints)
     const_extra = 0.0
-    for term, (axes, _, _, values), g in zip(terms, prepared, _groups(terms)):
+    for term, (axes, _, _, values), g in zip(terms, prepared, leads):
         value = term.coef * values
         if not axes:
             if term.row is None:

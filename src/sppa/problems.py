@@ -4,12 +4,13 @@ A problem is a box-bounded set of variables, a linear objective part,
 linear constraint rows, and nonlinear terms (each an evaluable function of
 a variable subset, contributing to the objective or to one row).  Top
 level sums in user expressions are split: affine summands go to the
-linear parts exactly, and nonlinear summands that share a variable,
-directly or through other summands, become one term.  Nothing else groups
-summands: on the simplicial grid a sum of functions of disjoint variable
-sets interpolates to the sum of their interpolants, so splitting them keeps
-the surrogate and keeps the grids, and hence each term's vertex count,
-low-dimensional.
+linear parts exactly, and the nonlinear summands are grouped by
+``group_leads``: taken largest variable set first, each joins the first
+group whose variables contain its own, or leads a term of its own.  On the
+simplicial grid a sum of functions interpolates to the sum of their
+interpolants, so splitting summands keeps the surrogate and keeps the
+grids, and hence each term's vertex count, low-dimensional; ``loop`` gives
+each group of terms, by the same rule, one lambda block.
 
 A term built from expressions evaluates one point with ``expr.eval_expr``,
 and carries its ``expr.compile_sum`` function as ``NonlinearTerm.array_fn``,
@@ -35,6 +36,7 @@ __all__ = [
     "ProblemSpec",
     "ProblemFormatError",
     "from_expressions",
+    "group_leads",
     "builtin",
     "builtin_names",
     "builtin_info",
@@ -214,12 +216,23 @@ def _term_fn(nodes: list[Node], names: tuple[str, ...]):
     return fn, expr.compile_sum(nodes, names)
 
 
+def group_leads(var_sets: Sequence) -> list[int]:
+    """Each variable set's group, named by the position of its leading set,
+    whose variables are the group's: the sets are taken largest first, in
+    source order on ties, and each joins the first group whose variables
+    contain its own, or leads a new one."""
+    lead: dict[int, int] = {}
+    for i in sorted(range(len(var_sets)), key=lambda i: -len(var_sets[i])):
+        lead[i] = next((g for g in lead.values() if set(var_sets[i]) <= set(var_sets[g])), i)
+    return [lead[i] for i in range(len(var_sets))]
+
+
 def _decompose(text: str, var_index: dict[str, int]):
     """Parse a sum and split it into (constant, linear coefficients,
     nonlinear groups).  A group is (variable ids, function of them, its
-    array form): the nonlinear summands of one connected component of
-    shared variables, in their order of appearance; groups are ordered by
-    their smallest variable id."""
+    array form): the nonlinear summands of one ``group_leads`` group, in
+    their order of appearance; groups are ordered by their smallest
+    variable id, then by their leading summand's position."""
     summands: list[tuple[float, Node]] = []
     _flatten_sum(expr.parse_expr(text, var_names=list(var_index)), 1.0, summands)
 
@@ -242,21 +255,13 @@ def _decompose(text: str, var_index: dict[str, int]):
         if not math.isfinite(linear.get(j, 0.0)):
             raise ValueError(f"non-finite coefficient on {name!r}")
 
-    # connected components as (variable ids, summand positions): a summand
-    # merges every component it shares a variable with
-    components: list[tuple[frozenset[int], list[int]]] = []
-    for p, (support, _) in enumerate(nonlinear):
-        joined = [c for c in components if not support.isdisjoint(c[0])]
-        components = [c for c in components if support.isdisjoint(c[0])]
-        components.append((support.union(*(ids for ids, _ in joined)),
-                           sorted(sum((positions for _, positions in joined), [p]))))
-
+    leads = group_leads([support for support, _ in nonlinear])
     id_to_name = {j: n for n, j in var_index.items()}
     groups = []
-    for ids, positions in sorted(components, key=lambda c: min(c[0])):
-        ordered = tuple(sorted(ids))
-        groups.append((ordered, *_term_fn([nonlinear[p][1] for p in positions],
-                                          tuple(id_to_name[k] for k in ordered))))
+    for g in sorted(set(leads), key=lambda g: (min(nonlinear[g][0]), g)):
+        ids = tuple(sorted(nonlinear[g][0]))
+        groups.append((ids, *_term_fn([node for (_, node), lead in zip(nonlinear, leads)
+                                       if lead == g], tuple(id_to_name[k] for k in ids))))
     linear = {j: c for j, c in linear.items() if c != 0.0}
     return constant, linear, groups
 

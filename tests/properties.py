@@ -21,7 +21,7 @@ import numpy as np
 
 from sppa import expr, loop, milp, pwl
 from sppa.mcmodel import add_term, encode_term
-from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn
+from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn, from_expressions, group_leads
 
 
 # ---------------------------------------------------------------------------
@@ -666,7 +666,7 @@ def check_grouped_model(n_specs: int = 120) -> str:
         bounds, pieces = spec.bounds(), int(rng.integers(2, 4))
         grouped = loop.build_iteration_model(spec, bounds, pieces)
         reference = per_term_model(spec, bounds, pieces)
-        leads = loop._groups(spec.nonlinear_terms)
+        leads = group_leads([term.var_ids for term in spec.nonlinear_terms])
         active_leads = {g for g in leads if any(bounds[k].width > 0.0
                                                  for k in spec.nonlinear_terms[g].var_ids)}
         assert len(grouped.lattice_sets) == len(active_leads), (leads, active_leads)
@@ -684,6 +684,85 @@ def check_grouped_model(n_specs: int = 120) -> str:
                                                                n_blocks)
     return (f"grouped model matches one block per term ({n_specs} specs: {n_shared} sharing a "
             f"block, {n_blocks} with more than one block, {n_fixed} with a fixed variable, "
+            f"{n_optimal} optimal)")
+
+
+_PAIR_TEXTS = ("{a}*{u}*{v}", "sin({u} - {a}*{v})", "({u} - {a}*{v}^2)^2", "exp({a}*{u})*{v}")
+
+
+def _overlapping_text(rng: np.random.Generator, names: Sequence[str]) -> str:
+    """A sum over ``names`` (three of them) of summands on two pairs that
+    share one variable, so neither pair holds the other, a summand on one
+    variable in about half the sums, and a linear part."""
+    shared = int(rng.integers(0, 3))
+    pairs = [(shared, k) for k in range(3) if k != shared]
+    parts = [_PAIR_TEXTS[int(rng.integers(0, 4))].format(
+        a=repr(round(float(rng.uniform(-1.5, 1.5)), 3)),
+        **dict(zip("uv", (names[k] for k in rng.permutation(pair))))) for pair in pairs]
+    if rng.random() < 0.5:
+        parts.insert(int(rng.integers(0, 3)), f"cos({names[int(rng.integers(0, 3))]})")
+    return " + ".join(parts + [f"({round(float(rng.uniform(-1.0, 1.0)), 3)!r})*{names[0]}"])
+
+
+def _merged_terms(terms: Sequence[NonlinearTerm]) -> list[NonlinearTerm]:
+    """One term per connected component of the terms that share a variable
+    and a target, on the component's variables: the reference that
+    ``check_split_terms`` solves the split terms against."""
+    parts: list[tuple] = []  # (row, variable ids, member terms)
+    for term in terms:
+        hit = [p for p in parts if p[0] == term.row and not p[1].isdisjoint(term.var_ids)]
+        parts = [p for p in parts if all(p is not h for h in hit)]
+        parts.append((term.row, set(term.var_ids).union(*(h[1] for h in hit)),
+                      [m for h in hit for m in h[2]] + [term]))
+    merged = []
+    for row, ids, members in parts:
+        ids = tuple(sorted(ids))
+        at = [[ids.index(k) for k in m.var_ids] for m in members]
+        merged.append(NonlinearTerm(ids, lambda v, members=members, at=at: sum(
+            m.coef * m.fn(v[p]) for m, p in zip(members, at)), row=row))
+    return merged
+
+
+def check_split_terms(n_specs: int = 40) -> str:
+    """``from_expressions`` gives summands on overlapping variable sets that
+    do not nest one term each; on the Kuhn grid the interpolant of a sum is
+    the sum of its summands' interpolants, so the split model solves to the
+    optimum of the model with one term per connected component
+    (``_merged_terms``).  On random specs in three variables, the objective
+    and a ``<=`` row each such a sum, plus a linear ``>=`` row, both rows
+    passing through a random point of the box, at 2 or 3 pieces: the same
+    status and, when optimal, objectives within twice the MILP's relative
+    gap."""
+    rng = np.random.default_rng(26)
+    names = ("x", "y", "z")
+    n_optimal = 0
+    for _ in range(n_specs):
+        variables = [(n, pwl.Interval(lo, lo + float(rng.uniform(1.0, 3.0))), False)
+                     for n, lo in zip(names, rng.uniform(-2.0, 0.0, size=3))]
+        point = {n: float(rng.uniform(iv.lo, iv.hi)) for n, iv, _ in variables}
+        lhs = _overlapping_text(rng, names)
+        row_at = expr.eval_expr(expr.parse_expr(lhs, var_names=list(names)), point)
+        c = rng.uniform(-1.0, 1.0, size=3)
+        spec = from_expressions(
+            variables, _overlapping_text(rng, names),
+            [(lhs, "<=", row_at + 0.3),
+             (" + ".join(f"({k!r})*{n}" for k, n in zip(c.tolist(), names)), ">=",
+              float(c @ [point[n] for n in names]) - 0.3)],
+            sense="max" if rng.random() < 0.5 else "min")
+        merged = ProblemSpec(spec.variables, spec.linear_objective, spec.objective_constant,
+                             spec.linear_constraints, _merged_terms(spec.nonlinear_terms),
+                             spec.sense)
+        assert len(merged.nonlinear_terms) == 2 < len(spec.nonlinear_terms), spec.nonlinear_terms
+        pieces = int(rng.integers(2, 4))
+        got = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces))
+        want = milp.solve_milp(loop.build_iteration_model(merged, merged.bounds(), pieces))
+        assert got.status == want.status, (got.status, want.status)
+        if want.status == "optimal":
+            assert abs(got.objective - want.objective) <= 2.0 * milp._REL_GAP * max(
+                1.0, abs(want.objective)), (got.objective, want.objective)
+            n_optimal += 1
+    assert n_optimal, n_optimal
+    return (f"split overlapping summands match one term per component ({n_specs} specs, "
             f"{n_optimal} optimal)")
 
 
@@ -1636,6 +1715,7 @@ ALL_CHECKS = (
     check_lattice_oracle,
     check_model_refill,
     check_grouped_model,
+    check_split_terms,
     check_milp_oracle,
     check_warm_child,
     check_set_branch_warm,

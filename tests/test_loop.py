@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from sppa import loop, milp
 from sppa.loop import SppaConfig, build_iteration_model, contract_bounds, run
 from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
-                           from_expressions, load_problem)
+                           from_expressions, group_leads, load_problem)
 from sppa.pwl import Interval, axis_breakpoints
 
 from properties import (check_best_point, check_grouped_model, check_model_refill,
@@ -112,15 +112,16 @@ def test_shipped_row_terms_share_the_objective_block(name, pieces, n_vars, n_row
 
 
 def test_groups_follow_the_largest_variable_set_first():
-    # largest set first, source order on ties; each term joins the first
-    # group whose variables contain its own
-    def term(*var_ids):
-        return NonlinearTerm(var_ids, lambda v: 0.0)
-
-    terms = [term(0), term(1, 2), term(0, 1), term(2), term(0, 1, 3), term(1, 2, 4), term(5)]
-    assert loop._groups(terms) == [4, 5, 4, 5, 4, 5, 6]
-    assert loop._groups([term(0, 1), term(1, 0), term(1)]) == [0, 0, 0]
-    assert loop._groups([]) == []
+    # largest set first, source order on ties; each set joins the first
+    # group whose variables contain its own: the rule of the model's lambda
+    # blocks and of _decompose's terms
+    sets = [(0,), (1, 2), (0, 1), (2,), (0, 1, 3), (1, 2, 4), (5,)]
+    assert group_leads(sets) == [4, 5, 4, 5, 4, 5, 6]
+    assert group_leads([(0, 1), (1, 0), (1,)]) == [0, 0, 0]
+    assert group_leads([]) == []
+    # the summands' sets, as _decompose passes them: rosenbrock's (1 - x)^2
+    # joins 100*(y - x^2)^2, and a chain's pairs overlap without nesting
+    assert group_leads([frozenset({0}), frozenset({0, 1}), frozenset({1, 2})]) == [1, 1, 2]
 
 
 def test_fixed_term_stays_a_constant_inside_a_group():
@@ -357,7 +358,7 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
         assert res.status == "optimal", res.status
         prepared = [loop._prepare_term(spec, term, bounds, pieces)
                     for term in spec.nonlinear_terms]
-        leads = loop._groups(spec.nonlinear_terms)
+        leads = group_leads([term.var_ids for term in spec.nonlinear_terms])
         assert len(lp.lattice_sets) == len(set(leads)) == 1
         for lead, (ids, index) in zip(dict.fromkeys(leads), lp.lattice_sets):
             w = res.x[ids]
@@ -545,6 +546,45 @@ def test_pinned_trajectory(name, pieces, termination, iterations, best_objective
     assert result.best_objective == best_objective
     assert result.best_point.tolist() == best_point
     assert sum(rec.milp_stats["pivots"] for rec in result.trace) == pivots
+
+
+def _chain_spec(n: int):
+    # the constrained chained Rosenbrock: its summands on (x_i, x_i+1)
+    # overlap without nesting, so each pair is one objective term, and each
+    # row term x_i^2 joins the first pair holding x_i in the model
+    names = [f"x{i}" for i in range(n)]
+    return from_expressions(
+        [(v, Interval(-2.0, 2.0), False) for v in names],
+        " + ".join(f"100*({b} - {a}^2)^2 + (1 - {a})^2" for a, b in zip(names, names[1:])),
+        constraints=[(" + ".join(f"{v}^2" for v in names), "<=", n - 0.5)])
+
+
+def test_chain_trajectory():
+    # pinned as in test_pinned_trajectory, with the node count.  One 5-D
+    # term holding every summand takes 28 nodes and 31 pivots to
+    # 0.009290448886112145, the split pairs 103 and 206 to a slightly lower best
+    spec = _chain_spec(5)
+    assert [t.var_ids for t in spec.nonlinear_terms if t.row is None] == [
+        (0, 1), (1, 2), (2, 3), (3, 4)]
+    result = run(spec, SppaConfig(3, 3))
+    assert result.termination == "stall"
+    assert len(result.trace) == 22
+    assert sum(rec.milp_stats["nodes"] for rec in result.trace) == 103
+    assert sum(rec.milp_stats["pivots"] for rec in result.trace) == 206
+    assert result.best_objective == 0.009290448416158895
+    assert result.best_point.tolist() == [0.9893160651469868, 0.9786914974793437,
+                                          0.9577367296163881, 0.9169868618592271,
+                                          0.8402637631043434]
+
+
+def test_chain_of_twenty_builds_one_lattice_set_per_pair():
+    # merged into one term, the chain would need 4^20 weights at 3 pieces;
+    # split, it has 19 sets of 4^2 weights, each with its set row and two
+    # linking rows, plus the chain's row
+    spec = _chain_spec(20)
+    m = build_iteration_model(spec, spec.bounds(), 3)
+    assert m.n_vars == 20 + 19 * 16 == 324 and len(m.senses) == 19 * 3 + 1 == 58
+    assert [len(ids) for ids, _ in m.lattice_sets] == [16] * 19
 
 
 def test_runs_share_no_solver_state():

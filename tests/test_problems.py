@@ -5,7 +5,7 @@ import textwrap
 import numpy as np
 import pytest
 
-from properties import check_separable_interpolant
+from properties import check_separable_interpolant, check_split_terms
 from sppa import expr
 from sppa.loop import SppaConfig, run
 from sppa.problems import (ProblemFormatError, ProblemSpec, NonlinearTerm,
@@ -156,28 +156,36 @@ def test_constraint_terms_target_rows():
     assert not any(t.row == 1 for t in spec.nonlinear_terms)
 
 
-def test_summands_sharing_a_variable_merge_transitively():
-    # x*y and y*z share y, so x, y and z form one term; sin(w) stays apart.
-    # In the second case y*z joins two earlier components, in the third the
-    # component holding x appears after sin(w)'s: terms are ordered by their
-    # smallest variable id, and each adds its summands left to right from 0.0
+def test_summands_group_by_nested_variable_sets():
+    # taken largest variable set first, a summand joins the first group
+    # whose variables contain its own, or leads a term of its own: x*y and
+    # y*z overlap without nesting, so each is a term, and y^2 joins x*y.
+    # Terms are ordered by their smallest variable id, then by their
+    # leading summand's position (x*z before x*y), and each adds its
+    # summands left to right from 0.0 (z^3 before y*z, which leads)
     variables = [(n, Interval(-1, 1), False) for n in ("x", "y", "z", "w")]
-    cases = [("x*y + y*z + sin(w)", (0, 1, 2),
-              lambda x, y, z, w: [0.0 + x * y + y * z, 0.0 + math.sin(w)]),
-             ("x*y + z^3 + sin(w) + y*z", (0, 1, 2),
-              lambda x, y, z, w: [0.0 + x * y + math.pow(z, 3.0) + y * z, 0.0 + math.sin(w)]),
-             ("sin(w) + x*y + cos(w)*w + y^2", (0, 1),
+    cases = [("x*y + y*z + sin(w)", [(0, 1), (1, 2), (3,)],
+              lambda x, y, z, w: [0.0 + x * y, 0.0 + y * z, 0.0 + math.sin(w)]),
+             ("x*y + z^3 + sin(w) + y*z", [(0, 1), (1, 2), (3,)],
+              lambda x, y, z, w: [0.0 + x * y, 0.0 + math.pow(z, 3.0) + y * z,
+                                  0.0 + math.sin(w)]),
+             ("sin(w) + x*y + cos(w)*w + y^2", [(0, 1), (3,)],
               lambda x, y, z, w: [0.0 + x * y + math.pow(y, 2.0),
-                                  0.0 + math.sin(w) + math.cos(w) * w])]
+                                  0.0 + math.sin(w) + math.cos(w) * w]),
+             ("x*z + x*y", [(0, 2), (0, 1)], lambda x, y, z, w: [0.0 + x * z, 0.0 + x * y])]
     rng = np.random.default_rng(7)
-    for text, first, sums in cases:
+    for text, ids, sums in cases:
         spec = from_expressions(variables, text)
-        assert [(t.var_ids, t.label) for t in spec.nonlinear_terms] == [(first, "g0"),
-                                                                        ((3,), "g1")], text
+        assert [(t.var_ids, t.label) for t in spec.nonlinear_terms] == [
+            (i, f"g{g}") for g, i in enumerate(ids)], text
         for _ in range(20):
             v = rng.uniform(-1, 1, size=4)
             assert [t.fn(v[list(t.var_ids)]) for t in spec.nonlinear_terms] == sums(
                 *v.tolist()), text
+
+
+def test_split_terms_property_suite():
+    print(check_split_terms())
 
 
 def test_separable_interpolant_property_suite():
