@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Write ``sppa solve --out`` traces with every ``seconds`` field stripped.
 
-Eight cases, each run twice, to ``OUTDIR/<case>.json`` and, with
+Nine cases, each run twice, to ``OUTDIR/<case>.json`` and, with
 ``--format csv``, to ``OUTDIR/<case>.csv`` without its ``seconds`` column:
-the four builtins at their registry settings, eggholder at 20/4, and the
+the four builtins at their registry settings, eggholder at 20/4, the
 problem files of ``bench/problems`` (``constrained_a`` at 3/3,
-``constrained_b`` at 2/2 and ``numerical`` at 3/3).  Run it in two
+``constrained_b`` at 2/2 and ``numerical`` at 3/3), and the constrained
+chained Rosenbrock at n = 5 (``scripts/chain5.prob`` at 3/3), the one case
+whose models have several lambda blocks with member terms.  Run it in two
 checkouts and compare the two directories: identical output means the same
 runs, timings aside.  ``--against DIR`` makes the comparison: each trace
 written is compared byte for byte with the file of the same name in
@@ -26,7 +28,8 @@ import sys
 
 from sppa.cli import main as cli_main
 
-_PROBLEMS = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
+_SCRIPTS = pathlib.Path(__file__).resolve().parent
+_PROBLEMS = _SCRIPTS.parent / "bench" / "problems"
 
 
 def _cases() -> dict[str, list[str]]:
@@ -34,10 +37,12 @@ def _cases() -> dict[str, list[str]]:
              for name in ("rosenbrock", "rastrigin", "ackley", "eggholder")}
     cases["eggholder_20_4"] = ["--problem", "eggholder",
                                "--initial-n-pieces", "20", "--n-pieces", "4"]
-    for name, pieces in (("constrained_a", "3"), ("constrained_b", "2"), ("numerical", "3")):
+    for path, pieces in ((_PROBLEMS / "constrained_a.prob", "3"),
+                         (_PROBLEMS / "constrained_b.prob", "2"),
+                         (_PROBLEMS / "numerical.prob", "3"), (_SCRIPTS / "chain5.prob", "3")):
         # relative, so that checkouts in different places write the same
-        cases[name] = ["--problem", os.path.relpath(_PROBLEMS / f"{name}.prob"),
-                       "--initial-n-pieces", pieces, "--n-pieces", pieces]
+        cases[path.stem] = ["--problem", os.path.relpath(path),
+                            "--initial-n-pieces", pieces, "--n-pieces", pieces]
     return cases
 
 

@@ -10,9 +10,9 @@ keep their bounds untouched.  Iterates are ranked by their exact objective
 and rows, never by the surrogate; the boxes are centred on the best-ranked
 point while the latest iterate is feasible (see ``run``).
 
-Each iteration evaluates every term once, in ``_prepare_term``, on one array
-of its full points, one per grid vertex; the values (or its one value when
-all its variables are fixed) feed the MILP encoding or the vertex solve.
+Each iteration builds one grid per lambda block, in ``_group_grid``, and
+evaluates each of the block's terms once at all its vertices (or at one
+point when all its variables are fixed), for the MILP or the vertex solve.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -23,6 +23,7 @@ from the previous iteration's optimal root basis (``MilpResult.start``).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
@@ -60,12 +61,12 @@ class SppaConfig:
     time_limit: Optional[float] = None
 
     def __post_init__(self):
-        if self.initial_n_pieces < 1 or self.n_pieces < 1:
-            raise ValueError("piece counts must be >= 1")
+        for name in ("initial_n_pieces", "n_pieces", "max_iters"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
         if not 0.0 < self.contract_frac < 1.0:
             raise ValueError("contract_frac must lie strictly between 0 and 1")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
         if self.time_limit is not None and not self.time_limit > 0.0:
             raise ValueError("time_limit must be positive")
 
@@ -119,26 +120,26 @@ def _contract_integer(interval: Interval, value: float, frac: float) -> Interval
     return Interval(math.floor(inner.lo), math.ceil(inner.hi))
 
 
-def _prepare_term(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
-                  pieces: int):
-    """Evaluate ``term`` for one iteration.
-
-    Returns ``(active, grid, points, values)``: the term's variables of
-    positive width, their grid (``pieces`` segments each), each grid
-    vertex's full point in ``term.var_ids`` order, zero-width variables at
-    their values, and the term's ``vertex_values`` there.  With no active
-    variable the grid is None, ``points`` the fixed point and ``values`` its
-    value.  A failing evaluation raises the ``ValueError`` of ``term_value``.
-    """
-    active = [k for k in term.var_ids if bounds[k].width > 0.0]
-    # float: an int bound must not make the array integer and truncate the grid
-    fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
+def _group_grid(spec: ProblemSpec, lead: NonlinearTerm, bounds: list[Interval], pieces: int):
+    """``(active, grid, points)`` of the lambda block that ``lead`` leads:
+    the lead's variables of positive width, their grid (``pieces`` segments
+    each) and each grid vertex's full point in ``lead.var_ids`` order,
+    fixed variables at their values; with no active variable, no grid."""
+    active = [k for k in lead.var_ids if bounds[k].width > 0.0]
     if not active:
-        return active, None, fixed, term_value(term.fn, fixed, term.label, "point")
+        return active, None, None
     grid = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
-    points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
-    points[..., [term.var_ids.index(k) for k in active]] = grid.points()
-    return active, grid, points, vertex_values(points, term.fn, term.label, term.array_fn)
+    # float: an int bound must not make the array integer and truncate the grid
+    points = np.full(tuple(L + 1 for L in grid.pieces) + (len(lead.var_ids),),
+                     [bounds[k].lo for k in lead.var_ids], dtype=float)
+    points[..., [lead.var_ids.index(k) for k in active]] = grid.points()
+    return active, grid, points
+
+
+def _constant(term: NonlinearTerm, bounds: list[Interval]) -> float:
+    """``coef * f`` of a term whose variables are all fixed, at their values."""
+    fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
+    return term.coef * term_value(term.fn, fixed, term.label, "point")
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
@@ -147,45 +148,40 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
 
     Linear parts are copied verbatim; the nonlinear terms get one lambda
     block (one weight per grid vertex, ``mcmodel.encode_term``) per group
-    of ``group_leads``, the rule ``problems`` groups summands by, on a fresh
-    grid over the current boxes of its leading term's active variables
-    (``pieces`` segments each).  Each term's vertex values are broadcast
-    onto its block's grid and summed in source order per target, the
-    objective or a row.  Fixed variables are substituted as constants; a
-    term whose variables are all fixed is a constant.  ``models`` maps each
-    shape (each block's active variables, vertex counts and targets) built
-    so far to its model and blocks; every call fills the model of its shape
-    in place.
+    of ``group_leads``, the rule ``problems`` groups summands by, on one
+    fresh grid (``_group_grid``) over the current boxes of its leading
+    term's active variables.  Each term is evaluated at every vertex of
+    its group's grid, and the values are summed in source order per
+    target, the objective or a row.  Fixed variables are substituted as
+    constants; a term whose variables are all fixed is a constant.
+    ``models`` maps each shape (each block's active variables, vertex
+    counts and targets) built so far to its model and blocks; every call
+    fills the model of its shape in place.
     """
     terms = spec.nonlinear_terms
-    prepared = [_prepare_term(spec, term, bounds, pieces) for term in terms]
     leads = group_leads([term.var_ids for term in terms])
+    grids = {g: _group_grid(spec, terms[g], bounds, pieces) for g in dict.fromkeys(leads)}
     blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
     row_shift = [0.0] * len(spec.linear_constraints)
     const_extra = 0.0
-    for term, (axes, _, _, values), g in zip(terms, prepared, leads):
-        value = term.coef * values
-        if not axes:
-            if term.row is None:
-                const_extra += value
-            else:
-                row_shift[term.row] += value
-            continue
-        active, lattice = prepared[g][0], prepared[g][3].shape
-        order = sorted(range(len(axes)), key=lambda a: active.index(axes[a]))
-        value = np.broadcast_to(np.transpose(value, order).reshape(
-            [n if k in axes else 1 for k, n in zip(active, lattice)]), lattice)
-        targets = blocks_at.setdefault(g, {})
-        targets[term.row] = targets[term.row] + value if term.row in targets else value
-    shape = tuple((tuple(prepared[g][0]), prepared[g][3].shape, tuple(targets))
+    for term, g in zip(terms, leads):
+        if any(bounds[k].width > 0.0 for k in term.var_ids):
+            points = grids[g][2][..., [terms[g].var_ids.index(k) for k in term.var_ids]]
+            value = term.coef * vertex_values(points, term.fn, term.label, term.array_fn)
+            targets = blocks_at.setdefault(g, {})
+            targets[term.row] = targets[term.row] + value if term.row in targets else value
+        elif term.row is None:
+            const_extra += _constant(term, bounds)
+        else:
+            row_shift[term.row] += _constant(term, bounds)
+    shape = tuple((tuple(grids[g][0]), grids[g][2].shape[:-1], tuple(targets))
                   for g, targets in blocks_at.items())
     models = {} if models is None else models
     if shape not in models:
         model = milp.LpProblem()
         for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
             model.add_var(0.0, 0.0, integer=is_int)
-        blocks = [mcmodel.add_term(model, prepared[g][0], prepared[g][3].shape)
-                  for g in blocks_at]
+        blocks = [mcmodel.add_term(model, active, lattice) for active, lattice, _ in shape]
         for row in spec.linear_constraints:  # after every block's rows
             model.add_row(row.coeffs, row.sense, 0.0)
         model.set_objective(spec.linear_objective, sense=spec.sense)
@@ -195,7 +191,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     model.ub[:spec.n_vars] = [iv.hi for iv in bounds]
     first_row = len(model.senses) - len(spec.linear_constraints)
     for (g, targets), block in zip(blocks_at.items(), blocks):
-        mcmodel.encode_term(model, block, prepared[g][1], {
+        mcmodel.encode_term(model, block, grids[g][1], {
             None if row is None else first_row + row: v for row, v in targets.items()})
     model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, row_shift)]
     model.obj_constant = spec.objective_constant + const_extra
@@ -204,11 +200,11 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
     """The piecewise-linear optimum of a spec without rows whose terms share
-    no variable: per term, the first grid vertex in row-major order with the
-    best ``coef * f(v) + linear part``; every other variable at the bound its
-    objective coefficient favours (if 0, the bound nearest zero, lower on a
-    tie, as the simplex).  Every counter is 0; B&B reports nodes >= 1, so
-    ``nodes`` 0 marks this path."""
+    no variable: per term, the first vertex of its own ``_group_grid`` in
+    row-major order with the best ``coef * f(v) + linear part``; every other
+    variable at the bound its objective coefficient favours (if 0, the bound
+    nearest zero, lower on a tie, as the simplex).  Every counter is 0; B&B
+    reports nodes >= 1, so ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     z = np.empty(spec.n_vars)
@@ -217,10 +213,11 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
     term_values = []
     for term in spec.nonlinear_terms:
-        active, grid, points, values = _prepare_term(spec, term, bounds, pieces)
+        active, grid, points = _group_grid(spec, term, bounds, pieces)
         if grid is None:
-            term_values.append(term.coef * values)
+            term_values.append(_constant(term, bounds))
             continue
+        values = vertex_values(points, term.fn, term.label, term.array_fn)
         # the linear part summed left to right from 0, as Python's sum
         linear = sum(lin.get(k, 0.0) * points[..., term.var_ids.index(k)] for k in active)
         best = np.unravel_index(np.argmin(sign * (term.coef * values + linear)), values.shape)

@@ -204,25 +204,43 @@ def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
     return milp.solve_milp(relaxed)
 
 
+def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, pieces: int):
+    """``(active, grid, values)`` of ``term`` on a grid of its own: its
+    variables of positive width, their grid (``pieces`` segments each) and
+    its vertex values there, the other variables at their values; with no
+    active variable, no grid and its value at its one point.  Built term by
+    term, apart from ``loop``'s one grid per lambda block."""
+    active = [k for k in term.var_ids if bounds[k].width > 0.0]
+    fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
+    if not active:
+        return active, None, pwl.term_value(term.fn, fixed, term.label, "point")
+    grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                     for k in active])
+    points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
+    points[..., [term.var_ids.index(k) for k in active]] = grid.points()
+    return active, grid, pwl.vertex_values(points, term.fn, term.label, term.array_fn)
+
+
 def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) -> milp.LpProblem:
     """The iteration model with one lambda block per term, ``add_term`` and
     ``encode_term`` on each term's own active variables, built fresh on
     every call (``models`` is ignored): the reference that
     ``loop.build_iteration_model``'s shared blocks are checked against.
-    The columns and rows are laid out as there, and a term whose variables
-    are all fixed is a constant in the objective or the row's right side."""
+    Each term is evaluated on its own grid (``term_grid_values``).  The
+    columns and rows are laid out as there, and a term whose variables are
+    all fixed is a constant in the objective or the row's right side."""
     model = milp.LpProblem()
     for _name, _iv, is_int in spec.variables:
         model.add_var(0.0, 0.0, integer=is_int)
     model.lb[:], model.ub[:] = [iv.lo for iv in bounds], [iv.hi for iv in bounds]
-    prepared = [loop._prepare_term(spec, term, bounds, pieces) for term in spec.nonlinear_terms]
+    prepared = [term_grid_values(spec, term, bounds, pieces) for term in spec.nonlinear_terms]
     blocks = [add_term(model, active, np.shape(values)) if active else None
-              for active, _, _, values in prepared]
+              for active, _, values in prepared]
     first_row = len(model.senses)
     for row in spec.linear_constraints:
         model.add_row(row.coeffs, row.sense, row.rhs)
     model.set_objective(spec.linear_objective, spec.objective_constant, spec.sense)
-    for term, (_, grid, _, values), block in zip(spec.nonlinear_terms, prepared, blocks):
+    for term, (_, grid, values), block in zip(spec.nonlinear_terms, prepared, blocks):
         value = term.coef * values
         if block is not None:
             encode_term(model, block, grid,

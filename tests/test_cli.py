@@ -380,9 +380,10 @@ def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
     cases = [(name, builtin_info(name)["initial_n_pieces"], builtin_info(name)["n_pieces"])
              for name in builtin_names()] + [
         ("eggholder", 20, 4), ("constrained_a", 3, 3), ("constrained_b", 2, 2),
-        ("numerical", 3, 3)]
+        ("numerical", 3, 3), ("chain5", 3, 3)]
     assert calls == [case for case in cases for _fmt in ("json", "csv")]
-    stems = builtin_names() + ["eggholder_20_4", "constrained_a", "constrained_b", "numerical"]
+    stems = builtin_names() + ["eggholder_20_4", "constrained_a", "constrained_b", "numerical",
+                               "chain5"]
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == sorted(f"{stem}.{fmt}" for stem in stems for fmt in ("json", "csv"))
     for stem in stems:
@@ -415,7 +416,7 @@ def test_strip_traces_against_names_where_each_case_splits(tmp_path, monkeypatch
     capsys.readouterr()
     assert script.run([str(after), "--against", str(before)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"all 8 traces identical to {before}, in JSON and CSV")
+        f"all 9 traces identical to {before}, in JSON and CSV")
     (before / "rastrigin.json").unlink()
     (before / "rastrigin.csv").unlink()
     assert script.run([str(after), "--against", str(before)]) == 1

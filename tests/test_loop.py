@@ -14,7 +14,7 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
 from sppa.pwl import Interval, axis_breakpoints
 
 from properties import (check_best_point, check_grouped_model, check_model_refill,
-                        check_sppa_invariants, check_vertex_optimum)
+                        check_sppa_invariants, check_vertex_optimum, term_grid_values)
 
 
 def test_contract_examples():
@@ -356,7 +356,7 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
         lp = build_iteration_model(spec, bounds, pieces)
         res = milp.solve_milp(lp)
         assert res.status == "optimal", res.status
-        prepared = [loop._prepare_term(spec, term, bounds, pieces)
+        prepared = [term_grid_values(spec, term, bounds, pieces)
                     for term in spec.nonlinear_terms]
         leads = group_leads([term.var_ids for term in spec.nonlinear_terms])
         assert len(lp.lattice_sets) == len(set(leads)) == 1
@@ -364,7 +364,7 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
             w = res.x[ids]
             assert abs(w.sum() - 1.0) <= 2.0 * milp.ROW_TOL, w.sum()
             active = prepared[lead][0]
-            for (axes, _, _, term_values), g in zip(prepared, leads):
+            for (axes, _, term_values), g in zip(prepared, leads):
                 if g != lead:
                     continue
                 values = term_values[tuple(index[:, [active.index(k) for k in axes]].T)]
@@ -472,6 +472,16 @@ def test_config_validation():
     for bad in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError):
             SppaConfig(2, 2, 0.5, time_limit=bad)
+
+
+@pytest.mark.parametrize("field", ["initial_n_pieces", "n_pieces", "max_iters"])
+@pytest.mark.parametrize("bad", [3.0, 2.5, "3"])
+def test_config_rejects_a_count_that_is_not_an_integer(field, bad):
+    # a float count used to pass and fail later in numpy or range with a
+    # bare TypeError; an integer of another type is still a count
+    with pytest.raises(ValueError, match=f"^{field} must be an integer"):
+        SppaConfig(**{field: bad})
+    assert getattr(SppaConfig(**{field: np.int64(3)}), field) == 3
 
 
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
@@ -585,6 +595,27 @@ def test_chain_of_twenty_builds_one_lattice_set_per_pair():
     m = build_iteration_model(spec, spec.bounds(), 3)
     assert m.n_vars == 20 + 19 * 16 == 324 and len(m.senses) == 19 * 3 + 1 == 58
     assert [len(ids) for ids, _ in m.lattice_sets] == [16] * 19
+
+
+def test_build_makes_one_grid_per_lattice_set(monkeypatch):
+    # each lambda block's terms are evaluated at the vertices of its one
+    # grid: constrained_a's four terms share one grid, and the n = 5 chain's
+    # nine terms (a pair and its row squares per block) make one per pair
+    built = []
+
+    class CountingGrid(loop.Grid):
+        def __init__(self, breakpoints):
+            super().__init__(breakpoints)
+            built.append(self)
+
+    monkeypatch.setattr(loop, "Grid", CountingGrid)
+    problem = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems" / "constrained_a.prob"
+    for spec, pieces, sets in ((load_problem(str(problem)), 3, 1), (_chain_spec(5), 3, 4)):
+        models: dict = {}
+        for _call in range(2):  # the first call builds the shape, the second refills it
+            built.clear()
+            lp = build_iteration_model(spec, spec.bounds(), pieces, models)
+            assert len(lp.lattice_sets) == len(built) == sets
 
 
 def test_runs_share_no_solver_state():

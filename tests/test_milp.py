@@ -301,6 +301,36 @@ def test_passed_deadline_stops_before_the_root():
     assert res.nodes == 0 and res.bound is None
 
 
+def test_simplex_stops_at_a_passed_deadline():
+    # the simplex reads the clock every 16 pivots, from the first: given a
+    # deadline already past it stops before any pivot, with no point
+    p = LpProblem()
+    x, y = p.add_var(0, 4), p.add_var(0, 4)
+    p.add_row({x: 1, y: 2}, ">=", 2)
+    p.add_row({x: 3, y: 1}, ">=", 3)
+    p.set_objective({x: 1, y: 1})
+    canon = milp._Canon(p)
+    res = milp._simplex(canon, canon.l, canon.u, deadline=time.perf_counter() - 1.0)
+    assert res.status == "time_limit" and res.x is None and res.iterations == 0
+    assert milp._simplex(canon, canon.l, canon.u).status == "optimal"
+
+
+def test_rounded_incumbent_that_breaks_a_row_is_numerical():
+    # the LP puts x at 2.9999995, integral within _INT_TOL; rounded to 3, the
+    # incumbent breaks the row 1e8*x - 1e8*y = -50 by 50 / 51 > ROW_TOL, so
+    # the solve says 'numerical' and still reports the rounded incumbent
+    p = LpProblem()
+    x = p.add_var(0, 10, integer=True)
+    y = p.add_var(3, 3)
+    p.add_row({x: 1e8, y: -1e8}, "=", -50)
+    p.set_objective({x: 1})
+    canon = milp._Canon(p)
+    assert 0.0 < 3.0 - milp._simplex(canon, canon.l, canon.u).x[0] <= milp._INT_TOL
+    res = solve_milp(p)
+    assert res.status == "numerical"
+    assert res.x.tolist() == [3.0, 3.0] and res.objective == 3.0
+
+
 @pytest.mark.parametrize("failing_calls, status", [({2}, "optimal"), ({2, 3}, "numerical")])
 def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, failing_calls,
                                                                 status):
