@@ -14,8 +14,8 @@ checks the two against each other.  The LP relaxation is the convex hull
 of the graph points.  On the Kuhn grid a function of some of the grid's
 variables interpolates as on its own axes, so one block carries every
 term of those variables: ``add_term`` gives a block its columns and rows,
-and ``encode_term`` writes a grid and the terms' vertex values into them,
-as often as the grid moves; nothing here evaluates a function.
+and ``encode_term`` writes a grid's vertices and the terms' values there
+into them, as often as the grid moves; nothing here evaluates a function.
 """
 
 from __future__ import annotations
@@ -24,7 +24,6 @@ import math
 
 import numpy as np
 
-from sppa import pwl
 from sppa.milp import EQ, LpProblem
 
 __all__ = ["add_term", "encode_term"]
@@ -43,16 +42,19 @@ def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
     return slice(j, model.n_vars), slice(rows[0], rows[-1] + 1)
 
 
-def encode_term(model: LpProblem, block: tuple[slice, slice], grid: pwl.Grid, targets: dict):
-    """Write ``grid``'s coordinates less its lower corner into a block's
-    linking rows, minus that corner into their right-hand sides, and each
-    ``targets`` value array, shaped like the vertex lattice, onto the
-    block's weights: in the objective for the key None, else in that row."""
+def encode_term(model: LpProblem, block: tuple[slice, slice], points: np.ndarray,
+                targets: dict):
+    """Write a grid's vertex coordinates ``points`` (``pwl.Grid.points``)
+    less its lower corner into a block's linking rows, minus that corner
+    into their right-hand sides, and each ``targets`` value array, shaped
+    like the vertex lattice, onto the block's weights: in the objective for
+    the key None, else in that row."""
     cols, rows = block
     if not all(np.isfinite(values).all() for values in targets.values()):
         raise ValueError("non-finite term value")
-    lo = np.array([b[0] for b in grid.breakpoints])
-    model.A[rows, cols] = (grid.points().reshape(-1, grid.dims) - lo).T  # row-major, as the weights
+    coords = points.reshape(-1, points.shape[-1])  # row-major, as the weights
+    lo = coords[0]
+    model.A[rows, cols] = (coords - lo).T
     model.rhs[rows] = 0.0 - lo  # +0.0 at a corner of 0, as a fresh row
     for row, values in targets.items():
         (model.c if row is None else model.A[row])[cols] = np.ravel(values)

@@ -21,6 +21,7 @@ threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
@@ -63,9 +64,11 @@ class Grid:
         for k, b in enumerate(bps):
             if b.ndim != 1 or b.size < 2:
                 raise ValueError(f"dimension {k}: need at least two breakpoints")
-            if not np.all(np.isfinite(b)):
+            # on a few breakpoints, checking Python floats beats numpy reductions
+            values = b.tolist()
+            if not all(map(math.isfinite, values)):
                 raise ValueError(f"dimension {k}: non-finite breakpoint")
-            if np.any(np.diff(b) <= 0.0):
+            if not all(map(operator.lt, values, values[1:])):
                 raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
             b.setflags(write=False)
         self.breakpoints = bps
@@ -84,10 +87,14 @@ class Grid:
 def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.ndarray:
     """``pieces`` equal segments over ``iv`` with the endpoints kept exact.
 
-    For an integer variable the inner points are rounded and deduplicated,
-    so the axis may end up with fewer segments.
+    The points are ``np.linspace``'s, bit for bit, outside its branch for a
+    step that underflows to zero, whose grid has equal breakpoints either
+    way.  For an integer variable the inner points are rounded and
+    deduplicated, so the axis may end up with fewer segments.
     """
-    pts = np.linspace(iv.lo, iv.hi, pieces + 1)
+    if pieces < 1:
+        raise ValueError(f"need at least one piece, got {pieces}")
+    pts = np.arange(pieces + 1.0) * ((iv.hi - iv.lo) / pieces) + iv.lo
     pts[0], pts[-1] = iv.lo, iv.hi
     if integer:
         snapped = np.round(pts)

@@ -190,7 +190,7 @@ def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
     put into ``prob`` (``add_term``, then ``encode_term`` into the
     objective); returns the term value as ``{weight id: vertex value}``."""
     block = add_term(prob, z_ids, values.shape)
-    encode_term(prob, block, grid, {None: values})
+    encode_term(prob, block, grid.points(), {None: values})
     cols = block[0]
     return dict(zip(range(cols.start, cols.stop), prob.c[cols].tolist()))
 
@@ -243,7 +243,7 @@ def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) ->
     for term, (_, grid, values), block in zip(spec.nonlinear_terms, prepared, blocks):
         value = term.coef * values
         if block is not None:
-            encode_term(model, block, grid,
+            encode_term(model, block, grid.points(),
                         {None if term.row is None else first_row + term.row: value})
         elif term.row is None:
             model.obj_constant += value

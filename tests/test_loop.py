@@ -1,5 +1,6 @@
 import math
 import pathlib
+import re
 import warnings
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sppa import loop, milp
+from sppa import loop, milp, pwl
 from sppa.loop import SppaConfig, build_iteration_model, contract_bounds, run
 from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, group_leads, load_problem)
@@ -475,13 +476,24 @@ def test_config_validation():
 
 
 @pytest.mark.parametrize("field", ["initial_n_pieces", "n_pieces", "max_iters"])
-@pytest.mark.parametrize("bad", [3.0, 2.5, "3"])
+@pytest.mark.parametrize("bad", [3.0, 2.5, "3", True])
 def test_config_rejects_a_count_that_is_not_an_integer(field, bad):
     # a float count used to pass and fail later in numpy or range with a
-    # bare TypeError; an integer of another type is still a count
+    # bare TypeError, and True passed as 1; an integer of another type is
+    # still a count
     with pytest.raises(ValueError, match=f"^{field} must be an integer"):
         SppaConfig(**{field: bad})
     assert getattr(SppaConfig(**{field: np.int64(3)}), field) == 3
+
+
+@pytest.mark.parametrize("field", ["contract_frac", "time_limit"])
+@pytest.mark.parametrize("bad", ["0.5", complex(0.5), [0.5]], ids=["str", "complex", "list"])
+def test_config_rejects_a_fraction_or_limit_that_is_not_a_number(field, bad):
+    # these used to reach a bare comparison and raise a TypeError; a real
+    # number of another type still passes
+    with pytest.raises(ValueError, match=f"^{field} must .*, got {re.escape(repr(bad))}$"):
+        SppaConfig(**{field: bad})
+    assert getattr(SppaConfig(**{field: np.float64(0.5)}), field) == 0.5
 
 
 # Pinned trajectories: rastrigin and ackley at the registry settings (solved
@@ -612,10 +624,20 @@ def test_build_makes_one_grid_per_lattice_set(monkeypatch):
     problem = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems" / "constrained_a.prob"
     for spec, pieces, sets in ((load_problem(str(problem)), 3, 1), (_chain_spec(5), 3, 4)):
         models: dict = {}
-        for _call in range(2):  # the first call builds the shape, the second refills it
-            built.clear()
+        built.clear()
+        lp = build_iteration_model(spec, spec.bounds(), pieces, models)  # builds the shape
+        assert len(lp.lattice_sets) == len(built) == sets
+        # the refill reads the groups off the run's models and makes each
+        # grid's vertex array once, for the term values and encode_term
+        built.clear()
+        calls = []
+        with monkeypatch.context() as m:
+            m.setattr(loop, "group_leads", lambda *_: pytest.fail("group_leads called again"))
+            m.setattr(CountingGrid, "points",
+                      lambda grid: calls.append(grid) or pwl.Grid.points(grid))
             lp = build_iteration_model(spec, spec.bounds(), pieces, models)
-            assert len(lp.lattice_sets) == len(built) == sets
+        assert len(lp.lattice_sets) == len(built) == sets
+        assert [id(grid) for grid in calls] == [id(grid) for grid in built]
 
 
 def test_runs_share_no_solver_state():

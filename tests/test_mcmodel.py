@@ -58,7 +58,7 @@ def test_one_block_carries_the_objective_and_two_rows():
     r1, r2 = (model.add_row({z_ids[0]: 1.0}, "<=", 5.0) for _ in range(2))
     targets = {None: np.arange(6.0).reshape(2, 3), r1: np.full((2, 3), 2.0),
                r2: -np.arange(6.0).reshape(2, 3)}
-    encode_term(model, block, g, targets)
+    encode_term(model, block, g.points(), targets)
     assert model.c[cols].tolist() == list(range(6))
     assert model.A[r1, cols].tolist() == [2.0] * 6
     assert model.A[r2, cols].tolist() == [-float(k) for k in range(6)]
@@ -70,7 +70,7 @@ def test_one_block_carries_the_objective_and_two_rows():
         bad = {t: v.copy() for t, v in targets.items()}
         bad[bad_target][1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite term value"):
-            encode_term(model, block, g, bad)
+            encode_term(model, block, g.points(), bad)
 
 
 def test_add_term_checks_its_variables():
@@ -87,7 +87,7 @@ def test_encode_term_rejects_non_finite_values():
     block = add_term(model, [model.add_var(0.0, 1.0)], (3,))
     for bad in (np.nan, np.inf):
         with pytest.raises(ValueError, match="non-finite term value"):
-            encode_term(model, block, g, {None: np.array([0.0, bad, 1.0])})
+            encode_term(model, block, g.points(), {None: np.array([0.0, bad, 1.0])})
     assert not model.c.any()
 
 

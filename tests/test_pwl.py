@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from sppa import pwl
@@ -33,12 +35,22 @@ def test_build_grid_errors():
         Interval(float("nan"), 1.0)
     with pytest.raises(ValueError):
         Interval(float("-inf"), 0.0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^dimension 0: breakpoints must be strictly increasing$"):
         build_grid([(2.0, 2.0)], [1])  # degenerate axis rejected here
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^grid needs at least one dimension$"):
         pwl.Grid([])
-    with pytest.raises(ValueError):
-        pwl.Grid([[0.0, 1.0], [0.0, np.inf]])
+    # each rejection names its axis and reason, whatever the axis holds
+    for bad, reason in (([[0.0, 1.0]], "need at least two breakpoints"),
+                        ([1.0], "need at least two breakpoints"),
+                        ([np.nan, 1.0], "non-finite breakpoint"),
+                        ([0.0, np.nan], "non-finite breakpoint"),
+                        ([0.0, np.inf], "non-finite breakpoint"),
+                        ([-np.inf, 0.0], "non-finite breakpoint"),
+                        ([0.0, 1.0, 1.0], "breakpoints must be strictly increasing"),
+                        ([0.0, 2.0, 1.0], "breakpoints must be strictly increasing"),
+                        ([1.0, 0.0], "breakpoints must be strictly increasing")):
+        with pytest.raises(ValueError, match=f"^dimension 1: {reason}$"):
+            pwl.Grid([[0.0, 1.0], bad])
 
 
 def test_count_simplices():
@@ -159,6 +171,37 @@ def test_affine_exactness_property(a, b, z):
 
 def test_property_suite():
     print(check_triangulation())
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    centre=st.sampled_from([0.0, 1.0, -3.0, 1e4, -2.5e6, 1e9]),
+    offset=st.floats(-1.0, 1.0),
+    log_width=st.floats(-12.0, 3.0),
+    pieces=st.integers(1, 40),
+)
+def test_axis_breakpoints_are_linspace_with_exact_endpoints(centre, offset, log_width, pieces):
+    # the affine fill writes np.linspace's bits, so grids, models and traces
+    # are the ones linspace gave; narrow windows far from zero round most
+    width = 10.0 ** log_width
+    lo = centre + offset * width
+    hi = lo + width
+    assume(lo < hi)
+    iv = Interval(lo, hi)
+    want = np.linspace(lo, hi, pieces + 1)
+    want[0], want[-1] = lo, hi
+    assert pwl.axis_breakpoints(iv, pieces).tobytes() == want.tobytes()
+    # an integer axis snaps those points as before
+    ilo, ihi = math.floor(lo), math.floor(lo) + max(1, math.ceil(width))
+    snapped = np.round(np.linspace(ilo, ihi, pieces + 1))
+    assert pwl.axis_breakpoints(Interval(ilo, ihi), pieces, integer=True).tobytes() == \
+        np.unique(np.concatenate([[ilo, ihi], snapped])).astype(float).tobytes()
+
+
+def test_axis_breakpoints_need_a_piece():
+    for pieces in (0, -1):
+        with pytest.raises(ValueError, match="^need at least one piece"):
+            pwl.axis_breakpoints(Interval(0.0, 1.0), pieces)
 
 
 def test_axis_breakpoints_integer_snapping():
