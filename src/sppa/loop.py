@@ -14,9 +14,6 @@ Each iteration builds one grid per lambda block, in ``_group_grid``, and
 one array of its vertices, which it hands to ``mcmodel.encode_term``; it
 evaluates each of the block's terms once at all those vertices (or at one
 point when all its variables are fixed), for the MILP or the vertex solve.
-What depends on the spec alone (``_layout``: the groups, each term's
-columns in its group's points, the vertex solve's linear coefficients)
-is worked out once per ``run`` call.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -147,25 +144,6 @@ def _group_grid(spec: ProblemSpec, lead: NonlinearTerm, bounds: list[Interval], 
     return active, vertices, points
 
 
-def _layout(spec: ProblemSpec, models: dict):
-    """What every iteration reads off ``spec`` alone, computed once per run
-    and kept in ``models`` under the key None: each term's group lead
-    (``group_leads``), its columns in its lead's points (None for the
-    lead's own order) and its nonzero linear objective coefficients on its
-    own variables, as ``(variable, column, coefficient)``."""
-    if None not in models:
-        terms = spec.nonlinear_terms
-        leads = group_leads([term.var_ids for term in terms])
-        columns = [None if terms[g].var_ids == term.var_ids
-                   else [terms[g].var_ids.index(k) for k in term.var_ids]
-                   for term, g in zip(terms, leads)]
-        lin = spec.linear_objective
-        linear = [[(k, i, lin[k]) for i, k in enumerate(term.var_ids) if lin.get(k, 0.0) != 0.0]
-                  for term in terms]
-        models[None] = leads, columns, linear
-    return models[None]
-
-
 def _constant(term: NonlinearTerm, bounds: list[Interval]) -> float:
     """``coef * f`` of a term whose variables are all fixed, at their values."""
     fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
@@ -185,20 +163,18 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     target, the objective or a row.  Fixed variables are substituted as
     constants; a term whose variables are all fixed is a constant.
     ``models`` maps each shape (each block's active variables, vertex
-    counts and targets) built so far to its model and blocks, and None to
-    the spec's ``_layout``; every call fills the model of its shape in
-    place.
+    counts and targets) built so far to its model and blocks; every call
+    fills the model of its shape in place.
     """
     terms = spec.nonlinear_terms
-    models = {} if models is None else models
-    leads, columns, _ = _layout(spec, models)
+    leads = group_leads([term.var_ids for term in terms])
     grids = {g: _group_grid(spec, terms[g], bounds, pieces) for g in dict.fromkeys(leads)}
     blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
     row_shift = [0.0] * len(spec.linear_constraints)
     const_extra = 0.0
-    for term, g, cols in zip(terms, leads, columns):
+    for term, g in zip(terms, leads):
         if any(bounds[k].width > 0.0 for k in term.var_ids):
-            points = grids[g][2] if cols is None else grids[g][2][..., cols]
+            points = grids[g][2][..., [terms[g].var_ids.index(k) for k in term.var_ids]]
             value = term.coef * vertex_values(points, term.fn, term.label, term.array_fn)
             targets = blocks_at.setdefault(g, {})
             targets[term.row] = targets[term.row] + value if term.row in targets else value
@@ -208,6 +184,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
             row_shift[term.row] += _constant(term, bounds)
     shape = tuple((tuple(grids[g][0]), grids[g][2].shape[:-1], tuple(targets))
                   for g, targets in blocks_at.items())
+    models = {} if models is None else models
     if shape not in models:
         model = milp.LpProblem()
         for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
@@ -229,15 +206,13 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     return model
 
 
-def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
-                       models: Optional[dict] = None) -> milp.MilpResult:
+def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
     """The piecewise-linear optimum of a spec without rows whose terms share
     no variable: per term, the first vertex of its own ``_group_grid`` in
     row-major order with the best ``coef * f(v) + linear part``; every other
     variable at the bound its objective coefficient favours (if 0, the bound
     nearest zero, lower on a tie, as the simplex).  Every counter is 0; B&B
-    reports nodes >= 1, so ``nodes`` 0 marks this path.  ``models`` keeps
-    the spec's ``_layout``, as for ``build_iteration_model``."""
+    reports nodes >= 1, so ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     z = np.empty(spec.n_vars)
@@ -245,8 +220,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
         c = sign * lin.get(j, 0.0)
         z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
     term_values = []
-    layout = _layout(spec, {} if models is None else models)
-    for term, term_linear in zip(spec.nonlinear_terms, layout[2]):
+    for term in spec.nonlinear_terms:
         _active, _vertices, points = _group_grid(spec, term, bounds, pieces)
         if points is None:
             term_values.append(_constant(term, bounds))
@@ -255,7 +229,8 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
         values = vertex_values(rows, term.fn, term.label, term.array_fn)
         # the linear part summed left to right from 0, as Python's sum; a
         # zero coefficient adds only a signed zero, which moves no argmin
-        linear = sum(c * rows[:, i] for k, i, c in term_linear if bounds[k].width > 0.0)
+        linear = sum(lin[k] * rows[:, i] for i, k in enumerate(term.var_ids)
+                     if bounds[k].width > 0.0 and lin.get(k, 0.0) != 0.0)
         best = int(np.argmin(sign * (term.coef * values + linear)))  # the first best
         z[list(term.var_ids)] = rows[best]
         term_values.append(term.coef * float(values[best]))
@@ -323,7 +298,7 @@ def run(
     prev_obj = None
     prev_z = None
     start = None  # the previous MILP's optimal root basis
-    models: dict = {}  # the spec's _layout and each model shape met so far
+    models: dict = {}  # each model shape met so far, refilled in place
     termination = "max_iters"
 
     for it in range(config.max_iters):
@@ -333,7 +308,7 @@ def run(
         pieces = config.initial_n_pieces if it == 0 else config.n_pieces
         iter_start = time.perf_counter()
         if vertex_solvable:
-            res = _solve_at_vertices(spec, current, pieces, models)
+            res = _solve_at_vertices(spec, current, pieces)
         else:
             model = build_iteration_model(spec, current, pieces, models)
             res = milp.solve_milp(model, deadline, start)

@@ -627,12 +627,11 @@ def test_build_makes_one_grid_per_lattice_set(monkeypatch):
         built.clear()
         lp = build_iteration_model(spec, spec.bounds(), pieces, models)  # builds the shape
         assert len(lp.lattice_sets) == len(built) == sets
-        # the refill reads the groups off the run's models and makes each
-        # grid's vertex array once, for the term values and encode_term
+        # the refill makes each grid's vertex array once, for the term
+        # values and encode_term
         built.clear()
         calls = []
         with monkeypatch.context() as m:
-            m.setattr(loop, "group_leads", lambda *_: pytest.fail("group_leads called again"))
             m.setattr(CountingGrid, "points",
                       lambda grid: calls.append(grid) or pwl.Grid.points(grid))
             lp = build_iteration_model(spec, spec.bounds(), pieces, models)
