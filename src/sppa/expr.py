@@ -222,7 +222,9 @@ def _eval(ast: Node, env: dict[str, float]) -> float:
         left, right = _eval(ast.left, env), _eval(ast.right, env)
         try:
             return _ARITHMETIC[ast.op](left, right)
-        except (ValueError, OverflowError):  # only math.pow raises
+        except OverflowError:  # only math.pow raises
+            raise DomainError("power overflows", ast) from None
+        except ValueError:
             raise DomainError("power outside real domain", ast) from None
     if isinstance(ast, Call):
         arg = _eval(ast.arg, env)
@@ -234,7 +236,9 @@ def _eval(ast: Node, env: dict[str, float]) -> float:
             return abs(arg)
         try:
             return getattr(math, ast.fn)(arg)
-        except (ValueError, OverflowError):
+        except OverflowError:
+            raise DomainError(f"{ast.fn} overflows", ast) from None
+        except ValueError:
             raise DomainError(f"{ast.fn} outside real domain", ast) from None
     raise TypeError(f"not an expression node: {ast!r}")
 

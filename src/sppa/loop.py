@@ -11,9 +11,10 @@ and rows, never by the surrogate; the boxes are centred on the best-ranked
 point while the latest iterate is feasible (see ``run``).
 
 Each iteration builds one grid per lambda block, in ``_group_grid``, and
-one array of its vertices, which it hands to ``mcmodel.encode_term``; it
-evaluates each of the block's terms once at all those vertices (or at one
-point when all its variables are fixed), for the MILP or the vertex solve.
+one array of its vertices, which it hands to ``mcmodel.encode_term``; each
+of the block's terms evaluates itself once at all those vertices
+(``NonlinearTerm.on``), or at one point when all its variables are fixed
+(``NonlinearTerm.at``), for the MILP or the vertex solve.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -33,7 +34,7 @@ import numpy as np
 
 from sppa import mcmodel, milp
 from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
-from sppa.pwl import Grid, Interval, axis_breakpoints, term_value, vertex_values
+from sppa.pwl import Grid, Interval, axis_breakpoints
 
 __all__ = [
     "SppaConfig",
@@ -70,7 +71,8 @@ class SppaConfig:
         frac, limit = self.contract_frac, self.time_limit
         if not (isinstance(frac, numbers.Real) and 0.0 < frac < 1.0):
             raise ValueError(f"contract_frac must lie strictly between 0 and 1, got {frac!r}")
-        if limit is not None and not (isinstance(limit, numbers.Real) and limit > 0.0):
+        if limit is not None and (isinstance(limit, bool)
+                                  or not (isinstance(limit, numbers.Real) and limit > 0.0)):
             raise ValueError(f"time_limit must be positive, got {limit!r}")
 
 
@@ -145,9 +147,8 @@ def _group_grid(spec: ProblemSpec, lead: NonlinearTerm, bounds: list[Interval], 
 
 
 def _constant(term: NonlinearTerm, bounds: list[Interval]) -> float:
-    """``coef * f`` of a term whose variables are all fixed, at their values."""
-    fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
-    return term.coef * term_value(term.fn, fixed, term.label, "point")
+    """A term whose variables are all fixed, at their values."""
+    return term.at(np.array([bounds[k].lo for k in term.var_ids], dtype=float))
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
@@ -175,7 +176,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     for term, g in zip(terms, leads):
         if any(bounds[k].width > 0.0 for k in term.var_ids):
             points = grids[g][2][..., [terms[g].var_ids.index(k) for k in term.var_ids]]
-            value = term.coef * vertex_values(points, term.fn, term.label, term.array_fn)
+            value = term.on(points)
             targets = blocks_at.setdefault(g, {})
             targets[term.row] = targets[term.row] + value if term.row in targets else value
         elif term.row is None:
@@ -226,14 +227,14 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
             term_values.append(_constant(term, bounds))
             continue
         rows = points.reshape(-1, points.shape[-1])  # row-major
-        values = vertex_values(rows, term.fn, term.label, term.array_fn)
+        values = term.on(rows)
         # the linear part summed left to right from 0, as Python's sum; a
         # zero coefficient adds only a signed zero, which moves no argmin
         linear = sum(lin[k] * rows[:, i] for i, k in enumerate(term.var_ids)
                      if bounds[k].width > 0.0 and lin.get(k, 0.0) != 0.0)
-        best = int(np.argmin(sign * (term.coef * values + linear)))  # the first best
+        best = int(np.argmin(sign * (values + linear)))  # the first best
         z[list(term.var_ids)] = rows[best]
-        term_values.append(term.coef * float(values[best]))
+        term_values.append(float(values[best]))
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
     return milp.MilpResult("optimal", z, objective, objective, 0.0)

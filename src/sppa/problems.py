@@ -12,9 +12,11 @@ interpolants, so splitting summands keeps the surrogate and keeps the
 grids, and hence each term's vertex count, low-dimensional; ``loop`` gives
 each group of terms, by the same rule, one lambda block.
 
-A term built from expressions evaluates one point with ``expr.eval_expr``,
-and carries its ``expr.compile_sum`` function as ``NonlinearTerm.array_fn``,
-which ``pwl.vertex_values`` calls on all of a grid's points at once.
+A term evaluates itself: ``NonlinearTerm.at`` gives ``coef * fn`` at one
+point and ``NonlinearTerm.on`` at every point of an array, such as a grid's
+vertices.  A term built from expressions evaluates one point with
+``expr.eval_expr``, and carries its ``expr.compile_sum`` function as
+``NonlinearTerm.array_fn``, which ``on`` calls on all the points at once.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import numpy as np
 from sppa import expr
 from sppa.expr import DomainError, Node
 from sppa.milp import LinearConstraint, row_violation
-from sppa.pwl import Interval, term_value
+from sppa.pwl import Interval
 
 __all__ = [
     "NonlinearTerm",
@@ -50,9 +52,9 @@ class NonlinearTerm:
 
     ``row is None`` places ``coef * fn`` in the objective, otherwise in the
     linear constraint with that index.  A term with an ``array_fn``, the
-    array form of ``fn`` (``expr.compile_sum``), is evaluated on a whole
-    grid through it (``pwl.vertex_values``).  ``ProblemSpec`` labels a term
-    left unlabelled ``t<k>``, after its position.
+    array form of ``fn`` (``expr.compile_sum``), is evaluated on many points
+    through it (``on``).  ``ProblemSpec`` labels a term left unlabelled
+    ``t<k>``, after its position.
     """
 
     var_ids: tuple[int, ...]
@@ -62,11 +64,37 @@ class NonlinearTerm:
     label: str = ""
     array_fn: Optional[Callable] = None
 
+    def at(self, point: np.ndarray, where: str = "point") -> float:
+        """``coef * fn`` at ``point``, the values of ``var_ids``; an
+        ``ArithmeticError`` or a non-finite ``fn`` raises a ``ValueError``
+        that names the label, ``where`` and the point and carries the point
+        as its ``point`` attribute."""
+        try:
+            val = float(self.fn(point))
+            if not math.isfinite(val):
+                raise ArithmeticError(f"value {val} is not finite")
+        except ArithmeticError as exc:
+            error = ValueError(f"term '{self.label}' failed at {where} {point.tolist()}: {exc}")
+            error.point = point.tolist()
+            raise error from exc
+        return self.coef * val
 
-def _term_value(term: NonlinearTerm, x: np.ndarray) -> float:
-    """``coef * fn`` of ``term`` at the point ``x``; a failure raises the
-    ``ValueError`` of a failing grid vertex, naming the point."""
-    return term.coef * term_value(term.fn, x[list(term.var_ids)], term.label, "point")
+    def on(self, points: np.ndarray) -> np.ndarray:
+        """``coef * fn`` at every point of a ``(..., len(var_ids))`` array,
+        shaped ``points.shape[:-1]``: in one call to ``array_fn`` if set,
+        else, or if that pass flags a point or raises, by ``at`` on each
+        point in row-major order, so the first failing grid vertex raises."""
+        rows = points.reshape(-1, points.shape[-1])
+        if self.array_fn is not None:
+            # the mask replaces numpy's warnings, which the tests turn into errors
+            with np.errstate(all="ignore"):
+                try:
+                    values, flagged = self.array_fn(rows)
+                except (ValueError, ArithmeticError):  # a libm domain or range error
+                    flagged = None
+            if flagged is not None and not flagged.any():
+                return self.coef * values.reshape(points.shape[:-1])
+        return np.array([self.at(p, "grid vertex") for p in rows]).reshape(points.shape[:-1])
 
 
 def _integer_bounds(iv: Interval) -> Interval:
@@ -133,7 +161,7 @@ class ProblemSpec:
         val = self.objective_constant + sum(c * x[j] for j, c in self.linear_objective.items())
         for term in self.nonlinear_terms:
             if term.row is None:
-                val += _term_value(term, x)
+                val += term.at(x[list(term.var_ids)])
         return val
 
     def row_violation(self, x) -> float:
@@ -143,7 +171,7 @@ class ProblemSpec:
         shift = [0.0] * len(self.linear_constraints)
         for term in self.nonlinear_terms:
             if term.row is not None:
-                shift[term.row] += _term_value(term, x)
+                shift[term.row] += term.at(x[list(term.var_ids)])
         rows = self.linear_constraints
         return row_violation([row.activity(x) + s for row, s in zip(rows, shift)],
                              [row.sense for row in rows], [row.rhs for row in rows])

@@ -11,8 +11,7 @@ vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
 ``Grid.points`` holds every vertex's coordinates in one row-major array,
-and ``vertex_values`` evaluates a term on such an array of points, in one
-array pass when the term has an array form.
+on which ``problems.NonlinearTerm.on`` evaluates a term.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -23,17 +22,11 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
-__all__ = [
-    "Interval",
-    "Grid",
-    "axis_breakpoints",
-    "term_value",
-    "vertex_values",
-]
+__all__ = ["Interval", "Grid", "axis_breakpoints"]
 
 
 @dataclass(frozen=True)
@@ -101,38 +94,3 @@ def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.nda
         keep = (snapped >= iv.lo) & (snapped <= iv.hi)
         pts = np.unique(np.concatenate([[iv.lo, iv.hi], snapped[keep]]))
     return pts
-
-
-def term_value(f: Callable, point: np.ndarray, label: str, where: str = "grid vertex") -> float:
-    """``f`` at ``point`` as a float; an ``ArithmeticError`` or a non-finite
-    value raises a ``ValueError`` that names ``label``, ``where`` and the
-    point and carries the point as its ``point`` attribute."""
-    try:
-        val = float(f(point))
-        if not math.isfinite(val):
-            raise ArithmeticError(f"value {val} is not finite")
-    except ArithmeticError as exc:
-        error = ValueError(f"term '{label}' failed at {where} {point.tolist()}: {exc}")
-        error.point = point.tolist()
-        raise error from exc
-    return val
-
-
-def vertex_values(points: np.ndarray, f: Callable, label: str,
-                  array_fn: Optional[Callable] = None) -> np.ndarray:
-    """``f`` at every point of a ``(..., n)`` array, shaped ``points.shape[:-1]``:
-    in one call to ``array_fn`` (``expr.compile_sum``) if given, else, or if
-    that pass flags a point or raises, by calling ``f`` on each point in
-    row-major order, so the first failing point raises the ``ValueError`` of
-    ``term_value``."""
-    rows = points.reshape(-1, points.shape[-1])
-    if array_fn is not None:
-        # the mask replaces numpy's warnings, which the tests turn into errors
-        with np.errstate(all="ignore"):
-            try:
-                values, flagged = array_fn(rows)
-            except (ValueError, ArithmeticError):  # a libm domain or range error
-                flagged = None
-        if flagged is not None and not flagged.any():
-            return values.reshape(points.shape[:-1])
-    return np.array([term_value(f, p, label) for p in rows]).reshape(points.shape[:-1])

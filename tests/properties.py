@@ -14,7 +14,7 @@ from __future__ import annotations
 import copy
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
@@ -184,6 +184,12 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
     return out
 
 
+def grid_values(grid: pwl.Grid, f: Callable) -> np.ndarray:
+    """``f`` at every vertex of ``grid``, as a term of coefficient 1 over
+    the grid's variables evaluates it (``NonlinearTerm.on``)."""
+    return NonlinearTerm(tuple(range(grid.dims)), f, label="t").on(grid.points())
+
+
 def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
                           values: np.ndarray) -> dict[int, float]:
     """One term of vertex ``values`` on ``grid`` over the variables ``z_ids``
@@ -207,18 +213,18 @@ def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
 def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, pieces: int):
     """``(active, grid, values)`` of ``term`` on a grid of its own: its
     variables of positive width, their grid (``pieces`` segments each) and
-    its vertex values there, the other variables at their values; with no
-    active variable, no grid and its value at its one point.  Built term by
-    term, apart from ``loop``'s one grid per lambda block."""
+    its values (``coef * fn``) at the vertices, the other variables at their
+    values; with no active variable, no grid and its value at its one point.
+    Built term by term, apart from ``loop``'s one grid per lambda block."""
     active = [k for k in term.var_ids if bounds[k].width > 0.0]
     fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
     if not active:
-        return active, None, pwl.term_value(term.fn, fixed, term.label, "point")
+        return active, None, term.at(fixed)
     grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
                      for k in active])
     points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
-    return active, grid, pwl.vertex_values(points, term.fn, term.label, term.array_fn)
+    return active, grid, term.on(points)
 
 
 def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) -> milp.LpProblem:
@@ -240,8 +246,7 @@ def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) ->
     for row in spec.linear_constraints:
         model.add_row(row.coeffs, row.sense, row.rhs)
     model.set_objective(spec.linear_objective, spec.objective_constant, spec.sense)
-    for term, (_, grid, values), block in zip(spec.nonlinear_terms, prepared, blocks):
-        value = term.coef * values
+    for term, (_, grid, value), block in zip(spec.nonlinear_terms, prepared, blocks):
         if block is not None:
             encode_term(model, block, grid.points(),
                         {None if term.row is None else first_row + term.row: value})
@@ -347,8 +352,7 @@ def check_lambda_equivalence(n_points: int = 200) -> str:
             z0 = lo + rng.random(grid.dims) * (hi - lo)
             prob = milp.LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-            value = encode_objective_term(prob, grid, z_ids,
-                                          pwl.vertex_values(grid.points(), f, "t"))
+            value = encode_objective_term(prob, grid, z_ids, grid_values(grid, f))
             for k, zid in enumerate(z_ids):
                 prob.add_row({zid: 1.0}, "=", float(z0[k]))
             prob.set_objective(value)
@@ -960,8 +964,8 @@ def _concave_term_model(rng: np.random.Generator) -> milp.LpProblem:
     b = rng.normal(size=dims)
     prob = milp.LpProblem()
     z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
-    value = encode_objective_term(prob, grid, z, pwl.vertex_values(
-        grid.points(), lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v), "t"))
+    value = encode_objective_term(prob, grid, z, grid_values(
+        grid, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v)))
     a = rng.normal(size=dims)
     point = rng.uniform(lo, hi)
     prob.add_row({z[k]: float(a[k]) for k in range(dims)}, "=", float(a @ point))
@@ -1608,33 +1612,35 @@ def _random_tree(rng: np.random.Generator, names: Sequence[str], depth: int) -> 
     return expr.BinOp(op, sub, _random_tree(rng, names, depth - 1))
 
 
-def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...],
-                        points: np.ndarray) -> str:
+def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...], points: np.ndarray,
+                        coef: float) -> str:
     """Check the array pass of ``nodes`` against their scalar evaluation on
-    every row of ``points``, and return how it ended: ``clean``,
-    ``flagged`` (some rows masked) or ``raised`` (a libm error, or a
-    constant part that fails, so no array form)."""
+    every row of ``points``, and a term of them with coefficient ``coef``
+    evaluated on ``points`` (``NonlinearTerm.on``) with and without the
+    array pass against its ``at`` on each row; return how the array pass
+    ended: ``clean``, ``flagged`` (some rows masked) or ``raised`` (a libm
+    error, or a constant part that fails, so no array form)."""
     fn, compiled = _term_fn(nodes, names)
-    scalar = [None] * len(points)  # each row's value, or its error message
-    for i, row in enumerate(points):
+    unit = NonlinearTerm(tuple(range(len(names))), fn, label="t", array_fn=compiled)
+    term = replace(unit, coef=coef)
+
+    def outcome(evaluate, *args):  # the value, or the error message
         try:
-            scalar[i] = pwl.term_value(fn, row, "t")
+            return evaluate(*args)
         except ValueError as exc:
-            scalar[i] = str(exc)
-    # the pipeline: the array pass, and the point-by-point call without an array form
-    outcomes = []
-    for array_fn in (compiled, None):
-        try:
-            outcomes.append(pwl.vertex_values(points, fn, "t", array_fn))
-        except ValueError as exc:
-            outcomes.append(str(exc))
-    fast, slow = outcomes
+            return str(exc)
+
+    scalar = [outcome(unit.at, row, "grid vertex") for row in points]
     text = " + ".join(expr.to_text(node) for node in nodes)
-    if isinstance(slow, str):
-        assert fast == slow, (text, fast, slow)
-    else:
-        assert isinstance(fast, np.ndarray) and np.array_equal(fast, slow) and np.array_equal(
-            np.signbit(fast), np.signbit(slow)), (text, fast, slow)
+    # the term at each row, then on all rows with the array pass and without it
+    expected = [outcome(term.at, row, "grid vertex") for row in points]
+    failed = [v for v in expected if isinstance(v, str)]
+    for got in (outcome(term.on, points), outcome(replace(term, array_fn=None).on, points)):
+        if failed:
+            assert got == failed[0], (text, coef, got, failed[0])
+        else:
+            assert isinstance(got, np.ndarray) and np.array_equal(got, expected) and (
+                np.array_equal(np.signbit(got), np.signbit(expected))), (text, coef, got, expected)
 
     if compiled is None:  # a constant part fails at every point
         assert all(isinstance(v, str) for v in scalar), text
@@ -1665,10 +1671,13 @@ def check_array_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
     divisor, a negative square root argument, a negative base with a
     fractional exponent and an overflowing ``exp`` and ``^``.  Unflagged
     rows must equal the scalar values bit for bit, sign of zero included;
-    a row is flagged exactly where the scalar evaluation raises, and
-    ``pwl.vertex_values`` gives the same values or the same message with
-    and without the array pass."""
+    a row is flagged exactly where the scalar evaluation raises, and a term
+    of the sum with a drawn coefficient gives from ``NonlinearTerm.on``, with
+    and without the array pass, the bits of its ``at`` on each row or the
+    first failing row's message."""
     rng = np.random.default_rng(20261019)
+    # a generator of their own keeps the trees and points of the seed above
+    coefs = iter(np.random.default_rng(7).choice([-2.5, 0.5, 3.0], size=2 * n_sums + 7).tolist())
     ends = {"clean": 0, "flagged": 0, "raised": 0}
     for _ in range(n_sums):
         names = ("x", "y", "z")[:int(rng.integers(1, 4))]
@@ -1677,13 +1686,14 @@ def check_array_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
         lattice = rng.integers(-4, 5, size=(n_points, len(names))) / 2.0
         wide = rng.normal(0.0, 300.0, size=(n_points, len(names)))
         for points in (lattice, wide):
-            ends[_compare_array_pass(nodes, names, points)] += 1
+            ends[_compare_array_pass(nodes, names, points, next(coefs))] += 1
 
     points = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [800.0, 3.0]])
     for text, end in (("1/(x - y)", "flagged"), ("1/(x/0)", "flagged"),
                       ("sqrt(x - y)^0", "flagged"), ("(x - y)^0.5", "raised"),
                       ("0*exp(x)", "raised"), ("x^(100*y)", "raised"), ("x*y - y/4", "clean")):
-        got = _compare_array_pass([expr.parse_expr(text, ["x", "y"])], ("x", "y"), points)
+        got = _compare_array_pass([expr.parse_expr(text, ["x", "y"])], ("x", "y"), points,
+                                  next(coefs))
         assert got == end, (text, got, end)
     assert all(ends.values()), ends
     return (f"array evaluator ok ({n_sums} sums, 2 x {n_points} points: "

@@ -78,8 +78,13 @@ def test_eval_examples():
         eval_expr(parse_expr("sqrt(-1)", var_names=[]), {})
     with pytest.raises(DomainError):
         eval_expr(parse_expr("1/(x - x)", var_names=["x"]), {"x": 3.0})
-    with pytest.raises(DomainError):  # overflow is reported, not propagated
+    # overflow is reported, not propagated, and not as a domain error
+    with pytest.raises(DomainError, match=r"^exp overflows in 'exp\(x\)'$"):
         eval_expr(parse_expr("exp(x)", var_names=["x"]), {"x": 1e9})
+    with pytest.raises(DomainError, match=r"^power overflows in 'x\^2\.0'$"):
+        eval_expr(parse_expr("x^2", var_names=["x"]), {"x": 1e300})
+    with pytest.raises(DomainError, match=r"^power outside real domain in 'x\^0\.5'$"):
+        eval_expr(parse_expr("x^0.5", var_names=["x"]), {"x": -1.0})
 
 
 def test_eggholder_reference_value():

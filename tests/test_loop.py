@@ -195,7 +195,7 @@ def test_evaluator_failure_reports_vertex():
     ("sqrt(x)^0 + x*y", "[-1.5, -1.5]: square root of a negative number in 'sqrt(x)'"),
     ("sqrt(x - y)^0*y", "[-1.5, -0.5]: square root of a negative number in 'sqrt(x - y)'"),
     # exp overflows first at x + y = 1, and 0*inf is nan
-    ("0*exp(1000*(x + y)) + x*y", "[-0.5, 1.5]: exp outside real domain in 'exp(1000.0*(x + y))'"),
+    ("0*exp(1000*(x + y)) + x*y", "[-0.5, 1.5]: exp overflows in 'exp(1000.0*(x + y))'"),
 ])
 def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
     # each failure is hidden from the sum by the arithmetic after it, so the
@@ -487,10 +487,12 @@ def test_config_rejects_a_count_that_is_not_an_integer(field, bad):
 
 
 @pytest.mark.parametrize("field", ["contract_frac", "time_limit"])
-@pytest.mark.parametrize("bad", ["0.5", complex(0.5), [0.5]], ids=["str", "complex", "list"])
+@pytest.mark.parametrize("bad", ["0.5", complex(0.5), [0.5], True],
+                         ids=["str", "complex", "list", "bool"])
 def test_config_rejects_a_fraction_or_limit_that_is_not_a_number(field, bad):
-    # these used to reach a bare comparison and raise a TypeError; a real
-    # number of another type still passes
+    # these used to reach a bare comparison and raise a TypeError, and a
+    # time_limit of True ran for one second; a real number of another type
+    # still passes
     with pytest.raises(ValueError, match=f"^{field} must .*, got {re.escape(repr(bad))}$"):
         SppaConfig(**{field: bad})
     assert getattr(SppaConfig(**{field: np.float64(0.5)}), field) == 0.5

@@ -3,18 +3,17 @@ import pytest
 
 from sppa.mcmodel import add_term, encode_term
 from sppa.milp import LpProblem, solve_milp
-from sppa.pwl import vertex_values
 
 from properties import (build_grid, check_lambda_equivalence, check_lattice_oracle,
-                        encode_objective_term, eval_pwl, hyperplane_coeffs, locate, lower,
-                        solve_relaxation, upper, vertex_path)
+                        encode_objective_term, eval_pwl, grid_values, hyperplane_coeffs, locate,
+                        lower, solve_relaxation, upper, vertex_path)
 
 
 def build(grid, f):
     model = LpProblem()
     lo, hi = lower(grid), upper(grid)
     z_ids = [model.add_var(lo[k], hi[k]) for k in range(grid.dims)]
-    value = encode_objective_term(model, grid, z_ids, vertex_values(grid.points(), f, "t"))
+    value = encode_objective_term(model, grid, z_ids, grid_values(grid, f))
     return model, z_ids, value
 
 
