@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Write ``sppa solve --out`` traces with every ``seconds`` field stripped.
 
-Nine cases, each run twice, to ``OUTDIR/<case>.json`` and, with
-``--format csv``, to ``OUTDIR/<case>.csv`` without its ``seconds`` column:
+Nine cases, each solved twice, always in both formats: to
+``OUTDIR/<case>.json`` without its ``seconds`` keys and to
+``OUTDIR/<case>.csv`` without its ``seconds`` column.  The cases are
 the four builtins at their registry settings, eggholder at 20/4, the
 problem files of ``bench/problems`` (``constrained_a`` at 3/3,
 ``constrained_b`` at 2/2 and ``numerical`` at 3/3), and the constrained

@@ -29,6 +29,9 @@ EXIT_PARSE = 3
 EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
+# a trace row's keys in order; the CSV spreads the incumbent over x1..xn
+_ROW_KEYS = ("iter", "objective", "incumbent", "max_width", "row_violation", *milp.COUNTERS,
+             "seconds")
 
 
 @dataclasses.dataclass
@@ -87,38 +90,27 @@ def _max_width(record: loop.IterationRecord, nl_names: list[str]) -> float:
 
 
 def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
-    return [{
-        "iter": rec.iteration,
-        "objective": float(rec.objective),
-        "incumbent": [float(v) for v in rec.incumbent],
-        "max_width": float(_max_width(rec, nl_names)),
-        "row_violation": float(rec.row_violation),
-        **{name: int(rec.milp_stats[name]) for name in milp.COUNTERS},
-        "seconds": float(rec.milp_stats["seconds"]),
-    } for rec in result.trace]
+    return [dict(zip(_ROW_KEYS, (
+        rec.iteration, float(rec.objective), [float(v) for v in rec.incumbent],
+        float(_max_width(rec, nl_names)), float(rec.row_violation),
+        *(int(rec.milp_stats[name]) for name in milp.COUNTERS), float(rec.milp_stats["seconds"]),
+    ), strict=True)) for rec in result.trace]
 
 
-def _csv_cells(row: dict) -> dict[str, str]:
-    """A trace row as CSV cells by column: the ``repr`` of each value, with
-    the incumbent spread over x1..xn."""
-    cells = {}
-    for key, value in row.items():
-        if key == "incumbent":
-            cells.update((f"x{k + 1}", repr(v)) for k, v in enumerate(value))
-        else:
-            cells[key] = repr(value)
-    return cells
-
-
-def _write_report(report: RunReport, path: str, fmt: str):
+def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
+    """The report as JSON, or as CSV: the header row (``_ROW_KEYS``, with
+    x1..xn), even with no iteration, then each row's values by ``repr``."""
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump(dataclasses.asdict(report), fh, indent=2)
             fh.write("\n")
         return
-    rows = [_csv_cells(row) for row in report.rows]  # the header too comes from a row
+    header = [col for key in _ROW_KEYS for col in (
+        [f"x{k + 1}" for k in range(n_vars)] if key == "incumbent" else [key])]
     with open(path, "w", newline="") as fh:
-        csv.writer(fh).writerows([list(rows[0])] + [list(r.values()) for r in rows] if rows else [])
+        csv.writer(fh).writerows([header] + [
+            [repr(v) for key, value in row.items()
+             for v in (value if key == "incumbent" else [value])] for row in report.rows])
 
 
 def cmd_solve(args) -> int:
@@ -175,7 +167,7 @@ def cmd_solve(args) -> int:
         seconds=result.seconds,
     )
     if args.out:
-        _write_report(report, args.out, args.format)
+        _write_report(report, args.out, args.format, spec.n_vars)
 
     print(f"termination: {result.termination}")
     if result.best_point is None:

@@ -14,7 +14,8 @@ Each iteration builds one grid per lambda block, in ``_group_grid``, and
 one array of its vertices, which it hands to ``mcmodel.encode_term``; each
 of the block's terms evaluates itself once at all those vertices
 (``NonlinearTerm.on``), or at one point when all its variables are fixed
-(``NonlinearTerm.at``), for the MILP or the vertex solve.
+(``NonlinearTerm.at``), for the MILP or the vertex solve.  The model is
+exact at a vertex, so the vertex solve's value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -243,8 +244,10 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
 def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:
     """The width at or below which a continuous window counts as at its
     floor: ``rel_floor``, or ``_FLOOR_SPACINGS`` float spacings per piece at
-    its largest endpoint, whichever is larger."""
-    return max(rel_floor, _FLOOR_SPACINGS * pieces * np.spacing(max(abs(iv.lo), abs(iv.hi))))
+    its largest endpoint (the gap up to the next float, ``np.spacing``'s,
+    infinite at the largest float), whichever is larger."""
+    top = max(abs(iv.lo), abs(iv.hi))
+    return max(rel_floor, _FLOOR_SPACINGS * pieces * (math.nextafter(top, math.inf) - top))
 
 
 def run(
@@ -256,7 +259,8 @@ def run(
 
     Each iterate is ranked by ``ProblemSpec.row_violation``: a point within
     ``milp.ROW_TOL`` is feasible.  Feasible points rank first, by exact
-    objective, the others after them by violation; the later point wins a
+    objective (a vertex solve's own value, summed as ``objective_value``
+    sums it), the others after them by violation; the later point wins a
     tie.  The best-ranked point is reported.  While the latest iterate is
     feasible the next windows are centred on the best-ranked point, and
     otherwise on the latest iterate, as the paper contracts them about each
@@ -320,8 +324,8 @@ def run(
             break
 
         z = res.x[: spec.n_vars].copy()
-        true_obj = spec.objective_value(z)
-        violation = spec.row_violation(z)
+        true_obj, violation = ((res.objective, 0.0) if vertex_solvable  # exact, no rows
+                               else (spec.objective_value(z), spec.row_violation(z)))
         record = IterationRecord(
             iteration=it,
             incumbent=z,
@@ -345,14 +349,15 @@ def run(
         # stall evidence needs a tiny objective delta from an incumbent that
         # actually moved; a re-found identical vertex just means the grid is
         # still refining around it (the width criterion covers convergence)
+        z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
         if prev_obj is not None:
-            moved = bool(np.any(np.abs(z - prev_z) > 1e-9 * (1.0 + np.abs(prev_z))))
+            moved = any(abs(a - b) > 1e-9 * (1.0 + abs(b)) for a, b in zip(z_list, prev_z))
             if moved and abs(true_obj - prev_obj) <= _STALL_TOL:
                 stall_run += 1
             else:
                 stall_run = 0
         prev_obj = true_obj
-        prev_z = z
+        prev_z = z_list
         if stall_run >= _STALL_ITERS:
             termination = "stall"
             break

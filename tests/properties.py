@@ -1396,7 +1396,9 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     On each spec of ``_row_free_spec``, the shortcut's first iteration must
     give the same point and a bit-identical surrogate as
     ``_scalar_vertex_optimum``, match ``solve_milp`` on the model the MILP
-    path builds within the MILP's gap, and return a grid vertex.
+    path builds within the MILP's gap, and return a grid vertex.  Every
+    iteration of a short run must report as its objective the exact
+    objective at its incumbent, bit for bit, and no row violation.
     """
     rng = np.random.default_rng(1357)
     rel_gap = milp._REL_GAP
@@ -1417,7 +1419,12 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     for spec, pieces in [_row_free_spec(rng) for _ in range(n_specs)] + [(ties, 2), (near, 1)]:
         terms, sense = spec.nonlinear_terms, spec.sense
         n_max += sense == "max"
-        rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
+        trace = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=4)).trace
+        for rec in trace:
+            want = float(spec.objective_value(rec.incumbent)).hex()
+            assert float(rec.objective).hex() == want, (rec.iteration, rec.objective, want)
+            assert rec.row_violation == 0.0, rec.row_violation
+        rec = trace[0]
         ref = milp.solve_milp(loop.build_iteration_model(spec, spec.bounds(), pieces))
         assert ref.status == "optimal", ref.status
         assert rec.milp_stats["nodes"] == 0, "row-free spec went through branch and bound"

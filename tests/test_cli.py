@@ -85,6 +85,21 @@ def test_csv_columns_and_cells_are_the_json_rows(tmp_path):
                 assert text == (str(value) if isinstance(value, int) else repr(value)), col
 
 
+def test_csv_of_a_run_without_iterations_is_its_header(tmp_path, capsys):
+    # a run stopped before its first iteration still writes the header row,
+    # with the columns of a run that has iterations
+    flags = ["solve", "--problem", "rosenbrock", "--format", "csv", "--out"]
+    empty, full = tmp_path / "empty.csv", tmp_path / "full.csv"
+    assert run_cli(flags + [str(empty), "--time-limit", "1e-12"]) == 4
+    assert run_cli(flags + [str(full), "--max-iters", "1"]) == 0
+    with open(empty, newline="") as fh:
+        rows = list(csv.reader(fh))
+    with open(full, newline="") as fh:
+        header = next(csv.reader(fh))
+    assert rows == [header] == [["iter", "objective", "x1", "x2", "max_width", "row_violation",
+                                 *milp.COUNTERS, "seconds"]]
+
+
 def _strip_timing(report: dict) -> dict:
     out = copy.deepcopy(report)
     out["seconds"] = None

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sppa import loop, milp, pwl
@@ -48,6 +48,26 @@ def test_contract_properties(lo, width, t, frac):
     interior = (v - frac * width / 2 >= lo) and (v + frac * width / 2 <= lo + width)
     if interior:
         assert abs(out.width - frac * iv.width) <= 1e-12 * (1 + width)
+
+
+@given(top=st.floats(min_value=0.0, allow_infinity=False), pieces=st.integers(1, 64),
+       rel_floor=st.sampled_from([0.0, 1e-8, 2.5]), negative=st.booleans())
+@example(top=0.0, pieces=4, rel_floor=0.0, negative=False)
+@example(top=5e-324, pieces=4, rel_floor=0.0, negative=False)  # the smallest subnormal
+@example(top=1.0, pieces=4, rel_floor=0.0, negative=False)
+@example(top=2.0 ** -1022, pieces=4, rel_floor=0.0, negative=False)
+@example(top=2.0 ** 30, pieces=4, rel_floor=0.0, negative=True)
+@example(top=2.048, pieces=4, rel_floor=0.0, negative=False)
+@example(top=512.0, pieces=4, rel_floor=0.0, negative=True)
+@example(top=1e300, pieces=4, rel_floor=0.0, negative=False)
+@example(top=1.7976931348623157e308, pieces=4, rel_floor=0.0, negative=False)
+def test_floor_has_the_bits_of_numpy_spacing(top, pieces, rel_floor, negative):
+    # the spacing is the gap to the next float up, np.spacing's, also at the
+    # largest finite float, where it is infinite
+    iv = Interval(-top, 0.0) if negative else Interval(0.0, top)
+    with np.errstate(over="ignore"):
+        want = max(rel_floor, loop._FLOOR_SPACINGS * pieces * np.spacing(top))
+    assert float(loop._floor(iv, rel_floor, pieces)).hex() == float(want).hex()
 
 
 def test_integer_contraction_keeps_unit_width():
@@ -674,18 +694,21 @@ def test_constrained_b_runs_to_its_end_at_the_default_settings():
 def test_builtin_surrogate_is_exact(name):
     # every builtin iteration is solved at the grid vertices, so the
     # surrogate is the exact objective at the incumbent, bit for bit: the
-    # grid pass and the single-point evaluation give the same bits.  Through
-    # the MILP, ackley's iteration 24 reported -1.6e-12 where the objective
-    # is 1.59e-6
+    # grid pass and the single-point evaluation give the same bits, and the
+    # run reports the vertex solve's value as the objective.  Through the
+    # MILP, ackley's iteration 24 reported -1.6e-12 where the objective is
+    # 1.59e-6
     info = builtin_info(name)
     config = SppaConfig(info["initial_n_pieces"], info["n_pieces"], info["contract_frac"],
                         info["max_iters"])
-    result = run(builtin(name), config)
+    spec = builtin(name)
+    result = run(spec, config)
     if name == "ackley":
         assert len(result.trace) == 27
     for rec in result.trace:
-        assert rec.surrogate_objective == rec.objective, (
-            rec.iteration, rec.surrogate_objective, rec.objective)
+        want = float(spec.objective_value(rec.incumbent)).hex()
+        got = [float(rec.objective).hex(), float(rec.surrogate_objective).hex()]
+        assert got == [want, want], (rec.iteration, got, want)
     assert all(rec.milp_stats["nodes"] == 0 for rec in result.trace)
 
 
