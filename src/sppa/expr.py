@@ -5,8 +5,8 @@ Grammar: one precedence table, ``_BINARY``, read by the parser and by
 ``*`` ``/``, then ``+`` ``-`` (left associative).  ``name(arg)`` calls one
 of sin, cos, exp, sqrt, abs.  The identifiers ``pi`` and ``e`` are folded to constants
 unless shadowed by a declared variable.
-``compile_sum`` evaluates a sum of trees on many points at once, bit for
-bit as ``eval_expr`` on each.
+``compile_sum`` generates straight-line ``math`` code that evaluates a
+sum of trees on many points, row by row, bit for bit as ``eval_expr``.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ import operator
 import re
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
-
-import numpy as np
 
 __all__ = [
     "Node",
@@ -243,62 +241,49 @@ def _eval(ast: Node, env: dict[str, float]) -> float:
     raise TypeError(f"not an expression node: {ast!r}")
 
 
-# the array evaluator's operations: + - * /, unary minus, abs and sqrt are
-# correctly rounded numpy ufuncs, the bits of Python floats on every host;
-# ^, exp, sin and cos call the scalar path's libm functions element by
-# element, because numpy's own kernels may differ from them in the last bit
-_ARRAY_OPS = {name: getattr(np, name) for name in (
-    "asarray", "zeros", "isfinite", "negative", "add", "subtract", "multiply", "divide",
-    "absolute", "sqrt")}
-_ARRAY_OPS.update(pow_=np.frompyfunc(math.pow, 2, 1), exp_=np.frompyfunc(math.exp, 1, 1),
-                  sin_=np.frompyfunc(math.sin, 1, 1), cos_=np.frompyfunc(math.cos, 1, 1))
-_UFUNCS = {"+": "add", "-": "subtract", "*": "multiply", "/": "divide", "^": "pow_"}
+# the row evaluator's functions, each the one eval_expr calls, so that a
+# row raises where eval_expr raises and otherwise gets its bits
+_ROW_FUNCS = {"pow_": math.pow, "sqrt": math.sqrt, "exp": math.exp, "sin": math.sin,
+              "cos": math.cos}
 
 
 def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callable]:
-    """A generated function of an ``(m, len(names))`` array, column k the
-    values of ``names[k]``.  It returns each row's sum of ``nodes``, added
-    left to right from 0.0 with the bits of ``eval_expr``, and a mask of the
-    rows where ``eval_expr`` would raise: a zero divisor, a negative square
-    root argument or a non-finite sum; a ``math`` error raises as itself.
-    Constant subtrees are folded; None if one fails."""
-    lines = [f"    {', '.join(f'c{k}' for k in range(len(names)))}, = asarray(p, dtype=float).T"]
+    """A generated function of a sequence of rows of Python floats, entry k
+    the value of ``names[k]``: the list of each row's ``0.0 + s1 + s2 ...``
+    over ``nodes``, with ``eval_expr``'s operations and bits.  Where
+    ``eval_expr`` raises for a zero divisor, a negative square root or a
+    ``math`` error, the row raises the Python error; a non-finite summand
+    leaves the sum non-finite.  Constant subtrees are folded; None if one
+    fails."""
+    body: list[str] = []
     consts: dict[str, float] = {}
-    checks = ["~isfinite(s)"]  # a non-finite summand leaves the sum non-finite
 
     def value(node: Node) -> str:
-        """The name of the local or constant holding ``node``'s values."""
+        """The name of the local or constant holding ``node``'s value."""
         if isinstance(node, Var):
             return f"c{names.index(node.name)}"
         if not free_vars(node):
             consts[f"k{len(consts)}"] = _eval(node, {})
             return f"k{len(consts) - 1}"
         if isinstance(node, Neg):
-            call = f"negative({value(node.arg)})"
+            code = f"-{value(node.arg)}"
         elif isinstance(node, Call):
-            arg = value(node.arg)
-            if node.fn == "sqrt":
-                checks.append(f"({arg} < 0.0)")
-            call = {"sqrt": f"sqrt({arg})", "abs": f"absolute({arg})"}.get(
-                node.fn, f"{node.fn}_({arg}).astype(float)")
+            code = f"{node.fn}({value(node.arg)})"
+        elif node.op == "^":
+            code = f"pow_({value(node.left)}, {value(node.right)})"
         else:
-            left, right = value(node.left), value(node.right)
-            if node.op == "/":
-                checks.append(f"({right} == 0.0)")
-            call = f"{_UFUNCS[node.op]}({left}, {right})"
-            if node.op == "^":  # frompyfunc returns objects
-                call += ".astype(float)"
-        lines.append(f"    t{len(lines)} = {call}")
-        return f"t{len(lines) - 1}"
+            code = f"{value(node.left)} {node.op} {value(node.right)}"
+        body.append(f"        t{len(body)} = {code}")
+        return f"t{len(body) - 1}"
 
-    lines.append("    s = zeros(len(p))")
     try:
-        for node in nodes:
-            lines.append(f"    s = add(s, {value(node)})")
+        total = " + ".join(["0.0", *map(value, nodes)])
     except DomainError:
         return None
-    source = "def rows(p):\n" + "\n".join(lines) + f"\n    return s, {' | '.join(checks)}\n"
-    namespace = dict(_ARRAY_OPS, **consts)
+    row = "".join(f"c{k}, " for k in range(len(names)))
+    source = "\n".join(["def rows(p):", "    out = []", f"    for {row}in p:", *body,
+                        f"        out.append({total})", "    return out\n"])
+    namespace = dict(_ROW_FUNCS, **consts)
     exec(compile(source, "<compile_sum>", "exec"), namespace)
     return namespace["rows"]
 

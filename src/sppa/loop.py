@@ -11,11 +11,11 @@ and rows, never by the surrogate; the boxes are centred on the best-ranked
 point while the latest iterate is feasible (see ``run``).
 
 Each iteration builds one grid per lambda block, in ``_group_grid``, and
-one array of its vertices, which it hands to ``mcmodel.encode_term``; each
-of the block's terms evaluates itself once at all those vertices
-(``NonlinearTerm.on``), or at one point when all its variables are fixed
-(``NonlinearTerm.at``), for the MILP or the vertex solve.  The model is
-exact at a vertex, so the vertex solve's value is the exact objective.
+one array of its vertices for ``mcmodel.encode_term``; the vertex solve
+takes a term's vertices as tuples of floats (``_vertex_rows``).  Each term
+evaluates itself once at all those vertices (``NonlinearTerm.on``), or at
+one point when all its variables are fixed (``NonlinearTerm.at``).  The
+model is exact at a vertex, so the vertex solve's value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -25,6 +25,7 @@ from the previous iteration's optimal root basis (``MilpResult.start``).
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import time
@@ -177,7 +178,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     for term, g in zip(terms, leads):
         if any(bounds[k].width > 0.0 for k in term.var_ids):
             points = grids[g][2][..., [terms[g].var_ids.index(k) for k in term.var_ids]]
-            value = term.on(points)
+            value = np.array(term.on(points.reshape(-1, len(term.var_ids)).tolist()))
             targets = blocks_at.setdefault(g, {})
             targets[term.row] = targets[term.row] + value if term.row in targets else value
         elif term.row is None:
@@ -208,37 +209,50 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     return model
 
 
+def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval], pieces: int):
+    """The vertices of ``_group_grid``'s grid for ``term`` (with an active
+    variable) as its lead, row-major, each a tuple of Python floats in
+    ``term.var_ids`` order, fixed variables at their values."""
+    axes = iter(Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                      for k in term.var_ids if bounds[k].width > 0.0]).breakpoints)
+    return list(itertools.product(*[next(axes) if bounds[k].width > 0.0
+                                    else (float(bounds[k].lo),) for k in term.var_ids]))
+
+
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
     """The piecewise-linear optimum of a spec without rows whose terms share
-    no variable: per term, the first vertex of its own ``_group_grid`` in
-    row-major order with the best ``coef * f(v) + linear part``; every other
-    variable at the bound its objective coefficient favours (if 0, the bound
-    nearest zero, lower on a tie, as the simplex).  Every counter is 0; B&B
-    reports nodes >= 1, so ``nodes`` 0 marks this path."""
+    no variable: per term, the first vertex of its own grid in row-major
+    order (``_vertex_rows``) with the best ``coef * f(v) + linear part``;
+    every other variable at the bound its objective coefficient favours (if
+    0, the bound nearest zero, lower on a tie, as the simplex).  Every
+    counter is 0; B&B reports nodes >= 1, so ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
-    z = np.empty(spec.n_vars)
+    z = []
     for j, iv in enumerate(bounds):
         c = sign * lin.get(j, 0.0)
-        z[j] = iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi
+        z.append(float(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi))
     term_values = []
     for term in spec.nonlinear_terms:
-        _active, _vertices, points = _group_grid(spec, term, bounds, pieces)
-        if points is None:
+        if not any(bounds[k].width > 0.0 for k in term.var_ids):
             term_values.append(_constant(term, bounds))
             continue
-        rows = points.reshape(-1, points.shape[-1])  # row-major
+        rows = _vertex_rows(spec, term, bounds, pieces)
         values = term.on(rows)
         # the linear part summed left to right from 0, as Python's sum; a
-        # zero coefficient adds only a signed zero, which moves no argmin
-        linear = sum(lin[k] * rows[:, i] for i, k in enumerate(term.var_ids)
-                     if bounds[k].width > 0.0 and lin.get(k, 0.0) != 0.0)
-        best = int(np.argmin(sign * (values + linear)))  # the first best
-        z[list(term.var_ids)] = rows[best]
-        term_values.append(float(values[best]))
+        # zero coefficient adds only a signed zero, which moves no minimum
+        linear = [0] * len(rows)
+        for i, k in enumerate(term.var_ids):
+            if bounds[k].width > 0.0 and lin.get(k, 0.0) != 0.0:
+                linear = [s + lin[k] * row[i] for s, row in zip(linear, rows)]
+        keys = [sign * (v + s) for v, s in zip(values, linear)]
+        best = min(range(len(rows)), key=keys.__getitem__)  # the first best
+        for k, x in zip(term.var_ids, rows[best]):
+            z[k] = x
+        term_values.append(values[best])
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
-    return milp.MilpResult("optimal", z, objective, objective, 0.0)
+    return milp.MilpResult("optimal", np.array(z), objective, objective, 0.0)
 
 
 def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:

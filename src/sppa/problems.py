@@ -13,10 +13,10 @@ grids, and hence each term's vertex count, low-dimensional; ``loop`` gives
 each group of terms, by the same rule, one lambda block.
 
 A term evaluates itself: ``NonlinearTerm.at`` gives ``coef * fn`` at one
-point and ``NonlinearTerm.on`` at every point of an array, such as a grid's
-vertices.  A term built from expressions evaluates one point with
+point and ``NonlinearTerm.on`` at every row of a list of points, such as a
+grid's vertices.  A term built from expressions evaluates one point with
 ``expr.eval_expr``, and carries its ``expr.compile_sum`` function as
-``NonlinearTerm.array_fn``, which ``on`` calls on all the points at once.
+``NonlinearTerm.rows_fn``, which ``on`` calls on all the rows at once.
 """
 
 from __future__ import annotations
@@ -51,8 +51,8 @@ class NonlinearTerm:
     """Evaluable function of a variable subset.
 
     ``row is None`` places ``coef * fn`` in the objective, otherwise in the
-    linear constraint with that index.  A term with an ``array_fn``, the
-    array form of ``fn`` (``expr.compile_sum``), is evaluated on many points
+    linear constraint with that index.  A term with a ``rows_fn``, the row
+    form of ``fn`` (``expr.compile_sum``), is evaluated on many points
     through it (``on``).  ``ProblemSpec`` labels a term left unlabelled
     ``t<k>``, after its position.
     """
@@ -62,7 +62,7 @@ class NonlinearTerm:
     coef: float = 1.0
     row: Optional[int] = None
     label: str = ""
-    array_fn: Optional[Callable] = None
+    rows_fn: Optional[Callable] = None
 
     def at(self, point: np.ndarray, where: str = "point") -> float:
         """``coef * fn`` at ``point``, the values of ``var_ids``; an
@@ -79,22 +79,20 @@ class NonlinearTerm:
             raise error from exc
         return self.coef * val
 
-    def on(self, points: np.ndarray) -> np.ndarray:
-        """``coef * fn`` at every point of a ``(..., len(var_ids))`` array,
-        shaped ``points.shape[:-1]``: in one call to ``array_fn`` if set,
-        else, or if that pass flags a point or raises, by ``at`` on each
-        point in row-major order, so the first failing grid vertex raises."""
-        rows = points.reshape(-1, points.shape[-1])
-        if self.array_fn is not None:
-            # the mask replaces numpy's warnings, which the tests turn into errors
-            with np.errstate(all="ignore"):
-                try:
-                    values, flagged = self.array_fn(rows)
-                except (ValueError, ArithmeticError):  # a libm domain or range error
-                    flagged = None
-            if flagged is not None and not flagged.any():
-                return self.coef * values.reshape(points.shape[:-1])
-        return np.array([self.at(p, "grid vertex") for p in rows]).reshape(points.shape[:-1])
+    def on(self, rows: Sequence[Sequence[float]]) -> list[float]:
+        """``coef * fn`` at every row of ``rows``, each the Python float
+        values of ``var_ids``: in one call to ``rows_fn`` if set, else, or
+        if that pass raises or its values' sum is not finite, by ``at`` on
+        each row in order, so that the first failing grid vertex raises."""
+        if self.rows_fn is not None:
+            try:
+                values = self.rows_fn(rows)
+            except (ValueError, ArithmeticError):  # a zero divisor or a math error
+                values = None
+            # non-finite where a value is, or on a rare overflow, which the loop evaluates
+            if values is not None and math.isfinite(sum(values)):
+                return values if self.coef == 1.0 else [self.coef * v for v in values]
+        return [self.at(np.array(p, dtype=float), "grid vertex") for p in rows]
 
 
 def _integer_bounds(iv: Interval) -> Interval:
@@ -156,13 +154,13 @@ class ProblemSpec:
         return [v[1] for v in self.variables]
 
     def objective_value(self, x) -> float:
-        """Exact objective at a point (nonlinear terms evaluated, not surrogate)."""
+        """Exact objective at a point, a float (nonlinear terms evaluated, not surrogate)."""
         x = np.asarray(x, dtype=float)
         val = self.objective_constant + sum(c * x[j] for j, c in self.linear_objective.items())
         for term in self.nonlinear_terms:
             if term.row is None:
                 val += term.at(x[list(term.var_ids)])
-        return val
+        return float(val)
 
     def row_violation(self, x) -> float:
         """The largest row violation at a point, each relative to ``1 + |rhs|``
@@ -236,7 +234,7 @@ def _affine(node: Node) -> Optional[tuple[float, dict[str, float]]]:
 
 
 def _term_fn(nodes: list[Node], names: tuple[str, ...]):
-    """The sum of ``nodes`` as a function of one point, and its array form."""
+    """The sum of ``nodes`` as a function of one point, and its row form."""
     def fn(v: np.ndarray) -> float:
         env = dict(zip(names, np.asarray(v, dtype=float)))
         return float(sum(expr.eval_expr(node, env) for node in nodes))
@@ -258,7 +256,7 @@ def group_leads(var_sets: Sequence) -> list[int]:
 def _decompose(text: str, var_index: dict[str, int]):
     """Parse a sum and split it into (constant, linear coefficients,
     nonlinear groups).  A group is (variable ids, function of them, its
-    array form): the nonlinear summands of one ``group_leads`` group, in
+    row form): the nonlinear summands of one ``group_leads`` group, in
     their order of appearance; groups are ordered by their smallest
     variable id, then by their leading summand's position."""
     summands: list[tuple[float, Node]] = []
@@ -305,11 +303,11 @@ def _assemble(variables, objective, rows, sense: str, name: str) -> ProblemSpec:
     group becomes one term, labelled ``g<k>`` in the objective and
     ``r<i>g<k>`` in row i."""
     constant, linear, obj_groups = objective
-    terms = [NonlinearTerm(ids, fn, 1.0, row=i, label=f"r{i}g{g}", array_fn=array_fn)
+    terms = [NonlinearTerm(ids, fn, 1.0, row=i, label=f"r{i}g{g}", rows_fn=rows_fn)
              for i, (_, groups) in enumerate(rows)
-             for g, (ids, fn, array_fn) in enumerate(groups)]
-    terms += [NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}", array_fn=array_fn)
-              for g, (ids, fn, array_fn) in enumerate(obj_groups)]
+             for g, (ids, fn, rows_fn) in enumerate(groups)]
+    terms += [NonlinearTerm(ids, fn, 1.0, row=None, label=f"g{g}", rows_fn=rows_fn)
+              for g, (ids, fn, rows_fn) in enumerate(obj_groups)]
     return ProblemSpec(list(variables), linear, constant, [row for row, _ in rows], terms,
                        sense, name)
 

@@ -10,8 +10,9 @@ vertices, so the global surface is continuous and exact at every grid
 vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
-``Grid.points`` holds every vertex's coordinates in one row-major array,
-on which ``problems.NonlinearTerm.on`` evaluates a term.
+A ``Grid`` holds each axis as a tuple of Python floats: ``loop`` takes the
+vertices of a row-free term's grid row-major from their product, and
+``Grid.points`` holds them in one array for the MILP encoding.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -48,36 +49,38 @@ class Interval:
 
 
 class Grid:
-    """Per-variable breakpoint arrays partitioning a box into cells."""
+    """Per-variable breakpoint tuples partitioning a box into cells."""
 
-    def __init__(self, breakpoints: Sequence[np.ndarray]):
-        bps = tuple(np.asarray(b, dtype=float) for b in breakpoints)
-        if not bps:
-            raise ValueError("grid needs at least one dimension")
-        for k, b in enumerate(bps):
-            if b.ndim != 1 or b.size < 2:
+    def __init__(self, breakpoints: Sequence[Sequence[float]]):
+        axes = []
+        for k, b in enumerate(breakpoints):
+            try:
+                values = tuple(map(float, b))
+            except TypeError:  # a scalar, or a sequence of sequences
+                values = ()
+            if len(values) < 2:
                 raise ValueError(f"dimension {k}: need at least two breakpoints")
-            # on a few breakpoints, checking Python floats beats numpy reductions
-            values = b.tolist()
             if not all(map(math.isfinite, values)):
                 raise ValueError(f"dimension {k}: non-finite breakpoint")
             if not all(map(operator.lt, values, values[1:])):
                 raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
-            b.setflags(write=False)
-        self.breakpoints = bps
-        self.dims = len(bps)
-        self.pieces = tuple(b.size - 1 for b in bps)
+            axes.append(values)
+        if not axes:
+            raise ValueError("grid needs at least one dimension")
+        self.breakpoints = tuple(axes)
+        self.dims = len(axes)
+        self.pieces = tuple(len(b) - 1 for b in axes)
 
     def points(self) -> np.ndarray:
         """Every vertex's coordinates, shape ``(L1+1, ..., Ld+1, d)``: the
         vertex with multi-index ``i`` is ``points()[i]``."""
         pts = np.empty(tuple(L + 1 for L in self.pieces) + (self.dims,))
         for k, b in enumerate(self.breakpoints):
-            pts[..., k] = b.reshape((-1,) + (1,) * (self.dims - 1 - k))
+            pts[..., k] = np.array(b).reshape((-1,) + (1,) * (self.dims - 1 - k))
         return pts
 
 
-def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.ndarray:
+def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> tuple[float, ...]:
     """``pieces`` equal segments over ``iv`` with the endpoints kept exact.
 
     The points are ``np.linspace``'s, bit for bit, outside its branch for a
@@ -87,10 +90,10 @@ def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> np.nda
     """
     if pieces < 1:
         raise ValueError(f"need at least one piece, got {pieces}")
-    pts = np.arange(pieces + 1.0) * ((iv.hi - iv.lo) / pieces) + iv.lo
-    pts[0], pts[-1] = iv.lo, iv.hi
+    lo, hi, step = float(iv.lo), float(iv.hi), iv.width / pieces
+    pts = (lo, *[n * step + lo for n in range(1, pieces)], hi)
     if integer:
         snapped = np.round(pts)
-        keep = (snapped >= iv.lo) & (snapped <= iv.hi)
-        pts = np.unique(np.concatenate([[iv.lo, iv.hi], snapped[keep]]))
+        keep = (snapped >= lo) & (snapped <= hi)
+        pts = tuple(np.unique(np.concatenate([[lo, hi], snapped[keep]])).tolist())
     return pts

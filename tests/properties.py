@@ -101,7 +101,7 @@ def _cell_and_fractions(grid: pwl.Grid, z: np.ndarray) -> tuple[tuple[int, ...],
         if z[k] < b[0] or z[k] > b[-1]:
             raise ValueError(f"point coordinate {k} = {z[k]} outside grid range [{b[0]}, {b[-1]}]")
         # right-bisection; a point exactly on the top breakpoint stays in the last cell
-        i = min(int(np.searchsorted(b, z[k], side="right")) - 1, b.size - 2)
+        i = min(int(np.searchsorted(b, z[k], side="right")) - 1, len(b) - 2)
         i = max(i, 0)
         cell.append(i)
         frac[k] = (z[k] - b[i]) / (b[i + 1] - b[i])
@@ -185,9 +185,13 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
 
 
 def grid_values(grid: pwl.Grid, f: Callable) -> np.ndarray:
-    """``f`` at every vertex of ``grid``, as a term of coefficient 1 over
-    the grid's variables evaluates it (``NonlinearTerm.on``)."""
-    return NonlinearTerm(tuple(range(grid.dims)), f, label="t").on(grid.points())
+    """``f`` at every vertex of ``grid``, shaped like its vertex lattice, as
+    a term of coefficient 1 over the grid's variables evaluates it
+    (``NonlinearTerm.on``)."""
+    points = grid.points()
+    rows = points.reshape(-1, grid.dims).tolist()
+    return np.array(NonlinearTerm(tuple(range(grid.dims)), f, label="t").on(rows)).reshape(
+        points.shape[:-1])
 
 
 def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
@@ -224,7 +228,8 @@ def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, piece
                      for k in active])
     points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
-    return active, grid, term.on(points)
+    values = term.on(points.reshape(-1, len(term.var_ids)).tolist())
+    return active, grid, np.array(values).reshape(points.shape[:-1])
 
 
 def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) -> milp.LpProblem:
@@ -1619,17 +1624,19 @@ def _random_tree(rng: np.random.Generator, names: Sequence[str], depth: int) -> 
     return expr.BinOp(op, sub, _random_tree(rng, names, depth - 1))
 
 
-def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...], points: np.ndarray,
-                        coef: float) -> str:
-    """Check the array pass of ``nodes`` against their scalar evaluation on
+def _compare_row_pass(nodes: list[expr.Node], names: tuple[str, ...], points: np.ndarray,
+                      coef: float) -> str:
+    """Check the row pass of ``nodes`` against their scalar evaluation on
     every row of ``points``, and a term of them with coefficient ``coef``
     evaluated on ``points`` (``NonlinearTerm.on``) with and without the
-    array pass against its ``at`` on each row; return how the array pass
-    ended: ``clean``, ``flagged`` (some rows masked) or ``raised`` (a libm
-    error, or a constant part that fails, so no array form)."""
+    row pass against its ``at`` on each row; return how the row pass
+    ended: ``clean``, ``non-finite`` (some rows' sums) or ``raised`` (a
+    zero divisor or a ``math`` error, or a constant part that fails, so no
+    row form)."""
     fn, compiled = _term_fn(nodes, names)
-    unit = NonlinearTerm(tuple(range(len(names))), fn, label="t", array_fn=compiled)
+    unit = NonlinearTerm(tuple(range(len(names))), fn, label="t", rows_fn=compiled)
     term = replace(unit, coef=coef)
+    rows = points.tolist()
 
     def outcome(evaluate, *args):  # the value, or the error message
         try:
@@ -1639,53 +1646,57 @@ def _compare_array_pass(nodes: list[expr.Node], names: tuple[str, ...], points: 
 
     scalar = [outcome(unit.at, row, "grid vertex") for row in points]
     text = " + ".join(expr.to_text(node) for node in nodes)
-    # the term at each row, then on all rows with the array pass and without it
+    # the term at each row, then on all rows with the row pass and without it
     expected = [outcome(term.at, row, "grid vertex") for row in points]
     failed = [v for v in expected if isinstance(v, str)]
-    for got in (outcome(term.on, points), outcome(replace(term, array_fn=None).on, points)):
+    for got in (outcome(term.on, rows), outcome(replace(term, rows_fn=None).on, rows)):
         if failed:
             assert got == failed[0], (text, coef, got, failed[0])
         else:
-            assert isinstance(got, np.ndarray) and np.array_equal(got, expected) and (
+            assert isinstance(got, list) and got == expected and (
                 np.array_equal(np.signbit(got), np.signbit(expected))), (text, coef, got, expected)
 
     if compiled is None:  # a constant part fails at every point
         assert all(isinstance(v, str) for v in scalar), text
         return "raised"
-    with np.errstate(all="ignore"):
-        try:
-            values, flagged = compiled(points)
-        except (ValueError, ArithmeticError):
-            assert any(isinstance(v, str) for v in scalar), text
-            return "raised"
-    # a row is flagged exactly where the scalar evaluation raises
+    try:
+        values = compiled(rows)
+    except (ValueError, ArithmeticError):  # fails only where some row's scalar evaluation does
+        assert any(isinstance(v, str) for v in scalar), text
+        return "raised"
+    # a row's sum is non-finite exactly where the scalar evaluation raises,
+    # and otherwise has its bits, sign of zero included
     for i, want in enumerate(scalar):
-        assert flagged[i] == isinstance(want, str), (text, points[i].tolist(), want, values[i])
-        if not flagged[i]:
-            got = float(values[i])
+        got = values[i]
+        assert type(got) is float and math.isfinite(got) != isinstance(want, str), (
+            text, rows[i], want, got)
+        if math.isfinite(got):
             assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (
-                text, points[i].tolist(), got, want)
-    return "flagged" if flagged.any() else "clean"
+                text, rows[i], got, want)
+    return "clean" if all(map(math.isfinite, values)) else "non-finite"
 
 
-def check_array_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
-    """The array pass of an expression term (``expr.compile_sum``) against
+def check_row_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
+    """The row pass of an expression term (``expr.compile_sum``) against
     its scalar evaluation (``expr.eval_expr`` per summand, summed from 0).
 
     Random sums of random trees with every node kind, on points from a
     half-integer lattice (exact zero divisors and square roots of exact
     zeros) and from a wide normal (overflow), plus fixed cases for a zero
     divisor, a negative square root argument, a negative base with a
-    fractional exponent and an overflowing ``exp`` and ``^``.  Unflagged
-    rows must equal the scalar values bit for bit, sign of zero included;
-    a row is flagged exactly where the scalar evaluation raises, and a term
-    of the sum with a drawn coefficient gives from ``NonlinearTerm.on``, with
-    and without the array pass, the bits of its ``at`` on each row or the
-    first failing row's message."""
+    fractional exponent, an overflowing ``exp`` and ``^``, an overflowing
+    product and finite values whose sum overflows.  The pass raises only
+    where some row's scalar evaluation raises; otherwise each row's sum has
+    the scalar value's bits, sign of zero included, or is non-finite
+    exactly where the scalar evaluation raises.  A term of the sum with a
+    drawn coefficient gives from ``NonlinearTerm.on``, with and without the
+    row pass, the bits of its ``at`` on each row or the first failing row's
+    message."""
     rng = np.random.default_rng(20261019)
     # a generator of their own keeps the trees and points of the seed above
-    coefs = iter(np.random.default_rng(7).choice([-2.5, 0.5, 3.0], size=2 * n_sums + 7).tolist())
-    ends = {"clean": 0, "flagged": 0, "raised": 0}
+    coefs = iter(np.random.default_rng(7).choice([-2.5, 0.5, 1.0, 3.0],
+                                                 size=2 * n_sums + 9).tolist())
+    ends = {"clean": 0, "non-finite": 0, "raised": 0}
     for _ in range(n_sums):
         names = ("x", "y", "z")[:int(rng.integers(1, 4))]
         nodes = [_random_tree(rng, names, int(rng.integers(1, 5)))
@@ -1693,18 +1704,20 @@ def check_array_evaluator(n_sums: int = 250, n_points: int = 24) -> str:
         lattice = rng.integers(-4, 5, size=(n_points, len(names))) / 2.0
         wide = rng.normal(0.0, 300.0, size=(n_points, len(names)))
         for points in (lattice, wide):
-            ends[_compare_array_pass(nodes, names, points, next(coefs))] += 1
+            ends[_compare_row_pass(nodes, names, points, next(coefs))] += 1
 
     points = np.array([[1.0, 2.0], [0.5, 0.5], [2.0, 1.0], [800.0, 3.0]])
-    for text, end in (("1/(x - y)", "flagged"), ("1/(x/0)", "flagged"),
-                      ("sqrt(x - y)^0", "flagged"), ("(x - y)^0.5", "raised"),
-                      ("0*exp(x)", "raised"), ("x^(100*y)", "raised"), ("x*y - y/4", "clean")):
-        got = _compare_array_pass([expr.parse_expr(text, ["x", "y"])], ("x", "y"), points,
-                                  next(coefs))
+    for text, end in (("1/(x - y)", "raised"), ("1/(x/0)", "raised"),
+                      ("sqrt(x - y)^0", "raised"), ("(x - y)^0.5", "raised"),
+                      ("0*exp(x)", "raised"), ("x^(100*y)", "raised"),
+                      ("1e306*x*y", "non-finite"), ("x*y - y/4", "clean"),
+                      ("1e308 + x*y", "clean")):  # finite values, an overflowing sum
+        got = _compare_row_pass([expr.parse_expr(text, ["x", "y"])], ("x", "y"), points,
+                                next(coefs))
         assert got == end, (text, got, end)
-    assert all(ends.values()), ends
-    return (f"array evaluator ok ({n_sums} sums, 2 x {n_points} points: "
-            f"{ends['clean']} clean, {ends['flagged']} flagged, {ends['raised']} raised)")
+    assert ends["clean"] and ends["raised"], ends
+    return (f"row evaluator ok ({n_sums} sums, 2 x {n_points} points: "
+            f"{ends['clean']} clean, {ends['non-finite']} non-finite, {ends['raised']} raised)")
 
 
 def check_parser(n_fixtures_expected: int = 20) -> str:
@@ -1760,6 +1773,6 @@ ALL_CHECKS = (
     check_vertex_optimum,
     check_best_point,
     check_separable_interpolant,
-    check_array_evaluator,
+    check_row_evaluator,
     check_parser,
 )

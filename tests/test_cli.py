@@ -350,6 +350,37 @@ def test_table_small_budget(tmp_path, capsys):
         f"{name}.json" for name in builtin_names())
 
 
+def test_bench_pairs_summary_applies_the_gain_rule():
+    # canned bench/run.py result lines for ten pairs, parent then change:
+    # wall_s is lower in 9 of 10 pairs by more than the parent's quartile
+    # spread, setup_s is lower in 10 of 10 by less than it, and score, the
+    # higher the better, is higher in 9 of 10 by more than it
+    def line(wall, setup, score, failed=0):
+        return json.dumps({"correct": failed == 0, "attempted": 4, "failed": failed, "metrics": {
+            "wall_s": {"value": wall, "unit": "s"}, "setup_s": {"value": setup, "unit": "s"},
+            "score": {"value": score, "unit": "count"}}})
+
+    parent = [line(1.0 + k / 10, 0.5 + k / 100, 10.0 + k) for k in range(10)]
+    change = [line(2.0 if k == 0 else 0.4 + k / 10, 0.49 + k / 100, 5.0 if k == 0 else 20.0 + k)
+              for k in range(10)]
+    metrics = [("wall_s", "lower"), ("setup_s", "lower"), ("score", "higher")]
+    pairs = [(json.loads(p), json.loads(c)) for p, c in zip(parent, change)]
+    summary = _script("bench_pairs").summarize(pairs, metrics)
+    assert summary == [
+        "10 pairs; failed solves: parent 0, change 0",
+        "wall_s: parent 1.45 (1.225-1.675), change 0.95 (0.725-1.175), -34.5%; "
+        "change lower in 9/10; gain",
+        "setup_s: parent 0.545 (0.5225-0.5675), change 0.535 (0.5125-0.5575), -1.8%; "
+        "change lower in 10/10; no gain",
+        "score: parent 14.5 (12.25-16.75), change 24.5 (22.25-26.75), +69.0%; "
+        "change higher in 9/10; gain"]
+    # one more failed solve on the change side withholds every gain
+    pairs[3] = (pairs[3][0], json.loads(line(0.8, 0.52, 23.0, failed=1)))
+    summary = _script("bench_pairs").summarize(pairs, metrics)
+    assert summary[0] == "10 pairs; failed solves: parent 0, change 1"
+    assert all(row.endswith("; no gain") for row in summary[1:])
+
+
 def test_table_nonpositive_budget_exits_2(tmp_path, capsys):
     assert _script("reproduce_table").run(["--outdir", str(tmp_path), "--budget", "0"]) == 2
     assert "time_limit must be positive" in capsys.readouterr().err

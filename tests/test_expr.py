@@ -8,7 +8,7 @@ from sppa import expr
 from sppa.expr import (BinOp, Call, DomainError, Neg, Num, ParseError, Var, eval_expr,
                        free_vars, parse_expr, to_text)
 
-from properties import check_array_evaluator, check_parser
+from properties import check_parser, check_row_evaluator
 
 
 def test_parse_basic_shape():
@@ -190,5 +190,5 @@ def test_fixture_table_and_roundtrip():
     print(check_parser())
 
 
-def test_array_evaluator_property_suite():
-    print(check_array_evaluator())
+def test_row_evaluator_property_suite():
+    print(check_row_evaluator())

@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sppa import loop, milp, pwl
@@ -219,7 +219,7 @@ def test_evaluator_failure_reports_vertex():
 ])
 def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
     # each failure is hidden from the sum by the arithmetic after it, so the
-    # array pass must flag it and leave the message to the point-by-point call
+    # row pass must raise and leave the message to the point-by-point call
     spec = from_expressions([(v, Interval(-1.5, 1.5), False) for v in "xy"], text)
     for solve in (build_iteration_model, loop._solve_at_vertices):
         with warnings.catch_warnings():
@@ -227,6 +227,50 @@ def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
             with pytest.raises(ValueError) as exc:
                 solve(spec, spec.bounds(), 3)
         assert str(exc.value) == f"term 'g0' failed at grid vertex {message}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_vertex_rows_are_the_milp_grid_points(data):
+    # one grid, two consumers: the vertex solve's rows are the vertex array
+    # the MILP path encodes, row-major, bit for bit, in the term's own
+    # variable order, with fixed variables, integer axes and continuous
+    # bounds given as Python ints
+    d = data.draw(st.integers(1, 3))
+    variables = []
+    for k in range(d):
+        if data.draw(st.booleans()):
+            lo = data.draw(st.integers(-50, 50))
+            variables.append((f"x{k}", Interval(lo, lo + data.draw(st.integers(0, 12))), True))
+            continue
+        lo = data.draw(st.sampled_from([-0.0, 0.0]) | st.integers(-5, 5) | st.floats(-1e3, 1e3))
+        width = data.draw(st.sampled_from([0.0]) | st.floats(1e-3, 1e3))
+        variables.append((f"x{k}", Interval(lo, lo + width), False))
+    ids = tuple(data.draw(st.permutations(range(d))))
+    pieces = data.draw(st.integers(1, 8))
+    spec = ProblemSpec(variables, {}, 0.0, [], [NonlinearTerm(ids, lambda v: 0.0)])
+    bounds = spec.bounds()
+    assume(any(bounds[k].width > 0.0 for k in ids))
+    term = spec.nonlinear_terms[0]
+    rows = loop._vertex_rows(spec, term, bounds, pieces)
+    points = loop._group_grid(spec, term, bounds, pieces)[2].reshape(-1, d)
+    assert all(type(x) is float for row in rows for x in row)
+    assert [list(row) for row in rows] == points.tolist()
+    assert np.array(rows).tobytes() == points.tobytes()  # the sign of zero too
+
+
+def test_objectives_are_python_floats():
+    # with a linear objective part, both paths once reported numpy scalars
+    problem = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems" / "numerical.prob"
+    row_free = from_expressions([(v, Interval(-2.0, 2.0), False) for v in "xy"],
+                                "x^2 + sin(y) + 2*x - y")
+    for spec, nodes in ((load_problem(str(problem)), True), (row_free, False)):
+        assert spec.linear_objective
+        result = run(spec, SppaConfig(3, 3, 0.5, max_iters=6))
+        assert all((rec.milp_stats["nodes"] > 0) == nodes for rec in result.trace)
+        assert type(result.best_objective) is float
+        assert all(type(rec.objective) is float for rec in result.trace)
+        assert type(spec.objective_value(result.best_point)) is float
 
 
 @pytest.mark.parametrize("constraints", [(), [("x^2 + y^2", "<=", 1.5)]],

@@ -41,6 +41,8 @@ def test_build_grid_errors():
         pwl.Grid([])
     # each rejection names its axis and reason, whatever the axis holds
     for bad, reason in (([[0.0, 1.0]], "need at least two breakpoints"),
+                        (np.array([[0.0], [1.0]]), "need at least two breakpoints"),
+                        (1.0, "need at least two breakpoints"),
                         ([1.0], "need at least two breakpoints"),
                         ([np.nan, 1.0], "non-finite breakpoint"),
                         ([0.0, np.nan], "non-finite breakpoint"),
@@ -190,11 +192,16 @@ def test_axis_breakpoints_are_linspace_with_exact_endpoints(centre, offset, log_
     iv = Interval(lo, hi)
     want = np.linspace(lo, hi, pieces + 1)
     want[0], want[-1] = lo, hi
-    assert pwl.axis_breakpoints(iv, pieces).tobytes() == want.tobytes()
+    # an axis is a tuple of Python floats, as the vertex solve takes it
+    axis = pwl.axis_breakpoints(iv, pieces)
+    assert type(axis) is tuple and all(type(b) is float for b in axis)
+    assert np.array(axis).tobytes() == want.tobytes()
     # an integer axis snaps those points as before
     ilo, ihi = math.floor(lo), math.floor(lo) + max(1, math.ceil(width))
     snapped = np.round(np.linspace(ilo, ihi, pieces + 1))
-    assert pwl.axis_breakpoints(Interval(ilo, ihi), pieces, integer=True).tobytes() == \
+    axis = pwl.axis_breakpoints(Interval(ilo, ihi), pieces, integer=True)
+    assert type(axis) is tuple and all(type(b) is float for b in axis)
+    assert np.array(axis).tobytes() == \
         np.unique(np.concatenate([[ilo, ihi], snapped])).astype(float).tobytes()
 
 
