@@ -15,8 +15,13 @@ Usage, from anywhere:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload refine [--pairs 10] [--seed 0]
 
 Each run lasts ``BENCHMARK.json``'s ``run_seconds``, and runs with
-``PYTHONDONTWRITEBYTECODE=1``, so that neither side imports bytecode that
-an earlier run compiled.
+``PYTHONDONTWRITEBYTECODE=1`` and ``PYTHONPYCACHEPREFIX`` set to a fresh
+empty directory, so that neither side imports bytecode, whether an earlier
+run compiled it or it already lies in a checkout's ``__pycache__``: both
+sides compile their sources at every start.  The prefix hides the
+installed packages' bytecode too, so each run also compiles numpy and the
+standard library modules it imports; ``setup_s`` is timed after numpy is
+loaded.
 """
 
 import argparse
@@ -26,6 +31,7 @@ import pathlib
 import statistics
 import subprocess
 import sys
+import tempfile
 
 _BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
@@ -39,11 +45,13 @@ def benchmark() -> tuple[float, list[tuple[str, str]]]:
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     """The result object of one ``bench/run.py`` run in ``checkout``."""
-    out = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"),
-        capture_output=True, text=True, check=True).stdout
+    with tempfile.TemporaryDirectory() as no_bytecode:
+        out = subprocess.run(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+                                   PYTHONPYCACHEPREFIX=no_bytecode),
+            capture_output=True, text=True, check=True).stdout
     return json.loads(out.strip().splitlines()[-1])
 
 

@@ -19,8 +19,9 @@ model is exact at a vertex, so the vertex solve's value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
-and refilled in place (``build_iteration_model``); each MILP root starts
-from the previous iteration's optimal root basis (``MilpResult.start``).
+and refilled in place (``build_iteration_model``, which groups the terms
+once per run); each MILP root starts from the previous iteration's optimal
+root basis (``MilpResult.start``).
 """
 
 from __future__ import annotations
@@ -165,29 +166,38 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     its group's grid, and the values are summed in source order per
     target, the objective or a row.  Fixed variables are substituted as
     constants; a term whose variables are all fixed is a constant.
-    ``models`` maps each shape (each block's active variables, vertex
-    counts and targets) built so far to its model and blocks; every call
-    fills the model of its shape in place.
+    ``models``, which belongs to one ``spec``, holds under the key None
+    each term's group and the columns of its variables among its lead's
+    (None for the lead's own order), the same at every iteration, and maps
+    each shape (each block's active variables, vertex counts and targets)
+    built so far to its model and blocks; every call fills the model of
+    its shape in place.
     """
     terms = spec.nonlinear_terms
-    leads = group_leads([term.var_ids for term in terms])
+    models = {} if models is None else models
+    if None not in models:
+        leads = group_leads([term.var_ids for term in terms])
+        models[None] = leads, [None if term.var_ids == terms[g].var_ids
+                               else [terms[g].var_ids.index(k) for k in term.var_ids]
+                               for term, g in zip(terms, leads)]
+    leads, cols = models[None]
     grids = {g: _group_grid(spec, terms[g], bounds, pieces) for g in dict.fromkeys(leads)}
     blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
     row_shift = [0.0] * len(spec.linear_constraints)
     const_extra = 0.0
-    for term, g in zip(terms, leads):
+    for term, g, c in zip(terms, leads, cols):
         if any(bounds[k].width > 0.0 for k in term.var_ids):
-            points = grids[g][2][..., [terms[g].var_ids.index(k) for k in term.var_ids]]
-            value = np.array(term.on(points.reshape(-1, len(term.var_ids)).tolist()))
+            points = grids[g][2].reshape(-1, len(terms[g].var_ids))
+            value = term.on((points if c is None else points[:, c]).tolist())
             targets = blocks_at.setdefault(g, {})
-            targets[term.row] = targets[term.row] + value if term.row in targets else value
+            targets[term.row] = ([a + b for a, b in zip(targets[term.row], value)]
+                                 if term.row in targets else value)
         elif term.row is None:
             const_extra += _constant(term, bounds)
         else:
             row_shift[term.row] += _constant(term, bounds)
     shape = tuple((tuple(grids[g][0]), grids[g][2].shape[:-1], tuple(targets))
                   for g, targets in blocks_at.items())
-    models = {} if models is None else models
     if shape not in models:
         model = milp.LpProblem()
         for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
@@ -203,7 +213,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     first_row = len(model.senses) - len(spec.linear_constraints)
     for (g, targets), block in zip(blocks_at.items(), blocks):
         mcmodel.encode_term(model, block, grids[g][1], {
-            None if row is None else first_row + row: v for row, v in targets.items()})
+            None if row is None else first_row + row: np.array(v) for row, v in targets.items()})
     model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, row_shift)]
     model.obj_constant = spec.objective_constant + const_extra
     return model

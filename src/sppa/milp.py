@@ -3,8 +3,9 @@
 Every column is boxed: variable bounds must be finite, and each row's
 slack is bounded by the row's activity range over the variable box.  LP
 relaxations are solved by one bounded dual simplex (revised form over the
-dense basis matrix, solved by LU with partial pivoting and refreshed after
-every pivot; largest-violation pricing and the bound-flipping ratio test).
+dense basis matrix, solved by LU with partial pivoting, LAPACK ``gesv``
+through the gufunc behind ``np.linalg.solve``, and refreshed after every
+pivot; largest-violation pricing and the bound-flipping ratio test).
 With every column boxed, a basis is dual feasible once each nonbasic column
 sits at the bound its reduced cost favours, so with no phase 1 the root
 starts from a given basis (the previous outer iteration's) or the slack
@@ -36,9 +37,10 @@ import heapq
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 __all__ = [
     "LE",
@@ -225,8 +227,14 @@ class _Canon:
         # coefficient-free rows are dropped, judged at 0 as an incumbent's rows are
         self.kept = problem.A.any(axis=1)
         m = self.m = int(self.kept.sum())
-        self.senses = np.array(problem.senses, dtype=str)
-        self.ge, self.le = self.senses == GE, self.senses == LE
+        senses = np.array(problem.senses, dtype=str)
+        # with every row kept (the usual case), fill copies no row selection
+        self.rows = slice(None) if m == len(senses) else self.kept
+        self.dropped = senses[~self.kept].tolist()
+        self.senses = senses[self.rows].tolist()  # of the kept rows
+        # the slack bounds' own limits: a <= or = row's slack is >= 0, a >= or = row's <= 0
+        self.slack_lo = np.where(senses[self.rows] == GE, -np.inf, 0.0)
+        self.slack_hi = np.where(senses[self.rows] == LE, np.inf, 0.0)
         self.int_idx = np.flatnonzero(problem.is_int)
         self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
         self.A = np.hstack([np.zeros((m, n)), np.eye(m)])
@@ -237,21 +245,20 @@ class _Canon:
         """Copy the problem's values, integer bounds rounded inward (a nonbasic
         column is never fractional) and each zero coefficient +0.0 as in a
         fresh array, then recompute the slack bounds and ``dtol``."""
-        p, n, kept = self.problem, self.nstruct, self.kept
-        self.infeasible = row_violation(
-            np.zeros(len(p.senses) - self.m), self.senses[~kept], p.rhs[~kept]) > ROW_TOL
+        p, n, rows = self.problem, self.nstruct, self.rows
+        self.infeasible = bool(self.dropped) and row_violation(
+            [0.0] * len(self.dropped), self.dropped, p.rhs[~self.kept].tolist()) > ROW_TOL
         S = self.A[:, :n]
-        np.add(p.A[kept], 0.0, out=S)
-        b = self.b = p.rhs[kept]
+        np.add(p.A[rows], 0.0, out=S)
+        b = self.b = p.rhs[rows].copy()
         lb, ub = self.l[:n], self.u[:n]
         lb[:], ub[:] = p.lb, p.ub
         idx = self.int_idx
-        lb[idx], ub[idx] = np.ceil(lb[idx]), np.floor(ub[idx])
+        if idx.size:
+            lb[idx], ub[idx] = np.ceil(lb[idx]), np.floor(ub[idx])
         pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
-        slack_lb = b - (pos @ ub + neg @ lb)
-        slack_ub = b - (pos @ lb + neg @ ub)
-        self.l[n:] = np.where(self.ge[kept], slack_lb, np.maximum(slack_lb, 0.0))  # <= and = rows
-        self.u[n:] = np.where(self.le[kept], slack_ub, np.minimum(slack_ub, 0.0))  # >= and = rows
+        np.maximum(b - (pos @ ub + neg @ lb), self.slack_lo, out=self.l[n:])
+        np.minimum(b - (pos @ lb + neg @ ub), self.slack_hi, out=self.u[n:])
         self.sign = 1.0 if p.sense == "min" else -1.0
         self.c[:n] = self.sign * p.c + 0.0
         self.dtol = 1e-9 * (1.0 + (float(np.abs(self.c).max()) if self.c.size else 0.0))
@@ -264,23 +271,36 @@ class _Canon:
 # the basis
 
 
+def _singular(err, flag):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+# the error state np.linalg.solve sets around its LAPACK call: a singular
+# matrix raises, and no other floating-point flag warns
+_lapack_errors = np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
+                             under="ignore")
+
+
 class _Basis:
     """The basis matrix; each solve factorizes it by LU with partial
-    pivoting (``np.linalg.solve``, never an explicit inverse) and raises
-    ``np.linalg.LinAlgError`` when it is singular."""
+    pivoting (LAPACK ``gesv``, never an explicit inverse) and raises
+    ``np.linalg.LinAlgError`` when it is singular.  The solves call the
+    gufunc behind ``np.linalg.solve``, ``_umath_linalg.solve1``, under the
+    same error state: its bits without its argument checks."""
 
     def __init__(self, canon: _Canon, basis: np.ndarray):
-        self.B = canon.A[:, basis]
+        self.B = canon.A.take(basis, axis=1)
 
+    @_lapack_errors
     def ftran(self, v: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.B, v)
+        return _umath_linalg.solve1(self.B, v, signature="dd->d")
 
+    @_lapack_errors
     def btran(self, v: np.ndarray) -> np.ndarray:
-        return np.linalg.solve(self.B.T, v)
+        return _umath_linalg.solve1(self.B.T, v, signature="dd->d")
 
 
-@dataclass
-class _Start:
+class _Start(NamedTuple):
     """A basis and its nonbasic bound statuses; a solve's optimal start also
     carries the basis's reduced costs ``d`` and primal values ``x``."""
 
@@ -363,7 +383,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             d[basis] = 0.0  # already 0 in an inherited d
             # a basic column has d = 0, so only nonbasic columns move
             vstat = np.where(movable & (np.abs(d) > dtol), d < 0.0, vstat)
-            x = np.where(vstat == _NB_UPPER, u, l)
+            x = np.where(vstat, u, l)  # a basic column's value is set below
             if inherited is not None:
                 x[basis] = inherited.x[basis]
             if inherited is None or x.tobytes() != inherited.x.tobytes():
@@ -394,8 +414,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         if deadline is not None and iters % 16 == 0 and time.perf_counter() > deadline:
             return stop("time_limit")
 
-        xb = x[basis]
-        viol = np.maximum(l[basis] - xb, xb - u[basis])
+        viol = np.maximum(l - x, x - u)[basis]  # of the basic variables
         infeasible = viol > _FEAS_TOL
         if not infeasible.any():
             return _SxResult("optimal", x, obj, _Start(basis, vstat, d, x), iters, n_factor)
@@ -408,7 +427,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         else:
             r = int(viol.argmax())
         p = int(basis[r])
-        s = 1.0 if xb[r] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
+        s = 1.0 if x[p] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
         e = np.zeros(m)
         e[r] = 1.0
         alpha = factors.btran(e) @ A  # row r of B^-1 A
@@ -423,22 +442,22 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         # increasing order, ties in index order
         order = ratio.argsort(kind="stable")
         ratios = ratio[order].tolist()
+        cand, a = cand[order], a[order]  # in the order passed
+        width = range_[cand]
         slope = float(viol[r])  # the dual objective's rate of increase in t
         passed, q = 0, -1
         while passed < len(ratios):
             end = bisect.bisect_right(ratios, ratios[passed])
-            group = order[passed:end]
-            a_group = a[group]
-            slope -= float(a_group @ range_[cand[group]])
+            slope -= float(a[passed:end] @ width[passed:end])
             if slope <= _FEAS_TOL:  # x_p reaches its bound inside this group
-                q = int(cand[group[0] if bland else group[a_group.argmax()]])
+                q = int(cand[passed if bland else passed + a[passed:end].argmax()])
                 break
             passed = end
 
         if q < 0:  # the dual rises without bound: the primal is infeasible
             return stop("infeasible")
         if passed:  # the columns passed flip between their bounds
-            vstat[cand[order[:passed]]] ^= 1
+            vstat[cand[:passed]] ^= 1
         vstat[p] = _NB_UPPER if s > 0.0 else _NB_LOWER
         vstat[q] = _BASIC
         basis[r] = q
@@ -453,8 +472,9 @@ class _Lattice:
     """The lattice sets' members and integer keys, built once per shape: row
     p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
     from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j), each
-    block zero-padded for a set of fewer dimensions.  Set k holds the rows
-    ``edges[k]`` to ``edges[k + 1]``."""
+    block zero-padded for a set of fewer dimensions, and ``signed`` holds
+    ``keys`` and then ``-keys``.  Set k holds the rows ``edges[k]`` to
+    ``edges[k + 1]``."""
 
     def __init__(self, lattice_sets: list):
         self.ids = np.concatenate([ids for ids, _ in lattice_sets])
@@ -467,6 +487,7 @@ class _Lattice:
             rows = self.keys[start:start + len(index)]
             rows[:, :index.shape[1]] = index
             rows[:, dims:dims + i.size] = index[:, i] - index[:, j]
+        self.signed = np.hstack([self.keys, -self.keys])
 
 
 def _balanced_cut(lattice: _Lattice, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -489,13 +510,15 @@ def _balanced_cut(lattice: _Lattice, x: np.ndarray) -> Optional[tuple[np.ndarray
     v = x[lattice.ids]
     on = v > _INT_TOL
     keys, n = lattice.keys, lattice.n_axes
-    # every set's span in every key over its support, in one pass
-    lo = np.minimum.reduceat(np.where(on[:, None], keys, _FAR), lattice.starts)
-    span = np.maximum.reduceat(np.where(on[:, None], keys, -_FAR), lattice.starts) - lo
+    # every set's span in every key over its support, in one pass: the least
+    # key and the least negated key
+    least = np.minimum.reduceat(np.where(on[:, None], lattice.signed, _FAR), lattice.starts)
+    lo = least[:, :keys.shape[1]]
+    span = -least[:, keys.shape[1]:] - lo
+    if span.max() < 2:
+        return None
     axial = span[:, :n].max(axis=1) >= 2
     invalid = (axial | (span[:, n:].max(axis=1, initial=0) >= 2)).nonzero()[0]
-    if not invalid.size:
-        return None
     k = int(invalid[np.maximum.reduceat(v, lattice.starts)[invalid].argmin()])
     cols = slice(0, n) if axial[k] else slice(n, None)
     family = span[k, cols]
@@ -540,7 +563,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     """
     canon = problem._canon
     if (canon is None or canon.problem is not problem
-            or not np.array_equal(canon.kept, problem.A.any(axis=1))):
+            or problem.A.any(axis=1).tobytes() != canon.kept.tobytes()):
         canon = problem._canon = _Canon(problem)
     else:
         canon.fill()
@@ -595,21 +618,22 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             continue
 
         split = None if lattice is None else _balanced_cut(lattice, res.x)
-        vals = res.x[int_idx]
-        frac = int_idx[np.abs(vals - vals.round()) > _INT_TOL]
-        if split is None and not frac.size:
-            counters["nodes_integral"] += 1
-            x = res.x.copy()  # integral within _INT_TOL: report the integers
-            x[int_idx] = x[int_idx].round()
-            obj = float(canon.c @ x)
-            if obj < incumbent_obj:
-                incumbent_obj = obj
-                incumbent_x = x[:n]
-            continue
         if split is not None:
             counters["nodes_set_branched"] += 1
             children = [(l, _tightened(u, side, 0.0)) for side in split]
-        else:  # the most fractional integer, ties by lowest id
+        else:
+            vals = res.x[int_idx]
+            frac = int_idx[np.abs(vals - vals.round()) > _INT_TOL] if int_idx.size else int_idx
+            if not frac.size:
+                counters["nodes_integral"] += 1
+                x = res.x.copy()  # integral within _INT_TOL: report the integers
+                x[int_idx] = vals.round()
+                obj = float(canon.c @ x)
+                if obj < incumbent_obj:
+                    incumbent_obj = obj
+                    incumbent_x = x[:n]
+                continue
+            # the most fractional integer, ties by lowest id
             counters["nodes_var_branched"] += 1
             fr = res.x[frac] - np.floor(res.x[frac])
             j = int(frac[np.abs(fr - 0.5).argmin()])
@@ -627,7 +651,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     else:
         status = "infeasible" if incumbent_x is None else "optimal"
     if incumbent_x is not None and row_violation(
-            canon.A[:, :n] @ incumbent_x, canon.senses[canon.kept], canon.b) > ROW_TOL:
+            (canon.A[:, :n] @ incumbent_x).tolist(), canon.senses, canon.b.tolist()) > ROW_TOL:
         status = "numerical"
     if root_start is not None:  # for another model: the basis and statuses, not the vectors
         root_start = _Start(root_start.basis, root_start.vstat)

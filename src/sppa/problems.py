@@ -16,7 +16,9 @@ A term evaluates itself: ``NonlinearTerm.at`` gives ``coef * fn`` at one
 point and ``NonlinearTerm.on`` at every row of a list of points, such as a
 grid's vertices.  A term built from expressions evaluates one point with
 ``expr.eval_expr``, and carries its ``expr.compile_sum`` function as
-``NonlinearTerm.rows_fn``, which ``on`` calls on all the rows at once.
+``NonlinearTerm.rows_fn``, which ``on`` calls on all the rows at once; the
+exact objective and rows of ``ProblemSpec`` evaluate each term by ``on``
+at its one point.
 """
 
 from __future__ import annotations
@@ -79,11 +81,12 @@ class NonlinearTerm:
             raise error from exc
         return self.coef * val
 
-    def on(self, rows: Sequence[Sequence[float]]) -> list[float]:
+    def on(self, rows: Sequence[Sequence[float]], where: str = "grid vertex") -> list[float]:
         """``coef * fn`` at every row of ``rows``, each the Python float
         values of ``var_ids``: in one call to ``rows_fn`` if set, else, or
         if that pass raises or its values' sum is not finite, by ``at`` on
-        each row in order, so that the first failing grid vertex raises."""
+        each row in order, so that the first failing row raises, named
+        as ``where``."""
         if self.rows_fn is not None:
             try:
                 values = self.rows_fn(rows)
@@ -92,7 +95,7 @@ class NonlinearTerm:
             # non-finite where a value is, or on a rare overflow, which the loop evaluates
             if values is not None and math.isfinite(sum(values)):
                 return values if self.coef == 1.0 else [self.coef * v for v in values]
-        return [self.at(np.array(p, dtype=float), "grid vertex") for p in rows]
+        return [self.at(np.array(p, dtype=float), where) for p in rows]
 
 
 def _integer_bounds(iv: Interval) -> Interval:
@@ -155,21 +158,21 @@ class ProblemSpec:
 
     def objective_value(self, x) -> float:
         """Exact objective at a point, a float (nonlinear terms evaluated, not surrogate)."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float).tolist()
         val = self.objective_constant + sum(c * x[j] for j, c in self.linear_objective.items())
         for term in self.nonlinear_terms:
             if term.row is None:
-                val += term.at(x[list(term.var_ids)])
+                val += term.on([[x[k] for k in term.var_ids]], "point")[0]
         return float(val)
 
     def row_violation(self, x) -> float:
         """The largest row violation at a point, each relative to ``1 + |rhs|``
         (nonlinear terms evaluated, not surrogate); 0.0 without rows."""
-        x = np.asarray(x, dtype=float)
+        x = np.asarray(x, dtype=float).tolist()
         shift = [0.0] * len(self.linear_constraints)
         for term in self.nonlinear_terms:
             if term.row is not None:
-                shift[term.row] += term.at(x[list(term.var_ids)])
+                shift[term.row] += term.on([[x[k] for k in term.var_ids]], "point")[0]
         rows = self.linear_constraints
         return row_violation([row.activity(x) + s for row, s in zip(rows, shift)],
                              [row.sense for row in rows], [row.rhs for row in rows])
@@ -236,7 +239,10 @@ def _affine(node: Node) -> Optional[tuple[float, dict[str, float]]]:
 def _term_fn(nodes: list[Node], names: tuple[str, ...]):
     """The sum of ``nodes`` as a function of one point, and its row form."""
     def fn(v: np.ndarray) -> float:
-        env = dict(zip(names, np.asarray(v, dtype=float)))
+        v = np.asarray(v, dtype=float)
+        if v.shape != (len(names),):
+            raise ValueError(f"expected a point of width {len(names)}, got shape {v.shape}")
+        env = dict(zip(names, v))
         return float(sum(expr.eval_expr(node, env) for node in nodes))
 
     return fn, expr.compile_sum(nodes, names)

@@ -560,7 +560,8 @@ def _refill_spec(rng: np.random.Generator) -> ProblemSpec:
     """Variables: an integer n, continuous x and y, and w fixed at a random
     value.  Terms: a 2-D objective term over n and x that also reads w, a
     1-D objective and a 1-D row term whose vertex values are mostly 0 under
-    a negative coefficient, and a term of w alone in the row.  Rows: that
+    a negative coefficient, a term of w alone in the row, and an objective
+    term of w and x, in that order, against the lead's n, x, w.  Rows: that
     row (``<=``) and a linear ``>=`` row, both through a random point."""
     lo = float(rng.integers(-4, 0))
     variables = [("n", pwl.Interval(lo, lo + float(rng.integers(3, 9))), True),
@@ -575,7 +576,8 @@ def _refill_spec(rng: np.random.Generator) -> ProblemSpec:
     terms = [NonlinearTerm((0, 1, 3), lambda v: shape(v, a)),
              NonlinearTerm((2,), ramp[0], coef=-float(rng.uniform(0.5, 2.0))),
              NonlinearTerm((1,), ramp[1], coef=-float(rng.uniform(0.5, 2.0)), row=0),
-             NonlinearTerm((3,), lambda v: float(v[0] ** 2), row=0)]
+             NonlinearTerm((3,), lambda v: float(v[0] ** 2), row=0),
+             NonlinearTerm((3, 1), lambda v: float(v[0] * v[1] ** 2 - v[1]))]
     row_at = (-terms[2].coef * ramp[1](point[1:2]) + point[3] ** 2 + 0.5 * point[2])
     c = rng.uniform(-1.0, 1.0, size=3)
     rows = [milp.LinearConstraint({2: 0.5}, "<=", float(row_at) + 0.3),
@@ -594,10 +596,12 @@ def _canon_bytes(canon: milp._Canon) -> list[bytes]:
 
 def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
     """A model refilled in place (``build_iteration_model`` with the run's
-    ``models``) equals one built fresh for the same windows: the canonical
-    arrays ``A``, ``b``, ``l``, ``u`` and ``c`` and the lattice keys byte for
-    byte, no ``-0.0`` among the canonical coefficients (an absent one is
-    +0.0), and ``solve_milp``'s results bit for bit.
+    ``models``, which keeps the terms' layout from the first call) equals
+    one built from a fresh dict for the same windows: the model's ``A``,
+    ``c``, ``rhs``, ``lb`` and ``ub`` and the canonical arrays ``A``, ``b``,
+    ``l``, ``u`` and ``c`` and the lattice keys byte for byte, no ``-0.0``
+    among the canonical coefficients (an absent one is +0.0), and
+    ``solve_milp``'s results bit for bit.
 
     Each seeded ``_refill_spec`` goes through ``n_windows`` windows at one
     piece count (2 or 3), each contracted about the last incumbent (a random
@@ -610,10 +614,14 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
     for _ in range(n_specs):
         spec = _refill_spec(rng)
         pieces, frac = int(rng.integers(2, 4)), float(rng.uniform(0.5, 0.7))
-        bounds, models, canons = spec.bounds(), {}, {}
+        bounds, models, canons, layout = spec.bounds(), {}, {}, None
         for _ in range(n_windows):
             refilled = loop.build_iteration_model(spec, bounds, pieces, models)
-            fresh = loop.build_iteration_model(spec, bounds, pieces)
+            fresh = loop.build_iteration_model(spec, bounds, pieces, {})
+            layout = models[None] if layout is None else layout
+            assert models[None] is layout, "the terms' layout was recomputed"
+            for name in ("A", "c", "rhs", "lb", "ub"):
+                assert getattr(refilled, name).tobytes() == getattr(fresh, name).tobytes(), name
             n_negzero += int(np.signbit(refilled.c[refilled.c == 0.0]).sum()
                              + np.signbit(refilled.A[refilled.A == 0.0]).sum())
             got, want = milp.solve_milp(refilled), milp.solve_milp(fresh)
@@ -633,7 +641,7 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
                       else (loop._contract_integer if spec.variables[j][2]
                             else loop.contract_bounds)(iv, float(centre[j]), frac)
                       for j, iv in enumerate(bounds)]
-        n_rebuilt += len(models)
+        n_rebuilt += len(models) - 1  # the shapes, less the layout
     assert n_refilled and n_rebuilt > n_specs and n_negzero and n_optimal, (
         n_refilled, n_rebuilt, n_negzero, n_optimal)
     return (f"refilled models match fresh builds ({n_specs} specs, {n_specs * n_windows} "

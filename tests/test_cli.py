@@ -3,6 +3,7 @@ import csv
 import importlib.util
 import json
 import pathlib
+import subprocess
 
 import numpy as np
 import pytest
@@ -379,6 +380,28 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     summary = _script("bench_pairs").summarize(pairs, metrics)
     assert summary[0] == "10 pairs; failed solves: parent 0, change 1"
     assert all(row.endswith("; no gain") for row in summary[1:])
+
+
+def test_bench_pairs_runs_read_no_bytecode(tmp_path, monkeypatch):
+    # a checkout's __pycache__ must not reach a run: each one gets a fresh
+    # empty bytecode prefix, and writes none
+    script = _script("bench_pairs")
+    seen = []
+
+    def fake_run(args, cwd, env, **kwargs):
+        prefix = pathlib.Path(env["PYTHONPYCACHEPREFIX"])
+        seen.append((cwd, env["PYTHONDONTWRITEBYTECODE"], prefix, prefix.is_dir(),
+                     list(prefix.iterdir()) if prefix.is_dir() else None))
+        doc = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(args, 0, stdout=f"log line\n{json.dumps(doc)}\n")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    for _ in range(2):
+        assert script.run_once(str(tmp_path), "constrained", 1, 2.0)["failed"] == 0
+    (cwd, no_write, first, is_dir, content), second = seen[0], seen[1]
+    assert (cwd, no_write, is_dir, content) == (str(tmp_path), "1", True, [])
+    assert second[2] != first and second[3:] == (True, [])
+    assert not first.exists() and not second[2].exists()  # removed after each run
 
 
 def test_table_nonpositive_budget_exits_2(tmp_path, capsys):

@@ -2,6 +2,7 @@ import dataclasses
 import itertools
 import math
 import time
+import types
 
 import numpy as np
 import pytest
@@ -365,6 +366,35 @@ def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, fai
     if status == "optimal":
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
+
+
+def test_basis_solves_are_np_linalg_solve_bit_for_bit():
+    # _Basis calls the LAPACK gufunc behind np.linalg.solve directly: the
+    # same bits on B and on B.T (a non-contiguous view) for random and
+    # ill-conditioned bases of 1 to 60 rows, and LinAlgError on a singular
+    # one; a numpy that moves or changes the gufunc fails here (or at import)
+    rng = np.random.default_rng(5)
+    n_ill = 0
+    for m in list(range(1, 61)) * 3:
+        A = rng.standard_normal((m, m + 4))
+        if rng.random() < 0.4:  # singular values from 1 down to 1e-14
+            u, _, vt = np.linalg.svd(rng.standard_normal((m, m)))
+            A[:, :m] = (u * np.logspace(0, -14, m)) @ vt
+            n_ill += m > 1
+        basis = rng.permutation(m + 4)[:m]
+        factors = milp._Basis(types.SimpleNamespace(A=A), basis)
+        assert not factors.B.T.flags.c_contiguous or m == 1
+        v = rng.standard_normal(m) * 10.0 ** rng.integers(-3, 4)
+        for solve, B in ((factors.ftran, A[:, basis]), (factors.btran, A[:, basis].T)):
+            got, want = solve(v), np.linalg.solve(B, v)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes(), (m, solve)
+    assert n_ill > 40
+    singular = np.array([[1.0, 2.0, 0.0], [2.0, 4.0, 0.0], [3.0, 1.0, 0.0]])
+    for B in (singular, singular[:, [0, 1, 1]], np.zeros((1, 1))):
+        factors = milp._Basis(types.SimpleNamespace(A=B), np.arange(len(B)))
+        for solve in (factors.ftran, factors.btran):
+            with pytest.raises(np.linalg.LinAlgError, match="Singular matrix"):
+                solve(np.ones(len(B)))
 
 
 def test_oracle_property_suite():

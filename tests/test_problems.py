@@ -74,6 +74,21 @@ def test_builtin_terms_reproduce_function(name):
         assert spec.objective_value([x, y]) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
+def test_term_rejects_points_of_the_wrong_width():
+    # a one-variable term once read each row of two values by its first one
+    term = builtin("rastrigin").nonlinear_terms[0]
+    assert term.var_ids == (0,)
+    assert term.on([(1.0,), (0.0,)]) == [term.at(np.array([1.0])), term.at(np.array([0.0]))]
+    calls = {"(2,)": [lambda: term.on([(1.0, 2.0), (0.0, 5.0)]),
+                      lambda: term.at(np.array([1.0, 2.0]))],
+             "(0,)": [lambda: term.on([()])], "(1, 1)": [lambda: term.at(np.array([[1.0]]))]}
+    for shape, fns in calls.items():
+        for fn in fns:
+            with pytest.raises(ValueError) as exc:
+                fn()
+            assert str(exc.value) == f"expected a point of width 1, got shape {shape}"
+
+
 def test_affine_parts_go_linear():
     spec = from_expressions(
         [("x", Interval(0, 1), False), ("y", Interval(0, 2), False)],
