@@ -13,11 +13,9 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import os
 import sys
-from typing import Optional
 
 from sppa import loop, milp
 from sppa.problems import (ProblemFormatError, builtin, builtin_info, builtin_names,
@@ -28,21 +26,10 @@ EXIT_USAGE = 2
 EXIT_PARSE = 3
 EXIT_NO_INCUMBENT = 4
 
-_CONFIG_FIELDS = {f.name for f in dataclasses.fields(loop.SppaConfig)}
+_CONFIG_FIELDS = set(vars(loop.SppaConfig()))
 # a trace row's keys in order; the CSV spreads the incumbent over x1..xn
 _ROW_KEYS = ("iter", "objective", "incumbent", "max_width", "row_violation", *milp.COUNTERS,
              "seconds")
-
-
-@dataclasses.dataclass
-class RunReport:
-    problem: str
-    config: dict
-    rows: list[dict]  # per iteration, in CSV column order, with the incumbent as a list
-    final_objective: Optional[float]
-    best_point: Optional[list[float]]
-    termination: str
-    seconds: float
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,12 +84,12 @@ def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
     ), strict=True)) for rec in result.trace]
 
 
-def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
+def _write_report(report: dict, path: str, fmt: str, n_vars: int):
     """The report as JSON, or as CSV: the header row (``_ROW_KEYS``, with
     x1..xn), even with no iteration, then each row's values by ``repr``."""
     if fmt == "json":
         with open(path, "w") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
         return
     header = [col for key in _ROW_KEYS for col in (
@@ -110,7 +97,7 @@ def _write_report(report: RunReport, path: str, fmt: str, n_vars: int):
     with open(path, "w", newline="") as fh:
         csv.writer(fh).writerows([header] + [
             [repr(v) for key, value in row.items()
-             for v in (value if key == "incumbent" else [value])] for row in report.rows])
+             for v in (value if key == "incumbent" else [value])] for row in report["rows"]])
 
 
 def cmd_solve(args) -> int:
@@ -137,8 +124,7 @@ def cmd_solve(args) -> int:
     print(f"problem: {spec.name}  ({spec.n_vars} variables, "
           f"{len(spec.nonlinear_terms)} nonlinear terms, "
           f"{len(spec.linear_constraints)} linear rows)")
-    print("config: " + " ".join(f"{k}={v}" for k, v in dataclasses.asdict(config).items()
-                                if v is not None))
+    print("config: " + " ".join(f"{k}={v}" for k, v in vars(config).items() if v is not None))
     header = f"{'iter':>4}  {'objective':>14}  {'max_width':>10}  {'nodes':>6}  {'sec':>7}"
     print(header)
 
@@ -157,15 +143,15 @@ def cmd_solve(args) -> int:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_PARSE
 
-    report = RunReport(
-        problem=spec.name,
-        config={"problem": args.problem, **dataclasses.asdict(config), "format": args.format},
-        rows=_report_rows(result, nl_names),
-        final_objective=None if result.best_objective is None else float(result.best_objective),
-        best_point=None if result.best_point is None else [float(v) for v in result.best_point],
-        termination=result.termination,
-        seconds=result.seconds,
-    )
+    report = {
+        "problem": spec.name,
+        "config": {"problem": args.problem, **vars(config), "format": args.format},
+        "rows": _report_rows(result, nl_names),
+        "final_objective": None if result.best_objective is None else float(result.best_objective),
+        "best_point": None if result.best_point is None else [float(v) for v in result.best_point],
+        "termination": result.termination,
+        "seconds": result.seconds,
+    }
     if args.out:
         _write_report(report, args.out, args.format, spec.n_vars)
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence, Union
 
 __all__ = [
@@ -37,32 +36,47 @@ FUNCTIONS = ("sin", "cos", "exp", "sqrt", "abs")
 CONSTANTS = {"pi": math.pi, "e": math.e}
 
 
-@dataclass(frozen=True)
-class Num:
-    value: float
+class _Frozen:
+    """An immutable record, equal by class and fields (its instance dict), hashed by them."""
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        return f"{type(self).__name__}({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete field {name!r}")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Var:
-    name: str
+class Num(_Frozen):
+    def __init__(self, value: float):
+        vars(self)["value"] = value
 
 
-@dataclass(frozen=True)
-class Neg:
-    arg: "Node"
+class Var(_Frozen):
+    def __init__(self, name: str):
+        vars(self)["name"] = name
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # one of + - * / ^
-    left: "Node"
-    right: "Node"
+class Neg(_Frozen):
+    def __init__(self, arg: "Node"):
+        vars(self)["arg"] = arg
 
 
-@dataclass(frozen=True)
-class Call:
-    fn: str
-    arg: "Node"
+class BinOp(_Frozen):
+    def __init__(self, op: str, left: "Node", right: "Node"):  # op: one of + - * / ^
+        vars(self).update(op=op, left=left, right=right)
+
+
+class Call(_Frozen):
+    def __init__(self, fn: str, arg: "Node"):
+        vars(self).update(fn=fn, arg=arg)
 
 
 Node = Union[Num, Var, Neg, BinOp, Call]

@@ -30,7 +30,6 @@ import itertools
 import math
 import numbers
 import time
-from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -57,15 +56,13 @@ _FLOOR_REL = 1e-8
 _FLOOR_SPACINGS = 8
 
 
-@dataclass
 class SppaConfig:
-    initial_n_pieces: int = 4
-    n_pieces: int = 4
-    contract_frac: float = 0.5
-    max_iters: int = 60
-    time_limit: Optional[float] = None
+    """The run's settings, checked on construction; equal to a config of equal settings."""
 
-    def __post_init__(self):
+    def __init__(self, initial_n_pieces: int = 4, n_pieces: int = 4, contract_frac: float = 0.5,
+                 max_iters: int = 60, time_limit: Optional[float] = None):
+        self.initial_n_pieces, self.n_pieces = initial_n_pieces, n_pieces
+        self.contract_frac, self.max_iters, self.time_limit = contract_frac, max_iters, time_limit
         for name in ("initial_n_pieces", "n_pieces", "max_iters"):
             value = getattr(self, name)
             # a bool is an Integral, but True is no count
@@ -78,27 +75,31 @@ class SppaConfig:
                                   or not (isinstance(limit, numbers.Real) and limit > 0.0)):
             raise ValueError(f"time_limit must be positive, got {limit!r}")
 
+    def __eq__(self, other):
+        return vars(self) == vars(other) if other.__class__ is self.__class__ else NotImplemented
 
-@dataclass
+    def __repr__(self):
+        return f"SppaConfig({', '.join(f'{k}={v!r}' for k, v in vars(self).items())})"
+
+
 class IterationRecord:
-    iteration: int
-    incumbent: np.ndarray
-    objective: float            # exact objective at the incumbent
-    surrogate_objective: float  # piecewise model optimum reported by the MILP
-    row_violation: float        # ProblemSpec.row_violation at the incumbent
-    bounds: dict[str, Interval]  # boxes in effect for this iteration's model
-    milp_stats: dict
+    def __init__(self, iteration: int, incumbent: np.ndarray, objective: float,
+                 surrogate_objective: float, row_violation: float,
+                 bounds: dict[str, Interval], milp_stats: dict):
+        self.iteration, self.incumbent, self.milp_stats = iteration, incumbent, milp_stats
+        self.objective = objective  # exact objective at the incumbent
+        self.surrogate_objective = surrogate_objective  # the MILP's piecewise model optimum
+        self.row_violation = row_violation  # ProblemSpec.row_violation at the incumbent
+        self.bounds = bounds  # boxes in effect for this iteration's model
 
 
-@dataclass
 class SppaResult:
-    best_point: Optional[np.ndarray]
-    best_objective: Optional[float]
-    trace: list[IterationRecord]
-    # width | stall | max_iters | time_limit, or the status of a MILP that
-    # returned no incumbent: infeasible | time_limit | numerical | iteration_limit
-    termination: str
-    seconds: float = 0.0
+    def __init__(self, best_point: Optional[np.ndarray], best_objective: Optional[float],
+                 trace: list[IterationRecord], termination: str, seconds: float = 0.0):
+        self.best_point, self.best_objective, self.trace = best_point, best_objective, trace
+        # width | stall | max_iters | time_limit, or the status of a MILP that
+        # returned no incumbent: infeasible | time_limit | numerical | iteration_limit
+        self.termination, self.seconds = termination, seconds
 
 
 def contract_bounds(interval: Interval, value: float, frac: float) -> Interval:

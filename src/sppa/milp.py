@@ -35,8 +35,8 @@ from __future__ import annotations
 import bisect
 import heapq
 import math
+import numbers
 import time
-from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -72,22 +72,18 @@ _SIGN = np.array([1.0, -1.0, 0.0])
 _FAR = np.iinfo(np.intp).max // 4  # a lattice key no set reaches: an empty support spans below 0
 
 
-@dataclass
 class LinearConstraint:
     """Sparse row ``sum(coeffs[j] * x_j) sense rhs``."""
 
-    coeffs: dict[int, float]
-    sense: str
-    rhs: float
-
-    def __post_init__(self):
-        if self.sense not in (LE, EQ, GE):
-            raise ValueError(f"unknown sense {self.sense!r}")
-        if not math.isfinite(self.rhs):
+    def __init__(self, coeffs: dict[int, float], sense: str, rhs: float):
+        if sense not in (LE, EQ, GE):
+            raise ValueError(f"unknown sense {sense!r}")
+        if not math.isfinite(rhs):
             raise ValueError("row rhs must be finite")
-        for j, c in self.coeffs.items():
+        for j, c in coeffs.items():
             if not math.isfinite(c):
                 raise ValueError(f"non-finite coefficient on variable {j}")
+        self.coeffs, self.sense, self.rhs = coeffs, sense, rhs
 
     def activity(self, x: np.ndarray) -> float:
         return float(sum(c * x[j] for j, c in self.coeffs.items()))
@@ -127,6 +123,8 @@ class LpProblem:
 
     def add_var(self, lo: float, hi: float, *, integer: bool = False, count: int = 1) -> int:
         """Append ``count`` columns bounded in [lo, hi]; returns the first one's id."""
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
         if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
         if lo > hi:
@@ -191,15 +189,15 @@ COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations", "nodes_set_branc
             "nodes_var_branched", "nodes_integral", "nodes_infeasible", "nodes_cutoff")
 
 
-@dataclass
 class MilpResult:
-    status: str
-    x: Optional[np.ndarray]
-    objective: Optional[float]
-    bound: Optional[float]
-    gap: float
-    counters: dict[str, int] = field(default_factory=lambda: dict.fromkeys(COUNTERS, 0))
-    start: Optional[_Start] = None  # the root's optimal basis, for a same-shaped model
+    """A solve's outcome; ``start`` is the root's optimal basis, for a same-shaped model."""
+
+    def __init__(self, status: str, x: Optional[np.ndarray], objective: Optional[float],
+                 bound: Optional[float], gap: float, counters: Optional[dict[str, int]] = None,
+                 start: Optional[_Start] = None):
+        self.status, self.x, self.objective, self.bound, self.gap = status, x, objective, bound, gap
+        self.counters = dict.fromkeys(COUNTERS, 0) if counters is None else counters
+        self.start = start
 
     @property
     def nodes(self) -> int:
@@ -310,8 +308,7 @@ class _Start(NamedTuple):
     x: Optional[np.ndarray] = None
 
 
-@dataclass
-class _SxResult:
+class _SxResult(NamedTuple):
     status: str
     x: Optional[np.ndarray]
     objective: Optional[float]  # internal (minimization) value, no constant

@@ -22,26 +22,38 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
+from sppa.expr import _Frozen
+
 __all__ = ["Interval", "Grid", "axis_breakpoints"]
 
 
-@dataclass(frozen=True)
-class Interval:
-    """Closed bounded interval ``[lo, hi]``."""
+class Interval(_Frozen):
+    """Closed bounded interval ``[lo, hi]`` of real numbers, immutable."""
+    __hash__ = _Frozen.__hash__  # kept beside the __eq__ below
 
-    lo: float
-    hi: float
+    def __init__(self, lo: float, hi: float):
+        try:
+            finite = math.isfinite(lo) and math.isfinite(hi)
+        except TypeError:  # not a real number
+            finite = None
+        if finite is None or lo.__class__ is bool or hi.__class__ is bool:
+            raise ValueError(f"interval bounds must be real numbers, got [{lo!r}, {hi!r}]")
+        if not finite:
+            raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
+        # set and compared without building the instance dict, whose reads are slower
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
-    def __post_init__(self):
-        if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
-            raise ValueError(f"interval bounds must be finite, got [{self.lo}, {self.hi}]")
-        if self.lo > self.hi:
-            raise ValueError(f"interval lower bound {self.lo} exceeds upper bound {self.hi}")
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
 
     @property
     def width(self) -> float:

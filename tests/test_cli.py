@@ -32,6 +32,20 @@ def test_solve_rastrigin_json(tmp_path, capsys):
     assert report["final_objective"] == min(r["objective"] for r in rows)
 
 
+def test_json_report_keys_in_order(tmp_path):
+    # the report and its config echo keep their keys and order
+    out = tmp_path / "r.json"
+    assert run_cli(["solve", "--problem", "ackley", "--max-iters", "2", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert list(report) == ["problem", "config", "rows", "final_objective", "best_point",
+                            "termination", "seconds"]
+    assert report["config"] == {"problem": "ackley", "initial_n_pieces": 3, "n_pieces": 3,
+                                "contract_frac": 0.5, "max_iters": 2, "time_limit": None,
+                                "format": "json"}
+    assert list(report["config"]) == ["problem", "initial_n_pieces", "n_pieces",
+                                      "contract_frac", "max_iters", "time_limit", "format"]
+
+
 def test_json_and_csv_numeric_content_match(tmp_path):
     j = tmp_path / "a.json"
     c = tmp_path / "a.csv"

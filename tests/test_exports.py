@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import os
 import pathlib
@@ -17,6 +18,17 @@ def test_every_all_name_resolves():
         module = importlib.import_module(name)
         missing += [f"{name}.{n}" for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing, f"__all__ names without an attribute: {missing}"
+
+
+def test_only_the_problem_records_are_dataclasses():
+    # every other record is a plain class, which compiles no generated
+    # methods at import; bench/ builds traced specs with dataclasses.replace
+    modules = [sppa] + [importlib.import_module(f"sppa.{m.name}")
+                        for m in pkgutil.iter_modules(sppa.__path__)]
+    found = {f"{value.__module__}.{value.__qualname__}" for module in modules
+             for value in vars(module).values()
+             if isinstance(value, type) and dataclasses.is_dataclass(value)}
+    assert found == {"sppa.problems.NonlinearTerm", "sppa.problems.ProblemSpec"}, sorted(found)
 
 
 def test_solving_a_milp_imports_no_scipy():

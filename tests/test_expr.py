@@ -192,3 +192,30 @@ def test_fixture_table_and_roundtrip():
 
 def test_row_evaluator_property_suite():
     print(check_row_evaluator())
+
+
+def test_nodes_are_immutable_records():
+    # built positionally or by keyword, equal by class and fields, hashed by
+    # the fields, shown as the constructor call; assignment and deletion raise
+    tree = BinOp("+", Var("x"), Num(1.0))
+    assert tree == BinOp(op="+", left=Var(name="x"), right=Num(value=1.0))
+    assert repr(tree) == "BinOp(op='+', left=Var(name='x'), right=Num(value=1.0))"
+    assert repr(Call("sin", Neg(Var("y")))) == "Call(fn='sin', arg=Neg(arg=Var(name='y')))"
+    assert hash(tree) == hash(BinOp("+", Var("x"), Num(1.0)))
+    assert len({Num(2.0), Num(2.0), Var("x"), Var("x")}) == 2
+    assert tree != BinOp("-", Var("x"), Num(1.0)) and Num(1.0) != 1.0
+
+    class Leaf(Num):
+        pass
+
+    assert Leaf(1.0) != Num(1.0) and Neg(Num(1.0)) != Call("abs", Num(1.0))
+    for node, field in ((tree, "op"), (Num(1.0), "value"), (Call("exp", Var("x")), "arg")):
+        with pytest.raises(AttributeError, match=f"^cannot assign to or delete field '{field}'$"):
+            setattr(node, field, Num(0.0))
+        with pytest.raises(AttributeError):
+            delattr(node, field)
+    assert tree.op == "+" and Num(1.0).value == 1.0
+    with pytest.raises(TypeError):
+        Num()
+    with pytest.raises(TypeError):
+        Var("x", "y")

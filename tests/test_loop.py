@@ -539,6 +539,25 @@ def test_config_validation():
             SppaConfig(2, 2, 0.5, time_limit=bad)
 
 
+def test_config_and_results_are_plain_records():
+    config = SppaConfig()
+    assert config == SppaConfig(4, 4, 0.5, 60, None) and config != SppaConfig(n_pieces=3)
+    assert config != (4, 4, 0.5, 60, None)
+    assert repr(SppaConfig(2, time_limit=1.5)) == (
+        "SppaConfig(initial_n_pieces=2, n_pieces=4, contract_frac=0.5, max_iters=60, "
+        "time_limit=1.5)")
+    config.max_iters = 5  # a config is mutable, and checked only when built
+    assert config.max_iters == 5
+    record = loop.IterationRecord(0, np.zeros(1), 1.0, 0.5, 0.0, {"x": Interval(0.0, 1.0)},
+                                  {"nodes": 1})
+    assert (record.iteration, record.objective, record.surrogate_objective,
+            record.row_violation, record.milp_stats) == (0, 1.0, 0.5, 0.0, {"nodes": 1})
+    assert record.bounds == {"x": Interval(0.0, 1.0)}
+    result = loop.SppaResult(best_point=None, best_objective=None, trace=[record],
+                             termination="stall")
+    assert (result.trace, result.termination, result.seconds) == ([record], "stall", 0.0)
+
+
 @pytest.mark.parametrize("field", ["initial_n_pieces", "n_pieces", "max_iters"])
 @pytest.mark.parametrize("bad", [3.0, 2.5, "3", True])
 def test_config_rejects_a_count_that_is_not_an_integer(field, bad):

@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import math
 import time
@@ -52,6 +51,32 @@ def test_infinite_bounds_rejected():
         with pytest.raises(ValueError):
             p.add_var(lo, hi)
     assert p.n_vars == 0
+
+
+@pytest.mark.parametrize("count", [0, -1, 2.0, True, "2", None])
+def test_add_var_rejects_a_count_that_is_not_a_positive_integer(count):
+    # -1 used to raise numpy's "negative dimensions", and 0 returned the id
+    # of a column that was never added
+    p = LpProblem()
+    with pytest.raises(ValueError, match=f"^count must be an integer >= 1, got {count!r}$"):
+        p.add_var(0.0, 1.0, count=count)
+    assert p.n_vars == 0 and p.A.shape == (0, 0)
+    assert p.add_var(0.0, 1.0, count=np.int64(2)) == 0 and p.n_vars == 2
+
+
+def test_results_and_rows_are_plain_records():
+    row = milp.LinearConstraint(coeffs={0: 2.0}, sense="<=", rhs=1.0)
+    assert (row.coeffs, row.sense, row.rhs) == ({0: 2.0}, "<=", 1.0)
+    assert row.activity(np.array([0.25])) == 0.5
+    a, b = milp.MilpResult("optimal", None, 1.0, 1.0, 0.0), milp.MilpResult(
+        status="infeasible", x=None, objective=None, bound=None, gap=math.inf)
+    # each result counts from zero in a dict of its own
+    assert a.counters == dict.fromkeys(milp.COUNTERS, 0) and a.counters is not b.counters
+    a.counters["nodes"] += 3
+    assert (a.nodes, b.nodes, a.start, b.status) == (3, 0, None, "infeasible")
+    counters = {"nodes": 5}
+    c = milp.MilpResult("optimal", None, 0.0, 0.0, 0.0, counters, "start")
+    assert c.counters is counters and c.nodes == 5 and c.start == "start"
 
 
 def test_rows_reject_unknown_senses_ids_and_non_finite_values():
@@ -275,7 +300,8 @@ def test_milp_stop_inside_a_node_keeps_its_bound(monkeypatch):
         res = simplex(*args, **kwargs)
         calls.append(res)
         if len(calls) == 3:
-            return dataclasses.replace(res, status="time_limit", x=None, objective=None)
+            return milp._SxResult("time_limit", None, None, res.start, res.iterations,
+                                  res.factorizations)
         return res
 
     monkeypatch.setattr(milp, "_simplex", stopping)

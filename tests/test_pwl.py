@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -217,3 +218,28 @@ def test_axis_breakpoints_integer_snapping():
     # inner points snap to integers, fractional endpoints stay
     np.testing.assert_array_equal(pwl.axis_breakpoints(Interval(0.5, 3.5), 4, integer=True),
                                   [0.5, 1.0, 2.0, 3.0, 3.5])
+
+
+def test_interval_is_an_immutable_record():
+    iv = Interval(0.0, 1.0)
+    assert iv == Interval(lo=0.0, hi=1.0) and iv.width == 1.0
+    assert repr(iv) == "Interval(lo=0.0, hi=1.0)"
+    assert hash(iv) == hash(Interval(0.0, 1.0)) and len({iv, Interval(0.0, 1.0)}) == 1
+    assert iv != Interval(0.0, 2.0) and iv != (0.0, 1.0)
+    assert Interval(0, 10) == Interval(0.0, 10.0)  # integer bounds compare by value
+    assert Interval(np.float64(-1.0), 1).lo == -1.0
+    with pytest.raises(AttributeError, match="^cannot assign to or delete field 'lo'$"):
+        iv.lo = 0.5
+    with pytest.raises(AttributeError):
+        del iv.hi
+    assert (iv.lo, iv.hi) == (0.0, 1.0)
+
+
+@pytest.mark.parametrize("lo, hi", [("0", "1"), (0.0, "1"), (True, 2.0), (0.0, False),
+                                    (0j, 1.0), (None, 1.0), ([0.0], 1.0)])
+def test_interval_rejects_a_bound_that_is_not_a_real_number(lo, hi):
+    # a string used to raise a bare TypeError from math.isfinite, and True
+    # was taken as the bound 1
+    with pytest.raises(ValueError, match=re.escape(
+            f"interval bounds must be real numbers, got [{lo!r}, {hi!r}]")):
+        Interval(lo, hi)
