@@ -12,10 +12,11 @@ point while the latest iterate is feasible (see ``run``).
 
 Each iteration builds one grid per lambda block, in ``_group_grid``, and
 one array of its vertices for ``mcmodel.encode_term``; the vertex solve
-takes a term's vertices as tuples of floats (``_vertex_rows``).  Each term
-evaluates itself once at all those vertices (``NonlinearTerm.on``), or at
-one point when all its variables are fixed (``NonlinearTerm.at``).  The
-model is exact at a vertex, so the vertex solve's value is the exact objective.
+takes a term's vertices from one checked grid, as tuples of floats
+(``_vertex_rows``).  Either way each term evaluates itself once at all its
+vertices (``NonlinearTerm.on``), or at its one point when all its variables
+are fixed (``NonlinearTerm.at``); the vertex solve's value, exact at a
+vertex, is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -38,14 +39,8 @@ from sppa import mcmodel, milp
 from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
 from sppa.pwl import Grid, Interval, axis_breakpoints
 
-__all__ = [
-    "SppaConfig",
-    "IterationRecord",
-    "SppaResult",
-    "contract_bounds",
-    "build_iteration_model",
-    "run",
-]
+__all__ = ["SppaConfig", "IterationRecord", "SppaResult", "contract_bounds",
+           "build_iteration_model", "run"]
 
 # a run stalls when the exact objective moves by at most _STALL_TOL in
 # _STALL_ITERS consecutive iterations whose incumbent moved
@@ -111,14 +106,14 @@ def contract_bounds(interval: Interval, value: float, frac: float) -> Interval:
     """
     if not 0.0 < frac < 1.0:
         raise ValueError("frac must lie strictly between 0 and 1")
-    v = min(max(value, interval.lo), interval.hi)
-    w = interval.width * frac
-    lo = v - w / 2.0
-    hi = v + w / 2.0
-    if lo < interval.lo:
-        return Interval(interval.lo, interval.lo + w)
-    if hi > interval.hi:
-        return Interval(interval.hi - w, interval.hi)
+    old_lo, old_hi = interval.lo, interval.hi
+    v = old_lo if value < old_lo else old_hi if value > old_hi else value  # as min(max(...))
+    w = (old_hi - old_lo) * frac
+    lo, hi = v - w / 2.0, v + w / 2.0
+    if lo < old_lo:
+        return Interval(old_lo, old_lo + w)
+    if hi > old_hi:
+        return Interval(old_hi - w, old_hi)
     return Interval(lo, hi)
 
 
@@ -220,14 +215,18 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     return model
 
 
-def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval], pieces: int):
+def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval], pieces: int,
+                 widths: list[float]):
     """The vertices of ``_group_grid``'s grid for ``term`` (with an active
-    variable) as its lead, row-major, each a tuple of Python floats in
-    ``term.var_ids`` order, fixed variables at their values."""
-    axes = iter(Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                      for k in term.var_ids if bounds[k].width > 0.0]).breakpoints)
-    return list(itertools.product(*[next(axes) if bounds[k].width > 0.0
-                                    else (float(bounds[k].lo),) for k in term.var_ids]))
+    variable, of ``widths[k] > 0``) as its lead, row-major, each a tuple of
+    Python floats in ``term.var_ids`` order, fixed variables at their values."""
+    active = [k for k in term.var_ids if widths[k] > 0.0]
+    axes = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                 for k in active]).breakpoints
+    if len(active) < len(term.var_ids):  # a fixed variable's axis is its value
+        grid = iter(axes)
+        axes = [next(grid) if widths[k] > 0.0 else (float(bounds[k].lo),) for k in term.var_ids]
+    return list(itertools.product(*axes))
 
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
@@ -238,26 +237,29 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
     0, the bound nearest zero, lower on a tie, as the simplex).  Every
     counter is 0; B&B reports nodes >= 1, so ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
-    lin = spec.linear_objective
-    z = []
+    lin, widths, z = spec.linear_objective, [], []
     for j, iv in enumerate(bounds):
         c = sign * lin.get(j, 0.0)
+        widths.append(iv.width)
         z.append(float(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi))
     term_values = []
     for term in spec.nonlinear_terms:
-        if not any(bounds[k].width > 0.0 for k in term.var_ids):
+        if not any(widths[k] > 0.0 for k in term.var_ids):
             term_values.append(_constant(term, bounds))
             continue
-        rows = _vertex_rows(spec, term, bounds, pieces)
+        rows = _vertex_rows(spec, term, bounds, pieces, widths)
         values = term.on(rows)
-        # the linear part summed left to right from 0, as Python's sum; a
-        # zero coefficient adds only a signed zero, which moves no minimum
-        linear = [0] * len(rows)
-        for i, k in enumerate(term.var_ids):
-            if bounds[k].width > 0.0 and lin.get(k, 0.0) != 0.0:
-                linear = [s + lin[k] * row[i] for s, row in zip(linear, rows)]
-        keys = [sign * (v + s) for v, s in zip(values, linear)]
-        best = min(range(len(rows)), key=keys.__getitem__)  # the first best
+        # a zero coefficient would add only a signed zero, which moves no minimum
+        costs = [(i, lin[k]) for i, k in enumerate(term.var_ids)
+                 if widths[k] > 0.0 and lin.get(k, 0.0) != 0.0]
+        if not costs:  # min (max) returns the first best value, index its place
+            best = values.index(min(values) if sign > 0.0 else max(values))
+        else:  # the linear part summed left to right from 0, as Python's sum
+            linear = [0] * len(rows)
+            for i, c in costs:
+                linear = [s + c * row[i] for s, row in zip(linear, rows)]
+            keys = [sign * (v + s) for v, s in zip(values, linear)]
+            best = min(range(len(rows)), key=keys.__getitem__)  # the first best
         for k, x in zip(term.var_ids, rows[best]):
             z[k] = x
         term_values.append(values[best])
@@ -317,16 +319,16 @@ def run(
         if not spec.variables[j][2] and 0.0 < iv.width <= _floor(iv, 0.0, pieces_max):
             mid = iv.lo + 0.5 * iv.width
             current[j] = Interval(mid, mid)  # too narrow for any grid of the run
-    rel_floor = {j: _FLOOR_REL * current[j].width for j in nl_vars}
+    # per contracted variable: its index, integer flag and relative floor
+    windows = [(j, spec.variables[j][2], _FLOOR_REL * current[j].width) for j in nl_vars]
+    names = spec.var_names()
 
     sign = 1.0 if spec.sense == "min" else -1.0
     ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
     vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
     trace: list[IterationRecord] = []
-    best_point = best_obj = best_rank = None
-    stall_run = 0
-    prev_obj = None
-    prev_z = None
+    best_point = best_obj = best_rank = best_list = None
+    stall_run, prev_obj, prev_z = 0, None, None
     start = None  # the previous MILP's optimal root basis
     models: dict = {}  # each model shape met so far, refilled in place
     termination = "max_iters"
@@ -348,19 +350,14 @@ def run(
             termination = res.status
             break
 
-        z = res.x[: spec.n_vars].copy()
+        z = res.x[: len(names)].copy()
+        z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
         true_obj, violation = ((res.objective, 0.0) if vertex_solvable  # exact, no rows
                                else (spec.objective_value(z), spec.row_violation(z)))
-        record = IterationRecord(
-            iteration=it,
-            incumbent=z,
-            objective=true_obj,
-            surrogate_objective=res.objective,
-            row_violation=violation,
-            bounds={name: current[j] for j, (name, _, _) in enumerate(spec.variables)},
-            milp_stats={"status": res.status, **res.counters, "gap": res.gap,
-                        "seconds": time.perf_counter() - iter_start},
-        )
+        record = IterationRecord(it, z, true_obj, res.objective, violation,
+                                 dict(zip(names, current)),
+                                 {"status": res.status, **res.counters, "gap": res.gap,
+                                  "seconds": time.perf_counter() - iter_start})
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -368,33 +365,32 @@ def run(
         feasible = violation <= milp.ROW_TOL
         rank = (0, sign * true_obj) if feasible else (1, violation)
         if best_rank is None or rank <= best_rank:
-            best_rank, best_obj, best_point = rank, true_obj, z.copy()
-        centre = best_point if feasible else z
+            best_rank, best_obj, best_point, best_list = rank, true_obj, z.copy(), z_list
+        centre = best_list if feasible else z_list
 
         # stall evidence needs a tiny objective delta from an incumbent that
         # actually moved; a re-found identical vertex just means the grid is
         # still refining around it (the width criterion covers convergence)
-        z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
         if prev_obj is not None:
-            moved = any(abs(a - b) > 1e-9 * (1.0 + abs(b)) for a, b in zip(z_list, prev_z))
+            moved = z_list != prev_z and any(abs(a - b) > 1e-9 * (1.0 + abs(b))
+                                             for a, b in zip(z_list, prev_z))
             if moved and abs(true_obj - prev_obj) <= _STALL_TOL:
                 stall_run += 1
             else:
                 stall_run = 0
-        prev_obj = true_obj
-        prev_z = z_list
+        prev_obj, prev_z = true_obj, z_list
         if stall_run >= _STALL_ITERS:
             termination = "stall"
             break
 
         at_floor = True
-        for j in nl_vars:
+        for j, integer, rel_floor in windows:
             iv = current[j]
-            if spec.variables[j][2]:
-                new = _contract_integer(iv, float(centre[j]), config.contract_frac)
+            if integer:
+                new = _contract_integer(iv, centre[j], config.contract_frac)
             else:
-                new = contract_bounds(iv, float(centre[j]), config.contract_frac)
-                if new.width <= _floor(new, rel_floor[j], config.n_pieces):
+                new = contract_bounds(iv, centre[j], config.contract_frac)
+                if new.width <= _floor(new, rel_floor, config.n_pieces):
                     new = iv
             if new != iv:
                 current[j], at_floor = new, False
@@ -402,10 +398,4 @@ def run(
             termination = "width"
             break
 
-    return SppaResult(
-        best_point=best_point,
-        best_objective=best_obj,
-        trace=trace,
-        termination=termination,
-        seconds=time.perf_counter() - t0,
-    )
+    return SppaResult(best_point, best_obj, trace, termination, time.perf_counter() - t0)

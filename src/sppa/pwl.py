@@ -67,26 +67,33 @@ class Grid:
         axes = []
         for k, b in enumerate(breakpoints):
             try:
+                if b.__class__ is not tuple and isinstance(b, (str, bytes, bytearray)):
+                    raise ValueError  # its characters or bytes are no breakpoints
                 values = tuple(map(float, b))
             except TypeError:  # a scalar, or a sequence of sequences
                 values = ()
+            except ValueError:
+                raise ValueError(f"dimension {k}: breakpoints must be real numbers, "
+                                 f"got {b!r}") from None
             if len(values) < 2:
                 raise ValueError(f"dimension {k}: need at least two breakpoints")
-            if not all(map(math.isfinite, values)):
-                raise ValueError(f"dimension {k}: non-finite breakpoint")
-            if not all(map(operator.lt, values, values[1:])):
+            # a strictly increasing axis holds no NaN, and an infinity only at
+            # an end; the full scan only chooses the error, non-finite first
+            if not (all(map(operator.lt, values, values[1:]))
+                    and math.isfinite(values[0]) and math.isfinite(values[-1])):
+                if not all(map(math.isfinite, values)):
+                    raise ValueError(f"dimension {k}: non-finite breakpoint")
                 raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
             axes.append(values)
         if not axes:
             raise ValueError("grid needs at least one dimension")
         self.breakpoints = tuple(axes)
         self.dims = len(axes)
-        self.pieces = tuple(len(b) - 1 for b in axes)
 
     def points(self) -> np.ndarray:
         """Every vertex's coordinates, shape ``(L1+1, ..., Ld+1, d)``: the
         vertex with multi-index ``i`` is ``points()[i]``."""
-        pts = np.empty(tuple(L + 1 for L in self.pieces) + (self.dims,))
+        pts = np.empty(tuple(map(len, self.breakpoints)) + (self.dims,))
         for k, b in enumerate(self.breakpoints):
             pts[..., k] = np.array(b).reshape((-1,) + (1,) * (self.dims - 1 - k))
         return pts

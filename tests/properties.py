@@ -54,7 +54,7 @@ class SimplexId:
 def enumerate_simplices(grid: pwl.Grid) -> Iterator[SimplexId]:
     """All simplex ids, cells row-major and step orders lexicographic."""
     dims = range(grid.dims)
-    for cell in itertools.product(*(range(L) for L in grid.pieces)):
+    for cell in itertools.product(*(range(len(b) - 1) for b in grid.breakpoints)):
         for perm in itertools.permutations(dims):
             yield SimplexId(cell, perm)
 
@@ -85,7 +85,7 @@ def upper(grid: pwl.Grid) -> np.ndarray:
 
 
 def cell_count(grid: pwl.Grid) -> int:
-    return int(np.prod(grid.pieces))
+    return math.prod(len(b) - 1 for b in grid.breakpoints)
 
 
 def count_simplices(grid: pwl.Grid) -> int:
@@ -226,7 +226,7 @@ def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, piece
         return active, None, term.at(fixed)
     grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
                      for k in active])
-    points = np.full(tuple(L + 1 for L in grid.pieces) + fixed.shape, fixed)
+    points = np.full(tuple(map(len, grid.breakpoints)) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
     values = term.on(points.reshape(-1, len(term.var_ids)).tolist())
     return active, grid, np.array(values).reshape(points.shape[:-1])
@@ -1458,6 +1458,32 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
                 assert x in pwl.axis_breakpoints(iv, pieces, integer), "not a grid vertex"
             else:  # at a bound, the one the simplex picks
                 assert x == ref.x[j], f"variable {j} at {x}, the milp's at {ref.x[j]}"
+
+    # ties between signed zeros and, under max, between equal values of a
+    # term with no linear part: the first best vertex row-major wins, with
+    # the bits of the scalar rule in the point and the surrogate
+    def zeros(first: float, last: float, sense: str) -> ProblemSpec:
+        # x = -1 and x = 1 tie at first and last; x = 0 is worse either way
+        worse = 1.0 if sense == "min" else -1.0
+        return ProblemSpec([("x", pwl.Interval(-1.0, 1.0), False)], {}, 0.0, [],
+                           [NonlinearTerm((0,), lambda v: first if v[0] < -0.5
+                                          else worse if v[0] < 0.5 else last)], sense=sense)
+
+    line = [pwl.Interval(-1.0, 1.0), False]
+    tied = [(zeros(a, b, sense), 2, [-1.0])
+            for a, b in ((0.0, -0.0), (-0.0, 0.0)) for sense in ("min", "max")]
+    square = NonlinearTerm((0,), lambda v: float(v[0] ** 2))
+    product = NonlinearTerm((0, 1), lambda v: float(v[0] * v[1]))
+    tied += [(ProblemSpec([("x", *line)], {}, 0.0, [], [square], sense="max"), 2, [-1.0]),
+             (ProblemSpec([("y", *line), ("w", *line)], {}, 0.0, [], [product], sense="max"),
+              1, [-1.0, -1.0])]
+    for spec, pieces, want in tied:
+        rec = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=1)).trace[0]
+        point, surrogate = _scalar_vertex_optimum(spec, pieces)
+        assert point == want and rec.milp_stats["nodes"] == 0, (point, want)
+        assert rec.incumbent.tobytes() == np.array(point).tobytes(), (rec.incumbent, point)
+        assert float(rec.surrogate_objective).hex() == float(surrogate).hex(), (
+            rec.surrogate_objective, surrogate)
 
     # terms sharing a variable still go through the MILP
     shared = ProblemSpec(

@@ -252,7 +252,7 @@ def test_vertex_rows_are_the_milp_grid_points(data):
     bounds = spec.bounds()
     assume(any(bounds[k].width > 0.0 for k in ids))
     term = spec.nonlinear_terms[0]
-    rows = loop._vertex_rows(spec, term, bounds, pieces)
+    rows = loop._vertex_rows(spec, term, bounds, pieces, [iv.width for iv in bounds])
     points = loop._group_grid(spec, term, bounds, pieces)[2].reshape(-1, d)
     assert all(type(x) is float for row in rows for x in row)
     assert [list(row) for row in rows] == points.tolist()
@@ -722,6 +722,50 @@ def test_build_makes_one_grid_per_lattice_set(monkeypatch):
             lp = build_iteration_model(spec, spec.bounds(), pieces, models)
         assert len(lp.lattice_sets) == len(built) == sets
         assert [id(grid) for grid in calls] == [id(grid) for grid in built]
+
+
+def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
+    # per vertex-path iteration, each term with an active variable gets one
+    # row pass and one checked grid, a term of fixed variables one call at
+    # its point, and the exact objective is the solve's own value
+    counts = dict.fromkeys(("grid", "rows", "point", "objective"), 0)
+
+    class CountingGrid(loop.Grid):
+        def __init__(self, breakpoints):
+            super().__init__(breakpoints)
+            counts["grid"] += 1
+
+    def counted(key, fn):
+        def wrapper(*args):
+            counts[key] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(loop, "Grid", CountingGrid)
+    monkeypatch.setattr(ProblemSpec, "objective_value",
+                        counted("objective", ProblemSpec.objective_value))
+    # y is fixed, so x alone spans the first term's grid; w is fixed, so
+    # cos(w) is a constant; v has a linear part
+    boxes = {"x": (-1.0, 1.0), "y": (0.5, 0.5), "w": (2.0, 2.0), "v": (0.0, 3.0)}
+    partial = from_expressions([(v, Interval(*box), False) for v, box in boxes.items()],
+                               "x^2*y + sin(x*y) + cos(w) + v^3 - 2*v")
+    assert [t.var_ids for t in partial.nonlinear_terms] == [(0, 1), (2,), (3,)]
+    for spec, config, fixed in ((builtin("rastrigin"), SppaConfig(6, 3), 0),
+                                (partial, SppaConfig(3, 3, 0.5, 12), 1)):
+        for term in spec.nonlinear_terms:
+            term.rows_fn, term.fn = counted("rows", term.rows_fn), counted("point", term.fn)
+        per_iteration = []
+
+        def snapshot(rec):
+            per_iteration.append(dict(counts))
+            counts.update(dict.fromkeys(counts, 0))
+
+        counts.update(dict.fromkeys(counts, 0))
+        trace = run(spec, config, on_iteration=snapshot).trace
+        assert len(trace) > 3 and all(rec.milp_stats["nodes"] == 0 for rec in trace)
+        active = len(spec.nonlinear_terms) - fixed
+        want = {"grid": active, "rows": active, "point": fixed, "objective": 0}
+        assert per_iteration == [want] * len(trace)
 
 
 def test_runs_share_no_solver_state():

@@ -49,10 +49,20 @@ def test_build_grid_errors():
                         ([0.0, np.nan], "non-finite breakpoint"),
                         ([0.0, np.inf], "non-finite breakpoint"),
                         ([-np.inf, 0.0], "non-finite breakpoint"),
+                        # inside an axis, the non-finite value is the reason
+                        # given, not the order it breaks
+                        ([0.0, np.nan, 1.0], "non-finite breakpoint"),
+                        ([0.0, np.inf, 2.0], "non-finite breakpoint"),
                         ([0.0, 1.0, 1.0], "breakpoints must be strictly increasing"),
                         ([0.0, 2.0, 1.0], "breakpoints must be strictly increasing"),
                         ([1.0, 0.0], "breakpoints must be strictly increasing")):
         with pytest.raises(ValueError, match=f"^dimension 1: {reason}$"):
+            pwl.Grid([[0.0, 1.0], bad])
+    # a string's characters or a bytes object's byte values are no
+    # breakpoints, and an element float() cannot read is named with its axis
+    for bad in ("01", b"01", bytearray(b"01"), "0.5", ["0", "x"]):
+        with pytest.raises(ValueError, match="^" + re.escape(
+                f"dimension 1: breakpoints must be real numbers, got {bad!r}") + "$"):
             pwl.Grid([[0.0, 1.0], bad])
 
 
