@@ -103,6 +103,10 @@ def _write_report(report: dict, path: str, fmt: str, n_vars: int):
 def cmd_solve(args) -> int:
     try:
         spec, registry = _resolve(args.problem)
+        config = _make_config(registry, vars(args))
+        if args.out and (os.path.isdir(args.out)
+                         or not os.path.isdir(os.path.dirname(args.out) or ".")):
+            raise ValueError(f"--out {args.out}: not a file in an existing directory")
     except ProblemFormatError as exc:
         print(f"error: {args.problem}: {exc}", file=sys.stderr)
         return EXIT_PARSE
@@ -110,23 +114,12 @@ def cmd_solve(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
-    try:
-        config = _make_config(registry, vars(args))
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out and (os.path.isdir(args.out)
-                     or not os.path.isdir(os.path.dirname(args.out) or ".")):
-        print(f"error: --out {args.out}: not a file in an existing directory", file=sys.stderr)
-        return EXIT_USAGE
-
     names = spec.var_names()
     print(f"problem: {spec.name}  ({spec.n_vars} variables, "
           f"{len(spec.nonlinear_terms)} nonlinear terms, "
           f"{len(spec.linear_constraints)} linear rows)")
     print("config: " + " ".join(f"{k}={v}" for k, v in vars(config).items() if v is not None))
-    header = f"{'iter':>4}  {'objective':>14}  {'max_width':>10}  {'nodes':>6}  {'sec':>7}"
-    print(header)
+    print(f"{'iter':>4}  {'objective':>14}  {'max_width':>10}  {'nodes':>6}  {'sec':>7}")
 
     nl_names = [names[j] for j in sorted({k for t in spec.nonlinear_terms for k in t.var_ids})]
 
@@ -166,8 +159,7 @@ def cmd_solve(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    return cmd_solve(parser.parse_args(argv))
+    return cmd_solve(build_parser().parse_args(argv))
 
 
 if __name__ == "__main__":

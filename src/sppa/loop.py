@@ -12,11 +12,10 @@ point while the latest iterate is feasible (see ``run``).
 
 Each iteration builds one grid per lambda block, in ``_group_grid``, and
 one array of its vertices for ``mcmodel.encode_term``; the vertex solve
-takes a term's vertices from one checked grid, as tuples of floats
-(``_vertex_rows``).  Either way each term evaluates itself once at all its
-vertices (``NonlinearTerm.on``), or at its one point when all its variables
-are fixed (``NonlinearTerm.at``); the vertex solve's value, exact at a
-vertex, is the exact objective.
+takes a term's vertices as tuples of floats (``_vertex_rows``).  Each term
+evaluates itself once at all those vertices (``NonlinearTerm.on``), or at
+one point when all its variables are fixed (``NonlinearTerm.at``).  The
+model is exact at a vertex, so the vertex solve's value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
@@ -39,8 +38,14 @@ from sppa import mcmodel, milp
 from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
 from sppa.pwl import Grid, Interval, axis_breakpoints
 
-__all__ = ["SppaConfig", "IterationRecord", "SppaResult", "contract_bounds",
-           "build_iteration_model", "run"]
+__all__ = [
+    "SppaConfig",
+    "IterationRecord",
+    "SppaResult",
+    "contract_bounds",
+    "build_iteration_model",
+    "run",
+]
 
 # a run stalls when the exact objective moves by at most _STALL_TOL in
 # _STALL_ITERS consecutive iterations whose incumbent moved
@@ -109,7 +114,8 @@ def contract_bounds(interval: Interval, value: float, frac: float) -> Interval:
     old_lo, old_hi = interval.lo, interval.hi
     v = old_lo if value < old_lo else old_hi if value > old_hi else value  # as min(max(...))
     w = (old_hi - old_lo) * frac
-    lo, hi = v - w / 2.0, v + w / 2.0
+    lo = v - w / 2.0
+    hi = v + w / 2.0
     if lo < old_lo:
         return Interval(old_lo, old_lo + w)
     if hi > old_hi:
@@ -220,13 +226,10 @@ def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
     """The vertices of ``_group_grid``'s grid for ``term`` (with an active
     variable, of ``widths[k] > 0``) as its lead, row-major, each a tuple of
     Python floats in ``term.var_ids`` order, fixed variables at their values."""
-    active = [k for k in term.var_ids if widths[k] > 0.0]
-    axes = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                 for k in active]).breakpoints
-    if len(active) < len(term.var_ids):  # a fixed variable's axis is its value
-        grid = iter(axes)
-        axes = [next(grid) if widths[k] > 0.0 else (float(bounds[k].lo),) for k in term.var_ids]
-    return list(itertools.product(*axes))
+    axes = iter(Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                      for k in term.var_ids if widths[k] > 0.0]).breakpoints)
+    return list(itertools.product(*[next(axes) if widths[k] > 0.0
+                                    else (float(bounds[k].lo),) for k in term.var_ids]))
 
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
@@ -237,7 +240,9 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
     0, the bound nearest zero, lower on a tie, as the simplex).  Every
     counter is 0; B&B reports nodes >= 1, so ``nodes`` 0 marks this path."""
     sign = 1.0 if spec.sense == "min" else -1.0
-    lin, widths, z = spec.linear_objective, [], []
+    lin = spec.linear_objective
+    widths = []  # shared by the fixed-term test, the vertex rows and the linear part
+    z = []
     for j, iv in enumerate(bounds):
         c = sign * lin.get(j, 0.0)
         widths.append(iv.width)
@@ -249,17 +254,14 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
             continue
         rows = _vertex_rows(spec, term, bounds, pieces, widths)
         values = term.on(rows)
-        # a zero coefficient would add only a signed zero, which moves no minimum
-        costs = [(i, lin[k]) for i, k in enumerate(term.var_ids)
-                 if widths[k] > 0.0 and lin.get(k, 0.0) != 0.0]
-        if not costs:  # min (max) returns the first best value, index its place
-            best = values.index(min(values) if sign > 0.0 else max(values))
-        else:  # the linear part summed left to right from 0, as Python's sum
-            linear = [0] * len(rows)
-            for i, c in costs:
-                linear = [s + c * row[i] for s, row in zip(linear, rows)]
-            keys = [sign * (v + s) for v, s in zip(values, linear)]
-            best = min(range(len(rows)), key=keys.__getitem__)  # the first best
+        # the linear part summed left to right from 0, as Python's sum; a
+        # zero coefficient would add only a signed zero, which moves no minimum
+        linear = None
+        for i, k in enumerate(term.var_ids):
+            if widths[k] > 0.0 and lin.get(k, 0.0) != 0.0:
+                linear = [s + lin[k] * row[i] for s, row in zip(linear or [0] * len(rows), rows)]
+        keys = values if linear is None else [v + s for v, s in zip(values, linear)]
+        best = keys.index(min(keys) if sign > 0.0 else max(keys))  # the first best, row-major
         for k, x in zip(term.var_ids, rows[best]):
             z[k] = x
         term_values.append(values[best])
@@ -319,7 +321,6 @@ def run(
         if not spec.variables[j][2] and 0.0 < iv.width <= _floor(iv, 0.0, pieces_max):
             mid = iv.lo + 0.5 * iv.width
             current[j] = Interval(mid, mid)  # too narrow for any grid of the run
-    # per contracted variable: its index, integer flag and relative floor
     windows = [(j, spec.variables[j][2], _FLOOR_REL * current[j].width) for j in nl_vars]
     names = spec.var_names()
 
@@ -328,7 +329,9 @@ def run(
     vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
     trace: list[IterationRecord] = []
     best_point = best_obj = best_rank = best_list = None
-    stall_run, prev_obj, prev_z = 0, None, None
+    stall_run = 0
+    prev_obj = None
+    prev_z = None
     start = None  # the previous MILP's optimal root basis
     models: dict = {}  # each model shape met so far, refilled in place
     termination = "max_iters"
@@ -350,14 +353,20 @@ def run(
             termination = res.status
             break
 
-        z = res.x[: len(names)].copy()
+        z = res.x[: spec.n_vars].copy()
         z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
         true_obj, violation = ((res.objective, 0.0) if vertex_solvable  # exact, no rows
                                else (spec.objective_value(z), spec.row_violation(z)))
-        record = IterationRecord(it, z, true_obj, res.objective, violation,
-                                 dict(zip(names, current)),
-                                 {"status": res.status, **res.counters, "gap": res.gap,
-                                  "seconds": time.perf_counter() - iter_start})
+        record = IterationRecord(
+            iteration=it,
+            incumbent=z,
+            objective=true_obj,
+            surrogate_objective=res.objective,
+            row_violation=violation,
+            bounds=dict(zip(names, current)),
+            milp_stats={"status": res.status, **res.counters, "gap": res.gap,
+                        "seconds": time.perf_counter() - iter_start},
+        )
         trace.append(record)
         if on_iteration is not None:
             on_iteration(record)
@@ -378,7 +387,8 @@ def run(
                 stall_run += 1
             else:
                 stall_run = 0
-        prev_obj, prev_z = true_obj, z_list
+        prev_obj = true_obj
+        prev_z = z_list
         if stall_run >= _STALL_ITERS:
             termination = "stall"
             break
@@ -398,4 +408,10 @@ def run(
             termination = "width"
             break
 
-    return SppaResult(best_point, best_obj, trace, termination, time.perf_counter() - t0)
+    return SppaResult(
+        best_point=best_point,
+        best_objective=best_obj,
+        trace=trace,
+        termination=termination,
+        seconds=time.perf_counter() - t0,
+    )

@@ -94,7 +94,7 @@ class NonlinearTerm:
                 values = None
             # non-finite where a value is, or on a rare overflow, which the loop evaluates
             if values is not None and math.isfinite(sum(values)):
-                return values if self.coef == 1.0 else [self.coef * v for v in values]
+                return list(values) if self.coef == 1.0 else [self.coef * v for v in values]
         return [self.at(np.array(p, dtype=float), where) for p in rows]
 
 
@@ -129,22 +129,18 @@ class ProblemSpec:
         if not all(map(math.isfinite, [self.objective_constant, *self.linear_objective.values()])):
             raise ValueError("objective constant and coefficients must be finite")
         n = len(self.variables)
-        for term in self.nonlinear_terms:
-            for j in term.var_ids:
+        for what, ids in (("term", [j for t in self.nonlinear_terms for j in t.var_ids]),
+                          ("row", [j for row in self.linear_constraints for j in row.coeffs]),
+                          ("objective", self.linear_objective)):
+            for j in ids:
                 if not 0 <= j < n:
-                    raise ValueError(f"term references unknown variable {j}")
+                    raise ValueError(f"{what} references unknown variable {j}")
+        for term in self.nonlinear_terms:
             if term.row is not None and not 0 <= term.row < len(self.linear_constraints):
                 raise ValueError(f"term references unknown row {term.row}")
         # an unlabelled term is named by its position, as errors report it
         self.nonlinear_terms = [term if term.label else replace(term, label=f"t{k}")
                                 for k, term in enumerate(self.nonlinear_terms)]
-        for row in self.linear_constraints:
-            for j in row.coeffs:
-                if not 0 <= j < n:
-                    raise ValueError(f"row references unknown variable {j}")
-        for j in self.linear_objective:
-            if not 0 <= j < n:
-                raise ValueError(f"objective references unknown variable {j}")
 
     @property
     def n_vars(self) -> int:
@@ -439,7 +435,6 @@ def load_problem(path: str) -> ProblemSpec:
 
     section = None
     variables: list[tuple[str, Interval, bool]] = []
-    seen: set[str] = set()
     objective_parts: list[tuple[str, int]] = []
     sense: Optional[str] = None
     constraints: list[tuple[str, int]] = []
@@ -462,14 +457,11 @@ def load_problem(path: str) -> ProblemSpec:
             if len(parts) not in (3, 4):
                 raise ProblemFormatError("expected: name lo hi [integer]", lineno)
             name = parts[0]
-            if name in seen:
+            if any(name == v[0] for v in variables):
                 raise ProblemFormatError(f"duplicate variable {name!r}", lineno)
-            seen.add(name)
-            integer = False
-            if len(parts) == 4:
-                if parts[3].lower() not in ("integer", "int"):
-                    raise ProblemFormatError(f"unexpected token {parts[3]!r}", lineno)
-                integer = True
+            integer = len(parts) == 4
+            if integer and parts[3].lower() not in ("integer", "int"):
+                raise ProblemFormatError(f"unexpected token {parts[3]!r}", lineno)
             try:
                 iv = Interval(float(parts[1]), float(parts[2]))
                 if integer:

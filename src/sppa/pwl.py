@@ -67,9 +67,12 @@ class Grid:
         axes = []
         for k, b in enumerate(breakpoints):
             try:
-                if b.__class__ is not tuple and isinstance(b, (str, bytes, bytearray)):
-                    raise ValueError  # its characters or bytes are no breakpoints
                 values = tuple(map(float, b))
+                # float() reads text, and a bytes-like axis as byte values: reject
+                # both; a tuple of floats, as axis_breakpoints returns, equals its values
+                if (b.__class__ is not tuple or values != b) and any(
+                        isinstance(x, (str, bytes, bytearray, memoryview)) for x in (b, *b)):
+                    raise ValueError
             except TypeError:  # a scalar, or a sequence of sequences
                 values = ()
             except ValueError:

@@ -768,6 +768,28 @@ def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
         assert per_iteration == [want] * len(trace)
 
 
+def test_vertex_solve_takes_a_rows_fn_that_returns_an_array():
+    # rows_fn may return any sequence of values: an array gives the trace of
+    # the same values as a list, under either sense, with or without a
+    # linear part
+    def spec(rows_fn, sense, lin):
+        return ProblemSpec([("x", Interval(-1.0, 2.0), False), ("y", Interval(0.0, 1.0), False)],
+                           lin, 0.0, [],
+                           [NonlinearTerm((0, 1), lambda v: float(v[0] ** 2 - v[0] * v[1]),
+                                          rows_fn=rows_fn)], sense=sense)
+
+    def rows(points):
+        return [x * x - x * y for x, y in points]
+
+    for sense in ("min", "max"):
+        for lin in ({}, {0: 0.5}):
+            want, got = (run(spec(fn, sense, lin), SppaConfig(3, 3, 0.5, 8)).trace
+                         for fn in (rows, lambda points: np.array(rows(points))))
+            assert all(rec.milp_stats["nodes"] == 0 for rec in got)
+            assert [(r.incumbent.tolist(), r.objective) for r in got] == [
+                (r.incumbent.tolist(), r.objective) for r in want]
+
+
 def test_runs_share_no_solver_state():
     # each run carries its root basis from iteration to iteration, and only
     # within itself: the runs in between (one of another shape, one of the

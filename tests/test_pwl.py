@@ -58,9 +58,11 @@ def test_build_grid_errors():
                         ([1.0, 0.0], "breakpoints must be strictly increasing")):
         with pytest.raises(ValueError, match=f"^dimension 1: {reason}$"):
             pwl.Grid([[0.0, 1.0], bad])
-    # a string's characters or a bytes object's byte values are no
-    # breakpoints, and an element float() cannot read is named with its axis
-    for bad in ("01", b"01", bytearray(b"01"), "0.5", ["0", "x"]):
+    # a string's characters or a bytes-like object's byte values are no
+    # breakpoints, nor is an element of text, even one float() can read; an
+    # element float() cannot read is named with its axis
+    for bad in ("01", b"01", bytearray(b"01"), memoryview(b"01"), "0.5", ["0", "x"],
+                ["0", "1"], ("0", "1"), (0.0, "1"), [b"0", b"1"], np.array(["0", "1"])):
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"dimension 1: breakpoints must be real numbers, got {bad!r}") + "$"):
             pwl.Grid([[0.0, 1.0], bad])
