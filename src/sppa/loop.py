@@ -12,7 +12,8 @@ point while the latest iterate is feasible (see ``run``).
 
 Each iteration builds one grid per lambda block, in ``_group_grid``, and
 one array of its vertices for ``mcmodel.encode_term``; the vertex solve
-takes a term's vertices as tuples of floats (``_vertex_rows``).  Each term
+checks a term's axes as ``Grid`` does, with no grid, and works on Python
+floats (``_vertex_rows``, ``_solve_at_vertices``).  Each term
 evaluates itself once at all those vertices (``NonlinearTerm.on``), or at
 one point when all its variables are fixed (``NonlinearTerm.at``).  The
 model is exact at a vertex, so the vertex solve's value is the exact objective.
@@ -36,7 +37,7 @@ import numpy as np
 
 from sppa import mcmodel, milp
 from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
-from sppa.pwl import Grid, Interval, axis_breakpoints
+from sppa.pwl import Grid, Interval, axis_breakpoints, check_axis
 
 __all__ = [
     "SppaConfig",
@@ -226,19 +227,20 @@ def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval],
     """The vertices of ``_group_grid``'s grid for ``term`` (with an active
     variable, of ``widths[k] > 0``) as its lead, row-major, each a tuple of
     Python floats in ``term.var_ids`` order, fixed variables at their values."""
-    axes = iter(Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                      for k in term.var_ids if widths[k] > 0.0]).breakpoints)
+    axes = map(check_axis, itertools.count(),
+               [axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                for k in term.var_ids if widths[k] > 0.0])
     return list(itertools.product(*[next(axes) if widths[k] > 0.0
                                     else (float(bounds[k].lo),) for k in term.var_ids]))
 
 
-def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> milp.MilpResult:
+def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> tuple:
     """The piecewise-linear optimum of a spec without rows whose terms share
-    no variable: per term, the first vertex of its own grid in row-major
-    order (``_vertex_rows``) with the best ``coef * f(v) + linear part``;
-    every other variable at the bound its objective coefficient favours (if
-    0, the bound nearest zero, lower on a tie, as the simplex).  Every
-    counter is 0; B&B reports nodes >= 1, so ``nodes`` 0 marks this path."""
+    no variable, as a list of Python floats and its objective, exact at a
+    vertex: per term, the first vertex of its own grid in row-major order
+    (``_vertex_rows``) with the best ``coef * f(v) + linear part``; every
+    other variable at the bound its objective coefficient favours (if 0,
+    the bound nearest zero, lower on a tie, as the simplex)."""
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
     widths = []  # shared by the fixed-term test, the vertex rows and the linear part
@@ -267,7 +269,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -
         term_values.append(values[best])
     # summed in the order of ProblemSpec.objective_value
     objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
-    return milp.MilpResult("optimal", np.array(z), objective, objective, 0.0)
+    return z, objective
 
 
 def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:
@@ -327,6 +329,8 @@ def run(
     sign = 1.0 if spec.sense == "min" else -1.0
     ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
     vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
+    # a vertex solve's stats read as a MILP's that solved without a node
+    vertex_stats = {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0}
     trace: list[IterationRecord] = []
     best_point = best_obj = best_rank = best_list = None
     stall_run = 0
@@ -343,29 +347,28 @@ def run(
         pieces = config.initial_n_pieces if it == 0 else config.n_pieces
         iter_start = time.perf_counter()
         if vertex_solvable:
-            res = _solve_at_vertices(spec, current, pieces)
+            z_list, true_obj = _solve_at_vertices(spec, current, pieces)
+            z = np.array(z_list)
+            surrogate, violation, stats = true_obj, 0.0, vertex_stats  # exact, no rows
         else:
             model = build_iteration_model(spec, current, pieces, models)
             res = milp.solve_milp(model, deadline, start)
             start = res.start
-
-        if res.x is None:  # the run ends under the solver's status
-            termination = res.status
-            break
-
-        z = res.x[: spec.n_vars].copy()
-        z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
-        true_obj, violation = ((res.objective, 0.0) if vertex_solvable  # exact, no rows
-                               else (spec.objective_value(z), spec.row_violation(z)))
+            if res.x is None:  # the run ends under the solver's status
+                termination = res.status
+                break
+            z = res.x[: spec.n_vars].copy()
+            z_list = z.tolist()  # on a few coordinates, Python floats beat numpy
+            true_obj, violation = spec.objective_value(z), spec.row_violation(z)
+            surrogate, stats = res.objective, {"status": res.status, **res.counters, "gap": res.gap}
         record = IterationRecord(
             iteration=it,
             incumbent=z,
             objective=true_obj,
-            surrogate_objective=res.objective,
+            surrogate_objective=surrogate,
             row_violation=violation,
             bounds=dict(zip(names, current)),
-            milp_stats={"status": res.status, **res.counters, "gap": res.gap,
-                        "seconds": time.perf_counter() - iter_start},
+            milp_stats={**stats, "seconds": time.perf_counter() - iter_start},
         )
         trace.append(record)
         if on_iteration is not None:

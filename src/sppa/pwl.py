@@ -10,9 +10,9 @@ vertices, so the global surface is continuous and exact at every grid
 vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
-A ``Grid`` holds each axis as a tuple of Python floats: ``loop`` takes the
-vertices of a row-free term's grid row-major from their product, and
-``Grid.points`` holds them in one array for the MILP encoding.
+A ``Grid`` holds each axis as a tuple of Python floats, and ``Grid.points``
+its vertices in one array for the MILP encoding; ``loop``'s vertex solve
+checks its axes as ``Grid`` does (``check_axis``), with no ``Grid``.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -28,7 +28,7 @@ import numpy as np
 
 from sppa.expr import _Frozen
 
-__all__ = ["Interval", "Grid", "axis_breakpoints"]
+__all__ = ["Interval", "Grid", "axis_breakpoints", "check_axis"]
 
 
 class Interval(_Frozen):
@@ -67,27 +67,19 @@ class Grid:
         axes = []
         for k, b in enumerate(breakpoints):
             try:
-                values = tuple(map(float, b))
+                items = tuple(b)  # read once: b may be an iterator
+                values = tuple(map(float, items))
                 # float() reads text, and a bytes-like axis as byte values: reject
                 # both; a tuple of floats, as axis_breakpoints returns, equals its values
                 if (b.__class__ is not tuple or values != b) and any(
-                        isinstance(x, (str, bytes, bytearray, memoryview)) for x in (b, *b)):
+                        isinstance(x, (str, bytes, bytearray, memoryview)) for x in (b, *items)):
                     raise ValueError
             except TypeError:  # a scalar, or a sequence of sequences
                 values = ()
             except ValueError:
                 raise ValueError(f"dimension {k}: breakpoints must be real numbers, "
                                  f"got {b!r}") from None
-            if len(values) < 2:
-                raise ValueError(f"dimension {k}: need at least two breakpoints")
-            # a strictly increasing axis holds no NaN, and an infinity only at
-            # an end; the full scan only chooses the error, non-finite first
-            if not (all(map(operator.lt, values, values[1:]))
-                    and math.isfinite(values[0]) and math.isfinite(values[-1])):
-                if not all(map(math.isfinite, values)):
-                    raise ValueError(f"dimension {k}: non-finite breakpoint")
-                raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
-            axes.append(values)
+            axes.append(check_axis(k, values))
         if not axes:
             raise ValueError("grid needs at least one dimension")
         self.breakpoints = tuple(axes)
@@ -100,6 +92,21 @@ class Grid:
         for k, b in enumerate(self.breakpoints):
             pts[..., k] = np.array(b).reshape((-1,) + (1,) * (self.dims - 1 - k))
         return pts
+
+
+def check_axis(k: int, values: tuple) -> tuple:
+    """Axis ``k``, a tuple of floats, returned once it has two breakpoints or
+    more, all finite and strictly increasing; else a ``ValueError`` naming it."""
+    if len(values) < 2:
+        raise ValueError(f"dimension {k}: need at least two breakpoints")
+    # a strictly increasing axis holds no NaN, and an infinity only at an
+    # end; the full scan only chooses the error, non-finite first
+    if not (all(map(operator.lt, values, values[1:]))
+            and math.isfinite(values[0]) and math.isfinite(values[-1])):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"dimension {k}: non-finite breakpoint")
+        raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
+    return values
 
 
 def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> tuple[float, ...]:

@@ -726,14 +726,10 @@ def test_build_makes_one_grid_per_lattice_set(monkeypatch):
 
 def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
     # per vertex-path iteration, each term with an active variable gets one
-    # row pass and one checked grid, a term of fixed variables one call at
-    # its point, and the exact objective is the solve's own value
-    counts = dict.fromkeys(("grid", "rows", "point", "objective"), 0)
-
-    class CountingGrid(loop.Grid):
-        def __init__(self, breakpoints):
-            super().__init__(breakpoints)
-            counts["grid"] += 1
+    # row pass and one axis check (Grid's, with no Grid) per active variable,
+    # here one; a term of fixed variables gets one call at its point, and the
+    # exact objective is the solve's own value
+    counts = dict.fromkeys(("axis", "rows", "point", "objective"), 0)
 
     def counted(key, fn):
         def wrapper(*args):
@@ -741,7 +737,7 @@ def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(loop, "Grid", CountingGrid)
+    monkeypatch.setattr(loop, "check_axis", counted("axis", pwl.check_axis))
     monkeypatch.setattr(ProblemSpec, "objective_value",
                         counted("objective", ProblemSpec.objective_value))
     # y is fixed, so x alone spans the first term's grid; w is fixed, so
@@ -764,8 +760,54 @@ def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
         trace = run(spec, config, on_iteration=snapshot).trace
         assert len(trace) > 3 and all(rec.milp_stats["nodes"] == 0 for rec in trace)
         active = len(spec.nonlinear_terms) - fixed
-        want = {"grid": active, "rows": active, "point": fixed, "objective": 0}
+        want = {"axis": active, "rows": active, "point": fixed, "objective": 0}
         assert per_iteration == [want] * len(trace)
+
+
+def test_vertex_records_read_as_a_milp_without_nodes():
+    # the vertex solve returns floats, not a MilpResult; each record still
+    # holds its own float array and the stats of a MILP that needed no node
+    result = run(builtin("rastrigin"), SppaConfig(6, 3, max_iters=5))
+    keys = ["status", *milp.COUNTERS, "gap", "seconds"]
+    for rec in result.trace:
+        assert list(rec.milp_stats) == keys
+        assert {k: rec.milp_stats[k] for k in keys[:-1]} == {
+            "status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0}
+        assert rec.milp_stats["gap"].__class__ is float
+        assert rec.incumbent.dtype == float and rec.incumbent.shape == (2,)
+        assert rec.objective == rec.surrogate_objective and rec.row_violation == 0.0
+    ids = {id(rec.incumbent) for rec in result.trace} | {id(result.best_point)}
+    assert len(result.trace) == 5 and len(ids) == 6
+
+
+def test_both_paths_check_each_grid_axis(monkeypatch):
+    # the vertex path builds no Grid, but its axes pass Grid's own check: a
+    # window too wide for float arithmetic has an infinite step on either
+    # path, and an axis is named by its place among the active ones
+    built = []
+    monkeypatch.setattr(loop, "build_iteration_model",
+                        lambda *args: built.append(args) or build_iteration_model(*args))
+    wide = Interval(-1e308, 1e308)
+    for boxes, text, rows, milp_path in (
+            ({"x": wide}, "x^2/1e300", (), False),
+            ({"x": Interval(0.5, 0.5), "y": wide}, "x*y", (), False),
+            ({"x": wide, "y": wide}, "x*y", [("x + y", "<=", 1.0)], True)):
+        spec = from_expressions([(v, iv, False) for v, iv in boxes.items()], text, rows)
+        built.clear()
+        with pytest.raises(ValueError, match="^dimension 0: non-finite breakpoint$"):
+            run(spec, SppaConfig(3, 3))
+        assert bool(built) == milp_path
+    # axes that axis_breakpoints never returns still meet the check
+    spec = from_expressions([("x", Interval(-1.0, 1.0), False)], "x^4")
+    built.clear()
+    for axis, reason in ((lambda iv, pieces, integer: (iv.lo, iv.lo, iv.hi),
+                          "breakpoints must be strictly increasing"),
+                         (lambda iv, pieces, integer: (iv.lo,),
+                          "need at least two breakpoints")):
+        monkeypatch.setattr(loop, "axis_breakpoints", axis)
+        with pytest.raises(ValueError, match=f"^dimension 0: {reason}$"):
+            run(spec, SppaConfig(3, 3))
+    assert not built
 
 
 def test_vertex_solve_takes_a_rows_fn_that_returns_an_array():

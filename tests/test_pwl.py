@@ -59,13 +59,16 @@ def test_build_grid_errors():
         with pytest.raises(ValueError, match=f"^dimension 1: {reason}$"):
             pwl.Grid([[0.0, 1.0], bad])
     # a string's characters or a bytes-like object's byte values are no
-    # breakpoints, nor is an element of text, even one float() can read; an
-    # element float() cannot read is named with its axis
+    # breakpoints, nor is an element of text, even one float() can read, in
+    # an axis read once (an iterator); an element float() cannot read is
+    # named with its axis
     for bad in ("01", b"01", bytearray(b"01"), memoryview(b"01"), "0.5", ["0", "x"],
-                ["0", "1"], ("0", "1"), (0.0, "1"), [b"0", b"1"], np.array(["0", "1"])):
+                ["0", "1"], ("0", "1"), (0.0, "1"), [b"0", b"1"], np.array(["0", "1"]),
+                iter(["0", "1"])):
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"dimension 1: breakpoints must be real numbers, got {bad!r}") + "$"):
             pwl.Grid([[0.0, 1.0], bad])
+    assert pwl.Grid([[0.0, 1.0], iter([0.0, 2.0])]).breakpoints == ((0.0, 1.0), (0.0, 2.0))
 
 
 def test_count_simplices():
