@@ -1,13 +1,15 @@
 #!/usr/bin/env python3
 """Print the size of a checkout's ``src/sppa``: lines and syntax-tree nodes.
 
-The line count is the sum of the lines of every ``src/sppa/*.py``; the
-node count is the number of nodes ``ast.walk`` visits in each module's
-tree, summed.  Lines alone can be held by packing code onto fewer of
-them, while the node count follows what the interpreter compiles.
+One line per module ``src/sppa/*.py`` and one for their total: its lines,
+and the number of nodes ``ast.walk`` visits in its tree.  Lines alone can
+be held by packing code onto fewer of them, while the node count follows
+what the interpreter compiles.  With ``--against OTHER``, each line also
+gives the change from the checkout ``OTHER``; a module that only one side
+has counts as 0 lines and 0 nodes on the other.
 
 Usage, from anywhere:
-    python3 scripts/src_size.py [CHECKOUT]
+    python3 scripts/src_size.py [CHECKOUT] [--against OTHER]
 
 ``CHECKOUT`` defaults to the checkout that holds this script.
 """
@@ -19,24 +21,37 @@ import pathlib
 _ROOT = pathlib.Path(__file__).resolve().parents[1]
 
 
-def src_size(checkout: pathlib.Path) -> tuple[int, int]:
-    """``(lines, nodes)`` of every ``src/sppa/*.py`` under ``checkout``."""
-    lines = nodes = 0
+def src_size(checkout: pathlib.Path) -> dict[str, tuple[int, int]]:
+    """``(lines, nodes)`` of every ``src/sppa/*.py`` under ``checkout`` by
+    file name, then of all of them under ``total``."""
+    sizes = {}
     for path in sorted((checkout / "src" / "sppa").glob("*.py")):
         text = path.read_text()
-        lines += len(text.splitlines())
-        nodes += sum(1 for _ in ast.walk(ast.parse(text, str(path))))
-    return lines, nodes
+        sizes[path.name] = (len(text.splitlines()),
+                            sum(1 for _ in ast.walk(ast.parse(text, str(path)))))
+    sizes["total"] = (sum(lines for lines, _ in sizes.values()),
+                      sum(nodes for _, nodes in sizes.values()))
+    return sizes
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("checkout", nargs="?", default=str(_ROOT), help="root of a checkout")
-    root = pathlib.Path(ap.parse_args(argv).checkout)
-    if not (root / "src" / "sppa").is_dir():
-        ap.error(f"{root} holds no src/sppa")
-    lines, nodes = src_size(root)
-    print(f"src/sppa: {lines} lines, {nodes} syntax-tree nodes")
+    ap.add_argument("--against", metavar="OTHER", help="root of a checkout to compare with")
+    args = ap.parse_args(argv)
+    roots = [pathlib.Path(root) for root in (args.checkout, args.against) if root is not None]
+    for root in roots:
+        if not (root / "src" / "sppa").is_dir():
+            ap.error(f"{root} holds no src/sppa")
+    sizes, *other = map(src_size, roots)
+    names = sorted((sizes.keys() | (other[0].keys() if other else set())) - {"total"})
+    for name in [*names, "total"]:
+        lines, nodes = sizes.get(name, (0, 0))
+        line = f"{name:<14}{lines:>7} lines{nodes:>8} nodes"
+        if other:
+            old_lines, old_nodes = other[0].get(name, (0, 0))
+            line += f"{lines - old_lines:>+8} lines{nodes - old_nodes:>+8} nodes"
+        print(line)
     return 0
 
 

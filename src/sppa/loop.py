@@ -2,26 +2,26 @@
 
 Each iteration approximates every nonlinear term on a fresh grid over the
 current variable boxes, solves the resulting MILP (or reads its optimum off
-the grid vertices when no row exists and no two terms share a variable),
-then shrinks the box of every variable that appears in a nonlinear term by
-``contract_frac`` (translated to stay inside the previous box), until the
-box reaches its floor (see ``run``).  Variables outside all nonlinear terms
-keep their bounds untouched.  Iterates are ranked by their exact objective
-and rows, never by the surrogate; the boxes are centred on the best-ranked
-point while the latest iterate is feasible (see ``run``).
+the grid vertices when no row exists and no variable lies in two lambda
+blocks), then shrinks the box of every variable that appears in a nonlinear
+term by ``contract_frac`` (translated to stay inside the previous box),
+until the box reaches its floor (see ``run``).  Variables outside all
+nonlinear terms keep their bounds untouched.  Iterates are ranked by their
+exact objective and rows, never by the surrogate; the boxes are centred on
+the best-ranked point while the latest iterate is feasible (see ``run``).
 
-Each iteration builds one grid per lambda block, in ``_group_grid``, and
-one array of its vertices for ``mcmodel.encode_term``; the vertex solve
-checks a term's axes as ``Grid`` does, with no grid, and works on Python
-floats (``_vertex_rows``, ``_solve_at_vertices``).  Each term
-evaluates itself once at all those vertices (``NonlinearTerm.on``), or at
-one point when all its variables are fixed (``NonlinearTerm.at``).  The
-model is exact at a vertex, so the vertex solve's value is the exact objective.
+Both paths read one stage per iteration (``_block_stage``): per lambda
+block, its grid's axes and vertices, as Python floats, and its terms'
+values there, each term evaluated once at all of them
+(``NonlinearTerm.on``), or at one point when all its variables are fixed
+(``NonlinearTerm.at``).  The MILP path encodes them; the vertex solve
+takes each block's best vertex, where the model is exact, so its value is
+the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call with its canonical form
-and refilled in place (``build_iteration_model``, which groups the terms
-once per run); each MILP root starts from the previous iteration's optimal
+and refilled in place (``build_iteration_model``, which lays out the
+blocks once per run); each MILP root starts from the previous iteration's optimal
 root basis (``MilpResult.start``).
 """
 
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from sppa import mcmodel, milp
-from sppa.problems import NonlinearTerm, ProblemSpec, group_leads
+from sppa.problems import ProblemSpec
 from sppa.pwl import Grid, Interval, axis_breakpoints, check_axis
 
 __all__ = [
@@ -55,6 +55,8 @@ _STALL_ITERS = 3
 # the floor of a continuous window (see run)
 _FLOOR_REL = 1e-8
 _FLOOR_SPACINGS = 8
+# a vertex solve's stats read as a MILP's that solved without a node
+_VERTEX_STATS = {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0}
 
 
 class SppaConfig:
@@ -131,81 +133,85 @@ def _contract_integer(interval: Interval, value: float, frac: float) -> Interval
     return Interval(math.floor(inner.lo), math.ceil(inner.hi))
 
 
-def _group_grid(spec: ProblemSpec, lead: NonlinearTerm, bounds: list[Interval], pieces: int):
-    """``(active, vertices, points)`` of the lambda block that ``lead``
-    leads: the lead's variables of positive width, their grid's vertex
-    coordinates (``pieces`` segments each, ``Grid.points``) and each
-    vertex's full point in ``lead.var_ids`` order, fixed variables at their
-    values (the same array when no variable is fixed); with no active
-    variable, no grid."""
-    active = [k for k in lead.var_ids if bounds[k].width > 0.0]
-    if not active:
-        return active, None, None
-    vertices = Grid([axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                     for k in active]).points()
-    if len(active) == len(lead.var_ids):
-        return active, vertices, vertices
-    # float: an int bound must not make the array integer and truncate the grid
-    points = np.full(vertices.shape[:-1] + (len(lead.var_ids),),
-                     [bounds[k].lo for k in lead.var_ids], dtype=float)
-    points[..., [lead.var_ids.index(k) for k in active]] = vertices
-    return active, vertices, points
+def _layout(spec: ProblemSpec, bounds: list[Interval]) -> tuple:
+    """``(blocks, constants)``, fixed for a run, as its windows never contract
+    to width 0: a block ``(ids, active, members)`` per group of
+    ``spec.groups`` with an active variable (of positive width), in the order
+    of its first such term, holding its leading term's variables, the active
+    ones and ``(place, row, cols)`` per term with an active variable,
+    ``cols`` the places of its variables in ``ids`` (None for ``ids``
+    itself); and the places of the terms of fixed variables."""
+    terms = spec.nonlinear_terms
+    blocks: dict = {}  # per group with an active variable, from its first such term
+    constants = []
+    for t, g in enumerate(spec.groups):
+        term, ids = terms[t], terms[g].var_ids
+        active = [k for k in ids if bounds[k].width > 0.0]
+        if set(term.var_ids).isdisjoint(active):
+            constants.append(t)
+        else:
+            blocks.setdefault(g, (ids, active, []))[2].append(
+                (t, term.row, None if term.var_ids == ids else [ids.index(k) for k in term.var_ids]))
+    return list(blocks.values()), constants
 
 
-def _constant(term: NonlinearTerm, bounds: list[Interval]) -> float:
-    """A term whose variables are all fixed, at their values."""
-    return term.at(np.array([bounds[k].lo for k in term.var_ids], dtype=float))
+def _block_stage(spec: ProblemSpec, layout: tuple, bounds: list[Interval], pieces: int):
+    """Per block of ``layout`` (``_layout``): the axes of its active variables
+    (``axis_breakpoints``, checked by ``check_axis`` as ``Grid`` checks them,
+    ``dimension k`` the k-th active one), its vertices, row-major tuples of
+    Python floats in ``ids`` order with fixed variables at their values, and
+    per target (None for the objective, else a row) its terms' values there,
+    summed in source order; and each term's values by its place, at its
+    block's vertices (``NonlinearTerm.on``) or, all its variables fixed, at
+    its point (``NonlinearTerm.at``), evaluated once for both solve paths."""
+    blocks, constants = layout
+    terms = spec.nonlinear_terms
+    values: list = [None] * len(terms)
+    for t in constants:
+        values[t] = terms[t].at(np.array([bounds[k].lo for k in terms[t].var_ids], dtype=float))
+    stage = []
+    for ids, active, members in blocks:
+        axes = [check_axis(i, axis_breakpoints(bounds[k], pieces, spec.variables[k][2]))
+                for i, k in enumerate(active)]
+        factors = axes
+        if len(active) < len(ids):  # with its fixed variables
+            axis = iter(axes)
+            factors = [next(axis) if k in active else (float(bounds[k].lo),) for k in ids]
+        vertices = list(itertools.product(*factors))
+        sums: dict = {}
+        for t, row, cols in members:
+            value = values[t] = terms[t].on(
+                vertices if cols is None else [[v[c] for c in cols] for v in vertices])
+            sums[row] = [a + b for a, b in zip(sums[row], value)] if row in sums else value
+        stage.append((axes, vertices, sums))
+    return stage, values
 
 
 def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int,
                           models: Optional[dict] = None) -> milp.LpProblem:
     """The MILP for one iteration.
 
-    Linear parts are copied verbatim; the nonlinear terms get one lambda
-    block (one weight per grid vertex, ``mcmodel.encode_term``) per group
-    of ``group_leads``, the rule ``problems`` groups summands by, on one
-    fresh grid (``_group_grid``) over the current boxes of its leading
-    term's active variables.  Each term is evaluated at every vertex of
-    its group's grid, and the values are summed in source order per
-    target, the objective or a row.  Fixed variables are substituted as
-    constants; a term whose variables are all fixed is a constant.
-    ``models``, which belongs to one ``spec``, holds under the key None
-    each term's group and the columns of its variables among its lead's
-    (None for the lead's own order), the same at every iteration, and maps
-    each shape (each block's active variables, vertex counts and targets)
-    built so far to its model and blocks; every call fills the model of
-    its shape in place.
+    Linear parts are copied verbatim; each block of ``_block_stage`` gets a
+    lambda block (one weight per vertex of ``Grid(axes)``) carrying its
+    summed values per target (``mcmodel.encode_term``), and each constant
+    term its value.  ``models``, which belongs to one ``spec`` and to
+    windows that keep their fixed variables, holds the ``_layout`` under
+    the key None and each shape (each block's vertex counts) built so far
+    with its model and blocks; every call fills the model of its shape in
+    place.
     """
-    terms = spec.nonlinear_terms
     models = {} if models is None else models
     if None not in models:
-        leads = group_leads([term.var_ids for term in terms])
-        models[None] = leads, [None if term.var_ids == terms[g].var_ids
-                               else [terms[g].var_ids.index(k) for k in term.var_ids]
-                               for term, g in zip(terms, leads)]
-    leads, cols = models[None]
-    grids = {g: _group_grid(spec, terms[g], bounds, pieces) for g in dict.fromkeys(leads)}
-    blocks_at: dict = {}  # leading term -> {spec row or None: values on its grid}
-    row_shift = [0.0] * len(spec.linear_constraints)
-    const_extra = 0.0
-    for term, g, c in zip(terms, leads, cols):
-        if any(bounds[k].width > 0.0 for k in term.var_ids):
-            points = grids[g][2].reshape(-1, len(terms[g].var_ids))
-            value = term.on((points if c is None else points[:, c]).tolist())
-            targets = blocks_at.setdefault(g, {})
-            targets[term.row] = ([a + b for a, b in zip(targets[term.row], value)]
-                                 if term.row in targets else value)
-        elif term.row is None:
-            const_extra += _constant(term, bounds)
-        else:
-            row_shift[term.row] += _constant(term, bounds)
-    shape = tuple((tuple(grids[g][0]), grids[g][2].shape[:-1], tuple(targets))
-                  for g, targets in blocks_at.items())
+        models[None] = _layout(spec, bounds)
+    layout = models[None]
+    stage, values = _block_stage(spec, layout, bounds, pieces)
+    shape = tuple(tuple(map(len, axes)) for axes, _, _ in stage)
     if shape not in models:
         model = milp.LpProblem()
         for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
             model.add_var(0.0, 0.0, integer=is_int)
-        blocks = [mcmodel.add_term(model, active, lattice) for active, lattice, _ in shape]
+        blocks = [mcmodel.add_term(model, active, lattice)
+                  for (_, active, _), lattice in zip(layout[0], shape)]
         for row in spec.linear_constraints:  # after every block's rows
             model.add_row(row.coeffs, row.sense, 0.0)
         model.set_objective(spec.linear_objective, sense=spec.sense)
@@ -214,62 +220,50 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     model.lb[:spec.n_vars] = [iv.lo for iv in bounds]
     model.ub[:spec.n_vars] = [iv.hi for iv in bounds]
     first_row = len(model.senses) - len(spec.linear_constraints)
-    for (g, targets), block in zip(blocks_at.items(), blocks):
-        mcmodel.encode_term(model, block, grids[g][1], {
-            None if row is None else first_row + row: np.array(v) for row, v in targets.items()})
-    model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, row_shift)]
-    model.obj_constant = spec.objective_constant + const_extra
+    for (axes, _, sums), block in zip(stage, blocks):
+        mcmodel.encode_term(model, block, Grid(axes).points(), {
+            None if row is None else first_row + row: np.array(s) for row, s in sums.items()})
+    shift = [0.0] * (len(spec.linear_constraints) + 1)  # the constants per row, then objective
+    for t in layout[1]:
+        row = spec.nonlinear_terms[t].row
+        shift[-1 if row is None else row] += values[t]
+    model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, shift)]
+    model.obj_constant = spec.objective_constant + shift[-1]
     return model
 
 
-def _vertex_rows(spec: ProblemSpec, term: NonlinearTerm, bounds: list[Interval], pieces: int,
-                 widths: list[float]):
-    """The vertices of ``_group_grid``'s grid for ``term`` (with an active
-    variable, of ``widths[k] > 0``) as its lead, row-major, each a tuple of
-    Python floats in ``term.var_ids`` order, fixed variables at their values."""
-    axes = map(check_axis, itertools.count(),
-               [axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                for k in term.var_ids if widths[k] > 0.0])
-    return list(itertools.product(*[next(axes) if widths[k] > 0.0
-                                    else (float(bounds[k].lo),) for k in term.var_ids]))
-
-
-def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int) -> tuple:
-    """The piecewise-linear optimum of a spec without rows whose terms share
-    no variable, as a list of Python floats and its objective, exact at a
-    vertex: per term, the first vertex of its own grid in row-major order
-    (``_vertex_rows``) with the best ``coef * f(v) + linear part``; every
-    other variable at the bound its objective coefficient favours (if 0,
-    the bound nearest zero, lower on a tie, as the simplex)."""
+def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
+                       layout: Optional[tuple] = None) -> tuple:
+    """The piecewise-linear optimum of a spec without rows whose blocks
+    (``_layout``'s, made if None) share no variable, as a list of Python
+    floats and its objective, exact at a vertex: per block of
+    ``_block_stage``, its first vertex row-major with the best sum of its
+    terms' values and its linear part; every other variable at the bound
+    its objective coefficient favours (if 0, the bound nearest zero, lower
+    on a tie, as the simplex)."""
+    layout = _layout(spec, bounds) if layout is None else layout
+    stage, values = _block_stage(spec, layout, bounds, pieces)
     sign = 1.0 if spec.sense == "min" else -1.0
     lin = spec.linear_objective
-    widths = []  # shared by the fixed-term test, the vertex rows and the linear part
     z = []
     for j, iv in enumerate(bounds):
         c = sign * lin.get(j, 0.0)
-        widths.append(iv.width)
         z.append(float(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi))
-    term_values = []
-    for term in spec.nonlinear_terms:
-        if not any(widths[k] > 0.0 for k in term.var_ids):
-            term_values.append(_constant(term, bounds))
-            continue
-        rows = _vertex_rows(spec, term, bounds, pieces, widths)
-        values = term.on(rows)
+    for (ids, active, members), (_, vertices, sums) in zip(layout[0], stage):
         # the linear part summed left to right from 0, as Python's sum; a
         # zero coefficient would add only a signed zero, which moves no minimum
         linear = None
-        for i, k in enumerate(term.var_ids):
-            if widths[k] > 0.0 and lin.get(k, 0.0) != 0.0:
-                linear = [s + lin[k] * row[i] for s, row in zip(linear or [0] * len(rows), rows)]
-        keys = values if linear is None else [v + s for v, s in zip(values, linear)]
+        for i, k in enumerate(ids):
+            if k in active and lin.get(k, 0.0) != 0.0:
+                linear = [s + lin[k] * v[i] for s, v in zip(linear or [0] * len(vertices), vertices)]
+        keys = sums[None] if linear is None else [v + s for v, s in zip(sums[None], linear)]
         best = keys.index(min(keys) if sign > 0.0 else max(keys))  # the first best, row-major
-        for k, x in zip(term.var_ids, rows[best]):
+        for k, x in zip(ids, vertices[best]):
             z[k] = x
-        term_values.append(values[best])
+        for t, _, _ in members:
+            values[t] = values[t][best]
     # summed in the order of ProblemSpec.objective_value
-    objective = sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
-    return z, objective
+    return z, sum(values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
 
 
 def _floor(iv: Interval, rel_floor: float, pieces: int) -> float:
@@ -327,17 +321,15 @@ def run(
     names = spec.var_names()
 
     sign = 1.0 if spec.sense == "min" else -1.0
-    ids = [k for term in spec.nonlinear_terms for k in term.var_ids]
+    models: dict = {None: _layout(spec, current)}  # each model shape met so far, refilled in place
+    ids = [k for _, active, _ in models[None][0] for k in active]
     vertex_solvable = not spec.linear_constraints and len(ids) == len(set(ids))
-    # a vertex solve's stats read as a MILP's that solved without a node
-    vertex_stats = {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0}
     trace: list[IterationRecord] = []
     best_point = best_obj = best_rank = best_list = None
     stall_run = 0
     prev_obj = None
     prev_z = None
     start = None  # the previous MILP's optimal root basis
-    models: dict = {}  # each model shape met so far, refilled in place
     termination = "max_iters"
 
     for it in range(config.max_iters):
@@ -347,9 +339,9 @@ def run(
         pieces = config.initial_n_pieces if it == 0 else config.n_pieces
         iter_start = time.perf_counter()
         if vertex_solvable:
-            z_list, true_obj = _solve_at_vertices(spec, current, pieces)
+            z_list, true_obj = _solve_at_vertices(spec, current, pieces, models[None])
             z = np.array(z_list)
-            surrogate, violation, stats = true_obj, 0.0, vertex_stats  # exact, no rows
+            surrogate, violation, stats = true_obj, 0.0, _VERTEX_STATS  # exact, no rows
         else:
             model = build_iteration_model(spec, current, pieces, models)
             res = milp.solve_milp(model, deadline, start)

@@ -68,33 +68,35 @@ class NonlinearTerm:
 
     def at(self, point: np.ndarray, where: str = "point") -> float:
         """``coef * fn`` at ``point``, the values of ``var_ids``; an
-        ``ArithmeticError`` or a non-finite ``fn`` raises a ``ValueError``
-        that names the label, ``where`` and the point and carries the point
-        as its ``point`` attribute."""
+        ``ArithmeticError`` or a non-finite value (times ``coef``) raises a
+        ``ValueError`` that names the label, ``where`` and the point and
+        carries the point as its ``point`` attribute."""
         try:
-            val = float(self.fn(point))
+            val = self.coef * float(self.fn(point))
             if not math.isfinite(val):
                 raise ArithmeticError(f"value {val} is not finite")
         except ArithmeticError as exc:
             error = ValueError(f"term '{self.label}' failed at {where} {point.tolist()}: {exc}")
             error.point = point.tolist()
             raise error from exc
-        return self.coef * val
+        return val
 
     def on(self, rows: Sequence[Sequence[float]], where: str = "grid vertex") -> list[float]:
         """``coef * fn`` at every row of ``rows``, each the Python float
         values of ``var_ids``: in one call to ``rows_fn`` if set, else, or
-        if that pass raises or its values' sum is not finite, by ``at`` on
-        each row in order, so that the first failing row raises, named
-        as ``where``."""
+        if that pass raises or the sum of its values times ``coef`` is not
+        finite, by ``at`` on each row in order, so that the first failing
+        row raises, named as ``where``."""
         if self.rows_fn is not None:
             try:
                 values = self.rows_fn(rows)
             except (ValueError, ArithmeticError):  # a zero divisor or a math error
-                values = None
-            # non-finite where a value is, or on a rare overflow, which the loop evaluates
-            if values is not None and math.isfinite(sum(values)):
-                return list(values) if self.coef == 1.0 else [self.coef * v for v in values]
+                pass
+            else:
+                values = list(values) if self.coef == 1.0 else [self.coef * v for v in values]
+                # non-finite where a value is, or on a rare overflow, which the loop evaluates
+                if math.isfinite(sum(values)):
+                    return values
         return [self.at(np.array(p, dtype=float), where) for p in rows]
 
 
@@ -135,12 +137,15 @@ class ProblemSpec:
             for j in ids:
                 if not 0 <= j < n:
                     raise ValueError(f"{what} references unknown variable {j}")
-        for term in self.nonlinear_terms:
-            if term.row is not None and not 0 <= term.row < len(self.linear_constraints):
-                raise ValueError(f"term references unknown row {term.row}")
         # an unlabelled term is named by its position, as errors report it
         self.nonlinear_terms = [term if term.label else replace(term, label=f"t{k}")
                                 for k, term in enumerate(self.nonlinear_terms)]
+        for term in self.nonlinear_terms:
+            if term.row is not None and not 0 <= term.row < len(self.linear_constraints):
+                raise ValueError(f"term references unknown row {term.row}")
+            if not math.isfinite(term.coef):
+                raise ValueError(f"term '{term.label}' has a non-finite coefficient {term.coef}")
+        self.groups = group_leads([term.var_ids for term in self.nonlinear_terms])  # per term
 
     @property
     def n_vars(self) -> int:

@@ -11,8 +11,8 @@ vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
 as the geometric reference.
 A ``Grid`` holds each axis as a tuple of Python floats, and ``Grid.points``
-its vertices in one array for the MILP encoding; ``loop``'s vertex solve
-checks its axes as ``Grid`` does (``check_axis``), with no ``Grid``.
+its vertices in one array for the MILP encoding; ``loop``'s block stage
+checks its axes as ``Grid`` does (``check_axis``), without a ``Grid``.
 
 Everything here is immutable after construction and safe to share across
 threads.

@@ -1344,7 +1344,10 @@ def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
     It has 1-3 terms on disjoint supports of 1-3 variables, one or two
     variables outside every term, one zero-width variable, integer variables
     (declared with fractional bounds, which the spec rounds inward) and
-    linear objective coefficients on term and non-term variables.
+    linear objective coefficients on term and non-term variables.  Terms
+    nest in them: on a random subset of a term's variables, in a random
+    order, with its own ``coef``, and on the zero-width variable alone (in
+    its term's block, or a constant when it lies outside every term).
     """
     sizes = [int(rng.integers(1, 4)) for _ in range(int(rng.integers(1, 4)))]
     n = sum(sizes) + int(rng.integers(1, 3))
@@ -1367,6 +1370,14 @@ def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
                                    lambda v, shape=shape, a=a: shape(v, a),
                                    coef=float(rng.choice([-2.0, 0.5, 1.0]))))
         start += size
+    for _ in range(int(rng.integers(1, 3))):
+        ids = terms[int(rng.integers(0, len(terms)))].var_ids
+        sub = tuple(int(k) for k in rng.permutation(ids)[:int(rng.integers(1, len(ids) + 1))])
+        shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=len(sub))
+        terms.append(NonlinearTerm(sub, lambda v, shape=shape, a=a: shape(v, a),
+                                   coef=float(rng.choice([-1.5, 0.25, 3.0]))))
+    terms.insert(int(rng.integers(0, len(terms) + 1)),
+                 NonlinearTerm((fixed,), lambda v: float(np.cos(v[0])), coef=0.5))
     linear = {j: float(rng.uniform(-1.0, 1.0)) for j in range(n) if rng.random() < 0.6}
     sense = "max" if rng.random() < 0.5 else "min"
     spec = ProblemSpec(variables, linear, float(rng.uniform(-1.0, 1.0)), [], terms, sense=sense)
@@ -1375,31 +1386,48 @@ def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
 
 def _scalar_vertex_optimum(spec: ProblemSpec, pieces: int) -> tuple[list[float], float]:
     """The vertex shortcut's point and surrogate on the declared bounds, by
-    the scalar rule: per term, walk the grid vertices row-major, call the
-    term on each full point and keep the first vertex of least key
-    ``sign * (coef * v + sum(c * x))`` over its active variables; every
-    other variable at the bound its cost favours (the nearest zero if 0)."""
+    the scalar rule: per block, the terms of one ``group_leads`` group,
+    walk the grid vertices of its leading term's active variables
+    row-major, call each member term on its variables of the full point and
+    keep the first vertex of least key ``sign * (s + sum(c * x))``, ``s``
+    the members' ``coef * v`` summed in source order, over its active
+    variables; every other variable at the bound its cost favours (the
+    nearest zero if 0).  The surrogate adds each term's value at its
+    block's vertex, in source order (a block without an active variable
+    has its one point)."""
     sign = 1.0 if spec.sense == "min" else -1.0
-    lin, bounds = spec.linear_objective, spec.bounds()
+    lin, bounds, terms = spec.linear_objective, spec.bounds(), spec.nonlinear_terms
     z = []
     for j, iv in enumerate(bounds):
         c = sign * lin.get(j, 0.0)
         z.append(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi)
-    term_values = []
-    for term in spec.nonlinear_terms:
-        active = [k for k in term.var_ids if bounds[k].width > 0.0]
+    leads = group_leads([term.var_ids for term in terms])
+    term_values = [0.0] * len(terms)
+    for g in dict.fromkeys(leads):
+        members = [t for t, lead in enumerate(leads) if lead == g]
+        ids = terms[g].var_ids
+        active = [k for k in ids if bounds[k].width > 0.0]
         axes = [pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
         candidates = []
         for coords in itertools.product(*axes):
-            full = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
-            full[[term.var_ids.index(k) for k in active]] = coords
-            candidates.append((coords, float(term.fn(full))))
+            full = dict(zip(ids, (bounds[k].lo for k in ids)))
+            full.update(zip(active, coords))
+            values = [terms[t].coef * float(terms[t].fn(
+                np.array([full[k] for k in terms[t].var_ids], dtype=float))) for t in members]
+            candidates.append((coords, values))
         costs = [lin.get(k, 0.0) for k in active]
-        coords, v = min(candidates, key=lambda cv: sign * (term.coef * cv[1] + sum(
-            c * x for c, x in zip(costs, cv[0]))))
+
+        def key(cv):
+            total = cv[1][0]
+            for v in cv[1][1:]:
+                total = total + v
+            return sign * (total + sum(c * x for c, x in zip(costs, cv[0])))
+
+        coords, values = min(candidates, key=key)
         for k, x in zip(active, coords):
             z[k] = float(x)
-        term_values.append(term.coef * v)
+        for t, v in zip(members, values):
+            term_values[t] = v
     return z, sum(term_values, spec.objective_constant + sum(c * z[j] for j, c in lin.items()))
 
 
@@ -1429,7 +1457,13 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
                        {0: 0.1, 1: 0.2, 2: 0.3}, 0.0, [],
                        [NonlinearTerm((0, 1, 2), lambda v: 0.0 if v.any() else 0.6)], sense="max")
     assert _scalar_vertex_optimum(near, 1)[0] == [1.0, 1.0, 1.0]
-    for spec, pieces in [_row_free_spec(rng) for _ in range(n_specs)] + [(ties, 2), (near, 1)]:
+    # and terms that nest in one block, one of them in another order
+    nested = ProblemSpec([(v, pwl.Interval(-1.0, 1.0), False) for v in "xy"], {0: 0.25}, 0.0, [],
+                         [NonlinearTerm((1,), lambda v: float(v[0] ** 2), coef=-0.5),
+                          NonlinearTerm((0, 1), lambda v: float((v[0] - v[1] - 0.5) ** 2)),
+                          NonlinearTerm((1, 0), lambda v: float(v[0] * v[1] ** 3))])
+    specs = [_row_free_spec(rng) for _ in range(n_specs)] + [(ties, 2), (near, 1), (nested, 3)]
+    for spec, pieces in specs:
         terms, sense = spec.nonlinear_terms, spec.sense
         n_max += sense == "max"
         trace = loop.run(spec, loop.SppaConfig(pieces, pieces, 0.5, max_iters=4)).trace
@@ -1485,12 +1519,12 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
         assert float(rec.surrogate_objective).hex() == float(surrogate).hex(), (
             rec.surrogate_objective, surrogate)
 
-    # terms sharing a variable still go through the MILP
+    # blocks sharing a variable, which nest in no one block, still go
+    # through the MILP
     shared = ProblemSpec(
-        [("x", pwl.Interval(-1.0, 1.0), False), ("y", pwl.Interval(-1.0, 1.0), False)],
-        {}, 0.0, [],
-        [NonlinearTerm((0,), lambda v: float(v[0] ** 2)),
-         NonlinearTerm((0, 1), lambda v: float((v[0] - v[1] - 0.5) ** 2))],
+        [(v, pwl.Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
+        [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1])),
+         NonlinearTerm((1, 2), lambda v: float((v[0] - v[1] - 0.5) ** 2))],
     )
     calls = []
     original = milp.solve_milp

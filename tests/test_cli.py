@@ -365,6 +365,36 @@ def test_table_small_budget(tmp_path, capsys):
         f"{name}.json" for name in builtin_names())
 
 
+def test_src_size_counts_modules_and_compares_checkouts(tmp_path, capsys):
+    # per module and in total, lines and ast.walk nodes; --against prints
+    # each change, a module that one side lacks counting as 0 and 0 there
+    def checkout(name, modules):
+        for module, text in modules.items():
+            path = tmp_path / name / "src" / "sppa" / module
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(text)
+        return str(tmp_path / name)
+
+    # x = 1: Module, Assign, Name, Store, Constant; a def adds arguments and
+    # Return; a line with a comment adds no node
+    new = checkout("new", {"a.py": "x = 1\n", "b.py": "# f\ndef f():\n    return 2\n"})
+    old = checkout("old", {"a.py": "x = 1\ny = 2\nz = 3\n", "c.py": "x = 1\n"})
+    script = _script("src_size")
+    assert script.main([new]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["a.py", "1", "lines", "5", "nodes"], ["b.py", "3", "lines", "5", "nodes"],
+        ["total", "4", "lines", "10", "nodes"]]
+    assert script.main([new, "--against", old]) == 0
+    assert [line.split() for line in capsys.readouterr().out.splitlines()] == [
+        ["a.py", "1", "lines", "5", "nodes", "-2", "lines", "-8", "nodes"],
+        ["b.py", "3", "lines", "5", "nodes", "+3", "lines", "+5", "nodes"],
+        ["c.py", "0", "lines", "0", "nodes", "-1", "lines", "-5", "nodes"],
+        ["total", "4", "lines", "10", "nodes", "+0", "lines", "-8", "nodes"]]
+    with pytest.raises(SystemExit):
+        script.main([new, "--against", str(tmp_path)])
+    assert "holds no src/sppa" in capsys.readouterr().err
+
+
 def test_bench_pairs_summary_applies_the_gain_rule():
     # canned bench/run.py result lines for ten pairs, parent then change:
     # wall_s is lower in 9 of 10 pairs by more than the parent's quartile

@@ -208,6 +208,31 @@ def test_evaluator_failure_reports_vertex():
         assert str(exc.value).startswith("term 'g0' failed at grid vertex [-1.0, 0.5]: ")
 
 
+def test_term_coefficients_must_be_finite():
+    # a non-finite coef is rejected with the spec, under the term's label;
+    # a finite one whose product with a value overflows fails the term at
+    # the first vertex, on either path, through at and through a rows_fn
+    def spec(coef, with_row, rows_fn=None):
+        rows = [milp.LinearConstraint({0: 1.0, 1: 1.0}, "<=", 2.0)] if with_row else []
+        return ProblemSpec([("x", Interval(-1.0, 2.0), False), ("y", Interval(0.0, 1.0), False)],
+                           {1: 1.0}, 0.0, rows,
+                           [NonlinearTerm((0,), lambda v: float(v[0] ** 2 + 2.0), coef=coef,
+                                          rows_fn=rows_fn)])
+
+    for coef in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=r"^term 't0' has a non-finite coefficient"):
+            spec(coef, False)
+    def squares(rows):
+        return [x * x + 2.0 for x, in rows]
+
+    for with_row in (False, True):
+        for rows_fn in (None, squares):
+            with pytest.raises(ValueError, match=re.escape(
+                    "term 't0' failed at grid vertex [-1.0]: value inf is not finite")):
+                run(spec(1e308, with_row, rows_fn), SppaConfig(3, 3))
+            assert run(spec(1e300, with_row, rows_fn), SppaConfig(3, 3)).best_point is not None
+
+
 @pytest.mark.parametrize("text, message", [
     # no grid coordinate is 0, so x/0 is +-inf, and 1/inf a finite 0
     ("1/(x/0) + x*y", "[-1.5, -1.5]: division by zero in 'x/0.0'"),
@@ -232,10 +257,10 @@ def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_vertex_rows_are_the_milp_grid_points(data):
-    # one grid, two consumers: the vertex solve's rows are the vertex array
-    # the MILP path encodes, row-major, bit for bit, in the term's own
-    # variable order, with fixed variables, integer axes and continuous
-    # bounds given as Python ints
+    # one block stage, two consumers: its vertex rows are the vertices of
+    # the grid the MILP path encodes (Grid(axes).points()), row-major, bit
+    # for bit, in the term's own variable order, with fixed variables at
+    # their values, integer axes and continuous bounds given as Python ints
     d = data.draw(st.integers(1, 3))
     variables = []
     for k in range(d):
@@ -250,10 +275,15 @@ def test_vertex_rows_are_the_milp_grid_points(data):
     pieces = data.draw(st.integers(1, 8))
     spec = ProblemSpec(variables, {}, 0.0, [], [NonlinearTerm(ids, lambda v: 0.0)])
     bounds = spec.bounds()
-    assume(any(bounds[k].width > 0.0 for k in ids))
-    term = spec.nonlinear_terms[0]
-    rows = loop._vertex_rows(spec, term, bounds, pieces, [iv.width for iv in bounds])
-    points = loop._group_grid(spec, term, bounds, pieces)[2].reshape(-1, d)
+    active = [k for k in ids if bounds[k].width > 0.0]
+    assume(active)
+    [(axes, rows, _)], _ = loop._block_stage(spec, loop._layout(spec, bounds), bounds, pieces)
+    grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+                     for k in active])
+    assert axes == list(grid.breakpoints)
+    # float: an int bound must not make the array integer and truncate the grid
+    points = np.full((len(rows), d), [bounds[k].lo for k in ids], dtype=float)
+    points[:, [ids.index(k) for k in active]] = grid.points().reshape(-1, len(active))
     assert all(type(x) is float for row in rows for x in row)
     assert [list(row) for row in rows] == points.tolist()
     assert np.array(rows).tobytes() == points.tobytes()  # the sign of zero too
