@@ -39,17 +39,16 @@ def main(argv=None) -> int:
     ap.add_argument("checkout", nargs="?", default=str(_ROOT), help="root of a checkout")
     ap.add_argument("--against", metavar="OTHER", help="root of a checkout to compare with")
     args = ap.parse_args(argv)
-    roots = [pathlib.Path(root) for root in (args.checkout, args.against) if root is not None]
-    for root in roots:
-        if not (root / "src" / "sppa").is_dir():
+    for root in filter(None, (args.checkout, args.against)):
+        if not (pathlib.Path(root) / "src" / "sppa").is_dir():
             ap.error(f"{root} holds no src/sppa")
-    sizes, *other = map(src_size, roots)
-    names = sorted((sizes.keys() | (other[0].keys() if other else set())) - {"total"})
-    for name in [*names, "total"]:
+    sizes = src_size(pathlib.Path(args.checkout))
+    base = src_size(pathlib.Path(args.against)) if args.against else None
+    for name in [*sorted((sizes.keys() | (base or {}).keys()) - {"total"}), "total"]:
         lines, nodes = sizes.get(name, (0, 0))
         line = f"{name:<14}{lines:>7} lines{nodes:>8} nodes"
-        if other:
-            old_lines, old_nodes = other[0].get(name, (0, 0))
+        if base is not None:
+            old_lines, old_nodes = base.get(name, (0, 0))
             line += f"{lines - old_lines:>+8} lines{nodes - old_nodes:>+8} nodes"
         print(line)
     return 0
