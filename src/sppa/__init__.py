@@ -9,7 +9,7 @@ geometrically about each incumbent until convergence.
 from sppa.loop import SppaConfig, SppaResult, contract_bounds, run
 from sppa.milp import LpProblem, solve_milp
 from sppa.problems import ProblemSpec, NonlinearTerm, builtin, load_problem
-from sppa.pwl import Grid, Interval
+from sppa.pwl import Interval
 
 __version__ = "0.1.0"
 
@@ -24,6 +24,5 @@ __all__ = [
     "NonlinearTerm",
     "builtin",
     "load_problem",
-    "Grid",
     "Interval",
 ]

@@ -14,15 +14,17 @@ Both paths read one stage per iteration (``_block_stage``): per lambda
 block, its grid's axes and vertices, as Python floats, and its terms'
 values there, each term evaluated once at all of them
 (``NonlinearTerm.on``), or at one point when all its variables are fixed
-(``NonlinearTerm.at``).  The MILP path encodes them; the vertex solve
-takes each block's best vertex, where the model is exact, so its value is
-the exact objective.
+(``NonlinearTerm.at``).  The MILP path encodes them, vertices included;
+the vertex solve takes each block's best vertex, where the model is
+exact, so its value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
-same order, one shape, built once per ``run`` call with its canonical form
-and refilled in place (``build_iteration_model``, which lays out the
-blocks once per run); each MILP root starts from the previous iteration's optimal
-root basis (``MilpResult.start``).
+same order, one shape, built once per ``run`` call in one pass, each
+array made at its final size and each block's columns and rows written by
+slices, and refilled in place with its canonical form
+(``build_iteration_model``, which lays out the blocks once per run); each
+MILP root starts from the previous iteration's optimal root basis
+(``MilpResult.start``).
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ import numpy as np
 
 from sppa import mcmodel, milp
 from sppa.problems import ProblemSpec
-from sppa.pwl import Grid, Interval, axis_breakpoints, check_axis
+from sppa.pwl import Interval, axis_breakpoints, check_axis
 
 __all__ = [
     "SppaConfig",
@@ -157,10 +159,10 @@ def _layout(spec: ProblemSpec, bounds: list[Interval]) -> tuple:
 
 def _block_stage(spec: ProblemSpec, layout: tuple, bounds: list[Interval], pieces: int):
     """Per block of ``layout`` (``_layout``): the axes of its active variables
-    (``axis_breakpoints``, checked by ``check_axis`` as ``Grid`` checks them,
-    ``dimension k`` the k-th active one), its vertices, row-major tuples of
-    Python floats in ``ids`` order with fixed variables at their values, and
-    per target (None for the objective, else a row) its terms' values there,
+    (``axis_breakpoints``, checked by ``check_axis``, ``dimension k`` the
+    k-th active one), its vertices, row-major tuples of Python floats in
+    ``ids`` order with fixed variables at their values, and per target
+    (None for the objective, else a row) its terms' values there,
     summed in source order; and each term's values by its place, at its
     block's vertices (``NonlinearTerm.on``) or, all its variables fixed, at
     its point (``NonlinearTerm.at``), evaluated once for both solve paths."""
@@ -192,13 +194,15 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     """The MILP for one iteration.
 
     Linear parts are copied verbatim; each block of ``_block_stage`` gets a
-    lambda block (one weight per vertex of ``Grid(axes)``) carrying its
-    summed values per target (``mcmodel.encode_term``), and each constant
-    term its value.  ``models``, which belongs to one ``spec`` and to
-    windows that keep their fixed variables, holds the ``_layout`` under
-    the key None and each shape (each block's vertex counts) built so far
-    with its model and blocks; every call fills the model of its shape in
-    place.
+    lambda block (one weight per vertex of its grid) carrying its summed
+    values per target (``mcmodel.encode_term``, on the block's vertices),
+    and each constant term its value.  A new shape is made in one pass:
+    every array at its final size, then by slices each block's weights,
+    linking rows and lattice set row, and the linear rows after them.
+    ``models``, which belongs to one ``spec`` and to windows that keep
+    their fixed variables, holds the ``_layout`` under the key None and
+    each shape (each block's vertex counts) built so far with its model and
+    blocks; every call fills the model of its shape in place.
     """
     models = {} if models is None else models
     if None not in models:
@@ -206,23 +210,33 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     layout = models[None]
     stage, values = _block_stage(spec, layout, bounds, pieces)
     shape = tuple(tuple(map(len, axes)) for axes, _, _ in stage)
+    first_row = len(shape) + sum(len(active) for _, active, _ in layout[0])  # the blocks' rows
     if shape not in models:
-        model = milp.LpProblem()
-        for _name, _iv, is_int in spec.variables:  # columns 0..n-1, then the weights
-            model.add_var(0.0, 0.0, integer=is_int)
-        blocks = [mcmodel.add_term(model, active, lattice)
-                  for (_, active, _), lattice in zip(layout[0], shape)]
-        for row in spec.linear_constraints:  # after every block's rows
-            model.add_row(row.coeffs, row.sense, 0.0)
-        model.set_objective(spec.linear_objective, sense=spec.sense)
+        n, rows, sizes = spec.n_vars, spec.linear_constraints, [math.prod(s) for s in shape]
+        model = milp.LpProblem(n + sum(sizes), [milp.EQ] * first_row + [row.sense for row in rows])
+        model.ub[n:] = 1.0  # the weights
+        model.is_int[:n] = [is_int for _, _, is_int in spec.variables]
+        model.c[list(spec.linear_objective)] = list(spec.linear_objective.values())
+        model.sense = spec.sense
+        blocks, j, r = [], n, 0
+        for (_, active, _), lattice, size in zip(layout[0], shape, sizes):
+            model.A[range(r, r + len(active)), active] = -1.0  # its linking rows
+            r += len(active)
+            model.A[r, j:j + size] = model.rhs[r] = 1.0  # its lattice set's row
+            model.lattice_sets.append(
+                (np.arange(j, j + size), np.indices(lattice).reshape(len(lattice), -1).T))
+            blocks.append((slice(j, j + size), slice(r - len(active), r)))
+            j, r = j + size, r + 1
+        for i, row in enumerate(rows, first_row):
+            model.A[i, list(row.coeffs)] = list(row.coeffs.values())
         models[shape] = model, blocks
     model, blocks = models[shape]
     model.lb[:spec.n_vars] = [iv.lo for iv in bounds]
     model.ub[:spec.n_vars] = [iv.hi for iv in bounds]
-    first_row = len(model.senses) - len(spec.linear_constraints)
-    for (axes, _, sums), block in zip(stage, blocks):
-        mcmodel.encode_term(model, block, Grid(axes).points(), {
-            None if row is None else first_row + row: np.array(s) for row, s in sums.items()})
+    for (ids, active, _), (_, vertices, sums), block in zip(layout[0], stage, blocks):
+        coords = np.array(vertices)[:, [ids.index(k) for k in active]]
+        mcmodel.encode_term(model, block, coords, {
+            None if row is None else first_row + row: s for row, s in sums.items()})
     shift = [0.0] * (len(spec.linear_constraints) + 1)  # the constants per row, then objective
     for t in layout[1]:
         row = spec.nonlinear_terms[t].row

@@ -13,48 +13,38 @@ interpolant; ``tests/properties.py`` holds the geometric reference and
 checks the two against each other.  The LP relaxation is the convex hull
 of the graph points.  On the Kuhn grid a function of some of the grid's
 variables interpolates as on its own axes, so one block carries every
-term of those variables: ``add_term`` gives a block its columns and rows,
-and ``encode_term`` writes a grid's vertices and the terms' values there
-into them, as often as the grid moves; nothing here evaluates a function.
+term of those variables.  ``loop.build_iteration_model`` lays out every
+block of a model in one pass, its weight columns and its rows (each
+linking row's -1 on its variable, and the set row), and ``encode_term``
+writes a grid's vertices and the terms' values there into them, as often
+as the grid moves; nothing here evaluates a function.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from sppa.milp import EQ, LpProblem
+from sppa.milp import LpProblem
 
-__all__ = ["add_term", "encode_term"]
-
-
-def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
-    """Append a block's weights, one per vertex of a grid of ``shape`` in
-    row-major order, its linking rows over the shared variables ``z_ids``
-    (weight coefficients 0 until ``encode_term``) and its lattice set's row;
-    returns its block, ``(weight columns, linking rows)``."""
-    if len(z_ids) != len(shape):
-        raise ValueError("one shared variable per grid dimension required")
-    j = model.add_var(0.0, 1.0, count=math.prod(shape))
-    rows = [model.add_row({z: -1.0}, EQ, 0.0) for z in z_ids]
-    model.add_lattice_set(range(j, model.n_vars), shape)
-    return slice(j, model.n_vars), slice(rows[0], rows[-1] + 1)
+__all__ = ["encode_term"]
 
 
 def encode_term(model: LpProblem, block: tuple[slice, slice], points: np.ndarray,
                 targets: dict):
-    """Write a grid's vertex coordinates ``points`` (``pwl.Grid.points``)
+    """Write a grid's vertex coordinates ``points``, one vertex per row in
+    row-major order (or shaped like the vertex lattice, coordinates last),
     less its lower corner into a block's linking rows, minus that corner
-    into their right-hand sides, and each ``targets`` value array, shaped
-    like the vertex lattice, onto the block's weights: in the objective for
-    the key None, else in that row."""
+    into their right-hand sides, and each ``targets`` value sequence, one
+    value per vertex in the same order (or an array shaped like the
+    lattice), onto the block's weights: in the objective for the key None,
+    else in that row."""
     cols, rows = block
-    if not all(np.isfinite(values).all() for values in targets.values()):
+    coords = points.reshape(-1, points.shape[-1])
+    values = np.array(list(targets.values()), dtype=float).reshape(len(targets), len(coords))
+    if not np.isfinite(values).all():
         raise ValueError("non-finite term value")
-    coords = points.reshape(-1, points.shape[-1])  # row-major, as the weights
     lo = coords[0]
     model.A[rows, cols] = (coords - lo).T
     model.rhs[rows] = 0.0 - lo  # +0.0 at a corner of 0, as a fresh row
-    for row, values in targets.items():
-        (model.c if row is None else model.A[row])[cols] = np.ravel(values)
+    for row, v in zip(targets, values):
+        (model.c if row is None else model.A[row])[cols] = v

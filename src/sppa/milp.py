@@ -33,11 +33,10 @@ inputs (only the ``deadline`` of ``solve_milp`` consults the clock).
 from __future__ import annotations
 
 import bisect
-import heapq
+import itertools
 import math
-import numbers
 import time
-from typing import NamedTuple, Optional
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -103,15 +102,23 @@ def row_violation(activity, senses, rhs) -> float:
 
 class LpProblem:
     """A MILP as arrays, ``lb <= x <= ub``, ``A x (senses) rhs``, objective ``c x +
-    obj_constant``.  ``add_*`` give it its shape (columns, integers, rows,
-    senses, lattice sets); bounds, coefficients, right-hand sides and the
-    objective may be rewritten in place between solves (see ``solve_milp``)."""
+    obj_constant``, made at its final shape: ``n_vars`` columns and a row
+    per entry of ``senses``, every bound, coefficient and right-hand side 0,
+    no integer column, minimized.  The caller writes the values by slices,
+    ``is_int`` and ``sense`` included, every bound finite, and may rewrite
+    them in place between solves (see ``solve_milp``).  A lattice set goes
+    into ``lattice_sets`` as ``(ids, index)``: the ids of weights bounded in
+    [0, 1], one per vertex of a whole grid in row-major order, whose row
+    ``sum(x_j for j in ids) = 1`` the model holds, and each weight's vertex
+    multi-index, a row of ``index``."""
 
-    def __init__(self):
-        self.lb, self.ub, self.c, self.rhs = np.empty(0), np.empty(0), np.empty(0), np.empty(0)
-        self.is_int = np.empty(0, dtype=bool)
-        self.A = np.empty((0, 0))
-        self.senses: list[str] = []
+    def __init__(self, n_vars: int = 0, senses: Sequence[str] = ()):
+        if not set(senses) <= {LE, EQ, GE}:
+            raise ValueError(f"unknown sense in {senses!r}")
+        self.lb, self.ub, self.c = np.zeros(n_vars), np.zeros(n_vars), np.zeros(n_vars)
+        self.is_int = np.zeros(n_vars, dtype=bool)
+        self.A, self.rhs = np.zeros((len(senses), n_vars)), np.zeros(len(senses))
+        self.senses = list(senses)
         self.obj_constant = 0.0
         self.sense = "min"
         self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
@@ -120,67 +127,6 @@ class LpProblem:
     @property
     def n_vars(self) -> int:
         return self.lb.size
-
-    def add_var(self, lo: float, hi: float, *, integer: bool = False, count: int = 1) -> int:
-        """Append ``count`` columns bounded in [lo, hi]; returns the first one's id."""
-        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
-            raise ValueError(f"count must be an integer >= 1, got {count!r}")
-        if not (math.isfinite(lo) and math.isfinite(hi)):
-            raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
-        if lo > hi:
-            raise ValueError(f"variable lower bound {lo} exceeds upper bound {hi}")
-        j = self.n_vars
-        self.lb = np.concatenate((self.lb, np.full(count, float(lo))))
-        self.ub = np.concatenate((self.ub, np.full(count, float(hi))))
-        self.is_int = np.concatenate((self.is_int, np.full(count, bool(integer))))
-        self.c = np.concatenate((self.c, np.zeros(count)))
-        self.A = np.concatenate((self.A, np.zeros((len(self.senses), count))), axis=1)
-        self._canon = None
-        return j
-
-    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
-        row = LinearConstraint({j: float(c) for j, c in coeffs.items()}, sense, float(rhs))
-        a = np.zeros(n := self.n_vars)
-        for j, c in row.coeffs.items():
-            if not 0 <= j < n:
-                raise ValueError(f"row references unknown variable {j}")
-            a[j] = c
-        self.A = np.concatenate((self.A, a[None]))
-        self.senses.append(sense)
-        self.rhs = np.concatenate((self.rhs, (row.rhs,)))
-        self._canon = None
-        return len(self.senses) - 1
-
-    def add_lattice_set(self, ids, shape) -> int:
-        """Append the row ``sum(x_j for j in ids) = 1`` over variables bounded
-        in [0, 1], the vertices of a grid of ``shape`` in row-major order,
-        and declare them a lattice set for branching.  Returns the row index."""
-        ids = np.asarray(ids, dtype=np.intp)
-        if (ids.ndim != 1 or len(set(ids.tolist())) != ids.size or not shape
-                or min(shape) < 1 or ids.size != math.prod(shape)):
-            raise ValueError("a lattice set needs one distinct id per vertex of its grid")
-        if not (0 <= ids.min() and ids.max() < self.n_vars
-                and (self.lb[ids] >= 0.0).all() and (self.ub[ids] <= 1.0).all()):
-            raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
-        row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), EQ, 1.0)
-        self.lattice_sets.append((ids, np.indices(shape).reshape(len(shape), -1).T))
-        return row
-
-    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
-                      sense: str = "min"):
-        if sense not in ("min", "max"):
-            raise ValueError("sense must be 'min' or 'max'")
-        if not math.isfinite(constant):
-            raise ValueError("objective constant must be finite")
-        for j, c in coeffs.items():
-            if not 0 <= j < self.n_vars:
-                raise ValueError(f"objective references unknown variable {j}")
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite objective coefficient on variable {j}")
-        self.c[:] = 0.0
-        self.c[list(coeffs)] = list(coeffs.values())
-        self.obj_constant = float(constant)
-        self.sense = sense
 
 
 # the solver's counters, in trace order; nodes_<outcome> counts the nodes that end
@@ -224,18 +170,19 @@ class _Canon:
         n = self.nstruct = problem.n_vars
         # coefficient-free rows are dropped, judged at 0 as an incumbent's rows are
         self.kept = problem.A.any(axis=1)
-        m = self.m = int(self.kept.sum())
-        senses = np.array(problem.senses, dtype=str)
+        kept = self.kept.tolist()
+        self.senses = [s for s, k in zip(problem.senses, kept) if k]  # of the kept rows
+        self.dropped = [s for s, k in zip(problem.senses, kept) if not k]
+        m = self.m = len(self.senses)
         # with every row kept (the usual case), fill copies no row selection
-        self.rows = slice(None) if m == len(senses) else self.kept
-        self.dropped = senses[~self.kept].tolist()
-        self.senses = senses[self.rows].tolist()  # of the kept rows
+        self.rows = self.kept if self.dropped else slice(None)
         # the slack bounds' own limits: a <= or = row's slack is >= 0, a >= or = row's <= 0
-        self.slack_lo = np.where(senses[self.rows] == GE, -np.inf, 0.0)
-        self.slack_hi = np.where(senses[self.rows] == LE, np.inf, 0.0)
-        self.int_idx = np.flatnonzero(problem.is_int)
+        self.slack_lo = np.array([-np.inf if s == GE else 0.0 for s in self.senses])
+        self.slack_hi = np.array([np.inf if s == LE else 0.0 for s in self.senses])
+        self.int_idx = problem.is_int.nonzero()[0]
         self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
-        self.A = np.hstack([np.zeros((m, n)), np.eye(m)])
+        self.A = np.zeros((m, n + m))
+        self.A.flat[n::n + m + 1] = 1.0  # the slacks' identity
         self.l, self.u, self.c = np.empty(n + m), np.empty(n + m), np.zeros(n + m)
         self.fill()
 
@@ -310,11 +257,19 @@ class _Start(NamedTuple):
 
 class _SxResult(NamedTuple):
     status: str
-    x: Optional[np.ndarray]
-    objective: Optional[float]  # internal (minimization) value, no constant
-    start: Optional[_Start]  # the optimal state, for the children
     iterations: int
     factorizations: int
+    x: Optional[np.ndarray] = None
+    objective: Optional[float] = None  # internal (minimization) value, no constant
+    start: Optional[_Start] = None  # the optimal state, for the children
+
+
+def _slack_start(n: int, m: int, l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The slack basis, and its nonbasic columns on the bound nearest zero."""
+    basis = np.arange(n, n + m)
+    vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
+    vstat[basis] = _BASIC
+    return basis, vstat
 
 
 def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start] = None,
@@ -342,25 +297,13 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     """
     m, n = canon.m, canon.nstruct
     iters = n_factor = 0
-
-    def stop(status: str) -> _SxResult:
-        return _SxResult(status, None, None, None, iters, n_factor)
-
     if (l > u + _FEAS_TOL).any():
-        return stop("infeasible")
+        return _SxResult("infeasible", iters, n_factor)
 
     A, c, dtol = canon.A, canon.c, canon.dtol
     movable = u > l
     range_ = u - l
-
-    def slack_start():
-        basis = np.arange(n, n + m)
-        # nonbasic columns start on the bound nearest zero
-        vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
-        vstat[basis] = _BASIC
-        return basis, vstat
-
-    basis, vstat = slack_start() if start is None else (start.basis.copy(), start.vstat)
+    basis, vstat = _slack_start(n, m, l, u) if start is None else (start.basis.copy(), start.vstat)
     parent = start if start is not None and start.d is not None else None
     iter_limit = 20_000 + 50 * m
     bland = False
@@ -388,14 +331,14 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
                 x[basis] = factors.ftran(canon.b - A @ x)
         except np.linalg.LinAlgError:  # a singular basis: start again from the slack basis, once
             if from_slack:
-                return stop("numerical")
-            basis, vstat = slack_start()
+                return _SxResult("numerical", iters, n_factor)
+            basis, vstat = _slack_start(n, m, l, u)
             from_slack, last_obj = True, -math.inf
             continue
 
         obj = float(c @ x)  # the basis is dual feasible: a lower bound on the optimum
         if obj >= cutoff:
-            return stop("cutoff")
+            return _SxResult("cutoff", iters, n_factor)
         # cycling watch: engage Bland's rule after a run of pivots that do not
         # raise the dual objective
         if obj - last_obj > 1e-12 * (1.0 + abs(obj)):
@@ -407,14 +350,14 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
                 bland = True
         last_obj = obj
         if iters >= iter_limit:
-            return stop("iteration_limit")
+            return _SxResult("iteration_limit", iters, n_factor)
         if deadline is not None and iters % 16 == 0 and time.perf_counter() > deadline:
-            return stop("time_limit")
+            return _SxResult("time_limit", iters, n_factor)
 
         viol = np.maximum(l - x, x - u)[basis]  # of the basic variables
         infeasible = viol > _FEAS_TOL
         if not infeasible.any():
-            return _SxResult("optimal", x, obj, _Start(basis, vstat, d, x), iters, n_factor)
+            return _SxResult("optimal", iters, n_factor, x, obj, _Start(basis, vstat, d, x))
 
         # pricing: the basic variable with the largest bound violation
         # (Bland: the one with the lowest column index)
@@ -425,9 +368,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             r = int(viol.argmax())
         p = int(basis[r])
         s = 1.0 if x[p] > u[p] else -1.0  # the leaving variable goes to u (s=1) or l
-        e = np.zeros(m)
-        e[r] = 1.0
-        alpha = factors.btran(e) @ A  # row r of B^-1 A
+        alpha = factors.btran(A[:, n + r]) @ A  # row r of B^-1 A, from e_r in the slacks' identity
 
         # bound-flipping ratio test over the columns whose reduced cost moves
         # towards zero as the dual step t grows
@@ -452,7 +393,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             passed = end
 
         if q < 0:  # the dual rises without bound: the primal is infeasible
-            return stop("infeasible")
+            return _SxResult("infeasible", iters, n_factor)
         if passed:  # the columns passed flip between their bounds
             vstat[cand[:passed]] ^= 1
         vstat[p] = _NB_UPPER if s > 0.0 else _NB_LOWER
@@ -468,23 +409,25 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 class _Lattice:
     """The lattice sets' members and integer keys, built once per shape: row
     p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
-    from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j), each
-    block zero-padded for a set of fewer dimensions, and ``signed`` holds
-    ``keys`` and then ``-keys``.  Set k holds the rows ``edges[k]`` to
+    from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j, in
+    ``itertools.combinations`` order), and ``signed`` holds ``keys`` and then
+    ``-keys``.  A set of fewer dimensions reads 0 on its missing axes, so a
+    diagonal over one is an axis index of the set, or 0, and spans widest
+    only where an axis does.  Set k holds the rows ``edges[k]`` to
     ``edges[k + 1]``."""
 
     def __init__(self, lattice_sets: list):
         self.ids = np.concatenate([ids for ids, _ in lattice_sets])
-        self.edges = np.cumsum([0] + [len(ids) for ids, _ in lattice_sets]).tolist()
+        self.edges = list(itertools.accumulate([len(ids) for ids, _ in lattice_sets], initial=0))
         self.starts = np.array(self.edges[:-1])
         dims = self.n_axes = max(index.shape[1] for _, index in lattice_sets)
-        self.keys = np.zeros((self.ids.size, dims * (dims + 1) // 2), dtype=np.intp)
+        axes = np.zeros((self.ids.size, dims), dtype=np.intp)
         for (_, index), start in zip(lattice_sets, self.edges):
-            i, j = np.nonzero(~np.tri(index.shape[1], dtype=bool))  # i < j, as np.triu_indices
-            rows = self.keys[start:start + len(index)]
-            rows[:, :index.shape[1]] = index
-            rows[:, dims:dims + i.size] = index[:, i] - index[:, j]
-        self.signed = np.hstack([self.keys, -self.keys])
+            axes[start:start + len(index), :index.shape[1]] = index
+        pairs = list(itertools.combinations(range(dims), 2))
+        self.keys = np.concatenate(
+            (axes, axes[:, [i for i, _ in pairs]] - axes[:, [j for _, j in pairs]]), axis=1)
+        self.signed = np.concatenate((self.keys, -self.keys), axis=1)
 
 
 def _balanced_cut(lattice: _Lattice, x: np.ndarray) -> Optional[tuple[np.ndarray, np.ndarray]]:
@@ -580,18 +523,18 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             return math.inf
         return max(0.0, inc - bnd) / max(1.0, abs(inc))
 
-    # heap entries: (bound, -depth, seq, l, u, start), both children sharing
-    # their parent's start; best bound first, deeper node on ties, insertion
-    # order last (seq is unique, so arrays never get compared)
+    # the open nodes, sorted: (bound, -depth, seq, l, u, start), both children
+    # sharing their parent's start; best bound first, deeper node on ties,
+    # insertion order last (seq is unique, so arrays never get compared)
     seq = 0
-    heap: list = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, start)]
-    while heap:
-        if incumbent_x is not None and gap_of(incumbent_obj, heap[0][0]) <= _REL_GAP:
+    queue: list = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, start)]
+    while queue:
+        if incumbent_x is not None and gap_of(incumbent_obj, queue[0][0]) <= _REL_GAP:
             break
         if deadline is not None and time.perf_counter() > deadline:
             stop_status = "time_limit"
             break
-        _, negdepth, _, l, u, start = node = heapq.heappop(heap)
+        _, negdepth, _, l, u, start = node = queue.pop(0)
 
         counters["nodes"] += 1
         # a node whose bound cannot improve the incumbent by the gap is pruned
@@ -604,7 +547,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             counters["root_pivots"], root_start = res.iterations, res.start
         if res.status in ("time_limit", "iteration_limit", "numerical"):
             stop_status = res.status
-            heapq.heappush(heap, node)  # unsolved, so its bound still counts
+            bisect.insort(queue, node)  # unsolved, so its bound still counts
             break
         if res.status == "infeasible":
             counters["nodes_infeasible"] += 1
@@ -638,10 +581,10 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
             children = [(l, _tightened(u, j, math.floor(xj))), (_tightened(l, j, math.ceil(xj)), u)]
         for child_l, child_u in children:
             seq += 1
-            heapq.heappush(heap, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
+            bisect.insort(queue, (node_bound, negdepth - 1, seq, child_l, child_u, res.start))
 
     # the incumbent's or the best open node's; infinite (no bound) after an exhausted tree
-    best_bound = min([incumbent_obj] + [entry[0] for entry in heap])
+    best_bound = min([incumbent_obj] + [entry[0] for entry in queue])
     gap = gap_of(incumbent_obj, best_bound)
     if stop_status is not None and gap > _REL_GAP:
         status = stop_status

@@ -9,10 +9,10 @@ interpolant is the unique affine function matching ``f`` at the d+1 path
 vertices, so the global surface is continuous and exact at every grid
 vertex; :mod:`sppa.mcmodel` encodes that interpolant as a MILP over the
 grid vertices, and ``tests/properties.py`` holds the simplices themselves
-as the geometric reference.
-A ``Grid`` holds each axis as a tuple of Python floats, and ``Grid.points``
-its vertices in one array for the MILP encoding; ``loop``'s block stage
-checks its axes as ``Grid`` does (``check_axis``), without a ``Grid``.
+as the geometric reference, on its own ``Grid``.
+An axis is a tuple of Python floats (``axis_breakpoints``), checked by
+``check_axis``; ``loop``'s block stage takes a grid's vertices from its
+axes, row-major, for both solve paths.
 
 Everything here is immutable after construction and safe to share across
 threads.
@@ -22,13 +22,11 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Sequence
-
 import numpy as np
 
 from sppa.expr import _Frozen
 
-__all__ = ["Interval", "Grid", "axis_breakpoints", "check_axis"]
+__all__ = ["Interval", "axis_breakpoints", "check_axis"]
 
 
 class Interval(_Frozen):
@@ -58,40 +56,6 @@ class Interval(_Frozen):
     @property
     def width(self) -> float:
         return self.hi - self.lo
-
-
-class Grid:
-    """Per-variable breakpoint tuples partitioning a box into cells."""
-
-    def __init__(self, breakpoints: Sequence[Sequence[float]]):
-        axes = []
-        for k, b in enumerate(breakpoints):
-            try:
-                items = tuple(b)  # read once: b may be an iterator
-                values = tuple(map(float, items))
-                # float() reads text, and a bytes-like axis as byte values: reject
-                # both; a tuple of floats, as axis_breakpoints returns, equals its values
-                if (b.__class__ is not tuple or values != b) and any(
-                        isinstance(x, (str, bytes, bytearray, memoryview)) for x in (b, *items)):
-                    raise ValueError
-            except TypeError:  # a scalar, or a sequence of sequences
-                values = ()
-            except ValueError:
-                raise ValueError(f"dimension {k}: breakpoints must be real numbers, "
-                                 f"got {b!r}") from None
-            axes.append(check_axis(k, values))
-        if not axes:
-            raise ValueError("grid needs at least one dimension")
-        self.breakpoints = tuple(axes)
-        self.dims = len(axes)
-
-    def points(self) -> np.ndarray:
-        """Every vertex's coordinates, shape ``(L1+1, ..., Ld+1, d)``: the
-        vertex with multi-index ``i`` is ``points()[i]``."""
-        pts = np.empty(tuple(map(len, self.breakpoints)) + (self.dims,))
-        for k, b in enumerate(self.breakpoints):
-            pts[..., k] = np.array(b).reshape((-1,) + (1,) * (self.dims - 1 - k))
-        return pts
 
 
 def check_axis(k: int, values: tuple) -> tuple:

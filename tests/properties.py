@@ -6,7 +6,9 @@ on failure, and returns a short human-readable summary string.
 The geometric reference lives here too: the simplices of the Kuhn
 triangulation, locating a point's simplex and evaluating the simplicial
 interpolant directly, with no MILP.  The solver never uses it; the lambda
-encoding and its lattice branching are checked against it.
+encoding and its lattice branching are checked against it.  So does
+``LpProblem``, a model grown a column, a row or a lattice set at a time,
+each checked as it is added, in which the tests write their models.
 """
 
 from __future__ import annotations
@@ -14,18 +16,128 @@ from __future__ import annotations
 import copy
 import itertools
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
 from sppa import expr, loop, milp, pwl
-from sppa.mcmodel import add_term, encode_term
+from sppa.mcmodel import encode_term
 from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn, from_expressions, group_leads
 
 
 # ---------------------------------------------------------------------------
+# models grown a column, a row or a lattice set at a time
+
+
+class LpProblem(milp.LpProblem):
+    """A ``milp.LpProblem`` grown from no column and no row, each column,
+    row, lattice set and the objective checked as it is added: how the
+    tests write small models, and the reference that
+    ``loop.build_iteration_model``'s one-pass build is checked against
+    (``sequential_model``)."""
+
+    def add_var(self, lo: float, hi: float, *, integer: bool = False, count: int = 1) -> int:
+        """Append ``count`` columns bounded in [lo, hi]; returns the first one's id."""
+        if isinstance(count, bool) or not isinstance(count, numbers.Integral) or count < 1:
+            raise ValueError(f"count must be an integer >= 1, got {count!r}")
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"variable bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"variable lower bound {lo} exceeds upper bound {hi}")
+        j = self.n_vars
+        self.lb = np.concatenate((self.lb, np.full(count, float(lo))))
+        self.ub = np.concatenate((self.ub, np.full(count, float(hi))))
+        self.is_int = np.concatenate((self.is_int, np.full(count, bool(integer))))
+        self.c = np.concatenate((self.c, np.zeros(count)))
+        self.A = np.concatenate((self.A, np.zeros((len(self.senses), count))), axis=1)
+        self._canon = None
+        return j
+
+    def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
+        row = milp.LinearConstraint({j: float(c) for j, c in coeffs.items()}, sense, float(rhs))
+        a = np.zeros(n := self.n_vars)
+        for j, c in row.coeffs.items():
+            if not 0 <= j < n:
+                raise ValueError(f"row references unknown variable {j}")
+            a[j] = c
+        self.A = np.concatenate((self.A, a[None]))
+        self.senses.append(sense)
+        self.rhs = np.concatenate((self.rhs, (row.rhs,)))
+        self._canon = None
+        return len(self.senses) - 1
+
+    def add_lattice_set(self, ids, shape) -> int:
+        """Append the row ``sum(x_j for j in ids) = 1`` over variables bounded
+        in [0, 1], the vertices of a grid of ``shape`` in row-major order,
+        and declare them a lattice set for branching.  Returns the row index."""
+        ids = np.asarray(ids, dtype=np.intp)
+        if (ids.ndim != 1 or len(set(ids.tolist())) != ids.size or not shape
+                or min(shape) < 1 or ids.size != math.prod(shape)):
+            raise ValueError("a lattice set needs one distinct id per vertex of its grid")
+        if not (0 <= ids.min() and ids.max() < self.n_vars
+                and (self.lb[ids] >= 0.0).all() and (self.ub[ids] <= 1.0).all()):
+            raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
+        row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), milp.EQ, 1.0)
+        self.lattice_sets.append((ids, np.indices(shape).reshape(len(shape), -1).T))
+        return row
+
+    def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
+                      sense: str = "min"):
+        if sense not in ("min", "max"):
+            raise ValueError("sense must be 'min' or 'max'")
+        if not math.isfinite(constant):
+            raise ValueError("objective constant must be finite")
+        for j, c in coeffs.items():
+            if not 0 <= j < self.n_vars:
+                raise ValueError(f"objective references unknown variable {j}")
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite objective coefficient on variable {j}")
+        self.c[:] = 0.0
+        self.c[list(coeffs)] = list(coeffs.values())
+        self.obj_constant = float(constant)
+        self.sense = sense
+
+
+# ---------------------------------------------------------------------------
 # geometric reference: direct simplicial interpolation
+
+
+class Grid:
+    """Per-variable breakpoint tuples partitioning a box into cells, each
+    axis read once and checked as the solver checks its axes
+    (``pwl.check_axis``)."""
+
+    def __init__(self, breakpoints: Sequence[Sequence[float]]):
+        axes = []
+        for k, b in enumerate(breakpoints):
+            try:
+                items = tuple(b)  # read once: b may be an iterator
+                values = tuple(map(float, items))
+                # float() reads text, and a bytes-like axis as byte values: reject
+                # both; a tuple of floats, as axis_breakpoints returns, equals its values
+                if (b.__class__ is not tuple or values != b) and any(
+                        isinstance(x, (str, bytes, bytearray, memoryview)) for x in (b, *items)):
+                    raise ValueError
+            except TypeError:  # a scalar, or a sequence of sequences
+                values = ()
+            except ValueError:
+                raise ValueError(f"dimension {k}: breakpoints must be real numbers, "
+                                 f"got {b!r}") from None
+            axes.append(pwl.check_axis(k, values))
+        if not axes:
+            raise ValueError("grid needs at least one dimension")
+        self.breakpoints = tuple(axes)
+        self.dims = len(axes)
+
+    def points(self) -> np.ndarray:
+        """Every vertex's coordinates, shape ``(L1+1, ..., Ld+1, d)``: the
+        vertex with multi-index ``i`` is ``points()[i]``."""
+        pts = np.empty(tuple(map(len, self.breakpoints)) + (self.dims,))
+        for k, b in enumerate(self.breakpoints):
+            pts[..., k] = np.array(b).reshape((-1,) + (1,) * (self.dims - 1 - k))
+        return pts
 
 
 @dataclass(frozen=True)
@@ -51,7 +163,7 @@ class SimplexId:
     perm: tuple[int, ...]
 
 
-def enumerate_simplices(grid: pwl.Grid) -> Iterator[SimplexId]:
+def enumerate_simplices(grid: Grid) -> Iterator[SimplexId]:
     """All simplex ids, cells row-major and step orders lexicographic."""
     dims = range(grid.dims)
     for cell in itertools.product(*(range(len(b) - 1) for b in grid.breakpoints)):
@@ -69,31 +181,31 @@ def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
     return path
 
 
-def build_grid(bounds: Sequence, pieces: Sequence[int]) -> pwl.Grid:
+def build_grid(bounds: Sequence, pieces: Sequence[int]) -> Grid:
     """Equally spaced grid over ``bounds`` with ``pieces[k]`` segments on axis k,
     built by the same breakpoint routine as the solve loop."""
     ivs = [b if isinstance(b, pwl.Interval) else pwl.Interval(*b) for b in bounds]
-    return pwl.Grid([pwl.axis_breakpoints(iv, L) for iv, L in zip(ivs, pieces)])
+    return Grid([pwl.axis_breakpoints(iv, L) for iv, L in zip(ivs, pieces)])
 
 
-def lower(grid: pwl.Grid) -> np.ndarray:
+def lower(grid: Grid) -> np.ndarray:
     return np.array([b[0] for b in grid.breakpoints])
 
 
-def upper(grid: pwl.Grid) -> np.ndarray:
+def upper(grid: Grid) -> np.ndarray:
     return np.array([b[-1] for b in grid.breakpoints])
 
 
-def cell_count(grid: pwl.Grid) -> int:
+def cell_count(grid: Grid) -> int:
     return math.prod(len(b) - 1 for b in grid.breakpoints)
 
 
-def count_simplices(grid: pwl.Grid) -> int:
+def count_simplices(grid: Grid) -> int:
     """Total number of simplices: d! per cell times the number of cells."""
     return math.factorial(grid.dims) * cell_count(grid)
 
 
-def _cell_and_fractions(grid: pwl.Grid, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
+def _cell_and_fractions(grid: Grid, z: np.ndarray) -> tuple[tuple[int, ...], np.ndarray]:
     cell = []
     frac = np.empty(grid.dims)
     for k in range(grid.dims):
@@ -108,7 +220,7 @@ def _cell_and_fractions(grid: pwl.Grid, z: np.ndarray) -> tuple[tuple[int, ...],
     return tuple(cell), frac
 
 
-def locate(grid: pwl.Grid, z) -> SimplexId:
+def locate(grid: Grid, z) -> SimplexId:
     """Simplex whose closed region contains ``z``.
 
     The step order sorts the fractional coordinates descending, ties broken
@@ -123,13 +235,13 @@ def locate(grid: pwl.Grid, z) -> SimplexId:
     return SimplexId(cell, perm)
 
 
-def simplex_vertices(grid: pwl.Grid, sid: SimplexId) -> np.ndarray:
+def simplex_vertices(grid: Grid, sid: SimplexId) -> np.ndarray:
     """Coordinates of the d+1 simplex vertices, one row per vertex."""
     points = grid.points()
     return np.array([points[v] for v in vertex_path(sid)])
 
 
-def hyperplane_coeffs(grid: pwl.Grid, sid: SimplexId,
+def hyperplane_coeffs(grid: Grid, sid: SimplexId,
                       f: Callable[[np.ndarray], float]) -> Hyperplane:
     """Affine interpolant of ``f`` on the simplex.
 
@@ -156,7 +268,7 @@ def hyperplane_coeffs(grid: pwl.Grid, sid: SimplexId,
     return Hyperplane(intercept, slopes)
 
 
-def eval_pwl(grid: pwl.Grid, f: Callable[[np.ndarray], float], z) -> float:
+def eval_pwl(grid: Grid, f: Callable[[np.ndarray], float], z) -> float:
     """Piecewise-linear value at ``z``: locate, interpolate, evaluate."""
     z = np.asarray(z, dtype=float)
     return hyperplane_coeffs(grid, locate(grid, z), f).value(z)
@@ -174,7 +286,7 @@ def barycentric(vertices: np.ndarray, z: np.ndarray) -> np.ndarray:
     return np.linalg.solve(A, rhs)
 
 
-def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
+def containing_simplices(grid: Grid, z: np.ndarray, tol: float = 1e-12):
     """All simplices whose closed region contains z (brute-force enumeration)."""
     out = []
     for sid in enumerate_simplices(grid):
@@ -184,7 +296,7 @@ def containing_simplices(grid: pwl.Grid, z: np.ndarray, tol: float = 1e-12):
     return out
 
 
-def grid_values(grid: pwl.Grid, f: Callable) -> np.ndarray:
+def grid_values(grid: Grid, f: Callable) -> np.ndarray:
     """``f`` at every vertex of ``grid``, shaped like its vertex lattice, as
     a term of coefficient 1 over the grid's variables evaluates it
     (``NonlinearTerm.on``)."""
@@ -194,7 +306,38 @@ def grid_values(grid: pwl.Grid, f: Callable) -> np.ndarray:
         points.shape[:-1])
 
 
-def encode_objective_term(prob: milp.LpProblem, grid: pwl.Grid, z_ids,
+def add_term(model: LpProblem, z_ids, shape) -> tuple[slice, slice]:
+    """A lambda block appended column by column and row by row: the weights
+    of a grid of ``shape``, one per vertex in row-major order, a linking row
+    per shared variable of ``z_ids`` (weight coefficients 0 until
+    ``encode_term``) and its lattice set's row; returns ``(weight columns,
+    linking rows)``.  With ``sequential_model``, the reference that
+    ``loop.build_iteration_model``'s one-pass layout is checked against."""
+    j = model.add_var(0.0, 1.0, count=math.prod(shape))
+    rows = [model.add_row({z: -1.0}, milp.EQ, 0.0) for z in z_ids]
+    model.add_lattice_set(range(j, model.n_vars), shape)
+    return slice(j, model.n_vars), slice(rows[0], rows[-1] + 1)
+
+
+def sequential_model(spec: ProblemSpec, bounds: list, pieces: int) -> milp.LpProblem:
+    """``loop.build_iteration_model``'s model with its shape built by one
+    ``add_var`` per variable, ``add_term`` per block and ``add_row`` per
+    linear row, then ``set_objective``, and filled by
+    ``build_iteration_model`` itself, handed that shape."""
+    layout = loop._layout(spec, bounds)
+    stage, _ = loop._block_stage(spec, layout, bounds, pieces)
+    shape = tuple(tuple(map(len, axes)) for axes, _, _ in stage)
+    model = LpProblem()
+    for _name, _iv, is_int in spec.variables:
+        model.add_var(0.0, 0.0, integer=is_int)
+    blocks = [add_term(model, active, lattice) for (_, active, _), lattice in zip(layout[0], shape)]
+    for row in spec.linear_constraints:
+        model.add_row(row.coeffs, row.sense, 0.0)
+    model.set_objective(spec.linear_objective, sense=spec.sense)
+    return loop.build_iteration_model(spec, bounds, pieces, {None: layout, shape: (model, blocks)})
+
+
+def encode_objective_term(prob: LpProblem, grid: Grid, z_ids,
                           values: np.ndarray) -> dict[int, float]:
     """One term of vertex ``values`` on ``grid`` over the variables ``z_ids``
     put into ``prob`` (``add_term``, then ``encode_term`` into the
@@ -224,7 +367,7 @@ def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, piece
     fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
     if not active:
         return active, None, term.at(fixed)
-    grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+    grid = Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
                      for k in active])
     points = np.full(tuple(map(len, grid.breakpoints)) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
@@ -240,7 +383,7 @@ def per_term_model(spec: ProblemSpec, bounds: list, pieces: int, models=None) ->
     Each term is evaluated on its own grid (``term_grid_values``).  The
     columns and rows are laid out as there, and a term whose variables are
     all fixed is a constant in the objective or the row's right side."""
-    model = milp.LpProblem()
+    model = LpProblem()
     for _name, _iv, is_int in spec.variables:
         model.add_var(0.0, 0.0, integer=is_int)
     model.lb[:], model.ub[:] = [iv.lo for iv in bounds], [iv.hi for iv in bounds]
@@ -355,7 +498,7 @@ def check_lambda_equivalence(n_points: int = 200) -> str:
         lo, hi = lower(grid), upper(grid)
         for _ in range(per_case):
             z0 = lo + rng.random(grid.dims) * (hi - lo)
-            prob = milp.LpProblem()
+            prob = LpProblem()
             z_ids = [prob.add_var(lo[k], hi[k]) for k in range(grid.dims)]
             value = encode_objective_term(prob, grid, z_ids, grid_values(grid, f))
             for k, zid in enumerate(z_ids):
@@ -382,7 +525,7 @@ def _simplex_members(index: np.ndarray) -> list[np.ndarray]:
     shape = tuple(int(n) for n in index.max(axis=0) + 1)
     pos = np.empty(shape, dtype=np.intp)
     pos[tuple(index.T)] = np.arange(len(index))
-    grid = pwl.Grid([np.arange(n, dtype=float) for n in shape])
+    grid = Grid([np.arange(n, dtype=float) for n in shape])
     return [np.array([pos[v] for v in vertex_path(sid)]) for sid in enumerate_simplices(grid)]
 
 
@@ -649,6 +792,44 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
             f"form, {n_optimal} optimal, {n_negzero} -0.0 coefficients written)")
 
 
+def _model_bytes(model: milp.LpProblem) -> list:
+    arrays = [model.lb, model.ub, model.is_int, model.c, model.A, model.rhs]
+    arrays += [a for lattice_set in model.lattice_sets for a in lattice_set]
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [
+        model.senses, len(model.lattice_sets), model.sense, repr(model.obj_constant)]
+
+
+def check_one_pass_build(n_specs: int = 60) -> str:
+    """``loop.build_iteration_model``, which builds a new shape in one pass,
+    against ``sequential_model``, column by column and row by row: the
+    models' ``lb``, ``ub``, ``is_int``, ``c``, ``A``, ``rhs``, ``senses``,
+    lattice sets, sense and objective constant equal byte for byte, and so
+    do their solves.  Specs alternate between ``_nested_spec`` (nested and
+    overlapping terms, a row with and a row without nonlinear terms, an
+    integer and a fixed variable in some) and ``_refill_spec`` (two blocks,
+    an integer, a fixed variable, terms in a row), each at 2 to 5 pieces,
+    under a random sense."""
+    rng = np.random.default_rng(3131)
+    n_blocks = n_max = n_int = n_fixed = 0
+    for k in range(n_specs):
+        spec = (_nested_spec if k % 2 else _refill_spec)(rng)
+        bounds, pieces = spec.bounds(), int(rng.integers(2, 6))
+        got = loop.build_iteration_model(spec, bounds, pieces)
+        want = sequential_model(spec, bounds, pieces)
+        assert _model_bytes(got) == _model_bytes(want), (k, spec)
+        a, b = milp.solve_milp(got), milp.solve_milp(want)
+        assert (a.status, a.objective, a.bound, a.counters) == (
+            b.status, b.objective, b.bound, b.counters), (a, b)
+        n_blocks += len(got.lattice_sets) > 1
+        n_max += spec.sense == "max"
+        n_int += bool(got.is_int.any())
+        n_fixed += any(iv.width == 0.0 for iv in bounds)
+    assert n_blocks and n_max and n_int and n_fixed, (n_blocks, n_max, n_int, n_fixed)
+    return (f"one-pass models match sequential builds byte for byte ({n_specs} specs: "
+            f"{n_blocks} with several blocks, {n_int} with an integer, {n_fixed} with a fixed "
+            f"variable, {n_max} under max)")
+
+
 def _nested_spec(rng: np.random.Generator) -> ProblemSpec:
     """Two or three variables, the first integer in about a third of the
     specs and a later one fixed in about a quarter; an objective term of all
@@ -854,7 +1035,7 @@ def check_milp_oracle(n_instances: int = 100, n_general: int = 60, n_sets: int =
         sn = senses[rng.integers(0, 5, size=m)]
         rhs = rng.integers(-12, 13, size=m).astype(float)
 
-        prob = milp.LpProblem()
+        prob = LpProblem()
         ids = [prob.add_var(lo, hi, integer=True) for lo, hi in bounds]
         for group in groups:
             square = len(group) == 4 and rng.random() < 0.5
@@ -893,7 +1074,7 @@ def _random_boxed_lp(rng: np.random.Generator) -> milp.LpProblem:
     """2-9 boxed variables and 1-7 rows of every sense, made feasible by a
     random point of the box; either sense of a random objective."""
     n = int(rng.integers(2, 10))
-    prob = milp.LpProblem()
+    prob = LpProblem()
     lo = rng.uniform(-5.0, 2.0, size=n)
     hi = lo + rng.uniform(0.5, 6.0, size=n)
     for j in range(n):
@@ -970,12 +1151,12 @@ def _concave_term_model(rng: np.random.Generator) -> milp.LpProblem:
     dims = int(rng.integers(1, 3))
     lo = rng.uniform(-2.0, 0.0, size=dims)
     hi = lo + rng.uniform(1.0, 3.0, size=dims)
-    grid = pwl.Grid([np.linspace(lo[k], hi[k], int(rng.integers(3, 6)) + 1)
+    grid = Grid([np.linspace(lo[k], hi[k], int(rng.integers(3, 6)) + 1)
                      for k in range(dims)])
     Q = rng.normal(size=(dims, dims))
     Q = -(Q @ Q.T) - 0.5 * np.eye(dims)  # concave: the relaxation mixes simplices
     b = rng.normal(size=dims)
-    prob = milp.LpProblem()
+    prob = LpProblem()
     z = [prob.add_var(float(lo[k]), float(hi[k])) for k in range(dims)]
     value = encode_objective_term(prob, grid, z, grid_values(
         grid, lambda v, Q=Q, b=b: float(v @ Q @ v + b @ v)))
@@ -1167,7 +1348,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
         act = A @ point
         slack = np.abs(rng.normal(size=act.size))
         rhs = np.where(sn == "<=", act + slack, np.where(sn == ">=", act - slack, act))
-        prob = milp.LpProblem()
+        prob = LpProblem()
         for j in range(lo.size):
             prob.add_var(float(lo[j]), float(hi[j]), integer=bool(is_int[j]))
         for i in range(act.size):
@@ -1652,7 +1833,7 @@ def check_separable_interpolant(n_sums: int = 60, n_points: int = 25) -> str:
             a, b = rng.normal(size=len(axes)), rng.normal(size=len(axes))
             summands.append((axes, lambda v, a=a, b=b: float(
                 np.sin(a @ v) * np.exp(0.3 * (b @ v)) + np.prod(v) ** 2)))
-        sub_grids = [pwl.Grid([grid.breakpoints[k] for k in axes]) for axes, _ in summands]
+        sub_grids = [Grid([grid.breakpoints[k] for k in axes]) for axes, _ in summands]
 
         def total(v):
             return sum(f(v[axes]) for axes, f in summands)
@@ -1830,6 +2011,7 @@ ALL_CHECKS = (
     check_lattice_branch,
     check_lattice_oracle,
     check_model_refill,
+    check_one_pass_build,
     check_grouped_model,
     check_split_terms,
     check_milp_oracle,

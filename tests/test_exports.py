@@ -37,10 +37,10 @@ def test_solving_a_milp_imports_no_scipy():
         import sys
         import sppa
         from sppa.milp import LpProblem, solve_milp
-        p = LpProblem()
-        x, n = p.add_var(0, 2), p.add_var(0, 3, integer=True)
-        p.add_row({x: 1.0, n: 1.0}, "<=", 3.5)
-        p.set_objective({x: 1.0, n: 2.0}, sense="max")
+        p = LpProblem(2, ["<="])  # x in [0, 2], n in [0, 3] integer, x + n <= 3.5
+        p.ub[:], p.is_int[1] = [2.0, 3.0], True
+        p.A[0], p.rhs[0] = [1.0, 1.0], 3.5
+        p.c[:], p.sense = [1.0, 2.0], "max"
         res = solve_milp(p)
         assert res.status == "optimal" and res.x.tolist() == [0.5, 3.0], res
         assert "scipy" not in sys.modules, sorted(m for m in sys.modules if "scipy" in m)
@@ -51,3 +51,22 @@ def test_solving_a_milp_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_importing_sppa_after_numpy_loads_only_its_own_modules():
+    # set-up is timed from source in fresh processes: beyond numpy's, sppa
+    # imports its own modules and three of the standard library's
+    code = textwrap.dedent("""
+        import sys
+        import numpy
+        before = set(sys.modules)
+        import sppa
+        print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "sppa"))
+    """)
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[0] == str(["__future__", "copy", "dataclasses"])

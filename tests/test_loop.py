@@ -14,8 +14,9 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, group_leads, load_problem)
 from sppa.pwl import Interval, axis_breakpoints
 
-from properties import (check_best_point, check_grouped_model, check_model_refill,
-                        check_sppa_invariants, check_vertex_optimum, term_grid_values)
+from properties import (Grid, check_best_point, check_grouped_model, check_model_refill,
+                        check_one_pass_build, check_sppa_invariants, check_vertex_optimum,
+                        term_grid_values)
 
 
 def test_contract_examples():
@@ -257,10 +258,11 @@ def test_array_pass_reports_errors_later_arithmetic_hides(text, message):
 @settings(max_examples=300, deadline=None)
 @given(data=st.data())
 def test_vertex_rows_are_the_milp_grid_points(data):
-    # one block stage, two consumers: its vertex rows are the vertices of
-    # the grid the MILP path encodes (Grid(axes).points()), row-major, bit
-    # for bit, in the term's own variable order, with fixed variables at
-    # their values, integer axes and continuous bounds given as Python ints
+    # one block stage, two consumers: its vertex rows, whose active columns
+    # the MILP path encodes, are the vertices of the reference grid on the
+    # active axes (Grid(axes).points()), row-major, bit for bit, in the
+    # term's own variable order, with fixed variables at their values,
+    # integer axes and continuous bounds given as Python ints
     d = data.draw(st.integers(1, 3))
     variables = []
     for k in range(d):
@@ -278,8 +280,7 @@ def test_vertex_rows_are_the_milp_grid_points(data):
     active = [k for k in ids if bounds[k].width > 0.0]
     assume(active)
     [(axes, rows, _)], _ = loop._block_stage(spec, loop._layout(spec, bounds), bounds, pieces)
-    grid = pwl.Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
-                     for k in active])
+    grid = Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
     assert axes == list(grid.breakpoints)
     # float: an int bound must not make the array integer and truncate the grid
     points = np.full((len(rows), d), [bounds[k].lo for k in ids], dtype=float)
@@ -727,31 +728,29 @@ def test_chain_of_twenty_builds_one_lattice_set_per_pair():
 def test_build_makes_one_grid_per_lattice_set(monkeypatch):
     # each lambda block's terms are evaluated at the vertices of its one
     # grid: constrained_a's four terms share one grid, and the n = 5 chain's
-    # nine terms (a pair and its row squares per block) make one per pair
-    built = []
-
-    class CountingGrid(loop.Grid):
-        def __init__(self, breakpoints):
-            super().__init__(breakpoints)
-            built.append(self)
-
-    monkeypatch.setattr(loop, "Grid", CountingGrid)
+    # nine terms (a pair and its row squares per block) make one per pair;
+    # the build and each refill encode each block once, at those vertices
+    stages, encoded = [], []
+    block_stage, encode_term = loop._block_stage, loop.mcmodel.encode_term
+    monkeypatch.setattr(loop, "_block_stage",
+                        lambda *args: stages.append(block_stage(*args)) or stages[-1])
+    monkeypatch.setattr(loop.mcmodel, "encode_term",
+                        lambda model, block, points, targets: encoded.append(points)
+                        or encode_term(model, block, points, targets))
     problem = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems" / "constrained_a.prob"
     for spec, pieces, sets in ((load_problem(str(problem)), 3, 1), (_chain_spec(5), 3, 4)):
         models: dict = {}
-        built.clear()
-        lp = build_iteration_model(spec, spec.bounds(), pieces, models)  # builds the shape
-        assert len(lp.lattice_sets) == len(built) == sets
-        # the refill makes each grid's vertex array once, for the term
-        # values and encode_term
-        built.clear()
-        calls = []
-        with monkeypatch.context() as m:
-            m.setattr(CountingGrid, "points",
-                      lambda grid: calls.append(grid) or pwl.Grid.points(grid))
+        for _ in range(2):  # builds the shape, then refills it
+            stages.clear()
+            encoded.clear()
             lp = build_iteration_model(spec, spec.bounds(), pieces, models)
-        assert len(lp.lattice_sets) == len(built) == sets
-        assert [id(grid) for grid in calls] == [id(grid) for grid in built]
+            [(stage, _)] = stages
+            assert len(lp.lattice_sets) == len(stage) == len(encoded) == sets
+            for (ids, active, _), (axes, vertices, _), points in zip(models[None][0], stage,
+                                                                      encoded):
+                assert len(vertices) == math.prod(map(len, axes)) == len(points)
+                columns = [ids.index(k) for k in active]
+                assert points.tobytes() == np.array(vertices)[:, columns].tobytes()
 
 
 def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
@@ -931,3 +930,7 @@ def test_model_refill_property_suite():
 
 def test_grouped_model_property_suite():
     print(check_grouped_model())
+
+
+def test_one_pass_build_property_suite():
+    print(check_one_pass_build())

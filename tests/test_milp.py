@@ -1,3 +1,4 @@
+import copy
 import itertools
 import math
 import time
@@ -7,11 +8,11 @@ import numpy as np
 import pytest
 
 from sppa import loop, milp
-from sppa.milp import LpProblem, solve_milp
+from sppa.milp import solve_milp
 from sppa.problems import from_expressions
 from sppa.pwl import Interval
 
-from properties import (check_child_reuse, check_lattice_branch, check_milp_oracle,
+from properties import (LpProblem, check_child_reuse, check_lattice_branch, check_milp_oracle,
                         check_set_branch_warm, check_warm_child, check_warm_root,
                         per_term_model)
 
@@ -179,6 +180,41 @@ def test_empty_row_consistency():
     assert solve_milp(q).status == "infeasible"
 
 
+def test_canonical_form_of_coefficient_free_rows_of_each_sense():
+    # coefficient-free rows are dropped and judged at 0, whatever their
+    # sense; the kept rows keep their order and senses, each slack's own
+    # limits follow its row's sense, and the slacks' columns are an identity
+    inf = math.inf
+    p = LpProblem()
+    x, y = p.add_var(0, 1), p.add_var(-1, 2)
+    p.add_row({x: 1.0}, ">=", 0.5)
+    p.add_row({}, "<=", 1.0)
+    p.add_row({x: 0.0, y: 0.0}, ">=", -1.0)
+    p.add_row({y: 2.0}, "<=", 3.0)
+    p.add_row({}, "=", 0.0)
+    p.add_row({x: 1.0, y: -1.0}, "=", 0.25)
+    canon = milp._Canon(p)
+    assert (canon.m, canon.senses, canon.dropped) == (3, [">=", "<=", "="], ["<=", ">=", "="])
+    assert canon.slack_lo.tolist() == [-inf, 0.0, 0.0] and canon.slack_lo.dtype == float
+    assert canon.slack_hi.tolist() == [0.0, inf, 0.0] and canon.slack_hi.dtype == float
+    assert canon.A.tobytes() == np.hstack([p.A[[0, 3, 5]], np.eye(3)]).tobytes()
+    assert canon.b.tolist() == [0.5, 3.0, 0.25] and not canon.infeasible
+    # a dropped row that fails at 0 makes the model infeasible, for each sense
+    for row, rhs in ((1, -1.0), (2, 1.0), (4, 1e-3), (4, -1e-3)):
+        q = copy.deepcopy(p)
+        q.rhs[row] = rhs
+        canon = milp._Canon(q)
+        assert canon.infeasible and solve_milp(q).status == "infeasible"
+    # a model without rows has an empty canonical row block
+    q = LpProblem()
+    q.add_var(0, 1, count=2)
+    canon = milp._Canon(q)
+    assert (canon.m, canon.senses, canon.dropped, canon.infeasible) == (0, [], [], False)
+    assert canon.slack_lo.shape == canon.slack_hi.shape == (0,)
+    assert canon.slack_lo.dtype == canon.slack_hi.dtype == float
+    assert canon.A.shape == (0, 2) and canon.l.tolist() == [0.0, 0.0]
+
+
 def test_integer_bounds_rounded_inward():
     # x in [0.5, 3.5] is x in [1, 3]: no integer column sits nonbasic at a
     # fractional bound
@@ -300,8 +336,8 @@ def test_milp_stop_inside_a_node_keeps_its_bound(monkeypatch):
         res = simplex(*args, **kwargs)
         calls.append(res)
         if len(calls) == 3:
-            return milp._SxResult("time_limit", None, None, res.start, res.iterations,
-                                  res.factorizations)
+            return milp._SxResult("time_limit", res.iterations, res.factorizations,
+                                  start=res.start)
         return res
 
     monkeypatch.setattr(milp, "_simplex", stopping)

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from sppa import pwl
 from sppa.pwl import Interval
 
-from properties import (SimplexId, barycentric, build_grid, cell_count, check_triangulation,
-                        count_simplices, enumerate_simplices, eval_pwl, hyperplane_coeffs,
-                        locate, simplex_vertices)
+from properties import (Grid, SimplexId, barycentric, build_grid, cell_count,
+                        check_triangulation, count_simplices, enumerate_simplices, eval_pwl,
+                        hyperplane_coeffs, locate, simplex_vertices)
 
 UNIT_SQUARE = build_grid([Interval(0.0, 1.0), Interval(0.0, 1.0)], [1, 1])
 
@@ -39,7 +39,7 @@ def test_build_grid_errors():
     with pytest.raises(ValueError, match="^dimension 0: breakpoints must be strictly increasing$"):
         build_grid([(2.0, 2.0)], [1])  # degenerate axis rejected here
     with pytest.raises(ValueError, match="^grid needs at least one dimension$"):
-        pwl.Grid([])
+        Grid([])
     # each rejection names its axis and reason, whatever the axis holds
     for bad, reason in (([[0.0, 1.0]], "need at least two breakpoints"),
                         (np.array([[0.0], [1.0]]), "need at least two breakpoints"),
@@ -57,7 +57,7 @@ def test_build_grid_errors():
                         ([0.0, 2.0, 1.0], "breakpoints must be strictly increasing"),
                         ([1.0, 0.0], "breakpoints must be strictly increasing")):
         with pytest.raises(ValueError, match=f"^dimension 1: {reason}$"):
-            pwl.Grid([[0.0, 1.0], bad])
+            Grid([[0.0, 1.0], bad])
     # a string's characters or a bytes-like object's byte values are no
     # breakpoints, nor is an element of text, even one float() can read, in
     # an axis read once (an iterator); an element float() cannot read is
@@ -67,8 +67,8 @@ def test_build_grid_errors():
                 iter(["0", "1"])):
         with pytest.raises(ValueError, match="^" + re.escape(
                 f"dimension 1: breakpoints must be real numbers, got {bad!r}") + "$"):
-            pwl.Grid([[0.0, 1.0], bad])
-    assert pwl.Grid([[0.0, 1.0], iter([0.0, 2.0])]).breakpoints == ((0.0, 1.0), (0.0, 2.0))
+            Grid([[0.0, 1.0], bad])
+    assert Grid([[0.0, 1.0], iter([0.0, 2.0])]).breakpoints == ((0.0, 1.0), (0.0, 2.0))
 
 
 def test_count_simplices():
