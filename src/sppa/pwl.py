@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 import operator
+
 import numpy as np
 
 from sppa.expr import _Frozen
