@@ -24,7 +24,10 @@ array made at its final size and each block's columns and rows written by
 slices, and refilled in place with its canonical form
 (``build_iteration_model``, which lays out the blocks once per run); each
 MILP root starts from the previous iteration's optimal root basis
-(``MilpResult.start``).
+(``MilpResult.start``), and the first root of a new shape, which no earlier
+basis fits, from a crash basis read off the block stage (``_crash_start``):
+the weight of each block's vertex-path pick (``_pick``, the vertex solve's
+own rule) and the blocks' variables.
 """
 
 from __future__ import annotations
@@ -202,7 +205,9 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     ``models``, which belongs to one ``spec`` and to windows that keep
     their fixed variables, holds the ``_layout`` under the key None and
     each shape (each block's vertex counts) built so far with its model and
-    blocks; every call fills the model of its shape in place.
+    blocks; every call fills the model of its shape in place.  A call that
+    builds a shape also puts the shape's crash start (``_crash_start``, read
+    off this call's stage) under the key "crash", for ``run`` to take.
     """
     models = {} if models is None else models
     if None not in models:
@@ -211,7 +216,8 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     stage, values = _block_stage(spec, layout, bounds, pieces)
     shape = tuple(tuple(map(len, axes)) for axes, _, _ in stage)
     first_row = len(shape) + sum(len(active) for _, active, _ in layout[0])  # the blocks' rows
-    if shape not in models:
+    built = shape not in models
+    if built:
         n, rows, sizes = spec.n_vars, spec.linear_constraints, [math.prod(s) for s in shape]
         model = milp.LpProblem(n + sum(sizes), [milp.EQ] * first_row + [row.sense for row in rows])
         model.ub[n:] = 1.0  # the weights
@@ -243,7 +249,55 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         shift[-1 if row is None else row] += values[t]
     model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, shift)]
     model.obj_constant = spec.objective_constant + shift[-1]
+    if built:
+        models["crash"] = _crash_start(spec, model, layout, stage, blocks)
     return model
+
+
+def _crash_start(spec: ProblemSpec, model: milp.LpProblem, layout: tuple, stage: list,
+                 blocks: list) -> milp._Start:
+    """A crash start (Bixby 1992) for the first root of ``model``, a new
+    shape whose ``blocks`` (weight columns, linking rows) hold ``layout``'s
+    blocks at ``stage``: per block, its set row (the row after its linking
+    rows) holds the weight of its pick (``_pick``), and each linking row
+    its variable or, when an earlier block's linking row holds that, the
+    weight one grid step from the pick along the variable's axis (one step
+    down at the upper edge); every other row holds its slack
+    (``milp._row_start``).
+
+    The basis is block lower-triangular, the blocks' rows and columns in
+    block order and then the other rows and their slacks: a block's columns
+    have no coefficient in an earlier block's rows.  Each diagonal block is
+    nonsingular: less the pick's column, a neighbour's column holds only its
+    grid step, in its own linking row, as a variable's column holds its -1,
+    and the pick's column alone reaches the set row."""
+    basis = np.full(len(model.senses), -1)
+    for (ids, active, _), (axes, vertices, sums), (cols, rows) in zip(layout[0], stage, blocks):
+        pick = _pick(spec, ids, active, vertices, sums)
+        basis[rows.stop] = j = cols.start + pick
+        for i, k in enumerate(active):
+            step = math.prod(map(len, axes[i + 1:]))  # active variable i's stride, row-major
+            basis[rows.start + i] = k if k not in basis else j + (
+                step if (pick // step + 1) % len(axes[i]) else -step)
+    return milp._row_start(model, basis)
+
+
+def _pick(spec: ProblemSpec, ids: tuple, active: list, vertices: list, sums: dict) -> int:
+    """The index of a block's first vertex row-major with the best sum of
+    its objective terms' values (0 for a block of row terms only) and its
+    linear part; the block's ``ids`` and ``active`` variables are
+    ``_layout``'s, its ``vertices`` and ``sums`` ``_block_stage``'s."""
+    lin = spec.linear_objective
+    # the linear part summed left to right from 0, as Python's sum; a
+    # zero coefficient would add only a signed zero, which moves no minimum
+    linear = None
+    for i, k in enumerate(ids):
+        if k in active and lin.get(k, 0.0) != 0.0:
+            linear = [s + lin[k] * v[i] for s, v in zip(linear or [0] * len(vertices), vertices)]
+    keys = sums[None] if None in sums else [0] * len(vertices)
+    if linear is not None:
+        keys = [v + s for v, s in zip(keys, linear)]
+    return keys.index(min(keys) if spec.sense == "min" else max(keys))
 
 
 def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
@@ -251,10 +305,9 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
     """The piecewise-linear optimum of a spec without rows whose blocks
     (``_layout``'s, made if None) share no variable, as a list of Python
     floats and its objective, exact at a vertex: per block of
-    ``_block_stage``, its first vertex row-major with the best sum of its
-    terms' values and its linear part; every other variable at the bound
-    its objective coefficient favours (if 0, the bound nearest zero, lower
-    on a tie, as the simplex)."""
+    ``_block_stage``, its vertex ``_pick`` takes; every other variable at
+    the bound its objective coefficient favours (if 0, the bound nearest
+    zero, lower on a tie, as the simplex)."""
     layout = _layout(spec, bounds) if layout is None else layout
     stage, values = _block_stage(spec, layout, bounds, pieces)
     sign = 1.0 if spec.sense == "min" else -1.0
@@ -264,14 +317,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
         c = sign * lin.get(j, 0.0)
         z.append(float(iv.lo if c > 0.0 or (c == 0.0 and abs(iv.lo) <= abs(iv.hi)) else iv.hi))
     for (ids, active, members), (_, vertices, sums) in zip(layout[0], stage):
-        # the linear part summed left to right from 0, as Python's sum; a
-        # zero coefficient would add only a signed zero, which moves no minimum
-        linear = None
-        for i, k in enumerate(ids):
-            if k in active and lin.get(k, 0.0) != 0.0:
-                linear = [s + lin[k] * v[i] for s, v in zip(linear or [0] * len(vertices), vertices)]
-        keys = sums[None] if linear is None else [v + s for v, s in zip(sums[None], linear)]
-        best = keys.index(min(keys) if sign > 0.0 else max(keys))  # the first best, row-major
+        best = _pick(spec, ids, active, vertices, sums)
         for k, x in zip(ids, vertices[best]):
             z[k] = x
         for t, _, _ in members:
@@ -358,7 +404,8 @@ def run(
             surrogate, violation, stats = true_obj, 0.0, _VERTEX_STATS  # exact, no rows
         else:
             model = build_iteration_model(spec, current, pieces, models)
-            res = milp.solve_milp(model, deadline, start)
+            # a new shape's crash start replaces the previous root's basis, of another shape
+            res = milp.solve_milp(model, deadline, models.pop("crash", start))
             start = res.start
             if res.x is None:  # the run ends under the solver's status
                 termination = res.status

@@ -4,13 +4,15 @@ Every column is boxed: variable bounds must be finite, and each row's
 slack is bounded by the row's activity range over the variable box.  LP
 relaxations are solved by one bounded dual simplex (revised form over the
 dense basis matrix, solved by LU with partial pivoting, LAPACK ``gesv``
-through the gufunc behind ``np.linalg.solve``, and refreshed after every
-pivot; largest-violation pricing and the bound-flipping ratio test).
+through the gufunc behind ``np.linalg.solve`` under one floating-point
+error state per solve, and refreshed after every pivot; largest-violation
+pricing and the bound-flipping ratio test).
 With every column boxed, a basis is dual feasible once each nonbasic column
 sits at the bound its reduced cost favours, so with no phase 1 the root
-starts from a given basis (the previous outer iteration's) or the slack
-basis, and each branch-and-bound child from its parent's optimal basis and
-bound statuses.
+starts from a given basis (the previous outer iteration's, or for a model
+of a new shape a crash basis its builder reads off the model's structure,
+``_row_start``) or the slack basis, and each branch-and-bound child from
+its parent's optimal basis and bound statuses.
 
 Integer variables are handled by best-bound branch and bound.  A problem
 may also declare lattice sets: weights in [0, 1] that sum to 1, one per
@@ -36,7 +38,7 @@ import bisect
 import itertools
 import math
 import time
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 from numpy.linalg import _umath_linalg
@@ -221,47 +223,66 @@ def _singular(err, flag):
 
 
 # the error state np.linalg.solve sets around its LAPACK call: a singular
-# matrix raises, and no other floating-point flag warns
+# matrix raises, and no other floating-point flag warns; used as a
+# decorator, as one errstate object cannot enter a with block twice
 _lapack_errors = np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore",
                              under="ignore")
 
 
 class _Basis:
     """The basis matrix; each solve factorizes it by LU with partial
-    pivoting (LAPACK ``gesv``, never an explicit inverse) and raises
-    ``np.linalg.LinAlgError`` when it is singular.  The solves call the
-    gufunc behind ``np.linalg.solve``, ``_umath_linalg.solve1``, under the
-    same error state: its bits without its argument checks."""
+    pivoting (LAPACK ``gesv``, never an explicit inverse).  The solves call
+    the gufunc behind ``np.linalg.solve``, ``_umath_linalg.solve1``: its
+    bits without its argument checks.  They raise ``np.linalg.LinAlgError``
+    on a singular basis under ``_lapack_errors``, which ``_simplex`` enters
+    once per call; a caller outside it enters the state itself."""
 
     def __init__(self, canon: _Canon, basis: np.ndarray):
         self.B = canon.A.take(basis, axis=1)
 
-    @_lapack_errors
     def ftran(self, v: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve1(self.B, v, signature="dd->d")
 
-    @_lapack_errors
     def btran(self, v: np.ndarray) -> np.ndarray:
         return _umath_linalg.solve1(self.B.T, v, signature="dd->d")
 
 
-class _Start(NamedTuple):
+class _Start:
     """A basis and its nonbasic bound statuses; a solve's optimal start also
     carries the basis's reduced costs ``d`` and primal values ``x``."""
 
-    basis: np.ndarray
-    vstat: np.ndarray
-    d: Optional[np.ndarray] = None
-    x: Optional[np.ndarray] = None
+    __slots__ = ("basis", "vstat", "d", "x")
+
+    def __init__(self, basis: np.ndarray, vstat: np.ndarray, d: Optional[np.ndarray] = None,
+                 x: Optional[np.ndarray] = None):
+        self.basis, self.vstat, self.d, self.x = basis, vstat, d, x
 
 
-class _SxResult(NamedTuple):
-    status: str
-    iterations: int
-    factorizations: int
-    x: Optional[np.ndarray] = None
-    objective: Optional[float] = None  # internal (minimization) value, no constant
-    start: Optional[_Start] = None  # the optimal state, for the children
+class _SxResult:
+    """A simplex solve's status, its pivots and bases, and when optimal its
+    point, its internal (minimization) objective without the constant and
+    its optimal state, for the children."""
+
+    __slots__ = ("status", "iterations", "factorizations", "x", "objective", "start")
+
+    def __init__(self, status: str, iterations: int, factorizations: int,
+                 x: Optional[np.ndarray] = None, objective: Optional[float] = None,
+                 start: Optional[_Start] = None):
+        self.status, self.iterations, self.factorizations = status, iterations, factorizations
+        self.x, self.objective, self.start = x, objective, start
+
+
+def _row_start(problem: LpProblem, basis: np.ndarray) -> _Start:
+    """The start on ``basis``, the column each row of ``problem`` holds or -1
+    for the row's slack, in ``_Canon``'s positions (coefficient-free rows
+    dropped), every nonbasic column at its lower bound until ``_simplex``
+    moves it to the bound its reduced cost favours."""
+    n, basis = problem.n_vars, basis[problem.A.any(axis=1)]
+    slack = basis < 0
+    basis[slack] = n + slack.nonzero()[0]
+    vstat = np.zeros(n + basis.size, dtype=np.int8)
+    vstat[basis] = _BASIC
+    return _Start(basis, vstat)
 
 
 def _slack_start(n: int, m: int, l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -272,6 +293,7 @@ def _slack_start(n: int, m: int, l: np.ndarray, u: np.ndarray) -> tuple[np.ndarr
     return basis, vstat
 
 
+@_lapack_errors
 def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start] = None,
              deadline: Optional[float] = None, cutoff: float = math.inf) -> _SxResult:
     """Bounded dual simplex on the canonical equality form.
@@ -285,7 +307,10 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     parent's optimal start on this canonical form) keeps its reduced costs,
     and its basic values when no nonbasic value changes a bit.  A singular
     basis sends the solve back to the slack basis once; a second one ends it
-    with status 'numerical'.  Each pivot removes the basic variable with the
+    with status 'numerical'.  The solve runs under ``_lapack_errors``,
+    entered once per call, not once per LU solve, so an invalid value met
+    while a basis's vectors and objective are computed also counts as a
+    singular basis.  Each pivot removes the basic variable with the
     largest bound violation.  The ratio test passes every breakpoint the
     dual objective still rises through, flipping those columns to their
     other bound, and enters the column at the next one (largest |alpha| on
@@ -329,6 +354,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             if inherited is None or x.tobytes() != inherited.x.tobytes():
                 x[basis] = 0.0
                 x[basis] = factors.ftran(canon.b - A @ x)
+            obj = float(c @ x)  # the basis is dual feasible: a lower bound on the optimum
         except np.linalg.LinAlgError:  # a singular basis: start again from the slack basis, once
             if from_slack:
                 return _SxResult("numerical", iters, n_factor)
@@ -336,7 +362,6 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
             from_slack, last_obj = True, -math.inf
             continue
 
-        obj = float(c @ x)  # the basis is dual feasible: a lower bound on the optimum
         if obj >= cutoff:
             return _SxResult("cutoff", iters, n_factor)
         # cycling watch: engage Bland's rule after a run of pivots that do not
@@ -491,8 +516,8 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     A node splits a lattice set whose support spans more than one simplex
     when it has one (see ``_balanced_cut``), and otherwise branches on the
     most fractional integer, the lowest id on ties.  The root starts from
-    ``start`` (a ``MilpResult.start``) when its shape matches this model's
-    canonical form, else from the slack basis.
+    ``start`` (a ``MilpResult.start`` or a ``_row_start``) when its shape
+    matches this model's canonical form, else from the slack basis.
     Returns an incumbent, with its integer components rounded, whose
     relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
     ``deadline`` passes, the search stops with status 'time_limit' and the

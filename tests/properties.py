@@ -784,7 +784,7 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
                       else (loop._contract_integer if spec.variables[j][2]
                             else loop.contract_bounds)(iv, float(centre[j]), frac)
                       for j, iv in enumerate(bounds)]
-        n_rebuilt += len(models) - 1  # the shapes, less the layout
+        n_rebuilt += len(models) - 2  # the shapes, less the layout and the last crash start
     assert n_refilled and n_rebuilt > n_specs and n_negzero and n_optimal, (
         n_refilled, n_rebuilt, n_negzero, n_optimal)
     return (f"refilled models match fresh builds ({n_specs} specs, {n_specs * n_windows} "
@@ -1412,8 +1412,9 @@ def check_warm_root(n_pairs: int = 80) -> str:
             A3 = A2.copy()
             A3[:, basic[0]] = 0.0
             third = build(lo2, hi2, is_int, A3, sn, c2, sense)
-            try:
-                milp._Basis(milp._Canon(third), first.start.basis).ftran(np.zeros(m))
+            try:  # under the error state _simplex enters, in which a singular basis raises
+                milp._lapack_errors(milp._Basis(milp._Canon(third), first.start.basis).ftran)(
+                    np.zeros(m))
             except np.linalg.LinAlgError:
                 cold = milp.solve_milp(third)
                 warm = milp.solve_milp(third, start=first.start)
@@ -1437,6 +1438,93 @@ def check_warm_root(n_pairs: int = 80) -> str:
     return (f"warm roots match cold solves ({n_pairs} pairs, {n_int} with integers, "
             f"{n_infeasible} infeasible; root pivots {warm_root} warm vs {cold_root} cold; "
             f"{n_singular} singular starts restarted, {n_shape} other shapes ignored)")
+
+
+def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
+    """Three to five variables, the first integer (1 to 4 units wide) in
+    about a third of the specs and a middle one fixed in about a quarter;
+    an objective term on each consecutive pair, so that the pairs' blocks
+    share variables; a ``<=`` row of a square of each variable, a linear
+    ``>=`` row and a row with no coefficient at a random place among them
+    (the canonical form drops it), both other rows through a random point;
+    a random sense and linear objective coefficients on some variables."""
+    d = int(rng.integers(3, 6))
+    variables = []
+    for k in range(d):
+        integer = k == 0 and rng.random() < 1.0 / 3.0
+        lo = float(rng.integers(-3, 0)) if integer else float(rng.uniform(-2.0, 0.0))
+        hi = lo + (float(rng.integers(1, 5)) if integer else float(rng.uniform(1.0, 3.0)))
+        if 0 < k < d - 1 and rng.random() < 0.25:
+            hi = lo
+        variables.append((f"x{k}", pwl.Interval(lo, hi), integer))
+    point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
+    if variables[0][2]:
+        point[0] = round(point[0])
+    terms = []
+    for k in range(d - 1):
+        shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=2)
+        terms.append(NonlinearTerm((k, k + 1), lambda v, shape=shape, a=a: shape(v, a),
+                                   coef=float(rng.choice([-1.5, 0.5, 1.0]))))
+    free = int(rng.integers(0, 3))  # the place of the coefficient-free row
+    squares = [0, 1, 2][:free] + [0, 1, 2][free + 1:]
+    terms += [NonlinearTerm((k,), lambda v: float(v[0] ** 2), row=squares[0]) for k in range(d)]
+    c = rng.uniform(-1.0, 1.0, size=d)
+    rows = [None] * 3
+    rows[squares[0]] = milp.LinearConstraint({}, "<=", float(point @ point) + 0.3)
+    rows[squares[1]] = milp.LinearConstraint({k: float(c[k]) for k in range(d)}, ">=",
+                                             float(c @ point) - 0.3)
+    rows[free] = milp.LinearConstraint({}, "<=", 1.0)
+    linear = {k: float(rng.uniform(-1.0, 1.0)) for k in range(d) if rng.random() < 0.5}
+    sense = "max" if rng.random() < 0.5 else "min"
+    return ProblemSpec(variables, linear, 0.5, rows, terms, sense=sense)
+
+
+def check_crash_basis(n_specs: int = 60) -> str:
+    """The crash start ``loop.build_iteration_model`` makes for a new shape
+    (``loop._crash_start``) is a basis of the canonical form: one column per
+    kept row, each basic column marked basic and no other, and LU factorizes
+    it; the root started from it reaches the status and, within the
+    relative gap, the objective of the root started from the slack basis.
+
+    Specs are ``_chained_spec``'s, whose blocks share variables, at 2 to 4
+    pieces; each has a row the canonical form drops, some an integer axis
+    or a fixed variable, under either sense.  Some crash bases must hold a
+    neighbour's weight, and the roots from the crash bases must take fewer
+    pivots in all than those from the slack basis."""
+    rng = np.random.default_rng(5150)
+    n_shared = n_fixed = n_int = n_max = n_optimal = crash_root = slack_root = 0
+    for _ in range(n_specs):
+        spec = _chained_spec(rng)
+        bounds, pieces, models = spec.bounds(), int(rng.integers(2, 5)), {}
+        model = loop.build_iteration_model(spec, bounds, pieces, models)
+        crash = models.pop("crash")
+        canon = milp._Canon(model)
+        n, m = canon.nstruct, canon.m
+        assert len(canon.dropped) == 1 and crash.basis.size == m, (canon.dropped, crash.basis)
+        assert sorted(set(crash.basis.tolist())) == sorted(crash.basis.tolist())
+        assert (np.flatnonzero(crash.vstat == milp._BASIC) == np.sort(crash.basis)).all()
+        milp._lapack_errors(milp._Basis(canon, crash.basis).ftran)(np.ones(m))  # raises if singular
+        # a neighbour's weight stands in for a variable an earlier block holds
+        weights = (spec.n_vars <= crash.basis) & (crash.basis < n)
+        n_shared += int(weights.sum() > len(model.lattice_sets))
+        got, want = milp.solve_milp(model, start=crash), milp.solve_milp(model)
+        assert got.status == want.status, (got.status, want.status)
+        if want.status == "optimal":
+            assert abs(got.objective - want.objective) <= 2.0 * milp._REL_GAP * max(
+                1.0, abs(want.objective)), (got.objective, want.objective)
+            n_optimal += 1
+        crash_root += got.counters["root_pivots"]
+        slack_root += want.counters["root_pivots"]
+        n_fixed += any(iv.width == 0.0 for iv in bounds)
+        n_int += spec.variables[0][2]
+        n_max += spec.sense == "max"
+    assert n_shared and n_fixed and n_int and n_max and n_optimal, (
+        n_shared, n_fixed, n_int, n_max, n_optimal)
+    assert crash_root < slack_root, (crash_root, slack_root)
+    return (f"crash bases factorize and their roots match the slack starts' ({n_specs} specs: "
+            f"{n_shared} with a neighbour's weight, {n_int} with an integer, {n_fixed} with a "
+            f"fixed variable, {n_max} under max, {n_optimal} optimal; root pivots "
+            f"{crash_root} from the crash vs {slack_root} from the slack basis)")
 
 
 def check_sppa_invariants(n_problems: int = 50) -> str:
@@ -2019,6 +2107,7 @@ ALL_CHECKS = (
     check_set_branch_warm,
     check_child_reuse,
     check_warm_root,
+    check_crash_basis,
     check_sppa_invariants,
     check_vertex_optimum,
     check_best_point,

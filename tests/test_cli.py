@@ -10,7 +10,7 @@ import pytest
 
 from sppa import cli, loop, milp
 from sppa.cli import main
-from sppa.problems import builtin_info, builtin_names
+from sppa.problems import builtin_info, builtin_names, load_problem
 
 
 def run_cli(args):
@@ -344,12 +344,33 @@ def test_problem_file_end_to_end(tmp_path, capsys):
     assert report["best_point"][0] == pytest.approx(0.25, abs=1e-5)
 
 
+_SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+
+
 def _script(name):
-    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    path = _SCRIPTS / f"{name}.py"
     module_spec = importlib.util.spec_from_file_location(name, path)
     script = importlib.util.module_from_spec(module_spec)
     module_spec.loader.exec_module(script)
     return script
+
+
+def test_chain_script_writes_both_forms(tmp_path, capsys):
+    # chain.py 5 is scripts/chain5.prob byte for byte; --free drops the row,
+    # and each form loads as the chain, 0 at (1, ..., 1), which only the row
+    # sum(x_i^2) <= n - 0.5 cuts off
+    chain = _script("chain")
+    assert chain.main(["5"]) == 0
+    assert capsys.readouterr().out == (_SCRIPTS / "chain5.prob").read_text()
+    for n, free in ((3, True), (7, False)):
+        path = tmp_path / "chain.prob"
+        assert chain.main([str(n), "--out", str(path)] + ["--free"] * free) == 0
+        spec = load_problem(str(path))
+        assert spec.n_vars == n and len(spec.linear_constraints) == (0 if free else 1)
+        assert spec.objective_value(np.ones(n)) == 0.0
+        assert (spec.row_violation(np.ones(n)) > 0.0) != free
+    with pytest.raises(SystemExit):
+        chain.main(["1"])
 
 
 def test_table_small_budget(tmp_path, capsys):

@@ -14,9 +14,9 @@ from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, group_leads, load_problem)
 from sppa.pwl import Interval, axis_breakpoints
 
-from properties import (Grid, check_best_point, check_grouped_model, check_model_refill,
-                        check_one_pass_build, check_sppa_invariants, check_vertex_optimum,
-                        term_grid_values)
+from properties import (Grid, check_best_point, check_crash_basis, check_grouped_model,
+                        check_model_refill, check_one_pass_build, check_sppa_invariants,
+                        check_vertex_optimum, term_grid_values)
 
 
 def test_contract_examples():
@@ -625,7 +625,12 @@ def test_config_rejects_a_fraction_or_limit_that_is_not_a_number(field, bad):
 # model changes shape once, when the integer axis of n loses breakpoints
 # and the model is built anew).  They check that a change meant to leave the arithmetic
 # alone really does: a deliberate change of trajectory must update these
-# numbers and record the change in CHANGES.md.
+# numbers and record the change in CHANGES.md.  Each new shape's first root
+# starts from its crash basis (loop._crash_start): partial_fixed_milp then
+# takes no pivot at all, and from iteration 14 on its warm root keeps the
+# last incumbent, whose neighbour on the grid is better by less than the
+# simplex's reduced-cost tolerance, so the run never sees a moved incumbent
+# to call a stall and ends at its width floor, 7e-10 above the slack start's.
 _PARTIAL_FIXED = {
     "partial_fixed_vertex": ("(x - y)^2 + x*y*z + 3*x - z", []),
     "partial_fixed_milp": ("(x - y)^2 + x*y*z - z", [("x^2 + z^2", "<=", 2.0)]),
@@ -637,18 +642,18 @@ _PARTIAL_FIXED = {
     pytest.param("rastrigin", (6, 3), "stall", 24, 0.0, [0.0, 0.0], 0, id="rastrigin"),
     pytest.param("ackley", (3, 3), "width", 27, 3.552713678800501e-15,
                  [2.220446049250313e-16, 3.3306690738754696e-16], 0, id="ackley"),
-    pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 5, id="parabola"),
-    pytest.param("constrained_b", (2, 2), "width", 27, -1.2007940871114322,
-                 [1.1776977636729173, 0.9780395543617975, 1.0753913741255259], 30,
+    pytest.param("parabola", (4, 4), "width", 27, 0.25, [0.5, 0.25], 4, id="parabola"),
+    pytest.param("constrained_b", (2, 2), "width", 27, -1.200794087111432,
+                 [1.1776977636729171, 0.9780395543617976, 1.0753913741255259], 25,
                  id="constrained_b"),
     pytest.param("constrained_a", (3, 3), "stall", 19, -0.17805012210678184,
-                 [1.5089855194091797, -0.5089855194091797, 1.0], 70, id="constrained_a"),
+                 [1.5089855194091797, -0.5089855194091797, 1.0], 67, id="constrained_a"),
     pytest.param("partial_fixed_vertex", (4, 4), "width", 27, -2.25, [-1.0, 0.5, 1.0], 0,
                  id="partial_fixed_vertex"),
-    pytest.param("partial_fixed_milp", (4, 4), "stall", 19, -0.8124999997671694,
-                 [0.2500152587890625, 0.5, 1.0], 55, id="partial_fixed_milp"),
+    pytest.param("partial_fixed_milp", (4, 4), "width", 27, -0.8124999990686774,
+                 [0.249969482421875, 0.5, 1.0], 0, id="partial_fixed_milp"),
     pytest.param("integer_axis_milp", (4, 4), "width", 27, -1.5099999999999998, [3.0, -1.0],
-                 9, id="integer_axis_milp"),
+                 4, id="integer_axis_milp"),
 ])
 def test_pinned_trajectory(name, pieces, termination, iterations, best_objective, best_point,
                            pivots):
@@ -700,7 +705,7 @@ def _chain_spec(n: int):
 def test_chain_trajectory():
     # pinned as in test_pinned_trajectory, with the node count.  One 5-D
     # term holding every summand takes 28 nodes and 31 pivots to
-    # 0.009290448886112145, the split pairs 103 and 206 to a slightly lower best
+    # 0.009290448886112145, the split pairs 103 and 205 to a slightly lower best
     spec = _chain_spec(5)
     assert [t.var_ids for t in spec.nonlinear_terms if t.row is None] == [
         (0, 1), (1, 2), (2, 3), (3, 4)]
@@ -708,11 +713,12 @@ def test_chain_trajectory():
     assert result.termination == "stall"
     assert len(result.trace) == 22
     assert sum(rec.milp_stats["nodes"] for rec in result.trace) == 103
-    assert sum(rec.milp_stats["pivots"] for rec in result.trace) == 206
-    assert result.best_objective == 0.009290448416158895
-    assert result.best_point.tolist() == [0.9893160651469868, 0.9786914974793437,
-                                          0.9577367296163881, 0.9169868618592271,
-                                          0.8402637631043434]
+    assert sum(rec.milp_stats["pivots"] for rec in result.trace) == 205
+    assert result.trace[0].milp_stats["root_pivots"] == 0  # the crash basis is optimal
+    assert result.best_objective == 0.009290448416158819
+    assert result.best_point.tolist() == [0.9893160651469868, 0.9786914974793436,
+                                          0.957736729616388, 0.9169868618592265,
+                                          0.840263763104344]
 
 
 def test_chain_of_twenty_builds_one_lattice_set_per_pair():
@@ -934,3 +940,29 @@ def test_grouped_model_property_suite():
 
 def test_one_pass_build_property_suite():
     print(check_one_pass_build())
+
+
+def test_crash_basis_property_suite():
+    print(check_crash_basis())
+
+
+def test_each_new_shape_starts_from_its_crash_basis(monkeypatch):
+    # the integer axis of n loses breakpoints at iteration 3, so the run
+    # builds two shapes: the first root of each starts from the shape's
+    # crash start, and every other root from the previous root's basis
+    spec = from_expressions(
+        [("n", Interval(0.0, 10.0), True), ("x", Interval(-1.0, 1.0), False)],
+        "(n - 2.3)^2 + x^2 + n*x", constraints=[("x + n", ">=", -5.0)])
+    calls = []
+    solve = milp.solve_milp
+    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline, start: calls.append(
+        (model, start, solve(model, deadline, start))) or calls[-1][2])
+    run(spec, SppaConfig(4, 4))
+    new = [i for i, (model, _, _) in enumerate(calls) if i == 0 or model is not calls[i - 1][0]]
+    assert new == [0, 3]
+    for i, (model, start, res) in enumerate(calls):
+        if i in new:
+            assert start is not None and start.d is None and start.basis.size == model._canon.m
+            assert i == 0 or start is not calls[i - 1][2].start
+        else:
+            assert start is calls[i - 1][2].start

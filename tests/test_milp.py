@@ -3,6 +3,7 @@ import itertools
 import math
 import time
 import types
+import warnings
 
 import numpy as np
 import pytest
@@ -430,11 +431,35 @@ def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, fai
         np.testing.assert_allclose(warm.x, cold.x, atol=1e-12)
 
 
+def test_singular_start_restarts_from_the_slack_basis_without_a_warning():
+    # _simplex enters the LAPACK error state once per call, in which the LU
+    # solve of an exactly singular basis raises instead of warning: a start
+    # on two parallel columns restarts from the slack basis and ends as the
+    # cold solve, with one more factorization, and no warning escapes
+    p = LpProblem()
+    ids = [p.add_var(0, 1) for _ in range(3)]
+    p.add_row(dict(zip(ids, [1.0, 2.0, 1.0])), "<=", 2.0)
+    p.add_row(dict(zip(ids, [2.0, 4.0, 0.5])), "<=", 3.0)
+    p.set_objective(dict(zip(ids, [1.0, 1.0, 2.0])), sense="max")
+    canon = milp._Canon(p)
+    vstat = np.array([milp._BASIC, milp._BASIC, 0, 0, 0], dtype=np.int8)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        warm = milp._simplex(canon, canon.l, canon.u, milp._Start(np.array([0, 1]), vstat))
+        cold = milp._simplex(canon, canon.l, canon.u)
+        assert solve_milp(p, start=milp._Start(np.array([0, 1]), vstat)).status == "optimal"
+    assert (warm.status, warm.iterations, warm.factorizations, warm.objective) == (
+        "optimal", cold.iterations, cold.factorizations + 1, cold.objective)
+    assert warm.x.tobytes() == cold.x.tobytes()
+
+
+@milp._lapack_errors
 def test_basis_solves_are_np_linalg_solve_bit_for_bit():
     # _Basis calls the LAPACK gufunc behind np.linalg.solve directly: the
     # same bits on B and on B.T (a non-contiguous view) for random and
     # ill-conditioned bases of 1 to 60 rows, and LinAlgError on a singular
-    # one; a numpy that moves or changes the gufunc fails here (or at import)
+    # one under the error state _simplex enters, as this test does; a numpy
+    # that moves or changes the gufunc fails here (or at import)
     rng = np.random.default_rng(5)
     n_ill = 0
     for m in list(range(1, 61)) * 3:
