@@ -1,14 +1,16 @@
 #!/usr/bin/env python3
 """Write ``sppa solve --out`` traces with every ``seconds`` field stripped.
 
-Nine cases, each solved twice, always in both formats: to
+Ten cases, each solved twice, always in both formats: to
 ``OUTDIR/<case>.json`` without its ``seconds`` keys and to
 ``OUTDIR/<case>.csv`` without its ``seconds`` column.  The cases are
 the four builtins at their registry settings, eggholder at 20/4, the
 problem files of ``bench/problems`` (``constrained_a`` at 3/3,
-``constrained_b`` at 2/2 and ``numerical`` at 3/3), and the constrained
+``constrained_b`` at 2/2 and ``numerical`` at 3/3), the constrained
 chained Rosenbrock at n = 5 (``scripts/chain5.prob`` at 3/3), the one case
-whose models have several lambda blocks with member terms.  Run it in two
+whose models have several lambda blocks with member terms, and
+``scripts/fixed_row.prob`` at 3/3, the one case whose model has a
+coefficient-free row and a zero-cost variable in no term.  Run it in two
 checkouts and compare the two directories: identical output means the same
 runs, timings aside.  ``--against DIR`` makes the comparison: each trace
 written is compared byte for byte with the file of the same name in
@@ -40,7 +42,8 @@ def _cases() -> dict[str, list[str]]:
                                "--initial-n-pieces", "20", "--n-pieces", "4"]
     for path, pieces in ((_PROBLEMS / "constrained_a.prob", "3"),
                          (_PROBLEMS / "constrained_b.prob", "2"),
-                         (_PROBLEMS / "numerical.prob", "3"), (_SCRIPTS / "chain5.prob", "3")):
+                         (_PROBLEMS / "numerical.prob", "3"), (_SCRIPTS / "chain5.prob", "3"),
+                         (_SCRIPTS / "fixed_row.prob", "3")):
         # relative, so that checkouts in different places write the same
         cases[path.stem] = ["--problem", os.path.relpath(path),
                             "--initial-n-pieces", pieces, "--n-pieces", pieces]

@@ -8,8 +8,7 @@ geometrically about each incumbent until convergence.
 
 from sppa.loop import SppaConfig, SppaResult, contract_bounds, run
 from sppa.milp import LpProblem, solve_milp
-from sppa.problems import ProblemSpec, NonlinearTerm, builtin, load_problem
-from sppa.pwl import Interval
+from sppa.problems import Interval, ProblemSpec, NonlinearTerm, builtin, load_problem
 
 __version__ = "0.1.0"
 

@@ -11,12 +11,13 @@ exact objective and rows, never by the surrogate; the boxes are centred on
 the best-ranked point while the latest iterate is feasible (see ``run``).
 
 Both paths read one stage per iteration (``_block_stage``): per lambda
-block, its grid's axes and vertices, as Python floats, and its terms'
-values there, each term evaluated once at all of them
-(``NonlinearTerm.on``), or at one point when all its variables are fixed
-(``NonlinearTerm.at``).  The MILP path encodes them, vertices included;
-the vertex solve takes each block's best vertex, where the model is
-exact, so its value is the exact objective.
+block, its grid's axes (``axis_breakpoints``, equal pieces over each
+active variable's window, checked by ``check_axis``) and vertices, as
+Python floats, and its terms' values there, each term evaluated once at
+all of them (``NonlinearTerm.on``), or at one point when all its
+variables are fixed (``NonlinearTerm.at``).  The MILP path encodes them,
+vertices included; the vertex solve takes each block's best vertex,
+where the model is exact, so its value is the exact objective.
 
 At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call in one pass, each
@@ -35,19 +36,21 @@ from __future__ import annotations
 import itertools
 import math
 import numbers
+import operator
 import time
 from typing import Callable, Optional
 
 import numpy as np
 
 from sppa import mcmodel, milp
-from sppa.problems import ProblemSpec
-from sppa.pwl import Interval, axis_breakpoints, check_axis
+from sppa.problems import Interval, ProblemSpec
 
 __all__ = [
     "SppaConfig",
     "IterationRecord",
     "SppaResult",
+    "axis_breakpoints",
+    "check_axis",
     "contract_bounds",
     "build_iteration_model",
     "run",
@@ -160,6 +163,40 @@ def _layout(spec: ProblemSpec, bounds: list[Interval]) -> tuple:
     return list(blocks.values()), constants
 
 
+def check_axis(k: int, values: tuple) -> tuple:
+    """Axis ``k``, a tuple of floats, returned once it has two breakpoints or
+    more, all finite and strictly increasing; else a ``ValueError`` naming it."""
+    if len(values) < 2:
+        raise ValueError(f"dimension {k}: need at least two breakpoints")
+    # a strictly increasing axis holds no NaN, and an infinity only at an
+    # end; the full scan only chooses the error, non-finite first
+    if not (all(map(operator.lt, values, values[1:]))
+            and math.isfinite(values[0]) and math.isfinite(values[-1])):
+        if not all(map(math.isfinite, values)):
+            raise ValueError(f"dimension {k}: non-finite breakpoint")
+        raise ValueError(f"dimension {k}: breakpoints must be strictly increasing")
+    return values
+
+
+def axis_breakpoints(iv: Interval, pieces: int, integer: bool = False) -> tuple[float, ...]:
+    """``pieces`` equal segments over ``iv`` with the endpoints kept exact.
+
+    The points are ``np.linspace``'s, bit for bit, outside its branch for a
+    step that underflows to zero, whose grid has equal breakpoints either
+    way.  For an integer variable the inner points are rounded and
+    deduplicated, so the axis may end up with fewer segments.
+    """
+    if pieces < 1:
+        raise ValueError(f"need at least one piece, got {pieces}")
+    lo, hi, step = float(iv.lo), float(iv.hi), iv.width / pieces
+    pts = (lo, *[n * step + lo for n in range(1, pieces)], hi)
+    if integer:
+        snapped = np.round(pts)
+        keep = (snapped >= lo) & (snapped <= hi)
+        pts = tuple(np.unique(np.concatenate([[lo, hi], snapped[keep]])).tolist())
+    return pts
+
+
 def _block_stage(spec: ProblemSpec, layout: tuple, bounds: list[Interval], pieces: int):
     """Per block of ``layout`` (``_layout``): the axes of its active variables
     (``axis_breakpoints``, checked by ``check_axis``, ``dimension k`` the
@@ -262,8 +299,9 @@ def _crash_start(spec: ProblemSpec, model: milp.LpProblem, layout: tuple, stage:
     rows) holds the weight of its pick (``_pick``), and each linking row
     its variable or, when an earlier block's linking row holds that, the
     weight one grid step from the pick along the variable's axis (one step
-    down at the upper edge); every other row holds its slack
-    (``milp._row_start``).
+    down at the upper edge); every other row, row i, holds its slack,
+    column ``n + i`` after the model's ``n`` columns.  The start carries no
+    bound statuses: the simplex rests its nonbasic columns by its one rule.
 
     The basis is block lower-triangular, the blocks' rows and columns in
     block order and then the other rows and their slacks: a block's columns
@@ -271,7 +309,8 @@ def _crash_start(spec: ProblemSpec, model: milp.LpProblem, layout: tuple, stage:
     nonsingular: less the pick's column, a neighbour's column holds only its
     grid step, in its own linking row, as a variable's column holds its -1,
     and the pick's column alone reaches the set row."""
-    basis = np.full(len(model.senses), -1)
+    n = model.n_vars
+    basis = np.arange(n, n + len(model.senses))
     for (ids, active, _), (axes, vertices, sums), (cols, rows) in zip(layout[0], stage, blocks):
         pick = _pick(spec, ids, active, vertices, sums)
         basis[rows.stop] = j = cols.start + pick
@@ -279,7 +318,7 @@ def _crash_start(spec: ProblemSpec, model: milp.LpProblem, layout: tuple, stage:
             step = math.prod(map(len, axes[i + 1:]))  # active variable i's stride, row-major
             basis[rows.start + i] = k if k not in basis else j + (
                 step if (pick // step + 1) % len(axes[i]) else -step)
-    return milp._row_start(model, basis)
+    return milp._Start(basis)
 
 
 def _pick(spec: ProblemSpec, ids: tuple, active: list, vertices: list, sums: dict) -> int:
@@ -307,7 +346,7 @@ def _solve_at_vertices(spec: ProblemSpec, bounds: list[Interval], pieces: int,
     floats and its objective, exact at a vertex: per block of
     ``_block_stage``, its vertex ``_pick`` takes; every other variable at
     the bound its objective coefficient favours (if 0, the bound nearest
-    zero, lower on a tie, as the simplex)."""
+    zero, lower on a tie, as the simplex rests a column from every start)."""
     layout = _layout(spec, bounds) if layout is None else layout
     stage, values = _block_stage(spec, layout, bounds, pieces)
     sign = 1.0 if spec.sense == "min" else -1.0

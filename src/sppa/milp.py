@@ -10,9 +10,11 @@ pricing and the bound-flipping ratio test).
 With every column boxed, a basis is dual feasible once each nonbasic column
 sits at the bound its reduced cost favours, so with no phase 1 the root
 starts from a given basis (the previous outer iteration's, or for a model
-of a new shape a crash basis its builder reads off the model's structure,
-``_row_start``) or the slack basis, and each branch-and-bound child from
-its parent's optimal basis and bound statuses.
+of a new shape a crash basis its builder reads off the model's structure)
+or the slack basis, and each branch-and-bound child from its parent's
+optimal basis and bound statuses.  A start that carries no bound statuses
+rests each nonbasic column on its bound nearest zero, the lower one on a
+tie (``_rest``), until its reduced cost favours the other.
 
 Integer variables are handled by best-bound branch and bound.  A problem
 may also declare lattice sets: weights in [0, 1] that sum to 1, one per
@@ -124,7 +126,7 @@ class LpProblem:
         self.obj_constant = 0.0
         self.sense = "min"
         self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
-        self._canon: Optional[_Canon] = None  # built by solve_milp for this shape
+        self._canon: Optional[_Canon] = None  # built by solve_milp for this problem
 
     @property
     def n_vars(self) -> int:
@@ -159,25 +161,19 @@ class MilpResult:
 class _Canon:
     """Equality form: structurals then one slack per row, A x = b, l <= x <= u.
 
-    Every column is boxed.  Structural bounds are finite by construction,
-    and the slack of row i, ``b_i - a_i x``, is bounded by ``b_i`` minus the
-    row's activity range over the box; a branch-and-bound child's box lies
-    inside the root's, so these slack bounds hold at every node.  Built once
-    per shape of its problem, which includes the rows that have a
-    coefficient, and refilled in place from the problem's arrays (``fill``).
+    Every column is boxed.  Structural bounds are finite, as ``fill``
+    checks, and the slack of row i, ``b_i - a_i x``, is bounded by ``b_i``
+    minus the row's activity range over the box; a branch-and-bound child's
+    box lies inside the root's, so these slack bounds hold at every node.
+    Row i is the problem's row i.  Built once per problem and refilled in
+    place from its arrays (``fill``).
     """
 
     def __init__(self, problem: LpProblem):
         self.problem = problem
         n = self.nstruct = problem.n_vars
-        # coefficient-free rows are dropped, judged at 0 as an incumbent's rows are
-        self.kept = problem.A.any(axis=1)
-        kept = self.kept.tolist()
-        self.senses = [s for s, k in zip(problem.senses, kept) if k]  # of the kept rows
-        self.dropped = [s for s, k in zip(problem.senses, kept) if not k]
+        self.senses = list(problem.senses)
         m = self.m = len(self.senses)
-        # with every row kept (the usual case), fill copies no row selection
-        self.rows = self.kept if self.dropped else slice(None)
         # the slack bounds' own limits: a <= or = row's slack is >= 0, a >= or = row's <= 0
         self.slack_lo = np.array([-np.inf if s == GE else 0.0 for s in self.senses])
         self.slack_hi = np.array([np.inf if s == LE else 0.0 for s in self.senses])
@@ -189,15 +185,22 @@ class _Canon:
         self.fill()
 
     def fill(self):
-        """Copy the problem's values, integer bounds rounded inward (a nonbasic
-        column is never fractional) and each zero coefficient +0.0 as in a
-        fresh array, then recompute the slack bounds and ``dtol``."""
-        p, n, rows = self.problem, self.nstruct, self.rows
-        self.infeasible = bool(self.dropped) and row_violation(
-            [0.0] * len(self.dropped), self.dropped, p.rhs[~self.kept].tolist()) > ROW_TOL
+        """Copy the problem's values, once each is checked finite, integer
+        bounds rounded inward (a nonbasic column is never fractional) and
+        each zero coefficient +0.0 as in a fresh array, then recompute the
+        slack bounds and ``dtol``.  A coefficient-free row's slack is fixed
+        at its rhs, and the row is judged at activity 0, as an incumbent's
+        rows are: ``infeasible`` when one fails."""
+        p, n = self.problem, self.nstruct
+        # one test of all five arrays; only a failing model is scanned again, to name it
+        if not np.isfinite(np.concatenate((p.lb, p.ub, p.A.ravel(), p.rhs, p.c))).all():
+            for name in ("lb", "ub", "A", "rhs", "c"):
+                bad = np.argwhere(~np.isfinite(getattr(p, name)))
+                if bad.size:
+                    raise ValueError(f"non-finite {name}[{', '.join(map(str, bad[0]))}]")
         S = self.A[:, :n]
-        np.add(p.A[rows], 0.0, out=S)
-        b = self.b = p.rhs[rows].copy()
+        np.add(p.A, 0.0, out=S)
+        b = self.b = p.rhs.copy()
         lb, ub = self.l[:n], self.u[:n]
         lb[:], ub[:] = p.lb, p.ub
         idx = self.int_idx
@@ -206,6 +209,14 @@ class _Canon:
         pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
         np.maximum(b - (pos @ ub + neg @ lb), self.slack_lo, out=self.l[n:])
         np.minimum(b - (pos @ lb + neg @ ub), self.slack_hi, out=self.u[n:])
+        held = S.any(axis=1)  # False for a coefficient-free row
+        self.infeasible = False
+        if not held.all():
+            free = ~held
+            np.copyto(self.l[n:], b, where=free)
+            np.copyto(self.u[n:], b, where=free)
+            excess = np.maximum(self.slack_lo - b, b - self.slack_hi)[free]  # at activity 0
+            self.infeasible = bool((excess / (1.0 + np.abs(b[free])) > ROW_TOL).any())
         self.sign = 1.0 if p.sense == "min" else -1.0
         self.c[:n] = self.sign * p.c + 0.0
         self.dtol = 1e-9 * (1.0 + (float(np.abs(self.c).max()) if self.c.size else 0.0))
@@ -248,13 +259,14 @@ class _Basis:
 
 
 class _Start:
-    """A basis and its nonbasic bound statuses; a solve's optimal start also
-    carries the basis's reduced costs ``d`` and primal values ``x``."""
+    """A basis, one column per row, and its nonbasic bound statuses (None:
+    ``_rest``'s); a solve's optimal start also carries the basis's reduced
+    costs ``d`` and primal values ``x``."""
 
     __slots__ = ("basis", "vstat", "d", "x")
 
-    def __init__(self, basis: np.ndarray, vstat: np.ndarray, d: Optional[np.ndarray] = None,
-                 x: Optional[np.ndarray] = None):
+    def __init__(self, basis: np.ndarray, vstat: Optional[np.ndarray] = None,
+                 d: Optional[np.ndarray] = None, x: Optional[np.ndarray] = None):
         self.basis, self.vstat, self.d, self.x = basis, vstat, d, x
 
 
@@ -272,25 +284,12 @@ class _SxResult:
         self.x, self.objective, self.start = x, objective, start
 
 
-def _row_start(problem: LpProblem, basis: np.ndarray) -> _Start:
-    """The start on ``basis``, the column each row of ``problem`` holds or -1
-    for the row's slack, in ``_Canon``'s positions (coefficient-free rows
-    dropped), every nonbasic column at its lower bound until ``_simplex``
-    moves it to the bound its reduced cost favours."""
-    n, basis = problem.n_vars, basis[problem.A.any(axis=1)]
-    slack = basis < 0
-    basis[slack] = n + slack.nonzero()[0]
-    vstat = np.zeros(n + basis.size, dtype=np.int8)
-    vstat[basis] = _BASIC
-    return _Start(basis, vstat)
-
-
-def _slack_start(n: int, m: int, l: np.ndarray, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The slack basis, and its nonbasic columns on the bound nearest zero."""
-    basis = np.arange(n, n + m)
+def _rest(basis: np.ndarray, l: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """The bound statuses of a start on ``basis`` that carries none: each
+    nonbasic column on its bound nearest zero, the lower one on a tie."""
     vstat = np.where(np.abs(u) < np.abs(l), _NB_UPPER, _NB_LOWER).astype(np.int8)
     vstat[basis] = _BASIC
-    return basis, vstat
+    return vstat
 
 
 @_lapack_errors
@@ -301,13 +300,14 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     Starts from ``start`` (the slack basis when None), which is dual
     feasible once every nonbasic column sits at the bound its reduced cost
     favours; a column whose reduced cost is within tolerance of zero keeps
-    its bound.  Every basis, the start's and each one a pivot reaches, is
-    factorized afresh, and its reduced costs and primal values are
-    recomputed from the bound statuses; a start that carries its vectors (a
-    parent's optimal start on this canonical form) keeps its reduced costs,
-    and its basic values when no nonbasic value changes a bit.  A singular
-    basis sends the solve back to the slack basis once; a second one ends it
-    with status 'numerical'.  The solve runs under ``_lapack_errors``,
+    its bound, the start's or, for a start without statuses, ``_rest``'s.
+    Every basis, the start's and each one a pivot reaches, is factorized
+    afresh, and its reduced costs and primal values are recomputed from the
+    bound statuses; a start that carries its vectors (a parent's optimal
+    start on this canonical form) keeps its reduced costs, and its basic
+    values when no nonbasic value changes a bit.  A singular basis sends
+    the solve back to the slack basis once; a second one ends it with
+    status 'numerical'.  The solve runs under ``_lapack_errors``,
     entered once per call, not once per LU solve, so an invalid value met
     while a basis's vectors and objective are computed also counts as a
     singular basis.  Each pivot removes the basic variable with the
@@ -328,7 +328,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
     A, c, dtol = canon.A, canon.c, canon.dtol
     movable = u > l
     range_ = u - l
-    basis, vstat = _slack_start(n, m, l, u) if start is None else (start.basis.copy(), start.vstat)
+    basis = np.arange(n, n + m) if start is None else start.basis.copy()
+    vstat = _rest(basis, l, u) if start is None or start.vstat is None else start.vstat
     parent = start if start is not None and start.d is not None else None
     iter_limit = 20_000 + 50 * m
     bland = False
@@ -358,7 +359,8 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
         except np.linalg.LinAlgError:  # a singular basis: start again from the slack basis, once
             if from_slack:
                 return _SxResult("numerical", iters, n_factor)
-            basis, vstat = _slack_start(n, m, l, u)
+            basis = np.arange(n, n + m)
+            vstat = _rest(basis, l, u)
             from_slack, last_obj = True, -math.inf
             continue
 
@@ -432,7 +434,7 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 
 
 class _Lattice:
-    """The lattice sets' members and integer keys, built once per shape: row
+    """The lattice sets' members and integer keys, built once per problem: row
     p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
     from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j, in
     ``itertools.combinations`` order), and ``signed`` holds ``keys`` and then
@@ -516,7 +518,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     A node splits a lattice set whose support spans more than one simplex
     when it has one (see ``_balanced_cut``), and otherwise branches on the
     most fractional integer, the lowest id on ties.  The root starts from
-    ``start`` (a ``MilpResult.start`` or a ``_row_start``) when its shape
+    ``start`` (a ``MilpResult.start``, or a basis alone) when its shape
     matches this model's canonical form, else from the slack basis.
     Returns an incumbent, with its integer components rounded, whose
     relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
@@ -524,11 +526,11 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     proven dual bound, plus the best incumbent if it has one (``x`` is None
     otherwise).  A model without integer variables or lattice sets is one
     simplex solve at the root.  The canonical form and its lattice keys are
-    built once per shape of ``problem`` and refilled at each later solve.
+    built once per ``problem`` and refilled at each later solve; a
+    non-finite value in its arrays raises a ``ValueError`` naming it.
     """
     canon = problem._canon
-    if (canon is None or canon.problem is not problem
-            or problem.A.any(axis=1).tobytes() != canon.kept.tobytes()):
+    if canon is None or canon.problem is not problem:
         canon = problem._canon = _Canon(problem)
     else:
         canon.fill()
@@ -536,8 +538,8 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     int_idx, lattice = canon.int_idx, canon.lattice
     counters = dict.fromkeys(COUNTERS, 0)
 
-    if start is not None and (start.basis.size != canon.m
-                              or start.vstat.size != canon.nstruct + canon.m):
+    if start is not None and (start.basis.size != canon.m or start.vstat is not None
+                              and start.vstat.size != canon.nstruct + canon.m):
         start = None
     incumbent_x = None
     incumbent_obj = math.inf  # internal minimization value

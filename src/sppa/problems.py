@@ -31,11 +31,11 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 from sppa import expr
-from sppa.expr import DomainError, Node
+from sppa.expr import DomainError, Node, _Frozen
 from sppa.milp import LinearConstraint, row_violation
-from sppa.pwl import Interval
 
 __all__ = [
+    "Interval",
     "NonlinearTerm",
     "ProblemSpec",
     "ProblemFormatError",
@@ -46,6 +46,35 @@ __all__ = [
     "builtin_info",
     "load_problem",
 ]
+
+
+class Interval(_Frozen):
+    """Closed bounded interval ``[lo, hi]`` of real numbers, immutable."""
+    __hash__ = _Frozen.__hash__  # kept beside the __eq__ below
+
+    def __init__(self, lo: float, hi: float):
+        try:
+            finite = math.isfinite(lo) and math.isfinite(hi)
+        except TypeError:  # not a real number
+            finite = None
+        if finite is None or lo.__class__ is bool or hi.__class__ is bool:
+            raise ValueError(f"interval bounds must be real numbers, got [{lo!r}, {hi!r}]")
+        if not finite:
+            raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")
+        if lo > hi:
+            raise ValueError(f"interval lower bound {lo} exceeds upper bound {hi}")
+        # set and compared without building the instance dict, whose reads are slower
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
+
+    def __eq__(self, other):
+        if other.__class__ is not Interval:
+            return NotImplemented
+        return self.lo == other.lo and self.hi == other.hi
+
+    @property
+    def width(self) -> float:
+        return self.hi - self.lo
 
 
 @dataclass

@@ -22,9 +22,10 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from sppa import expr, loop, milp, pwl
+from sppa import expr, loop, milp
 from sppa.mcmodel import encode_term
-from sppa.problems import NonlinearTerm, ProblemSpec, _term_fn, from_expressions, group_leads
+from sppa.problems import (Interval, NonlinearTerm, ProblemSpec, _term_fn, from_expressions,
+                           group_leads)
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +108,7 @@ class LpProblem(milp.LpProblem):
 class Grid:
     """Per-variable breakpoint tuples partitioning a box into cells, each
     axis read once and checked as the solver checks its axes
-    (``pwl.check_axis``)."""
+    (``loop.check_axis``)."""
 
     def __init__(self, breakpoints: Sequence[Sequence[float]]):
         axes = []
@@ -125,7 +126,7 @@ class Grid:
             except ValueError:
                 raise ValueError(f"dimension {k}: breakpoints must be real numbers, "
                                  f"got {b!r}") from None
-            axes.append(pwl.check_axis(k, values))
+            axes.append(loop.check_axis(k, values))
         if not axes:
             raise ValueError("grid needs at least one dimension")
         self.breakpoints = tuple(axes)
@@ -184,8 +185,8 @@ def vertex_path(sid: SimplexId) -> list[tuple[int, ...]]:
 def build_grid(bounds: Sequence, pieces: Sequence[int]) -> Grid:
     """Equally spaced grid over ``bounds`` with ``pieces[k]`` segments on axis k,
     built by the same breakpoint routine as the solve loop."""
-    ivs = [b if isinstance(b, pwl.Interval) else pwl.Interval(*b) for b in bounds]
-    return Grid([pwl.axis_breakpoints(iv, L) for iv, L in zip(ivs, pieces)])
+    ivs = [b if isinstance(b, Interval) else Interval(*b) for b in bounds]
+    return Grid([loop.axis_breakpoints(iv, L) for iv, L in zip(ivs, pieces)])
 
 
 def lower(grid: Grid) -> np.ndarray:
@@ -367,7 +368,7 @@ def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, piece
     fixed = np.array([bounds[k].lo for k in term.var_ids], dtype=float)
     if not active:
         return active, None, term.at(fixed)
-    grid = Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
+    grid = Grid([loop.axis_breakpoints(bounds[k], pieces, spec.variables[k][2])
                      for k in active])
     points = np.full(tuple(map(len, grid.breakpoints)) + fixed.shape, fixed)
     points[..., [term.var_ids.index(k) for k in active]] = grid.points()
@@ -414,9 +415,9 @@ def check_triangulation(n_points: int = 1000) -> str:
     rng = np.random.default_rng(20260810)
 
     grids = [
-        build_grid([pwl.Interval(0.0, 1.0)], [5]),
-        build_grid([pwl.Interval(-1.0, 2.0), pwl.Interval(0.0, 4.0)], [3, 2]),
-        build_grid([pwl.Interval(-2.0, 2.0)] * 3, [2, 2, 2]),
+        build_grid([Interval(0.0, 1.0)], [5]),
+        build_grid([Interval(-1.0, 2.0), Interval(0.0, 4.0)], [3, 2]),
+        build_grid([Interval(-2.0, 2.0)] * 3, [2, 2, 2]),
     ]
     funcs = [
         lambda v: float(np.sum(v**2)),
@@ -482,13 +483,13 @@ def check_lambda_equivalence(n_points: int = 200) -> str:
     one simplex that contains the point."""
     rng = np.random.default_rng(31337)
     cases = [
-        (build_grid([pwl.Interval(-1.0, 3.0)], [3]), lambda v: float(v[0] ** 2)),
+        (build_grid([Interval(-1.0, 3.0)], [3]), lambda v: float(v[0] ** 2)),
         (
-            build_grid([pwl.Interval(0.0, 1.0), pwl.Interval(0.0, 1.0)], [2, 2]),
+            build_grid([Interval(0.0, 1.0), Interval(0.0, 1.0)], [2, 2]),
             lambda v: float(v[0] * v[1]),
         ),
         (
-            build_grid([pwl.Interval(-2.0, 2.0), pwl.Interval(-1.0, 1.0)], [2, 2]),
+            build_grid([Interval(-2.0, 2.0), Interval(-1.0, 1.0)], [2, 2]),
             lambda v: float(np.sin(v[0]) + v[1] ** 3),
         ),
     ]
@@ -659,7 +660,7 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
         for k in range(d):
             lo = float(rng.integers(-3, 0)) if integer[k] else float(rng.uniform(-2.0, 0.0))
             hi = lo + (float(rng.integers(2, 6)) if integer[k] else float(rng.uniform(1.0, 3.0)))
-            variables.append((f"x{k}", pwl.Interval(lo, hi), integer[k]))
+            variables.append((f"x{k}", Interval(lo, hi), integer[k]))
         point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
         shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=d)
         r = int(rng.integers(0, d))
@@ -707,10 +708,10 @@ def _refill_spec(rng: np.random.Generator) -> ProblemSpec:
     term of w and x, in that order, against the lead's n, x, w.  Rows: that
     row (``<=``) and a linear ``>=`` row, both through a random point."""
     lo = float(rng.integers(-4, 0))
-    variables = [("n", pwl.Interval(lo, lo + float(rng.integers(3, 9))), True),
-                 ("x", pwl.Interval(-1.0, float(rng.uniform(0.5, 2.0))), False),
-                 ("y", pwl.Interval(float(rng.uniform(-2.0, 0.0)), 1.0), False),
-                 ("w", pwl.Interval(*[float(rng.uniform(-1.0, 1.0))] * 2), False)]
+    variables = [("n", Interval(lo, lo + float(rng.integers(3, 9))), True),
+                 ("x", Interval(-1.0, float(rng.uniform(0.5, 2.0))), False),
+                 ("y", Interval(float(rng.uniform(-2.0, 0.0)), 1.0), False),
+                 ("w", Interval(*[float(rng.uniform(-1.0, 1.0))] * 2), False)]
     point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
     shape, a = _SHAPES[int(rng.integers(0, 3))], rng.uniform(-1.0, 1.0, size=3)
     # 0 wherever the coordinate is at most its cut, and a negative coef times 0.0 is -0.0
@@ -846,7 +847,7 @@ def _nested_spec(rng: np.random.Generator) -> ProblemSpec:
         hi = lo + (float(rng.integers(2, 5)) if integer else float(rng.uniform(1.0, 3.0)))
         if k and rng.random() < 0.25:
             hi = lo
-        variables.append((f"x{k}", pwl.Interval(lo, hi), integer))
+        variables.append((f"x{k}", Interval(lo, hi), integer))
     point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
     terms = []
     for targets in ([None], [None, 0, 0, 0][:int(rng.integers(2, 5))]):
@@ -953,7 +954,7 @@ def check_split_terms(n_specs: int = 40) -> str:
     names = ("x", "y", "z")
     n_optimal = 0
     for _ in range(n_specs):
-        variables = [(n, pwl.Interval(lo, lo + float(rng.uniform(1.0, 3.0))), False)
+        variables = [(n, Interval(lo, lo + float(rng.uniform(1.0, 3.0))), False)
                      for n, lo in zip(names, rng.uniform(-2.0, 0.0, size=3))]
         point = {n: float(rng.uniform(iv.lo, iv.hi)) for n, iv, _ in variables}
         lhs = _overlapping_text(rng, names)
@@ -1334,9 +1335,10 @@ def check_warm_root(n_pairs: int = 80) -> str:
     a random point of their box, except every eighth second problem, which
     gets two contradictory rows.  Edge cases: a warm basis made singular by
     zeroing a basic column's coefficients restarts from the slack basis
-    (the cold solve exactly, with one more factorization), and a start
-    whose shape differs from the canonical form (a row more, a variable
-    more, or a row the canonical form drops) is ignored.
+    (the cold solve exactly, with one more factorization), a start whose
+    shape differs from the canonical form (a row more or a variable more)
+    is ignored, and a start on the second problem with a coefficient-free
+    row in place of its first row is a warm root like the others.
     """
     rng = np.random.default_rng(8080)
     senses = np.array(["<=", "<=", ">=", ">=", "="])
@@ -1361,6 +1363,12 @@ def check_warm_root(n_pairs: int = 80) -> str:
         return (a.status, ca["pivots"], ca["factorizations"], a.nodes) == (
             b.status, cb["pivots"], cb["factorizations"] + refactorizations, b.nodes) and (
             a.x is b.x is None or np.array_equal(a.x, b.x))
+
+    def agree(warm, cold):
+        assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
+        if cold.status == "optimal":
+            assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (
+                f"warm {warm.objective} != cold {cold.objective}")
 
     n_int = n_infeasible = n_singular = n_shape = warm_root = cold_root = 0
     for k in range(n_pairs):
@@ -1393,11 +1401,8 @@ def check_warm_root(n_pairs: int = 80) -> str:
             second.rhs[:2] = [r0, r0 - 0.5]
         cold = milp.solve_milp(second)
         warm = milp.solve_milp(second, start=first.start)
-        assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
-        if cold.status == "optimal":
-            assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (
-                f"warm {warm.objective} != cold {cold.objective}")
-        else:
+        agree(warm, cold)
+        if cold.status != "optimal":
             assert cold.status == "infeasible" and k % 8 == 7, cold.status
             n_infeasible += 1
         n_int += bool(is_int.any())
@@ -1426,12 +1431,13 @@ def check_warm_root(n_pairs: int = 80) -> str:
         wider.add_var(0.0, 1.0)
         taller = copy.deepcopy(second)
         taller.add_row({0: 1.0}, "<=", second.ub[0])
-        # as many rows as the start's basis, one of which the canonical form drops
-        shorter = build(lo2, hi2, is_int, A2[1:], sn[1:], c2, sense)
-        shorter.add_row({}, "<=", 1.0)
-        for other in (wider, taller, shorter):
+        for other in (wider, taller):
             assert same(milp.solve_milp(other, start=first.start), milp.solve_milp(other))
             n_shape += 1
+        # as many rows as the start's basis, one of them coefficient-free: a same-shaped start
+        shorter = build(lo2, hi2, is_int, A2[1:], sn[1:], c2, sense)
+        shorter.add_row({}, "<=", 1.0)
+        agree(milp.solve_milp(shorter, start=first.start), milp.solve_milp(shorter))
 
     assert n_infeasible > 0 and n_singular > 0 and n_int > 0, (n_infeasible, n_singular, n_int)
     assert warm_root < cold_root, (warm_root, cold_root)
@@ -1445,8 +1451,8 @@ def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
     about a third of the specs and a middle one fixed in about a quarter;
     an objective term on each consecutive pair, so that the pairs' blocks
     share variables; a ``<=`` row of a square of each variable, a linear
-    ``>=`` row and a row with no coefficient at a random place among them
-    (the canonical form drops it), both other rows through a random point;
+    ``>=`` row and a row with no coefficient at a random place among them,
+    both other rows through a random point;
     a random sense and linear objective coefficients on some variables."""
     d = int(rng.integers(3, 6))
     variables = []
@@ -1456,7 +1462,7 @@ def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
         hi = lo + (float(rng.integers(1, 5)) if integer else float(rng.uniform(1.0, 3.0)))
         if 0 < k < d - 1 and rng.random() < 0.25:
             hi = lo
-        variables.append((f"x{k}", pwl.Interval(lo, hi), integer))
+        variables.append((f"x{k}", Interval(lo, hi), integer))
     point = np.array([rng.uniform(iv.lo, iv.hi) for _, iv, _ in variables])
     if variables[0][2]:
         point[0] = round(point[0])
@@ -1482,12 +1488,13 @@ def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
 def check_crash_basis(n_specs: int = 60) -> str:
     """The crash start ``loop.build_iteration_model`` makes for a new shape
     (``loop._crash_start``) is a basis of the canonical form: one column per
-    kept row, each basic column marked basic and no other, and LU factorizes
-    it; the root started from it reaches the status and, within the
-    relative gap, the objective of the root started from the slack basis.
+    row, the coefficient-free row's slack in it, no bound statuses carried,
+    and LU factorizes it; the root started from it reaches the status and,
+    within the relative gap, the objective of the root started from the
+    slack basis.
 
     Specs are ``_chained_spec``'s, whose blocks share variables, at 2 to 4
-    pieces; each has a row the canonical form drops, some an integer axis
+    pieces; each has a coefficient-free row, some an integer axis
     or a fixed variable, under either sense.  Some crash bases must hold a
     neighbour's weight, and the roots from the crash bases must take fewer
     pivots in all than those from the slack basis."""
@@ -1500,9 +1507,11 @@ def check_crash_basis(n_specs: int = 60) -> str:
         crash = models.pop("crash")
         canon = milp._Canon(model)
         n, m = canon.nstruct, canon.m
-        assert len(canon.dropped) == 1 and crash.basis.size == m, (canon.dropped, crash.basis)
+        free = np.flatnonzero(~model.A.any(axis=1))
+        assert free.size == 1 and crash.basis.size == m, (free, crash.basis)
+        assert crash.basis[free[0]] == n + free[0], "the coefficient-free row holds no slack"
         assert sorted(set(crash.basis.tolist())) == sorted(crash.basis.tolist())
-        assert (np.flatnonzero(crash.vstat == milp._BASIC) == np.sort(crash.basis)).all()
+        assert crash.vstat is None, "the crash start carries bound statuses"
         milp._lapack_errors(milp._Basis(canon, crash.basis).ftran)(np.ones(m))  # raises if singular
         # a neighbour's weight stands in for a variable an earlier block holds
         weights = (spec.n_vars <= crash.basis) & (crash.basis < n)
@@ -1546,9 +1555,9 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
         else:
             fn = lambda v, a=a, c0=c0: float(np.prod(v + a) + c0 * np.sum(np.abs(v)))
 
-        variables = [(f"x{k}", pwl.Interval(float(lo[k]), float(hi[k])), False) for k in range(d)]
+        variables = [(f"x{k}", Interval(float(lo[k]), float(hi[k])), False) for k in range(d)]
         # one untouched linear-only variable to verify it is never contracted
-        variables.append(("w", pwl.Interval(-1.0, 1.0), False))
+        variables.append(("w", Interval(-1.0, 1.0), False))
         spec = ProblemSpec(
             variables=variables,
             linear_objective={d: 0.01},
@@ -1588,7 +1597,7 @@ def check_sppa_invariants(n_problems: int = 50) -> str:
                     # the best point so far feeds the next window
                     assert iv.lo - 1e-9 <= best.incumbent[k] <= iv.hi + 1e-9
             # the linear-only variable keeps bit-identical bounds
-            assert rec.bounds["w"] == pwl.Interval(-1.0, 1.0)
+            assert rec.bounds["w"] == Interval(-1.0, 1.0)
             # a row-free spec is solved at the grid vertices, where the
             # surrogate is the exact objective
             assert abs(rec.surrogate_objective - rec.objective) <= 1e-12 * (
@@ -1627,9 +1636,9 @@ def _row_free_spec(rng: np.random.Generator) -> tuple[ProblemSpec, int]:
         lo = float(rng.uniform(-3.0, 1.0))
         if j == fixed:
             lo = float(round(lo)) if integer else lo
-            iv = pwl.Interval(lo, lo)
+            iv = Interval(lo, lo)
         else:
-            iv = pwl.Interval(lo, lo + float(rng.uniform(1.5 if integer else 0.5, 6.0)))
+            iv = Interval(lo, lo + float(rng.uniform(1.5 if integer else 0.5, 6.0)))
         variables.append((f"v{j}", iv, integer))
     perm = [int(k) for k in rng.permutation(n)]
     terms, start = [], 0
@@ -1676,7 +1685,7 @@ def _scalar_vertex_optimum(spec: ProblemSpec, pieces: int) -> tuple[list[float],
         members = [t for t, lead in enumerate(leads) if lead == g]
         ids = terms[g].var_ids
         active = [k for k in ids if bounds[k].width > 0.0]
-        axes = [pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
+        axes = [loop.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active]
         candidates = []
         for coords in itertools.product(*axes):
             full = dict(zip(ids, (bounds[k].lo for k in ids)))
@@ -1715,19 +1724,19 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     n_max = 0
     # and exact ties, where the first best vertex row-major wins: x = -1
     # (not 1) for -x^2, and (y, w) = (-1, 1) (not (1, -1)) for y*w
-    ties = ProblemSpec([(v, pwl.Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
+    ties = ProblemSpec([(v, Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
                        [NonlinearTerm((0,), lambda v: float(v[0] ** 2), coef=-1.0),
                         NonlinearTerm((1, 2), lambda v: float(v[0] * v[1]))])
     assert _scalar_vertex_optimum(ties, 2)[0] == [-1.0, -1.0, 1.0]
     # and a near-tie that the order of the linear sum decides: at (1, 1, 1)
     # it is 0.1 + 0.2 + 0.3 = 0.6000000000000001 summed left to right, above
     # the origin's 0.6, but 0.6 summed right to left, a tie the origin wins
-    near = ProblemSpec([(v, pwl.Interval(0.0, 1.0), False) for v in "xyw"],
+    near = ProblemSpec([(v, Interval(0.0, 1.0), False) for v in "xyw"],
                        {0: 0.1, 1: 0.2, 2: 0.3}, 0.0, [],
                        [NonlinearTerm((0, 1, 2), lambda v: 0.0 if v.any() else 0.6)], sense="max")
     assert _scalar_vertex_optimum(near, 1)[0] == [1.0, 1.0, 1.0]
     # and terms that nest in one block, one of them in another order
-    nested = ProblemSpec([(v, pwl.Interval(-1.0, 1.0), False) for v in "xy"], {0: 0.25}, 0.0, [],
+    nested = ProblemSpec([(v, Interval(-1.0, 1.0), False) for v in "xy"], {0: 0.25}, 0.0, [],
                          [NonlinearTerm((1,), lambda v: float(v[0] ** 2), coef=-0.5),
                           NonlinearTerm((0, 1), lambda v: float((v[0] - v[1] - 0.5) ** 2)),
                           NonlinearTerm((1, 0), lambda v: float(v[0] * v[1] ** 3))])
@@ -1758,7 +1767,7 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
             assert iv.lo <= x <= iv.hi, "incumbent outside the bounds"
             assert not integer or x == round(x), "integer variable not integral"
             if j in in_terms:
-                assert x in pwl.axis_breakpoints(iv, pieces, integer), "not a grid vertex"
+                assert x in loop.axis_breakpoints(iv, pieces, integer), "not a grid vertex"
             else:  # at a bound, the one the simplex picks
                 assert x == ref.x[j], f"variable {j} at {x}, the milp's at {ref.x[j]}"
 
@@ -1768,11 +1777,11 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     def zeros(first: float, last: float, sense: str) -> ProblemSpec:
         # x = -1 and x = 1 tie at first and last; x = 0 is worse either way
         worse = 1.0 if sense == "min" else -1.0
-        return ProblemSpec([("x", pwl.Interval(-1.0, 1.0), False)], {}, 0.0, [],
+        return ProblemSpec([("x", Interval(-1.0, 1.0), False)], {}, 0.0, [],
                            [NonlinearTerm((0,), lambda v: first if v[0] < -0.5
                                           else worse if v[0] < 0.5 else last)], sense=sense)
 
-    line = [pwl.Interval(-1.0, 1.0), False]
+    line = [Interval(-1.0, 1.0), False]
     tied = [(zeros(a, b, sense), 2, [-1.0])
             for a, b in ((0.0, -0.0), (-0.0, 0.0)) for sense in ("min", "max")]
     square = NonlinearTerm((0,), lambda v: float(v[0] ** 2))
@@ -1791,7 +1800,7 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     # blocks sharing a variable, which nest in no one block, still go
     # through the MILP
     shared = ProblemSpec(
-        [(v, pwl.Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
+        [(v, Interval(-1.0, 1.0), False) for v in "xyw"], {}, 0.0, [],
         [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1])),
          NonlinearTerm((1, 2), lambda v: float((v[0] - v[1] - 0.5) ** 2))],
     )
@@ -1855,7 +1864,7 @@ def check_best_point(n_row_free: int = 40, n_with_rows: int = 20) -> str:
         np.testing.assert_array_equal(result.best_point, best.incumbent)
 
     # on a flat minimum, iterates of equal objective move: the later one wins
-    flat = ProblemSpec([("x", pwl.Interval(-1.0, 3.0), False)], {}, 0.0, [],
+    flat = ProblemSpec([("x", Interval(-1.0, 3.0), False)], {}, 0.0, [],
                        [NonlinearTerm((0,), lambda v: max(0.0, abs(float(v[0])) - 0.5) ** 2)])
     result = loop.run(flat, loop.SppaConfig(3, 3, 0.5, max_iters=8))
     zeros = [rec.incumbent for rec in result.trace if rec.objective == 0.0]
@@ -1874,7 +1883,7 @@ def check_best_point(n_row_free: int = 40, n_with_rows: int = 20) -> str:
         terms = [NonlinearTerm(tuple(range(d)), lambda v, b=b: float(np.sum((v - b) ** 2))),
                  NonlinearTerm(tuple(range(d)), lambda v, a=a: float(np.sum((v - a) ** 2)),
                                row=0)]
-        spec = ProblemSpec([(f"x{k}", pwl.Interval(float(lo[k]), float(hi[k])), False)
+        spec = ProblemSpec([(f"x{k}", Interval(float(lo[k]), float(hi[k])), False)
                             for k in range(d)], {}, 0.0, rows, terms,
                            sense="min" if rng.random() < 0.8 else "max")
         result = loop.run(spec, loop.SppaConfig(int(rng.integers(2, 4)), 2, 0.5, max_iters=8))

@@ -275,7 +275,7 @@ def test_window_narrower_than_its_first_grid_is_held_fixed(tmp_path):
     # x's window is one float spacing at 1e9 (1.2e-7), too narrow for the
     # 4 pieces of the first grid: it is held fixed at its midpoint from the
     # start, so the run ends by width after one iteration instead of
-    # raising from pwl.Grid on colliding breakpoints
+    # raising on colliding breakpoints
     prob = tmp_path / "narrow.prob"
     prob.write_text("[variables]\nx 1000000000 1000000000.0000001\n"
                     "[objective]\nmin (x-1000000000)^2\n")
@@ -514,10 +514,10 @@ def test_strip_traces_writes_each_case_without_seconds(tmp_path, monkeypatch):
     cases = [(name, builtin_info(name)["initial_n_pieces"], builtin_info(name)["n_pieces"])
              for name in builtin_names()] + [
         ("eggholder", 20, 4), ("constrained_a", 3, 3), ("constrained_b", 2, 2),
-        ("numerical", 3, 3), ("chain5", 3, 3)]
+        ("numerical", 3, 3), ("chain5", 3, 3), ("fixed_row", 3, 3)]
     assert calls == [case for case in cases for _fmt in ("json", "csv")]
     stems = builtin_names() + ["eggholder_20_4", "constrained_a", "constrained_b", "numerical",
-                               "chain5"]
+                               "chain5", "fixed_row"]
     files = sorted(p.name for p in tmp_path.iterdir())
     assert files == sorted(f"{stem}.{fmt}" for stem in stems for fmt in ("json", "csv"))
     for stem in stems:
@@ -550,7 +550,7 @@ def test_strip_traces_against_names_where_each_case_splits(tmp_path, monkeypatch
     capsys.readouterr()
     assert script.run([str(after), "--against", str(before)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == (
-        f"all 9 traces identical to {before}, in JSON and CSV")
+        f"all 10 traces identical to {before}, in JSON and CSV")
     (before / "rastrigin.json").unlink()
     (before / "rastrigin.csv").unlink()
     assert script.run([str(after), "--against", str(before)]) == 1

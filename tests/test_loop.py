@@ -8,11 +8,10 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sppa import loop, milp, pwl
-from sppa.loop import SppaConfig, build_iteration_model, contract_bounds, run
-from sppa.problems import (NonlinearTerm, ProblemSpec, builtin, builtin_info,
+from sppa import loop, milp
+from sppa.loop import SppaConfig, axis_breakpoints, build_iteration_model, contract_bounds, run
+from sppa.problems import (Interval, NonlinearTerm, ProblemSpec, builtin, builtin_info,
                            from_expressions, group_leads, load_problem)
-from sppa.pwl import Interval, axis_breakpoints
 
 from properties import (Grid, check_best_point, check_crash_basis, check_grouped_model,
                         check_model_refill, check_one_pass_build, check_sppa_invariants,
@@ -280,7 +279,7 @@ def test_vertex_rows_are_the_milp_grid_points(data):
     active = [k for k in ids if bounds[k].width > 0.0]
     assume(active)
     [(axes, rows, _)], _ = loop._block_stage(spec, loop._layout(spec, bounds), bounds, pieces)
-    grid = Grid([pwl.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
+    grid = Grid([loop.axis_breakpoints(bounds[k], pieces, spec.variables[k][2]) for k in active])
     assert axes == list(grid.breakpoints)
     # float: an int bound must not make the array integer and truncate the grid
     points = np.full((len(rows), d), [bounds[k].lo for k in ids], dtype=float)
@@ -343,6 +342,17 @@ def test_fixed_row_term_is_judged_by_the_row_tolerance():
     assert result.termination == "width"
     assert result.best_objective == pytest.approx(0.25)
     assert list(result.best_point) == pytest.approx([2.0000001, 0.0])
+
+
+def test_a_zero_cost_variable_rests_at_its_bound_nearest_zero_on_both_paths():
+    # v is in no term and costs nothing: the vertex path puts it at its bound
+    # nearest zero, and the MILP path leaves it nonbasic there from every start
+    variables = [("x", Interval(-1.0, 1.0), False), ("v", Interval(-3.0, 1.0), False)]
+    for rows in ([("x^2", "<=", 0.5)], []):
+        result = run(from_expressions(variables, "(x - 0.3)^2", rows),
+                     SppaConfig(3, 3, 0.5, max_iters=5))
+        assert len(result.trace) == 5
+        assert [rec.incumbent[1] for rec in result.trace] == [1.0] * 5, rows
 
 
 def test_infeasible_first_iteration():
@@ -772,7 +782,7 @@ def test_vertex_iteration_evaluates_each_term_once(monkeypatch):
             return fn(*args)
         return wrapper
 
-    monkeypatch.setattr(loop, "check_axis", counted("axis", pwl.check_axis))
+    monkeypatch.setattr(loop, "check_axis", counted("axis", loop.check_axis))
     monkeypatch.setattr(ProblemSpec, "objective_value",
                         counted("objective", ProblemSpec.objective_value))
     # y is fixed, so x alone spans the first term's grid; w is fixed, so

@@ -10,8 +10,7 @@ import pytest
 
 from sppa import loop, milp
 from sppa.milp import solve_milp
-from sppa.problems import from_expressions
-from sppa.pwl import Interval
+from sppa.problems import Interval, from_expressions
 
 from properties import (LpProblem, check_child_reuse, check_lattice_branch, check_milp_oracle,
                         check_set_branch_warm, check_warm_child, check_warm_root,
@@ -173,7 +172,7 @@ def test_empty_row_consistency():
     assert solve_milp(p).status == "infeasible"
     q = LpProblem()
     x = q.add_var(0, 1)
-    q.add_row({x: 0.0}, "<=", 1.0)  # trivially true, dropped
+    q.add_row({x: 0.0}, "<=", 1.0)  # trivially true
     q.add_row({}, "<=", -0.9e-6)  # off by less than ROW_TOL * (1 + |rhs|): holds
     q.set_objective({x: 1})
     assert solve_milp(q).status == "optimal"
@@ -182,9 +181,10 @@ def test_empty_row_consistency():
 
 
 def test_canonical_form_of_coefficient_free_rows_of_each_sense():
-    # coefficient-free rows are dropped and judged at 0, whatever their
-    # sense; the kept rows keep their order and senses, each slack's own
-    # limits follow its row's sense, and the slacks' columns are an identity
+    # every row is kept in the model's order and sense: canonical row i is
+    # model row i; a coefficient-free row's slack is fixed at its rhs and
+    # the row is judged at 0, whatever its sense; each slack's own limits
+    # follow its row's sense, and the slacks' columns are an identity
     inf = math.inf
     p = LpProblem()
     x, y = p.add_var(0, 1), p.add_var(-1, 2)
@@ -195,25 +195,56 @@ def test_canonical_form_of_coefficient_free_rows_of_each_sense():
     p.add_row({}, "=", 0.0)
     p.add_row({x: 1.0, y: -1.0}, "=", 0.25)
     canon = milp._Canon(p)
-    assert (canon.m, canon.senses, canon.dropped) == (3, [">=", "<=", "="], ["<=", ">=", "="])
-    assert canon.slack_lo.tolist() == [-inf, 0.0, 0.0] and canon.slack_lo.dtype == float
-    assert canon.slack_hi.tolist() == [0.0, inf, 0.0] and canon.slack_hi.dtype == float
-    assert canon.A.tobytes() == np.hstack([p.A[[0, 3, 5]], np.eye(3)]).tobytes()
-    assert canon.b.tolist() == [0.5, 3.0, 0.25] and not canon.infeasible
-    # a dropped row that fails at 0 makes the model infeasible, for each sense
+    assert (canon.m, canon.senses) == (6, [">=", "<=", ">=", "<=", "=", "="])
+    assert canon.slack_lo.tolist() == [-inf, 0.0, -inf, 0.0, 0.0, 0.0]
+    assert canon.slack_hi.tolist() == [0.0, inf, 0.0, inf, 0.0, 0.0]
+    assert canon.slack_lo.dtype == canon.slack_hi.dtype == float
+    assert canon.A.tobytes() == np.hstack([p.A, np.eye(6)]).tobytes()
+    assert canon.b.tolist() == p.rhs.tolist() and not canon.infeasible
+    free = [2 + i for i in (1, 2, 4)]  # the coefficient-free rows' slacks
+    assert canon.l[free].tolist() == canon.u[free].tolist() == [1.0, -1.0, 0.0]
+    # a coefficient-free row that fails at 0 makes the model infeasible,
+    # for each sense, its slack still fixed at its rhs
     for row, rhs in ((1, -1.0), (2, 1.0), (4, 1e-3), (4, -1e-3)):
         q = copy.deepcopy(p)
         q.rhs[row] = rhs
         canon = milp._Canon(q)
-        assert canon.infeasible and solve_milp(q).status == "infeasible"
+        assert canon.infeasible and canon.l[2 + row] == canon.u[2 + row] == rhs
+        assert solve_milp(q).status == "infeasible"
+    # a row that gains its first coefficient is refilled, not rebuilt
+    assert solve_milp(p).status == "optimal"
+    canon = p._canon
+    p.A[1, y] = 1.0
+    assert solve_milp(p).status == "optimal" and p._canon is canon
+    assert (canon.l[3], canon.u[3]) == (0.0, 2.0)
     # a model without rows has an empty canonical row block
     q = LpProblem()
     q.add_var(0, 1, count=2)
     canon = milp._Canon(q)
-    assert (canon.m, canon.senses, canon.dropped, canon.infeasible) == (0, [], [], False)
+    assert (canon.m, canon.senses, canon.infeasible) == (0, [], False)
     assert canon.slack_lo.shape == canon.slack_hi.shape == (0,)
     assert canon.slack_lo.dtype == canon.slack_hi.dtype == float
     assert canon.A.shape == (0, 2) and canon.l.tolist() == [0.0, 0.0]
+
+
+@pytest.mark.parametrize("name, index, value", [
+    ("lb", 0, -math.inf), ("ub", 0, math.inf), ("A", (0, 1), math.nan), ("rhs", 0, math.inf),
+    ("c", 1, math.nan)])
+def test_a_non_finite_value_is_rejected_by_array_and_index(name, index, value):
+    # the caller writes the arrays, so each solve checks them, on a fresh
+    # model and on one refilled in place
+    def model():
+        p = milp.LpProblem(2, ["<="])
+        p.ub[:], p.A[0], p.rhs[0], p.c[:] = 1.0, [1.0, 1.0], 1.5, [1.0, -1.0]
+        return p
+
+    refilled, fresh = model(), model()
+    assert solve_milp(refilled).status == "optimal"
+    want = f"^non-finite {name}\\[{str(index).strip('()')}\\]$"
+    for p in (refilled, fresh):
+        getattr(p, name)[index] = value
+        with pytest.raises(ValueError, match=want):
+            solve_milp(p)
 
 
 def test_integer_bounds_rounded_inward():

@@ -12,7 +12,7 @@ from sppa.problems import (ProblemFormatError, ProblemSpec, NonlinearTerm,
                            builtin, builtin_info, builtin_names,
                            from_expressions, load_problem)
 from sppa.milp import LinearConstraint
-from sppa.pwl import Interval
+from sppa.problems import Interval
 
 
 def test_builtin_names():

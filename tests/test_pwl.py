@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from sppa import pwl
-from sppa.pwl import Interval
+from sppa import loop
+from sppa.problems import Interval
 
 from properties import (Grid, SimplexId, barycentric, build_grid, cell_count,
                         check_triangulation, count_simplices, enumerate_simplices, eval_pwl,
@@ -209,13 +209,13 @@ def test_axis_breakpoints_are_linspace_with_exact_endpoints(centre, offset, log_
     want = np.linspace(lo, hi, pieces + 1)
     want[0], want[-1] = lo, hi
     # an axis is a tuple of Python floats, as the vertex solve takes it
-    axis = pwl.axis_breakpoints(iv, pieces)
+    axis = loop.axis_breakpoints(iv, pieces)
     assert type(axis) is tuple and all(type(b) is float for b in axis)
     assert np.array(axis).tobytes() == want.tobytes()
     # an integer axis snaps those points as before
     ilo, ihi = math.floor(lo), math.floor(lo) + max(1, math.ceil(width))
     snapped = np.round(np.linspace(ilo, ihi, pieces + 1))
-    axis = pwl.axis_breakpoints(Interval(ilo, ihi), pieces, integer=True)
+    axis = loop.axis_breakpoints(Interval(ilo, ihi), pieces, integer=True)
     assert type(axis) is tuple and all(type(b) is float for b in axis)
     assert np.array(axis).tobytes() == \
         np.unique(np.concatenate([[ilo, ihi], snapped])).astype(float).tobytes()
@@ -224,14 +224,14 @@ def test_axis_breakpoints_are_linspace_with_exact_endpoints(centre, offset, log_
 def test_axis_breakpoints_need_a_piece():
     for pieces in (0, -1):
         with pytest.raises(ValueError, match="^need at least one piece"):
-            pwl.axis_breakpoints(Interval(0.0, 1.0), pieces)
+            loop.axis_breakpoints(Interval(0.0, 1.0), pieces)
 
 
 def test_axis_breakpoints_integer_snapping():
-    np.testing.assert_array_equal(pwl.axis_breakpoints(Interval(0.0, 5.0), 2, integer=True),
+    np.testing.assert_array_equal(loop.axis_breakpoints(Interval(0.0, 5.0), 2, integer=True),
                                   [0.0, 2.0, 5.0])
     # inner points snap to integers, fractional endpoints stay
-    np.testing.assert_array_equal(pwl.axis_breakpoints(Interval(0.5, 3.5), 4, integer=True),
+    np.testing.assert_array_equal(loop.axis_breakpoints(Interval(0.5, 3.5), 4, integer=True),
                                   [0.5, 1.0, 2.0, 3.0, 3.5])
 
 
