@@ -9,7 +9,12 @@ median and the quartiles over the pairs; then in how many pairs the change
 read better, and the gain rule's verdict: a gain when the change is better
 in at least nine tenths of the pairs (ties count for neither side), its
 median is better by more than the parent's quartile spread, and no more of
-its solves failed than the parent's.
+its solves failed than the parent's.  Last, for every metric, the
+no-regression verdict against the metric's ``bound`` in ``BENCHMARK.json``,
+a share of the parent's median: ``worse`` when the change's median is worse
+than the parent's by more than that share, ``unresolved`` when the parent's
+quartile spread is wider than it (unless every change run beats every
+parent run), else ``held``.
 
 Usage, from anywhere:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload refine [--pairs 10] [--seed 0]
@@ -36,11 +41,11 @@ import tempfile
 _BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
 
 
-def benchmark() -> tuple[float, list[tuple[str, str]]]:
-    """The run length in seconds, and ``(name, better)`` of each end-to-end
-    metric, ``better`` lower or higher."""
+def benchmark() -> tuple[float, list[tuple[str, str, float]]]:
+    """The run length in seconds, and ``(name, better, bound)`` of each
+    end-to-end metric, ``better`` lower or higher."""
     doc = json.loads(_BENCHMARK.read_text())
-    return doc["run_seconds"], [(m["name"], m["better"]) for m in doc["end_to_end"]]
+    return doc["run_seconds"], [(m["name"], m["better"], m["bound"]) for m in doc["end_to_end"]]
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
@@ -79,6 +84,28 @@ def summarize(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str]]) ->
     return lines
 
 
+def verdicts(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str, float]]) -> list[str]:
+    """The no-regression verdict lines of ``(parent, change)`` result
+    objects, one pair per entry, for the ``(name, better, bound)``
+    metrics."""
+    lines = []
+    for name, better, bound in metrics:
+        sign = 1.0 if better == "lower" else -1.0
+        parent, change = ([doc["metrics"][name]["value"] for doc in side] for side in zip(*pairs))
+        (p_med, p_q1, p_q3), c_med = _spread(parent), statistics.median(change)
+        margin = bound * abs(p_med)
+        beats = max(sign * c for c in change) < min(sign * p for p in parent)  # in every pairing
+        if sign * (c_med - p_med) > margin:
+            verdict = "worse"
+        elif p_q3 - p_q1 > margin and not beats:
+            verdict = "unresolved"
+        else:
+            verdict = "held"
+        lines.append(f"{name}: change {(c_med - p_med) / p_med:+.1%}, parent spread "
+                     f"{(p_q3 - p_q1) / abs(p_med):.1%}, bound {bound:.0%}; {verdict}")
+    return lines
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -96,8 +123,9 @@ def main(argv=None) -> int:
         pairs.append((docs[0], docs[1]) if i % 2 == 0 else (docs[1], docs[0]))
         print(f"pair {i + 1} ({'parent' if i % 2 == 0 else 'change'} first): " + ", ".join(
             f"{name} {pairs[-1][0]['metrics'][name]['value']:.6g} -> "
-            f"{pairs[-1][1]['metrics'][name]['value']:.6g}" for name, _ in metrics), flush=True)
-    print("\n".join(summarize(pairs, metrics)))
+            f"{pairs[-1][1]['metrics'][name]['value']:.6g}" for name, _, _ in metrics), flush=True)
+    print("\n".join(summarize(pairs, [(name, better) for name, better, _ in metrics])))
+    print("\n".join(verdicts(pairs, metrics)))
     return 0
 
 

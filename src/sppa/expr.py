@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import operator
 import re
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 __all__ = [
     "Node",
@@ -261,14 +261,14 @@ _ROW_FUNCS = {"pow_": math.pow, "sqrt": math.sqrt, "exp": math.exp, "sin": math.
               "cos": math.cos}
 
 
-def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callable]:
+def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Callable:
     """A generated function of a sequence of rows of Python floats, entry k
     the value of ``names[k]``: the list of each row's ``0.0 + s1 + s2 ...``
     over ``nodes``, with ``eval_expr``'s operations and bits.  Where
     ``eval_expr`` raises for a zero divisor, a negative square root or a
     ``math`` error, the row raises the Python error; a non-finite summand
-    leaves the sum non-finite.  Constant subtrees are folded; None if one
-    fails."""
+    leaves the sum non-finite.  Constant subtrees are folded: one that
+    fails raises its ``DomainError`` here."""
     body: list[str] = []
     consts: dict[str, float] = {}
 
@@ -290,10 +290,7 @@ def compile_sum(nodes: Sequence[Node], names: Sequence[str]) -> Optional[Callabl
         body.append(f"        t{len(body)} = {code}")
         return f"t{len(body) - 1}"
 
-    try:
-        total = " + ".join(["0.0", *map(value, nodes)])
-    except DomainError:
-        return None
+    total = " + ".join(["0.0", *map(value, nodes)])
     row = "".join(f"c{k}, " for k in range(len(names)))
     source = "\n".join(["def rows(p):", "    out = []", f"    for {row}in p:", *body,
                         f"        out.append({total})", "    return out\n"])

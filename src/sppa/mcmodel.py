@@ -16,8 +16,8 @@ variables interpolates as on its own axes, so one block carries every
 term of those variables.  ``loop.build_iteration_model`` lays out every
 block of a model in one pass, its weight columns and its rows (each
 linking row's -1 on its variable, and the set row), and ``encode_term``
-writes a grid's vertices and the terms' values there into them, as often
-as the grid moves; nothing here evaluates a function.
+writes a grid's vertices and the terms' values into them as often as the
+grid moves; nothing here evaluates a function or tests a value.
 """
 
 from __future__ import annotations
@@ -37,12 +37,10 @@ def encode_term(model: LpProblem, block: tuple[slice, slice], points: np.ndarray
     into their right-hand sides, and each ``targets`` value sequence, one
     value per vertex in the same order (or an array shaped like the
     lattice), onto the block's weights: in the objective for the key None,
-    else in that row."""
+    else in that row, as given (``solve_milp`` tests that each is finite)."""
     cols, rows = block
     coords = points.reshape(-1, points.shape[-1])
     values = np.array(list(targets.values()), dtype=float).reshape(len(targets), len(coords))
-    if not np.isfinite(values).all():
-        raise ValueError("non-finite term value")
     lo = coords[0]
     model.A[rows, cols] = (coords - lo).T
     model.rhs[rows] = 0.0 - lo  # +0.0 at a corner of 0, as a fresh row

@@ -113,9 +113,9 @@ class NonlinearTerm:
     def on(self, rows: Sequence[Sequence[float]], where: str = "grid vertex") -> list[float]:
         """``coef * fn`` at every row of ``rows``, each the Python float
         values of ``var_ids``: in one call to ``rows_fn`` if set, else, or
-        if that pass raises or the sum of its values times ``coef`` is not
-        finite, by ``at`` on each row in order, so that the first failing
-        row raises, named as ``where``."""
+        if that pass raises, gives other than one value per row or a sum of
+        them times ``coef`` that is not finite, by ``at`` on each row in
+        order, so that the first failing row raises, named as ``where``."""
         if self.rows_fn is not None:
             try:
                 values = self.rows_fn(rows)
@@ -124,7 +124,7 @@ class NonlinearTerm:
             else:
                 values = list(values) if self.coef == 1.0 else [self.coef * v for v in values]
                 # non-finite where a value is, or on a rare overflow, which the loop evaluates
-                if math.isfinite(sum(values)):
+                if len(values) == len(rows) and math.isfinite(sum(values)):
                     return values
         return [self.at(np.array(p, dtype=float), where) for p in rows]
 
@@ -174,6 +174,8 @@ class ProblemSpec:
                 raise ValueError(f"term references unknown row {term.row}")
             if not math.isfinite(term.coef):
                 raise ValueError(f"term '{term.label}' has a non-finite coefficient {term.coef}")
+            if len(set(term.var_ids)) != len(term.var_ids):
+                raise ValueError(f"term '{term.label}' repeats a variable in {term.var_ids}")
         self.groups = group_leads([term.var_ids for term in self.nonlinear_terms])  # per term
 
     @property

@@ -1977,9 +1977,19 @@ def _compare_row_pass(nodes: list[expr.Node], names: tuple[str, ...], points: np
     evaluated on ``points`` (``NonlinearTerm.on``) with and without the
     row pass against its ``at`` on each row; return how the row pass
     ended: ``clean``, ``non-finite`` (some rows' sums) or ``raised`` (a
-    zero divisor or a ``math`` error, or a constant part that fails, so no
-    row form)."""
-    fn, compiled = _term_fn(nodes, names)
+    zero divisor or a ``math`` error, or a constant part that fails, which
+    fails the term's build)."""
+    try:
+        fn, compiled = _term_fn(nodes, names)
+    except expr.DomainError:  # a constant part fails: so must every point's scalar evaluation
+        for row in points.tolist():
+            env = dict(zip(names, row))
+            try:
+                [expr.eval_expr(node, env) for node in nodes]
+            except expr.DomainError:
+                continue
+            raise AssertionError(([expr.to_text(node) for node in nodes], row))
+        return "raised"
     unit = NonlinearTerm(tuple(range(len(names))), fn, label="t", rows_fn=compiled)
     term = replace(unit, coef=coef)
     rows = points.tolist()
@@ -2002,9 +2012,6 @@ def _compare_row_pass(nodes: list[expr.Node], names: tuple[str, ...], points: np
             assert isinstance(got, list) and got == expected and (
                 np.array_equal(np.signbit(got), np.signbit(expected))), (text, coef, got, expected)
 
-    if compiled is None:  # a constant part fails at every point
-        assert all(isinstance(v, str) for v in scalar), text
-        return "raised"
     try:
         values = compiled(rows)
     except (ValueError, ArithmeticError):  # fails only where some row's scalar evaluation does

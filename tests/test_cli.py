@@ -235,6 +235,18 @@ def test_term_failing_at_a_grid_vertex_exits_3(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_constant_part_failing_exits_3_before_solving(tmp_path, capsys):
+    # sqrt(-1) fails at every point: the file is rejected at its objective's
+    # first line, before the problem line and the iteration header
+    bad = tmp_path / "const.prob"
+    bad.write_text("[variables]\nx -1 1\n[objective]\nmin x^2\n  + sin(x + sqrt(-1))\n")
+    assert run_cli(["solve", "--problem", str(bad)]) == 3
+    out, err = capsys.readouterr()
+    assert "iter" not in out
+    assert err == (f"error: {bad}: line 4: objective: square root of a negative number in "
+                   "'sqrt(-1.0)'\n")
+
+
 def test_term_failing_at_an_iterate_exits_3(tmp_path, capsys):
     # every grid vertex is fine, but the row puts the iterate on the pole
     bad = tmp_path / "pole.prob"
@@ -445,6 +457,38 @@ def test_bench_pairs_summary_applies_the_gain_rule():
     summary = _script("bench_pairs").summarize(pairs, metrics)
     assert summary[0] == "10 pairs; failed solves: parent 0, change 1"
     assert all(row.endswith("; no gain") for row in summary[1:])
+
+
+def test_bench_pairs_verdicts_apply_each_metric_bound():
+    # synthetic values for ten pairs, parent then change, one metric per
+    # verdict: held within the bound, worse beyond it, unresolved when the
+    # parent's quartile spread is wider than the bound, unless every change
+    # run beats every parent run; the higher-is-better side mirrors it
+    parent = {"held": [1.0 + k / 100 for k in range(10)],
+              "worse": [1.0 + k / 100 for k in range(10)],
+              "unresolved": [0.5 + k / 10 for k in range(10)],
+              "beaten": [0.5 + k / 10 for k in range(10)],
+              "score": [10.0 + k for k in range(10)]}
+    change = {"held": [1.2 + k / 100 for k in range(10)],
+              "worse": [1.3 + k / 100 for k in range(10)],
+              "unresolved": [0.6 + k / 10 for k in range(10)],
+              "beaten": [0.1 + k / 100 for k in range(10)],
+              "score": [7.0 + k for k in range(10)]}
+
+    def doc(values, k):
+        return {"failed": 0, "metrics": {name: {"value": v[k]} for name, v in values.items()}}
+
+    pairs = [(doc(parent, k), doc(change, k)) for k in range(10)]
+    metrics = [(name, "lower", 0.25) for name in parent if name != "score"]
+    assert _script("bench_pairs").verdicts(pairs, metrics + [("score", "higher", 0.15)]) == [
+        "held: change +19.1%, parent spread 4.3%, bound 25%; held",
+        "worse: change +28.7%, parent spread 4.3%, bound 25%; worse",
+        "unresolved: change +10.5%, parent spread 47.4%, bound 25%; unresolved",
+        "beaten: change -84.7%, parent spread 47.4%, bound 25%; held",
+        "score: change -20.7%, parent spread 31.0%, bound 15%; worse"]
+    # the same spread under a bound wider than it resolves
+    assert _script("bench_pairs").verdicts(pairs, [("unresolved", "lower", 0.5)]) == [
+        "unresolved: change +10.5%, parent spread 47.4%, bound 50%; held"]
 
 
 def test_bench_pairs_runs_read_no_bytecode(tmp_path, monkeypatch):

@@ -877,6 +877,51 @@ def test_vertex_solve_takes_a_rows_fn_that_returns_an_array():
                 (r.incumbent.tolist(), r.objective) for r in want]
 
 
+def _short_rows_spec(rows_fn, with_row):
+    # (x - 1)^2 on [-1, 1], whose row pass may drop its last value, the
+    # vertex x = 1 at the minimum
+    rows = [milp.LinearConstraint({0: 1.0}, "<=", 5.0)] if with_row else []
+    return ProblemSpec([("x", Interval(-1.0, 1.0), False)], {}, 0.0, rows,
+                       [NonlinearTerm((0,), lambda v: float((v[0] - 1.0) ** 2), rows_fn=rows_fn)])
+
+
+def _short_rows(points):
+    return [(x - 1.0) ** 2 for x, in points][:-1]
+
+
+def _short_rows_trace(spec):
+    return [(rec.iteration, rec.incumbent.tolist(), rec.objective, rec.surrogate_objective,
+             rec.bounds, {k: v for k, v in rec.milp_stats.items() if k != "seconds"})
+            for rec in run(spec, SppaConfig(4, 4, max_iters=2)).trace]
+
+
+def test_vertex_solve_evaluates_a_short_row_pass_row_by_row():
+    # a row pass that gives fewer values than rows is not used: zipped with
+    # the vertices, it would leave the last, the minimum x = 1, unvalued
+    want = _short_rows_trace(_short_rows_spec(None, False))
+    assert [(rec[1], rec[2]) for rec in want] == [([1.0], 0.0), ([1.0], 0.0)]
+    assert _short_rows_trace(_short_rows_spec(_short_rows, False)) == want
+
+
+def test_milp_build_evaluates_a_short_row_pass_row_by_row():
+    # under a row the values reach the model, whose block a short pass
+    # cannot fill: its four values do not cover the five weights
+    want = _short_rows_trace(_short_rows_spec(None, True))
+    assert [(rec[1], rec[2]) for rec in want] == [([1.0], 0.0), ([1.0], 0.0)]
+    assert want[0][5]["nodes"] > 0 or want[0][5]["pivots"] > 0  # solved as a MILP
+    assert _short_rows_trace(_short_rows_spec(_short_rows, True)) == want
+
+
+def test_overflowing_summed_term_values_fail_the_milp_solve():
+    # each objective term is finite at every vertex, but on the row term's
+    # block (x*y) their values are summed and overflow: solve_milp names the
+    # block's weight that carries the sum
+    spec = from_expressions([("x", Interval(-1, 1), False), ("y", Interval(-1, 1), False)],
+                            "1e308*x^2 + 1e308*y^2", [("x*y", "<=", 1.0)])
+    with pytest.raises(ValueError, match=r"^non-finite c\[2\]$"):
+        run(spec, SppaConfig(3, 3))
+
+
 def test_runs_share_no_solver_state():
     # each run carries its root basis from iteration to iteration, and only
     # within itself: the runs in between (one of another shape, one of the

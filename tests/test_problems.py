@@ -404,3 +404,28 @@ def test_load_problem_decomposition_error_line(tmp_path, body, line, message):
         load_problem(str(path))
     assert exc.value.line == line
     assert message in str(exc.value)
+
+
+def test_a_constant_part_that_fails_fails_the_build(tmp_path):
+    # sqrt(-1) fails wherever x is, so the spec fails as it is built, as a
+    # failing affine summand does, and a problem file names the objective's
+    # first line before any solve
+    with pytest.raises(expr.DomainError, match=r"^square root of a negative number in "
+                                               r"'sqrt\(-1\.0\)'$"):
+        from_expressions([("x", Interval(-1, 1), False)], "sin(x + sqrt(-1))")
+    path = tmp_path / "const.prob"
+    path.write_text("[variables]\nx -1 1\n[objective]\nmin x^2\n  + sin(x + sqrt(-1))\n")
+    with pytest.raises(ProblemFormatError) as exc:
+        load_problem(str(path))
+    assert str(exc.value) == "line 4: objective: square root of a negative number in 'sqrt(-1.0)'"
+
+
+def test_problem_spec_rejects_a_term_that_repeats_a_variable():
+    # both axes of a term on (0, 0) would be placed at x's position, and the
+    # second never linked to x: x*x read as x*z with z free in [-1, 1]
+    with pytest.raises(ValueError, match=r"^term 't0' repeats a variable in \(0, 0\)$"):
+        ProblemSpec([("x", Interval(-1, 1), False)], {}, 0.0, [],
+                    [NonlinearTerm((0, 0), lambda v: float(v[0] * v[1]))])
+    with pytest.raises(ValueError, match=r"^term 'sq' repeats a variable in \(1, 0, 1\)$"):
+        ProblemSpec([("x", Interval(-1, 1), False), ("y", Interval(-1, 1), False)], {}, 0.0,
+                    [], [NonlinearTerm((1, 0, 1), lambda v: float(v[0] * v[1]), label="sq")])
