@@ -23,12 +23,12 @@ At a fixed piece count every model has the same columns and rows in the
 same order, one shape, built once per ``run`` call in one pass, each
 array made at its final size and each block's columns and rows written by
 slices, and refilled in place with its canonical form
-(``build_iteration_model``, which lays out the blocks once per run); each
-MILP root starts from the previous iteration's optimal root basis
-(``MilpResult.start``), and the first root of a new shape, which no earlier
-basis fits, from a crash basis read off the block stage (``_crash_start``):
-the weight of each block's vertex-path pick (``_pick``, the vertex solve's
-own rule) and the blocks' variables.
+(``build_iteration_model``, which lays out the blocks once per run).  Each
+model keeps its own warm start: its first root starts from a crash basis
+read off the block stage when the shape is built, the weight of each
+block's vertex-path pick (``_pick``, the vertex solve's own rule) and the
+blocks' variables, and every later root from the model's previous optimal
+root basis (``solve_milp`` keeps it on the model).
 """
 
 from __future__ import annotations
@@ -242,9 +242,14 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     ``models``, which belongs to one ``spec`` and to windows that keep
     their fixed variables, holds the ``_layout`` under the key None and
     each shape (each block's vertex counts) built so far with its model and
-    blocks; every call fills the model of its shape in place.  A call that
-    builds a shape also puts the shape's crash start (``_crash_start``, read
-    off this call's stage) under the key "crash", for ``run`` to take.
+    blocks; every call fills the model of its shape in place.  A new
+    shape's model carries a crash start (Bixby 1992) for its first root,
+    read off this call's stage: per block, its set row holds the weight of
+    its pick (``_pick``), and each linking row its variable or, when an
+    earlier block's linking row holds that, the weight one grid step from
+    the pick along the variable's axis (one step down at the upper edge);
+    every other row holds its slack.  The start carries no bound statuses:
+    the simplex rests its nonbasic columns by its one rule.
     """
     models = {} if models is None else models
     if None not in models:
@@ -261,17 +266,33 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         model.is_int[:n] = [is_int for _, _, is_int in spec.variables]
         model.c[list(spec.linear_objective)] = list(spec.linear_objective.values())
         model.sense = spec.sense
+        # the crash basis is block lower-triangular, the blocks' rows and
+        # columns in block order and then the other rows and their slacks: a
+        # block's columns have no coefficient in an earlier block's rows.  Each
+        # diagonal block is nonsingular: less the pick's column, a neighbour's
+        # column holds only its grid step, in its own linking row, as a
+        # variable's column holds its -1, and the pick's column alone reaches
+        # the set row.
+        basis = np.arange(model.n_vars, model.n_vars + len(model.senses))  # the slacks
         blocks, j, r = [], n, 0
-        for (_, active, _), lattice, size in zip(layout[0], shape, sizes):
+        for (ids, active, _), (_, vertices, sums), lattice, size in zip(
+                layout[0], stage, shape, sizes):
             model.A[range(r, r + len(active)), active] = -1.0  # its linking rows
+            pick = _pick(spec, ids, active, vertices, sums)
+            for i, k in enumerate(active):
+                step = math.prod(lattice[i + 1:])  # active variable i's stride, row-major
+                basis[r + i] = k if k not in basis else j + pick + (
+                    step if (pick // step + 1) % lattice[i] else -step)
             r += len(active)
             model.A[r, j:j + size] = model.rhs[r] = 1.0  # its lattice set's row
+            basis[r] = j + pick
             model.lattice_sets.append(
                 (np.arange(j, j + size), np.indices(lattice).reshape(len(lattice), -1).T))
             blocks.append((slice(j, j + size), slice(r - len(active), r)))
             j, r = j + size, r + 1
         for i, row in enumerate(rows, first_row):
             model.A[i, list(row.coeffs)] = list(row.coeffs.values())
+        model._start = milp._Start(basis)
         models[shape] = model, blocks
     model, blocks = models[shape]
     model.lb[:spec.n_vars] = [iv.lo for iv in bounds]
@@ -286,39 +307,7 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         shift[-1 if row is None else row] += values[t]
     model.rhs[first_row:] = [row.rhs - s for row, s in zip(spec.linear_constraints, shift)]
     model.obj_constant = spec.objective_constant + shift[-1]
-    if built:
-        models["crash"] = _crash_start(spec, model, layout, stage, blocks)
     return model
-
-
-def _crash_start(spec: ProblemSpec, model: milp.LpProblem, layout: tuple, stage: list,
-                 blocks: list) -> milp._Start:
-    """A crash start (Bixby 1992) for the first root of ``model``, a new
-    shape whose ``blocks`` (weight columns, linking rows) hold ``layout``'s
-    blocks at ``stage``: per block, its set row (the row after its linking
-    rows) holds the weight of its pick (``_pick``), and each linking row
-    its variable or, when an earlier block's linking row holds that, the
-    weight one grid step from the pick along the variable's axis (one step
-    down at the upper edge); every other row, row i, holds its slack,
-    column ``n + i`` after the model's ``n`` columns.  The start carries no
-    bound statuses: the simplex rests its nonbasic columns by its one rule.
-
-    The basis is block lower-triangular, the blocks' rows and columns in
-    block order and then the other rows and their slacks: a block's columns
-    have no coefficient in an earlier block's rows.  Each diagonal block is
-    nonsingular: less the pick's column, a neighbour's column holds only its
-    grid step, in its own linking row, as a variable's column holds its -1,
-    and the pick's column alone reaches the set row."""
-    n = model.n_vars
-    basis = np.arange(n, n + len(model.senses))
-    for (ids, active, _), (axes, vertices, sums), (cols, rows) in zip(layout[0], stage, blocks):
-        pick = _pick(spec, ids, active, vertices, sums)
-        basis[rows.stop] = j = cols.start + pick
-        for i, k in enumerate(active):
-            step = math.prod(map(len, axes[i + 1:]))  # active variable i's stride, row-major
-            basis[rows.start + i] = k if k not in basis else j + (
-                step if (pick // step + 1) % len(axes[i]) else -step)
-    return milp._Start(basis)
 
 
 def _pick(spec: ProblemSpec, ids: tuple, active: list, vertices: list, sums: dict) -> int:
@@ -428,7 +417,6 @@ def run(
     stall_run = 0
     prev_obj = None
     prev_z = None
-    start = None  # the previous MILP's optimal root basis
     termination = "max_iters"
 
     for it in range(config.max_iters):
@@ -442,10 +430,7 @@ def run(
             z = np.array(z_list)
             surrogate, violation, stats = true_obj, 0.0, _VERTEX_STATS  # exact, no rows
         else:
-            model = build_iteration_model(spec, current, pieces, models)
-            # a new shape's crash start replaces the previous root's basis, of another shape
-            res = milp.solve_milp(model, deadline, models.pop("crash", start))
-            start = res.start
+            res = milp.solve_milp(build_iteration_model(spec, current, pieces, models), deadline)
             if res.x is None:  # the run ends under the solver's status
                 termination = res.status
                 break

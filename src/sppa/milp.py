@@ -9,10 +9,10 @@ error state per solve, and refreshed after every pivot; largest-violation
 pricing and the bound-flipping ratio test).
 With every column boxed, a basis is dual feasible once each nonbasic column
 sits at the bound its reduced cost favours, so with no phase 1 the root
-starts from a given basis (the previous outer iteration's, or for a model
-of a new shape a crash basis its builder reads off the model's structure)
-or the slack basis, and each branch-and-bound child from its parent's
-optimal basis and bound statuses.  A start that carries no bound statuses
+starts from the basis the problem carries (its previous solve's optimal
+root basis, or a crash basis its builder reads off its structure) or the
+slack basis, and each branch-and-bound child from its parent's optimal
+basis and bound statuses.  A start that carries no bound statuses
 rests each nonbasic column on its bound nearest zero, the lower one on a
 tie (``_rest``), until its reduced cost favours the other.
 
@@ -110,11 +110,11 @@ class LpProblem:
     per entry of ``senses``, every bound, coefficient and right-hand side 0,
     no integer column, minimized.  The caller writes the values by slices,
     ``is_int`` and ``sense`` included, every bound finite, and may rewrite
-    them in place between solves (see ``solve_milp``).  A lattice set goes
-    into ``lattice_sets`` as ``(ids, index)``: the ids of weights bounded in
-    [0, 1], one per vertex of a whole grid in row-major order, whose row
-    ``sum(x_j for j in ids) = 1`` the model holds, and each weight's vertex
-    multi-index, a row of ``index``."""
+    them in place between solves (see ``solve_milp``), all but ``senses``
+    and ``lattice_sets``, which the first solve fixes.  A lattice set is
+    ``(ids, index)``: the ids of weights in [0, 1], one per vertex of a
+    whole grid in row-major order, whose row ``sum(x_j for j in ids) = 1``
+    the model holds, and each weight's vertex multi-index, a row of ``index``."""
 
     def __init__(self, n_vars: int = 0, senses: Sequence[str] = ()):
         if not set(senses) <= {LE, EQ, GE}:
@@ -127,6 +127,7 @@ class LpProblem:
         self.sense = "min"
         self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
         self._canon: Optional[_Canon] = None  # built by solve_milp for this problem
+        self._start: Optional[_Start] = None  # the next root's (see solve_milp)
 
     @property
     def n_vars(self) -> int:
@@ -140,14 +141,12 @@ COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations", "nodes_set_branc
 
 
 class MilpResult:
-    """A solve's outcome; ``start`` is the root's optimal basis, for a same-shaped model."""
+    """A solve's outcome."""
 
     def __init__(self, status: str, x: Optional[np.ndarray], objective: Optional[float],
-                 bound: Optional[float], gap: float, counters: Optional[dict[str, int]] = None,
-                 start: Optional[_Start] = None):
+                 bound: Optional[float], gap: float, counters: Optional[dict[str, int]] = None):
         self.status, self.x, self.objective, self.bound, self.gap = status, x, objective, bound, gap
         self.counters = dict.fromkeys(COUNTERS, 0) if counters is None else counters
-        self.start = start
 
     @property
     def nodes(self) -> int:
@@ -177,7 +176,6 @@ class _Canon:
         # the slack bounds' own limits: a <= or = row's slack is >= 0, a >= or = row's <= 0
         self.slack_lo = np.array([-np.inf if s == GE else 0.0 for s in self.senses])
         self.slack_hi = np.array([np.inf if s == LE else 0.0 for s in self.senses])
-        self.int_idx = problem.is_int.nonzero()[0]
         self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
         self.A = np.zeros((m, n + m))
         self.A.flat[n::n + m + 1] = 1.0  # the slacks' identity
@@ -185,12 +183,13 @@ class _Canon:
         self.fill()
 
     def fill(self):
-        """Copy the problem's values, once each is checked finite, integer
-        bounds rounded inward (a nonbasic column is never fractional) and
-        each zero coefficient +0.0 as in a fresh array, then recompute the
-        slack bounds and ``dtol``.  A coefficient-free row's slack is fixed
-        at its rhs, and the row is judged at activity 0, as an incumbent's
-        rows are: ``infeasible`` when one fails."""
+        """Copy the problem's values, once each is checked finite and
+        ``sense`` is 'min' or 'max', integer bounds rounded inward (a
+        nonbasic column is never fractional) and each zero coefficient +0.0
+        as in a fresh array, then recompute the integer ids, the slack
+        bounds and ``dtol``.  A coefficient-free row's slack is fixed at its
+        rhs, and the row is judged at activity 0, as an incumbent's rows
+        are: ``infeasible`` when one fails."""
         p, n = self.problem, self.nstruct
         # one test of all five arrays; only a failing model is scanned again, to name it
         if not np.isfinite(np.concatenate((p.lb, p.ub, p.A.ravel(), p.rhs, p.c))).all():
@@ -198,12 +197,14 @@ class _Canon:
                 bad = np.argwhere(~np.isfinite(getattr(p, name)))
                 if bad.size:
                     raise ValueError(f"non-finite {name}[{', '.join(map(str, bad[0]))}]")
+        if p.sense not in ("min", "max"):
+            raise ValueError("sense must be 'min' or 'max'")
         S = self.A[:, :n]
         np.add(p.A, 0.0, out=S)
         b = self.b = p.rhs.copy()
         lb, ub = self.l[:n], self.u[:n]
         lb[:], ub[:] = p.lb, p.ub
-        idx = self.int_idx
+        idx = self.int_idx = p.is_int.nonzero()[0]
         if idx.size:
             lb[idx], ub[idx] = np.ceil(lb[idx]), np.floor(ub[idx])
         pos, neg = np.maximum(S, 0.0), np.minimum(S, 0.0)
@@ -511,23 +512,25 @@ def _tightened(bounds: np.ndarray, idx, value: float) -> np.ndarray:
     return bounds
 
 
-def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
-               start: Optional[_Start] = None) -> MilpResult:
+def solve_milp(problem: LpProblem, deadline: Optional[float] = None) -> MilpResult:
     """Best-bound branch and bound over the integer variables.
 
     A node splits a lattice set whose support spans more than one simplex
     when it has one (see ``_balanced_cut``), and otherwise branches on the
     most fractional integer, the lowest id on ties.  The root starts from
-    ``start`` (a ``MilpResult.start``, or a basis alone) when its shape
-    matches this model's canonical form, else from the slack basis.
-    Returns an incumbent, with its integer components rounded, whose
-    relative gap is at most ``_REL_GAP``.  When the ``time.perf_counter()``
-    ``deadline`` passes, the search stops with status 'time_limit' and the
-    proven dual bound, plus the best incumbent if it has one (``x`` is None
-    otherwise).  A model without integer variables or lattice sets is one
-    simplex solve at the root.  The canonical form and its lattice keys are
-    built once per ``problem`` and refilled at each later solve; a
-    non-finite value in its arrays raises a ``ValueError`` naming it.
+    ``problem._start`` (the slack basis when None), and the solve leaves
+    there the root's optimal basis and bound statuses, without the vectors
+    that new values outdate (None if the root ended otherwise): a re-solve
+    starts where the last root ended, as LP solvers re-optimize a model
+    they hold.  Returns an incumbent, with its integer components rounded,
+    whose relative gap is at most ``_REL_GAP``.  When the
+    ``time.perf_counter()`` ``deadline`` passes, the search stops with
+    status 'time_limit' and the proven dual bound, plus the best incumbent
+    if it has one (``x`` is None otherwise).  A model without integer
+    variables or lattice sets is one simplex solve at the root.  The
+    canonical form and its lattice keys are built once per ``problem`` and
+    refilled at each later solve (see ``_Canon.fill`` for the
+    ``ValueError`` of a value it rejects).
     """
     canon = problem._canon
     if canon is None or canon.problem is not problem:
@@ -538,9 +541,6 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     int_idx, lattice = canon.int_idx, canon.lattice
     counters = dict.fromkeys(COUNTERS, 0)
 
-    if start is not None and (start.basis.size != canon.m or start.vstat is not None
-                              and start.vstat.size != canon.nstruct + canon.m):
-        start = None
     incumbent_x = None
     incumbent_obj = math.inf  # internal minimization value
     root_start = stop_status = None
@@ -554,7 +554,7 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     # sharing their parent's start; best bound first, deeper node on ties,
     # insertion order last (seq is unique, so arrays never get compared)
     seq = 0
-    queue: list = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, start)]
+    queue = [] if canon.infeasible else [(-math.inf, 0, seq, canon.l, canon.u, problem._start)]
     while queue:
         if incumbent_x is not None and gap_of(incumbent_obj, queue[0][0]) <= _REL_GAP:
             break
@@ -620,9 +620,8 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None,
     if incumbent_x is not None and row_violation(
             (canon.A[:, :n] @ incumbent_x).tolist(), canon.senses, canon.b.tolist()) > ROW_TOL:
         status = "numerical"
-    if root_start is not None:  # for another model: the basis and statuses, not the vectors
-        root_start = _Start(root_start.basis, root_start.vstat)
+    problem._start = None if root_start is None else _Start(root_start.basis, root_start.vstat)
     return MilpResult(status, incumbent_x,
                       None if incumbent_x is None else canon.user_objective(incumbent_obj),
                       canon.user_objective(best_bound) if math.isfinite(best_bound) else None,
-                      gap, counters, root_start)
+                      gap, counters)

@@ -53,7 +53,7 @@ class LpProblem(milp.LpProblem):
         self.is_int = np.concatenate((self.is_int, np.full(count, bool(integer))))
         self.c = np.concatenate((self.c, np.zeros(count)))
         self.A = np.concatenate((self.A, np.zeros((len(self.senses), count))), axis=1)
-        self._canon = None
+        self._canon = self._start = None  # of the old shape
         return j
 
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
@@ -66,7 +66,7 @@ class LpProblem(milp.LpProblem):
         self.A = np.concatenate((self.A, a[None]))
         self.senses.append(sense)
         self.rhs = np.concatenate((self.rhs, (row.rhs,)))
-        self._canon = None
+        self._canon = self._start = None  # of the old shape
         return len(self.senses) - 1
 
     def add_lattice_set(self, ids, shape) -> int:
@@ -768,6 +768,7 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
                 assert getattr(refilled, name).tobytes() == getattr(fresh, name).tobytes(), name
             n_negzero += int(np.signbit(refilled.c[refilled.c == 0.0]).sum()
                              + np.signbit(refilled.A[refilled.A == 0.0]).sum())
+            fresh._start = refilled._start  # the refilled model's last root basis, or its crash
             got, want = milp.solve_milp(refilled), milp.solve_milp(fresh)
             canon = refilled._canon
             n_refilled += id(refilled) in canons
@@ -785,7 +786,7 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
                       else (loop._contract_integer if spec.variables[j][2]
                             else loop.contract_bounds)(iv, float(centre[j]), frac)
                       for j, iv in enumerate(bounds)]
-        n_rebuilt += len(models) - 2  # the shapes, less the layout and the last crash start
+        n_rebuilt += len(models) - 1  # the shapes, less the layout
     assert n_refilled and n_rebuilt > n_specs and n_negzero and n_optimal, (
         n_refilled, n_rebuilt, n_negzero, n_optimal)
     return (f"refilled models match fresh builds ({n_specs} specs, {n_specs * n_windows} "
@@ -818,6 +819,7 @@ def check_one_pass_build(n_specs: int = 60) -> str:
         got = loop.build_iteration_model(spec, bounds, pieces)
         want = sequential_model(spec, bounds, pieces)
         assert _model_bytes(got) == _model_bytes(want), (k, spec)
+        want._start = got._start  # the crash start
         a, b = milp.solve_milp(got), milp.solve_milp(want)
         assert (a.status, a.objective, a.bound, a.counters) == (
             b.status, b.objective, b.bound, b.counters), (a, b)
@@ -1326,7 +1328,8 @@ def check_child_reuse(n_lps: int = 150, n_models: int = 30) -> str:
 
 def check_warm_root(n_pairs: int = 80) -> str:
     """A root started from a same-shaped predecessor's optimal root basis
-    (``MilpResult.start``) reaches the cold solve's status and objective.
+    (its ``_start`` after its solve) reaches the cold solve's status and
+    objective.
 
     Each seeded pair is two boxed problems of 2-9 variables and 2-7 rows of
     every sense, the second the first with perturbed coefficients, bounds,
@@ -1335,10 +1338,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
     a random point of their box, except every eighth second problem, which
     gets two contradictory rows.  Edge cases: a warm basis made singular by
     zeroing a basic column's coefficients restarts from the slack basis
-    (the cold solve exactly, with one more factorization), a start whose
-    shape differs from the canonical form (a row more or a variable more)
-    is ignored, and a start on the second problem with a coefficient-free
-    row in place of its first row is a warm root like the others.
+    (the cold solve exactly, with one more factorization).
     """
     rng = np.random.default_rng(8080)
     senses = np.array(["<=", "<=", ">=", ">=", "="])
@@ -1364,13 +1364,17 @@ def check_warm_root(n_pairs: int = 80) -> str:
             b.status, cb["pivots"], cb["factorizations"] + refactorizations, b.nodes) and (
             a.x is b.x is None or np.array_equal(a.x, b.x))
 
+    def warm_solve(prob, start):
+        prob._start = start
+        return milp.solve_milp(prob)
+
     def agree(warm, cold):
         assert warm.status == cold.status, f"warm {warm.status} != cold {cold.status}"
         if cold.status == "optimal":
             assert abs(warm.objective - cold.objective) <= 1e-9 * (1.0 + abs(cold.objective)), (
                 f"warm {warm.objective} != cold {cold.objective}")
 
-    n_int = n_infeasible = n_singular = n_shape = warm_root = cold_root = 0
+    n_int = n_infeasible = n_singular = warm_root = cold_root = 0
     for k in range(n_pairs):
         n, m = int(rng.integers(2, 10)), int(rng.integers(2, 8))
         is_int = rng.random(n) < (0.4 if k % 3 == 0 else 0.0)
@@ -1382,9 +1386,10 @@ def check_warm_root(n_pairs: int = 80) -> str:
         sn = senses[rng.integers(0, 5, size=m)]
         c = rng.normal(size=n)
         sense = "max" if rng.random() < 0.5 else "min"
-        first = milp.solve_milp(build(lo, hi, is_int, A, sn, c, sense))
-        assert first.status == "optimal", first.status
-        assert first.start is not None
+        first = build(lo, hi, is_int, A, sn, c, sense)
+        assert milp.solve_milp(first).status == "optimal"
+        start = first._start
+        assert start is not None
 
         # the next iteration's problem: same shape, everything moved a little
         shift = 0.2 * (hi - lo) * rng.uniform(-1.0, 1.0, size=n)
@@ -1400,7 +1405,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
             second.senses[:2] = [">=", "<="]
             second.rhs[:2] = [r0, r0 - 0.5]
         cold = milp.solve_milp(second)
-        warm = milp.solve_milp(second, start=first.start)
+        warm = warm_solve(second, start)
         agree(warm, cold)
         if cold.status != "optimal":
             assert cold.status == "infeasible" and k % 8 == 7, cold.status
@@ -1411,39 +1416,26 @@ def check_warm_root(n_pairs: int = 80) -> str:
 
         # a basic structural column zeroed wherever another coefficient
         # keeps its row: the start's basis is singular for this problem
-        basic = [int(j) for j in first.start.basis if j < n
+        basic = [int(j) for j in start.basis if j < n
                  and all(np.count_nonzero(mask[i]) > 1 for i in np.flatnonzero(mask[:, j]))]
         if basic and not is_int.any():
             A3 = A2.copy()
             A3[:, basic[0]] = 0.0
             third = build(lo2, hi2, is_int, A3, sn, c2, sense)
             try:  # under the error state _simplex enters, in which a singular basis raises
-                milp._lapack_errors(milp._Basis(milp._Canon(third), first.start.basis).ftran)(
+                milp._lapack_errors(milp._Basis(milp._Canon(third), start.basis).ftran)(
                     np.zeros(m))
             except np.linalg.LinAlgError:
                 cold = milp.solve_milp(third)
-                warm = milp.solve_milp(third, start=first.start)
+                warm = warm_solve(third, start)
                 assert same(warm, cold, refactorizations=1), (warm, cold)
                 n_singular += 1
-
-        # a start of another shape is ignored: the solve is the cold one
-        wider = copy.deepcopy(second)
-        wider.add_var(0.0, 1.0)
-        taller = copy.deepcopy(second)
-        taller.add_row({0: 1.0}, "<=", second.ub[0])
-        for other in (wider, taller):
-            assert same(milp.solve_milp(other, start=first.start), milp.solve_milp(other))
-            n_shape += 1
-        # as many rows as the start's basis, one of them coefficient-free: a same-shaped start
-        shorter = build(lo2, hi2, is_int, A2[1:], sn[1:], c2, sense)
-        shorter.add_row({}, "<=", 1.0)
-        agree(milp.solve_milp(shorter, start=first.start), milp.solve_milp(shorter))
 
     assert n_infeasible > 0 and n_singular > 0 and n_int > 0, (n_infeasible, n_singular, n_int)
     assert warm_root < cold_root, (warm_root, cold_root)
     return (f"warm roots match cold solves ({n_pairs} pairs, {n_int} with integers, "
             f"{n_infeasible} infeasible; root pivots {warm_root} warm vs {cold_root} cold; "
-            f"{n_singular} singular starts restarted, {n_shape} other shapes ignored)")
+            f"{n_singular} singular starts restarted)")
 
 
 def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
@@ -1486,8 +1478,8 @@ def _chained_spec(rng: np.random.Generator) -> ProblemSpec:
 
 
 def check_crash_basis(n_specs: int = 60) -> str:
-    """The crash start ``loop.build_iteration_model`` makes for a new shape
-    (``loop._crash_start``) is a basis of the canonical form: one column per
+    """The crash start ``loop.build_iteration_model`` puts on the model of a
+    new shape (its ``_start``) is a basis of the canonical form: one column per
     row, the coefficient-free row's slack in it, no bound statuses carried,
     and LU factorizes it; the root started from it reaches the status and,
     within the relative gap, the objective of the root started from the
@@ -1504,7 +1496,7 @@ def check_crash_basis(n_specs: int = 60) -> str:
         spec = _chained_spec(rng)
         bounds, pieces, models = spec.bounds(), int(rng.integers(2, 5)), {}
         model = loop.build_iteration_model(spec, bounds, pieces, models)
-        crash = models.pop("crash")
+        crash = model._start
         canon = milp._Canon(model)
         n, m = canon.nstruct, canon.m
         free = np.flatnonzero(~model.A.any(axis=1))
@@ -1516,7 +1508,9 @@ def check_crash_basis(n_specs: int = 60) -> str:
         # a neighbour's weight stands in for a variable an earlier block holds
         weights = (spec.n_vars <= crash.basis) & (crash.basis < n)
         n_shared += int(weights.sum() > len(model.lattice_sets))
-        got, want = milp.solve_milp(model, start=crash), milp.solve_milp(model)
+        got = milp.solve_milp(model)
+        model._start = None  # the slack basis
+        want = milp.solve_milp(model)
         assert got.status == want.status, (got.status, want.status)
         if want.status == "optimal":
             assert abs(got.objective - want.objective) <= 2.0 * milp._REL_GAP * max(
@@ -1806,8 +1800,7 @@ def check_vertex_optimum(n_specs: int = 60) -> str:
     )
     calls = []
     original = milp.solve_milp
-    milp.solve_milp = lambda lp, deadline=None, start=None: (calls.append(lp)
-                                                             or original(lp, deadline, start))
+    milp.solve_milp = lambda lp, deadline=None: calls.append(lp) or original(lp, deadline)
     try:
         rec = loop.run(shared, loop.SppaConfig(2, 2, 0.5, max_iters=1)).trace[0]
     finally:

@@ -551,11 +551,11 @@ def test_solver_failure_keeps_best_point(monkeypatch, status):
     solve_milp = milp.solve_milp
     calls = []
 
-    def failing(lp, deadline=None, start=None):
+    def failing(lp, deadline=None):
         calls.append(lp)
         if len(calls) >= 3:
             return milp.MilpResult(status, None, None, None, math.inf)
-        return solve_milp(lp, deadline, start)
+        return solve_milp(lp, deadline)
 
     monkeypatch.setattr(loop.milp, "solve_milp", failing)
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=10))
@@ -636,7 +636,7 @@ def test_config_rejects_a_fraction_or_limit_that_is_not_a_number(field, bad):
 # and the model is built anew).  They check that a change meant to leave the arithmetic
 # alone really does: a deliberate change of trajectory must update these
 # numbers and record the change in CHANGES.md.  Each new shape's first root
-# starts from its crash basis (loop._crash_start): partial_fixed_milp then
+# starts from its crash basis (build_iteration_model): partial_fixed_milp then
 # takes no pivot at all, and from iteration 14 on its warm root keeps the
 # last incumbent, whose neighbour on the grid is better by less than the
 # simplex's reduced-cost tolerance, so the run never sees a moved incumbent
@@ -1004,20 +1004,44 @@ def test_crash_basis_property_suite():
 def test_each_new_shape_starts_from_its_crash_basis(monkeypatch):
     # the integer axis of n loses breakpoints at iteration 3, so the run
     # builds two shapes: the first root of each starts from the shape's
-    # crash start, and every other root from the previous root's basis
+    # crash start, and every other root from the previous root's basis,
+    # which the model keeps: each call holds the model, its start before the
+    # solve, the result and its start after it
     spec = from_expressions(
         [("n", Interval(0.0, 10.0), True), ("x", Interval(-1.0, 1.0), False)],
         "(n - 2.3)^2 + x^2 + n*x", constraints=[("x + n", ">=", -5.0)])
     calls = []
     solve = milp.solve_milp
-    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline, start: calls.append(
-        (model, start, solve(model, deadline, start))) or calls[-1][2])
+    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline: calls.append(
+        (model, model._start, solve(model, deadline), model._start)) or calls[-1][2])
     run(spec, SppaConfig(4, 4))
-    new = [i for i, (model, _, _) in enumerate(calls) if i == 0 or model is not calls[i - 1][0]]
+    new = [i for i, (model, *_) in enumerate(calls) if i == 0 or model is not calls[i - 1][0]]
     assert new == [0, 3]
-    for i, (model, start, res) in enumerate(calls):
+    for i, (model, start, res, _) in enumerate(calls):
         if i in new:
             assert start is not None and start.d is None and start.basis.size == model._canon.m
-            assert i == 0 or start is not calls[i - 1][2].start
+            assert i == 0 or start is not calls[i - 1][3]
         else:
-            assert start is calls[i - 1][2].start
+            assert start is calls[i - 1][3]
+
+
+def test_a_recurring_shape_starts_from_its_own_last_basis(monkeypatch):
+    # a block of integer axes at 2 and then 4 pieces: the window [1, 3] at 4
+    # pieces rounds back to the 3 breakpoints of the first iteration, so the
+    # first shape recurs after another one, and its root starts from the
+    # basis its own model kept from its last solve
+    spec = from_expressions([("n", Interval(0.0, 10.0), True)], "(n - 2.3)^2",
+                            constraints=[("n", ">=", -5.0)])
+    calls = []
+    solve = milp.solve_milp
+    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline: calls.append(
+        (model, model._start, solve(model, deadline), model._start)) or calls[-1][2])
+    result = run(spec, SppaConfig(2, 4))
+    kept, n_recurred = {}, 0
+    for i, (model, start, _, after) in enumerate(calls):
+        if id(model) in kept:
+            assert start is kept[id(model)] and start.vstat is not None
+            n_recurred += model is not calls[i - 1][0]
+        kept[id(model)] = after
+    assert n_recurred == 1
+    assert result.best_point.tolist() == [2.0]

@@ -74,10 +74,10 @@ def test_results_and_rows_are_plain_records():
     # each result counts from zero in a dict of its own
     assert a.counters == dict.fromkeys(milp.COUNTERS, 0) and a.counters is not b.counters
     a.counters["nodes"] += 3
-    assert (a.nodes, b.nodes, a.start, b.status) == (3, 0, None, "infeasible")
+    assert (a.nodes, b.nodes, b.status) == (3, 0, "infeasible")
     counters = {"nodes": 5}
-    c = milp.MilpResult("optimal", None, 0.0, 0.0, 0.0, counters, "start")
-    assert c.counters is counters and c.nodes == 5 and c.start == "start"
+    c = milp.MilpResult("optimal", None, 0.0, 0.0, 0.0, counters)
+    assert c.counters is counters and c.nodes == 5
 
 
 def test_rows_reject_unknown_senses_ids_and_non_finite_values():
@@ -380,13 +380,52 @@ def test_milp_stop_inside_a_node_keeps_its_bound(monkeypatch):
 
 
 def test_milp_determinism():
-    p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
-    a = solve_milp(p)
-    b = solve_milp(p)
+    # two identical fresh problems: the second solve of one problem starts
+    # from the first's root basis, see the next test
+    a, b = (solve_milp(knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0],
+                                9.0)) for _ in range(2))
     assert a.objective == b.objective
     assert a.nodes == b.nodes
     assert a.counters == b.counters
     np.testing.assert_array_equal(a.x, b.x)
+
+
+def test_a_re_solve_starts_from_the_last_root_basis():
+    # a problem keeps its root's optimal basis: solved again unchanged, its
+    # root takes no pivot and the search ends at the same point
+    p = knapsack([5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0)
+    first = solve_milp(p)
+    assert first.counters["root_pivots"] > 0 and p._start is not None
+    again = solve_milp(p)
+    assert again.counters["root_pivots"] == 0
+    assert (again.status, again.objective) == (first.status, first.objective)
+    assert again.x.tobytes() == first.x.tobytes()
+
+
+def test_is_int_rewritten_between_solves_is_read():
+    # the integer columns are read at every solve, as the other values are
+    p = milp.LpProblem(1, [])
+    p.ub[0], p.c[0], p.is_int[0] = 2.5, -1.0, True
+    assert solve_milp(p).x.tolist() == [2.0]
+    p.is_int[0] = False
+    assert solve_milp(p).x.tolist() == [2.5]
+    p.is_int[0] = True
+    assert solve_milp(p).x.tolist() == [2.0]
+
+
+def test_an_unknown_sense_is_rejected():
+    # a sense other than 'min' or 'max' once maximised; it is rejected at
+    # the first solve and at a later one alike
+    p = milp.LpProblem(1, [])
+    p.ub[0], p.c[0] = 1.0, 1.0
+    p.sense = "minimize"
+    with pytest.raises(ValueError, match="^sense must be 'min' or 'max'$"):
+        solve_milp(p)
+    p.sense = "min"
+    assert solve_milp(p).x.tolist() == [0.0]
+    p.sense = "minimize"
+    with pytest.raises(ValueError, match="^sense must be 'min' or 'max'$"):
+        solve_milp(p)
 
 
 def test_passed_deadline_stops_before_the_root():
@@ -442,7 +481,8 @@ def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, fai
         p.set_objective(dict(zip(ids, c)), sense="max")
         return p
 
-    start = solve_milp(lp([5.0, 4.0, 3.0, 6.0])).start
+    first = lp([5.0, 4.0, 3.0, 6.0])
+    solve_milp(first)
     problem = lp([1.0, 4.0, 6.0, 2.0])
     cold = solve_milp(problem)
     calls = []
@@ -455,7 +495,8 @@ def test_singular_refactorization_restarts_from_the_slack_basis(monkeypatch, fai
         basis_init(self, canon, basis)
 
     monkeypatch.setattr(milp._Basis, "__init__", failing)
-    warm = solve_milp(problem, start=start)
+    problem._start = first._start
+    warm = solve_milp(problem)
     assert len(calls) >= 3 and warm.status == status
     if status == "optimal":
         assert warm.objective == pytest.approx(cold.objective, abs=1e-12)
@@ -478,7 +519,8 @@ def test_singular_start_restarts_from_the_slack_basis_without_a_warning():
         warnings.simplefilter("error")
         warm = milp._simplex(canon, canon.l, canon.u, milp._Start(np.array([0, 1]), vstat))
         cold = milp._simplex(canon, canon.l, canon.u)
-        assert solve_milp(p, start=milp._Start(np.array([0, 1]), vstat)).status == "optimal"
+        p._start = milp._Start(np.array([0, 1]), vstat)
+        assert solve_milp(p).status == "optimal"
     assert (warm.status, warm.iterations, warm.factorizations, warm.objective) == (
         "optimal", cold.iterations, cold.factorizations + 1, cold.objective)
     assert warm.x.tobytes() == cold.x.tobytes()
