@@ -237,8 +237,11 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     lambda block (one weight per vertex of its grid) carrying its summed
     values per target (``mcmodel.encode_term``, on the block's vertices),
     and each constant term its value.  A new shape is made in one pass:
-    every array at its final size, then by slices each block's weights,
-    linking rows and lattice set row, and the linear rows after them.
+    the model at its final shape, every block's lattice set
+    ``(range(j, j + size), vertex counts)`` handed to its constructor, then
+    by slices each block's weights, linking rows and lattice set row, and
+    the linear rows after them; its shape stays fixed, and its values are
+    rewritten at every later call.
     ``models``, which belongs to one ``spec`` and to windows that keep
     their fixed variables, holds the ``_layout`` under the key None and
     each shape (each block's vertex counts) built so far with its model and
@@ -260,8 +263,11 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     first_row = len(shape) + sum(len(active) for _, active, _ in layout[0])  # the blocks' rows
     built = shape not in models
     if built:
-        n, rows, sizes = spec.n_vars, spec.linear_constraints, [math.prod(s) for s in shape]
-        model = milp.LpProblem(n + sum(sizes), [milp.EQ] * first_row + [row.sense for row in rows])
+        n, rows = spec.n_vars, spec.linear_constraints
+        edges = list(itertools.accumulate(map(math.prod, shape), initial=n))  # the blocks' weights
+        sets = [(range(j, end), lattice) for j, end, lattice in zip(edges, edges[1:], shape)]
+        model = milp.LpProblem(
+            edges[-1], [milp.EQ] * first_row + [row.sense for row in rows], sets)
         model.ub[n:] = 1.0  # the weights
         model.is_int[:n] = [is_int for _, _, is_int in spec.variables]
         model.c[list(spec.linear_objective)] = list(spec.linear_objective.values())
@@ -274,22 +280,21 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
         # variable's column holds its -1, and the pick's column alone reaches
         # the set row.
         basis = np.arange(model.n_vars, model.n_vars + len(model.senses))  # the slacks
-        blocks, j, r = [], n, 0
-        for (ids, active, _), (_, vertices, sums), lattice, size in zip(
-                layout[0], stage, shape, sizes):
+        blocks, r = [], 0
+        for (ids, active, _), (_, vertices, sums), (weights, lattice) in zip(
+                layout[0], stage, sets):
             model.A[range(r, r + len(active)), active] = -1.0  # its linking rows
             pick = _pick(spec, ids, active, vertices, sums)
             for i, k in enumerate(active):
                 step = math.prod(lattice[i + 1:])  # active variable i's stride, row-major
-                basis[r + i] = k if k not in basis else j + pick + (
-                    step if (pick // step + 1) % lattice[i] else -step)
+                basis[r + i] = k if k not in basis else weights[pick + (
+                    step if (pick // step + 1) % lattice[i] else -step)]
             r += len(active)
-            model.A[r, j:j + size] = model.rhs[r] = 1.0  # its lattice set's row
-            basis[r] = j + pick
-            model.lattice_sets.append(
-                (np.arange(j, j + size), np.indices(lattice).reshape(len(lattice), -1).T))
-            blocks.append((slice(j, j + size), slice(r - len(active), r)))
-            j, r = j + size, r + 1
+            cols = slice(weights.start, weights.stop)
+            model.A[r, cols] = model.rhs[r] = 1.0  # its lattice set's row
+            basis[r] = weights[pick]
+            blocks.append((cols, slice(r - len(active), r)))
+            r += 1
         for i, row in enumerate(rows, first_row):
             model.A[i, list(row.coeffs)] = list(row.coeffs.values())
         model._start = milp._Start(basis)

@@ -26,6 +26,12 @@ difference of two, and each child sets the upper bounds of the weights on
 one side of the split to 0 (see ``_balanced_cut``).  Integers are branched
 on singly, most fractional first, once every set is valid.
 
+A model's shape, its columns, its rows' senses and its lattice sets, is
+fixed when the model is made, and with it the structure of its canonical
+form (the slack identity, the slacks' sign limits and the lattice keys);
+every solve refills the form from the model's values, ``is_int`` and
+``sense`` included, which the caller may rewrite between solves.
+
 Deliberately no cutting planes and no presolve beyond rounding integer
 bounds inward, treating fixed variables as permanently nonbasic and
 validating coefficient-free rows, so behaviour stays easy to reason about
@@ -106,27 +112,48 @@ def row_violation(activity, senses, rhs) -> float:
 
 class LpProblem:
     """A MILP as arrays, ``lb <= x <= ub``, ``A x (senses) rhs``, objective ``c x +
-    obj_constant``, made at its final shape: ``n_vars`` columns and a row
-    per entry of ``senses``, every bound, coefficient and right-hand side 0,
-    no integer column, minimized.  The caller writes the values by slices,
-    ``is_int`` and ``sense`` included, every bound finite, and may rewrite
-    them in place between solves (see ``solve_milp``), all but ``senses``
-    and ``lattice_sets``, which the first solve fixes.  A lattice set is
-    ``(ids, index)``: the ids of weights in [0, 1], one per vertex of a
-    whole grid in row-major order, whose row ``sum(x_j for j in ids) = 1``
-    the model holds, and each weight's vertex multi-index, a row of ``index``."""
+    obj_constant``, its shape fixed when it is made: ``n_vars`` columns, a
+    row per entry of ``senses`` and the ``lattice_sets``, both kept as
+    tuples, with every bound, coefficient and right-hand side 0, no integer
+    column, minimized.  The caller writes the values by slices, ``is_int``
+    and ``sense`` included, every bound finite, and may rewrite them in
+    place between solves, which read them afresh (see ``solve_milp``).  A
+    lattice set is ``(ids, shape)``: the ids of weights in [0, 1], one per
+    vertex of a whole grid of ``shape`` in row-major order, whose row
+    ``sum(x_j for j in ids) = 1`` the model holds; its ids are kept as a
+    read-only array.  The constructor raises a ``ValueError`` naming a set
+    whose ids are not distinct integer columns of the model, one per
+    vertex, or whose shape has a side below 1 or none; sets may share a
+    weight.  The model's canonical form is built with it."""
 
-    def __init__(self, n_vars: int = 0, senses: Sequence[str] = ()):
-        if not set(senses) <= {LE, EQ, GE}:
-            raise ValueError(f"unknown sense in {senses!r}")
+    def __init__(self, n_vars: int = 0, senses: Sequence[str] = (),
+                 lattice_sets: Sequence[tuple] = ()):
+        self.senses = tuple(senses)
+        if not set(self.senses) <= {LE, EQ, GE}:
+            raise ValueError(f"unknown sense in {self.senses!r}")
+        sets = []
+        for k, (ids, shape) in enumerate(lattice_sets):
+            ids, shape = np.array(ids), tuple(shape)
+            if not shape or min(shape) < 1:
+                raise ValueError(f"lattice set {k} has shape {shape}: a grid's sides must be >= 1")
+            if ids.shape != (math.prod(shape),):
+                raise ValueError(f"lattice set {k} has {ids.size} ids for a grid of shape {shape}")
+            if ids.dtype.kind not in "iu":
+                raise ValueError(f"lattice set {k} has an id that is not an integer")
+            ids, listed = ids.astype(np.intp), ids.tolist()
+            if len(set(listed)) < len(listed):
+                raise ValueError(f"lattice set {k} repeats an id")
+            if min(listed) < 0 or max(listed) >= n_vars:
+                raise ValueError(f"lattice set {k} has an id outside [0, {n_vars})")
+            ids.setflags(write=False)
+            sets.append((ids, shape))
+        self.lattice_sets = tuple(sets)
         self.lb, self.ub, self.c = np.zeros(n_vars), np.zeros(n_vars), np.zeros(n_vars)
         self.is_int = np.zeros(n_vars, dtype=bool)
-        self.A, self.rhs = np.zeros((len(senses), n_vars)), np.zeros(len(senses))
-        self.senses = list(senses)
+        self.A, self.rhs = np.zeros((len(self.senses), n_vars)), np.zeros(len(self.senses))
         self.obj_constant = 0.0
         self.sense = "min"
-        self.lattice_sets: list[tuple[np.ndarray, np.ndarray]] = []  # (ids, vertex index)
-        self._canon: Optional[_Canon] = None  # built by solve_milp for this problem
+        self._canon = _Canon(n_vars, self.senses, self.lattice_sets)
         self._start: Optional[_Start] = None  # the next root's (see solve_milp)
 
     @property
@@ -164,33 +191,32 @@ class _Canon:
     checks, and the slack of row i, ``b_i - a_i x``, is bounded by ``b_i``
     minus the row's activity range over the box; a branch-and-bound child's
     box lies inside the root's, so these slack bounds hold at every node.
-    Row i is the problem's row i.  Built once per problem and refilled in
-    place from its arrays (``fill``).
+    Row i is the problem's row i.  Built with its ``LpProblem`` from the
+    model's shape alone (the slack identity, the slacks' sign limits and
+    the lattice keys), and refilled in place from the values of the
+    problem each solve hands it (``fill``).
     """
 
-    def __init__(self, problem: LpProblem):
-        self.problem = problem
-        n = self.nstruct = problem.n_vars
-        self.senses = list(problem.senses)
-        m = self.m = len(self.senses)
+    def __init__(self, n_vars: int, senses: tuple, lattice_sets: tuple):
+        n = self.nstruct = n_vars
+        m = self.m = len(senses)
         # the slack bounds' own limits: a <= or = row's slack is >= 0, a >= or = row's <= 0
-        self.slack_lo = np.array([-np.inf if s == GE else 0.0 for s in self.senses])
-        self.slack_hi = np.array([np.inf if s == LE else 0.0 for s in self.senses])
-        self.lattice = _Lattice(problem.lattice_sets) if problem.lattice_sets else None
+        self.slack_lo = np.array([-np.inf if s == GE else 0.0 for s in senses])
+        self.slack_hi = np.array([np.inf if s == LE else 0.0 for s in senses])
+        self.lattice = _Lattice(lattice_sets) if lattice_sets else None
         self.A = np.zeros((m, n + m))
         self.A.flat[n::n + m + 1] = 1.0  # the slacks' identity
         self.l, self.u, self.c = np.empty(n + m), np.empty(n + m), np.zeros(n + m)
-        self.fill()
 
-    def fill(self):
-        """Copy the problem's values, once each is checked finite and
-        ``sense`` is 'min' or 'max', integer bounds rounded inward (a
-        nonbasic column is never fractional) and each zero coefficient +0.0
-        as in a fresh array, then recompute the integer ids, the slack
-        bounds and ``dtol``.  A coefficient-free row's slack is fixed at its
-        rhs, and the row is judged at activity 0, as an incumbent's rows
-        are: ``infeasible`` when one fails."""
-        p, n = self.problem, self.nstruct
+    def fill(self, p: LpProblem):
+        """Copy the values of ``p``, a problem of this form's shape, once
+        each is checked finite and ``sense`` is 'min' or 'max', integer
+        bounds rounded inward (a nonbasic column is never fractional) and
+        each zero coefficient +0.0 as in a fresh array, then recompute the
+        integer ids, the slack bounds and ``dtol``.  A coefficient-free
+        row's slack is fixed at its rhs, and the row is judged at activity
+        0, as an incumbent's rows are: ``infeasible`` when one fails."""
+        n = self.nstruct
         # one test of all five arrays; only a failing model is scanned again, to name it
         if not np.isfinite(np.concatenate((p.lb, p.ub, p.A.ravel(), p.rhs, p.c))).all():
             for name in ("lb", "ub", "A", "rhs", "c"):
@@ -221,9 +247,6 @@ class _Canon:
         self.sign = 1.0 if p.sense == "min" else -1.0
         self.c[:n] = self.sign * p.c + 0.0
         self.dtol = 1e-9 * (1.0 + (float(np.abs(self.c).max()) if self.c.size else 0.0))
-
-    def user_objective(self, internal_value: float) -> float:
-        return self.sign * internal_value + self.problem.obj_constant
 
 
 # ---------------------------------------------------------------------------
@@ -435,8 +458,9 @@ def _simplex(canon: _Canon, l: np.ndarray, u: np.ndarray, start: Optional[_Start
 
 
 class _Lattice:
-    """The lattice sets' members and integer keys, built once per problem: row
-    p of ``keys`` belongs to member ``ids[p]``, its axis indices and then,
+    """The lattice sets' members and integer keys, built with the model: row
+    p of ``keys`` belongs to member ``ids[p]``, its axis indices (its
+    vertex's multi-index on its set's grid, row-major) and then,
     from column ``n_axes`` on, its diagonals ``idx_i - idx_j`` (i < j, in
     ``itertools.combinations`` order), and ``signed`` holds ``keys`` and then
     ``-keys``.  A set of fewer dimensions reads 0 on its missing axes, so a
@@ -444,14 +468,14 @@ class _Lattice:
     only where an axis does.  Set k holds the rows ``edges[k]`` to
     ``edges[k + 1]``."""
 
-    def __init__(self, lattice_sets: list):
+    def __init__(self, lattice_sets: tuple):
         self.ids = np.concatenate([ids for ids, _ in lattice_sets])
         self.edges = list(itertools.accumulate([len(ids) for ids, _ in lattice_sets], initial=0))
         self.starts = np.array(self.edges[:-1])
-        dims = self.n_axes = max(index.shape[1] for _, index in lattice_sets)
+        dims = self.n_axes = max(len(shape) for _, shape in lattice_sets)
         axes = np.zeros((self.ids.size, dims), dtype=np.intp)
-        for (_, index), start in zip(lattice_sets, self.edges):
-            axes[start:start + len(index), :index.shape[1]] = index
+        for (_, shape), start, end in zip(lattice_sets, self.edges, self.edges[1:]):
+            axes[start:end, :len(shape)] = np.indices(shape).reshape(len(shape), -1).T
         pairs = list(itertools.combinations(range(dims), 2))
         self.keys = np.concatenate(
             (axes, axes[:, [i for i, _ in pairs]] - axes[:, [j for _, j in pairs]]), axis=1)
@@ -527,16 +551,12 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None) -> MilpResu
     ``time.perf_counter()`` ``deadline`` passes, the search stops with
     status 'time_limit' and the proven dual bound, plus the best incumbent
     if it has one (``x`` is None otherwise).  A model without integer
-    variables or lattice sets is one simplex solve at the root.  The
-    canonical form and its lattice keys are built once per ``problem`` and
-    refilled at each later solve (see ``_Canon.fill`` for the
-    ``ValueError`` of a value it rejects).
+    variables or lattice sets is one simplex solve at the root.  Each solve
+    refills the canonical form built with ``problem`` from its values (see
+    ``_Canon.fill`` for the ``ValueError`` of a value it rejects).
     """
     canon = problem._canon
-    if canon is None or canon.problem is not problem:
-        canon = problem._canon = _Canon(problem)
-    else:
-        canon.fill()
+    canon.fill(problem)
     n = problem.n_vars
     int_idx, lattice = canon.int_idx, canon.lattice
     counters = dict.fromkeys(COUNTERS, 0)
@@ -549,6 +569,9 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None) -> MilpResu
         if not math.isfinite(inc):
             return math.inf
         return max(0.0, inc - bnd) / max(1.0, abs(inc))
+
+    def user(internal_value: float) -> float:
+        return canon.sign * internal_value + problem.obj_constant
 
     # the open nodes, sorted: (bound, -depth, seq, l, u, start), both children
     # sharing their parent's start; best bound first, deeper node on ties,
@@ -618,10 +641,10 @@ def solve_milp(problem: LpProblem, deadline: Optional[float] = None) -> MilpResu
     else:
         status = "infeasible" if incumbent_x is None else "optimal"
     if incumbent_x is not None and row_violation(
-            (canon.A[:, :n] @ incumbent_x).tolist(), canon.senses, canon.b.tolist()) > ROW_TOL:
+            (canon.A[:, :n] @ incumbent_x).tolist(), problem.senses, canon.b.tolist()) > ROW_TOL:
         status = "numerical"
     problem._start = None if root_start is None else _Start(root_start.basis, root_start.vstat)
     return MilpResult(status, incumbent_x,
-                      None if incumbent_x is None else canon.user_objective(incumbent_obj),
-                      canon.user_objective(best_bound) if math.isfinite(best_bound) else None,
+                      None if incumbent_x is None else user(incumbent_obj),
+                      user(best_bound) if math.isfinite(best_bound) else None,
                       gap, counters)

@@ -37,7 +37,21 @@ class LpProblem(milp.LpProblem):
     row, lattice set and the objective checked as it is added: how the
     tests write small models, and the reference that
     ``loop.build_iteration_model``'s one-pass build is checked against
-    (``sequential_model``)."""
+    (``sequential_model``).  A model's shape is fixed when it is made, so
+    each ``add_*`` makes the model of the grown shape (``_grown``), whose
+    constructor checks it, and copies the values into it."""
+
+    def _grown(self, n_vars: int, senses: tuple, lattice_sets: tuple) -> milp.LpProblem:
+        """A new model of ``n_vars`` columns, ``senses`` and ``lattice_sets``
+        that holds this model's values in its leading columns and rows; this
+        model is left as it is."""
+        grown = milp.LpProblem(n_vars, senses, lattice_sets)
+        n, m = self.n_vars, len(self.senses)
+        grown.lb[:n], grown.ub[:n], grown.is_int[:n], grown.c[:n] = (
+            self.lb, self.ub, self.is_int, self.c)
+        grown.A[:m, :n], grown.rhs[:m] = self.A, self.rhs
+        grown.obj_constant, grown.sense = self.obj_constant, self.sense
+        return grown
 
     def add_var(self, lo: float, hi: float, *, integer: bool = False, count: int = 1) -> int:
         """Append ``count`` columns bounded in [lo, hi]; returns the first one's id."""
@@ -48,41 +62,35 @@ class LpProblem(milp.LpProblem):
         if lo > hi:
             raise ValueError(f"variable lower bound {lo} exceeds upper bound {hi}")
         j = self.n_vars
-        self.lb = np.concatenate((self.lb, np.full(count, float(lo))))
-        self.ub = np.concatenate((self.ub, np.full(count, float(hi))))
-        self.is_int = np.concatenate((self.is_int, np.full(count, bool(integer))))
-        self.c = np.concatenate((self.c, np.zeros(count)))
-        self.A = np.concatenate((self.A, np.zeros((len(self.senses), count))), axis=1)
-        self._canon = self._start = None  # of the old shape
+        grown = self._grown(j + count, self.senses, self.lattice_sets)
+        grown.lb[j:], grown.ub[j:], grown.is_int[j:] = float(lo), float(hi), bool(integer)
+        self.__dict__ = grown.__dict__
         return j
 
     def add_row(self, coeffs: dict[int, float], sense: str, rhs: float) -> int:
         row = milp.LinearConstraint({j: float(c) for j, c in coeffs.items()}, sense, float(rhs))
-        a = np.zeros(n := self.n_vars)
-        for j, c in row.coeffs.items():
-            if not 0 <= j < n:
+        for j in row.coeffs:
+            if not 0 <= j < self.n_vars:
                 raise ValueError(f"row references unknown variable {j}")
-            a[j] = c
-        self.A = np.concatenate((self.A, a[None]))
-        self.senses.append(sense)
-        self.rhs = np.concatenate((self.rhs, (row.rhs,)))
-        self._canon = self._start = None  # of the old shape
+        grown = self._grown(self.n_vars, self.senses + (sense,), self.lattice_sets)
+        grown.A[-1, list(row.coeffs)] = list(row.coeffs.values())
+        grown.rhs[-1] = row.rhs
+        self.__dict__ = grown.__dict__
         return len(self.senses) - 1
 
     def add_lattice_set(self, ids, shape) -> int:
         """Append the row ``sum(x_j for j in ids) = 1`` over variables bounded
         in [0, 1], the vertices of a grid of ``shape`` in row-major order,
-        and declare them a lattice set for branching.  Returns the row index."""
-        ids = np.asarray(ids, dtype=np.intp)
-        if (ids.ndim != 1 or len(set(ids.tolist())) != ids.size or not shape
-                or min(shape) < 1 or ids.size != math.prod(shape)):
-            raise ValueError("a lattice set needs one distinct id per vertex of its grid")
-        if not (0 <= ids.min() and ids.max() < self.n_vars
-                and (self.lb[ids] >= 0.0).all() and (self.ub[ids] <= 1.0).all()):
+        and declare them a lattice set for branching; ``milp.LpProblem``
+        checks the set.  Returns the row index."""
+        grown = self._grown(self.n_vars, self.senses + (milp.EQ,),
+                            self.lattice_sets + ((ids, shape),))
+        ids = grown.lattice_sets[-1][0]
+        if not ((self.lb[ids] >= 0.0).all() and (self.ub[ids] <= 1.0).all()):
             raise ValueError("every lattice set member must be a variable bounded in [0, 1]")
-        row = self.add_row(dict.fromkeys(ids.tolist(), 1.0), milp.EQ, 1.0)
-        self.lattice_sets.append((ids, np.indices(shape).reshape(len(shape), -1).T))
-        return row
+        grown.A[-1, ids] = grown.rhs[-1] = 1.0
+        self.__dict__ = grown.__dict__
+        return len(self.senses) - 1
 
     def set_objective(self, coeffs: dict[int, float], constant: float = 0.0,
                       sense: str = "min"):
@@ -350,12 +358,22 @@ def encode_objective_term(prob: LpProblem, grid: Grid, z_ids,
 
 
 def solve_relaxation(problem: milp.LpProblem) -> milp.MilpResult:
-    """LP relaxation: ``solve_milp`` on a copy with every variable continuous
-    and no lattice set, which is one simplex solve at the root."""
-    relaxed = copy.copy(problem)
-    relaxed.is_int = np.zeros(problem.n_vars, dtype=bool)
-    relaxed.lattice_sets = []
+    """LP relaxation: ``solve_milp`` on a model of the same columns, rows
+    and values with every variable continuous and no lattice set, which is
+    one simplex solve at the root."""
+    relaxed = milp.LpProblem(problem.n_vars, problem.senses)
+    relaxed.lb[:], relaxed.ub[:], relaxed.c[:] = problem.lb, problem.ub, problem.c
+    relaxed.A[:], relaxed.rhs[:] = problem.A, problem.rhs
+    relaxed.obj_constant, relaxed.sense = problem.obj_constant, problem.sense
     return milp.solve_milp(relaxed)
+
+
+def filled_canon(prob: milp.LpProblem) -> milp._Canon:
+    """A canonical form of ``prob``'s shape, apart from the one ``prob``
+    holds, filled from its values as ``solve_milp`` fills that one."""
+    canon = milp._Canon(prob.n_vars, prob.senses, prob.lattice_sets)
+    canon.fill(prob)
+    return canon
 
 
 def term_grid_values(spec: ProblemSpec, term: NonlinearTerm, bounds: list, pieces: int):
@@ -511,21 +529,26 @@ def check_lambda_equivalence(n_points: int = 200) -> str:
             assert abs(res.objective - want) <= 1e-7 * (1.0 + abs(want)), (
                 f"MILP {res.objective} != pwl {want} at {z0}"
             )
-            [(ids, index)] = prob.lattice_sets
-            support = {tuple(v) for v in index[res.x[ids] > milp._INT_TOL].tolist()}
+            [(ids, shape)] = prob.lattice_sets
+            on = res.x[ids] > milp._INT_TOL
+            support = {tuple(v) for v in vertex_index(shape)[on].tolist()}
             assert any(support <= set(vertex_path(sid))
                        for sid in containing_simplices(grid, z0, tol=1e-9)), (z0, support)
             checked += 1
     return f"lambda/geometric equivalence ok ({checked} pinned points)"
 
 
-def _simplex_members(index: np.ndarray) -> list[np.ndarray]:
-    """For a lattice set's vertex indices (all vertices of a grid, in any
-    order), the positions of each simplex's vertices, simplices in
-    ``enumerate_simplices`` order."""
-    shape = tuple(int(n) for n in index.max(axis=0) + 1)
-    pos = np.empty(shape, dtype=np.intp)
-    pos[tuple(index.T)] = np.arange(len(index))
+def vertex_index(shape) -> np.ndarray:
+    """The multi-index of each vertex of a grid of ``shape``, one row per
+    vertex in row-major order: a lattice set's vertices, in its ids' order."""
+    return np.array(list(np.ndindex(*shape)), dtype=np.intp)
+
+
+def _simplex_members(shape) -> list[np.ndarray]:
+    """For a lattice set over a grid of ``shape``, the positions of each
+    simplex's vertices among the set's, simplices in ``enumerate_simplices``
+    order."""
+    pos = np.arange(math.prod(shape)).reshape(shape)
     grid = Grid([np.arange(n, dtype=float) for n in shape])
     return [np.array([pos[v] for v in vertex_path(sid)]) for sid in enumerate_simplices(grid)]
 
@@ -534,7 +557,8 @@ def _per_set_cut(lattice_sets: list, x: np.ndarray):
     """The lattice split as ``milp._balanced_cut`` made it set by set, its
     keys rebuilt at every call: the reference for the one-pass cut."""
     chosen, top = None, math.inf
-    for ids, index in lattice_sets:
+    for ids, shape in lattice_sets:
+        index = vertex_index(shape)
         v = x[ids]
         on = v > milp._INT_TOL
         pairs = [(i, j) for i in range(index.shape[1]) for j in range(i + 1, index.shape[1])]
@@ -576,10 +600,9 @@ def check_lattice_branch(n_cases: int = 400, n_multi: int = 300) -> str:
     rng = np.random.default_rng(97531)
     n_valid = n_split = 0
     for _ in range(n_cases):
-        pieces = rng.integers(1, 5, size=int(rng.integers(1, 4)))
-        index = np.array(list(np.ndindex(*(pieces + 1))), dtype=np.intp)
-        members = _simplex_members(index)
-        n = len(index)
+        shape = tuple((rng.integers(1, 5, size=int(rng.integers(1, 4))) + 1).tolist())
+        members = _simplex_members(shape)
+        n = math.prod(shape)
         w = np.zeros(n)
         if rng.random() < 0.3:
             face = members[int(rng.integers(0, len(members)))]
@@ -590,11 +613,11 @@ def check_lattice_branch(n_cases: int = 400, n_multi: int = 300) -> str:
         w /= w.sum()
         w[(w == 0.0) & (rng.random(n) < 0.2)] = 0.5 * milp._INT_TOL
         x = np.concatenate([[1.0, 0.0, 0.0], w])
-        sets = [(np.arange(3), np.array([[0], [1], [2]])), (3 + np.arange(n), index)]
+        sets = [(np.arange(3), (3,)), (3 + np.arange(n), shape)]
         split = milp._balanced_cut(milp._Lattice(sets), x)
         on = w > milp._INT_TOL
         valid = any(set(np.flatnonzero(on)) <= set(m.tolist()) for m in members)
-        assert (split is None) == valid, (index.tolist(), w.tolist(), split)
+        assert (split is None) == valid, (shape, w.tolist(), split)
         if valid:
             n_valid += 1
             continue
@@ -609,22 +632,21 @@ def check_lattice_branch(n_cases: int = 400, n_multi: int = 300) -> str:
 
     n_several = n_tied = 0
     for _ in range(n_multi):
-        shapes = [rng.integers(1, 5, size=int(rng.integers(1, 4))) + 1
+        shapes = [tuple((rng.integers(1, 5, size=int(rng.integers(1, 4))) + 1).tolist())
                   for _ in range(int(rng.integers(2, 6)))]
-        indices = [np.array(list(np.ndindex(*shape)), dtype=np.intp) for shape in shapes]
-        ids = rng.permutation(sum(len(index) for index in indices))
+        ids = rng.permutation(sum(map(math.prod, shapes)))
         x = np.zeros(ids.size)
         sets, tops = [], []
-        for index in indices:
-            set_ids, ids = ids[:len(index)], ids[len(index):]
-            members = _simplex_members(index)
+        for shape in shapes:
+            size = math.prod(shape)
+            set_ids, ids = ids[:size], ids[size:]
+            members = _simplex_members(shape)
             if rng.random() < 0.4:
                 on = members[int(rng.integers(0, len(members)))]
             else:
-                on = rng.choice(len(index), size=int(rng.integers(2, min(len(index), 6) + 1)),
-                                replace=False)
+                on = rng.choice(size, size=int(rng.integers(2, min(size, 6) + 1)), replace=False)
             x[set_ids[on]] = rng.choice([0.1, 0.2, 0.25, 0.4, 0.5], size=on.size)
-            sets.append((set_ids, index))
+            sets.append((set_ids, shape))
             if not any(set(on.tolist()) <= set(m.tolist()) for m in members):
                 tops.append(float(x[set_ids].max()))
         want = _per_set_cut(sets, x)
@@ -676,7 +698,7 @@ def check_lattice_oracle(n_specs: int = 30) -> str:
         res = milp.solve_milp(lp)
         sgn = 1.0 if sense == "min" else -1.0
         best = math.inf
-        sets = [(ids, _simplex_members(index)) for ids, index in lp.lattice_sets]
+        sets = [(ids, _simplex_members(shape)) for ids, shape in lp.lattice_sets]
         for combo in itertools.product(*(members for _, members in sets)):
             sub = copy.copy(lp)
             sub.ub = lp.ub.copy()
@@ -796,9 +818,10 @@ def check_model_refill(n_specs: int = 40, n_windows: int = 6) -> str:
 
 def _model_bytes(model: milp.LpProblem) -> list:
     arrays = [model.lb, model.ub, model.is_int, model.c, model.A, model.rhs]
-    arrays += [a for lattice_set in model.lattice_sets for a in lattice_set]
+    arrays += [ids for ids, _ in model.lattice_sets]
     return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays] + [
-        model.senses, len(model.lattice_sets), model.sense, repr(model.obj_constant)]
+        model.senses, [shape for _, shape in model.lattice_sets], model.sense,
+        repr(model.obj_constant)]
 
 
 def check_one_pass_build(n_specs: int = 60) -> str:
@@ -1111,7 +1134,7 @@ def check_warm_child(n_lps: int = 150) -> str:
     for _ in range(n_lps):
         prob = _random_boxed_lp(rng)
         n = prob.n_vars
-        canon = milp._Canon(prob)
+        canon = filled_canon(prob)
         parent = milp._simplex(canon, canon.l, canon.u)
         assert parent.status == "optimal", parent.status
         basic = [int(j) for j in parent.start.basis if j < n and parent.x[j] > canon.l[j] + 1e-6
@@ -1185,7 +1208,7 @@ def check_set_branch_warm(n_models: int = 30) -> str:
     n_children = n_infeasible = most_zeroed = 0
     for _ in range(n_models):
         prob = _concave_term_model(rng)
-        canon = milp._Canon(prob)
+        canon = filled_canon(prob)
         l, u = canon.l, canon.u.copy()
         parent = milp._simplex(canon, l, u)
         assert parent.status == "optimal", parent.status
@@ -1277,7 +1300,7 @@ def check_child_reuse(n_lps: int = 150, n_models: int = 30) -> str:
     n_children = n_reused = n_moved = 0
     for _ in range(n_lps):
         prob = _random_boxed_lp(rng)
-        canon = milp._Canon(prob)
+        canon = filled_canon(prob)
         parent = milp._simplex(canon, canon.l, canon.u)
         assert parent.status == "optimal", parent.status
         n = prob.n_vars
@@ -1300,7 +1323,7 @@ def check_child_reuse(n_lps: int = 150, n_models: int = 30) -> str:
             n_moved += not reused
     for _ in range(n_models):
         prob = _concave_term_model(rng)
-        canon = milp._Canon(prob)
+        canon = filled_canon(prob)
         lattice = milp._Lattice(prob.lattice_sets)
         u = canon.u
         parent = milp._simplex(canon, canon.l, u)
@@ -1398,11 +1421,13 @@ def check_warm_root(n_pairs: int = 80) -> str:
                                               lo2 + 0.1))
         A2 = A * (1.0 + 0.2 * rng.normal(size=(m, n)))
         c2 = c + 0.2 * rng.normal(size=n)
-        second = build(lo2, hi2, is_int, A2, sn, c2, sense)
+        sn2 = sn.copy()
         if k % 8 == 7:  # rows 0 and 1 cannot both hold
+            sn2[:2] = [">=", "<="]
+        second = build(lo2, hi2, is_int, A2, sn2, c2, sense)
+        if k % 8 == 7:
             r0 = float(second.A[0] @ rng.uniform(lo2, hi2))
             second.A[1] = second.A[0]
-            second.senses[:2] = [">=", "<="]
             second.rhs[:2] = [r0, r0 - 0.5]
         cold = milp.solve_milp(second)
         warm = warm_solve(second, start)
@@ -1423,7 +1448,7 @@ def check_warm_root(n_pairs: int = 80) -> str:
             A3[:, basic[0]] = 0.0
             third = build(lo2, hi2, is_int, A3, sn, c2, sense)
             try:  # under the error state _simplex enters, in which a singular basis raises
-                milp._lapack_errors(milp._Basis(milp._Canon(third), start.basis).ftran)(
+                milp._lapack_errors(milp._Basis(filled_canon(third), start.basis).ftran)(
                     np.zeros(m))
             except np.linalg.LinAlgError:
                 cold = milp.solve_milp(third)
@@ -1497,7 +1522,7 @@ def check_crash_basis(n_specs: int = 60) -> str:
         bounds, pieces, models = spec.bounds(), int(rng.integers(2, 5)), {}
         model = loop.build_iteration_model(spec, bounds, pieces, models)
         crash = model._start
-        canon = milp._Canon(model)
+        canon = filled_canon(model)
         n, m = canon.nstruct, canon.m
         free = np.flatnonzero(~model.A.any(axis=1))
         assert free.size == 1 and crash.basis.size == m, (free, crash.basis)

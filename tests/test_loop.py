@@ -15,7 +15,7 @@ from sppa.problems import (Interval, NonlinearTerm, ProblemSpec, builtin, builti
 
 from properties import (Grid, check_best_point, check_crash_basis, check_grouped_model,
                         check_model_refill, check_one_pass_build, check_sppa_invariants,
-                        check_vertex_optimum, term_grid_values)
+                        check_vertex_optimum, term_grid_values, vertex_index)
 
 
 def test_contract_examples():
@@ -104,9 +104,8 @@ def test_model_counts_rosenbrock():
     spec = builtin("rosenbrock")
     m = build_iteration_model(spec, spec.bounds(), 4)
     assert sum(m.is_int) == 0  # the weights are continuous
-    [(ids, index)] = m.lattice_sets
-    assert len(ids) == 25 and index.shape[1] == 2  # one 2-D term: 5 * 5 vertices
-    assert (index.max(axis=0)).tolist() == [4, 4]  # the grid's pieces
+    [(ids, shape)] = m.lattice_sets
+    assert len(ids) == 25 and shape == (5, 5)  # one 2-D term: 4 pieces per axis
     # beside x and y, one weight per vertex; two linking rows and the set's row
     assert m.n_vars == 2 + 25 and len(m.senses) == 3
 
@@ -127,9 +126,9 @@ def test_shipped_row_terms_share_the_objective_block(name, pieces, n_vars, n_row
     problems = pathlib.Path(__file__).resolve().parents[1] / "bench" / "problems"
     spec = load_problem(str(problems / f"{name}.prob"))
     m = build_iteration_model(spec, spec.bounds(), pieces)
-    [(ids, index)] = m.lattice_sets
+    [(ids, shape)] = m.lattice_sets
     assert m.n_vars == n_vars and len(m.senses) == n_rows
-    assert len(ids) == n_vars - spec.n_vars == (pieces + 1) ** index.shape[1]
+    assert len(ids) == n_vars - spec.n_vars == (pieces + 1) ** len(shape)
 
 
 def test_groups_follow_the_largest_variable_set_first():
@@ -155,8 +154,8 @@ def test_fixed_term_stays_a_constant_inside_a_group():
          NonlinearTerm((1,), lambda v: float(v[0] ** 2), row=0),
          NonlinearTerm((0,), lambda v: float(v[0] ** 3), row=0)])
     m = build_iteration_model(spec, spec.bounds(), 2)
-    [(ids, index)] = m.lattice_sets
-    assert index.shape[1] == 1 and m.rhs[-1] == 2.0 - 0.25
+    [(ids, shape)] = m.lattice_sets
+    assert len(shape) == 1 and m.rhs[-1] == 2.0 - 0.25
     assert m.A[-1, ids].tolist() == [0.0, 0.125, 1.0]  # x^3 on the block's weights
     assert m.c[ids].tolist() == [0.0, 0.25, 0.5]
 
@@ -182,8 +181,8 @@ def test_degenerate_variable_becomes_constant():
         [NonlinearTerm((0, 1), lambda v: float(v[0] * v[1] ** 2))],
     )
     m = build_iteration_model(spec, spec.bounds(), 2)
-    [(ids, index)] = m.lattice_sets
-    assert index.shape[1] == 1  # x dropped from the grid
+    [(ids, shape)] = m.lattice_sets
+    assert len(shape) == 1  # x dropped from the grid
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=25))
     assert result.best_objective == pytest.approx(0.0, abs=1e-10)
 
@@ -466,7 +465,8 @@ def test_surrogate_stays_within_vertex_values_on_narrow_windows():
                     for term in spec.nonlinear_terms]
         leads = group_leads([term.var_ids for term in spec.nonlinear_terms])
         assert len(lp.lattice_sets) == len(set(leads)) == 1
-        for lead, (ids, index) in zip(dict.fromkeys(leads), lp.lattice_sets):
+        for lead, (ids, shape) in zip(dict.fromkeys(leads), lp.lattice_sets):
+            index = vertex_index(shape)
             w = res.x[ids]
             assert abs(w.sum() - 1.0) <= 2.0 * milp.ROW_TOL, w.sum()
             active = prepared[lead][0]

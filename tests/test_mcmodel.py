@@ -6,7 +6,8 @@ from sppa.milp import solve_milp
 
 from properties import (LpProblem, add_term, build_grid, check_lambda_equivalence,
                         check_lattice_oracle, encode_objective_term, eval_pwl, grid_values,
-                        hyperplane_coeffs, locate, lower, solve_relaxation, upper, vertex_path)
+                        hyperplane_coeffs, locate, lower, solve_relaxation, upper, vertex_index,
+                        vertex_path)
 
 
 def build(grid, f):
@@ -24,9 +25,8 @@ def test_cardinalities():
         model, z_ids, value = build(build_grid(bounds, pieces), lambda v: 0.0)
         assert model.n_vars == len(z_ids) + n and len(value) == n
         assert not any(model.is_int)
-        [(ids, index)] = model.lattice_sets
-        assert sorted(value) == ids.tolist() and index.shape == (n, len(pieces))
-        assert index.tolist() == [list(i) for i in np.ndindex(*(L + 1 for L in pieces))]
+        [(ids, shape)] = model.lattice_sets
+        assert sorted(value) == ids.tolist() and shape == tuple(L + 1 for L in pieces)
 
 
 def test_selection_rows_shape():
@@ -34,12 +34,12 @@ def test_selection_rows_shape():
     # sum(w_v * (b_k[v_k] - lo_k)) - z_k = -lo_k, then the set's = 1 row
     g = build_grid([(1.0, 2.0), (-1.0, 3.0)], [2, 2])
     model, z_ids, value = build(g, lambda v: 0.0)
-    [(ids, index)] = model.lattice_sets
-    assert model.senses == ["="] * 3 and model.rhs.tolist() == [-1.0, 1.0, 1.0]
+    [(ids, shape)] = model.lattice_sets
+    assert model.senses == ("=",) * 3 and model.rhs.tolist() == [-1.0, 1.0, 1.0]
     for k in range(2):
         want = np.zeros(model.n_vars)
         want[z_ids[k]] = -1.0
-        want[ids] = [g.breakpoints[k][i[k]] - g.breakpoints[k][0] for i in index.tolist()]
+        want[ids] = [g.breakpoints[k][i[k]] - g.breakpoints[k][0] for i in np.ndindex(*shape)]
         assert model.A[k].tolist() == want.tolist()
     assert model.A[2, ids].tolist() == [1.0] * len(ids) and not model.A[2, z_ids].any()
     # a corner at 0 leaves the right-hand side +0.0, as a fresh row's
@@ -73,9 +73,10 @@ def test_value_exact_at_every_vertex():
     f = lambda v: float(np.sin(v[0]) * v[1] + v[0] ** 2)
     points = g.points()
     model, z_ids, value = build(g, f)
-    [(ids, index)] = model.lattice_sets
-    assert value == {j: f(points[tuple(i)]) for j, i in zip(ids.tolist(), index.tolist())}
-    for j, i in zip(ids.tolist()[::4], index.tolist()[::4]):
+    [(ids, shape)] = model.lattice_sets
+    index = vertex_index(shape).tolist()
+    assert value == {j: f(points[tuple(i)]) for j, i in zip(ids.tolist(), index)}
+    for j, i in zip(ids.tolist()[::4], index[::4]):
         m2, z2, v2 = build(g, f)
         m2.lb[j] = 1.0
         m2.set_objective(v2)
@@ -94,9 +95,9 @@ def test_pinned_support_gives_the_simplex_plane():
     for _ in range(25):
         z0 = lo + rng.random(g.dims) * (hi - lo)
         model, z_ids, value = build(g, f)
-        [(ids, index)] = model.lattice_sets
+        [(ids, shape)] = model.lattice_sets
         keep = set(vertex_path(locate(g, z0)))
-        for j, i in zip(ids.tolist(), index.tolist()):
+        for j, i in zip(ids.tolist(), np.ndindex(*shape)):
             if tuple(i) not in keep:
                 model.ub[j] = 0.0
         for k, zid in enumerate(z_ids):

@@ -13,7 +13,7 @@ from sppa.milp import solve_milp
 from sppa.problems import Interval, from_expressions
 
 from properties import (LpProblem, check_child_reuse, check_lattice_branch, check_milp_oracle,
-                        check_set_branch_warm, check_warm_child, check_warm_root,
+                        check_set_branch_warm, check_warm_child, check_warm_root, filled_canon,
                         per_term_model)
 
 
@@ -194,8 +194,8 @@ def test_canonical_form_of_coefficient_free_rows_of_each_sense():
     p.add_row({y: 2.0}, "<=", 3.0)
     p.add_row({}, "=", 0.0)
     p.add_row({x: 1.0, y: -1.0}, "=", 0.25)
-    canon = milp._Canon(p)
-    assert (canon.m, canon.senses) == (6, [">=", "<=", ">=", "<=", "=", "="])
+    canon = filled_canon(p)
+    assert (canon.m, p.senses) == (6, (">=", "<=", ">=", "<=", "=", "="))
     assert canon.slack_lo.tolist() == [-inf, 0.0, -inf, 0.0, 0.0, 0.0]
     assert canon.slack_hi.tolist() == [0.0, inf, 0.0, inf, 0.0, 0.0]
     assert canon.slack_lo.dtype == canon.slack_hi.dtype == float
@@ -208,7 +208,7 @@ def test_canonical_form_of_coefficient_free_rows_of_each_sense():
     for row, rhs in ((1, -1.0), (2, 1.0), (4, 1e-3), (4, -1e-3)):
         q = copy.deepcopy(p)
         q.rhs[row] = rhs
-        canon = milp._Canon(q)
+        canon = filled_canon(q)
         assert canon.infeasible and canon.l[2 + row] == canon.u[2 + row] == rhs
         assert solve_milp(q).status == "infeasible"
     # a row that gains its first coefficient is refilled, not rebuilt
@@ -220,8 +220,8 @@ def test_canonical_form_of_coefficient_free_rows_of_each_sense():
     # a model without rows has an empty canonical row block
     q = LpProblem()
     q.add_var(0, 1, count=2)
-    canon = milp._Canon(q)
-    assert (canon.m, canon.senses, canon.infeasible) == (0, [], False)
+    canon = filled_canon(q)
+    assert (canon.m, q.senses, canon.infeasible) == (0, (), False)
     assert canon.slack_lo.shape == canon.slack_hi.shape == (0,)
     assert canon.slack_lo.dtype == canon.slack_hi.dtype == float
     assert canon.A.shape == (0, 2) and canon.l.tolist() == [0.0, 0.0]
@@ -443,7 +443,7 @@ def test_simplex_stops_at_a_passed_deadline():
     p.add_row({x: 1, y: 2}, ">=", 2)
     p.add_row({x: 3, y: 1}, ">=", 3)
     p.set_objective({x: 1, y: 1})
-    canon = milp._Canon(p)
+    canon = filled_canon(p)
     res = milp._simplex(canon, canon.l, canon.u, deadline=time.perf_counter() - 1.0)
     assert res.status == "time_limit" and res.x is None and res.iterations == 0
     assert milp._simplex(canon, canon.l, canon.u).status == "optimal"
@@ -458,7 +458,7 @@ def test_rounded_incumbent_that_breaks_a_row_is_numerical():
     y = p.add_var(3, 3)
     p.add_row({x: 1e8, y: -1e8}, "=", -50)
     p.set_objective({x: 1})
-    canon = milp._Canon(p)
+    canon = filled_canon(p)
     assert 0.0 < 3.0 - milp._simplex(canon, canon.l, canon.u).x[0] <= milp._INT_TOL
     res = solve_milp(p)
     assert res.status == "numerical"
@@ -513,7 +513,7 @@ def test_singular_start_restarts_from_the_slack_basis_without_a_warning():
     p.add_row(dict(zip(ids, [1.0, 2.0, 1.0])), "<=", 2.0)
     p.add_row(dict(zip(ids, [2.0, 4.0, 0.5])), "<=", 3.0)
     p.set_objective(dict(zip(ids, [1.0, 1.0, 2.0])), sense="max")
-    canon = milp._Canon(p)
+    canon = filled_canon(p)
     vstat = np.array([milp._BASIC, milp._BASIC, 0, 0, 0], dtype=np.int8)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -574,14 +574,17 @@ def test_child_reuse_property_suite():
 
 
 def test_lattice_set_declaration_adds_its_row():
-    # a set is a whole grid, its ids the vertices in row-major order
+    # a set is a whole grid, its ids the vertices in row-major order; the
+    # model's constructor checks each set (see
+    # test_lattice_sets_are_checked_when_the_model_is_made), the grown model
+    # that its members lie in [0, 1]
     p = LpProblem()
     ids = [p.add_var(0, 1) for _ in range(4)]
     assert p.add_lattice_set(ids, (2, 2)) == 0
-    assert p.A.tolist() == [[1.0] * 4] and p.senses == ["="]
+    assert p.A.tolist() == [[1.0] * 4] and p.senses == ("=",)
     assert p.rhs.tolist() == [1.0] and len(p.lattice_sets) == 1
     np.testing.assert_array_equal(p.lattice_sets[0][0], ids)
-    np.testing.assert_array_equal(p.lattice_sets[0][1], list(np.ndindex(2, 2)))
+    assert p.lattice_sets[0][1] == (2, 2)
     wide = p.add_var(0, 2)
     below = p.add_var(-1, 1)
     binary = p.add_var(0, 1, integer=True)
@@ -590,10 +593,89 @@ def test_lattice_set_declaration_adds_its_row():
                                (ids, (3,)), (ids[:3], (2, 2)), ([], (0,)),  # count != prod
                                ([], (2, 0)), (ids[:2], (2, 1, 0)),  # an extent of 0
                                ([ids[0], wide], (2,)), ([ids[0], below], (2,)),
-                               ([ids[0], 99], (2,))):  # a member outside [0, 1]
+                               ([ids[0], 99], (2,))):  # a member outside [0, 1] or the model
         with pytest.raises(ValueError):
             p.add_lattice_set(bad_ids, bad_shape)
     assert len(p.senses) == 2 and len(p.lattice_sets) == 2
+
+
+@pytest.mark.parametrize("ids, shape, message", [
+    ([0, 0, 1], (3,), "lattice set 1 repeats an id"),
+    ([0, 1, 3], (3,), r"lattice set 1 has an id outside \[0, 3\)"),  # 3: the row's slack
+    ([0, 1, 5], (3,), r"lattice set 1 has an id outside \[0, 3\)"),
+    ([-1, 0, 1], (3,), r"lattice set 1 has an id outside \[0, 3\)"),
+    ([0, 1], (3,), r"lattice set 1 has 2 ids for a grid of shape \(3,\)"),
+    ([0, 1, 2], (2, 2), r"lattice set 1 has 3 ids for a grid of shape \(2, 2\)"),
+    ([[0, 1], [2, 0]], (2, 2), r"lattice set 1 has 4 ids for a grid of shape \(2, 2\)"),
+    ([0.0, 1.0, 2.0], (3,), "lattice set 1 has an id that is not an integer"),
+    ([False, True, True], (3,), "lattice set 1 has an id that is not an integer"),
+    ([], (3, 0), r"lattice set 1 has shape \(3, 0\): a grid's sides must be >= 1"),
+    ([0], (), r"lattice set 1 has shape \(\): a grid's sides must be >= 1")],
+    ids=["repeated", "slack", "past_the_end", "negative", "short", "short_2d", "nested",
+         "float", "bool", "empty_side", "no_side"])
+def test_lattice_sets_are_checked_when_the_model_is_made(ids, shape, message):
+    # each such set used to pass silently: ids [0, 1, 3] and [0, 0, 1]
+    # solved 'optimal', the first with the row's slack as a weight, and
+    # [0, 1, 5] raised a bare IndexError at the first solve
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        milp.LpProblem(3, ["="], [([1, 2], (2,)), (ids, shape)])
+    # sets may share a weight; each set's ids are kept read-only, its shape a tuple
+    p = milp.LpProblem(3, ["=", "="], [([0, 1], [2]), (range(3), (3,))])
+    assert [shape for _, shape in p.lattice_sets] == [(2,), (3,)]
+    p.A[:], p.rhs[:], p.ub[:], p.c[:] = [[1, 1, 0], [1, 1, 1]], 1.0, 1.0, [0.0, 1.0, -1.0]
+    assert solve_milp(p).x.tolist() == [1.0, 0.0, 0.0]
+    with pytest.raises(ValueError, match="read-only"):
+        p.lattice_sets[0][0][0] = 2
+
+
+def test_the_shape_is_fixed_when_the_model_is_made():
+    # senses and lattice sets are tuples, so a rewrite after a solve raises;
+    # the senses rewrite was silently ignored, x staying at 0.0 where a
+    # model made with ">=" solves to 2.0
+    def model(sense):
+        p = milp.LpProblem(1, [sense])
+        p.ub[0], p.c[0], p.A[0, 0], p.rhs[0] = 5.0, 1.0, 1.0, 2.0
+        return p
+
+    p = model("<=")
+    assert isinstance(p.senses, tuple) and isinstance(p.lattice_sets, tuple)
+    assert solve_milp(p).x.tolist() == [0.0]
+    with pytest.raises(TypeError):
+        p.senses[0] = ">="
+    with pytest.raises(AttributeError):
+        p.lattice_sets.append((np.arange(1), (1,)))
+    assert solve_milp(p).x.tolist() == [0.0]
+    assert solve_milp(model(">=")).x.tolist() == [2.0]
+    # the canonical form is built with the model, and each solve refills it
+    canon = p._canon
+    assert not hasattr(canon, "problem")
+    p.rhs[0] = 1.0
+    p.sense = "max"
+    assert solve_milp(p).x.tolist() == [1.0] and p._canon is canon
+
+
+def test_a_copy_with_other_values_solves_on_its_own():
+    # a shallow copy shares its original's canonical form and start, and
+    # each solve fills the form from the problem it is handed: the copy,
+    # given other bounds and objective, solves to its own optimum, and the
+    # original's next solve is the one it would have made without the copy
+    values, weights, cap = [5.0, 4.0, 3.0, 6.0, 7.0, 2.0], [4.0, 3.0, 2.0, 5.0, 6.0, 1.0], 9.0
+    original, twin = knapsack(values, weights, cap), knapsack(values, weights, cap)
+    solve_milp(original), solve_milp(twin)
+    other = copy.copy(original)
+    assert other._canon is original._canon and other._start is original._start
+    other.ub = np.array([1.0, 1.0, 0.0, 1.0, 1.0, 1.0])
+    other.c = np.array([1.0, 6.0, 8.0, 2.0, 3.0, 5.0])
+    fresh = knapsack([1.0, 6.0, 8.0, 2.0, 3.0, 5.0], weights, cap)
+    fresh.ub[2] = 0.0
+    got, want = solve_milp(other), solve_milp(fresh)
+    assert (got.status, got.objective) == (want.status, want.objective) == ("optimal", 13.0)
+    assert got.x.tolist() == want.x.tolist() == [0.0, 1.0, 0.0, 1.0, 0.0, 1.0]
+    assert other._start is not original._start
+    a, b = solve_milp(original), solve_milp(twin)
+    assert (a.status, a.objective, a.bound, a.gap, a.counters) == (
+        b.status, b.objective, b.bound, b.gap, b.counters)
+    assert a.x.tobytes() == b.x.tobytes()
 
 
 def test_lattice_branch_property_suite():
