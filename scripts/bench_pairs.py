@@ -3,7 +3,8 @@
 
 Each pair runs ``bench/run.py --workload W --trace 0`` once in each
 checkout, the parent first in odd pairs and the change first in even ones,
-and reads the JSON object on the last line of each run's output.  For every
+and reads the JSON object on the last line of each run's output, and the
+unscaled ``wall_s`` and reference kernel median of its log line.  For every
 end-to-end metric of ``BENCHMARK.json`` the summary prints, per side, the
 median and the quartiles over the pairs; then in how many pairs the change
 read better, and the gain rule's verdict: a gain when the change is better
@@ -14,7 +15,10 @@ no-regression verdict against the metric's ``bound`` in ``BENCHMARK.json``,
 a share of the parent's median: ``worse`` when the change's median is worse
 than the parent's by more than that share, ``unresolved`` when the parent's
 quartile spread is wider than it (unless every change run beats every
-parent run), else ``held``.
+parent run), else ``held``.  Then each side's median of the unscaled
+``wall_s`` and of the reference kernel's median: ``wall_s`` is scaled by the
+kernel's time on the host, so a move in it that the kernel's speed explains
+shows there as a kernel move, not as an unscaled one.
 
 Usage, from anywhere:
     python3 scripts/bench_pairs.py PARENT CHANGE --workload refine [--pairs 10] [--seed 0]
@@ -33,12 +37,15 @@ import argparse
 import json
 import os
 import pathlib
+import re
 import statistics
 import subprocess
 import sys
 import tempfile
 
 _BENCHMARK = pathlib.Path(__file__).resolve().parents[1] / "BENCHMARK.json"
+# bench/run.py's log line of an untraced run
+_HOST_LINE = re.compile(r"unscaled wall_s ([0-9.]+) s .* reference kernel median ([0-9.]+) ms")
 
 
 def benchmark() -> tuple[float, list[tuple[str, str, float]]]:
@@ -49,7 +56,9 @@ def benchmark() -> tuple[float, list[tuple[str, str, float]]]:
 
 
 def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
-    """The result object of one ``bench/run.py`` run in ``checkout``."""
+    """The result object of one ``bench/run.py`` run in ``checkout``, with
+    ``host``: the unscaled ``wall_s`` in seconds and the reference kernel's
+    median in milliseconds that its log line reads, or None without one."""
     with tempfile.TemporaryDirectory() as no_bytecode:
         out = subprocess.run(
             [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
@@ -57,7 +66,9 @@ def run_once(checkout: str, workload: str, seed: int, seconds: float) -> dict:
             cwd=checkout, env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
                                    PYTHONPYCACHEPREFIX=no_bytecode),
             capture_output=True, text=True, check=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    lines = out.strip().splitlines()
+    found = next(filter(None, map(_HOST_LINE.search, lines[:-1])), None)
+    return {**json.loads(lines[-1]), "host": found and tuple(map(float, found.groups()))}
 
 
 def _spread(values: list[float]) -> tuple[float, float, float]:
@@ -106,6 +117,21 @@ def verdicts(pairs: list[tuple[dict, dict]], metrics: list[tuple[str, str, float
     return lines
 
 
+def host_lines(pairs: list[tuple[dict, dict]]) -> list[str]:
+    """Each side's medians of the unscaled ``wall_s`` and of the reference
+    kernel's median over the runs of ``(parent, change)`` result objects
+    that read them; no line unless both sides have some."""
+    sides = [[doc["host"] for doc in side if doc.get("host")] for side in zip(*pairs)]
+    if not all(sides):
+        return []
+    (p_wall, p_ref), (c_wall, c_ref) = ([statistics.median(col) for col in zip(*side)]
+                                        for side in sides)
+    return [f"unscaled wall_s: parent {p_wall:.6g} s, change {c_wall:.6g} s, "
+            f"{(c_wall - p_wall) / p_wall:+.1%}",
+            f"reference kernel median: parent {p_ref:.6g} ms, change {c_ref:.6g} ms, "
+            f"{(c_ref - p_ref) / p_ref:+.1%}"]
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("parent", help="checkout of the parent commit")
@@ -125,7 +151,7 @@ def main(argv=None) -> int:
             f"{name} {pairs[-1][0]['metrics'][name]['value']:.6g} -> "
             f"{pairs[-1][1]['metrics'][name]['value']:.6g}" for name, _, _ in metrics), flush=True)
     print("\n".join(summarize(pairs, [(name, better) for name, better, _ in metrics])))
-    print("\n".join(verdicts(pairs, metrics)))
+    print("\n".join(verdicts(pairs, metrics) + host_lines(pairs)))
     return 0
 
 

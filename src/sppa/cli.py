@@ -17,8 +17,8 @@ import json
 import os
 import sys
 
-from sppa import loop, milp
-from sppa.problems import (ProblemFormatError, builtin, builtin_info, builtin_names,
+from sppa import loop
+from sppa.problems import (COUNTERS, ProblemFormatError, builtin, builtin_info, builtin_names,
                            load_problem)
 
 EXIT_OK = 0
@@ -28,7 +28,7 @@ EXIT_NO_INCUMBENT = 4
 
 _CONFIG_FIELDS = set(vars(loop.SppaConfig()))
 # a trace row's keys in order; the CSV spreads the incumbent over x1..xn
-_ROW_KEYS = ("iter", "objective", "incumbent", "max_width", "row_violation", *milp.COUNTERS,
+_ROW_KEYS = ("iter", "objective", "incumbent", "max_width", "row_violation", *COUNTERS,
              "seconds")
 
 
@@ -80,7 +80,7 @@ def _report_rows(result: loop.SppaResult, nl_names: list[str]) -> list[dict]:
     return [dict(zip(_ROW_KEYS, (
         rec.iteration, float(rec.objective), [float(v) for v in rec.incumbent],
         float(_max_width(rec, nl_names)), float(rec.row_violation),
-        *(int(rec.milp_stats[name]) for name in milp.COUNTERS), float(rec.milp_stats["seconds"]),
+        *(int(rec.milp_stats[name]) for name in COUNTERS), float(rec.milp_stats["seconds"]),
     ), strict=True)) for rec in result.trace]
 
 

@@ -38,12 +38,15 @@ import math
 import numbers
 import operator
 import time
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 import numpy as np
 
-from sppa import mcmodel, milp
-from sppa.problems import Interval, ProblemSpec
+from sppa import mcmodel
+from sppa.problems import COUNTERS, EQ, ROW_TOL, Interval, ProblemSpec
+
+if TYPE_CHECKING:  # at run time the solver is imported where a model is built or solved
+    from sppa import milp
 
 __all__ = [
     "SppaConfig",
@@ -64,7 +67,7 @@ _STALL_ITERS = 3
 _FLOOR_REL = 1e-8
 _FLOOR_SPACINGS = 8
 # a vertex solve's stats read as a MILP's that solved without a node
-_VERTEX_STATS = {"status": "optimal", **dict.fromkeys(milp.COUNTERS, 0), "gap": 0.0}
+_VERTEX_STATS = {"status": "optimal", **dict.fromkeys(COUNTERS, 0), "gap": 0.0}
 
 
 class SppaConfig:
@@ -263,11 +266,12 @@ def build_iteration_model(spec: ProblemSpec, bounds: list[Interval], pieces: int
     first_row = len(shape) + sum(len(active) for _, active, _ in layout[0])  # the blocks' rows
     built = shape not in models
     if built:
+        import sppa.milp as milp
         n, rows = spec.n_vars, spec.linear_constraints
         edges = list(itertools.accumulate(map(math.prod, shape), initial=n))  # the blocks' weights
         sets = [(range(j, end), lattice) for j, end, lattice in zip(edges, edges[1:], shape)]
         model = milp.LpProblem(
-            edges[-1], [milp.EQ] * first_row + [row.sense for row in rows], sets)
+            edges[-1], [EQ] * first_row + [row.sense for row in rows], sets)
         model.ub[n:] = 1.0  # the weights
         model.is_int[:n] = [is_int for _, _, is_int in spec.variables]
         model.c[list(spec.linear_objective)] = list(spec.linear_objective.values())
@@ -376,7 +380,7 @@ def run(
     """Iterate solve/contract/rebuild until a termination criterion fires.
 
     Each iterate is ranked by ``ProblemSpec.row_violation``: a point within
-    ``milp.ROW_TOL`` is feasible.  Feasible points rank first, by exact
+    ``problems.ROW_TOL`` is feasible.  Feasible points rank first, by exact
     objective (a vertex solve's own value, summed as ``objective_value``
     sums it), the others after them by violation; the later point wins a
     tie.  The best-ranked point is reported.  While the latest iterate is
@@ -423,6 +427,8 @@ def run(
     prev_obj = None
     prev_z = None
     termination = "max_iters"
+    if not vertex_solvable:  # the vertex path never loads the solver
+        import sppa.milp as milp
 
     for it in range(config.max_iters):
         if deadline is not None and time.perf_counter() >= deadline:
@@ -456,7 +462,7 @@ def run(
         if on_iteration is not None:
             on_iteration(record)
 
-        feasible = violation <= milp.ROW_TOL
+        feasible = violation <= ROW_TOL
         rank = (0, sign * true_obj) if feasible else (1, violation)
         if best_rank is None or rank <= best_rank:
             best_rank, best_obj, best_point, best_list = rank, true_obj, z.copy(), z_list

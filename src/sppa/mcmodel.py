@@ -22,9 +22,12 @@ grid moves; nothing here evaluates a function or tests a value.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
-from sppa.milp import LpProblem
+if TYPE_CHECKING:  # the solver loads only when a model is built
+    from sppa.milp import LpProblem
 
 __all__ = ["encode_term"]
 

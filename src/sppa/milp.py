@@ -51,24 +51,16 @@ from typing import Optional, Sequence
 import numpy as np
 from numpy.linalg import _umath_linalg
 
+# the rows' names live with the problem model; all resolve here too, as milp.ROW_TOL
+from sppa.problems import COUNTERS, EQ, GE, LE, ROW_TOL, LinearConstraint, row_violation
+
 __all__ = [
-    "LE",
-    "EQ",
-    "GE",
-    "COUNTERS",
-    "LinearConstraint",
     "LpProblem",
     "MilpResult",
-    "ROW_TOL",
-    "row_violation",
     "solve_milp",
 ]
 
-LE, EQ, GE = "<=", "=", ">="
-
-_FEAS_TOL = 1e-7  # primal feasibility
-# the largest row violation an accepted point may have, relative to 1 + |rhs|
-ROW_TOL = 10.0 * _FEAS_TOL
+_FEAS_TOL = ROW_TOL / 10  # primal feasibility
 _INT_TOL = 1e-6  # integrality
 _REL_GAP = 1e-6  # relative optimality gap that ends the search
 _PIVOT_TOL = 1e-9
@@ -79,35 +71,6 @@ _STALL_LIMIT = 200  # consecutive non-improving pivots before Bland's rule kicks
 _NB_LOWER, _NB_UPPER, _BASIC = 0, 1, 2
 _SIGN = np.array([1.0, -1.0, 0.0])
 _FAR = np.iinfo(np.intp).max // 4  # a lattice key no set reaches: an empty support spans below 0
-
-
-class LinearConstraint:
-    """Sparse row ``sum(coeffs[j] * x_j) sense rhs``."""
-
-    def __init__(self, coeffs: dict[int, float], sense: str, rhs: float):
-        if sense not in (LE, EQ, GE):
-            raise ValueError(f"unknown sense {sense!r}")
-        if not math.isfinite(rhs):
-            raise ValueError("row rhs must be finite")
-        for j, c in coeffs.items():
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite coefficient on variable {j}")
-        self.coeffs, self.sense, self.rhs = coeffs, sense, rhs
-
-    def activity(self, x: np.ndarray) -> float:
-        return float(sum(c * x[j] for j, c in self.coeffs.items()))
-
-
-def row_violation(activity, senses, rhs) -> float:
-    """The largest ``max(0, excess) / (1 + |rhs|)`` over rows of these ``senses``
-    and ``rhs`` at ``activity``, ``excess`` being how far it lies on the wrong
-    side of the rhs; 0.0 with no rows.  Rows hold when it is at most ``ROW_TOL``."""
-    worst = 0.0
-    for a, sense, b in zip(activity, senses, rhs):
-        r = a - b
-        excess = r if sense == LE else -r if sense == GE else abs(r)
-        worst = max(worst, excess / (1.0 + abs(b)))
-    return float(worst)
 
 
 class LpProblem:
@@ -159,12 +122,6 @@ class LpProblem:
     @property
     def n_vars(self) -> int:
         return self.lb.size
-
-
-# the solver's counters, in trace order; nodes_<outcome> counts the nodes that end
-# that way, and a node the deadline stops counts in none of them
-COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations", "nodes_set_branched",
-            "nodes_var_branched", "nodes_integral", "nodes_infeasible", "nodes_cutoff")
 
 
 class MilpResult:

@@ -1,4 +1,4 @@
-"""Problem model, automatic term decomposition, and the benchmark registry.
+"""Problem model and its rows, automatic term decomposition, and the benchmark registry.
 
 A problem is a box-bounded set of variables, a linear objective part,
 linear constraint rows, and nonlinear terms (each an evaluable function of
@@ -32,9 +32,9 @@ import numpy as np
 
 from sppa import expr
 from sppa.expr import DomainError, Node, _Frozen
-from sppa.milp import LinearConstraint, row_violation
 
 __all__ = [
+    "LE", "EQ", "GE", "ROW_TOL", "COUNTERS", "LinearConstraint", "row_violation",  # shared with milp
     "Interval",
     "NonlinearTerm",
     "ProblemSpec",
@@ -48,6 +48,47 @@ __all__ = [
 ]
 
 
+LE, EQ, GE = "<=", "=", ">="
+# the largest row violation an accepted point may have, relative to 1 + |rhs|
+ROW_TOL = 1e-6
+# the solver's counters, in trace order; nodes_<outcome> counts the nodes that end
+# that way, and a node the deadline stops counts in none of them
+COUNTERS = ("nodes", "pivots", "root_pivots", "factorizations", "nodes_set_branched",
+            "nodes_var_branched", "nodes_integral", "nodes_infeasible", "nodes_cutoff")
+
+
+class LinearConstraint:
+    """Sparse row ``sum(coeffs[j] * x_j) sense rhs``."""
+
+    def __init__(self, coeffs: dict[int, float], sense: str, rhs: float):
+        if sense not in (LE, EQ, GE):
+            raise ValueError(f"unknown sense {sense!r}")
+        if not math.isfinite(rhs):
+            raise ValueError("row rhs must be finite")
+        for j, c in coeffs.items():
+            if not math.isfinite(c):
+                raise ValueError(f"non-finite coefficient on variable {j}")
+        self.coeffs, self.sense, self.rhs = coeffs, sense, rhs
+
+    def activity(self, x: np.ndarray) -> float:
+        return float(sum(c * x[j] for j, c in self.coeffs.items()))
+
+
+def row_violation(activity, senses, rhs) -> float:
+    """The largest ``max(0, excess) / (1 + |rhs|)`` over rows of these ``senses``
+    and ``rhs`` at ``activity``, ``excess`` being how far it lies on the wrong
+    side of the rhs; 0.0 with no rows.  Rows hold when it is at most ``ROW_TOL``."""
+    worst = 0.0
+    for a, sense, b in zip(activity, senses, rhs):
+        r = a - b
+        excess = r if sense == LE else -r if sense == GE else abs(r)
+        worst = max(worst, excess / (1.0 + abs(b)))
+    return float(worst)
+
+
+_BOOLS = frozenset((bool, np.bool_))  # math.isfinite takes their values as 0 and 1
+
+
 class Interval(_Frozen):
     """Closed bounded interval ``[lo, hi]`` of real numbers, immutable."""
     __hash__ = _Frozen.__hash__  # kept beside the __eq__ below
@@ -57,7 +98,7 @@ class Interval(_Frozen):
             finite = math.isfinite(lo) and math.isfinite(hi)
         except TypeError:  # not a real number
             finite = None
-        if finite is None or lo.__class__ is bool or hi.__class__ is bool:
+        if finite is None or lo.__class__ in _BOOLS or hi.__class__ in _BOOLS:
             raise ValueError(f"interval bounds must be real numbers, got [{lo!r}, {hi!r}]")
         if not finite:
             raise ValueError(f"interval bounds must be finite, got [{lo}, {hi}]")

@@ -513,6 +513,31 @@ def test_bench_pairs_runs_read_no_bytecode(tmp_path, monkeypatch):
     assert not first.exists() and not second[2].exists()  # removed after each run
 
 
+
+def test_bench_pairs_reads_each_runs_unscaled_wall_and_kernel_times(monkeypatch):
+    # scaled wall_s moves with the host's reference kernel speed: each run's
+    # log line gives both unscaled figures, and each side's medians print
+    script = _script("bench_pairs")
+    logs = iter([(0.0200, 1.5), (0.0190, 1.4), (0.0210, 1.6), (0.0195, 1.45)])
+
+    def fake_run(args, cwd, env, **kwargs):
+        wall, ref = next(logs)
+        doc = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+        return subprocess.CompletedProcess(args, 0, stdout=(
+            f"refine: unscaled wall_s {wall:.4f} s (median of 9 passes); reference kernel median "
+            f"{ref:.4f} ms over 99 runs, 3 ms on the machine of record\n{json.dumps(doc)}\n"))
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    docs = [script.run_once(".", "refine", 0, 2.0) for _ in range(4)]
+    assert [doc["host"] for doc in docs] == [(0.02, 1.5), (0.019, 1.4), (0.021, 1.6),
+                                             (0.0195, 1.45)]
+    pairs = [(docs[0], docs[1]), (docs[2], docs[3])]
+    assert script.host_lines(pairs) == [
+        "unscaled wall_s: parent 0.0205 s, change 0.01925 s, -6.1%",
+        "reference kernel median: parent 1.55 ms, change 1.425 ms, -8.1%"]
+    # a run without the line (a traced one) reads None; a side without any prints nothing
+    assert script.host_lines([(docs[0], {"host": None}), (docs[2], {"host": None})]) == []
+
 def test_table_nonpositive_budget_exits_2(tmp_path, capsys):
     assert _script("reproduce_table").run(["--outdir", str(tmp_path), "--budget", "0"]) == 2
     assert "time_limit must be positive" in capsys.readouterr().err

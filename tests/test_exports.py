@@ -55,13 +55,28 @@ def test_solving_a_milp_imports_no_scipy():
 
 def test_importing_sppa_after_numpy_loads_only_its_own_modules():
     # set-up is timed from source in fresh processes: beyond numpy's, sppa
-    # imports its own modules and three of the standard library's
+    # imports its own modules and three of the standard library's, and of
+    # its own not the solver, which loads only with the first model built
     code = textwrap.dedent("""
         import sys
         import numpy
         before = set(sys.modules)
         import sppa
         print(sorted(m for m in set(sys.modules) - before if m.split(".")[0] != "sppa"))
+        assert "sppa.milp" not in sys.modules
+        from sppa import cli
+        from sppa.loop import SppaConfig, run
+        from sppa.problems import from_expressions
+        run(sppa.builtin("ackley"), SppaConfig(max_iters=3))  # the vertex path
+        assert cli.main(["solve", "--problem", "rastrigin"]) == 0
+        assert "sppa.milp" not in sys.modules
+        spec = from_expressions([("x", sppa.Interval(-1.0, 1.0), False)], "x^2",
+                                constraints=[("x", ">=", 0.5)])
+        run(spec, SppaConfig(max_iters=3))
+        assert "sppa.milp" in sys.modules
+        assert sppa.LpProblem is sppa.milp.LpProblem
+        assert sppa.solve_milp is sppa.milp.solve_milp
+        assert not hasattr(sppa, "no_such_name")
     """)
     src = pathlib.Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

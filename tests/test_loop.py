@@ -557,7 +557,7 @@ def test_solver_failure_keeps_best_point(monkeypatch, status):
             return milp.MilpResult(status, None, None, None, math.inf)
         return solve_milp(lp, deadline)
 
-    monkeypatch.setattr(loop.milp, "solve_milp", failing)
+    monkeypatch.setattr(milp, "solve_milp", failing)
     result = run(spec, SppaConfig(2, 2, 0.5, max_iters=10))
     assert result.termination == status
     assert len(calls) == 3
@@ -1012,7 +1012,7 @@ def test_each_new_shape_starts_from_its_crash_basis(monkeypatch):
         "(n - 2.3)^2 + x^2 + n*x", constraints=[("x + n", ">=", -5.0)])
     calls = []
     solve = milp.solve_milp
-    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline: calls.append(
+    monkeypatch.setattr(milp, "solve_milp", lambda model, deadline: calls.append(
         (model, model._start, solve(model, deadline), model._start)) or calls[-1][2])
     run(spec, SppaConfig(4, 4))
     new = [i for i, (model, *_) in enumerate(calls) if i == 0 or model is not calls[i - 1][0]]
@@ -1034,7 +1034,7 @@ def test_a_recurring_shape_starts_from_its_own_last_basis(monkeypatch):
                             constraints=[("n", ">=", -5.0)])
     calls = []
     solve = milp.solve_milp
-    monkeypatch.setattr(loop.milp, "solve_milp", lambda model, deadline: calls.append(
+    monkeypatch.setattr(milp, "solve_milp", lambda model, deadline: calls.append(
         (model, model._start, solve(model, deadline), model._start)) or calls[-1][2])
     result = run(spec, SppaConfig(2, 4))
     kept, n_recurred = {}, 0

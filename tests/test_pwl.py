@@ -251,10 +251,12 @@ def test_interval_is_an_immutable_record():
 
 
 @pytest.mark.parametrize("lo, hi", [("0", "1"), (0.0, "1"), (True, 2.0), (0.0, False),
-                                    (0j, 1.0), (None, 1.0), ([0.0], 1.0)])
+                                    (0j, 1.0), (None, 1.0), ([0.0], 1.0),
+                                    (np.True_, 2.0), (0.0, np.False_)])
 def test_interval_rejects_a_bound_that_is_not_a_real_number(lo, hi):
-    # a string used to raise a bare TypeError from math.isfinite, and True
-    # was taken as the bound 1
+    # a string used to raise a bare TypeError from math.isfinite, True was
+    # taken as the bound 1, and numpy's bools made an interval whose width
+    # raised numpy's TypeError
     with pytest.raises(ValueError, match=re.escape(
             f"interval bounds must be real numbers, got [{lo!r}, {hi!r}]")):
         Interval(lo, hi)
